@@ -1,9 +1,10 @@
 """The plan IR: one node per deferred skeleton call.
 
-A :class:`PlanNode` remembers everything needed to run the call later
-through the skeleton's ordinary eager path (``node.run``), plus the
-structured fields (skeleton, inputs, extras) the fusion rewrite needs
-to compose user functions instead.
+A :class:`PlanNode` remembers the validated call (skeleton, inputs,
+extras, output, label): everything needed to run it later through the
+skeleton's ordinary run-now entry (``Skeleton._run``), and the
+structured fields the fusion rewrite needs to compose user functions
+instead.
 
 Node lifecycle::
 
@@ -20,7 +21,7 @@ taint rules guarantee those inputs cannot change under it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 class PlanNode:
@@ -30,24 +31,21 @@ class PlanNode:
     DONE = "done"
 
     __slots__ = ("planner", "op", "skeleton", "inputs", "output", "extras",
-                 "label", "run", "fusable", "seq", "state", "kw")
+                 "label", "fusable", "seq", "state")
 
     def __init__(self, planner, op: str, skeleton, inputs: Sequence,
-                 output, run: Callable[[], object], *, fusable: bool,
-                 label: Optional[str], extras: tuple = (), seq: int = 0,
-                 kw: Optional[dict] = None):
+                 output, *, fusable: bool, label: Optional[str],
+                 extras: tuple = (), seq: int = 0):
         self.planner = planner
         self.op = op  # "map" | "zip" | "reduce" | "scan" | "mapoverlap" | "allpairs"
         self.skeleton = skeleton
         self.inputs: List = list(inputs)
         self.output = output
-        self.run = run
         self.extras = extras
         self.label = label
         self.fusable = fusable
         self.seq = seq
         self.state = PlanNode.PENDING
-        self.kw = kw or {}
 
     @property
     def done(self) -> bool:

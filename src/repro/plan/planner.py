@@ -1,9 +1,11 @@
 """The lazy planner: record, rewrite (fuse), force.
 
 One :class:`Planner` hangs off a lazy :class:`~repro.skelcl.runtime.Session`.
-Skeleton ``__call__``s route here instead of enqueueing; the planner
-validates the call (same errors, same call site as eager mode), creates
-the output container, and records a :class:`~repro.plan.ir.PlanNode`.
+``Skeleton.__call__`` routes here instead of enqueueing: it hands over
+the call it has already validated, labelled and given an output
+container (same errors, same call site as eager mode), and the planner
+records a :class:`~repro.plan.ir.PlanNode`.  Every entry takes the same
+``(skeleton, inputs, extras, out, label)``.
 
 Force points (see ``docs/planner.md``):
 
@@ -19,7 +21,7 @@ Force points (see ``docs/planner.md``):
 Forcing gathers the target's pending ancestors, runs the rewrite pass
 (:meth:`Planner._rewrite`) that merges fusable producer/consumer chains
 into steps, and executes the steps oldest-first through the skeletons'
-ordinary eager paths — the async command graph, coherence protocol and
+ordinary run-now entry (``Skeleton._run``) — the async command graph, coherence protocol and
 SkelSan see exactly the commands an eager program would have issued,
 minus the fused-away ones.
 
@@ -34,10 +36,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
-from ..skelcl.matrix import Matrix
-from ..skelcl.runtime import SkelCLError
-from ..skelcl.scalar import Scalar
-from ..skelcl.vector import Vector
 from . import compose
 from .ir import PlanNode
 
@@ -118,11 +116,10 @@ class Planner:
             self._recording -= 1
             self._captures.remove(captured)
 
-    def _record(self, op: str, skeleton, inputs: Sequence, output, run,
-                *, fusable: bool, label: Optional[str],
-                extras: tuple = ()) -> PlanNode:
-        node = PlanNode(self, op, skeleton, inputs, output, run,
-                        fusable=fusable, label=label, extras=extras,
+    def _record(self, op: str, skeleton, inputs: Sequence, output,
+                label: str, extras: Sequence = (), *, fusable: bool = False):
+        node = PlanNode(self, op, skeleton, inputs, output,
+                        fusable=fusable, label=label, extras=tuple(extras),
                         seq=self._seq)
         self._seq += 1
         for container in node.inputs:
@@ -132,102 +129,48 @@ class Planner:
         for capture in self._captures:
             capture.append(node)
         self._count("skelcl_plan_deferred_total", op=op)
-        return node
+        return output
 
-    def defer_map(self, skeleton, input_container, extra_args,
-                  label: Optional[str]):
-        if input_container.dtype != skeleton.result_dtype(skeleton.in_type):
-            raise SkelCLError(
-                f"Map input has dtype {input_container.dtype}, but the "
-                f"customizing function takes {skeleton.in_type}"
-            )
-        skeleton.check_extra_args(skeleton.extra_types, extra_args)
-        out = self._like(input_container, skeleton.result_dtype(skeleton.out_type))
-        run = lambda: skeleton._execute(input_container, extra_args, out=out,
-                                        label=label)
+    def _defer_elementwise(self, op: str, skeleton, inputs, extras, out, label):
         fusable = compose.footprints_fusable(skeleton)
         if not fusable:
             self._count("skelcl_plan_fallback_total", reason="footprint")
-        self._record("map", skeleton, [input_container], out, run,
-                     fusable=fusable, label=label, extras=tuple(extra_args))
-        return out
+        return self._record(op, skeleton, inputs, out, label, extras,
+                            fusable=fusable)
 
-    def defer_zip(self, skeleton, left, right, extra_args,
-                  label: Optional[str]):
-        if type(left) is not type(right):
-            raise SkelCLError("Zip inputs must both be vectors or both be matrices")
-        left_size = left.shape if isinstance(left, Matrix) else left.size
-        right_size = right.shape if isinstance(right, Matrix) else right.size
-        if left_size != right_size:
-            raise SkelCLError(f"Zip inputs differ in size: {left_size} vs {right_size}")
-        if left.dtype != skeleton.result_dtype(skeleton.left_type):
-            raise SkelCLError(
-                f"left input dtype {left.dtype} does not match {skeleton.left_type}")
-        if right.dtype != skeleton.result_dtype(skeleton.right_type):
-            raise SkelCLError(
-                f"right input dtype {right.dtype} does not match {skeleton.right_type}")
-        skeleton.check_extra_args(skeleton.extra_types, extra_args)
-        out = self._like(left, skeleton.result_dtype(skeleton.out_type))
-        run = lambda: skeleton._execute(left, right, extra_args, out=out,
-                                        label=label)
-        fusable = compose.footprints_fusable(skeleton)
-        if not fusable:
-            self._count("skelcl_plan_fallback_total", reason="footprint")
-        self._record("zip", skeleton, [left, right], out, run,
-                     fusable=fusable, label=label, extras=tuple(extra_args))
-        return out
+    def defer_map(self, skeleton, inputs, extras, out, label: str):
+        return self._defer_elementwise("map", skeleton, inputs, extras, out, label)
 
-    def defer_opaque(self, op: str, skeleton, inputs: Sequence, output, run,
-                     label: Optional[str]) -> object:
+    def defer_zip(self, skeleton, inputs, extras, out, label: str):
+        return self._defer_elementwise("zip", skeleton, inputs, extras, out, label)
+
+    def defer_opaque(self, skeleton, inputs, extras, out, label: str):
         """Defer a skeleton with no fusion rules (Scan, MapOverlap,
         AllPairs): it executes through its eager path at force time,
         node by node — the documented fallback."""
-        self._record(op, skeleton, inputs, output, run, fusable=False,
-                     label=label)
+        op = type(skeleton).__name__.lower()
         self._count("skelcl_plan_fallback_total", reason=op)
-        return output
-
-    @staticmethod
-    def _like(container, dtype):
-        if isinstance(container, Matrix):
-            return Matrix(container.shape, dtype=dtype)
-        return Vector(container.size, dtype=dtype)
+        return self._record(op, skeleton, inputs, out, label)
 
     # -- reduce: the synchronous force point -------------------------------
 
-    def defer_reduce(self, skeleton, input_container, out, label: Optional[str]):
+    def defer_reduce(self, skeleton, inputs, extras, out, label: str):
         """Record a Reduce without forcing (recording mode only): the
         Scalar result stays a placeholder until the node runs — reading
         it forces the node, like any container force point.  Recorded
         reductions skip the map∘reduce premap fusion window (counted as
         a fallback); correctness is unchanged."""
-        dtype = skeleton.result_dtype(skeleton.element_type)
-        if input_container.dtype != dtype:
-            raise SkelCLError(
-                f"Reduce input dtype {input_container.dtype} does not match "
-                f"{skeleton.element_type}"
-            )
-        result = out if out is not None else Scalar(0, dtype)
-        run = lambda: skeleton._execute(input_container, out=result,
-                                        label=label)
-        self._record("reduce", skeleton, [input_container], result, run,
-                     fusable=False, label=label)
         self._count("skelcl_plan_fallback_total", reason="recorded_reduce")
-        return result
+        return self._record("reduce", skeleton, inputs, out, label)
 
-    def reduce_now(self, skeleton, input_container, out, label: Optional[str]):
+    def reduce_now(self, skeleton, inputs, extras, out, label: str):
         """Record-and-force for Reduce.  If the reduction's input is the
         sole-consumer output of a fusable map chain, the chain becomes
         the ``premap`` of the reduction's first pass (map∘reduce); the
         chain's containers are elided."""
         if self.recording:
-            return self.defer_reduce(skeleton, input_container, out, label)
-        dtype = skeleton.result_dtype(skeleton.element_type)
-        if input_container.dtype != dtype:
-            raise SkelCLError(
-                f"Reduce input dtype {input_container.dtype} does not match "
-                f"{skeleton.element_type}"
-            )
+            return self.defer_reduce(skeleton, inputs, extras, out, label)
+        (input_container,) = inputs
         premap = None
         producer = input_container._pending
         if producer is not None and producer.state == PlanNode.PENDING:
@@ -237,11 +180,11 @@ class Planner:
             if (last.output is input_container and last.kind == "map"
                     and last.can_extend
                     and self._pending_uses(input_container) == 0):
-                extras: List = []
+                chain_extras: List = []
                 for node in last.nodes:
-                    extras.extend(node.extras)
+                    chain_extras.extend(node.extras)
                 premap = compose.premap_of(
-                    [n.skeleton for n in last.nodes]).with_extras(extras)
+                    [n.skeleton for n in last.nodes]).with_extras(chain_extras)
                 self._execute_steps(steps[:-1])
                 self._elide_step(last)
                 self._count("skelcl_fusion_total", rule="map_reduce")
@@ -254,8 +197,8 @@ class Planner:
                     self._count("skelcl_plan_fallback_total",
                                 reason="multi_consumer")
                 self._execute_steps(steps)
-        return skeleton._execute(input_container, out=out, label=label,
-                                 premap=premap)
+        return skeleton._run(self.session, [input_container], (), out, label,
+                             premap=premap)
 
     # -- forcing -----------------------------------------------------------
 
@@ -417,8 +360,8 @@ class Planner:
                     extras.extend(node.extras)
                 label = compose.chain_label([n.skeleton for n in stages],
                                             stages[-1].label)
-                fused._execute(stages[0].inputs[0], tuple(extras),
-                               out=step.output, label=label)
+                fused._run(self.session, [stages[0].inputs[0]], extras,
+                           step.output, label)
             else:
                 zip_node = step.zip_node
                 fused = compose.fused_zip(
@@ -439,8 +382,8 @@ class Planner:
                 label = compose.chain_label(
                     [zip_node.skeleton] + [n.skeleton for n in step.post],
                     step.final.label, kind="Zip")
-                fused._execute(left_in, right_in, tuple(extras),
-                               out=step.output, label=label)
+                fused._run(self.session, [left_in, right_in], extras,
+                           step.output, label)
         finally:
             for node in step.nodes:
                 if node is step.final:
@@ -467,7 +410,8 @@ class Planner:
         node.state = PlanNode.RUNNING
         self._executing += 1
         try:
-            node.run()
+            node.skeleton._run(self.session, node.inputs, node.extras,
+                               node.output, node.label)
         finally:
             self._executing -= 1
             node.state = PlanNode.DONE

@@ -182,8 +182,8 @@ class profile:
             result = skeleton(data)
         print(prof.report())
 
-    ``target`` may be a :class:`~repro.skelcl.runtime.SkelCLRuntime` /
-    ``Session``, an :class:`~repro.ocl.Context`, or ``None`` to use the
+    ``target`` may be a :class:`~repro.skelcl.runtime.Session`, an
+    :class:`~repro.ocl.Context`, or ``None`` to use the
     process-wide SkelCL runtime (which must be initialized by the time
     the block is *entered*)."""
 

@@ -27,13 +27,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..jit import JitFunction
 from .distribution import Block, Copy
-from .funcparse import parse_user_function, pointer_param, scalar_return
+from .funcparse import pointer_param, scalar_return
 from .matrix import Matrix
 from .reduce import Reduce
-from .runtime import SkelCLError, get_runtime
-from .skeleton import (default_call_label, partitioned, reject_positional_out,
-                       rename_function, round_up)
+from .runtime import SkelCLError
+from .skeleton import Skeleton, partitioned, rename_function
 from .types_ import dtype_for_ctype
 from .zip import Zip
 
@@ -138,7 +138,7 @@ __kernel void skelcl_allpairs(__global const {t}* SCL_A,
 """
 
 
-class AllPairs:
+class AllPairs(Skeleton):
     """AllPairs skeleton.
 
     ``tiled=True`` (zip/reduce form only) enables the local-memory
@@ -150,11 +150,11 @@ class AllPairs:
     the argument for structured customization.
     """
 
+    n_inputs = 2
+    accepts = (Matrix,)
+
     def __init__(self, reduce: Optional[Reduce] = None, zip: Optional[Zip] = None,
                  source: Optional[str] = None, tiled: bool = False, tile: int = 16):
-        self.last_events = []
-        self._programs = {}
-        self._call_label: Optional[str] = None
         self.tiled = tiled
         self.tile = tile
         if source is not None:
@@ -165,23 +165,16 @@ class AllPairs:
                     "the tiled AllPairs optimization requires the zip/reduce form "
                     "(an opaque row function cannot be restructured)"
                 )
-            from ..jit import JitFunction
-
             if isinstance(source, JitFunction):
                 # AllPairs never sees a container element type directly
                 # (the row function takes pointers), so a jit row
                 # function must be fully annotated — lower_source raises
                 # with the unannotated parameter otherwise.
                 source = source.lower_source()
-            self.user = parse_user_function(source)
-            if self.user.arity != 3:
-                raise SkelCLError(
-                    "a raw AllPairs function must be f(const T* a, const T* b, int d)"
-                )
-            self.element_type = pointer_param(self.user, 0).pointee
-            self.out_type = scalar_return(self.user)
             self._mode = "raw"
+            super().__init__(source)
         else:
+            super().__init__()
             if reduce is None or zip is None:
                 raise SkelCLError("AllPairs needs a Reduce and a Zip (or a raw source)")
             if zip.user is None or reduce.user is None:
@@ -224,27 +217,24 @@ class AllPairs:
             tile=self.tile,
         )
 
-    @property
-    def last_kernel_time_ns(self) -> int:
-        """Simulated kernel time of the most recent call: the
-        critical-path window (latest completion minus earliest start)
-        over the call's kernel events, as scheduled on the command
-        graph."""
-        kernels = [e for e in self.last_events if e.command_type == "ndrange_kernel"]
-        if not kernels:
-            return 0
-        for event in kernels:
-            event.wait()
-        return max(e.end_ns for e in kernels) - min(e.start_ns for e in kernels)
-
     # -- execution ----------------------------------------------------------------
 
-    def __call__(self, a: Matrix, b: Matrix, *_deprecated,
-                 out: Optional[Matrix] = None,
-                 label: Optional[str] = None) -> Matrix:
-        reject_positional_out(_deprecated, "AllPairs")
-        if not isinstance(a, Matrix) or not isinstance(b, Matrix):
-            raise SkelCLError("AllPairs operates on two matrices")
+    def _bind_user(self) -> None:
+        if self.user.arity != 3:
+            raise SkelCLError(
+                "a raw AllPairs function must be f(const T* a, const T* b, int d)"
+            )
+        self.element_type = pointer_param(self.user, 0).pointee
+        self.out_type = scalar_return(self.user)
+
+    @property
+    def func_name(self) -> str:
+        if self._mode == "raw":
+            return self.user.name
+        return f"{self.reduce.user.name}∘{self.zip.user.name}"
+
+    def _validate(self, inputs, extras) -> None:
+        a, b = inputs
         if a.cols != b.cols:
             raise SkelCLError(
                 f"AllPairs inputs must share the entity dimension d: {a.shape} vs {b.shape}"
@@ -252,29 +242,15 @@ class AllPairs:
         element_dtype = dtype_for_ctype(self.element_type)
         if a.dtype != element_dtype or b.dtype != element_dtype:
             raise SkelCLError("AllPairs input dtypes do not match the customizing functions")
-        if self._mode == "raw":
-            func_name = self.user.name
-        else:
-            func_name = f"{self.reduce.user.name}∘{self.zip.user.name}"
-        label = label or default_call_label("AllPairs", func_name)
-        planner = getattr(get_runtime(), "planner", None)
-        if planner is not None and out is None:
-            # The B-side Copy distribution makes AllPairs unfusable — it
-            # defers as an eager-at-force node (docs/planner.md).
-            deferred = Matrix((a.rows, b.rows), dtype=dtype_for_ctype(self.out_type))
-            run = lambda: self._execute(a, b, out=deferred, label=label)
-            return planner.defer_opaque("allpairs", self, [a, b], deferred,
-                                        run, label)
-        return self._execute(a, b, out=out, label=label)
 
-    def _execute(self, a: Matrix, b: Matrix, *, out: Optional[Matrix] = None,
-                 label: Optional[str] = None) -> Matrix:
-        self.last_events = []
-        self._call_label = label
-        runtime = get_runtime()
-        n, d = a.shape
-        m = b.rows
+    def _output_shape(self, inputs) -> tuple:
+        return (inputs[0].rows, inputs[1].rows)
 
+    def _execute(self, session, inputs, extras, out):
+        # The B-side Copy distribution makes AllPairs unfusable — under
+        # the planner it defers as an eager-at-force node (docs/planner.md).
+        a, b = inputs
+        d, m = a.cols, b.rows
         if b is a:
             # Aliased inputs (e.g. allpairs(P, P) in n-body): A needs a
             # Block distribution while B needs Copy, and redistributing
@@ -282,60 +258,12 @@ class AllPairs:
             # side's chunks mid-flight.  Materialize an independent copy
             # for the B side instead.
             b = Matrix(data=np.array(a.to_numpy(), copy=True))
-
         # A's rows split over the devices (partition-sized when a policy
         # is active); B is replicated, and the output rows follow A.
-        a_dist = partitioned(Block())
-        a_chunks = a.ensure_on_devices(a_dist)
-        b_chunks = b.ensure_on_devices(Copy())
-        out_dtype = dtype_for_ctype(self.out_type)
-        if out is None:
-            out = Matrix((n, m), dtype=out_dtype)
-        elif out.shape != (n, m):
-            raise SkelCLError(f"output matrix has shape {out.shape}, expected {(n, m)}")
-        out_chunks = out.prepare_as_output(a_dist)
-
-        source = self.kernel_source()
-        from .. import ocl
-
-        program = self._programs.get(source)
-        if program is None:
-            program = ocl.Program(source, "skelcl_allpairs").build()
-            self._programs[source] = program
-
-        b_by_device = {chunk.device_index: buffer for chunk, buffer in b_chunks}
-        b_events_by_device = {
-            chunk.device_index: b.chunk_events(position)
-            for position, (chunk, _buffer) in enumerate(b_chunks)
-        }
-        b_position_by_device = {
-            chunk.device_index: position
-            for position, (chunk, _buffer) in enumerate(b_chunks)
-        }
-        local0 = local1 = self.tile if self.tiled else 16
-        for position, ((a_chunk, a_buffer), (c_chunk, c_buffer)) in enumerate(
-            zip(a_chunks, out_chunks)
-        ):
-            rows = a_chunk.owned_size
-            if rows == 0:
-                continue
-            kernel = program.create_kernel("skelcl_allpairs")
-            kernel.set_args(a_buffer, b_by_device[a_chunk.device_index], c_buffer, rows, m, d)
-            global_size = (round_up(m, local0), round_up(rows, local1))
-            queue = runtime.queue(a_chunk.device_index)
-            event = queue.enqueue_nd_range_kernel(
-                kernel, global_size, (local0, local1),
-                event_wait_list=a.chunk_events(position)
-                + b_events_by_device.get(a_chunk.device_index, [])
-                + out.chunk_write_events(position),
-            )
-            event.info["device_index"] = a_chunk.device_index
-            event.label = self._call_label
-            a.record_chunk_reader(position, event)
-            b_position = b_position_by_device.get(a_chunk.device_index)
-            if b_position is not None:
-                b.record_chunk_reader(b_position, event)
-            out.record_chunk_event(position, event)
-            self.last_events.append(event)
-        out.mark_written_on_devices()
-        return out
+        a_dist = partitioned(session, Block())
+        local = self.tile if self.tiled else 16
+        return self._launch(
+            session, (a, b), (a_dist, Copy()), out, a_dist,
+            self.kernel_source(), "skelcl_allpairs", "skelcl_allpairs", (local, local),
+            lambda _c_chunk, a_chunk, _b_chunk: ((a_chunk.owned_size, m, d),
+                                                 (m, a_chunk.owned_size)))

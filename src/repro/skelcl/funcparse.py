@@ -10,7 +10,7 @@ parameters the generated ``get()`` accessor needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..kernelc import ast
 from ..kernelc.ctypes_ import CType, PointerType, ScalarType
@@ -105,8 +105,3 @@ def append_hidden_params(user_function: UserFunction, extra_params: str) -> str:
     if inner == "void":
         return source[:open_paren + 1] + extra_params + source[close:]
     return source[:close] + separator + extra_params + source[close:]
-
-
-def extra_args_of(user_function: UserFunction, fixed: int) -> List[CType]:
-    """The trailing "additional argument" types after the fixed ones."""
-    return list(user_function.param_types[fixed:])

@@ -13,15 +13,14 @@ parameters become *additional arguments* supplied at call time::
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from .container import Container
+from ..kernelc.ctypes_ import LONG
 from .distribution import Block
-from .funcparse import extra_args_of, scalar_param, scalar_return
+from .funcparse import scalar_param, scalar_return
+from .index import IndexMatrix, IndexVector
 from .matrix import Matrix
-from .runtime import SkelCLError, get_runtime
-from .skeleton import (DEFAULT_WORK_GROUP_SIZE, Skeleton, default_call_label,
-                       partitioned, round_up)
+from .runtime import SkelCLError
+from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton, partitioned
+from .types_ import dtype_for_ctype
 from .vector import Vector
 
 _KERNEL_TEMPLATE = """\
@@ -72,6 +71,11 @@ __kernel void skelcl_map_index_m(__global {out_type}* SCL_OUT,
 
 
 class Map(Skeleton):
+    takes_extras = True
+    accepts = (Vector, Matrix, IndexVector, IndexMatrix)
+    call_options = ("sample_fraction",)
+    plan_entry = "defer_map"
+
     def __init__(self, source, work_group_size: int = DEFAULT_WORK_GROUP_SIZE):
         self.work_group_size = work_group_size
         super().__init__(source)
@@ -83,23 +87,15 @@ class Map(Skeleton):
         self.out_type = scalar_return(self.user)
         self.extra_types = [scalar_param(self.user, 1 + i)
                             for i in range(self.user.arity - 1)]
-        _ = extra_args_of  # extra types validated above
 
-    def _specialize_call(self, input_container, extra_args) -> None:
-        """Specialize a jit customizer from this call's argument types
-        (index containers supply ``long`` index parameters)."""
-        if self.jit is None:
-            return
-        from ..kernelc.ctypes_ import LONG
-        from .index import IndexMatrix, IndexVector
-
-        if isinstance(input_container, IndexMatrix):
-            hints = [LONG, LONG] + [self._hint_for_extra(v) for v in extra_args]
-        elif isinstance(input_container, IndexVector):
-            hints = [LONG] + [self._hint_for_extra(v) for v in extra_args]
-        else:
-            hints = self._element_hints([input_container], extra_args)
-        self._specialize(hints)
+    def _hints(self, inputs, extras):
+        """Index containers supply ``long`` index parameters."""
+        (container,) = inputs
+        if isinstance(container, IndexMatrix):
+            return [LONG, LONG] + super()._hints((), extras)
+        if isinstance(container, IndexVector):
+            return [LONG] + super()._hints((), extras)
+        return super()._hints(inputs, extras)
 
     def kernel_source(self) -> str:
         return _KERNEL_TEMPLATE.format(
@@ -132,135 +128,63 @@ class Map(Skeleton):
             extra_call=self.extra_call_source(self.extra_types[1:]),
         )
 
-    def _call_index_matrix(self, index_matrix, extra_args, out, sample_fraction):
-        """Map over an IndexMatrix: the function receives (row, col)."""
-        if self.user.arity < 2:
-            raise SkelCLError(
-                "Map over an IndexMatrix needs a customizing function taking "
-                "(row, col) as its first two parameters"
-            )
-        col_type = self.user.param_types[1]
-        if not (self.in_type.is_integer() and getattr(col_type, "is_integer", lambda: False)()):
-            raise SkelCLError(
-                "Map over an IndexMatrix needs integer (row, col) parameters"
-            )
-        extras = self.check_extra_args(self.extra_types[1:], extra_args)
-        out_dtype = self.result_dtype(self.out_type)
-        if out is None:
-            out = Matrix(index_matrix.shape, dtype=out_dtype)
-        elif out.dtype != out_dtype:
-            raise SkelCLError(f"output container dtype {out.dtype} does not match {self.out_type}")
-        out_chunks = out.prepare_as_output(partitioned(index_matrix.distribution))
-        program = self._program(self.index_matrix_kernel_source(),
-                                f"skelcl_map_index_m_{self.user.name}")
-        cols = index_matrix.cols
-        local = (16, 16)
-        for position, (chunk, out_buffer) in enumerate(out_chunks):
-            rows = chunk.owned_size
-            if rows == 0:
-                continue
-            kernel = program.create_kernel("skelcl_map_index_m")
-            kernel.set_args(out_buffer, cols, rows, chunk.owned_start, *extras)
-            global_size = (round_up(cols, local[0]), round_up(rows, local[1]))
-            self._enqueue(chunk.device_index, kernel, global_size, local, sample_fraction,
-                          wait_for=out.chunk_write_events(position),
-                          output=out, output_position=position)
-        out.mark_written_on_devices()
-        return out
-
-    def _call_index(self, index_vector, extras, out, sample_fraction):
-        """Map over an IndexVector: no input buffer, elements are indices."""
-        out_dtype = self.result_dtype(self.out_type)
-        if out is None:
-            out = Vector(index_vector.size, dtype=out_dtype)
-        elif out.dtype != out_dtype:
-            raise SkelCLError(f"output container dtype {out.dtype} does not match {self.out_type}")
-        out_chunks = out.prepare_as_output(partitioned(index_vector.distribution))
-        program = self._program(self.index_kernel_source(), f"skelcl_map_index_{self.user.name}")
-        for position, (chunk, out_buffer) in enumerate(out_chunks):
-            n = chunk.owned_size
-            if n == 0:
-                continue
-            kernel = program.create_kernel("skelcl_map_index")
-            kernel.set_args(out_buffer, n, chunk.owned_start, *extras)
-            global_size = round_up(n, self.work_group_size)
-            self._enqueue(chunk.device_index, kernel, (global_size,), (self.work_group_size,),
-                          sample_fraction,
-                          wait_for=out.chunk_write_events(position),
-                          output=out, output_position=position)
-        out.mark_written_on_devices()
-        return out
-
-    def __call__(self, input_container: Union[Vector, Matrix], *extra_args,
-                 out: Optional[Container] = None, label: Optional[str] = None,
-                 sample_fraction: Optional[float] = None):
-        from .index import IndexMatrix, IndexVector
-
-        self._specialize_call(input_container, extra_args)
-        planner = getattr(get_runtime(), "planner", None)
-        if (planner is not None and out is None and sample_fraction is None
-                and not isinstance(input_container, (IndexMatrix, IndexVector))
-                and isinstance(input_container, (Vector, Matrix))):
-            label = label or default_call_label("Map", self.user.name)
-            return planner.defer_map(self, input_container, extra_args, label)
-        return self._execute(input_container, extra_args, out=out, label=label,
-                             sample_fraction=sample_fraction)
-
-    def _execute(self, input_container: Union[Vector, Matrix], extra_args=(),
-                 *, out: Optional[Container] = None, label: Optional[str] = None,
-                 sample_fraction: Optional[float] = None):
-        self._specialize_call(input_container, extra_args)
-        self._begin_call(label)
-        runtime = get_runtime()
-        from .index import IndexMatrix, IndexVector
-
-        if isinstance(input_container, IndexMatrix):
-            return self._call_index_matrix(input_container, extra_args, out, sample_fraction)
-        if isinstance(input_container, IndexVector):
+    def _validate(self, inputs, extras) -> None:
+        (container,) = inputs
+        extra_types = self.extra_types
+        if isinstance(container, IndexMatrix):
+            if self.user.arity < 2:
+                raise SkelCLError(
+                    "Map over an IndexMatrix needs a customizing function taking "
+                    "(row, col) as its first two parameters"
+                )
+            col_type = self.user.param_types[1]
+            if not (self.in_type.is_integer() and getattr(col_type, "is_integer", lambda: False)()):
+                raise SkelCLError(
+                    "Map over an IndexMatrix needs integer (row, col) parameters"
+                )
+            extra_types = extra_types[1:]
+        elif isinstance(container, IndexVector):
             if not self.in_type.is_integer():
                 raise SkelCLError(
                     f"Map over an IndexVector needs an integer parameter, "
                     f"the customizing function takes {self.in_type}"
                 )
-            extras = self.check_extra_args(self.extra_types, extra_args)
-            return self._call_index(input_container, extras, out, sample_fraction)
-        if input_container.dtype != self.result_dtype(self.in_type):
+        elif container.dtype != dtype_for_ctype(self.in_type):
             raise SkelCLError(
-                f"Map input has dtype {input_container.dtype}, but the customizing "
+                f"Map input has dtype {container.dtype}, but the customizing "
                 f"function takes {self.in_type}"
             )
-        extras = self.check_extra_args(self.extra_types, extra_args)
+        self.check_extra_args(extra_types, extras)
 
-        distribution = self.resolve_input_distribution(input_container, Block())
-        chunks = input_container.ensure_on_devices(distribution)
+    def _execute(self, session, inputs, extras, out, sample_fraction=None):
+        (container,) = inputs
+        wg = self.work_group_size
+        if isinstance(container, IndexMatrix):
+            # The customizing function receives (row, col): no input buffer.
+            cols = container.cols
+            return self._launch(
+                session, (), (), out, partitioned(session, container.distribution),
+                self.index_matrix_kernel_source(),
+                f"skelcl_map_index_m_{self.user.name}", "skelcl_map_index_m", (16, 16),
+                lambda chunk: ((cols, chunk.owned_size, chunk.owned_start),
+                               (cols, chunk.owned_size)),
+                extras, sample_fraction)
+        if isinstance(container, IndexVector):
+            # No input buffer, elements are indices.
+            return self._launch(
+                session, (), (), out, partitioned(session, container.distribution),
+                self.index_kernel_source(),
+                f"skelcl_map_index_{self.user.name}", "skelcl_map_index", (wg,),
+                lambda chunk: ((chunk.owned_size, chunk.owned_start), (chunk.owned_size,)),
+                extras, sample_fraction)
+        distribution = self.resolve_input_distribution(session, container, Block())
+        unit_elements = container._unit_elements
 
-        out_dtype = self.result_dtype(self.out_type)
-        if out is None:
-            if isinstance(input_container, Matrix):
-                out = Matrix(input_container.shape, dtype=out_dtype)
-            else:
-                out = Vector(input_container.size, dtype=out_dtype)
-        elif out.dtype != out_dtype:
-            raise SkelCLError(f"output container dtype {out.dtype} does not match {self.out_type}")
-        out_chunks = out.prepare_as_output(self.output_distribution(distribution))
+        def chunk_args(_out_chunk, chunk):
+            n = chunk.owned_size * unit_elements
+            return (n, chunk.halo_before * unit_elements), (n,)
 
-        program = self._program(self.kernel_source(), f"skelcl_map_{self.user.name}")
-        unit_elements = input_container._unit_elements
-        for position, ((in_chunk, in_buffer), (out_chunk, out_buffer)) in enumerate(
-            zip(chunks, out_chunks)
-        ):
-            n = in_chunk.owned_size * unit_elements
-            if n == 0:
-                continue
-            offset = in_chunk.halo_before * unit_elements
-            kernel = program.create_kernel("skelcl_map")
-            kernel.set_args(in_buffer, out_buffer, n, offset, *extras)
-            global_size = round_up(n, self.work_group_size)
-            self._enqueue(in_chunk.device_index, kernel, (global_size,), (self.work_group_size,),
-                          sample_fraction,
-                          wait_for=input_container.chunk_events(position)
-                          + out.chunk_write_events(position),
-                          inputs=[(input_container, position)],
-                          output=out, output_position=position)
-        out.mark_written_on_devices()
-        return out
+        return self._launch(
+            session, inputs, [distribution], out, self.output_distribution(distribution),
+            self.kernel_source(), f"skelcl_map_{self.user.name}", "skelcl_map", (wg,),
+            chunk_args, extras, sample_fraction)

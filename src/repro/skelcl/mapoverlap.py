@@ -37,16 +37,12 @@ source-to-source approach the SkelCL library uses.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Union
-
 from .distribution import Block, Copy, Distribution, Overlap, Single
 from .funcparse import append_hidden_params, pointer_param, scalar_return
 from .matrix import Matrix
-from .runtime import SkelCLError, get_runtime
-from .skeleton import (Skeleton, default_call_label, partitioned,
-                       reject_positional_out, round_up, scalar_literal)
+from .runtime import SkelCLError
+from .skeleton import Skeleton, partitioned, scalar_literal
 from .types_ import dtype_for_ctype
-from .vector import Vector
 
 
 class BoundaryMode(enum.Enum):
@@ -329,19 +325,19 @@ class MapOverlap(Skeleton):
 
     # -- distribution policy -----------------------------------------------------
 
-    def _resolve_distribution(self, container) -> Distribution:
+    def _resolve_distribution(self, session, container) -> Distribution:
         current = container.distribution
         halo = self.effective_overlap
         if isinstance(current, (Single, Copy)):
             return current  # whole data present: no halo needed
         if isinstance(current, Overlap) and current.overlap >= halo:
-            return partitioned(current)
+            return partitioned(session, current)
         # A block-distributed input keeps its (possibly uneven) split;
         # the halo is grown around the same owned ranges.
         carried = current.partition if isinstance(current, (Block, Overlap)) else None
-        return partitioned(Overlap(halo, carried))
+        return partitioned(session, Overlap(halo, carried))
 
-    def _count_halo_savings(self, chunks, total: int, row_bytes: int) -> None:
+    def _count_halo_savings(self, session, chunks, total: int, row_bytes: int) -> None:
         """Credit ``skelcl_transfer_bytes_saved_total`` with the halo
         rows/elements the proven reach let us *not* ship, relative to
         the declared overlap (``row_bytes`` is the size of one halo
@@ -353,103 +349,48 @@ class MapOverlap(Skeleton):
             saved_units += max(0, full_before - chunk.halo_before)
             saved_units += max(0, full_after - chunk.halo_after)
         if saved_units:
-            get_runtime().metrics.counter(
+            session.metrics.counter(
                 "skelcl_transfer_bytes_saved_total"
             ).inc(saved_units * row_bytes)
 
     # -- execution -------------------------------------------------------------------
 
-    def __call__(self, input_container: Union[Vector, Matrix], *_deprecated,
-                 out: Optional[Union[Vector, Matrix]] = None,
-                 label: Optional[str] = None):
-        reject_positional_out(_deprecated, "MapOverlap")
-        expected = dtype_for_ctype(self.in_type)
-        if input_container.dtype != expected:
+    def _validate(self, inputs, extras) -> None:
+        if inputs[0].dtype != dtype_for_ctype(self.in_type):
             raise SkelCLError(
-                f"MapOverlap input dtype {input_container.dtype} does not match {self.in_type}"
+                f"MapOverlap input dtype {inputs[0].dtype} does not match {self.in_type}"
             )
-        planner = getattr(get_runtime(), "planner", None)
-        if (planner is not None and out is None
-                and type(input_container) in (Vector, Matrix)):
-            # Halo exchange makes MapOverlap unfusable — it defers as an
-            # eager-at-force node (docs/planner.md, "Fallbacks").
-            label = label or default_call_label("MapOverlap", self.user.name)
-            out_dtype = dtype_for_ctype(self.out_type)
-            if isinstance(input_container, Matrix):
-                deferred = Matrix(input_container.shape, dtype=out_dtype)
-            else:
-                deferred = Vector(input_container.size, dtype=out_dtype)
-            run = lambda: self._execute(input_container, out=deferred, label=label)
-            return planner.defer_opaque("mapoverlap", self, [input_container],
-                                        deferred, run, label)
-        return self._execute(input_container, out=out, label=label)
 
-    def _execute(self, input_container: Union[Vector, Matrix], *,
-                 out: Optional[Union[Vector, Matrix]] = None,
-                 label: Optional[str] = None):
-        self._begin_call(label)
-        if isinstance(input_container, Matrix):
-            return self._call_matrix(input_container, out)
-        return self._call_vector(input_container, out)
+    def _execute(self, session, inputs, extras, out):
+        # Halo exchange makes MapOverlap unfusable — under the planner it
+        # defers as an eager-at-force node (docs/planner.md, "Fallbacks").
+        (container,) = inputs
+        distribution = self._resolve_distribution(session, container)
+        if isinstance(container, Matrix):
+            width, height = container.cols, container.rows
+            source, kernel_name, local_size = (
+                self.matrix_source(), "skelcl_mapoverlap_m", (_MAT_WG, _MAT_WG))
 
-    def _call_vector(self, vector: Vector, out: Optional[Vector]):
-        distribution = self._resolve_distribution(vector)
-        chunks = vector.ensure_on_devices(distribution)
+            def chunk_args(_out_chunk, chunk):
+                return ((width, height, chunk.owned_start, chunk.owned_size,
+                         chunk.halo_before, chunk.stored_size),
+                        (width, chunk.owned_size))
+        else:
+            total = container.size
+            source, kernel_name, local_size = (
+                self.vector_source(), "skelcl_mapoverlap_v", (_VEC_WG,))
+
+            def chunk_args(_out_chunk, chunk):
+                return ((chunk.owned_size, chunk.owned_start, total,
+                         chunk.halo_before, chunk.stored_size),
+                        (chunk.owned_size,))
+
+        self._launch(
+            session, inputs, [distribution], out, self.output_distribution(distribution),
+            source, f"skelcl_mapoverlap_{self.user.name}", kernel_name, local_size,
+            chunk_args)
         if distribution.kind == "overlap" and self.effective_overlap < self.overlap:
-            self._count_halo_savings(chunks, vector.size, vector.dtype.itemsize)
-        out_dtype = dtype_for_ctype(self.out_type)
-        if out is None:
-            out = Vector(vector.size, dtype=out_dtype)
-        out_chunks = out.prepare_as_output(
-            Block(distribution.partition) if distribution.kind == "overlap" else distribution
-        )
-        program = self._program(self.vector_source(), f"skelcl_mapoverlap_{self.user.name}")
-        total = vector.size
-        for position, ((in_chunk, in_buffer), (out_chunk, out_buffer)) in enumerate(
-            zip(chunks, out_chunks)
-        ):
-            n = in_chunk.owned_size
-            if n == 0:
-                continue
-            kernel = program.create_kernel("skelcl_mapoverlap_v")
-            kernel.set_args(in_buffer, out_buffer, n, in_chunk.owned_start, total,
-                            in_chunk.halo_before, in_chunk.stored_size)
-            global_size = round_up(n, _VEC_WG)
-            self._enqueue(in_chunk.device_index, kernel, (global_size,), (_VEC_WG,),
-                          wait_for=vector.chunk_events(position) + out.chunk_write_events(position),
-                          inputs=[(vector, position)],
-                          output=out, output_position=position)
-        out.mark_written_on_devices()
-        return out
-
-    def _call_matrix(self, matrix: Matrix, out: Optional[Matrix]):
-        distribution = self._resolve_distribution(matrix)
-        chunks = matrix.ensure_on_devices(distribution)
-        if distribution.kind == "overlap" and self.effective_overlap < self.overlap:
-            self._count_halo_savings(chunks, matrix.rows,
-                                     matrix.cols * matrix.dtype.itemsize)
-        out_dtype = dtype_for_ctype(self.out_type)
-        if out is None:
-            out = Matrix(matrix.shape, dtype=out_dtype)
-        out_chunks = out.prepare_as_output(
-            Block(distribution.partition) if distribution.kind == "overlap" else distribution
-        )
-        program = self._program(self.matrix_source(), f"skelcl_mapoverlap_{self.user.name}")
-        width = matrix.cols
-        height = matrix.rows
-        for position, ((in_chunk, in_buffer), (out_chunk, out_buffer)) in enumerate(
-            zip(chunks, out_chunks)
-        ):
-            rows = in_chunk.owned_size
-            if rows == 0:
-                continue
-            kernel = program.create_kernel("skelcl_mapoverlap_m")
-            kernel.set_args(in_buffer, out_buffer, width, height, in_chunk.owned_start,
-                            rows, in_chunk.halo_before, in_chunk.stored_size)
-            global_size = (round_up(width, _MAT_WG), round_up(rows, _MAT_WG))
-            self._enqueue(in_chunk.device_index, kernel, global_size, (_MAT_WG, _MAT_WG),
-                          wait_for=matrix.chunk_events(position) + out.chunk_write_events(position),
-                          inputs=[(matrix, position)],
-                          output=out, output_position=position)
-        out.mark_written_on_devices()
+            self._count_halo_savings(
+                session, container.chunk_buffers(), container._units,
+                container._unit_elements * container.dtype.itemsize)
         return out

@@ -16,17 +16,14 @@ inactive lanes.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
 from .distribution import Block
 from .funcparse import scalar_param, scalar_return
-from .matrix import Matrix
-from .runtime import SkelCLError, get_runtime
+from .runtime import SkelCLError
 from .scalar import Scalar
-from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton, default_call_label
-from .vector import Vector
+from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton
+from .types_ import dtype_for_ctype
 
 _KERNEL_TEMPLATE = """\
 {user_source}
@@ -90,6 +87,8 @@ __kernel void skelcl_reduce_fused(__global const {in_t}* SCL_IN,
 
 
 class Reduce(Skeleton):
+    plan_entry = "reduce_now"
+
     def __init__(self, source, identity: str = "0",
                  work_group_size: int = DEFAULT_WORK_GROUP_SIZE, max_groups: int = 64):
         self.identity = identity
@@ -103,6 +102,10 @@ class Reduce(Skeleton):
         self.element_type = scalar_param(self.user, 0)
         if scalar_param(self.user, 1) != self.element_type or scalar_return(self.user) != self.element_type:
             raise SkelCLError("a Reduce operator must have type T (T, T)")
+        self.out_type = self.element_type
+
+    def _hints(self, inputs, extras):
+        return super()._hints(inputs * 2, ())  # T (T, T): both operands are elements
 
     def kernel_source(self) -> str:
         return _KERNEL_TEMPLATE.format(
@@ -129,56 +132,31 @@ class Reduce(Skeleton):
             wg=self.work_group_size,
         )
 
-    def __call__(self, input_container: Union[Vector, Matrix], *,
-                 out: Optional[Scalar] = None,
-                 label: Optional[str] = None) -> Scalar:
-        if out is not None and not isinstance(out, Scalar):
+    def _validate(self, inputs, extras) -> None:
+        if inputs[0].dtype != dtype_for_ctype(self.element_type):
             raise SkelCLError(
-                f"Reduce out= must be a Scalar, got {type(out).__name__}"
+                f"Reduce input dtype {inputs[0].dtype} does not match {self.element_type}"
             )
-        if self.jit is not None and isinstance(input_container, (Vector, Matrix)):
-            self._specialize(self._element_hints([input_container] * 2, ()))
-        planner = getattr(get_runtime(), "planner", None)
-        if planner is not None and isinstance(input_container, (Vector, Matrix)):
-            label = label or default_call_label("Reduce", self.user.name)
-            return planner.reduce_now(self, input_container, out, label)
-        return self._execute(input_container, out=out, label=label)
 
-    def _execute(self, input_container: Union[Vector, Matrix], *,
-                 out: Optional[Scalar] = None, label: Optional[str] = None,
-                 premap=None) -> Scalar:
-        if self.jit is not None and premap is None \
-                and isinstance(input_container, (Vector, Matrix)):
-            self._specialize(self._element_hints([input_container] * 2, ()))
-        self._begin_call(label)
-        runtime = get_runtime()
-        dtype = self.result_dtype(self.element_type)
-        if out is not None and not isinstance(out, Scalar):
-            raise SkelCLError(
-                f"Reduce out= must be a Scalar, got {type(out).__name__}"
-            )
+    def _output_shape(self, inputs) -> tuple:
+        return ()
+
+    def _execute(self, session, inputs, extras, out: Scalar, premap=None) -> Scalar:
+        """``premap`` (planner only) is a composed map chain applied to
+        every element as it is loaded: ``inputs`` is then the chain's
+        original input, already validated when the chain was deferred."""
+        (input_container,) = inputs
+        dtype = dtype_for_ctype(self.element_type)
         program = self._program(self.kernel_source(), f"skelcl_reduce_{self.user.name}")
         if premap is None:
-            if input_container.dtype != dtype:
-                raise SkelCLError(
-                    f"Reduce input dtype {input_container.dtype} does not match {self.element_type}"
-                )
-            stage1_program, stage1_name = program, "skelcl_reduce"
-            extras = ()
+            stage1_program, stage1_name, pre_extras = program, "skelcl_reduce", ()
         else:
-            in_dtype = self.result_dtype(premap.in_type)
-            if input_container.dtype != in_dtype:
-                raise SkelCLError(
-                    f"Reduce premap input dtype {input_container.dtype} does not "
-                    f"match {premap.in_type}"
-                )
             stage1_program = self._program(
                 self.fused_kernel_source(premap),
                 f"skelcl_reduce_{self.user.name}_fused",
             )
-            stage1_name = "skelcl_reduce_fused"
-            extras = tuple(self.check_extra_args(premap.extra_types, premap.extras))
-        distribution = self.resolve_input_distribution(input_container, Block())
+            stage1_name, pre_extras = "skelcl_reduce_fused", premap.extras
+        distribution = self.resolve_input_distribution(session, input_container, Block())
         chunks = input_container.ensure_on_devices(distribution)
 
         unit_elements = input_container._unit_elements
@@ -197,14 +175,14 @@ class Reduce(Skeleton):
                     continue  # every device holds the same data; reduce once
                 seen_copy = True
             groups = min(self.max_groups, (n + wg - 1) // wg)
-            queue = runtime.queue(chunk.device_index)
-            partial_buffer = runtime.context.create_buffer(
-                groups * itembytes, runtime.devices[chunk.device_index], name="reduce_partials"
+            queue = session.queue(chunk.device_index)
+            partial_buffer = session.context.create_buffer(
+                groups * itembytes, session.devices[chunk.device_index], name="reduce_partials"
             )
             kernel = stage1_program.create_kernel(stage1_name)
             kernel.set_args(buffer, partial_buffer, n,
-                            chunk.halo_before * unit_elements, *extras)
-            launch = self._enqueue(chunk.device_index, kernel, (groups * wg,), (wg,),
+                            chunk.halo_before * unit_elements, *pre_extras)
+            launch = self._enqueue(session, chunk.device_index, kernel, (groups * wg,), (wg,),
                                    wait_for=input_container.chunk_events(position),
                                    inputs=[(input_container, position)])
             data, read_event = queue.enqueue_read_buffer(
@@ -218,29 +196,23 @@ class Reduce(Skeleton):
             raise SkelCLError("Reduce over an empty container")
         gathered = np.concatenate(partials)
         if len(gathered) == 1:
-            return self._result(gathered[0], dtype, out)
+            return out.assign(gathered[0], dtype)
 
         # Final stage: fold all partials in a single work-group on
         # device 0.  The gathered array depends on every partial
         # download, so the stage-2 upload waits on them all — the only
         # cross-device synchronization point of the reduction.
-        device0 = runtime.devices[0]
-        queue0 = runtime.queue(0)
-        in_buffer = runtime.context.create_buffer(gathered.nbytes, device0, name="reduce_stage2_in")
-        out_buffer = runtime.context.create_buffer(itembytes, device0, name="reduce_stage2_out")
+        device0 = session.devices[0]
+        queue0 = session.queue(0)
+        in_buffer = session.context.create_buffer(gathered.nbytes, device0, name="reduce_stage2_in")
+        out_buffer = session.context.create_buffer(itembytes, device0, name="reduce_stage2_out")
         write_event = queue0.enqueue_write_buffer(in_buffer, gathered,
                                                   event_wait_list=partial_reads)
         kernel = program.create_kernel("skelcl_reduce")
         kernel.set_args(in_buffer, out_buffer, len(gathered), 0)
-        launch2 = self._enqueue(0, kernel, (wg,), (wg,), wait_for=[write_event])
+        launch2 = self._enqueue(session, 0, kernel, (wg,), (wg,), wait_for=[write_event])
         result, _event = queue0.enqueue_read_buffer(out_buffer, dtype, 1,
                                                     event_wait_list=[launch2])
         in_buffer.release()
         out_buffer.release()
-        return self._result(result[0], dtype, out)
-
-    @staticmethod
-    def _result(value, dtype, out: Optional[Scalar]) -> Scalar:
-        if out is not None:
-            return out.assign(value, dtype)
-        return Scalar(value, dtype)
+        return out.assign(result[0], dtype)

@@ -38,52 +38,7 @@ class SkelCLError(Exception):
     pass
 
 
-class SkelCLRuntime:
-    def __init__(self, spec: Union[ocl.DeviceSpec, Sequence[ocl.DeviceSpec]],
-                 num_devices: int, detect_races=None, backend=None):
-        if isinstance(spec, ocl.DeviceSpec):
-            specs: List[ocl.DeviceSpec] = [spec] * num_devices
-        else:
-            specs = [ocl.resolve_device_spec(s) for s in spec]
-        self.specs = specs
-        self.spec = specs[0] if specs else None
-        self.num_devices = len(specs)
-        # The active Partition sizing Block/Overlap splits, or None for
-        # the historic even split.  Sessions manage it (static policy or
-        # adaptive partitioner); skeletons read it via `partitioned()`.
-        self.partition: Optional[Partition] = None
-        self.context = ocl.Context.create(specs, detect_races=detect_races,
-                                          backend=backend)
-
-    @property
-    def backend(self) -> str:
-        """The NDRange execution backend every queue of this runtime uses."""
-        return self.context.backend
-
-    @property
-    def devices(self) -> List[ocl.Device]:
-        return self.context.devices
-
-    @property
-    def queues(self) -> List[ocl.CommandQueue]:
-        return self.context.queues
-
-    def queue(self, device_index: int) -> ocl.CommandQueue:
-        return self.context.queues[device_index]
-
-    def elapsed_ns(self) -> int:
-        return self.context.elapsed_ns()
-
-    def finish_all(self) -> int:
-        """Resolve the whole command graph on every queue and return the
-        critical-path elapsed time (see :meth:`ocl.Context.finish_all`)."""
-        return self.context.finish_all()
-
-    def reset_timelines(self) -> None:
-        self.context.reset_timelines()
-
-
-class Session(SkelCLRuntime):
+class Session:
     """A SkelCL runtime usable as a context manager.
 
     Owns the devices/queues/context of one ``init()`` call and exposes
@@ -104,9 +59,19 @@ class Session(SkelCLRuntime):
             )
         except ValueError as exc:
             raise SkelCLError(str(exc)) from None
-        super().__init__(spec, num_devices,
-                         detect_races=self.settings.sanitize,
-                         backend=self.settings.backend)
+        if isinstance(spec, ocl.DeviceSpec):
+            specs: List[ocl.DeviceSpec] = [spec] * num_devices
+        else:
+            specs = [ocl.resolve_device_spec(s) for s in spec]
+        self.specs = specs
+        self.spec = specs[0] if specs else None
+        self.num_devices = len(specs)
+        # The active Partition sizing Block/Overlap splits, or None for
+        # the historic even split.  Managed below (static policy or
+        # adaptive partitioner); skeletons read it via `partitioned()`.
+        self.partition: Optional[Partition] = None
+        self.context = ocl.Context.create(specs, detect_races=self.settings.sanitize,
+                                          backend=self.settings.backend)
         self._closed = False
         self.planner = None
         if self.settings.lazy:
@@ -115,6 +80,28 @@ class Session(SkelCLRuntime):
             self.planner = Planner(self)
         self.partitioner: Optional[AdaptivePartitioner] = None
         self._install_partition_policy(self.settings.partition)
+
+    @property
+    def backend(self) -> str:
+        """The NDRange execution backend every queue of this session uses."""
+        return self.context.backend
+
+    @property
+    def devices(self) -> List[ocl.Device]:
+        return self.context.devices
+
+    @property
+    def queues(self) -> List[ocl.CommandQueue]:
+        return self.context.queues
+
+    def queue(self, device_index: int) -> ocl.CommandQueue:
+        return self.context.queues[device_index]
+
+    def elapsed_ns(self) -> int:
+        return self.context.elapsed_ns()
+
+    def reset_timelines(self) -> None:
+        self.context.reset_timelines()
 
     # -- partitioning ------------------------------------------------------
 
@@ -192,9 +179,10 @@ class Session(SkelCLRuntime):
 
     def finish_all(self) -> int:
         """Force any deferred skeleton calls, then resolve the whole
-        command graph (see :meth:`SkelCLRuntime.finish_all`)."""
+        command graph on every queue and return the critical-path
+        elapsed time (see :meth:`ocl.Context.finish_all`)."""
         self._flush_plan()
-        elapsed = super().finish_all()
+        elapsed = self.context.finish_all()
         self._observe_partition()
         return elapsed
 

@@ -23,11 +23,9 @@ import numpy as np
 
 from .distribution import Block, Overlap
 from .funcparse import scalar_param, scalar_return
-from typing import Optional
-
-from .runtime import SkelCLError, get_runtime
-from .skeleton import (Skeleton, default_call_label, partitioned,
-                       reject_positional_out)
+from .runtime import SkelCLError
+from .skeleton import Skeleton, partitioned
+from .types_ import dtype_for_ctype
 from .vector import Vector
 
 # Hillis-Steele uses one element per work-item; 256 matches the SkelCL
@@ -90,6 +88,8 @@ __kernel void skelcl_scan_add_offset(__global {t}* SCL_OUT,
 
 
 class Scan(Skeleton):
+    accepts = (Vector,)
+
     def __init__(self, source, identity: str = "0"):
         self.identity = identity
         super().__init__(source)
@@ -100,6 +100,10 @@ class Scan(Skeleton):
         self.element_type = scalar_param(self.user, 0)
         if scalar_param(self.user, 1) != self.element_type or scalar_return(self.user) != self.element_type:
             raise SkelCLError("a Scan operator must have type T (T, T)")
+        self.out_type = self.element_type
+
+    def _hints(self, inputs, extras):
+        return super()._hints(inputs * 2, ())  # T (T, T): both operands are elements
 
     def kernel_source(self) -> str:
         return _KERNEL_TEMPLATE.format(
@@ -110,43 +114,21 @@ class Scan(Skeleton):
             wg=_SCAN_WG,
         )
 
-    def __call__(self, input_vector: Vector, *_deprecated,
-                 out: Optional[Vector] = None,
-                 label: Optional[str] = None) -> Vector:
-        reject_positional_out(_deprecated, "Scan")
-        if not isinstance(input_vector, Vector):
-            raise SkelCLError("Scan operates on vectors")
-        if self.jit is not None:
-            self._specialize(self._element_hints([input_vector] * 2, ()))
-        dtype = self.result_dtype(self.element_type)
-        if input_vector.dtype != dtype:
+    def _validate(self, inputs, extras) -> None:
+        if inputs[0].dtype != dtype_for_ctype(self.element_type):
             raise SkelCLError(
-                f"Scan input dtype {input_vector.dtype} does not match {self.element_type}"
+                f"Scan input dtype {inputs[0].dtype} does not match {self.element_type}"
             )
-        planner = getattr(get_runtime(), "planner", None)
-        if planner is not None and out is None:
-            label = label or default_call_label("Scan", self.user.name)
-            deferred = Vector(input_vector.size, dtype=dtype)
-            run = lambda: self._execute(input_vector, out=deferred, label=label)
-            return planner.defer_opaque("scan", self, [input_vector], deferred,
-                                        run, label)
-        return self._execute(input_vector, out=out, label=label)
 
-    def _execute(self, input_vector: Vector, *, out: Optional[Vector] = None,
-                 label: Optional[str] = None) -> Vector:
-        if self.jit is not None:
-            self._specialize(self._element_hints([input_vector] * 2, ()))
-        self._begin_call(label)
-        runtime = get_runtime()
-        dtype = self.result_dtype(self.element_type)
+    def _execute(self, session, inputs, extras, out: Vector) -> Vector:
+        (input_vector,) = inputs
+        dtype = dtype_for_ctype(self.element_type)
         # Scan requires ordered, disjoint chunks; an uneven input split
         # is preserved (only the halo is dropped from an Overlap).
         current = input_vector.distribution
         carried = current.partition if isinstance(current, (Block, Overlap)) else None
-        distribution = partitioned(Block(carried))
+        distribution = partitioned(session, Block(carried))
         chunks = input_vector.ensure_on_devices(distribution)
-        if out is None:
-            out = Vector(input_vector.size, dtype=dtype)
         out_chunks = out.prepare_as_output(distribution)
         program = self._program(self.kernel_source(), f"skelcl_scan_{self.user.name}")
 
@@ -159,7 +141,7 @@ class Scan(Skeleton):
             if n == 0:
                 continue
             final = self._scan_on_device(
-                program, in_chunk.device_index, in_buffer, out_buffer, n,
+                session, program, in_chunk.device_index, in_buffer, out_buffer, n,
                 in_chunk.halo_before,
                 wait_for=input_vector.chunk_events(position) + out.chunk_write_events(position),
             )
@@ -167,36 +149,35 @@ class Scan(Skeleton):
             out.record_chunk_event(position, final)
 
         if len([c for c, _b in chunks if c.owned_size > 0]) > 1:
-            self._apply_device_offsets(program, out, out_chunks, dtype)
+            self._apply_device_offsets(session, program, out, out_chunks, dtype)
         out.mark_written_on_devices()
         return out
 
     # -- single-device multi-block scan (recursive) -------------------------
 
-    def _scan_on_device(self, program, device_index: int, in_buffer, out_buffer,
+    def _scan_on_device(self, session, program, device_index: int, in_buffer, out_buffer,
                         n: int, offset: int, wait_for=None) -> "ocl.Event":
         """Scan one buffer on one device; returns the event producing the
         final contents of ``out_buffer``."""
-        runtime = get_runtime()
-        dtype = self.result_dtype(self.element_type)
+        dtype = dtype_for_ctype(self.element_type)
         groups = (n + _SCAN_WG - 1) // _SCAN_WG
-        sums_buffer = runtime.context.create_buffer(
-            max(groups, 1) * dtype.itemsize, runtime.devices[device_index], name="scan_sums"
+        sums_buffer = session.context.create_buffer(
+            max(groups, 1) * dtype.itemsize, session.devices[device_index], name="scan_sums"
         )
         kernel = program.create_kernel("skelcl_scan_block")
         kernel.set_args(in_buffer, out_buffer, sums_buffer, n, offset)
-        block_scan = self._enqueue(device_index, kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
+        block_scan = self._enqueue(session, device_index, kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
                                    wait_for=wait_for)
         final = block_scan
         if groups > 1:
-            scanned_sums = runtime.context.create_buffer(
-                groups * dtype.itemsize, runtime.devices[device_index], name="scan_sums_scanned"
+            scanned_sums = session.context.create_buffer(
+                groups * dtype.itemsize, session.devices[device_index], name="scan_sums_scanned"
             )
-            sums_scan = self._scan_on_device(program, device_index, sums_buffer, scanned_sums,
+            sums_scan = self._scan_on_device(session, program, device_index, sums_buffer, scanned_sums,
                                              groups, 0, wait_for=[block_scan])
             add_kernel = program.create_kernel("skelcl_scan_add_blocks")
             add_kernel.set_args(out_buffer, scanned_sums, n)
-            final = self._enqueue(device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
+            final = self._enqueue(session, device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
                                   wait_for=[block_scan, sums_scan])
             scanned_sums.release()
         sums_buffer.release()
@@ -204,8 +185,7 @@ class Scan(Skeleton):
 
     # -- cross-device offsets --------------------------------------------------
 
-    def _apply_device_offsets(self, program, out, out_chunks, dtype) -> None:
-        runtime = get_runtime()
+    def _apply_device_offsets(self, session, program, out, out_chunks, dtype) -> None:
         # Gather per-device totals (the last element of each scanned chunk).
         totals = []
         active = []
@@ -213,7 +193,7 @@ class Scan(Skeleton):
         for position, (chunk, buffer) in enumerate(out_chunks):
             if chunk.owned_size == 0:
                 continue
-            queue = runtime.queue(chunk.device_index)
+            queue = session.queue(chunk.device_index)
             data, read_event = queue.enqueue_read_buffer(
                 buffer, dtype, 1, (chunk.owned_size - 1) * dtype.itemsize,
                 event_wait_list=out.chunk_events(position),
@@ -226,17 +206,17 @@ class Scan(Skeleton):
             return
         # Scan the totals with the user operator in one tiny launch on
         # device 0; the upload waits on every per-device total download.
-        device0 = runtime.devices[0]
-        queue0 = runtime.queue(0)
+        device0 = session.devices[0]
+        queue0 = session.queue(0)
         totals_array = np.asarray(totals, dtype=dtype)
-        tot_in = runtime.context.create_buffer(totals_array.nbytes, device0, name="scan_dev_totals")
-        tot_out = runtime.context.create_buffer(totals_array.nbytes, device0, name="scan_dev_offsets")
-        sums_scratch = runtime.context.create_buffer(dtype.itemsize, device0, name="scan_dev_sums")
+        tot_in = session.context.create_buffer(totals_array.nbytes, device0, name="scan_dev_totals")
+        tot_out = session.context.create_buffer(totals_array.nbytes, device0, name="scan_dev_offsets")
+        sums_scratch = session.context.create_buffer(dtype.itemsize, device0, name="scan_dev_sums")
         write_event = queue0.enqueue_write_buffer(tot_in, totals_array,
                                                   event_wait_list=total_reads)
         kernel = program.create_kernel("skelcl_scan_block")
         kernel.set_args(tot_in, tot_out, sums_scratch, len(totals), 0)
-        launch = self._enqueue(0, kernel, (_SCAN_WG,), (_SCAN_WG,), wait_for=[write_event])
+        launch = self._enqueue(session, 0, kernel, (_SCAN_WG,), (_SCAN_WG,), wait_for=[write_event])
         scanned, scanned_read = queue0.enqueue_read_buffer(tot_out, dtype, len(totals),
                                                            event_wait_list=[launch])
         for buffer in (tot_in, tot_out, sums_scratch):
@@ -249,6 +229,6 @@ class Scan(Skeleton):
             add_kernel = program.create_kernel("skelcl_scan_add_offset")
             add_kernel.set_args(buffer, offset_value, chunk.owned_size)
             groups = (chunk.owned_size + _SCAN_WG - 1) // _SCAN_WG
-            self._enqueue(chunk.device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
+            self._enqueue(session, chunk.device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
                           wait_for=[scanned_read] + out.chunk_write_events(position),
                           output=out, output_position=position)

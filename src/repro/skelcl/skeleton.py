@@ -19,7 +19,7 @@ from __future__ import annotations
 import os.path
 import re
 import sys
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,10 +27,14 @@ from .. import ocl
 from ..jit import JitFunction
 from ..jit.lower import WEAK_FLOAT, WEAK_INT
 from ..kernelc.ctypes_ import ScalarType, ctype_from_numpy
+from .container import Container
 from .distribution import Block, Distribution, Overlap
 from .funcparse import UserFunction, parse_user_function
-from .runtime import SkelCLError, get_runtime
+from .matrix import Matrix
+from .runtime import Session, SkelCLError, get_runtime
+from .scalar import Scalar
 from .types_ import ctype_for_dtype, dtype_for_ctype
+from .vector import Vector
 
 # SkelCL's default work-group size (§4.1: "SkelCL uses its default
 # work-group size of 256").
@@ -60,33 +64,18 @@ def default_call_label(skeleton_name: str, func_name: str) -> str:
     return f"{label}@{site}" if site else label
 
 
-def reject_positional_out(args: Sequence, skeleton_name: str) -> None:
-    """The pre-unification calling convention passed the output container
-    positionally; it went through a :class:`DeprecationWarning` cycle and
-    is now a :class:`TypeError`."""
-    if args:
-        raise TypeError(
-            f"{skeleton_name}() no longer accepts a positional output "
-            f"container ({len(args)} extra positional argument(s) given); "
-            "pass it as the keyword out=..."
-        )
-
-
-def partitioned(distribution: Distribution) -> Distribution:
+def partitioned(session: Session, distribution: Distribution) -> Distribution:
     """``distribution`` re-targeted at the session's active partition.
 
-    When the runtime has no partition policy (the historic default)
+    When the session has no partition policy (the historic default)
     the distribution is returned unchanged; otherwise Block/Overlap are
     re-sized to the active weights (Single/Copy pass through).  Called
     at every point a skeleton resolves a distribution, so a partition
     change — adaptive or via ``session.rebalance()`` — redistributes
     stale containers through the ordinary command-graph machinery on
     their next use."""
-    runtime = get_runtime()
-    partition = getattr(runtime, "partition", None)
-    if partition is None:
-        return distribution
-    if distribution.partition == partition:
+    partition = session.partition
+    if partition is None or distribution.partition == partition:
         return distribution
     return distribution.with_partition(partition)
 
@@ -110,8 +99,17 @@ def scalar_literal(value, ctype: ScalarType) -> str:
     return repr(int(value))
 
 
+def shape_of(container) -> tuple:
+    """``()`` for a Scalar, ``(size,)`` for a vector, ``(rows, cols)``
+    for a matrix (index containers included)."""
+    if isinstance(container, Scalar):
+        return ()
+    return getattr(container, "shape", None) or (container.size,)
+
+
 class Skeleton:
-    """Base of all skeletons: program caching and launch helpers.
+    """Base of all skeletons: the call protocol, program caching and the
+    per-chunk launch loop.
 
     A skeleton is customized either by an OpenCL-C source string or by
     a :class:`repro.jit.JitFunction` (a ``@skelcl.jit``-decorated Python
@@ -121,23 +119,157 @@ class Skeleton:
     dtypes.  After specialization ``self.user`` is indistinguishable
     from the string path, so code generation, caching, fusion and the
     analyses all run unchanged.
+
+    Subclasses *declare* what differs between the patterns: the class
+    attributes below, ``_bind_user`` (signature-driven types, including
+    ``out_type``), ``_validate`` and ``_execute`` — which for every
+    single-launch skeleton is one :meth:`_launch` call naming the kernel,
+    the distributions and the per-chunk arguments.
     """
 
-    def __init__(self, source: Union[str, JitFunction]):
+    #: How many leading positionals are input containers.
+    n_inputs = 1
+    #: Whether further positionals are additional (scalar) arguments; if
+    #: not, they are a positional ``out`` and rejected.
+    takes_extras = False
+    #: Container types accepted as inputs.
+    accepts: Tuple[type, ...] = (Vector, Matrix)
+    #: Call keywords beyond ``out=``/``label=``.
+    call_options: Tuple[str, ...] = ()
+    #: The :class:`repro.plan.planner.Planner` method a lazy session
+    #: hands the call to (skeletons without fusion rules defer opaquely).
+    plan_entry = "defer_opaque"
+
+    def __init__(self, source: Union[str, JitFunction, None] = None):
         self._programs: Dict[str, ocl.Program] = {}
         self.last_events: List[ocl.Event] = []
         self._call_label: Optional[str] = None
+        self.jit: Optional[JitFunction] = None
+        self.user: Optional[UserFunction] = None
         if isinstance(source, JitFunction):
-            self.jit: Optional[JitFunction] = source
-            self.user: Optional[UserFunction] = None
+            self.jit = source
             self._jit_key = None
             if source.is_fully_annotated() and (
                     source.n_outputs is None or source.component is not None):
                 self._specialize_for(source.resolve_param_ctypes())
-        else:
-            self.jit = None
+        elif source is not None:
             self.user = parse_user_function(source)
             self._bind_user()
+
+    # -- the call protocol ---------------------------------------------------
+
+    def __call__(self, *args, out=None, label: Optional[str] = None, **options):
+        """Call the skeleton: ``skeleton(*inputs, *additional_arguments,
+        out=None, label=None)``.  The one call path of all six patterns
+        (docs/skelcl_api.md, "Call protocol"):
+
+        1. split the positionals into input containers and additional
+           arguments (a positional ``out`` is a :class:`TypeError`) and
+           check the container kinds,
+        2. specialize a jit customizer from the call's argument types,
+        3. validate the call (the class's ``_validate``),
+        4. fix the trace label (``label=`` or skeleton + function + site),
+        5. check ``out=`` against the result's kind, shape and dtype — or
+           create the result container,
+        6. defer the validated call to the lazy planner, or run it now.
+
+        Nothing is enqueued before step 6, so a rejected call leaves the
+        session untouched.  An ``out=`` container is overwritten in
+        place — a force point — so such calls (and index-container or
+        sampled ones) always run now."""
+        name = type(self).__name__
+        session = get_runtime()
+        if len(args) < self.n_inputs:
+            raise TypeError(f"{name}() takes {self.n_inputs} input container(s), "
+                            f"{len(args)} given")
+        inputs, extras = args[:self.n_inputs], args[self.n_inputs:]
+        if extras and not self.takes_extras:
+            # The pre-unification calling convention passed the output
+            # container positionally; it went through a
+            # DeprecationWarning cycle and is now an error.
+            raise TypeError(
+                f"{name}() no longer accepts a positional output "
+                f"container ({len(extras)} extra positional argument(s) given); "
+                "pass it as the keyword out=..."
+            )
+        for option in options:
+            if option not in self.call_options:
+                raise TypeError(f"{name}() got an unexpected keyword argument {option!r}")
+        options = {key: value for key, value in options.items() if value is not None}
+        for container in inputs:
+            if not isinstance(container, self.accepts):
+                raise SkelCLError(
+                    f"{name} operates on "
+                    f"{', '.join(kind.__name__ for kind in self.accepts)} "
+                    f"containers, got {type(container).__name__}"
+                )
+        if self.jit is not None:
+            self._specialize_for(
+                self.jit.resolve_param_ctypes(self._hints(inputs, extras)), session)
+        self._validate(inputs, extras)
+        label = label or default_call_label(name, self.func_name)
+        shape = self._output_shape(inputs)
+        dtype = dtype_for_ctype(self.out_type)
+        overwrites = isinstance(out, Container)
+        if out is None:
+            if len(shape) == 2:
+                out = Matrix(shape, dtype=dtype)
+            else:
+                out = Vector(shape[0], dtype=dtype) if shape else Scalar(0, dtype)
+        else:
+            kind = (Scalar, Vector, Matrix)[len(shape)]
+            if not isinstance(out, kind):
+                raise SkelCLError(
+                    f"{name} out= must be a {kind.__name__}, got {type(out).__name__}")
+            if shape_of(out) != shape:
+                raise SkelCLError(
+                    f"output container has shape {shape_of(out)}, expected {shape}")
+            if overwrites and out.dtype != dtype:
+                raise SkelCLError(
+                    f"output container dtype {out.dtype} does not match {self.out_type}")
+        planner = session.planner
+        if (planner is not None and not overwrites and not options
+                and all(isinstance(c, Container) for c in inputs)):
+            return getattr(planner, self.plan_entry)(self, inputs, extras, out, label)
+        return self._run(session, inputs, extras, out, label, **options)
+
+    def _run(self, session: Session, inputs: Sequence, extras: Sequence, out,
+             label: str, **options):
+        """Run an already-validated call now: the eager path of
+        ``__call__`` and the entry the planner forces deferred (and
+        fused) calls through.  Starts a new invocation — clears the
+        per-call event list and fixes the trace span label."""
+        self.last_events = []
+        self._call_label = label
+        return self._execute(session, inputs, extras, out, **options)
+
+    @property
+    def func_name(self) -> str:
+        """The customizing function's name, as shown in trace labels."""
+        return self.user.name
+
+    def _hints(self, inputs: Sequence, extras: Sequence) -> List:
+        """Call-site type hints for jit specialization: one element
+        ctype per input container, then one hint per additional
+        argument."""
+        hints: List = [ctype_for_dtype(c.dtype) for c in inputs]
+        hints.extend(self._hint_for_extra(v) for v in extras)
+        return hints
+
+    def _validate(self, inputs: Sequence, extras: Sequence) -> None:
+        """Raise :class:`SkelCLError` unless the inputs' dtypes/shapes
+        and the additional arguments fit the customizing function."""
+        raise NotImplementedError
+
+    def _output_shape(self, inputs: Sequence) -> tuple:
+        """The result's shape (see :func:`shape_of`); elementwise by
+        default."""
+        return shape_of(inputs[0])
+
+    def _execute(self, session: Session, inputs: Sequence, extras: Sequence,
+                 out, **options):
+        """Enqueue the call's commands and return ``out``."""
+        raise NotImplementedError
 
     # -- jit specialization --------------------------------------------------
 
@@ -146,28 +278,21 @@ class Skeleton:
         attributes (element/output/extra types).  Subclasses override;
         called every time ``self.user`` is (re)bound."""
 
-    def _specialize_for(self, param_ctypes) -> None:
+    def _specialize_for(self, param_ctypes, session: Optional[Session] = None) -> None:
         """Bind ``self.user`` to the jit customizer lowered at
-        ``param_ctypes`` (annotations merged with call-site hints)."""
+        ``param_ctypes`` (annotations merged with call-site hints);
+        no-op for an already-matching specialization."""
         key = tuple(param_ctypes)
         if self.user is not None and key == self._jit_key:
             return
-        if self.user is not None:
+        if self.user is not None and session.planner is not None:
             # Re-specializing to different types: lazily-planned stages
             # captured the previous specialization's source — force them
             # out before the signature changes under them.
-            planner = getattr(get_runtime(), "planner", None)
-            if planner is not None:
-                planner.flush()
+            session.planner.flush()
         self.user = parse_user_function(self.jit.lower_source(param_ctypes))
         self._jit_key = key
         self._bind_user()
-
-    def _specialize(self, hints: Sequence) -> None:
-        """Specialize a jit customizer for one call site; no-op for
-        string customizers and for already-matching specializations."""
-        if self.jit is not None:
-            self._specialize_for(self.jit.resolve_param_ctypes(hints))
 
     @staticmethod
     def _hint_for_extra(value):
@@ -184,13 +309,6 @@ class Skeleton:
             return WEAK_FLOAT
         return None
 
-    def _element_hints(self, containers, extra_args) -> List:
-        """Call-site hints: one element ctype per input container, then
-        one hint per additional argument."""
-        hints: List = [ctype_for_dtype(c.dtype) for c in containers]
-        hints.extend(self._hint_for_extra(v) for v in extra_args)
-        return hints
-
     # -- programs ------------------------------------------------------------
 
     def _program(self, source: str, name: str) -> ocl.Program:
@@ -201,20 +319,6 @@ class Skeleton:
         return program
 
     # -- launches ---------------------------------------------------------------
-
-    def _record(self, event: ocl.Event) -> ocl.Event:
-        event.label = self._call_label
-        self.last_events.append(event)
-        return event
-
-    def _begin_call(self, label: Optional[str] = None) -> None:
-        """Start a new skeleton invocation: clears the per-call event
-        list and fixes the call's trace span label (an explicit
-        ``label=`` argument, or skeleton + function + call site)."""
-        self.last_events = []
-        self._call_label = label or default_call_label(
-            type(self).__name__, self.user.name
-        )
 
     @property
     def last_kernel_time_ns(self) -> int:
@@ -233,6 +337,7 @@ class Skeleton:
 
     def _enqueue(
         self,
+        session: Session,
         device_index: int,
         kernel: ocl.Kernel,
         global_size,
@@ -253,9 +358,7 @@ class Skeleton:
         on it.  ``inputs`` lists ``(container, position)`` pairs the
         launch reads: the event is recorded as a *reader* of those
         chunks, so a later writer orders itself after this launch."""
-        runtime = get_runtime()
-        queue = runtime.queue(device_index)
-        event = queue.enqueue_nd_range_kernel(
+        event = session.queue(device_index).enqueue_nd_range_kernel(
             kernel, global_size, local_size, sample_fraction,
             event_wait_list=wait_for,
         )
@@ -264,7 +367,60 @@ class Skeleton:
             container.record_chunk_reader(position, event)
         if output is not None and output_position is not None:
             output.record_chunk_event(output_position, event)
-        return self._record(event)
+        event.label = self._call_label
+        self.last_events.append(event)
+        return event
+
+    def _launch(
+        self,
+        session: Session,
+        inputs: Sequence[Container],
+        distributions: Sequence[Distribution],
+        out: Container,
+        out_distribution: Distribution,
+        source: str,
+        program_name: str,
+        kernel_name: str,
+        local_size: Tuple[int, ...],
+        chunk_args: Callable[..., Tuple[tuple, Tuple[int, ...]]],
+        extras: Sequence = (),
+        sample_fraction: Optional[float] = None,
+    ):
+        """The per-chunk launch loop of every single-launch skeleton.
+
+        Stages ``inputs`` under their ``distributions`` (implicit
+        transfers), prepares ``out`` under ``out_distribution``, and on
+        every device owning a non-empty chunk launches ``kernel_name``
+        with the arguments ``(*input_buffers, out_buffer, *scalars,
+        *extras)``.  ``chunk_args(out_chunk, *input_chunks)`` returns the
+        chunk's ``scalars`` and its work-item extent, which is rounded up
+        to ``local_size`` per dimension.  Each launch waits on the
+        producers of the chunks it reads and on the producers and
+        readers of the chunk it overwrites, and is recorded as reader /
+        writer of those chunks."""
+        staged = [container.ensure_on_devices(distribution)
+                  for container, distribution in zip(inputs, distributions)]
+        out_chunks = out.prepare_as_output(out_distribution)
+        program = self._program(source, program_name)
+        for position, (*in_pairs, (out_chunk, out_buffer)) in enumerate(
+                zip(*staged, out_chunks)):
+            scalars, extent = chunk_args(out_chunk, *(chunk for chunk, _ in in_pairs))
+            if 0 in extent:
+                continue
+            kernel = program.create_kernel(kernel_name)
+            kernel.set_args(*(buffer for _, buffer in in_pairs), out_buffer,
+                            *scalars, *extras)
+            wait_for: List[ocl.Event] = []
+            for container in inputs:
+                wait_for += container.chunk_events(position)
+            self._enqueue(session, out_chunk.device_index, kernel,
+                          tuple(round_up(n, wg) for n, wg in zip(extent, local_size)),
+                          local_size, sample_fraction,
+                          wait_for=wait_for + out.chunk_write_events(position),
+                          inputs=[(container, position) for container in inputs],
+                          output=out, output_position=position)
+        out.mark_written_on_devices()
+        return out
 
     # -- distribution policy -------------------------------------------------------
 
@@ -278,9 +434,10 @@ class Skeleton:
         return input_distribution
 
     @staticmethod
-    def resolve_input_distribution(container, default: Distribution) -> Distribution:
+    def resolve_input_distribution(session: Session, container,
+                                   default: Distribution) -> Distribution:
         dist = container.distribution if container.distribution is not None else default
-        return partitioned(dist)
+        return partitioned(session, dist)
 
     # -- extra ("additional") arguments -----------------------------------------
 
@@ -293,22 +450,14 @@ class Skeleton:
     def extra_call_source(self, extra_types: Sequence[ScalarType]) -> str:
         return "".join(f", SCL_EXTRA{index}" for index in range(len(extra_types)))
 
-    def check_extra_args(self, extra_types: Sequence[ScalarType], extra_args: Sequence) -> List:
+    def check_extra_args(self, extra_types: Sequence[ScalarType], extra_args: Sequence) -> None:
         if len(extra_args) != len(extra_types):
             raise SkelCLError(
                 f"skeleton customized with {len(extra_types)} additional argument(s), "
                 f"called with {len(extra_args)}"
             )
-        converted = []
-        for ctype, value in zip(extra_types, extra_args):
-            if isinstance(value, (bool, int, float, np.integer, np.floating)):
-                converted.append(value)
-            else:
+        for value in extra_args:
+            if not isinstance(value, (bool, int, float, np.integer, np.floating)):
                 raise SkelCLError(
                     f"additional arguments must be scalars, got {type(value).__name__}"
                 )
-        return converted
-
-    @staticmethod
-    def result_dtype(ctype: ScalarType) -> np.dtype:
-        return dtype_for_ctype(ctype)

@@ -9,16 +9,12 @@ Map.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from .container import Container
 from .distribution import Block
 from .funcparse import scalar_param, scalar_return
 from .matrix import Matrix
-from .runtime import SkelCLError, get_runtime
-from .skeleton import (DEFAULT_WORK_GROUP_SIZE, Skeleton, default_call_label,
-                       round_up)
-from .vector import Vector
+from .runtime import SkelCLError
+from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton
+from .types_ import dtype_for_ctype
 
 _KERNEL_TEMPLATE = """\
 {user_source}
@@ -39,6 +35,10 @@ __kernel void skelcl_zip(__global const {left_type}* SCL_LEFT,
 
 
 class Zip(Skeleton):
+    n_inputs = 2
+    takes_extras = True
+    plan_entry = "defer_zip"
+
     def __init__(self, source, work_group_size: int = DEFAULT_WORK_GROUP_SIZE):
         self.work_group_size = work_group_size
         super().__init__(source)
@@ -62,78 +62,31 @@ class Zip(Skeleton):
             extra_call=self.extra_call_source(self.extra_types),
         )
 
-    def __call__(self, left: Union[Vector, Matrix], right: Union[Vector, Matrix],
-                 *extra_args, out: Optional[Container] = None,
-                 label: Optional[str] = None):
-        if self.jit is not None and isinstance(left, (Vector, Matrix)) \
-                and isinstance(right, (Vector, Matrix)):
-            self._specialize(self._element_hints([left, right], extra_args))
-        planner = getattr(get_runtime(), "planner", None)
-        if (planner is not None and out is None
-                and type(left) in (Vector, Matrix)
-                and type(right) in (Vector, Matrix)):
-            label = label or default_call_label("Zip", self.user.name)
-            return planner.defer_zip(self, left, right, extra_args, label)
-        return self._execute(left, right, extra_args, out=out, label=label)
-
-    def _execute(self, left: Union[Vector, Matrix], right: Union[Vector, Matrix],
-                 extra_args=(), *, out: Optional[Container] = None,
-                 label: Optional[str] = None):
-        if self.jit is not None and isinstance(left, (Vector, Matrix)) \
-                and isinstance(right, (Vector, Matrix)):
-            self._specialize(self._element_hints([left, right], extra_args))
-        self._begin_call(label)
-        runtime = get_runtime()
+    def _validate(self, inputs, extras) -> None:
+        left, right = inputs
         if type(left) is not type(right):
             raise SkelCLError("Zip inputs must both be vectors or both be matrices")
         left_size = left.shape if isinstance(left, Matrix) else left.size
         right_size = right.shape if isinstance(right, Matrix) else right.size
         if left_size != right_size:
             raise SkelCLError(f"Zip inputs differ in size: {left_size} vs {right_size}")
-        if left.dtype != self.result_dtype(self.left_type):
+        if left.dtype != dtype_for_ctype(self.left_type):
             raise SkelCLError(f"left input dtype {left.dtype} does not match {self.left_type}")
-        if right.dtype != self.result_dtype(self.right_type):
+        if right.dtype != dtype_for_ctype(self.right_type):
             raise SkelCLError(f"right input dtype {right.dtype} does not match {self.right_type}")
-        extras = self.check_extra_args(self.extra_types, extra_args)
+        self.check_extra_args(self.extra_types, extras)
 
-        distribution = self.resolve_input_distribution(left, Block())
-        left_chunks = left.ensure_on_devices(distribution)
-        right_chunks = right.ensure_on_devices(distribution)
+    def _execute(self, session, inputs, extras, out):
+        distribution = self.resolve_input_distribution(session, inputs[0], Block())
+        unit_elements = inputs[0]._unit_elements
 
-        out_dtype = self.result_dtype(self.out_type)
-        if out is None:
-            if isinstance(left, Matrix):
-                out = Matrix(left.shape, dtype=out_dtype)
-            else:
-                out = Vector(left.size, dtype=out_dtype)
-        elif out.dtype != out_dtype:
-            raise SkelCLError(f"output container dtype {out.dtype} does not match {self.out_type}")
-        out_chunks = out.prepare_as_output(self.output_distribution(distribution))
+        def chunk_args(_out_chunk, left, right):
+            n = left.owned_size * unit_elements
+            return (n, left.halo_before * unit_elements,
+                    right.halo_before * unit_elements), (n,)
 
-        program = self._program(self.kernel_source(), f"skelcl_zip_{self.user.name}")
-        unit_elements = left._unit_elements
-        for position, ((l_chunk, l_buffer), (r_chunk, r_buffer), (o_chunk, o_buffer)) in enumerate(
-            zip(left_chunks, right_chunks, out_chunks)
-        ):
-            n = l_chunk.owned_size * unit_elements
-            if n == 0:
-                continue
-            kernel = program.create_kernel("skelcl_zip")
-            kernel.set_args(
-                l_buffer,
-                r_buffer,
-                o_buffer,
-                n,
-                l_chunk.halo_before * unit_elements,
-                r_chunk.halo_before * unit_elements,
-                *extras,
-            )
-            global_size = round_up(n, self.work_group_size)
-            self._enqueue(l_chunk.device_index, kernel, (global_size,), (self.work_group_size,),
-                          wait_for=left.chunk_events(position)
-                          + right.chunk_events(position)
-                          + out.chunk_write_events(position),
-                          inputs=[(left, position), (right, position)],
-                          output=out, output_position=position)
-        out.mark_written_on_devices()
-        return out
+        return self._launch(
+            session, inputs, [distribution] * 2, out,
+            self.output_distribution(distribution),
+            self.kernel_source(), f"skelcl_zip_{self.user.name}", "skelcl_zip",
+            (self.work_group_size,), chunk_args, extras)
