@@ -26,8 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..kernelc import ast
 from ..kernelc.ctypes_ import PointerType
+from . import affine
 
 READ = "r"
 WRITE = "w"
@@ -333,8 +336,6 @@ def _param_modes(kernel) -> Dict[str, str]:
 def _kernel_summary(kernel):
     """The (cached) affine access summary of the bound kernel, or None
     when summarization itself failed."""
-    from . import affine
-
     compiled = kernel.compiled
     marker = "_skelaccess_summary_result"
     cached = getattr(compiled, marker, False)
@@ -356,18 +357,8 @@ def _scalar_args(kernel) -> Dict[str, int]:
     for param, value in zip(kernel.compiled.definition.params, kernel._args):
         if getattr(value, "uid", None) is not None:
             continue
-        if isinstance(value, bool):
+        if isinstance(value, (int, np.integer)):  # bool included
             scalars[param.name] = int(value)
-        elif isinstance(value, int):
-            scalars[param.name] = value
-        else:
-            try:
-                import numpy as np
-
-                if isinstance(value, np.integer):
-                    scalars[param.name] = int(value)
-            except ImportError:  # pragma: no cover
-                pass
     return scalars
 
 
@@ -379,8 +370,6 @@ def _count_summary(metrics, kind: str) -> None:
 def _resolve_param(summary, param_name, value, env) -> Optional[List[BufferAccess]]:
     """Footprint-derived accesses for one Buffer argument, or None to
     fall back to the whole-chunk range."""
-    from . import affine
-
     psum = summary.params.get(param_name)
     if psum is None or not psum.affine:
         return None
@@ -431,8 +420,6 @@ def kernel_buffer_accesses(kernel, ndrange=None, metrics=None) -> List[BufferAcc
     ``metrics`` (a SkelScope registry) counts each pointer argument
     under ``skelcl_access_summary_total{kind=affine|fallback}``.
     """
-    from . import affine
-
     compiled = kernel.compiled
     modes = _param_modes(kernel)
     summary = _kernel_summary(kernel) if ndrange is not None else None

@@ -5,7 +5,10 @@ Usage::
     python -m repro.kernelc FILE.cl            # compile, report kernels
     python -m repro.kernelc FILE.cl --ast      # print the parsed AST
     python -m repro.kernelc FILE.cl --print    # pretty-print the source
-    python -m repro.kernelc FILE.cl --python   # show the compiled Python
+    python -m repro.kernelc FILE.cl --python   # show the generated Python: the
+                                               # per-item source, then each
+                                               # kernel's lockstep source (or
+                                               # why it has none)
     python -m repro.kernelc FILE.cl --lint     # run the lint pass
     python -m repro.kernelc FILE.cl --access   # show affine access summaries
     python -m repro.kernelc FILE.py --lint     # lint kernel strings in a
@@ -15,7 +18,8 @@ Usage::
 Exit status 0 on success, 1 on compile or lint errors (diagnostics on
 stderr).  ``--lint`` on a ``.py`` file extracts every string literal
 containing ``__kernel`` (the convention used by ``examples/`` and
-``repro.baselines``) and lints each as a standalone kernel source.
+``repro.baselines``) and lints each as a standalone kernel source;
+``--python`` combines with both and dumps every string's generated code.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import argparse
 import sys
 import textwrap
 
+from . import vectorize
 from .compiler import compile_program
 from .diagnostics import CompileError, Severity
 from .frontend import compile_source
@@ -74,7 +79,23 @@ def _extract_kernel_strings(path: str):
     return found
 
 
-def _lint_python_module(path: str, show_access: bool = False) -> int:
+def _print_python(program, name: str) -> None:
+    """The per-item Python of ``program``, then per kernel the lockstep
+    engine's generated source or the reason it falls back."""
+    compiled = compile_program(program)
+    sys.stdout.write(compiled.source_code)
+    for kernel in compiled.kernels.values():
+        plan = vectorize.plan_for(kernel)
+        if plan is None:
+            print(f"\n# {name}: kernel {kernel.name}: no lockstep source, runs per "
+                  f"item: {vectorize.reject_reason(kernel)}")
+        else:
+            print(f"\n# {name}: kernel {kernel.name}: lockstep source")
+            sys.stdout.write(plan.source)
+
+
+def _lint_python_module(path: str, show_access: bool = False,
+                        show_python: bool = False) -> int:
     """Lint every kernel string of a Python module; 0 when error-free."""
     failed = 0
     strings = _extract_kernel_strings(path)
@@ -96,6 +117,8 @@ def _lint_python_module(path: str, show_access: bool = False) -> int:
             a, f = _print_access_summaries(program, name)
             affine_total += a
             fallback_total += f
+        if show_python:
+            _print_python(program, name)
     status = "clean" if not failed else f"{failed} with errors"
     print(f"{path}: {len(strings)} kernel string(s), {status}")
     if show_access and (affine_total or fallback_total):
@@ -143,7 +166,8 @@ def main(argv=None) -> int:
     parser.add_argument("--print", dest="pretty", action="store_true",
                         help="pretty-print the parsed source")
     parser.add_argument("--python", action="store_true",
-                        help="show the compiled Python code")
+                        help="show the generated Python: the per-item code, then "
+                             "each kernel's lockstep code or its reject reason")
     parser.add_argument("--lint", action="store_true",
                         help="run the lint pass (exit 1 on lint errors); on a "
                              ".py file, lint every embedded kernel string")
@@ -156,7 +180,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if (args.lint or args.access) and args.file.endswith(".py"):
-        return _lint_python_module(args.file, show_access=args.access)
+        return _lint_python_module(args.file, args.access, args.python)
 
     if args.file == "-":
         source = sys.stdin.read()
@@ -192,6 +216,8 @@ def main(argv=None) -> int:
             errors = sum(1 for d in diagnostics if d.severity is Severity.ERROR)
             print(f"{name}: lint {'clean' if not diagnostics else f'{len(diagnostics)} finding(s), {errors} error(s)'}")
             status = 1 if errors else 0
+        if args.python:
+            _print_python(program, name)
         return status
 
     if args.ast:
@@ -201,8 +227,7 @@ def main(argv=None) -> int:
 
         sys.stdout.write(print_program(program))
     elif args.python:
-        compiled = compile_program(program)
-        sys.stdout.write(compiled.source_code)
+        _print_python(program, name)
     else:
         kernels = ", ".join(k.name for k in program.kernels()) or "(none)"
         helpers = [f.name for f in program.functions if not f.is_kernel]

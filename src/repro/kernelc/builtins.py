@@ -162,7 +162,7 @@ def _rint(x: float) -> float:
 
 def _round_half_away(x: float) -> float:
     # OpenCL round(): round half away from zero
-    return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+    return float(math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5))
 
 
 # name -> (impl, cost)
@@ -191,9 +191,11 @@ _FLOAT_UNARY = {
     "log10": (_safe(math.log10), 8),
     "log1p": (_safe(math.log1p), 8),
     "fabs": (abs, 1),
-    "floor": (math.floor, 1),
-    "ceil": (math.ceil, 1),
-    "trunc": (math.trunc, 1),
+    # float results, as in C: an int 0 would lose its sign under unary minus
+    # in the per-item engine, where lanes of the lockstep engine keep it.
+    "floor": (lambda x: float(math.floor(x)), 1),
+    "ceil": (lambda x: float(math.ceil(x)), 1),
+    "trunc": (lambda x: float(math.trunc(x)), 1),
     "round": (_round_half_away, 1),
     "rint": (lambda x: float(np_rint(x)), 1),
     "degrees": (math.degrees, 2),

@@ -26,7 +26,7 @@ Operation counts are statically accumulated per basic block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast
@@ -81,8 +81,6 @@ def fold_constants(expr: ast.Expr, lookup=None):
     division, masked shifts, type-converted results), so it never
     changes observable behaviour.
     """
-    from .execmodel import binary_value, compare_value
-
     value = _literal_value(expr)
     if value is not None:
         return convert_scalar(value, expr.ctype) if isinstance(expr.ctype, ScalarType) else value
@@ -180,6 +178,12 @@ class CompiledKernel:
     definition: ast.FunctionDef
     local_decls: List[ast.VarDecl]
     program: Optional[ast.Program] = None  # owning checked AST (backends)
+    # The charge schedule ``{ids of a statement's charged nodes: ops}`` and
+    # the load-CSE decisions ``{id(elided Index): id(source Index)}`` this
+    # compile made, shared by the program's kernels; the lockstep
+    # generator (:mod:`.vectorize`) emits both as literals.
+    charges: Dict[tuple, int] = field(default_factory=dict, repr=False)
+    cse: Dict[int, int] = field(default_factory=dict, repr=False)
 
     @property
     def num_params(self) -> int:
@@ -287,12 +291,14 @@ class _FunctionCompiler:
             self.lines[index] = ""  # zero-cost statement: drop the charge
 
     def on_charge(self, key: tuple, final: int) -> None:
-        """Hook: the statement identified by ``key`` (ids of its charged
-        AST nodes) costs ``final`` ops.  Overridden by alternative
-        backends (:mod:`.vectorize`) to record the charge schedule."""
+        """The statement identified by ``key`` (ids of its charged AST
+        nodes) costs ``final`` ops: recorded for the lockstep backend."""
+        if final:
+            self.pc.charges[key] = final
 
     def record_cse(self, expr: ast.Expr, temp: str) -> None:
-        """Hook: the load ``expr`` was elided, reusing ``temp``."""
+        """The load ``expr`` was elided, reusing the load held in ``temp``."""
+        self.pc.cse[id(expr)] = self._load_origins[temp]
 
     # -- load-CSE bookkeeping ------------------------------------------------
 
@@ -349,10 +355,6 @@ class _FunctionCompiler:
         self.compile_stmt_list(fn.body.statements)
         if len(self.lines) == body_start:
             self.emit("pass")
-        if fn.is_kernel and getattr(fn, "uses_barrier", False):
-            # ensure generator even if barrier is unreachable: 'yield' is
-            # already present from the barrier statement; nothing to do.
-            pass
         if not fn.return_type.is_void() and not fn.is_kernel:
             self.emit("raise _KernelFault("
                       f"'function {fn.name} finished without returning a value')")
@@ -426,9 +428,7 @@ class _FunctionCompiler:
         if decl.is_const and decl.init is not None and isinstance(ctype, ScalarType):
             folded = self.fold(decl.init)
             if folded is not None:
-                from .ctypes_ import convert_scalar as _cs
-
-                self._const_values[name] = _cs(folded, ctype)
+                self._const_values[name] = convert_scalar(folded, ctype)
 
     def default_value_code(self, ctype: CType) -> str:
         if isinstance(ctype, VectorType):
@@ -601,7 +601,9 @@ class _FunctionCompiler:
 
     def compile_switch(self, stmt: ast.SwitchStmt) -> None:
         self.invalidate_loads()
-        self.charge(node_cost(stmt.subject) + len(stmt.cases))
+        cost = node_cost(stmt.subject) + len(stmt.cases)
+        self.on_charge((id(stmt), "switch"), cost)
+        self.charge(cost)
         subject = self.compile_expr(stmt.subject)
         self.emit_lines(subject.prelude)
         subject_name = self.fresh("sw")
@@ -857,9 +859,6 @@ class _FunctionCompiler:
             if is_unsigned:
                 lcode = self._mask_unsigned(lcode, op_type)
                 rcode = self._mask_unsigned(rcode, op_type)
-            elif op_type.is_integer():
-                lcode = self._wrap_signed_code(lcode, op_type, force=False)
-                rcode = self._wrap_signed_code(rcode, op_type, force=False)
             return _ExprPart(f"(({lcode}) {op} ({rcode}))", prelude)
         if op == "/":
             if op_type.is_float():
@@ -895,13 +894,6 @@ class _FunctionCompiler:
             return _ExprPart(rcode, prelude)
         code = f"(({lcode}) {op} ({rcode}))"
         return _ExprPart(self._mask_unsigned(code, op_type), prelude)
-
-    def _wrap_signed_code(self, code: str, ctype: ScalarType, force: bool) -> str:
-        """No-op unless forced: signed overflow is UB, so relaxed values
-        are kept except at explicit conversion points."""
-        if not force:
-            return code
-        return f"_sw{ctype.bits}({code})"
 
     def _compile_logical(self, expr: ast.BinaryOp) -> _ExprPart:
         left = self.compile_expr(expr.left)
@@ -1385,6 +1377,8 @@ class _ProgramCompiler:
         self.constants: List[object] = []
         self._constant_index: Dict[int, int] = {}
         self._local_indices: Dict[Tuple[str, int], int] = {}
+        self.charges: Dict[tuple, int] = {}
+        self.cse: Dict[int, int] = {}
         for function in program.functions:
             if function.is_kernel:
                 for position, decl in enumerate(collect_local_decls(function)):
@@ -1434,6 +1428,8 @@ class _ProgramCompiler:
                 definition=function,
                 local_decls=collect_local_decls(function),
                 program=self.program,
+                charges=self.charges,
+                cse=self.cse,
             )
         return CompiledProgram(self.program, kernels, source_code)
 

@@ -16,6 +16,9 @@ from .ctypes_ import CType, ScalarType, VectorType, convert_scalar
 from .memory import KernelFault, MemoryCounters, Pointer
 from .values import VecValue
 
+# SIMD width used for divergence accounting (NVIDIA warp).
+WARP_SIZE = 32
+
 
 @dataclass
 class ExecutionCounters:

@@ -1,77 +1,63 @@
-"""Vectorized (lockstep) NDRange backend.
+"""Vectorized (lockstep) NDRange backend, compiled once per kernel.
 
-Evaluates a type-checked kernel AST over every selected work-item of an
-NDRange at once, using numpy array operations: one statement is executed
-for all active lanes simultaneously under a boolean mask.  ``if``/``?:``
-become masked selects, loops become fixed-point iteration over a
-shrinking live-lane mask, buffer accesses become gathers/scatters, and
-``barrier()`` becomes a per-group all-or-none mask check.
+Runs a type-checked kernel over every selected work-item of an NDRange
+at once with numpy array operations: one statement executes for all
+active lanes under a boolean mask.  ``if``/``?:`` become masked selects,
+loops iterate over a shrinking live-lane mask, buffer accesses become
+gathers/scatters and ``barrier()`` a per-group all-or-none mask check.
 
-The backend is a drop-in replacement for the per-item compiled path
-(:mod:`.compiler` + ``ocl.executor``) and is held to a *bit-exactness
-contract*: for any conforming kernel, output buffers and every
-``ExecutionCounters`` field (ops, warp_ops, barriers, memory traffic)
-must equal the per-item backend's.  ``tests/kernelc/
-test_vectorize_differential.py`` enforces the contract with generated
-kernels.
+:func:`plan_for` *compiles* the kernel the first time it is launched:
+:class:`_LaneCompiler` walks the AST once and emits one straight-line
+Python function per C function (``plan.source``), cached on the
+:class:`~.compiler.CompiledKernel`.  Everything static is decided there
+— constant folding, the per-item op charges and load-CSE decisions
+``compile_program`` recorded (``kernel.charges`` / ``kernel.cse``),
+dispatch on node type, ``op_type``, signedness and conversion pair,
+C variables as Python locals, statically uniform subexpressions as
+scalar code; ``docs/kernelc.md`` has the list and a reading guide.
+:func:`execute` then only binds arguments, fetches the memoized launch
+geometry, calls the function and does the warp accounting.
 
-How parity is achieved
-----------------------
-
-* **Ops / CSE.**  The per-item compiler charges each statement a static
-  op cost, corrected for loads elided by its basic-block CSE.  Rather
-  than re-deriving those numbers, this module re-runs the compiler with
-  recording hooks (:class:`_RecordingCompiler`) and replays the exact
-  charge schedule (``{statement-key: ops}``) and CSE decisions
-  (``{elided-load-id: source-load-id}``) per lane.
-* **Value domains.**  The compiled backend computes floats in double and
-  signed ints with Python's arbitrary precision, masking unsigned ints
-  at every op ("relaxed fast math").  Here, per-lane values live in
-  ``float64``/``int64`` arrays (unsigned 8-byte values as 64-bit
-  patterns) and *uniform* values stay exact Python scalars, so any
-  value a conforming kernel can produce is represented exactly.
-  Divergence is only possible under C undefined behaviour (signed
-  overflow past 64 bits, out-of-range float→int casts).
-* **Constant folding.**  ``compile_expr`` folds every non-literal
-  subtree first (which rounds float constants to their declared width);
-  the evaluator calls the identical ``fold_constants`` with a
-  scope-mirrored const lookup before dispatching.
+The helpers the generated code calls (the runtime library below) carry
+the semantics, held to a *bit-exactness contract*: for any conforming
+kernel, output buffers and every ``ExecutionCounters`` field equal the
+per-item backend's (``tests/kernelc/test_vectorize_*``).  The compiled
+backend computes floats in double and signed ints at arbitrary
+precision, masking unsigned ints at every op; here lane values live in
+``float64``/``int64`` arrays (unsigned 8-byte values as 64-bit
+patterns), *uniform* values stay exact Python scalars, and what an
+inactive lane holds is unspecified.
 
 Intentional differences (documented, all under undefined behaviour):
 
 * Barrier divergence is checked per barrier *statement* (each work-group
-  must have all or none of its items at that statement), which is
-  stricter than the per-item round-robin check for non-conforming
-  kernels that reach *different* barrier statements in divergent
-  branches.
+  must have all or none of its items at that statement), stricter than
+  the per-item round-robin check for kernels reaching *different*
+  barrier statements in divergent branches.
 * Assigning pointer values that diverge per-lane to different objects
-  raises :class:`VectorizeError` (there is no numpy representation for
-  a lane-varying object reference); conforming kernels in the corpus do
-  not do this.
+  raises :class:`VectorizeError` (no numpy representation exists).
 * With intra-group data races, lockstep statement order differs from
-  the sequential per-item order, so racy kernels may produce different
-  (still unspecified) results.
+  the sequential per-item order.
 
 Kernels using constructs with no lockstep lowering (vector types,
 pointer casts, recursion, barriers inside helper functions, …) are
-rejected statically by :func:`plan_for` and fall back transparently to
-the per-item backend.  ``switch`` statements run as masked case
-dispatch: every lane computes its entry case, then the cases execute in
-order with the union of lanes that have reached them (C fallthrough),
-``break`` peeling lanes off into the switch's break mask.
+rejected statically (:func:`reject_reason`) and fall back to the
+per-item backend.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+import operator
+from collections import OrderedDict, namedtuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import ast
 from .builtins import ResolvedBuiltin, _strip_prefix
 from .compiler import (_FunctionCompiler, _ProgramCompiler, CompiledKernel,
-                       _is_literal, fold_constants, node_cost)
+                       _is_literal, _runtime_namespace)
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -81,84 +67,23 @@ from .ctypes_ import (
     convert_scalar,
     numpy_dtype,
 )
-from .execmodel import c_fdiv, c_idiv, c_imod
-from .interp import Machine, apply_builtin
-from .memory import KernelFault
+from .execmodel import WARP_SIZE, c_fdiv, c_idiv, c_imod
+from .interp import Machine, _flatten_initializer, apply_builtin
+from .memory import KernelFault, Pointer
 
 _I64 = np.int64
 _U64 = np.uint64
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
 _CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
+_ID_QUERIES = ("get_global_id", "get_local_id", "get_group_id")
+_FENCES = ("mem_fence", "read_mem_fence", "write_mem_fence")
+ndarray = np.ndarray
 
 
 class VectorizeError(RuntimeError):
     """A kernel hit a runtime situation the lockstep backend cannot
     represent (currently: merging divergent pointer values)."""
-
-
-# ---------------------------------------------------------------------------
-# Recording pass: replay the per-item compiler's charge/CSE schedule.
-# ---------------------------------------------------------------------------
-
-
-class _RecordingCompiler(_FunctionCompiler):
-    """Re-runs code generation purely to observe charge and CSE hooks."""
-
-    def __init__(self, program_compiler, function, record):
-        super().__init__(program_compiler, function)
-        self._record = record
-
-    def on_charge(self, key: tuple, final: int) -> None:
-        if final:
-            self._record.charges[key] = final
-
-    def record_cse(self, expr: ast.Expr, temp: str) -> None:
-        origin = self._load_origins.get(temp)
-        if origin is not None:
-            self._record.cse[id(expr)] = origin
-
-    def compile_switch(self, stmt: ast.SwitchStmt) -> None:
-        # compile_switch charges its upfront cost via the direct
-        # ``charge()`` emitter, which bypasses the on_charge hook —
-        # record it explicitly so the evaluator can replay it.
-        self._record.charges[(id(stmt), "switch")] = \
-            node_cost(stmt.subject) + len(stmt.cases)
-        super().compile_switch(stmt)
-
-
-class _ProgramRecord:
-    """Per-``ast.Program`` data shared by all of its kernels' plans."""
-
-    def __init__(self, program: ast.Program):
-        self.charges: Dict[tuple, int] = {}
-        self.cse: Dict[int, int] = {}
-        pc = _ProgramCompiler(program)
-        for function in program.functions:
-            _RecordingCompiler(pc, function, self).compile()
-        self.globals: Dict[str, object] = {}
-        if program.globals:
-            machine = Machine(program)
-            for global_decl in program.globals:
-                name = global_decl.decl.name
-                value = machine.globals[name]
-                if hasattr(value, "pointer"):  # ArrayRef
-                    ptr = value.pointer
-                    vptr = VPtr(ptr.array, ptr.element_type, ptr.address_space,
-                                None, ptr.length, ptr.offset, None)
-                    self.globals[name] = VArray(vptr, value.element)
-                else:
-                    self.globals[name] = value
-
-
-class _KernelPlan:
-    __slots__ = ("kernel", "charges", "cse", "globals")
-
-    def __init__(self, kernel: CompiledKernel, record: _ProgramRecord):
-        self.kernel = kernel
-        self.charges = record.charges
-        self.cse = record.cse
-        self.globals = record.globals
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +101,46 @@ def _contains_vector(ctype) -> bool:
     return False
 
 
-def _function_reject_reason(fn: ast.FunctionDef) -> Optional[str]:
-    if _contains_vector(fn.return_type):
-        return "vector return type"
-    for param in fn.params:
-        if _contains_vector(param.declared_type):
-            return "vector parameter type"
-    if not fn.is_kernel and getattr(fn, "uses_barrier", False):
-        return "barrier inside a helper function"
-    for node in ast.walk(fn.body):
+class _FunctionFacts:
+    """What one walk of a function body finds: why it has no lockstep
+    lowering (or None), the user functions it calls, the C names written
+    anywhere but in the increment of a ``for`` whose init declares them
+    (only the others can be uniform) and its return statements."""
+
+    def __init__(self, fn: ast.FunctionDef):
+        self.callees: List[Optional[ast.FunctionDef]] = []
+        self.returns: List[ast.ReturnStmt] = []
+        reason = None
+        if _contains_vector(fn.return_type):
+            reason = "vector return type"
+        elif any(_contains_vector(param.declared_type) for param in fn.params):
+            reason = "vector parameter type"
+        elif not fn.is_kernel and getattr(fn, "uses_barrier", False):
+            reason = "barrier inside a helper function"
+        writes: Dict[str, int] = {}
+        loops = []
+        for node in ast.walk(fn.body):
+            reason = reason or self._node_reason(node, fn)
+            name = _written_name(node)
+            if name is not None:
+                writes[name] = writes.get(name, 0) + 1
+            elif isinstance(node, ast.Call) and getattr(node, "kind", "") == "user":
+                self.callees.append(getattr(node, "callee_def", None))
+            elif isinstance(node, ast.ReturnStmt):
+                self.returns.append(node)
+            elif isinstance(node, ast.ForStmt) and isinstance(node.init, ast.DeclStmt) \
+                    and node.increment is not None:
+                loops.append(node)
+        for loop in loops:
+            declared = {decl.name for decl in loop.init.decls}
+            for node in ast.walk(loop.increment):
+                if _written_name(node) in declared:
+                    writes[_written_name(node)] -= 1
+        self.reason = reason
+        self.written = {name for name, count in writes.items() if count > 0}
+
+    @staticmethod
+    def _node_reason(node, fn: ast.FunctionDef) -> Optional[str]:
         if isinstance(node, ast.StringLiteral):
             return "string literal"
         if isinstance(node, ast.Member):
@@ -206,69 +162,80 @@ def _function_reject_reason(fn: ast.FunctionDef) -> Optional[str]:
         op_type = getattr(node, "op_type", None)
         if op_type is not None and _contains_vector(op_type):
             return "vector arithmetic"
-    return None
+        return None
 
 
-def reject_reason(kernel: CompiledKernel) -> Optional[str]:
-    """Why ``kernel`` cannot run on the vector backend (None = it can)."""
+def _written_name(node) -> Optional[str]:
+    if isinstance(node, ast.Assignment):
+        node = node.target
+    elif isinstance(node, (ast.UnaryOp, ast.PostfixOp)) and node.op in ("++", "--"):
+        node = node.operand
+    else:
+        return None
+    return node.name if isinstance(node, ast.Identifier) else None
+
+
+def _analyse(kernel: CompiledKernel):
+    """``(reject reason or None, [(function, facts)] reachable from the
+    kernel, kernel first)``."""
     if kernel.program is None:
-        return "kernel compiled without its owning program"
-    # Reachable user functions (cycle detection rejects recursion).
-    order: List[ast.FunctionDef] = []
+        return "kernel compiled without its owning program", []
+    order: List[tuple] = []
     state: Dict[int, int] = {}  # id(fn) -> 1 visiting, 2 done
 
-    def visit(fn: ast.FunctionDef) -> Optional[str]:
+    def visit(fn: Optional[ast.FunctionDef]) -> Optional[str]:
+        if fn is None or fn.body is None:
+            return "call to an undefined function"
         mark = state.get(id(fn))
-        if mark == 1:
-            return "recursion"
-        if mark == 2:
-            return None
+        if mark is not None:
+            return "recursion" if mark == 1 else None
         state[id(fn)] = 1
-        order.append(fn)
-        for node in ast.walk(fn.body):
-            if isinstance(node, ast.Call) and getattr(node, "kind", "") == "user":
-                target = getattr(node, "callee_def", None)
-                if target is None or target.body is None:
-                    return "call to an undefined function"
-                reason = visit(target)
-                if reason is not None:
-                    return reason
+        facts = _FunctionFacts(fn)
+        order.append((fn, facts))
+        for target in facts.callees:
+            reason = visit(target)
+            if reason is not None:
+                return reason
         state[id(fn)] = 2
         return None
 
     reason = visit(kernel.definition)
-    if reason is not None:
-        return reason
-    for fn in order:
-        reason = _function_reject_reason(fn)
-        if reason is not None:
-            return reason
+    for _, facts in order:
+        reason = reason or facts.reason
     for global_decl in kernel.program.globals:
-        if _contains_vector(global_decl.decl.declared_type):
-            return "vector-typed __constant global"
-    return None
+        if reason is None and _contains_vector(global_decl.decl.declared_type):
+            reason = "vector-typed __constant global"
+    return reason, order
 
 
-_MISSING = object()
+#: What :func:`plan_for` caches on a kernel: the generated function and its
+#: source, or the reason there is none.
+_KernelPlan = namedtuple("_KernelPlan", "reason run source", defaults=(None, ""))
+
+
+def _plan(kernel: CompiledKernel) -> _KernelPlan:
+    plan = kernel.__dict__.get("_vector_plan")
+    if plan is None:
+        reason, functions = _analyse(kernel)
+        try:
+            plan = _KernelPlan(reason) if reason is not None else _generate(kernel, functions)
+        except SyntaxError:  # Python caps block nesting and indentation depth
+            plan = _KernelPlan("control flow nested too deeply")
+        kernel._vector_plan = plan
+    return plan
 
 
 def plan_for(kernel: CompiledKernel) -> Optional[_KernelPlan]:
-    """An execution plan for ``kernel``, or None when the kernel must
-    fall back to the per-item backend.  Cached on the kernel (and the
-    recording pass on its program, shared by sibling kernels)."""
-    cached = kernel.__dict__.get("_vector_plan", _MISSING)
-    if cached is not _MISSING:
-        return cached
-    plan: Optional[_KernelPlan] = None
-    if reject_reason(kernel) is None:
-        program = kernel.program
-        record = getattr(program, "_vectorize_record", None)
-        if record is None:
-            record = _ProgramRecord(program)
-            program._vectorize_record = record
-        plan = _KernelPlan(kernel, record)
-    kernel._vector_plan = plan
-    return plan
+    """The compiled lockstep plan for ``kernel`` (generated on first use,
+    cached on the kernel), or None when the kernel must fall back to the
+    per-item backend."""
+    plan = _plan(kernel)
+    return plan if plan.reason is None else None
+
+
+def reject_reason(kernel: CompiledKernel) -> Optional[str]:
+    """Why ``kernel`` cannot run on the vector backend (None = it can)."""
+    return _plan(kernel).reason
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +249,7 @@ class VNull:
     Mirrors the compiled backend's ``_NULLPTR``: truthy, compares
     unequal to real pointers without faulting, faults on any use."""
 
-    _instance: Optional["VNull"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    @staticmethod
-    def _fault():
+    def __getattr__(self, name):
         raise KernelFault("use of an uninitialized (null) pointer")
 
 
@@ -318,7 +277,7 @@ class VPtr:
         self.base = base
 
     def add(self, delta) -> "VPtr":
-        if isinstance(delta, np.ndarray) or isinstance(self.offset, np.ndarray):
+        if isinstance(delta, ndarray) or isinstance(self.offset, ndarray):
             offset = _int_lanes_pair(self.offset, delta)
         else:
             offset = self.offset + int(delta)
@@ -327,34 +286,35 @@ class VPtr:
 
     def diff(self, other):
         if isinstance(other, VNull):
-            VNull._fault()
+            other.offset  # faults
         if not isinstance(other, VPtr) or self.array is not other.array:
             raise KernelFault("subtracting pointers into different objects")
-        if isinstance(self.offset, np.ndarray) or isinstance(other.offset, np.ndarray):
+        if isinstance(self.offset, ndarray) or isinstance(other.offset, ndarray):
             return _int_lanes_pair(self.offset, -_as_int_operand(other.offset))
         return self.offset - other.offset
 
     # -- lane-wise memory access ------------------------------------------
 
-    def _positions(self, index, mask):
-        """Logical element positions, bounds-checked for active lanes."""
-        if isinstance(index, np.ndarray) or isinstance(self.offset, np.ndarray):
-            where = _int_lanes_pair(self.offset, index)
-        else:
-            where = self.offset + int(index)
-        if isinstance(where, np.ndarray):
-            active = where[mask]
-            bad = (active < 0) | (active >= self.length)
+    def _rows(self, index, mask):
+        """Storage rows for ``index``, bounds-checked for active lanes;
+        rows of inactive lanes are unspecified but in range."""
+        offset = self.offset
+        if isinstance(index, ndarray) or isinstance(offset, ndarray):
+            where = _int_lanes_pair(offset, index) if isinstance(offset, ndarray) or offset \
+                else index
+            bad = where.view(_U64) >= self.length  # negative rows wrap to huge ones
             if bad.any():
-                first = int(active[np.argmax(bad)])
+                bad &= mask
+                if bad.any():
+                    raise KernelFault(f"out-of-bounds {self.space} access: element "
+                                      f"{int(where[np.argmax(bad)])} of {self.length}")
+                where = np.where(mask, where, 0)
+        else:
+            where = offset + int(index)
+            if not 0 <= where < self.length:
                 raise KernelFault(
-                    f"out-of-bounds {self.space} access: element {first} of {self.length}"
-                )
-        elif not 0 <= where < self.length:
-            raise KernelFault(
-                f"out-of-bounds {self.space} access: element {where} of {self.length}"
-            )
-        return where
+                    f"out-of-bounds {self.space} access: element {where} of {self.length}")
+        return where if self.base is None else where + self.base
 
     def _charge(self, count: int, store: bool) -> None:
         tally = self.tally
@@ -375,49 +335,33 @@ class VPtr:
             tally.local_bytes += count * size
 
     def gather(self, index, mask):
-        where = self._positions(index, mask)
         count = int(np.count_nonzero(mask))
-        if not isinstance(where, np.ndarray) and self.base is None:
-            self._charge(count, store=False)
-            value = self.array[where].item()
-            if self.element_type.is_float():
-                return float(value)
-            return int(value)
-        rows = np.where(mask, where, 0) if isinstance(where, np.ndarray) \
-            else np.full(mask.shape, where, dtype=_I64)
-        if self.base is not None:
-            rows = rows + np.where(mask, self.base, 0)
+        rows = self._rows(index, mask)
         self._charge(count, store=False)
-        values = self.array[rows]
-        if self.element_type.is_float():
-            out = values.astype(np.float64)
-        else:
-            out = values.astype(_I64)
-        return np.where(mask, out, 0)
+        if not isinstance(rows, ndarray):
+            value = self.array[rows].item()
+            return float(value) if self.element_type.is_float() else int(value)
+        return self.array[rows].astype(np.float64 if self.element_type.is_float() else _I64)
 
     def scatter(self, index, value, mask) -> None:
-        where = self._positions(index, mask)
         count = int(np.count_nonzero(mask))
+        rows = self._rows(index, mask)
         self._charge(count, store=True)
-        if not isinstance(where, np.ndarray):
-            rows = np.full(mask.shape, where, dtype=_I64)
-        else:
-            rows = where
-        if self.base is not None:
-            rows = rows + np.where(mask, self.base, 0)
-        active_rows = rows[mask]
-        if isinstance(value, np.ndarray):
-            active_values = value[mask]
+        partial = count != mask.size
+        if not isinstance(rows, ndarray):
+            rows = np.full(count, rows, dtype=_I64)
+        elif partial:
+            rows = rows[mask]
+        if isinstance(value, ndarray):
+            active = value[mask] if partial else value
             etype = self.element_type
             if etype.is_bool():
-                converted = (active_values != 0).astype(self.array.dtype)
-            elif etype.is_integer() and active_values.dtype.kind == "f":
-                converted = _float_lanes_to_int(active_values, None).astype(self.array.dtype)
-            else:
-                converted = active_values.astype(self.array.dtype)
-            self.array[active_rows] = converted
+                active = active != 0
+            elif etype.is_integer() and active.dtype.kind == "f":
+                active = _float_lanes_to_int(active, None)
+            self.array[rows] = active.astype(self.array.dtype)
         else:
-            self.array[active_rows] = convert_scalar(value, self.element_type)
+            self.array[rows] = convert_scalar(value, self.element_type)
 
 
 class VArray:
@@ -440,16 +384,18 @@ class VArray:
         return self.pointer
 
 
+_POINTERS = (VPtr, VArray, VNull)
+
+
 def _mul_index(i, stride: int):
-    if stride == 1:
-        return i
-    if isinstance(i, np.ndarray):
+    if isinstance(i, ndarray):
         return i * stride
     return int(i) * stride
 
 
 # ---------------------------------------------------------------------------
-# Scalar-domain helpers (uniform Python values <-> int64/float64 lanes).
+# Runtime library: scalar-domain helpers (uniform Python values <-> lanes).
+# The generated code calls these by the names in ``_LIBRARY``.
 # ---------------------------------------------------------------------------
 
 
@@ -460,1166 +406,239 @@ def _wrap_to_i64(value: int) -> int:
 
 def _as_int_operand(v):
     """Numpy-safe form of an integer operand (arrays pass through)."""
-    if isinstance(v, np.ndarray):
+    if isinstance(v, ndarray):
         return v
     return _I64(_wrap_to_i64(v))
+
+
+def _as_float_operand(v):
+    if isinstance(v, ndarray):
+        return v if v.dtype.kind == "f" else v.astype(np.float64)
+    return float(v)
 
 
 def _int_lanes_pair(a, b):
     return _as_int_operand(a) + _as_int_operand(b)
 
 
-def _int_lanes(v, n: int) -> np.ndarray:
-    if isinstance(v, np.ndarray):
-        return v
-    return np.full(n, _wrap_to_i64(v), dtype=_I64)
-
-
-def _float_lanes(v, n: int) -> np.ndarray:
-    if isinstance(v, np.ndarray):
-        if v.dtype.kind == "f":
-            return v
-        return v.astype(np.float64)
-    return np.full(n, float(v), dtype=np.float64)
-
-
 def _is_float_value(v) -> bool:
-    if isinstance(v, np.ndarray):
+    if isinstance(v, ndarray):
         return v.dtype.kind == "f"
     return isinstance(v, float)
 
 
-def _float_lanes_to_int(values: np.ndarray, mask) -> np.ndarray:
+def _float_lanes_to_int(values: ndarray, mask) -> ndarray:
     """Per-lane ``int(v)`` (truncation) with CPython's error behaviour."""
-    if mask is not None:
-        active = values[mask]
-    else:
-        active = values
+    active = values if mask is None else values[mask]
     if np.isnan(active).any():
         raise ValueError("cannot convert float NaN to integer")
     if np.isinf(active).any():
         raise OverflowError("cannot convert float infinity to integer")
-    safe = values
-    if mask is not None:
-        safe = np.where(mask, values, 0.0)
-    truncated = np.trunc(safe)
+    truncated = np.trunc(values if mask is None else np.where(mask, values, 0.0))
     huge = np.abs(truncated) >= float(_TWO63)
+    if not huge.any():
+        return truncated.astype(_I64)
     out = np.empty(values.shape, dtype=_I64)
     np.copyto(out, truncated.astype(_I64, casting="unsafe"), where=~huge)
-    if huge.any():
-        for lane in np.nonzero(huge)[0]:
-            out[lane] = _wrap_to_i64(int(truncated[lane]))
+    for lane in np.nonzero(huge)[0]:
+        out[lane] = _wrap_to_i64(int(truncated[lane]))
     return out
 
 
-def _wrap_signed_lanes(v, bits: int):
+def _sw(v, bits: int):
     """``_sw{bits}`` of the compiled backend, valid on both domains."""
-    if not isinstance(v, np.ndarray):
+    if not isinstance(v, ndarray):
         half = 1 << (bits - 1)
         return ((int(v) + half) & ((1 << bits) - 1)) - half
     if bits >= 64:
         return v  # int64 lanes already are the 64-bit pattern
     half = _I64(1 << (bits - 1))
-    full = _I64((1 << bits) - 1)
-    return ((v + half) & full) - half
+    return ((v + half) & _I64((1 << bits) - 1)) - half
 
 
-def _popcount(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
+def _um64(v):
+    """Unsigned 64-bit masking: lanes already hold the 64-bit pattern."""
+    return v if isinstance(v, ndarray) else v & (_TWO64 - 1)
 
 
-# ---------------------------------------------------------------------------
-# Control-flow bookkeeping.
-# ---------------------------------------------------------------------------
+def _zeros(mask: ndarray) -> ndarray:
+    return np.zeros(mask.shape, dtype=bool)
 
 
-class _Slot:
-    __slots__ = ("value", "const")
-
-    def __init__(self, value, const=None):
-        self.value = value
-        self.const = const
-
-
-class _LoopCtx:
-    __slots__ = ("break_mask", "continue_mask")
-
-    def __init__(self, n: int):
-        self.break_mask = np.zeros(n, dtype=bool)
-        self.continue_mask = np.zeros(n, dtype=bool)
-
-
-class _SwitchCtx:
-    """Break target of a ``switch``: shares ``break_mask`` duck-typing
-    with :class:`_LoopCtx` (a ``break`` binds to the innermost entry of
-    ``frame.loops``), but ``continue`` skips over it to the loop."""
-
-    __slots__ = ("break_mask",)
-
-    def __init__(self, n: int):
-        self.break_mask = np.zeros(n, dtype=bool)
-
-
-class _Frame:
-    __slots__ = ("function", "scopes", "ret_value", "ret_mask", "loops")
-
-    def __init__(self, function: ast.FunctionDef, n: int):
-        self.function = function
-        self.scopes: List[Dict[str, _Slot]] = [{}]
-        self.ret_value = None
-        self.ret_mask = np.zeros(n, dtype=bool)
-        self.loops: List[_LoopCtx] = []
-
-
-# ---------------------------------------------------------------------------
-# The evaluator.
-# ---------------------------------------------------------------------------
-
-
-class _Evaluator:
-    def __init__(self, plan: _KernelPlan, counters, lanes):
-        self.plan = plan
-        self.counters = counters
-        self.lanes = lanes  # _LaneLayout
-        self.n = lanes.n
-        self.ops_lanes = np.zeros(self.n, dtype=_I64)
-        self.frames: List[_Frame] = []
-        self._load_values: Dict[int, object] = {}
-        self._local_storage: Dict[int, VArray] = {}
-
-    # -- environment -------------------------------------------------------
-
-    @property
-    def frame(self) -> _Frame:
-        return self.frames[-1]
-
-    def _lookup(self, name: str) -> Optional[_Slot]:
-        for scope in reversed(self.frame.scopes):
-            slot = scope.get(name)
-            if slot is not None:
-                return slot
-        return None
-
-    def _const_lookup(self, name: str):
-        slot = self._lookup(name)
-        if slot is None:
-            return None
-        return slot.const
-
-    def _bind(self, name: str, value, const=None) -> _Slot:
-        slot = _Slot(value, const)
-        self.frame.scopes[-1][name] = slot
-        return slot
-
-    # -- charging ----------------------------------------------------------
-
-    def _charge(self, node: ast.Node, mask: np.ndarray) -> None:
-        cost = self.plan.charges.get((id(node),))
-        if cost:
-            self.ops_lanes[mask] += cost
-
-    # -- value plumbing ----------------------------------------------------
-
-    def _decay(self, value, ctype):
-        if isinstance(ctype, ArrayType):
-            if isinstance(value, VNull):
-                VNull._fault()
-            return value.decayed()
-        return value
-
-    def _truthy_mask(self, value, mask: np.ndarray) -> np.ndarray:
-        if isinstance(value, np.ndarray):
-            return mask & (value != 0)
-        if isinstance(value, (VPtr, VArray, VNull)):
-            return mask.copy()
-        return mask.copy() if value else np.zeros_like(mask)
-
-    def _merge(self, old, new, mask: np.ndarray):
-        """Masked phi: ``new`` on active lanes, ``old`` elsewhere."""
-        if bool(mask.all()):
-            return new
-        if old is new:
-            return new
-        old_ptr = isinstance(old, (VPtr, VArray, VNull))
-        new_ptr = isinstance(new, (VPtr, VArray, VNull))
-        if old_ptr or new_ptr:
-            if isinstance(old, VPtr) and isinstance(new, VPtr) \
-                    and old.array is new.array and old.base is new.base:
-                offset = np.where(mask, _int_lanes(new.offset, self.n),
-                                  _int_lanes(old.offset, self.n))
-                return VPtr(new.array, new.element_type, new.space, new.tally,
-                            new.length, offset, new.base)
-            if isinstance(old, VNull) and isinstance(new, VNull):
-                return new
-            if old is _VNULL and isinstance(new, VArray):
-                # decl-default replaced by an array binding: lanes outside
-                # the mask could only observe this through UB.
-                return new
-            raise VectorizeError(
-                "divergent pointer values cannot be merged on the vector "
-                "backend (lanes would point into different objects)"
-            )
-        if not isinstance(old, np.ndarray) and not isinstance(new, np.ndarray):
-            if isinstance(old, float) or isinstance(new, float):
-                if isinstance(old, float) and isinstance(new, float):
-                    if (old == new and math.copysign(1.0, old) == math.copysign(1.0, new)) \
-                            or (math.isnan(old) and math.isnan(new)):
-                        return new
-            elif old == new:
-                return new
-        if _is_float_value(old) or _is_float_value(new):
-            return np.where(mask, _float_lanes(new, self.n), _float_lanes(old, self.n))
-        return np.where(mask, _int_lanes(new, self.n), _int_lanes(old, self.n))
-
-    def _mask_unsigned(self, value, ctype) -> object:
-        if not (isinstance(ctype, ScalarType) and ctype.is_integer()
-                and not ctype.signed and not ctype.is_bool()):
-            return value
-        if isinstance(value, np.ndarray):
-            if ctype.size == 8:
-                return value  # 64-bit patterns are already "masked"
-            return value & _I64((1 << ctype.bits) - 1)
-        return value & ((1 << ctype.bits) - 1)
-
-    # -- statements --------------------------------------------------------
-
-    def exec_stmt_list(self, statements, mask: np.ndarray) -> np.ndarray:
-        for stmt in statements:
-            if not mask.any():
-                return mask
-            mask = self.exec_stmt(stmt, mask)
+def _truthy(value, mask: ndarray) -> ndarray:
+    """The lanes of ``mask`` on which ``value`` is true."""
+    if isinstance(value, ndarray):
+        return mask & (value if value.dtype.kind == "b" else value != 0)
+    if isinstance(value, _POINTERS) or value:
         return mask
+    return _zeros(mask)
 
-    def exec_stmt(self, stmt: ast.Stmt, mask: np.ndarray) -> np.ndarray:
-        kind = type(stmt).__name__
-        handler = getattr(self, f"_stmt_{kind}")
-        return handler(stmt, mask)
 
-    def _stmt_CompoundStmt(self, stmt, mask):
-        self.frame.scopes.append({})
-        out = self.exec_stmt_list(stmt.statements, mask)
-        self.frame.scopes.pop()
-        return out
+def _to_bool(value):
+    if isinstance(value, ndarray):
+        return (value != 0).astype(_I64)
+    return 1 if isinstance(value, _POINTERS) or value else 0
 
-    def _stmt_DeclStmt(self, stmt, mask):
-        for decl in stmt.decls:
-            self._exec_decl(decl, mask)
-        return mask
 
-    def _exec_decl(self, decl: ast.VarDecl, mask: np.ndarray) -> None:
-        ctype = decl.declared_type
-        if decl.address_space == "local":
-            self._bind(decl.name, self._local_storage[id(decl)])
-            return
-        if isinstance(ctype, ArrayType):
-            self._bind(decl.name, self._make_private_array(decl, ctype))
-            return
-        if decl.init is not None:
-            self._charge(decl.init, mask)
-            value = self.eval(decl.init, mask)
-            value = self._convert_relaxed(value, decl.init.ctype, ctype, mask)
-        elif isinstance(ctype, PointerType):
-            value = _VNULL
-        elif ctype.is_float():
-            value = 0.0
-        else:
-            value = 0
-        slot = self._bind(decl.name, value)
-        if decl.is_const and decl.init is not None and isinstance(ctype, ScalarType):
-            folded = fold_constants(decl.init, self._const_lookup)
-            if folded is not None:
-                slot.const = convert_scalar(folded, ctype)
+def _b2i(value):
+    """A comparison result as a C value (lanes: 0/1 int64)."""
+    return value.astype(_I64) if isinstance(value, ndarray) else value
 
-    def _make_private_array(self, decl: ast.VarDecl, ctype: ArrayType) -> VArray:
-        from .interp import _flatten_initializer
 
-        flat = ctype.flat_length()
-        element = ctype.base_element()
-        storage = np.zeros(self.n * flat, dtype=numpy_dtype(element))
-        if decl.init is not None:
-            values = [convert_scalar(v, element) for v in _flatten_initializer(decl.init)]
-            init_row = np.zeros(flat, dtype=numpy_dtype(element))
-            init_row[: len(values)] = values
-            storage.reshape(self.n, flat)[:, :] = init_row
-        base = np.arange(self.n, dtype=_I64) * flat
-        vptr = VPtr(storage, element, "private", None, flat, 0, base)
-        return VArray(vptr, ctype.element)
-
-    def _stmt_ExprStmt(self, stmt, mask):
-        expr = stmt.expr
-        if expr is None:
-            return mask
-        if isinstance(expr, ast.Call) and getattr(expr, "kind", "") == "builtin" \
-                and expr.resolved.kind == "barrier":
-            self.eval(expr.args[0], mask)
-            self.counters.barriers += _popcount(mask)
-            self._check_barrier_mask(mask)
-            return mask
-        self._charge(expr, mask)
-        self.eval(expr, mask)
-        return mask
-
-    def _check_barrier_mask(self, mask: np.ndarray) -> None:
-        lanes = self.lanes
-        counts = mask.reshape(lanes.num_groups, lanes.group_size).sum(axis=1)
-        bad = (counts != 0) & (counts != lanes.group_size)
-        if bad.any():
-            raise KernelFault(
-                "barrier divergence: some work-items of a group reached a "
-                "barrier other items skipped"
-            )
-
-    def _stmt_IfStmt(self, stmt, mask):
-        self._charge(stmt.condition, mask)
-        condition = self.eval(stmt.condition, mask)
-        then_mask = self._truthy_mask(condition, mask)
-        else_mask = mask & ~then_mask
-        then_out = then_mask
-        if then_mask.any():
-            self.frame.scopes.append({})
-            then_out = self.exec_stmt(stmt.then_branch, then_mask)
-            self.frame.scopes.pop()
-        else_out = else_mask
-        if stmt.else_branch is not None and else_mask.any():
-            self.frame.scopes.append({})
-            else_out = self.exec_stmt(stmt.else_branch, else_mask)
-            self.frame.scopes.pop()
-        return then_out | else_out
-
-    def _loop_condition(self, condition, live):
-        """Charge + evaluate a loop condition; live lanes that fail it
-        exit the loop (they still pay for the failing check)."""
-        if condition is None:
-            return live
-        self._charge(condition, live)
-        value = self.eval(condition, live)
-        return self._truthy_mask(value, live)
-
-    def _stmt_WhileStmt(self, stmt, mask):
-        done = np.zeros_like(mask)
-        live = mask
-        while live.any():
-            passed = self._loop_condition(stmt.condition, live)
-            done |= live & ~passed
-            live = passed
-            if not live.any():
-                break
-            ctx = _LoopCtx(self.n)
-            self.frame.loops.append(ctx)
-            self.frame.scopes.append({})
-            out = self.exec_stmt(stmt.body, live)
-            self.frame.scopes.pop()
-            self.frame.loops.pop()
-            done |= ctx.break_mask
-            live = out | ctx.continue_mask
-        return done
-
-    def _stmt_ForStmt(self, stmt, mask):
-        self.frame.scopes.append({})
-        if stmt.init is not None:
-            self.exec_stmt(stmt.init, mask)
-        done = np.zeros_like(mask)
-        live = mask
-        while live.any():
-            passed = self._loop_condition(stmt.condition, live)
-            done |= live & ~passed
-            live = passed
-            if not live.any():
-                break
-            ctx = _LoopCtx(self.n)
-            self.frame.loops.append(ctx)
-            self.frame.scopes.append({})
-            out = self.exec_stmt(stmt.body, live)
-            self.frame.scopes.pop()
-            self.frame.loops.pop()
-            done |= ctx.break_mask
-            live = out | ctx.continue_mask
-            if stmt.increment is not None and live.any():
-                self._charge(stmt.increment, live)
-                self.eval(stmt.increment, live)
-        self.frame.scopes.pop()
-        return done
-
-    def _stmt_DoStmt(self, stmt, mask):
-        done = np.zeros_like(mask)
-        live = mask
-        while live.any():
-            ctx = _LoopCtx(self.n)
-            self.frame.loops.append(ctx)
-            self.frame.scopes.append({})
-            out = self.exec_stmt(stmt.body, live)
-            self.frame.scopes.pop()
-            self.frame.loops.pop()
-            done |= ctx.break_mask
-            check = out | ctx.continue_mask
-            if not check.any():
-                break
-            self._charge(stmt.condition, check)
-            value = self.eval(stmt.condition, check)
-            passed = self._truthy_mask(value, check)
-            done |= check & ~passed
-            live = passed
-        return done
-
-    def _stmt_ReturnStmt(self, stmt, mask):
-        frame = self.frame
-        if frame.function.is_kernel or stmt.value is None:
-            frame.ret_mask |= mask
-            return np.zeros_like(mask)
-        self._charge(stmt.value, mask)
-        value = self.eval(stmt.value, mask)
-        value = self._convert_relaxed(value, stmt.value.ctype,
-                                      frame.function.return_type, mask)
-        if frame.ret_value is None and not frame.ret_mask.any():
-            frame.ret_value = value if bool(mask.all()) else self._merge(
-                0.0 if _is_float_value(value) else 0, value, mask)
-        else:
-            frame.ret_value = self._merge(frame.ret_value, value, mask)
-        frame.ret_mask |= mask
-        return np.zeros_like(mask)
-
-    def _stmt_BreakStmt(self, stmt, mask):
-        self.frame.loops[-1].break_mask |= mask
-        return np.zeros_like(mask)
-
-    def _stmt_ContinueStmt(self, stmt, mask):
-        # continue binds to the innermost *loop*, skipping switch contexts.
-        for ctx in reversed(self.frame.loops):
-            if isinstance(ctx, _LoopCtx):
-                ctx.continue_mask |= mask
-                break
-        return np.zeros_like(mask)
-
-    @staticmethod
-    def _switch_pattern(value):
-        """A case/subject value as an int64 bit pattern (matching the
-        lane representation of 64-bit integers)."""
-        if isinstance(value, (int, np.integer)) and not isinstance(value, np.ndarray):
-            value = int(value)
-            if value >= _TWO63:
-                value -= _TWO64
-            return _I64(value)
-        return value
-
-    def _stmt_SwitchStmt(self, stmt, mask):
-        # The per-item compiler charges subject cost + one comparison per
-        # case upfront (recorded under the (id, "switch") key).
-        cost = self.plan.charges.get((id(stmt), "switch"))
-        if cost:
-            self.ops_lanes[mask] += cost
-        subject = self._switch_pattern(self.eval(stmt.subject, mask))
-        num_cases = len(stmt.cases)
-        # Entry point per lane: the first matching case in case order,
-        # else the default, else past the end (no case runs).
-        start = np.full(self.n, num_cases, dtype=_I64)
-        unmatched = mask.copy()
-        default_index = num_cases
-        for index, case in enumerate(stmt.cases):
-            if case.value is None:
-                default_index = index
-                continue
-            value = self._switch_pattern(self.eval(case.value, mask))
-            eq = unmatched & np.equal(subject, value)
-            start[eq] = index
-            unmatched &= ~eq
-        if default_index < num_cases:
-            start[unmatched] = default_index
-        # Masked fallthrough: each case body runs with the union of
-        # lanes that entered at or before it and haven't broken out.
-        ctx = _SwitchCtx(self.n)
-        self.frame.loops.append(ctx)
-        current = np.zeros_like(mask)
-        for index, case in enumerate(stmt.cases):
-            current = current | (mask & (start == index))
-            if not current.any():
-                continue
-            self.frame.scopes.append({})
-            current = self.exec_stmt_list(case.body, current)
-            self.frame.scopes.pop()
-        self.frame.loops.pop()
-        # Lanes that matched nothing (no default) pass straight through.
-        return current | ctx.break_mask | (mask & (start == num_cases))
-
-    # -- expressions -------------------------------------------------------
-
-    def eval(self, expr: ast.Expr, mask: np.ndarray):
-        if not isinstance(expr, (ast.IntLiteral, ast.FloatLiteral, ast.CharLiteral)):
-            folded = fold_constants(expr, self._const_lookup)
-            if folded is not None:
-                return folded
-        handler = getattr(self, f"_eval_{type(expr).__name__}")
-        return handler(expr, mask)
-
-    def _eval_IntLiteral(self, expr, mask):
-        return convert_scalar(expr.value, expr.ctype)
-
-    def _eval_FloatLiteral(self, expr, mask):
-        return float(expr.value)
-
-    def _eval_CharLiteral(self, expr, mask):
-        return convert_scalar(expr.value, expr.ctype)
-
-    def _eval_Identifier(self, expr, mask):
-        constant = getattr(expr, "constant_value", None)
-        if constant is not None:
-            return constant
-        slot = self._lookup(expr.name)
-        if slot is not None:
-            return slot.value
-        return self.plan.globals[expr.name]
-
-    def _eval_SizeofExpr(self, expr, mask):
-        queried = expr.queried_type if expr.queried_type is not None else expr.operand.ctype
-        return queried.sizeof()
-
-    def _eval_CommaExpr(self, expr, mask):
-        for part in expr.parts[:-1]:
-            self.eval(part, mask)
-        return self.eval(expr.parts[-1], mask)
-
-    def _eval_UnaryOp(self, expr, mask):
-        op = expr.op
-        if op in ("++", "--"):
-            return self._incdec(expr.operand, op, mask, prefix=True)
-        if op == "*":
-            pointer = self.eval(expr.operand, mask)
-            if isinstance(pointer, VNull):
-                VNull._fault()
-            return pointer.gather(0, mask)
-        if op == "&":
-            return self._address_of(expr, mask)
-        value = self.eval(expr.operand, mask)
-        if op == "!":
-            if isinstance(value, np.ndarray):
-                return (value == 0).astype(_I64)
-            if isinstance(value, (VPtr, VArray, VNull)):
-                return 0
-            return 0 if value else 1
-        if op == "~":
-            result = ~value if not isinstance(value, np.ndarray) else ~value
-        elif op == "-":
-            result = -value
-        else:  # unary +
-            result = +value
-        return self._mask_unsigned(result, expr.ctype)
-
-    def _eval_PostfixOp(self, expr, mask):
-        return self._incdec(expr.operand, expr.op, mask, prefix=False)
-
-    def _address_of(self, expr, mask):
-        inner = expr.operand
-        if isinstance(inner, ast.Index):
-            if isinstance(inner.base.ctype, ArrayType):
-                flattened = self._flatten_access(inner, mask)
-                if flattened is not None:
-                    root, flat = flattened
-                    return root.pointer.add(flat)
-                base = self.eval(inner.base, mask)
-                index = self.eval(inner.index, mask)
-                return base.index(index).decayed()
-            base = self.eval(inner.base, mask)
-            index = self.eval(inner.index, mask)
-            if isinstance(base, VNull):
-                VNull._fault()
-            return base.add(index)
-        if isinstance(inner, ast.UnaryOp) and inner.op == "*":
-            return self.eval(inner.operand, mask)
-        if isinstance(inner, ast.Identifier) and isinstance(inner.ctype, ArrayType):
-            return self.eval(inner, mask).decayed()
-        raise KernelFault("taking the address of a plain variable is not supported")
-
-    def _incdec(self, target, op, mask, prefix: bool):
-        delta = 1 if op == "++" else -1
-        ctype = target.ctype
-        if isinstance(target, ast.Identifier):
-            slot = self._lookup(target.name)
-            old = slot.value
-            if isinstance(ctype, PointerType):
-                if isinstance(old, VNull):
-                    VNull._fault()
-                new = old.add(delta)
-            else:
-                new = self._mask_unsigned(_add_scalar(old, delta), ctype)
-            slot.value = self._merge(old, new, mask)
-            return new if prefix else old
-        pointer, index = self._lvalue(target, mask)
-        current = pointer.gather(index, mask)
-        if isinstance(ctype, PointerType):
-            new = current.add(delta)
-        else:
-            new = self._mask_unsigned(_add_scalar(current, delta), ctype)
-        pointer.scatter(index, new, mask)
-        return new if prefix else current
-
-    def _lvalue(self, expr, mask) -> Tuple[VPtr, object]:
-        """Pointer + element index for a memory lvalue (mirrors
-        ``_compile_lvalue``; variable targets are handled by callers)."""
-        if isinstance(expr, ast.Index):
-            if isinstance(expr.base.ctype, ArrayType):
-                flattened = self._flatten_access(expr, mask)
-                assert flattened is not None, "array rows are not assignable"
-                root, flat = flattened
-                return root.pointer, flat
-            base = self.eval(expr.base, mask)
-            index = self.eval(expr.index, mask)
-            if isinstance(base, VNull):
-                VNull._fault()
-            return base, index
-        if isinstance(expr, ast.UnaryOp) and expr.op == "*":
-            pointer = self.eval(expr.operand, mask)
-            if isinstance(pointer, VNull):
-                VNull._fault()
-            return pointer, 0
-        raise KernelFault(f"expression is not assignable: {type(expr).__name__}")
-
-    def _flatten_access(self, expr: ast.Index, mask):
-        """Mirror of ``_flatten_array_access``: full multi-dim accesses
-        collapse to (root VArray, flat index value)."""
-        if isinstance(expr.ctype, ArrayType):
-            return None
-        indices: List[ast.Expr] = []
-        node: ast.Expr = expr
-        while isinstance(node, ast.Index) and isinstance(node.base.ctype, ArrayType):
-            indices.append(node.index)
-            node = node.base
-        if not isinstance(node.ctype, ArrayType) or not indices:
-            return None
-        indices.reverse()
-        strides: List[int] = []
-        ctype: CType = node.ctype
-        for _ in indices:
-            element = ctype.element
-            strides.append(element.flat_length() if isinstance(element, ArrayType) else 1)
-            ctype = element
-        root = self.eval(node, mask)
-        flat = None
-        for index_expr, stride in zip(indices, strides):
-            term = _mul_index(self.eval(index_expr, mask), stride)
-            flat = term if flat is None else _add_scalar(flat, term)
-        return root, flat
-
-    def _eval_Index(self, expr, mask):
-        source = self.plan.cse.get(id(expr))
-        if source is not None:
-            value = self._load_values.get(source, _MISSING)
-            if value is not _MISSING:
-                return value
-            # Unreachable once lvalues compile before values; kept as a
-            # hard error rather than silently double-loading.
-            raise KernelFault("internal error: CSE source was not materialized")
-        base_type = expr.base.ctype
-        if isinstance(base_type, ArrayType):
-            flattened = self._flatten_access(expr, mask)
-            if flattened is None:
-                base = self.eval(expr.base, mask)
-                index = self.eval(expr.index, mask)
-                return base.index(index)
-            root, flat = flattened
-            value = root.pointer.gather(flat, mask)
-        else:
-            base = self.eval(expr.base, mask)
-            index = self.eval(expr.index, mask)
-            if isinstance(base, VNull):
-                VNull._fault()
-            value = base.gather(index, mask)
-        self._load_values[id(expr)] = value
-        return value
-
-    def _eval_Cast(self, expr, mask):
-        target = expr.target_type
-        if target.is_void():
-            self.eval(expr.operand, mask)
-            return 0
-        value = self.eval(expr.operand, mask)
-        if isinstance(value, (VPtr, VArray, VNull)):
-            raise KernelFault("cannot convert a pointer value to a scalar")
-        return self._convert_exact(value, expr.operand.ctype, target, mask)
-
-    def _eval_Conditional(self, expr, mask):
-        condition = self.eval(expr.condition, mask)
-        then_mask = self._truthy_mask(condition, mask)
-        else_mask = mask & ~then_mask
-
-        def arm(branch, sub):
-            value = self._decay(self.eval(branch, sub), branch.ctype)
-            return self._convert_relaxed(value, branch.ctype, expr.ctype, sub)
-
-        if not else_mask.any():
-            return arm(expr.then_expr, mask)
-        if not then_mask.any():
-            return arm(expr.else_expr, mask)
-        then_value = arm(expr.then_expr, then_mask)
-        else_value = arm(expr.else_expr, else_mask)
-        return self._merge(else_value, then_value, then_mask)
-
-    def _eval_Assignment(self, expr, mask):
-        target_type = expr.target.ctype
-        if isinstance(expr.target, ast.Identifier):
-            value = self._decay(self.eval(expr.value, mask), expr.value.ctype)
-            slot = self._lookup(expr.target.name)
-            if expr.op == "=":
-                new = self._convert_relaxed(value, expr.value.ctype, target_type, mask)
-            else:
-                new = self._compound(slot.value, value, expr, mask)
-            slot.value = self._merge(slot.value, new, mask)
+def _merge(old, new, mask: ndarray):
+    """Masked phi: ``new`` on active lanes, ``old`` elsewhere."""
+    if old is new or bool(mask.all()):
+        return new
+    if isinstance(old, _POINTERS) or isinstance(new, _POINTERS):
+        if isinstance(old, VPtr) and isinstance(new, VPtr) \
+                and old.array is new.array and old.base is new.base:
+            offset = np.where(mask, _as_int_operand(new.offset), _as_int_operand(old.offset))
+            return VPtr(new.array, new.element_type, new.space, new.tally,
+                        new.length, offset, new.base)
+        if isinstance(old, VNull) and isinstance(new, (VNull, VArray)):
+            # decl-default replaced by a binding: lanes outside the mask
+            # could only observe this through UB.
             return new
-        pointer, index = self._lvalue(expr.target, mask)
-        value = self._decay(self.eval(expr.value, mask), expr.value.ctype)
-        if expr.op == "=":
-            stored = self._convert_relaxed(value, expr.value.ctype, target_type, mask)
-        else:
-            current = pointer.gather(index, mask)
-            stored = self._compound(current, value, expr, mask)
-        pointer.scatter(index, stored, mask)
-        return stored
+        raise VectorizeError(
+            "divergent pointer values cannot be merged on the vector "
+            "backend (lanes would point into different objects)"
+        )
+    if not isinstance(old, ndarray) and not isinstance(new, ndarray):
+        if isinstance(old, float) and isinstance(new, float):
+            if (old == new and math.copysign(1.0, old) == math.copysign(1.0, new)) \
+                    or (math.isnan(old) and math.isnan(new)):
+                return new
+        elif not isinstance(old, float) and not isinstance(new, float) and old == new:
+            return new
+    if _is_float_value(old) or _is_float_value(new):
+        return np.where(mask, _as_float_operand(new), _as_float_operand(old))
+    return np.where(mask, _as_int_operand(new), _as_int_operand(old))
 
-    def _compound(self, current, value, expr: ast.Assignment, mask):
-        op = expr.op[:-1]
-        target_type = expr.target.ctype
-        if isinstance(target_type, PointerType):
-            if isinstance(current, VNull):
-                VNull._fault()
-            delta = value if op == "+" else _neg_scalar(value)
-            return current.add(delta)
-        value_type = expr.value.ctype
-        if isinstance(value_type, ScalarType) and value_type.is_float() and target_type.is_integer():
-            if op == "/":
-                combined = self._fdiv(current, value, mask)
-            else:
-                combined = self._arith(op, current, value, float_domain=True)
-            return self._convert_relaxed(combined, value_type, target_type, mask)
-        if op == "/":
-            if target_type.is_float():
-                combined = self._fdiv(current, value, mask)
-            else:
-                combined = self._idiv(current, value, target_type, mask)
-        elif op == "%":
-            combined = self._imod(current, value, target_type, mask)
-        elif op in ("<<", ">>"):
-            combined = self._shift(op, current, value, target_type)
-        else:
-            combined = self._arith(op, current, value,
-                                   float_domain=target_type.is_float())
-        return self._mask_unsigned(combined, target_type)
 
-    def _eval_BinaryOp(self, expr, mask):
-        op = expr.op
-        if op in ("&&", "||"):
-            return self._logical(expr, mask)
-        left_ctype = expr.left.ctype
-        right_ctype = expr.right.ctype
-        left = self.eval(expr.left, mask)
-        right = self.eval(expr.right, mask)
-        if isinstance(left_ctype, (PointerType, ArrayType)) \
-                or isinstance(right_ctype, (PointerType, ArrayType)):
-            return self._pointer_binop(expr, left, right, mask)
-        op_type: ScalarType = expr.op_type
-        is_unsigned = op_type.is_integer() and not op_type.signed and not op_type.is_bool()
-        if op in _CMP_OPS:
-            if is_unsigned:
-                left = self._mask_unsigned(left, op_type)
-                right = self._mask_unsigned(right, op_type)
-            return self._compare(op, left, right, op_type)
-        if op == "/":
-            if op_type.is_float():
-                return self._fdiv(left, right, mask)
-            if is_unsigned:
-                left = self._mask_unsigned(left, op_type)
-                right = self._mask_unsigned(right, op_type)
-            return self._idiv(left, right, op_type, mask)
-        if op == "%":
-            if is_unsigned:
-                left = self._mask_unsigned(left, op_type)
-                right = self._mask_unsigned(right, op_type)
-            return self._imod(left, right, op_type, mask)
-        if op in ("<<", ">>"):
-            if op == ">>" and is_unsigned:
-                left = self._mask_unsigned(left, op_type)
-            return self._mask_unsigned(self._shift(op, left, right, op_type), op_type)
-        # Strength reduction, mirrored from the compiled backend (it
-        # changes float signed-zero results: -0.0 + 0 stays -0.0).
-        if op == "*":
-            if _is_literal(expr.right, 1, 1.0):
-                return left
-            if _is_literal(expr.left, 1, 1.0):
-                return right
-            if _is_literal(expr.right, -1, -1.0):
-                return self._mask_unsigned(_neg_scalar(left), op_type)
-            if _is_literal(expr.left, -1, -1.0):
-                return self._mask_unsigned(_neg_scalar(right), op_type)
-        elif op in ("+", "-") and _is_literal(expr.right, 0, 0.0):
-            return left
-        elif op == "+" and _is_literal(expr.left, 0, 0.0):
-            return right
-        combined = self._arith(op, left, right, float_domain=op_type.is_float())
-        return self._mask_unsigned(combined, op_type)
+def _ret(previous, value, mask: ndarray):
+    """The return value after ``return value`` ran on ``mask``."""
+    if previous is None:
+        previous = 0.0 if _is_float_value(value) else 0
+    return _merge(previous, value, mask)
 
-    # -- arithmetic kernels ------------------------------------------------
 
-    def _arith(self, op: str, left, right, float_domain: bool):
-        if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return _PY_OPS[op](left, right)
-        if float_domain:
-            left = _float_lanes(left, self.n)
-            right = _float_lanes(right, self.n)
-        else:
-            left = _int_lanes(left, self.n)
-            right = _int_lanes(right, self.n)
-        return _PY_OPS[op](left, right)
+def _lanewise(op, coerce):
+    def apply(left, right):
+        if isinstance(left, ndarray) or isinstance(right, ndarray):
+            return op(coerce(left), coerce(right))
+        return op(left, right)
+    return apply
 
-    def _compare(self, op: str, left, right, op_type: ScalarType):
-        if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return _PY_OPS[op](left, right)
-        if op_type.is_float():
-            left = _float_lanes(left, self.n)
-            right = _float_lanes(right, self.n)
-        elif op_type.is_integer() and not op_type.signed and op_type.size == 8 \
-                and not op_type.is_bool():
-            left = _int_lanes(left, self.n).astype(_U64)
-            right = _int_lanes(right, self.n).astype(_U64)
-        else:
-            left = _int_lanes(left, self.n)
-            right = _int_lanes(right, self.n)
-        return _PY_OPS[op](left, right).astype(_I64)
 
-    def _fdiv(self, left, right, mask):
-        if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return c_fdiv(left, right)
-        la = _float_lanes(left, self.n)
-        ra = _float_lanes(right, self.n)
-        result = np.divide(la, ra)
-        # c_fdiv returns the canonical positive quiet NaN for 0/0 and
-        # nan/0, where numpy emits the hardware default (sign bit set on
-        # x86) — canonicalize those lanes so buffers stay bit-exact.
-        fresh_nan = (ra == 0.0) & ((la == 0.0) | np.isnan(la))
-        if fresh_nan.any():
-            result = np.where(fresh_nan, math.nan, result)
-        return result
-
-    def _idiv(self, left, right, op_type: ScalarType, mask):
-        if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return c_idiv(left, right)
-        la = _int_lanes(left, self.n)
-        ra = _int_lanes(right, self.n)
-        if (mask & (ra == 0)).any():
-            raise KernelFault("integer division by zero")
-        safe = np.where(ra == 0, _I64(1), ra)
-        if not op_type.signed and op_type.size == 8 and not op_type.is_bool():
-            return (la.astype(_U64) // safe.astype(_U64)).astype(_I64)
-        quotient = np.abs(la) // np.abs(safe)
-        return np.where((la < 0) ^ (safe < 0), -quotient, quotient)
-
-    def _imod(self, left, right, op_type: ScalarType, mask):
-        if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return c_imod(left, right)
-        la = _int_lanes(left, self.n)
-        ra = _int_lanes(right, self.n)
-        if (mask & (ra == 0)).any():
-            raise KernelFault("integer remainder by zero")
-        safe = np.where(ra == 0, _I64(1), ra)
-        if not op_type.signed and op_type.size == 8 and not op_type.is_bool():
-            lu = la.astype(_U64)
-            su = safe.astype(_U64)
-            return (lu - (lu // su) * su).astype(_I64)
-        quotient = np.abs(la) // np.abs(safe)
-        quotient = np.where((la < 0) ^ (safe < 0), -quotient, quotient)
-        return la - quotient * safe
-
-    def _shift(self, op: str, left, right, op_type: ScalarType):
-        bits = op_type.bits
-        if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-            return _PY_OPS[op](left, right % bits)
-        la = _int_lanes(left, self.n)
-        amount = _int_lanes(right, self.n) % _I64(bits)
-        if op == "<<":
-            return la << amount
-        if not op_type.signed and op_type.size == 8 and not op_type.is_bool():
-            return (la.astype(_U64) >> amount.astype(_U64)).astype(_I64)
-        return la >> amount
-
-    def _logical(self, expr, mask):
-        left = self.eval(expr.left, mask)
-        if not isinstance(left, np.ndarray):
-            left_true = bool(left) if not isinstance(left, (VPtr, VArray, VNull)) else True
-            if expr.op == "&&" and not left_true:
-                return 0
-            if expr.op == "||" and left_true:
-                return 1
-            right = self.eval(expr.right, mask)
-            if isinstance(right, np.ndarray):
-                return (right != 0).astype(_I64)
-            if isinstance(right, (VPtr, VArray, VNull)):
-                return 1
-            return 1 if right else 0
-        left_true = mask & (left != 0)
-        sub = left_true if expr.op == "&&" else mask & ~left_true
-        if sub.any():
-            right = self.eval(expr.right, sub)
-            right01 = self._truthy_mask(right, sub).astype(_I64)
-        else:
-            right01 = np.zeros(self.n, dtype=_I64)
-        if expr.op == "&&":
-            return np.where(left_true, right01, _I64(0))
-        return np.where(left_true, _I64(1), right01)
-
-    def _pointer_binop(self, expr, left, right, mask):
-        op = expr.op
-        left = self._decay(left, expr.left.ctype)
-        right = self._decay(right, expr.right.ctype)
-        left_ptr = isinstance(left, (VPtr, VNull))
-        right_ptr = isinstance(right, (VPtr, VNull))
-        if op == "+":
-            pointer, delta = (left, right) if left_ptr else (right, left)
-            if isinstance(pointer, VNull):
-                VNull._fault()
-            return pointer.add(delta)
-        if op == "-":
-            if isinstance(left, VNull):
-                VNull._fault()
-            if left_ptr and right_ptr:
-                return left.diff(right)
-            return left.add(_neg_scalar(right))
-        if op in ("==", "!="):
-            equal = self._ptr_eq(left, right)
-            if op == "!=":
-                if isinstance(equal, np.ndarray):
-                    return (equal == 0).astype(_I64)
-                return 0 if equal else 1
-            if isinstance(equal, np.ndarray):
-                return equal
-            return 1 if equal else 0
-        for value in (left, right):
-            if isinstance(value, VNull):
-                VNull._fault()
-        return self._compare(op, left.offset, right.offset,
-                             ScalarType("long", 8, signed=True))
-
-    def _ptr_eq(self, left, right):
-        if not isinstance(left, VPtr) or not isinstance(right, VPtr):
-            return 0
-        if left.array is not right.array:
-            return 0
-        lo, ro = left.offset, right.offset
-        if isinstance(lo, np.ndarray) or isinstance(ro, np.ndarray):
-            return (_int_lanes(lo, self.n) == _int_lanes(ro, self.n)).astype(_I64)
-        return lo == ro
-
-    # -- calls -------------------------------------------------------------
-
-    def _eval_Call(self, expr, mask):
-        if getattr(expr, "kind", "") == "user":
-            return self._call_user(expr, mask)
-        resolved: ResolvedBuiltin = expr.resolved
-        if resolved.kind == "workitem":
-            return self._call_workitem(expr, resolved, mask)
-        if resolved.kind == "barrier":
-            raise KernelFault("barrier() must be a standalone statement")
-        if resolved.name in ("mem_fence", "read_mem_fence", "write_mem_fence"):
-            self.eval(expr.args[0], mask)
-            return 0
-        args = []
-        for arg, param_type in zip(expr.args, resolved.param_types):
-            value = self.eval(arg, mask)
-            args.append(self._convert_relaxed(value, arg.ctype, param_type, mask))
-        if resolved.kind == "plain":
-            fast = self._builtin_fast_path(resolved, args, mask)
-            if fast is not _MISSING:
-                return fast
-        return self._builtin_per_lane(resolved, args, mask)
-
-    def _call_user(self, expr, mask):
-        target: ast.FunctionDef = expr.callee_def
-        args = []
-        for arg, param in zip(expr.args, target.params):
-            value = self._decay(self.eval(arg, mask), arg.ctype)
-            args.append(self._convert_relaxed(value, arg.ctype, param.declared_type, mask))
-        frame = _Frame(target, self.n)
-        for param, value in zip(target.params, args):
-            frame.scopes[0][param.name] = _Slot(value)
-        self.frames.append(frame)
-        out = self.exec_stmt_list(target.body.statements, mask)
-        self.frames.pop()
-        if target.return_type.is_void():
-            return 0
-        if out.any():
-            raise KernelFault(
-                f"function {target.name} finished without returning a value")
-        return frame.ret_value
-
-    def _call_workitem(self, expr, resolved: ResolvedBuiltin, mask):
-        lanes = self.lanes
-        if resolved.name == "get_work_dim":
-            return lanes.work_dim
-        if expr.args and isinstance(expr.args[0], ast.IntLiteral) \
-                and 0 <= expr.args[0].value <= 2:
-            return lanes.query(resolved.name, expr.args[0].value)
-        dim = self.eval(expr.args[0], mask)
-        if not isinstance(dim, np.ndarray):
-            return lanes.query(resolved.name, int(dim))
-        result = np.full(self.n, lanes.query_default(resolved.name), dtype=_I64)
-        for d in (0, 1, 2):
-            value = lanes.query(resolved.name, d)
-            result = np.where(dim == d, _int_lanes(value, self.n), result)
-        return result
-
-    # -- builtins ----------------------------------------------------------
-
-    def _builtin_fast_path(self, resolved: ResolvedBuiltin, args, mask):
-        name = _strip_prefix(resolved.name)
-        handler = _FAST_BUILTINS.get(name)
-        if handler is None:
-            return _MISSING
-        if name in ("min", "max", "clamp", "abs"):
-            # Safe in the int64 domain except for 64-bit unsigned values
-            # (stored as bit patterns): those take the per-lane path.
-            param = resolved.param_types[0]
-            if isinstance(param, ScalarType) and param.is_integer() \
-                    and not param.signed and param.size == 8:
-                return _MISSING
-        if not any(isinstance(a, np.ndarray) for a in args):
-            return _MISSING  # uniform: per-lane path computes once
-        domain = _float_lanes if resolved.param_types and \
-            isinstance(resolved.param_types[0], ScalarType) and \
-            resolved.param_types[0].is_float() else _int_lanes
-        lanes = [domain(a, self.n) if isinstance(resolved.param_types[i], ScalarType)
-                 and resolved.param_types[i].is_float()
-                 else (_float_lanes(a, self.n) if _is_float_value(a) else _int_lanes(a, self.n))
-                 for i, a in enumerate(args)]
-        result = handler(*lanes)
-        if isinstance(resolved.result_type, ScalarType) and resolved.result_type.is_integer() \
-                and not resolved.result_type.signed and resolved.name not in ("abs",):
-            result = self._mask_unsigned(result, resolved.result_type)
-        return result
-
-    def _builtin_per_lane(self, resolved: ResolvedBuiltin, args, mask):
-        result_type = resolved.result_type
-        result_float = isinstance(result_type, ScalarType) and result_type.is_float()
-        mask_result = isinstance(result_type, ScalarType) and result_type.is_integer() \
-            and not result_type.signed and resolved.name not in ("abs",)
-        if not any(isinstance(a, np.ndarray) for a in args):
-            value = self._apply_one(resolved, args)
-            if mask_result:
-                value = value & ((1 << result_type.bits) - 1)
-            return value
-        out = np.zeros(self.n, dtype=np.float64 if result_float else _I64)
-        for lane in np.nonzero(mask)[0]:
-            lane_args = []
-            for a, param_type in zip(args, resolved.param_types):
-                if isinstance(a, np.ndarray):
-                    v = a[int(lane)].item()
-                    if isinstance(param_type, ScalarType) and param_type.is_integer() \
-                            and not param_type.signed and v < 0:
-                        v += _TWO64  # 64-bit pattern -> exact unsigned value
-                else:
-                    v = a
-                lane_args.append(v)
-            value = self._apply_one(resolved, lane_args)
-            if mask_result:
-                value = value & ((1 << result_type.bits) - 1)
-            if result_float:
-                out[lane] = float(value)
-            else:
-                out[lane] = _wrap_to_i64(value)
-        return out
-
-    def _apply_one(self, resolved: ResolvedBuiltin, lane_args):
-        if resolved.kind == "plain":
-            return resolved.impl(*lane_args)
-        return apply_builtin(resolved, tuple(lane_args))
-
-    # -- conversions -------------------------------------------------------
-
-    def _convert_relaxed(self, value, source, target, mask):
-        """Mirror of ``convert_code`` (relaxed fast-math conversions)."""
-        if source is None or source == target:
-            return value
-        if isinstance(source, ArrayType):
-            return value
-        if isinstance(target, PointerType) or isinstance(source, PointerType):
-            return value
-        if target.is_bool():
-            if isinstance(value, np.ndarray):
-                return (value != 0).astype(_I64)
-            if isinstance(value, (VPtr, VArray, VNull)):
-                return 1
-            return 1 if value else 0
-        if target.is_float():
-            if source.is_integer():
-                return self._int_value_to_float(value, source)
-            return value
-        if source.is_float():
-            if isinstance(value, np.ndarray):
-                value = _float_lanes_to_int(value, mask)
-            else:
-                value = int(value)
-            if not target.signed:
-                return self._mask_unsigned(value, target)
-            return value
-        if not target.signed:
-            return self._mask_unsigned(value, target)
-        if source.signed and source.size <= target.size:
-            return value
-        return _wrap_signed_lanes(value, target.bits)
-
-    def _int_value_to_float(self, value, source):
-        if not isinstance(value, np.ndarray):
-            return float(value)
-        if isinstance(source, ScalarType) and source.is_integer() \
-                and not source.signed and source.size == 8:
-            return value.astype(_U64).astype(np.float64)
-        return value.astype(np.float64)
-
-    def _convert_exact(self, value, source, target: ScalarType, mask):
-        """Mirror of ``convert_scalar`` (explicit casts, exact)."""
-        if not isinstance(value, np.ndarray):
-            return convert_scalar(value, target)
-        if target.is_bool():
-            return (value != 0).astype(_I64)
-        if target.is_integer():
-            if value.dtype.kind == "f":
-                value = _float_lanes_to_int(value, mask)
-            if target.signed:
-                return _wrap_signed_lanes(value, target.bits)
-            return self._mask_unsigned(value, target)
-        # Float target: round through the declared width.
-        if value.dtype.kind != "f":
-            value = self._int_value_to_float(value, source)
-        if target.size == 8:
-            return value
-        if target.size == 4:
-            return value.astype(np.float32).astype(np.float64)
-        return value.astype(np.float16).astype(np.float64)
+def _as_u64_operand(v):
+    return _as_int_operand(v).view(_U64)
 
 
 def _add_scalar(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+    if isinstance(a, ndarray) or isinstance(b, ndarray):
         if _is_float_value(a) or _is_float_value(b):
             return a + b
         return _int_lanes_pair(a, b)
     return a + b
 
 
-def _neg_scalar(v):
-    return -v
+def _fdiv_l(left, right):
+    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
+        return c_fdiv(left, right)
+    la = _as_float_operand(left)
+    ra = _as_float_operand(right)
+    result = np.divide(la, ra)
+    # c_fdiv returns the canonical positive quiet NaN for 0/0 and nan/0,
+    # where numpy emits the hardware default (sign bit set on x86) —
+    # canonicalize those lanes so buffers stay bit-exact.
+    fresh_nan = (ra == 0.0) & ((la == 0.0) | np.isnan(la))
+    if fresh_nan.any():
+        result = np.where(fresh_nan, math.nan, result)
+    return result
 
 
-_PY_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "&": lambda a, b: a & b,
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
-    "%": lambda a, b: a % b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+def _divide_l(left, right, mask, u64: bool, remainder: bool):
+    """C integer ``/`` (truncating) or ``%`` (sign of the dividend)."""
+    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
+        return c_imod(left, right) if remainder else c_idiv(left, right)
+    la, ra = _as_int_operand(left), _as_int_operand(right)
+    zero = ra == 0
+    if zero.any():
+        if (mask & zero).any():
+            raise KernelFault(f"integer {'remainder' if remainder else 'division'} by zero")
+        ra = np.where(zero, _I64(1), ra)
+    if u64:
+        quotient = (la.view(_U64) // ra.view(_U64)).view(_I64)
+    else:
+        quotient = np.abs(la) // np.abs(ra)
+        quotient = np.where((la < 0) ^ (ra < 0), -quotient, quotient)
+    return la - quotient * ra if remainder else quotient
+
+
+def _shift_l(left, right, bits: int, mode: str):
+    """``mode``: ``"<<"``, ``">>"`` or ``"u>>"`` (logical, 64-bit)."""
+    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
+        return left << right % bits if mode == "<<" else left >> right % bits
+    la = _as_int_operand(left)
+    amount = _as_int_operand(right) % _I64(bits)
+    if mode == "<<":
+        return la << amount
+    if mode == "u>>":
+        return (la.view(_U64) >> amount.view(_U64)).view(_I64)
+    return la >> amount
+
+
+def _ptr_eq_l(left, right):
+    if not isinstance(left, VPtr) or not isinstance(right, VPtr) \
+            or left.array is not right.array:
+        return 0
+    lo, ro = left.offset, right.offset
+    if isinstance(lo, ndarray) or isinstance(ro, ndarray):
+        return (_as_int_operand(lo) == _as_int_operand(ro)).astype(_I64)
+    return 1 if lo == ro else 0
+
+
+def _ptr_cmp(op, left, right):
+    return _b2i(_lanewise(op, _as_int_operand)(left.offset, right.offset))
+
+
+# -- conversions ---------------------------------------------------------------
+
+
+def _i2f(value, u64: bool = False):
+    """int→float; ``u64`` lanes hold 64-bit unsigned values as patterns."""
+    if not isinstance(value, ndarray):
+        return float(value)
+    return (value.view(_U64) if u64 else value).astype(np.float64)
+
+
+def _f2i(value, mask):
+    return _float_lanes_to_int(value, mask) if isinstance(value, ndarray) else int(value)
+
+
+def _cast(value, target: ScalarType, source_u64: bool, mask):
+    """Mirror of ``convert_scalar`` (explicit casts, exact)."""
+    if not isinstance(value, ndarray):
+        if isinstance(value, _POINTERS):
+            raise KernelFault("cannot convert a pointer value to a scalar")
+        return convert_scalar(value, target)
+    if target.is_bool():
+        return (value != 0).astype(_I64)
+    if target.is_integer():
+        if value.dtype.kind == "f":
+            value = _float_lanes_to_int(value, mask)
+        if target.signed:
+            return _sw(value, target.bits)
+        return value if target.size == 8 else value & _I64((1 << target.bits) - 1)
+    # Float target: round through the declared width.
+    if value.dtype.kind != "f":
+        value = _i2f(value, source_u64)
+    if target.size == 8:
+        return value
+    return value.astype(np.float32 if target.size == 4 else np.float16).astype(np.float64)
+
+
+# -- builtins ------------------------------------------------------------------
 
 
 def _np_fmin(x, y):
@@ -1663,116 +682,1096 @@ _FAST_BUILTINS = {
 }
 
 
+class _Builtin:
+    """One call site's builtin with its static decisions taken: the
+    numpy fast path (or None), argument domains and result masking."""
+
+    __slots__ = ("resolved", "fast", "float_params", "unsigned_params",
+                 "result_float", "result_mask")
+
+    def __init__(self, resolved: ResolvedBuiltin):
+        self.resolved = resolved
+        params = resolved.param_types
+        name = _strip_prefix(resolved.name)
+        self.fast = _FAST_BUILTINS.get(name) if resolved.kind == "plain" else None
+        if name in ("min", "max", "clamp", "abs") and isinstance(params[0], ScalarType) \
+                and params[0].is_integer() and not params[0].signed and params[0].size == 8:
+            # 64-bit unsigned values are stored as bit patterns, unsafe
+            # in the int64 domain: those take the per-lane path.
+            self.fast = None
+        self.float_params = [isinstance(p, ScalarType) and p.is_float() for p in params]
+        self.unsigned_params = [isinstance(p, ScalarType) and p.is_integer() and not p.signed
+                                for p in params]
+        result = resolved.result_type
+        scalar = isinstance(result, ScalarType)
+        self.result_float = scalar and result.is_float()
+        self.result_mask = (1 << result.bits) - 1 if scalar and result.is_integer() \
+            and not result.signed and resolved.name != "abs" else 0
+
+    def one(self, args):
+        resolved = self.resolved
+        value = resolved.impl(*args) if resolved.kind == "plain" \
+            else apply_builtin(resolved, tuple(args))
+        return value & self.result_mask if self.result_mask else value
+
+    def __call__(self, args, mask):
+        if not any(isinstance(a, ndarray) for a in args):
+            return self.one(args)  # uniform: computed once
+        if self.fast is not None:
+            result = self.fast(*[
+                _as_float_operand(a) if is_float or _is_float_value(a) else _as_int_operand(a)
+                for a, is_float in zip(args, self.float_params)])
+            if self.result_mask and self.resolved.result_type.size < 8:
+                result = result & _I64(self.result_mask)
+            return result
+        out = np.zeros(mask.shape, dtype=np.float64 if self.result_float else _I64)
+        for lane in np.nonzero(mask)[0]:
+            lane_args = []
+            for a, unsigned in zip(args, self.unsigned_params):
+                if isinstance(a, ndarray):
+                    a = a[lane].item()
+                    if unsigned and a < 0:
+                        a += _TWO64  # 64-bit pattern -> exact unsigned value
+                lane_args.append(a)
+            value = self.one(lane_args)
+            out[lane] = float(value) if self.result_float else _wrap_to_i64(value)
+        return out
+
+
+def _workitem(ctx, name: str, dim):
+    """A work-item query whose dimension is not a literal."""
+    if not isinstance(dim, ndarray):
+        return ctx.query(name, int(dim))
+    result = np.full(dim.shape, ctx.query(name, -1), dtype=_I64)
+    for d in (0, 1, 2):
+        result = np.where(dim == d, _as_int_operand(ctx.query(name, d)), result)
+    return result
+
+
+def _switch_start(mask, subject, cases, default_index: int, num_cases: int):
+    """Entry point per lane: the first matching case in case order, else
+    the default, else past the end (no case runs)."""
+    def pattern(value):  # as an int64 bit pattern, like 64-bit integer lanes
+        if isinstance(value, ndarray):
+            return value
+        return _I64(int(value) - _TWO64 if int(value) >= _TWO63 else int(value))
+
+    start = np.full(mask.shape, num_cases, dtype=_I64)
+    unmatched = mask
+    for index, value in cases:
+        eq = unmatched & np.equal(pattern(subject), pattern(value))
+        start[eq] = index
+        unmatched = unmatched & ~eq
+    if default_index < num_cases:
+        start[unmatched] = default_index
+    return start
+
+
+class _Run:
+    """Per-launch state the generated code charges into."""
+
+    __slots__ = ("ops", "base", "counters", "lanes", "lmem")
+
+    def __init__(self, counters, lanes: "_LaneLayout"):
+        self.ops = np.zeros(lanes.n, dtype=_I64)  # per-lane op charges
+        self.base = 0  # ops charged to every lane (all-active blocks)
+        self.counters = counters
+        self.lanes = lanes
+        self.lmem: List[VArray] = []
+
+    def barrier(self, mask: ndarray) -> None:
+        lanes = self.lanes
+        counts = mask.reshape(lanes.num_groups, lanes.group_size).sum(axis=1)
+        if ((counts != 0) & (counts != lanes.group_size)).any():
+            raise KernelFault("barrier divergence: some work-items of a group reached a "
+                              "barrier other items skipped")
+        self.counters.barriers += int(counts.sum())
+
+    def private_array(self, flat: int, element: ScalarType, init_row, row_type) -> VArray:
+        lanes = self.lanes
+        storage = np.zeros(lanes.n * flat, dtype=numpy_dtype(element))
+        if init_row is not None:
+            storage.reshape(lanes.n, flat)[:, :] = init_row
+        vptr = VPtr(storage, element, "private", None, flat, 0,
+                    np.arange(lanes.n, dtype=_I64) * flat)
+        return VArray(vptr, row_type)
+
+
+_ARITH = {"+": "add", "-": "sub", "*": "mul", "&": "and_", "|": "or_", "^": "xor",
+          "<": "lt", ">": "gt", "<=": "le", ">=": "ge", "==": "eq", "!=": "ne"}
+
+_LIBRARY = {
+    "_merge": _merge, "_ret": _ret, "_truthy": _truthy, "_zeros": _zeros, "_to_bool": _to_bool,
+    "_b2i": _b2i, "_sw": _sw, "_um64": _um64, "_i2f": _i2f,
+    "_f2i": _f2i, "_cast": _cast, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
+    "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
+    "_add_scalar": _add_scalar, "_mul_index": _mul_index, "_workitem": _workitem,
+    "_switch_start": _switch_start, "_VNULL": _VNULL, "_op": operator,
+}
+for _symbol, _name in _ARITH.items():
+    for _domain, _coerce in (("i", _as_int_operand), ("f", _as_float_operand),
+                             ("u", _as_u64_operand)):
+        _LIBRARY[f"_{_domain}_{_name}"] = _lanewise(getattr(operator, _name), _coerce)
+
+
+# ---------------------------------------------------------------------------
+# The generator: kernel AST -> Python source over the runtime library.
+# ---------------------------------------------------------------------------
+
+_SAME, _NARROWED, _DEAD = "same", "narrowed", "dead"  # a statement's effect on its mask
+
+
+def _is_unsigned(ctype) -> bool:
+    return isinstance(ctype, ScalarType) and ctype.is_integer() \
+        and not ctype.signed and not ctype.is_bool()
+
+
+def _is_u64(ctype) -> bool:
+    return _is_unsigned(ctype) and ctype.size == 8
+
+
+class _LaneCompiler(_FunctionCompiler):
+    """Emits the lockstep Python function of one C function.
+
+    Inherits the per-item compiler's name management, const propagation
+    and — for statically uniform subexpressions — its scalar expression
+    code generator (``compile_expr``); everything lane-varying goes
+    through ``lane_*`` and calls the runtime library.  A *chain* is one
+    Python variable holding the active-lane mask of a statement list;
+    it is reassigned (never mutated) as lanes leave.
+    """
+
+    def __init__(self, program_compiler, function, facts: _FunctionFacts,
+                 kernel: CompiledKernel):
+        super().__init__(program_compiler, function)
+        self.facts, self.kernel = facts, kernel
+        self.charges = kernel.charges
+        self.cse = kernel.cse
+        self.cse_sources = set(kernel.cse.values())
+        self.load_vars: Dict[int, str] = {}  # id(source Index) -> local holding it
+        self.written = facts.written
+        self.uniform_names: set = set()  # Python locals that always hold scalars
+        self.var_chain: Dict[str, str] = {}  # Python local -> chain it was declared on
+        self.full = function.is_kernel  # chain "m" still holds every lane
+        self.loops: List[tuple] = []  # ("loop", done, cont) / ("switch", brk)
+        self._escape_memo: Dict[int, frozenset] = {}
+        self._slot = None  # (chain, line index, ops) of the open charge line
+        self._blocks: List[int] = []
+
+    # -- emission ------------------------------------------------------------
+
+    def open(self, header: str) -> None:
+        self.emit(header)
+        self.indent += 1
+        self._blocks.append(len(self.lines))
+        self._slot = None
+
+    def close(self) -> None:
+        if self._blocks.pop() == len(self.lines):
+            self.emit("pass")
+        self.indent -= 1
+        self._slot = None
+
+    def temp(self, hint: str, code: str) -> str:
+        name = self.fresh(hint)
+        self.emit(f"{name} = {code}")
+        return name
+
+    def is_full(self, m: str) -> bool:
+        return self.full and m == "m"
+
+    def narrow(self, m: str, code: str) -> str:
+        self.emit(f"{m} = {code}")
+        self._slot = None
+        if m == "m":
+            self.full = False
+        return _NARROWED
+
+    def charge_lanes(self, m: str, node, key=None) -> None:
+        """Add the recorded cost of ``node`` to the lanes of ``m``; charges
+        of one straight-line block are summed into one line."""
+        cost = self.charges.get(key or (id(node),), 0)
+        if not cost:
+            return
+        if self._slot is not None and self._slot[0] == m:
+            _, index, total = self._slot
+            cost += total
+            self.lines.pop(index)
+        if self.is_full(m):
+            line = f"R.base += {cost}"
+        else:
+            line = f"ops += {m}" if cost == 1 else f"ops += {cost} * {m}"
+        self._slot = (m, len(self.lines), cost)
+        self.emit(line)
+
+    def declare(self, c_name: str, m: str) -> str:
+        name = self.declare_name(c_name)
+        self.var_chain[name] = m
+        return name
+
+    def assign(self, name: str, code: str, m: str) -> None:
+        if self.var_chain.get(name) == m:
+            self.emit(f"{name} = {code}")
+        else:
+            self.emit(f"{name} = _merge({name}, {code}, {m})")
+
+    def escapes(self, node) -> frozenset:
+        """Which of return/break/continue can carry lanes out of ``node``."""
+        found = self._escape_memo.get(id(node))
+        if found is None:
+            kind = {ast.ReturnStmt: "return", ast.BreakStmt: "break",
+                    ast.ContinueStmt: "continue"}.get(type(node))
+            found = frozenset([kind] if kind else ()).union(*[
+                self.escapes(child) for child in ast.children(node)
+                if not isinstance(child, ast.Expr)])
+            if isinstance(node, (ast.ForStmt, ast.WhileStmt, ast.DoStmt)):
+                found -= {"break", "continue"}
+            elif isinstance(node, ast.SwitchStmt):
+                found -= {"break"}
+            self._escape_memo[id(node)] = found
+        return found
+
+    # -- function body ---------------------------------------------------------
+
+    def compile(self) -> str:
+        fn = self.function
+        params = [self.declare(param.name, "m") for param in fn.params]
+        if fn.is_kernel:
+            self.uniform_names.update(
+                name for param, name in zip(fn.params, params)
+                if isinstance(param.declared_type, ScalarType) and param.name not in self.written)
+        self.lines.append(f"def {self.pc.function_symbol(fn.name)}"
+                          f"(R, ctx, m{''.join(', ' + p for p in params)}):")
+        self.emit("ops = R.ops")
+        if fn.is_kernel and self.kernel.local_decls:
+            self.emit("lmem = R.lmem")
+        returns, statements = self.facts.returns, fn.body.statements
+        self.tail_return = returns[0] if len(returns) == 1 and statements \
+            and statements[-1] is returns[0] else None
+        valued = not fn.is_kernel and not fn.return_type.is_void()
+        if valued and self.tail_return is None:
+            self.emit("_rv = None")
+        status = self.lane_list(statements, "m")
+        if valued and self.tail_return is None:
+            if status is not _DEAD:
+                self.emit(f"if m.any(): raise _KernelFault('function {fn.name} finished "
+                          "without returning a value')")
+            self.emit("return _rv")
+        return "\n".join(self.lines)
+
+    # -- statements ------------------------------------------------------------
+
+    def lane_list(self, statements, m: str) -> str:
+        """Compile ``statements`` on chain ``m`` (which holds a lane on
+        entry); what follows a narrowing runs only while a lane is left."""
+        status, guarded = _SAME, False
+        for position, stmt in enumerate(statements):
+            effect = self.lane_stmt(stmt, m)
+            if effect is _DEAD:
+                status = _DEAD
+                break
+            if effect is _NARROWED:
+                status = _NARROWED
+                if guarded:
+                    self.close()
+                guarded = position + 1 < len(statements)
+                if guarded:
+                    self.open(f"if {m}.any():")
+        if guarded:
+            self.close()
+        return status
+
+    def lane_scope(self, stmt, m: str) -> str:
+        self.scope_stack.append({})
+        status = self.lane_stmt(stmt, m)
+        self.scope_stack.pop()
+        return status
+
+    def lane_stmt(self, stmt, m: str) -> str:
+        if isinstance(stmt, ast.CompoundStmt):
+            self.scope_stack.append({})
+            status = self.lane_list(stmt.statements, m)
+            self.scope_stack.pop()
+            return status
+        if isinstance(stmt, ast.DeclStmt):
+            for decl in stmt.decls:
+                self.lane_decl(decl, m)
+            return _SAME
+        if isinstance(stmt, ast.ExprStmt):
+            return self.lane_expr_stmt(stmt.expr, m)
+        if isinstance(stmt, ast.IfStmt):
+            return self.lane_if(stmt, m)
+        if isinstance(stmt, (ast.ForStmt, ast.WhileStmt, ast.DoStmt)):
+            return self.lane_loop(stmt, m)
+        if isinstance(stmt, ast.SwitchStmt):
+            return self.lane_switch(stmt, m)
+        if isinstance(stmt, ast.ReturnStmt):
+            return self.lane_return(stmt, m)
+        for kind, *targets in reversed(self.loops):
+            if isinstance(stmt, ast.BreakStmt) or kind == "loop":
+                # break binds to the innermost loop or switch, continue
+                # to the innermost loop: record where the lanes rejoin.
+                target = targets[0 if isinstance(stmt, ast.BreakStmt) else 1]
+                if target is not None:
+                    self.emit(f"{target} |= {m}")
+                return _DEAD
+        raise AssertionError(f"unhandled statement {type(stmt).__name__}")  # pragma: no cover
+
+    def lane_decl(self, decl: ast.VarDecl, m: str) -> None:
+        ctype = decl.declared_type
+        if decl.address_space == "local":
+            index = [id(d) for d in self.kernel.local_decls].index(id(decl))
+            self.emit(f"{self.declare(decl.name, m)} = lmem[{index}]")
+            return
+        if isinstance(ctype, ArrayType):
+            element = ctype.base_element()
+            init_row = None
+            if decl.init is not None:
+                values = [convert_scalar(v, element) for v in _flatten_initializer(decl.init)]
+                init_row = np.zeros(ctype.flat_length(), dtype=numpy_dtype(element))
+                init_row[: len(values)] = values
+            spec = (ctype.flat_length(), element, init_row, ctype.element)
+            self.emit(f"{self.declare(decl.name, m)} = R.private_array(*{self.pc.constant(spec)})")
+            return
+        uniform = False
+        if decl.init is not None:
+            self.charge_lanes(m, decl.init)
+            uniform = isinstance(ctype, ScalarType) and decl.name not in self.written \
+                and self.uniform(decl.init)
+            if uniform:
+                code = self.convert_code(self.scalar(decl.init), decl.init.ctype, ctype)
+            else:
+                code = self.convert(self.lane_expr(decl.init, m), decl.init.ctype, ctype, m)
+        elif isinstance(ctype, PointerType):
+            code = "_VNULL"
+        else:
+            code = "0.0" if ctype.is_float() else "0"
+        name = self.declare(decl.name, m)
+        self.emit(f"{name} = {code}")
+        if uniform:
+            self.uniform_names.add(name)
+        if decl.is_const and decl.init is not None and isinstance(ctype, ScalarType):
+            folded = self.fold(decl.init)
+            if folded is not None:
+                self._const_values[name] = convert_scalar(folded, ctype)
+
+    def lane_expr_stmt(self, expr, m: str) -> str:
+        if expr is None:
+            return _SAME
+        if isinstance(expr, ast.Call) and getattr(expr, "kind", "") == "builtin" \
+                and expr.resolved.kind == "barrier":
+            self.effect(self.lane_expr(expr.args[0], m))
+            # With every lane active no group can diverge.
+            self.emit("R.counters.barriers += ctx.n" if self.is_full(m) else f"R.barrier({m})")
+            return _SAME
+        self.charge_lanes(m, expr)
+        self.effect(self.lane_expr(expr, m))
+        return _SAME
+
+    def effect(self, code: str) -> None:
+        """Evaluate ``code`` for its side effects (loads can fault)."""
+        if "(" in code:
+            self.emit(code)
+
+    def lane_if(self, stmt: ast.IfStmt, m: str) -> str:
+        self.charge_lanes(m, stmt.condition)
+        if self.uniform(stmt.condition):
+            # Every active lane takes the same branch: stay on chain m.
+            effects = []
+            for header, branch in ((f"if {self.scalar(stmt.condition)}:",
+                                    stmt.then_branch), ("else:", stmt.else_branch)):
+                if branch is None:
+                    effects.append(_SAME)
+                    continue
+                self.open(header)
+                effects.append(self.lane_scope(branch, m))
+                if effects[-1] is _DEAD:
+                    self.narrow(m, f"_zeros({m})")
+                self.close()
+            if effects == [_SAME, _SAME]:
+                return _SAME
+            return _DEAD if effects == [_DEAD, _DEAD] else _NARROWED
+        then_m = self.temp("m", self.condition(stmt.condition, m))
+        need_else = stmt.else_branch is not None or bool(self.escapes(stmt.then_branch))
+        else_m = self.temp("m", f"{m} & ~{then_m}") if need_else else None
+        self.open(f"if {then_m}.any():")
+        then_effect = self.lane_scope(stmt.then_branch, then_m)
+        self.close()
+        else_effect = _SAME
+        if stmt.else_branch is not None:
+            self.open(f"if {else_m}.any():")
+            else_effect = self.lane_scope(stmt.else_branch, else_m)
+            self.close()
+        if then_effect is _SAME and else_effect is _SAME:
+            return _SAME
+        left = [chain for chain, effect in ((then_m, then_effect), (else_m, else_effect))
+                if effect is not _DEAD]
+        return self.narrow(m, " | ".join(left)) if left else _DEAD
+
+    def lane_loop(self, stmt, m: str) -> str:
+        is_for, is_do = isinstance(stmt, ast.ForStmt), isinstance(stmt, ast.DoStmt)
+        self.scope_stack.append({})
+        counters: set = set()
+        if is_for and stmt.init is not None:
+            self.lane_stmt(stmt.init, m)
+            counters = set(self.scope_stack[-1].values())
+            self.check_counters(counters, stmt.increment)
+        condition = stmt.condition
+        escapes = self.escapes(stmt.body)
+        uniform = condition is None or self.uniform(condition)
+        increment = stmt.increment if is_for else None
+
+        def step(chain):
+            if increment is not None:
+                # The lanes stepping are all that can still see the loop's
+                # own counters: on this chain they need no merge.
+                self.var_chain.update(dict.fromkeys(counters, chain))
+                self.charge_lanes(chain, increment)
+                self.effect(self.lane_expr(increment, chain))
+                self.var_chain.update(dict.fromkeys(counters, m))
+
+        def check(chain, done):
+            """Charge and test the condition: lanes failing it leave."""
+            if condition is None:
+                return
+            self.charge_lanes(chain, condition)
+            if uniform:
+                self.open(f"if not {self.scalar(condition)}:")
+                if done:
+                    self.emit(f"{done} |= {chain}")
+                self.emit("break")
+                self.close()
+                return
+            passed = self.temp("m", self.condition(condition, chain))
+            if done:
+                self.emit(f"{done} |= {chain} & ~{passed}")
+            self.narrow(chain, passed)
+            self.emit(f"if not {chain}.any(): break")
+
+        if uniform and not escapes:
+            # All lanes of m iterate together: a plain loop on chain m.
+            self.open("while True:")
+            if not is_do:
+                check(m, None)
+            self.lane_scope(stmt.body, m)
+            step(m)
+            if is_do:
+                check(m, None)
+            self.close()
+            self.scope_stack.pop()
+            return _SAME
+        live = self.temp("m", m)
+        done = self.temp("m", f"_zeros({m})") if "return" in escapes else None
+        self.open("while True:")
+        if not is_do:
+            check(live, done)
+        cont = self.temp("m", f"_zeros({m})") if "continue" in escapes else None
+        self.loops.append(("loop", done, cont))
+        effect = self.lane_scope(stmt.body, live)
+        self.loops.pop()
+        if effect is _DEAD and cont is None:
+            self.emit("break")
+        else:
+            if cont is not None:
+                self.narrow(live, cont if effect is _DEAD else f"{live} | {cont}")
+            if effect is not _SAME or cont is not None:
+                self.emit(f"if not {live}.any(): break")
+            step(live)
+            if is_do:
+                check(live, done)
+        self.close()
+        self.scope_stack.pop()
+        # Without a return inside, every lane of m comes out of the loop.
+        return self.narrow(m, done) if done else _SAME
+
+    def check_counters(self, counters: set, increment) -> None:
+        """A ``for`` counter registered uniform by its declaration stays
+        uniform only if the increment steps it unconditionally (as a
+        top-level part of the expression) and by a uniform amount."""
+        if increment is None:
+            return
+        parts = increment.parts if isinstance(increment, ast.CommaExpr) else [increment]
+        for node in ast.walk(increment):
+            name = self.lookup_name(_written_name(node) or "")
+            if name in counters and name in self.uniform_names and not (
+                    any(node is part for part in parts)
+                    and (not isinstance(node, ast.Assignment) or self.uniform(node.value))):
+                self.uniform_names.discard(name)
+
+    def lane_switch(self, stmt: ast.SwitchStmt, m: str) -> str:
+        # The per-item compiler charges subject cost + one comparison per
+        # case upfront (recorded under the (id, "switch") key).
+        self.charge_lanes(m, stmt, key=(id(stmt), "switch"))
+        subject = self.lane_expr(stmt.subject, m)
+        num_cases = len(stmt.cases)
+        default_index = num_cases
+        cases = []
+        for index, case in enumerate(stmt.cases):
+            if case.value is None:
+                default_index = index
+            else:
+                cases.append(f"({index}, {self.lane_expr(case.value, m)})")
+        start = self.temp("st", f"_switch_start({m}, {subject}, ({', '.join(cases)}"
+                                f"{',' if cases else ''}), {default_index}, {num_cases})")
+        brk = self.temp("m", f"_zeros({m})")
+        current = self.temp("m", f"_zeros({m})")
+        self.loops.append(("switch", brk, None))
+        # Masked fallthrough: each case body runs with the union of lanes
+        # that entered at or before it and haven't broken out.
+        for index, case in enumerate(stmt.cases):
+            self.narrow(current, f"{current} | ({m} & ({start} == {index}))")
+            self.open(f"if {current}.any():")
+            self.scope_stack.append({})
+            if self.lane_list(case.body, current) is _DEAD:
+                self.narrow(current, f"_zeros({m})")
+            self.scope_stack.pop()
+            self.close()
+        self.loops.pop()
+        if not self.escapes(stmt):
+            return _SAME
+        # Lanes that matched nothing (no default) pass straight through.
+        return self.narrow(m, f"{current} | {brk} | ({m} & ({start} == {num_cases}))")
+
+    def lane_return(self, stmt: ast.ReturnStmt, m: str) -> str:
+        if self.function.is_kernel or stmt.value is None:
+            return _DEAD
+        self.charge_lanes(m, stmt.value)
+        value = self.convert(self.lane_expr(stmt.value, m), stmt.value.ctype,
+                             self.function.return_type, m)
+        if stmt is self.tail_return:
+            self.emit(f"return {value}")
+        else:
+            self.emit(f"_rv = _ret(_rv, {value}, {m})")
+        return _DEAD
+
+    # -- expressions -----------------------------------------------------------
+
+    def uniform(self, expr) -> bool:
+        """True when ``expr`` is a Python scalar on every launch, so the
+        inherited per-item scalar code generator can emit it."""
+        if isinstance(expr, (ast.IntLiteral, ast.FloatLiteral, ast.CharLiteral, ast.SizeofExpr)) \
+                or self.fold(expr) is not None:
+            return True
+        if isinstance(expr, ast.Identifier):
+            return getattr(expr, "constant_value", None) is not None \
+                or self.lookup_name(expr.name) in self.uniform_names
+        if not isinstance(expr.ctype, ScalarType) or expr.ctype.is_void():
+            return False
+        if isinstance(expr, ast.UnaryOp):
+            return expr.op in ("-", "+", "~", "!") and self.uniform(expr.operand)
+        if isinstance(expr, ast.BinaryOp):
+            return self.uniform(expr.left) and self.uniform(expr.right)
+        if isinstance(expr, ast.Cast):
+            return isinstance(expr.operand.ctype, ScalarType) and self.uniform(expr.operand)
+        if isinstance(expr, ast.Conditional):
+            return all(self.uniform(e) for e in (expr.condition, expr.then_expr, expr.else_expr))
+        if isinstance(expr, ast.Call) and getattr(expr, "kind", "") == "builtin":
+            resolved = expr.resolved
+            if resolved.kind == "workitem":
+                ok = resolved.name not in _ID_QUERIES
+            else:
+                ok = resolved.kind == "plain" and resolved.name not in _FENCES
+            return ok and all(self.uniform(arg) for arg in expr.args)
+        return False
+
+    def scalar(self, expr) -> str:
+        """The per-item compiler's Python expression of a uniform ``expr``."""
+        part = self.compile_expr(expr)
+        assert not part.prelude, "uniform expressions have no side effects"
+        return part.code
+
+    def lane_expr(self, expr, m: str) -> str:
+        """Emit what evaluating ``expr`` on chain ``m`` needs and return
+        the Python expression of its value (scalar or lanes)."""
+        if self.uniform(expr):
+            return self.scalar(expr)
+        return getattr(self, f"_lane_{type(expr).__name__}")(expr, m)
+
+    def condition(self, expr, m: str) -> str:
+        """The mask expression of the lanes of ``m`` where ``expr`` holds."""
+        if isinstance(expr, ast.BinaryOp) and expr.op in ("&&", "||"):
+            return self._lane_logical(expr, m, as_mask=True)
+        if isinstance(expr, ast.BinaryOp) and expr.op in _CMP_OPS:
+            compare = self.compare(expr, m)
+            if compare is not None:
+                return f"_truthy({compare}, {m})"
+        return f"_truthy({self.lane_expr(expr, m)}, {m})"
+
+    def lane_mask(self, code: str, ctype) -> str:
+        """``_mask_unsigned`` for values that may be lanes."""
+        if not _is_unsigned(ctype):
+            return code
+        if ctype.size == 8:
+            return f"_um64({code})"
+        return f"(({code}) & {(1 << ctype.bits) - 1})"
+
+    def decay(self, code: str, ctype) -> str:
+        return f"{code}.decayed()" if isinstance(ctype, ArrayType) else code
+
+    def convert(self, code: str, source, target, m: str) -> str:
+        """Mirror of ``convert_code`` (relaxed fast-math conversions)."""
+        if source is None or source == target or isinstance(source, ArrayType) \
+                or isinstance(target, PointerType) or isinstance(source, PointerType):
+            return code
+        if target.is_bool():
+            return f"_to_bool({code})"
+        if target.is_float():
+            if source.is_integer():
+                return f"_i2f({code}{', True' if _is_u64(source) else ''})"
+            return code
+        if source.is_float():
+            return self.lane_mask(f"_f2i({code}, {m})", target)
+        if not target.signed:
+            return self.lane_mask(code, target)
+        if source.signed and source.size <= target.size:
+            return code
+        return f"_sw({code}, {target.bits})"
+
+    def _lane_Identifier(self, expr, m):
+        return self.scalar(expr)  # a local's name or a __constant global's symbol
+
+    def _lane_CommaExpr(self, expr, m):
+        for part in expr.parts[:-1]:
+            self.effect(self.lane_expr(part, m))
+        return self.lane_expr(expr.parts[-1], m)
+
+    def _lane_UnaryOp(self, expr, m):
+        op = expr.op
+        if op in ("++", "--"):
+            return self.incdec(expr.operand, op, m, prefix=True)
+        if op == "*":
+            return f"{self.lane_expr(expr.operand, m)}.gather(0, {m})"
+        if op == "&":
+            return self.address_of(expr.operand, m)
+        value = self.lane_expr(expr.operand, m)
+        if op == "!":
+            return f"(1 - _to_bool({value}))"
+        return self.lane_mask(f"({op}{value})", expr.ctype)
+
+    def _lane_PostfixOp(self, expr, m):
+        return self.incdec(expr.operand, expr.op, m, prefix=False)
+
+    def address_of(self, inner, m):
+        if isinstance(inner, ast.Index):
+            if isinstance(inner.base.ctype, ArrayType):
+                flattened = self.flatten(inner, m)
+                if flattened is not None:
+                    return f"{flattened[0]}.pointer.add({flattened[1]})"
+                return (f"{self.lane_expr(inner.base, m)}"
+                        f".index({self.lane_expr(inner.index, m)}).decayed()")
+            return f"{self.lane_expr(inner.base, m)}.add({self.lane_expr(inner.index, m)})"
+        if isinstance(inner, ast.UnaryOp) and inner.op == "*":
+            return self.lane_expr(inner.operand, m)
+        if isinstance(inner, ast.Identifier) and isinstance(inner.ctype, ArrayType):
+            return f"{self.lane_expr(inner, m)}.decayed()"
+        raise AssertionError("compile_program rejects the address of a plain variable")
+
+    def incdec(self, target, op, m, prefix: bool):
+        delta = 1 if op == "++" else -1
+        ctype = target.ctype
+
+        def stepped(code):
+            if isinstance(ctype, PointerType):
+                return f"{code}.add({delta})"
+            return self.lane_mask(f"_add_scalar({code}, {delta})", ctype)
+
+        if isinstance(target, ast.Identifier):
+            name = self.lookup_name(target.name)
+            if name in self.uniform_names:
+                part = self._compile_incdec(target, op, prefix)
+                self.emit_lines(part.prelude)
+                return part.code
+            if prefix:
+                new = self.temp("t", stepped(name))
+                self.assign(name, new, m)
+                return new
+            old = self.temp("t", name)
+            self.assign(name, stepped(name), m)
+            return old
+        pointer, index = self.lvalue(target, m)
+        current = self.temp("cur", f"{pointer}.gather({index}, {m})")
+        new = self.temp("t", stepped(current))
+        self.emit(f"{pointer}.scatter({index}, {new}, {m})")
+        return new if prefix else current
+
+    def lvalue(self, expr, m):
+        """Pointer + element index locals of a memory lvalue (mirrors
+        ``_compile_lvalue``; variable targets are handled by callers)."""
+        if isinstance(expr, ast.Index):
+            if isinstance(expr.base.ctype, ArrayType):
+                flattened = self.flatten(expr, m)
+                assert flattened is not None, "array rows are not assignable"
+                return (self.temp("ptr", f"{flattened[0]}.pointer"),
+                        self.temp("idx", flattened[1]))
+            return (self.temp("ptr", self.lane_expr(expr.base, m)),
+                    self.temp("idx", self.lane_expr(expr.index, m)))
+        if isinstance(expr, ast.UnaryOp) and expr.op == "*":
+            return self.temp("ptr", self.lane_expr(expr.operand, m)), "0"
+        raise AssertionError("compile_program rejects non-assignable targets")
+
+    def flatten(self, expr: ast.Index, m):
+        """Mirror of ``_flatten_array_access``: full multi-dim accesses
+        collapse to (root VArray code, flat index code)."""
+        if isinstance(expr.ctype, ArrayType):
+            return None
+        indices: List[ast.Expr] = []
+        node: ast.Expr = expr
+        while isinstance(node, ast.Index) and isinstance(node.base.ctype, ArrayType):
+            indices.append(node.index)
+            node = node.base
+        if not isinstance(node.ctype, ArrayType) or not indices:
+            return None
+        root = self.lane_expr(node, m)
+        ctype: CType = node.ctype
+        flat = None
+        for index_expr in reversed(indices):
+            ctype = ctype.element
+            stride = ctype.flat_length() if isinstance(ctype, ArrayType) else 1
+            term = self.lane_expr(index_expr, m)
+            if stride != 1:
+                term = f"_mul_index({term}, {stride})"
+            flat = term if flat is None else f"_add_scalar({flat}, {term})"
+        return root, flat
+
+    def _lane_Index(self, expr, m):
+        source = self.cse.get(id(expr))
+        if source is not None:
+            return self.load_vars[source]  # the per-item compiler elided this load
+        if isinstance(expr.base.ctype, ArrayType):
+            flattened = self.flatten(expr, m)
+            if flattened is None:
+                return f"{self.lane_expr(expr.base, m)}.index({self.lane_expr(expr.index, m)})"
+            code = f"{flattened[0]}.pointer.gather({flattened[1]}, {m})"
+        else:
+            code = f"{self.lane_expr(expr.base, m)}.gather({self.lane_expr(expr.index, m)}, {m})"
+        if id(expr) in self.cse_sources:
+            code = self.load_vars[id(expr)] = self.temp("ld", code)
+        return code
+
+    def _lane_Cast(self, expr, m):
+        target = expr.target_type
+        value = self.lane_expr(expr.operand, m)
+        if target.is_void():
+            self.effect(value)
+            return "0"
+        return (f"_cast({value}, {self.pc.constant(target)}, "
+                f"{_is_u64(expr.operand.ctype)}, {m})")
+
+    def _lane_Conditional(self, expr, m):
+        def arm(branch, chain):
+            value = self.decay(self.lane_expr(branch, chain), branch.ctype)
+            return self.convert(value, branch.ctype, expr.ctype, chain)
+
+        result = self.fresh("sel")
+        then_m = self.temp("m", self.condition(expr.condition, m))
+        else_m = self.temp("m", f"{m} & ~{then_m}")
+        then_any = self.temp("t", f"{then_m}.any()")
+        self.open(f"if {then_any}:")
+        self.emit(f"{result} = {arm(expr.then_expr, then_m)}")
+        self.close()
+        self.open(f"if {else_m}.any():")
+        other = self.temp("sel", arm(expr.else_expr, else_m))
+        self.emit(f"{result} = _merge({other}, {result}, {then_m}) if {then_any} else {other}")
+        self.close()
+        return result
+
+    def _lane_Assignment(self, expr, m):
+        target_type = expr.target.ctype
+        if isinstance(expr.target, ast.Identifier):
+            name = self.lookup_name(expr.target.name)
+            if name in self.uniform_names:
+                part = self.compile_assignment(expr)
+                self.emit_lines(part.prelude)
+                return part.code
+            value = self.decay(self.lane_expr(expr.value, m), expr.value.ctype)
+            if expr.op == "=":
+                new = self.convert(value, expr.value.ctype, target_type, m)
+            else:
+                new = self.compound(name, value, expr, m)
+            new = self.temp("t", new)
+            self.assign(name, new, m)
+            return new
+        pointer, index = self.lvalue(expr.target, m)
+        value = self.decay(self.lane_expr(expr.value, m), expr.value.ctype)
+        if expr.op == "=":
+            stored = self.convert(value, expr.value.ctype, target_type, m)
+        else:
+            current = self.temp("cur", f"{pointer}.gather({index}, {m})")
+            stored = self.compound(current, value, expr, m)
+        stored = self.temp("val", stored)
+        self.emit(f"{pointer}.scatter({index}, {stored}, {m})")
+        return stored
+
+    def compound(self, current: str, value: str, expr: ast.Assignment, m: str) -> str:
+        op = expr.op[:-1]
+        target_type = expr.target.ctype
+        if isinstance(target_type, PointerType):
+            return f"{current}.add({value if op == '+' else f'(-{value})'})"
+        value_type = expr.value.ctype
+        if isinstance(value_type, ScalarType) and value_type.is_float() and target_type.is_integer():
+            combined = f"_fdiv_l({current}, {value})" if op == "/" \
+                else f"_f_{_ARITH[op]}({current}, {value})"
+            return self.convert(combined, value_type, target_type, m)
+        return self.lane_mask(self.arith(op, current, value, target_type, m), target_type)
+
+    def arith(self, op: str, left: str, right: str, op_type: ScalarType, m: str) -> str:
+        """One C arithmetic operator on already-prepared operands."""
+        if op == "/":
+            if op_type.is_float():
+                return f"_fdiv_l({left}, {right})"
+        if op in ("/", "%"):
+            return f"_divide_l({left}, {right}, {m}, {_is_u64(op_type)}, {op == '%'})"
+        if op in ("<<", ">>"):
+            mode = "u>>" if op == ">>" and _is_u64(op_type) else op
+            return f"_shift_l({left}, {right}, {op_type.bits}, {mode!r})"
+        return f"_{'f' if op_type.is_float() else 'i'}_{_ARITH[op]}({left}, {right})"
+
+    def compare(self, expr: ast.BinaryOp, m: str) -> Optional[str]:
+        """A scalar comparison as a boolean (lanes or Python) expression;
+        None when an operand is a pointer."""
+        if isinstance(expr.left.ctype, (PointerType, ArrayType)) \
+                or isinstance(expr.right.ctype, (PointerType, ArrayType)):
+            return None
+        op_type = expr.op_type
+        left = self.lane_mask(self.lane_expr(expr.left, m), op_type)
+        right = self.lane_mask(self.lane_expr(expr.right, m), op_type)
+        domain = "f" if op_type.is_float() else "u" if _is_u64(op_type) else "i"
+        return f"_{domain}_{_ARITH[expr.op]}({left}, {right})"
+
+    def _lane_BinaryOp(self, expr, m):
+        op = expr.op
+        if op in ("&&", "||"):
+            return self._lane_logical(expr, m, as_mask=False)
+        if op in _CMP_OPS:
+            compare = self.compare(expr, m)
+            if compare is not None:
+                return f"_b2i({compare})"
+        left = self.lane_expr(expr.left, m)
+        right = self.lane_expr(expr.right, m)
+        if isinstance(expr.left.ctype, (PointerType, ArrayType)) \
+                or isinstance(expr.right.ctype, (PointerType, ArrayType)):
+            return self.pointer_binop(expr, left, right)
+        op_type: ScalarType = expr.op_type
+        if op in ("/", "%"):
+            if not op_type.is_float():
+                left, right = self.lane_mask(left, op_type), self.lane_mask(right, op_type)
+            return self.arith(op, left, right, op_type, m)
+        if op == ">>":
+            left = self.lane_mask(left, op_type)
+        # Strength reduction, mirrored from the compiled backend (it
+        # changes float signed-zero results: -0.0 + 0 stays -0.0).
+        elif op == "*":
+            for kept, other in ((left, expr.right), (right, expr.left)):
+                if _is_literal(other, 1, 1.0):
+                    return kept
+                if _is_literal(other, -1, -1.0):
+                    return self.lane_mask(f"(-{kept})", op_type)
+        elif op in ("+", "-") and _is_literal(expr.right, 0, 0.0):
+            return left
+        elif op == "+" and _is_literal(expr.left, 0, 0.0):
+            return right
+        return self.lane_mask(self.arith(op, left, right, op_type, m), op_type)
+
+    def _lane_logical(self, expr, m, as_mask: bool):
+        """Short-circuit ``&&``/``||``: the right side runs on the lanes
+        the left side leaves undecided."""
+        is_and = expr.op == "&&"
+        left = self.temp("m", self.condition(expr.left, m))
+        sub = left if is_and else self.temp("m", f"{m} & ~{left}")
+        right = self.fresh("m")
+        self.open(f"if {sub}.any():")
+        self.emit(f"{right} = {self.condition(expr.right, sub)}")
+        self.close()
+        self.emit(f"else: {right} = {sub}")
+        mask = right if is_and else f"({left} | {right})"
+        return mask if as_mask else f"_b2i({mask})"
+
+    def pointer_binop(self, expr, left: str, right: str) -> str:
+        op = expr.op
+        left_ptr = isinstance(expr.left.ctype, (PointerType, ArrayType))
+        right_ptr = isinstance(expr.right.ctype, (PointerType, ArrayType))
+        left = self.decay(left, expr.left.ctype)
+        right = self.decay(right, expr.right.ctype)
+        if op == "+":
+            return f"{left}.add({right})" if left_ptr else f"{right}.add({left})"
+        if op == "-":
+            return f"{left}.diff({right})" if left_ptr and right_ptr else f"{left}.add(-{right})"
+        if op == "==":
+            return f"_ptr_eq_l({left}, {right})"
+        if op == "!=":
+            return f"(1 - _ptr_eq_l({left}, {right}))"
+        return f"_ptr_cmp(_op.{_ARITH[op]}, {left}, {right})"
+
+    def _lane_Call(self, expr, m):
+        if getattr(expr, "kind", "") == "user":
+            target: ast.FunctionDef = expr.callee_def
+            args = [self.convert(self.decay(self.lane_expr(arg, m), arg.ctype),
+                                 arg.ctype, param.declared_type, m)
+                    for arg, param in zip(expr.args, target.params)]
+            return f"{self.pc.function_symbol(target.name)}({', '.join(['R', 'ctx', m] + args)})"
+        resolved: ResolvedBuiltin = expr.resolved
+        if resolved.kind == "workitem":
+            dim = expr.args[0]
+            if isinstance(dim, ast.IntLiteral) and 0 <= dim.value <= 2:
+                return f"ctx.{resolved.name[4:]}[{dim.value}]"
+            return f"_workitem(ctx, {resolved.name!r}, {self.lane_expr(dim, m)})"
+        assert resolved.kind != "barrier", "compile_program rejects barrier() in an expression"
+        if resolved.name in _FENCES:
+            self.effect(self.lane_expr(expr.args[0], m))
+            return "0"
+        args = [self.convert(self.lane_expr(arg, m), arg.ctype, param_type, m)
+                for arg, param_type in zip(expr.args, resolved.param_types)]
+        return f"{self.pc.constant(_Builtin(resolved))}(({', '.join(args)},), {m})"
+
+
+class _Unit(_ProgramCompiler):
+    """The constant pool and symbol names of one generated module."""
+
+    def __init__(self, program: ast.Program):  # no __local index: R.lmem is in
+        self.program = program  # kernel.local_decls order
+        self.constants: List[object] = []
+        self._constant_index: Dict[int, int] = {}
+
+
+def _generate(kernel: CompiledKernel, functions) -> _KernelPlan:
+    """Compile ``kernel`` and the helpers it reaches into one module."""
+    program = kernel.program
+    pc = _Unit(program)
+    source = "\n\n".join(_LaneCompiler(pc, fn, facts, kernel).compile()
+                         for fn, facts in functions) + "\n"
+    namespace = _runtime_namespace()
+    namespace.update(_LIBRARY)
+    namespace["_K"] = pc.constants
+    if program.globals:
+        machine = Machine(program)
+        for global_decl in program.globals:
+            value = machine.globals[global_decl.decl.name]
+            if hasattr(value, "pointer"):  # ArrayRef
+                ptr = value.pointer
+                value = VArray(VPtr(ptr.array, ptr.element_type, ptr.address_space,
+                                    None, ptr.length, ptr.offset, None), value.element)
+            namespace[pc.global_symbol(global_decl.decl.name)] = value
+    exec(compile(source, f"<kernelc-lockstep:{kernel.name}>", "exec"), namespace)  # noqa: S102
+    return _KernelPlan(None, namespace[pc.function_symbol(kernel.name)], source)
+
+
 # ---------------------------------------------------------------------------
 # Lane layout: the work-item context of every lane, vectorized.
 # ---------------------------------------------------------------------------
 
 
 class _LaneLayout:
-    """Per-lane work-item identities for ``selected_groups x local_ids``,
-    lanes ordered group-major (matching the per-item executor's loops)."""
+    """Per-lane work-item identities for ``selected groups x local ids``,
+    lanes ordered group-major (matching the per-item executor's loops).
+    Doubles as the ``ctx`` of scalar code from the per-item generator.
+    Shared between launches through :func:`_layout`: read-only."""
 
-    def __init__(self, ndrange, selected_groups, local_ids):
-        dims = len(ndrange.global_size)
+    def __init__(self, global_size, local_size, selected):
+        dims = len(global_size)
         self.work_dim = dims
-        self.group_size = len(local_ids)
-        self.num_groups = len(selected_groups)
-        self.n = self.group_size * self.num_groups
-        self.global_size = tuple(ndrange.global_size) + (1,) * (3 - dims)
-        self.local_size = tuple(ndrange.local_size) + (1,) * (3 - dims)
+        self.global_size = tuple(global_size) + (1,) * (3 - dims)
+        self.local_size = tuple(local_size) + (1,) * (3 - dims)
         self.global_offset = (0, 0, 0)
-        lid = np.asarray(local_ids, dtype=_I64)  # (L, dims)
-        grp = np.asarray(selected_groups, dtype=_I64)  # (G, dims)
+        groups_per_dim = [g // l for g, l in zip(self.global_size, self.local_size)]
+        self.group_size = int(np.prod(self.local_size))
+        local_linear = np.arange(self.group_size, dtype=_I64)
+        if selected is None:  # every group, dimension 0 fastest
+            group_linear = np.arange(int(np.prod(groups_per_dim)), dtype=_I64)
+        else:
+            group_linear = np.asarray(selected, dtype=_I64).reshape(len(selected), dims) \
+                @ np.cumprod([1] + groups_per_dim[:dims - 1]).astype(_I64)
+        self.num_groups = len(group_linear)
+        self.n = self.group_size * self.num_groups
         self.local_id: List[object] = []
         self.group_id: List[object] = []
         self.global_id: List[object] = []
         for d in range(3):
             if d < dims:
-                local_d = np.tile(lid[:, d], self.num_groups)
-                group_d = np.repeat(grp[:, d], self.group_size)
-                self.local_id.append(local_d)
-                self.group_id.append(group_d)
-                self.global_id.append(group_d * self.local_size[d] + local_d)
+                local_d = np.tile(local_linear % self.local_size[d], self.num_groups)
+                group_d = np.repeat(group_linear % groups_per_dim[d], self.group_size)
+                local_linear = local_linear // self.local_size[d]
+                group_linear = group_linear // groups_per_dim[d]
+                ids = (local_d, group_d, group_d * self.local_size[d] + local_d)
             else:
-                self.local_id.append(0)
-                self.group_id.append(0)
-                self.global_id.append(0)
+                ids = (0, 0, 0)
+            for store, value in zip((self.local_id, self.group_id, self.global_id), ids):
+                if isinstance(value, ndarray):
+                    value.flags.writeable = False
+                store.append(value)
+        self.full = np.ones(self.n, dtype=bool)
+        self.full.flags.writeable = False
 
     def query(self, name: str, dim: int):
         """Mirror of the ``WorkItemContext`` accessors (ids default to 0
         outside 0..2, sizes to 1)."""
-        in_range = 0 <= dim < 3
-        if name == "get_global_id":
-            return self.global_id[dim] if in_range else 0
-        if name == "get_local_id":
-            return self.local_id[dim] if in_range else 0
-        if name == "get_group_id":
-            return self.group_id[dim] if in_range else 0
-        if name == "get_global_size":
-            return self.global_size[dim] if in_range else 1
-        if name == "get_local_size":
-            return self.local_size[dim] if in_range else 1
-        if name == "get_global_offset":
-            return self.global_offset[dim] if in_range else 0
+        if name == "get_work_dim":
+            return self.work_dim
         if name == "get_num_groups":
-            if not in_range:
-                return 1
-            return self.global_size[dim] // self.local_size[dim]
-        raise AssertionError(f"unhandled work-item query {name}")  # pragma: no cover
+            return self.query("get_global_size", dim) // self.query("get_local_size", dim)
+        if 0 <= dim < 3:
+            return getattr(self, name[4:])[dim]
+        return 1 if name in ("get_global_size", "get_local_size") else 0
 
-    def query_default(self, name: str) -> int:
-        return 1 if name in ("get_global_size", "get_local_size", "get_num_groups") else 0
+    def __getattr__(self, name: str):
+        if name.startswith("get_"):  # ctx.get_global_size(dim) of scalar code
+            return lambda dim=0: self.query(name, int(dim))
+        raise AttributeError(name)
+
+
+_LAYOUT_LANES = 1 << 19  # lanes the layout memo may hold (a few MiB per 64 Ki)
+_layouts: "OrderedDict[tuple, _LaneLayout]" = OrderedDict()
+
+
+def _layout(global_size, local_size, selected) -> _LaneLayout:
+    """The memoized layout of a launch shape; least recently used shapes
+    are dropped once the memo holds more than ``_LAYOUT_LANES`` lanes."""
+    key = (global_size, local_size, None if selected is None else tuple(selected))
+    layout = _layouts.get(key)
+    if layout is None:
+        layout = _layouts[key] = _LaneLayout(global_size, local_size, selected)
+        total = sum(entry.n for entry in _layouts.values())
+        while total > _LAYOUT_LANES and len(_layouts) > 1:
+            total -= _layouts.popitem(last=False)[1].n
+    else:
+        _layouts.move_to_end(key)
+    return layout
 
 
 # ---------------------------------------------------------------------------
 # Entry point.
 # ---------------------------------------------------------------------------
 
-WARP_SIZE = 32
 
-
-def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected_groups,
-            local_ids, args, counters) -> None:
-    """Run ``kernel`` over ``selected_groups`` of ``ndrange`` in lockstep,
-    mutating argument buffers and ``counters`` exactly as the per-item
-    executor would."""
-    from .memory import Pointer
-
-    lanes = _LaneLayout(ndrange, selected_groups, local_ids)
-    evaluator = _Evaluator(plan, counters, lanes)
-
+def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
+            counters) -> None:
+    """Run ``kernel`` in lockstep over the ``selected`` work-groups of
+    ``ndrange`` (a list of group ids; None = all of them), mutating
+    argument buffers and ``counters`` exactly as the per-item executor
+    would."""
+    lanes = _layout(ndrange.global_size, ndrange.local_size, selected)
+    run = _Run(counters, lanes)
     # Group-local allocations: one row of storage per selected group.
     for decl in kernel.local_decls:
         ctype = decl.declared_type
         flat = ctype.flat_length()
         element = ctype.base_element()
         storage = np.zeros(lanes.num_groups * flat, dtype=numpy_dtype(element))
-        base = np.repeat(np.arange(lanes.num_groups, dtype=_I64) * flat, lanes.group_size)
-        vptr = VPtr(storage, element, "local", counters.memory, flat, 0, base)
-        evaluator._local_storage[id(decl)] = VArray(vptr, ctype.element)
-
-    frame = _Frame(kernel.definition, lanes.n)
-    for param, arg in zip(kernel.definition.params, args):
-        if isinstance(arg, Pointer):
-            value = VPtr(arg.array, arg.element_type, arg.address_space,
-                         arg.counters, arg.length, arg.offset, None)
-        else:
-            value = arg
-        frame.scopes[0][param.name] = _Slot(value)
-    evaluator.frames.append(frame)
-
-    mask = np.ones(lanes.n, dtype=bool)
+        vptr = VPtr(storage, element, "local", counters.memory, flat, 0,
+                    np.repeat(np.arange(lanes.num_groups, dtype=_I64) * flat, lanes.group_size))
+        run.lmem.append(VArray(vptr, ctype.element))
+    values = [VPtr(arg.array, arg.element_type, arg.address_space, arg.counters,
+                   arg.length, arg.offset, None) if isinstance(arg, Pointer) else arg
+              for arg in args]
     with np.errstate(all="ignore"):
-        evaluator.exec_stmt_list(kernel.definition.body.statements, mask)
+        plan.run(run, lanes, lanes.full, *values)
 
-    counters.ops += int(evaluator.ops_lanes.sum())
+    counters.ops += int(run.ops.sum()) + run.base * lanes.n
     if not kernel.uses_barrier:
         # Warp-divergence accounting, mirroring the per-item executor: a
         # 32-lane warp runs as long as its slowest lane; partial trailing
         # chunks still pay for a full warp.
-        per_group = evaluator.ops_lanes.reshape(lanes.num_groups, lanes.group_size)
         chunks = -(-lanes.group_size // WARP_SIZE)
         padded = np.zeros((lanes.num_groups, chunks * WARP_SIZE), dtype=_I64)
-        padded[:, : lanes.group_size] = per_group
+        padded[:, : lanes.group_size] = run.ops.reshape(lanes.num_groups, lanes.group_size)
         warp_max = padded.reshape(lanes.num_groups, chunks, WARP_SIZE).max(axis=2)
-        counters.warp_ops += int(warp_max.sum()) * WARP_SIZE
+        counters.warp_ops += (int(warp_max.sum()) + run.base * warp_max.size) * WARP_SIZE

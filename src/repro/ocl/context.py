@@ -9,6 +9,7 @@ from ..scope.metrics import MetricsRegistry
 from .buffer import Buffer
 from .device import Device, Platform
 from .errors import InvalidValue
+from .executor import resolve_backend
 from .program import Program
 from .queue import CommandQueue
 from .spec import DeviceSpec
@@ -29,8 +30,6 @@ class Context:
         work-item).  ``None`` defers to ``SKELCL_BACKEND``, then to the
         default (``"vector"``).  Both backends are bit-exact and
         counter-exact for conforming kernels."""
-        from .executor import resolve_backend
-
         self.backend = resolve_backend(backend)
         if isinstance(devices, Platform):
             self.devices: List[Device] = list(devices.devices)

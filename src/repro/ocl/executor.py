@@ -9,9 +9,10 @@ Two backends execute an NDRange:
     lowering fall back transparently to the per-item backend.
 
 ``interp``
-    The original per-item path: every work-item runs the compiled
-    kernel function to completion (or, for ``barrier()`` kernels,
-    phase-by-phase as a Python generator with divergence detection).
+    The per-item compiled engine (:mod:`repro.kernelc.compiler`, not the
+    tree-walking interpreter): every work-item runs the kernel's
+    generated Python function to completion (or, for ``barrier()``
+    kernels, phase-by-phase as a generator with divergence detection).
 
 Both backends produce bit-identical buffers and identical
 ``ExecutionCounters``; ``tests/kernelc/test_vectorize_differential.py``
@@ -31,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from .. import settings
 from ..kernelc import vectorize
 from ..kernelc.compiler import CompiledKernel
-from ..kernelc.execmodel import ExecutionCounters, WorkItemContext
+from ..kernelc.execmodel import WARP_SIZE, ExecutionCounters, WorkItemContext
 from ..kernelc.interp import allocate_local_memory
 from ..kernelc.memory import KernelFault
 from .errors import InvalidValue
@@ -48,8 +50,6 @@ def resolve_backend(backend: Optional[str]) -> str:
     chain: ``skelcl.configure(backend=...)``, then ``SKELCL_BACKEND``,
     then the default)."""
     if backend is None:
-        from .. import settings
-
         try:
             return settings.get("backend")
         except ValueError as exc:
@@ -60,15 +60,14 @@ def resolve_backend(backend: Optional[str]) -> str:
         )
     return backend
 
-# SIMD width used for divergence accounting (NVIDIA warp).
-WARP_SIZE = 32
-
 
 @dataclass
 class ExecutionResult:
     counters: ExecutionCounters
     groups_total: int
     groups_executed: int
+    backend: str = "interp"  # the engine that ran the launch
+    fallback_reason: Optional[str] = None  # why a vector launch ran per-item
 
     @property
     def sampled(self) -> bool:
@@ -105,23 +104,29 @@ def execute_ndrange(
     if counters is None:
         counters = ExecutionCounters()
     backend = resolve_backend(backend)
-    groups = list(ndrange.group_ids())
+    total = ndrange.total_groups
+    selected = None  # every group
     if sample_fraction is not None and 0 < sample_fraction < 1:
+        groups = list(ndrange.group_ids())
         selected = select_sample_groups(groups, sample_fraction)
-    else:
-        selected = groups
+        if selected is groups:
+            selected = None
+    executed = total if selected is None else len(selected)
 
-    local_ids = list(ndrange.local_ids())
-
+    fallback_reason = None
     if backend == "vector":
         plan = vectorize.plan_for(kernel)
         if plan is not None:
-            vectorize.execute(kernel, plan, ndrange, selected, local_ids, args, counters)
-            if len(selected) < len(groups):
-                counters = counters.scaled(len(groups) / len(selected))
-            return ExecutionResult(counters, len(groups), len(selected))
+            vectorize.execute(kernel, plan, ndrange, selected, args, counters)
+            if executed < total:
+                counters = counters.scaled(total / executed)
+            return ExecutionResult(counters, total, executed, "vector")
         # Unsupported construct: fall through to the per-item path.
+        fallback_reason = vectorize.reject_reason(kernel)
 
+    if selected is None:
+        selected = list(ndrange.group_ids())
+    local_ids = list(ndrange.local_ids())
     local_size = ndrange.local_size
     global_size = ndrange.global_size
     func = kernel.func
@@ -167,10 +172,9 @@ def execute_ndrange(
             if lane:
                 counters.warp_ops += warp_max * WARP_SIZE
 
-    if len(selected) < len(groups):
-        scale = len(groups) / len(selected)
-        counters = counters.scaled(scale)
-    return ExecutionResult(counters, len(groups), len(selected))
+    if executed < total:
+        counters = counters.scaled(total / executed)
+    return ExecutionResult(counters, total, executed, fallback_reason=fallback_reason)
 
 
 def _run_group_with_barriers(func, counters, contexts, lmem, args) -> None:

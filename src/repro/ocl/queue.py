@@ -250,7 +250,14 @@ class CommandQueue:
             work_items=ndrange.total_work_items,
             groups_total=result.groups_total,
             groups_executed=result.groups_executed,
+            backend=result.backend,
         )
+        if result.fallback_reason is not None:
+            # The vector engine declined this kernel: say why, per launch.
+            event.info["fallback_reason"] = result.fallback_reason
+            if self._metrics is not None:
+                self._metrics.counter("skelcl_vector_fallback_total",
+                                      reason=result.fallback_reason).inc()
         event.accesses = kernel_buffer_accesses(kernel, ndrange, self._metrics)
         # Sampled-execution taint: a sampled launch leaves its outputs
         # partially written, and a kernel consuming tainted data spreads

@@ -115,9 +115,7 @@ def run_kernel(
                 f"{vectorize.reject_reason(compiled)}"
             )
         ndrange = NDRange.create(tuple(global_size), tuple(local_size))
-        groups = list(ndrange.group_ids())
-        vectorize.execute(compiled, plan, ndrange, groups,
-                          list(ndrange.local_ids()), runtime_args, counters)
+        vectorize.execute(compiled, plan, ndrange, None, runtime_args, counters)
     elif backend == "interp":
         machine = Machine(program, counters)
         for group, contexts in _contexts(tuple(global_size), tuple(local_size)):

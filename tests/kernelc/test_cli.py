@@ -50,6 +50,27 @@ class TestCli:
         assert main([kernel_file, "--python"]) == 0
         out = capsys.readouterr().out
         assert "def _fn_add_one" in out
+        # The per-item source comes first, then the lockstep source.
+        per_item, lockstep = out.split("kernel add_one: lockstep source")
+        assert "def _fn_add_one(C, ctx, lmem, v_data, v_n):" in per_item
+        assert "def _fn_add_one(R, ctx, m, v_data, v_n):" in lockstep
+        assert ".scatter(" in lockstep
+
+    def test_python_output_names_the_reject_reason(self, tmp_path, capsys):
+        path = tmp_path / "vec.cl"
+        path.write_text("__kernel void v(__global float4* o) "
+                        "{ o[get_global_id(0)] = (float4)(1.0f); }")
+        assert main([str(path), "--python"]) == 0
+        out = capsys.readouterr().out
+        assert "kernel v: no lockstep source, runs per item: vector" in out
+
+    def test_python_combines_with_lint_on_a_module(self, tmp_path, capsys):
+        module = tmp_path / "module.py"
+        module.write_text('K = """\n' + VALID + '"""\n')
+        assert main([str(module), "--access", "--lint", "--python"]) == 0
+        out = capsys.readouterr().out
+        assert "1 kernel string(s), clean" in out
+        assert "kernel add_one: lockstep source" in out
 
     def test_defines(self, tmp_path, capsys):
         path = tmp_path / "k.cl"

@@ -129,3 +129,47 @@ class TestWarpAccounting:
         assert divergent_event.info["ops"] == pytest.approx(uniform_event.info["ops"], rel=0.25)
         ratio = divergent_event.duration_ns / uniform_event.duration_ns
         assert ratio > 4.0
+
+
+class TestBackendReporting:
+    """Which engine ran a launch — and why the vector engine declined it —
+    is counted and shows on the kernel's trace slice."""
+
+    FALLBACK = """__kernel void k(__global float* o) {
+        float2 z = (float2)(1.0f, 2.0f);
+        o[get_global_id(0)] = z.x + z.y;
+    }"""
+    LOCKSTEP = """__kernel void k(__global float* o) {
+        o[get_global_id(0)] = 3.0f;
+    }"""
+
+    @pytest.fixture
+    def vector_ctx(self):
+        context = ocl.Context.create(ocl.TEST_DEVICE, backend="vector")
+        yield context
+        context.release()
+
+    def test_fallback_launch_is_counted_with_its_reason(self, vector_ctx):
+        buf = vector_ctx.create_buffer(64 * 4)
+        for _ in range(3):
+            event = launch(vector_ctx, self.FALLBACK, "k", [buf], (64,), (32,))
+        assert event.info["backend"] == "interp"
+        assert event.info["fallback_reason"] == "vector variable"
+        assert vector_ctx.metrics.value("skelcl_vector_fallback_total",
+                                        reason="vector variable") == 3
+        slices = [e for e in vector_ctx.trace_events() if e.get("name") == "k"]
+        assert slices and all(s["args"]["fallback_reason"] == "vector variable" for s in slices)
+
+    def test_lockstep_launch_adds_no_series(self, vector_ctx):
+        buf = vector_ctx.create_buffer(64 * 4)
+        event = launch(vector_ctx, self.LOCKSTEP, "k", [buf], (64,), (32,))
+        assert event.info["backend"] == "vector"
+        assert "fallback_reason" not in event.info
+        assert "skelcl_vector_fallback_total" not in vector_ctx.metrics_snapshot()["counters"]
+
+    def test_requested_per_item_backend_is_not_a_fallback(self):
+        context = ocl.Context.create(ocl.TEST_DEVICE, backend="interp")
+        event = launch(context, self.LOCKSTEP, "k", [context.create_buffer(256)], (64,), (32,))
+        assert event.info["backend"] == "interp" and "fallback_reason" not in event.info
+        assert "skelcl_vector_fallback_total" not in context.metrics_snapshot()["counters"]
+        context.release()
