@@ -11,18 +11,20 @@ Two fronts:
   conflict (at least one write, overlapping byte ranges) without an
   ordering path — with full provenance (device, command, enqueue site).
 
-* **Affine access footprints** (:mod:`repro.analysis.affine`,
-  "SkelAccess"): an abstract interpretation over the checked kernel AST
-  that summarizes every ``__global``/``__constant`` pointer access as
-  guarded affine forms over work-item ids and scalar parameters.
+* **The analysis engine** (:mod:`repro.analysis.affine`, "SkelAccess"):
+  the one abstract interpreter of kernelc statements.  It summarizes a
+  function — every ``__global``/``__constant`` pointer access as guarded
+  affine forms over work-item ids and scalar parameters, every
+  fixed-size-array site, per-parameter access modes, which barrier
+  conditions depend on a work-item id — once per definition.
   Evaluated at enqueue time against the concrete NDRange, the summaries
   give the race detector exact (strided) byte ranges; statically they
-  power the ``symbolic-oob`` and coalescing lint rules and the
-  planner's fusion legality check.
+  answer the out-of-bounds, barrier-divergence and coalescing lint
+  rules, the planner's fusion legality check and MapOverlap's bounds
+  proof.
 
-* **Kernel-source linting** lives in :mod:`repro.kernelc.lint` (it is a
-  pure AST analysis); :func:`lint_program` is re-exported here for
-  convenience.
+* **Kernel-source linting** lives in :mod:`repro.kernelc.lint`;
+  :func:`lint_program` is re-exported here for convenience.
 
 Enable the sanitizer per context (``Context(devices,
 detect_races="strict")``) or process-wide via the ``SKELCL_SANITIZE``

@@ -1,57 +1,69 @@
-"""SkelAccess: affine access-footprint analysis over checked kernel ASTs.
+"""SkelAccess: the one abstract interpreter of kernelc statements.
 
-Summarizes every access a kernel makes through a ``__global`` /
-``__constant`` pointer parameter as a set of *affine footprints*::
+:class:`_Scanner` executes a function body once over an abstract state
+and every static question the runtime asks about a kernel is a query on
+what that walk recorded (``docs/analysis.md`` has the full account):
 
-    index = base + stride_g * get_global_id(d) + stride_l * get_local_id(d)
-                 + sum(c_i * uniform_i)       (elements, not bytes)
+* **abstract state** — integer scalars are small sets of guarded affine
+  alternatives ``(form, guards)`` (capped at :data:`MAX_ALTS`; ``None``
+  is "unknown"), a form being ``base + sum(coeff * sym)`` over the
+  work-item ids and fresh loop-induction symbols with polynomial
+  coefficients in the uniform symbols (scalar parameters, NDRange
+  sizes); pointers are tracked to their *root* — a pointer parameter
+  or a fixed-size array — plus an affine offset;
+* **if** — both branches run on copies and are joined (untouched
+  variables verbatim, the rest as guarded alternatives);
+  ``if (c) return;`` narrows the rest of the function by ``!c``;
+* **loops** — ``for (i = a; cond; i += s)`` with an affine start and a
+  uniform step whose body does not assign ``i`` binds ``i`` to
+  ``a + s*t`` for a fresh symbol ``t`` under the guard ``cond``;
+  everything else a loop assigns is havocked before and after it, and
+  so is what a ``switch`` assigns (cases fall through, break early or
+  match nothing);
+* **calls** — user functions are executed inline (depth-limited), their
+  early-return guards scoped to the call, their ``return`` values
+  joined; unmodelled builtins receiving a pointer poison its root;
+* **escape** — a pointer the walk cannot root (aliasing through a
+  conditional, recursion, casts from integers) demotes every parameter
+  it may alias to the whole-buffer *fallback* with a recorded reason.
 
-where the uniform symbols are integer scalar parameters, NDRange sizes
-(``get_global_size`` etc.) and fresh loop-induction symbols.  Each
-footprint carries the *guards* (affine inequalities ``f <= 0``) under
-which the access executes — the ``if (SCL_ID < SCL_N)`` wrapper every
-skeleton emits, loop conditions, clamp chains.
+Recorded on the way: an access *footprint* (parameter, mode, index
+form, guards) per pointer-parameter access, a *site* per fixed-size
+array access, the read/write *mode* flags of every pointer parameter
+(fallback ones included), the offsets of registered accessor calls
+(MapOverlap's ``get``), which variables' definitions read which others
+(id-dependence for ``barrier-divergence``), and the loop behind every
+induction symbol.
 
-The analysis is a path-sensitive abstract interpretation:
-
-* scalar integer variables are tracked as small sets of guarded
-  alternatives ``(form, guards)`` (capped at :data:`MAX_ALTS`), so
-  boundary-handling chains like NEAREST clamping stay affine;
-* pointer values are tracked to their *root* — a kernel pointer
-  parameter or a fixed-size (``__local``/private) array — through
-  pointer arithmetic, ``&a[i]`` and user-function calls;
-* ``for`` loops with an affine start and uniform step bind the
-  induction variable to ``start + step * t`` for a fresh symbol ``t``
-  and guard the body with the loop condition (covers the grid-stride
-  reduce loop); other loops havoc what they assign;
-* anything non-affine (division, unknown builtins, aliasing the
-  analysis cannot root) demotes the affected parameter to the historic
-  whole-chunk *fallback* mode, so consumers never under-approximate.
-
-At enqueue time :func:`make_eval_env` / :func:`resolve_footprint`
-substitute the concrete NDRange and scalar arguments, narrow the
-work-item symbol ranges through the guards, and produce exact byte
-ranges with a gcd-derived stride (``out[2*gid]`` and ``out[2*gid+1]``
-resolve to interleaved, *disjoint* strided ranges).
+Every consumer bounds a recorded form the same way, :func:`bound_form`:
+substitute what an :class:`EvalEnv` binds, narrow the variant symbols'
+ranges through the guards, box the form.  At enqueue time
+:func:`make_eval_env` / :func:`resolve_footprint` do so for the
+concrete NDRange and scalar arguments and produce exact byte ranges
+with a gcd-derived stride (``out[2*gid]`` and ``out[2*gid+1]`` resolve
+to interleaved, *disjoint* strided ranges).
 
 Unsigned wrap-around is deliberately ignored: an index that wraps past
 2^64 faults in the interpreter long before the footprint matters, and
 modelling it would cost every summary its precision.
 
-Consumers: :mod:`repro.analysis.access` (SkelSan byte-range races),
-:mod:`repro.kernelc.lint` (``symbolic-oob``, ``uncoalesced-access``,
+Consumers: :mod:`repro.analysis.access` (SkelSan access sets and
+modes), :mod:`repro.kernelc.lint` (``constant-index-oob``,
+``symbolic-oob``, ``barrier-divergence``, ``uncoalesced-access``,
 ``strided-global-read``), :mod:`repro.plan.compose` (fusion legality)
-and :mod:`repro.skelcl.mapoverlap` (footprint-shrunk halo transfers).
+and :mod:`repro.kernelc.boundcheck` (MapOverlap check elision and halo
+shrinking).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..kernelc import ast
-from ..kernelc.ctypes_ import ArrayType, CType, PointerType, VectorType
+from ..kernelc.ctypes_ import ArrayType, CType, PointerType
 
 # Symbols are tuples.  Uniform (same value for every work-item):
 #   ("param", name) ("gsize", d) ("lsize", d) ("ngroups", d)
@@ -71,7 +83,7 @@ def is_variant(sym: Sym) -> bool:
     return sym[0] in ("gid", "lid", "grp", "iv")
 
 
-def _format_sym(sym: Sym) -> str:
+def format_sym(sym: Sym) -> str:
     kind = sym[0]
     if kind == "param":
         return str(sym[1])
@@ -159,7 +171,7 @@ class UExpr:
             return "0"
         parts = []
         for m, c in sorted(self.terms.items()):
-            names = "*".join(_format_sym(s) for s in m)
+            names = "*".join(format_sym(s) for s in m)
             if not names:
                 parts.append(str(c))
             elif c == 1:
@@ -250,11 +262,11 @@ class AffineForm:
         parts = []
         for s, c in sorted(self.terms.items()):
             if c.is_const and c.const_value == 1:
-                parts.append(_format_sym(s))
+                parts.append(format_sym(s))
             elif c.is_const:
-                parts.append(f"{c.const_value}*{_format_sym(s)}")
+                parts.append(f"{c.const_value}*{format_sym(s)}")
             else:
-                parts.append(f"({c.format()})*{_format_sym(s)}")
+                parts.append(f"({c.format()})*{format_sym(s)}")
         base = self.base.format()
         if base != "0" or not parts:
             parts.append(base)
@@ -332,24 +344,30 @@ class ParamSummary:
     def affine(self) -> bool:
         return self.fallback_reason is None
 
-    @property
-    def mode(self) -> str:
-        reads = any(f.mode == "r" for f in self.footprints)
-        writes = any(f.mode == "w" for f in self.footprints)
-        if reads and writes:
-            return "rw"
-        if writes:
-            return "w"
-        return "r"
-
 
 @dataclass
 class KernelSummary:
     kernel: str
+    #: ``__global``/``__constant`` pointer parameters of a kernel.
     params: Dict[str, ParamSummary]
     array_sites: List[ArraySite]
+    #: Access mode of *every* pointer parameter: what the walk saw read
+    #: and written through it (an escape counts as both), ``'r'`` for a
+    #: ``const`` pointee or an untouched parameter, and a declared
+    #: ``/*@intent:*/`` verbatim.
+    modes: Dict[str, str] = field(default_factory=dict)
+    #: ``(barrier span, condition span)`` for every ``barrier()`` inside
+    #: control flow whose condition depends on a work-item id.
+    divergent_barriers: List[Tuple[object, object]] = field(default_factory=list)
+    #: User functions the walk entered from this one.
+    reached: Set[str] = field(default_factory=set)
     #: reqd_work_group_size attribute values, or None.
     reqd_wg: Optional[Tuple[int, int, int]] = None
+    #: Per call of the registered accessor (:func:`summarize_function`):
+    #: ``(offset alternatives of each argument after the pointer, guards)``.
+    accessor_sites: List[Tuple[Tuple[Alts, ...], Guards]] = field(default_factory=list)
+    #: Induction symbol -> (its loop statement, uniform step).
+    iv_loops: Dict[Sym, Tuple[ast.Stmt, UExpr]] = field(default_factory=dict)
 
     @property
     def affine_sites(self) -> int:
@@ -363,40 +381,27 @@ class KernelSummary:
 class _Ptr:
     """A pointer value rooted at a parameter or fixed array."""
 
-    __slots__ = ("kind", "name", "length", "elem_size", "space", "offset")
+    __slots__ = ("kind", "name", "length", "offset")
 
     def __init__(self, kind: str, name: str, offset: AffineForm,
-                 length: int = 0, elem_size: int = 1, space: str = "private"):
+                 length: int = 0):
         self.kind = kind  # "param" or "array"
         self.name = name
         self.offset = offset
         self.length = length  # elements ("array" roots only)
-        self.elem_size = elem_size
-        self.space = space
 
     def shifted(self, delta: AffineForm) -> "_Ptr":
-        return _Ptr(self.kind, self.name, self.offset + delta,
-                    self.length, self.elem_size, self.space)
+        return _Ptr(self.kind, self.name, self.offset + delta, self.length)
 
 
-class _GiveUp(Exception):
-    """Internal: abandon the current evaluation (value becomes unknown)."""
-
-
-def _source_text(program: ast.Program, span) -> str:
-    source = getattr(program, "source", None)
-    if source is None or span is None:
-        return ""
+def _elem_size(ctype: CType) -> int:
     try:
-        text = source.text[span.start.offset:span.end.offset]
-    except Exception:
-        return ""
-    return " ".join(text.split())
+        return ctype.sizeof()
+    except TypeError:
+        return 1
 
 
 def _parse_reqd_wg(fn: ast.FunctionDef) -> Optional[Tuple[int, int, int]]:
-    import re
-
     for attr in getattr(fn, "attributes", ()):
         m = re.match(r"reqd_work_group_size\((\d+)(?:,(\d+))?(?:,(\d+))?\)",
                      attr.replace(" ", ""))
@@ -413,22 +418,56 @@ _DIM_SYMS = {"get_global_id": "gid", "get_local_id": "lid",
 
 _MAX_CALL_DEPTH = 8
 
+_ZERO: Alts = ((AffineForm.const(0), ()),)
+
+_ALIASING = "pointer aliasing the analysis cannot root"
+
+#: Stands for ``get_global_id``/``get_local_id`` in the read sets of
+#: the id-dependence relation (variables are ``(frame, name)`` keys).
+_ID = "work-item id"
+
 
 class _Scanner:
-    def __init__(self, program: ast.Program, fn: ast.FunctionDef):
-        self.program = program
+    """One abstract execution of ``fn`` (see the module docstring).
+
+    ``accessor`` names a neighbourhood accessor (MapOverlap's ``get``)
+    whose calls are recorded in ``accessor_sites`` instead of being
+    treated as an unknown function; the walk reads type annotations
+    only where it has no other way to tell a pointer, so it also runs
+    on the unchecked AST of a customizing function."""
+
+    def __init__(self, fn: ast.FunctionDef, functions=(), globals_=(),
+                 source=None, accessor: Optional[str] = None):
         self.fn = fn
-        self.functions = {f.name: f for f in program.functions}
-        self.footprints: List[Footprint] = []
-        self.array_sites: List[ArraySite] = []
-        self.fallbacks: Dict[str, str] = {}  # param -> reason
-        self.guards: List[Guard] = []
-        self._iv_counter = 0
-        self._call_stack: List[str] = []
+        self.functions = {f.name: f for f in functions}
+        self.globals = globals_
+        self.source = source
+        self.accessor = accessor
         self.pointer_params: Dict[str, PointerType] = {
             p.name: p.declared_type for p in fn.params
             if isinstance(p.declared_type, PointerType)
         }
+        self.footprints: List[Footprint] = []
+        self.array_sites: List[ArraySite] = []
+        #: (offset Alts per accessor argument, guards) per accessor call.
+        self.accessor_sites: List[Tuple[Tuple[Alts, ...], Guards]] = []
+        self.fallbacks: Dict[str, str] = {}  # param -> reason
+        self.modes: Dict[str, Set[str]] = {n: set() for n in self.pointer_params}
+        #: induction symbol -> (its ``for`` statement, uniform step).
+        self.iv_loops: Dict[Sym, Tuple[ast.ForStmt, UExpr]] = {}
+        self.reached: Set[str] = set()
+        self.guards: List[Guard] = []
+        self._call_stack: List[str] = []
+        self._returns_stack: List[Tuple[List[Alt], int]] = []
+        # Id-dependence: which variables (and the id builtins) each
+        # variable's definitions read, and per barrier() the conditions
+        # it is nested in with what those read.  Flow-insensitive on
+        # purpose — a loop's back edge needs no second pass.
+        self._frame = self._frames = 0
+        self._reads: Set = set()
+        self._deps: Dict[Tuple[int, str], Set] = {}
+        self._control: List[Tuple[object, Set]] = []
+        self._barriers: List[Tuple[object, Tuple[Tuple[object, Set], ...]]] = []
 
     # -- entry ---------------------------------------------------------------
 
@@ -438,46 +477,70 @@ class _Scanner:
         for param in self.fn.params:
             ctype = param.declared_type
             if isinstance(ctype, PointerType):
-                try:
-                    elem = ctype.pointee.sizeof()
-                except TypeError:
-                    elem = 1
-                ptrs[param.name] = _Ptr("param", param.name,
-                                        AffineForm.const(0), 0, elem,
-                                        ctype.address_space)
+                ptrs[param.name] = _Ptr("param", param.name, AffineForm.const(0))
             elif isinstance(ctype, ArrayType):
                 ptrs[param.name] = None
             elif ctype.is_integer():
                 env[param.name] = ((AffineForm.sym(("param", param.name)), ()),)
             else:
                 env[param.name] = _UNKNOWN
-        for decl in getattr(self.program, "globals", []):
-            inner = decl.decl
-            if isinstance(inner.declared_type, ArrayType):
-                try:
-                    elem = inner.declared_type.base_element().sizeof()
-                except TypeError:
-                    elem = 1
-                ptrs[inner.name] = _Ptr(
-                    "array", inner.name, AffineForm.const(0),
-                    inner.declared_type.flat_length(), elem,
-                    inner.address_space)
+        for decl in self.globals:
+            if isinstance(decl.decl.declared_type, ArrayType):
+                self._exec_decl(decl.decl, env, ptrs)
         if self.fn.body is not None:
             self.exec_stmt(self.fn.body, env, ptrs)
 
-    def _fallback(self, name: str, reason: str) -> None:
-        if name in self.pointer_params and name not in self.fallbacks:
-            self.fallbacks[name] = reason
+    def divergent_barriers(self) -> List[Tuple[object, object]]:
+        """``(barrier span, condition span)`` of every barrier nested in
+        a condition that (transitively) reads a work-item id."""
+        dependent = {_ID}
+        grew = bool(self._barriers)
+        while grew:
+            grew = False
+            for key, reads in self._deps.items():
+                if key not in dependent and not dependent.isdisjoint(reads):
+                    dependent.add(key)
+                    grew = True
+        found = []
+        for span, conditions in self._barriers:
+            for condition_span, reads in conditions:
+                if not dependent.isdisjoint(reads):
+                    found.append((span, condition_span))
+                    break
+        return found
 
-    def _fallback_expr(self, expr: ast.Expr, reason: str) -> None:
-        """Demote every pointer parameter mentioned in ``expr``."""
+    def _fallback(self, name: str, reason: str, flags: str = "rw") -> None:
+        self.modes[name].update(flags)
+        self.fallbacks.setdefault(name, reason)
+
+    def _lose(self, ptr: Optional[_Ptr], reason: str = _ALIASING) -> None:
+        """``ptr`` is about to be forgotten: what it points into can no
+        longer be summarized."""
+        if ptr is not None and ptr.kind == "param":
+            self._fallback(ptr.name, reason)
+
+    def _escape(self, expr: ast.Expr, ptrs) -> None:
+        """Demote every pointer parameter ``expr`` may alias."""
         for node in ast.walk(expr):
             if isinstance(node, ast.Identifier):
-                self._fallback(node.name, reason)
+                self._lose(ptrs.get(node.name))
 
-    def _fresh_iv(self) -> Sym:
-        self._iv_counter += 1
-        return ("iv", self._iv_counter)
+    def _reading(self, evaluate, *args):
+        """``(evaluate(*args), the variables and id builtins it read)``."""
+        outer, self._reads = self._reads, set()
+        result = evaluate(*args)
+        reads, self._reads = self._reads, outer
+        outer |= reads
+        return result, reads
+
+    def _define(self, name: str, reads: Set) -> None:
+        self._deps.setdefault((self._frame, name), set()).update(reads)
+
+    def _text(self, span) -> str:
+        if self.source is None or span is None:
+            return ""
+        return " ".join(
+            self.source.text[span.start.offset:span.end.offset].split())
 
     # -- access recording ----------------------------------------------------
 
@@ -485,48 +548,52 @@ class _Scanner:
                 node: ast.Expr) -> None:
         if ptr is None:
             return
-        text = _source_text(self.program, node.span)
+        text = self._text(node.span)
         guards = tuple(self.guards)
         for form, alt_guards in index:
-            total = None
-            if form is not None and ptr.offset is not None:
-                total = ptr.offset + form
-            if ptr.kind == "param":
-                if ptr.space not in ("global", "constant"):
-                    continue
-                if total is None:
-                    self._fallback(ptr.name, f"non-affine index in {text!r}")
-                    continue
-                self.footprints.append(Footprint(
-                    ptr.name, mode, total, guards + alt_guards, text,
-                    node.span))
-            else:  # fixed-size array (symbolic-oob sites)
+            total = None if form is None else ptr.offset + form
+            if ptr.kind == "array":  # the out-of-bounds lints' sites
                 self.array_sites.append(ArraySite(
                     ptr.name, ptr.length, mode, total, guards + alt_guards,
                     text, node.span))
+            elif total is None:
+                self._fallback(ptr.name, f"non-affine index in {text!r}", mode)
+            else:
+                self.modes[ptr.name].add(mode)
+                self.footprints.append(Footprint(
+                    ptr.name, mode, total, guards + alt_guards, text,
+                    node.span))
+
+    def _store(self, target: ast.Expr, env, ptrs, also_read: bool) -> None:
+        """A store through an lvalue that is not a plain variable."""
+        while isinstance(target, ast.Member):
+            target = target.base
+        if isinstance(target, ast.Index):
+            ptr, index = self._eval_access(target, env, ptrs)
+        elif isinstance(target, ast.UnaryOp) and target.op == "*":
+            ptr, index = self._rooted(target.operand, env, ptrs), _ZERO
+        else:
+            self._eval_any(target, env, ptrs)
+            return
+        self._record(ptr, index, "w", target)
+        if also_read:
+            self._record(ptr, index, "r", target)
 
     # -- expression evaluation ----------------------------------------------
 
-    def eval_int(self, expr: ast.Expr, env, ptrs) -> Alts:
+    def _eval(self, expr: ast.Expr, env, ptrs) -> Alts:
         """Evaluate an integer-valued expression to guarded alternatives,
         collecting any accesses it performs."""
-        try:
-            return self._eval(expr, env, ptrs)
-        except _GiveUp:
-            return _UNKNOWN
-
-    def _eval(self, expr: ast.Expr, env, ptrs) -> Alts:
-        if isinstance(expr, ast.IntLiteral):
-            return ((AffineForm.const(expr.value), ()),)
-        if isinstance(expr, ast.CharLiteral):
+        if isinstance(expr, (ast.IntLiteral, ast.CharLiteral)):
             return ((AffineForm.const(expr.value), ()),)
         if isinstance(expr, ast.Identifier):
+            self._reads.add((self._frame, expr.name))
             if expr.name in ptrs:
                 return _UNKNOWN  # pointer used as value: not an int
             return env.get(expr.name, _UNKNOWN)
         if isinstance(expr, ast.Cast):
-            target = expr.target_type
             inner = self._eval_any(expr.operand, env, ptrs)
+            target = expr.target_type
             if isinstance(target, CType) and target.is_integer():
                 return inner
             return _UNKNOWN
@@ -547,18 +614,6 @@ class _Scanner:
             ptr, index = self._eval_access(expr, env, ptrs)
             self._record(ptr, index, "r", expr)
             return _UNKNOWN
-        if isinstance(expr, ast.Member):
-            self._eval_any(expr.base, env, ptrs)
-            return _UNKNOWN
-        if isinstance(expr, ast.CommaExpr):
-            result: Alts = _UNKNOWN
-            for part in expr.parts:
-                result = self._eval_any(part, env, ptrs)
-            return result
-        if isinstance(expr, (ast.VectorLiteral,)):
-            for element in expr.elements:
-                self._eval_any(element, env, ptrs)
-            return _UNKNOWN
         if isinstance(expr, ast.SizeofExpr):
             try:
                 if expr.queried_type is not None:
@@ -568,15 +623,20 @@ class _Scanner:
             except TypeError:
                 pass
             return _UNKNOWN
-        return _UNKNOWN
+        # Member, CommaExpr, VectorLiteral, float/string literals: scan
+        # the operands; a comma expression has its last operand's value.
+        result: Alts = _UNKNOWN
+        for child in ast.children(expr):
+            result = self._eval_any(child, env, ptrs)
+        return result if isinstance(expr, ast.CommaExpr) else _UNKNOWN
 
     def _eval_any(self, expr: ast.Expr, env, ptrs) -> Alts:
-        """Evaluate for side effects/accesses; pointer-typed expressions
-        return unknown-int but are still scanned."""
-        ptr = self._eval_pointer(expr, env, ptrs, record=True)
-        if ptr is not _NOT_POINTER:
+        """Evaluate for side effects/accesses; pointer-valued expressions
+        are scanned and yield unknown."""
+        if self._maybe_pointer(expr, ptrs):
+            self._eval_pointer(expr, env, ptrs)
             return _UNKNOWN
-        return self.eval_int(expr, env, ptrs)
+        return self._eval(expr, env, ptrs)
 
     def _eval_unary(self, expr: ast.UnaryOp, env, ptrs) -> Alts:
         op = expr.op
@@ -584,12 +644,9 @@ class _Scanner:
             self._apply_incdec(expr, env, ptrs)
             return _UNKNOWN
         if op == "*":
-            ptr, _ = self._deref_site(expr, env, ptrs)
-            self._record(ptr, ((AffineForm.const(0), ()),), "r", expr)
+            self._record(self._rooted(expr.operand, env, ptrs), _ZERO, "r", expr)
             return _UNKNOWN
-        if op == "&":
-            return _UNKNOWN
-        inner = self.eval_int(expr.operand, env, ptrs)
+        inner = self._eval_any(expr.operand, env, ptrs)
         if op == "+":
             return inner
         if op == "-":
@@ -597,22 +654,16 @@ class _Scanner:
         return _UNKNOWN  # ! ~ on values
 
     def _eval_binary(self, expr: ast.BinaryOp, env, ptrs) -> Alts:
-        op = expr.op
-        if op in ("&&", "||"):
-            self._eval_any(expr.left, env, ptrs)
-            self._eval_any(expr.right, env, ptrs)
-            return _UNKNOWN
         left = self._eval_any(expr.left, env, ptrs)
         right = self._eval_any(expr.right, env, ptrs)
-        if op in ("<", "<=", ">", ">=", "==", "!="):
+        if expr.op in ("&&", "||", "<", "<=", ">", ">=", "==", "!="):
             return _UNKNOWN
-        combos: List[Alt] = []
-        for lf, lg in left:
-            for rf, rg in right:
-                combos.append(self._combine(op, lf, rf, lg + rg))
-                if len(combos) > MAX_ALTS:
-                    return _UNKNOWN
-        return tuple(combos)
+        return self._combine_alts(expr.op, left, right)
+
+    def _combine_alts(self, op: str, left: Alts, right: Alts) -> Alts:
+        combos = [self._combine(op, lf, rf, lg + rg)
+                  for lf, lg in left for rf, rg in right]
+        return tuple(combos) if len(combos) <= MAX_ALTS else _UNKNOWN
 
     def _combine(self, op: str, lf: Optional[AffineForm],
                  rf: Optional[AffineForm], guards: Guards) -> Alt:
@@ -641,143 +692,118 @@ class _Scanner:
         then_guards, else_guards = self.cond_guards(expr.condition, env, ptrs)
         then_alts = self._eval_any(expr.then_expr, env, ptrs)
         else_alts = self._eval_any(expr.else_expr, env, ptrs)
-        if then_guards is None or else_guards is None:
-            return _UNKNOWN
         merged = tuple((f, g + then_guards) for f, g in then_alts) + \
             tuple((f, g + else_guards) for f, g in else_alts)
-        if len(merged) > MAX_ALTS:
-            return _UNKNOWN
-        return merged
+        return merged if len(merged) <= MAX_ALTS else _UNKNOWN
 
     def _eval_assignment(self, expr: ast.Assignment, env, ptrs) -> Alts:
-        value = self._eval_any(expr.value, env, ptrs)
-        target = expr.target
-        if isinstance(target, ast.Identifier):
-            name = target.name
-            if name in ptrs:
-                new_ptr = self._eval_pointer(expr.value, env, ptrs)
-                if new_ptr is _NOT_POINTER or new_ptr is None:
-                    self._poison_pointer_expr(expr.value)
-                    ptrs[name] = None
-                elif expr.op == "=":
-                    ptrs[name] = new_ptr
-                else:
-                    ptrs[name] = None
-                return _UNKNOWN
-            if expr.op == "=":
-                env[name] = value
-            elif expr.op in ("+=", "-="):
-                old = env.get(name, _UNKNOWN)
-                combos: List[Alt] = []
-                op = "+" if expr.op == "+=" else "-"
-                for of, og in old:
-                    for vf, vg in value:
-                        combos.append(self._combine(op, of, vf, og + vg))
-                env[name] = tuple(combos) if len(combos) <= MAX_ALTS else _UNKNOWN
+        target, op = expr.target, expr.op
+        name = target.name if isinstance(target, ast.Identifier) else None
+        reseat = name in ptrs
+        evaluate = (self._eval_any if not reseat
+                    else self._rooted if op == "=" else self._eval)
+        value, reads = self._reading(evaluate, expr.value, env, ptrs)
+        if name is None:
+            self._store(target, env, ptrs, also_read=op != "=")
+            return value
+        self._define(name, reads)
+        if reseat:
+            old = ptrs[name]
+            delta = _single_form(value) if op in ("+=", "-=") else None
+            if op == "=":
+                ptrs[name] = value
+            elif old is None or delta is None:
+                self._lose(old)
+                ptrs[name] = None
             else:
-                env[name] = _UNKNOWN
-            return env[name] if name in env else _UNKNOWN
-        # Store through an index / deref.
-        mode_extra_read = expr.op != "="
-        if isinstance(target, ast.Index):
-            ptr, index = self._eval_access(target, env, ptrs)
-            self._record(ptr, index, "w", target)
-            if mode_extra_read:
-                self._record(ptr, index, "r", target)
-        elif isinstance(target, ast.UnaryOp) and target.op == "*":
-            ptr, _ = self._deref_site(target, env, ptrs)
-            zero = ((AffineForm.const(0), ()),)
-            self._record(ptr, zero, "w", target)
-            if mode_extra_read:
-                self._record(ptr, zero, "r", target)
-        elif isinstance(target, ast.Member):
-            base = target.base
-            if isinstance(base, ast.Index):
-                ptr, index = self._eval_access(base, env, ptrs)
-                self._record(ptr, index, "w", base)
-        return value
+                ptrs[name] = old.shifted(delta if op == "+=" else -delta)
+            return _UNKNOWN
+        if op == "=":
+            env[name] = value
+        elif op in ("+=", "-="):
+            env[name] = self._combine_alts(op[0], env.get(name, _UNKNOWN), value)
+        else:
+            env[name] = _UNKNOWN
+        return env[name]
 
     def _apply_incdec(self, expr, env, ptrs) -> None:
         operand = expr.operand
-        if isinstance(operand, ast.Identifier) and operand.name not in ptrs:
-            delta = AffineForm.const(1 if expr.op == "++" else -1)
+        delta = AffineForm.const(1 if expr.op == "++" else -1)
+        if not isinstance(operand, ast.Identifier):
+            self._store(operand, env, ptrs, also_read=True)
+        elif operand.name in ptrs:
+            old = ptrs[operand.name]
+            ptrs[operand.name] = None if old is None else old.shifted(delta)
+        else:
             old = env.get(operand.name, _UNKNOWN)
             env[operand.name] = tuple(
                 (None if f is None else f + delta, g) for f, g in old)
-        elif isinstance(operand, ast.Identifier):
-            ptrs[operand.name] = None
-        else:
-            self._eval_any(operand, env, ptrs)
 
     # -- pointers ------------------------------------------------------------
 
-    def _eval_pointer(self, expr: ast.Expr, env, ptrs, record: bool = False):
-        """Pointer value of ``expr``: a _Ptr, None (unknown pointer) or
-        _NOT_POINTER when the expression is not pointer-typed."""
+    def _maybe_pointer(self, expr: ast.Expr, ptrs) -> bool:
+        """Can ``expr`` evaluate to a pointer?  The checker's annotation
+        decides when there is one; an unchecked AST is classified by
+        shape, erring towards "yes"."""
         ctype = getattr(expr, "ctype", None)
-        is_ptr = isinstance(ctype, PointerType) or isinstance(ctype, ArrayType)
         if isinstance(expr, ast.Identifier):
-            if expr.name in ptrs:
-                return ptrs[expr.name]
-            return None if is_ptr else _NOT_POINTER
-        if not is_ptr and not (isinstance(expr, ast.UnaryOp) and expr.op == "&"):
-            return _NOT_POINTER
+            return expr.name in ptrs or isinstance(ctype, (PointerType, ArrayType))
+        if ctype is not None:
+            return isinstance(ctype, (PointerType, ArrayType))
+        if isinstance(expr, ast.UnaryOp):
+            return expr.op == "&"
         if isinstance(expr, ast.Cast):
-            return self._eval_pointer(expr.operand, env, ptrs, record)
+            return (isinstance(expr.target_type, PointerType)
+                    or self._maybe_pointer(expr.operand, ptrs))
+        if isinstance(expr, ast.BinaryOp):
+            return expr.op in ("+", "-") and (
+                self._maybe_pointer(expr.left, ptrs)
+                or self._maybe_pointer(expr.right, ptrs))
+        if isinstance(expr, (ast.Conditional, ast.CommaExpr, ast.Assignment)):
+            return any(self._maybe_pointer(child, ptrs)
+                       for child in ast.children(expr))
+        return False
+
+    def _eval_pointer(self, expr: ast.Expr, env, ptrs) -> Optional[_Ptr]:
+        """The rooted pointer ``expr`` evaluates to, or None when it is
+        not one the walk can root."""
+        if isinstance(expr, ast.Identifier):
+            self._reads.add((self._frame, expr.name))
+            return ptrs.get(expr.name)
+        if isinstance(expr, ast.Cast):
+            return self._eval_pointer(expr.operand, env, ptrs)
         if isinstance(expr, ast.UnaryOp) and expr.op == "&":
-            operand = expr.operand
-            if isinstance(operand, ast.Index):
-                base_ptr, index = self._eval_access(operand, env, ptrs)
-                form = _pick_form(index)
-                if base_ptr is not None and form is not None:
-                    return base_ptr.shifted(form)
-                return None
-            return None
+            expr = expr.operand  # &a[i] is a + i
+        if isinstance(expr, ast.Index):  # also: a row of an array of arrays
+            base, index = self._eval_access(expr, env, ptrs)
+            form = _single_form(index)
+            return None if base is None or form is None else base.shifted(form)
         if isinstance(expr, ast.BinaryOp) and expr.op in ("+", "-"):
-            left_ptr = self._eval_pointer(expr.left, env, ptrs)
-            right_ptr = self._eval_pointer(expr.right, env, ptrs)
-            if left_ptr is not _NOT_POINTER and right_ptr is _NOT_POINTER:
-                delta = _pick_form(self.eval_int(expr.right, env, ptrs))
-                if left_ptr is None or delta is None:
+            base_expr, offset_expr = expr.left, expr.right
+            if self._maybe_pointer(offset_expr, ptrs):
+                base_expr, offset_expr = offset_expr, base_expr
+            if expr.op == "+" or base_expr is expr.left:
+                base = self._eval_pointer(base_expr, env, ptrs)
+                delta = _single_form(self._eval_any(offset_expr, env, ptrs))
+                if base is None or delta is None:
                     return None
-                if expr.op == "-":
-                    delta = -delta
-                return left_ptr.shifted(delta)
-            if right_ptr is not _NOT_POINTER and expr.op == "+":
-                delta = _pick_form(self.eval_int(expr.left, env, ptrs))
-                if right_ptr is None or delta is None:
-                    return None
-                return right_ptr.shifted(delta)
-            return None
-        if isinstance(expr, ast.Index):
-            # a[i] where a is an array of arrays: pointer to the row.
-            base_ptr, index = self._eval_access(expr, env, ptrs)
-            form = _pick_form(index)
-            if base_ptr is not None and form is not None:
-                return base_ptr.shifted(form)
-            return None
-        if isinstance(expr, ast.Conditional):
-            return None
-        return None if is_ptr else _NOT_POINTER
+                return base.shifted(delta if expr.op == "+" else -delta)
+        self._eval(expr, env, ptrs)  # scanned and executed, not rooted
+        return None
 
-    def _poison_pointer_expr(self, expr: ast.Expr) -> None:
-        self._fallback_expr(expr, "pointer aliasing the analysis cannot root")
-
-    def _deref_site(self, expr: ast.UnaryOp, env, ptrs):
-        ptr = self._eval_pointer(expr.operand, env, ptrs)
-        if ptr is _NOT_POINTER or ptr is None:
-            self._poison_pointer_expr(expr.operand)
-            return None, None
-        return ptr, None
+    def _rooted(self, expr: ast.Expr, env, ptrs) -> Optional[_Ptr]:
+        """``_eval_pointer``, demoting what ``expr`` may alias when it
+        cannot be rooted."""
+        ptr = self._eval_pointer(expr, env, ptrs)
+        if ptr is None:
+            self._escape(expr, ptrs)
+        return ptr
 
     def _eval_access(self, expr: ast.Index, env, ptrs):
         """(_Ptr or None, index Alts) for ``base[index]``; scales the
         index by the row length for arrays of arrays."""
-        base_ptr = self._eval_pointer(expr.base, env, ptrs)
-        index = self.eval_int(expr.index, env, ptrs)
-        if base_ptr is _NOT_POINTER or base_ptr is None:
-            self._poison_pointer_expr(expr.base)
-            return None, index
+        base_ptr = self._rooted(expr.base, env, ptrs)
+        index = self._eval(expr.index, env, ptrs)
         base_type = getattr(expr.base, "ctype", None)
         element = None
         if isinstance(base_type, PointerType):
@@ -792,31 +818,19 @@ class _Scanner:
 
     # -- conditions ----------------------------------------------------------
 
-    def cond_guards(self, expr: ast.Expr, env, ptrs):
-        """(then_guards, else_guards) implied by ``expr``; either side is
-        None when nothing sound can be said for that branch."""
+    def cond_guards(self, expr: ast.Expr, env, ptrs) -> Tuple[Guards, Guards]:
+        """(then_guards, else_guards) implied by ``expr``."""
         if isinstance(expr, ast.UnaryOp) and expr.op == "!":
             then_g, else_g = self.cond_guards(expr.operand, env, ptrs)
             return else_g, then_g
-        if isinstance(expr, ast.BinaryOp) and expr.op == "&&":
+        if isinstance(expr, ast.BinaryOp) and expr.op in ("&&", "||"):
             lt, lf = self.cond_guards(expr.left, env, ptrs)
             rt, rf = self.cond_guards(expr.right, env, ptrs)
-            then_g = None if (lt is None or rt is None) else lt + rt
-            return then_g, ()
-        if isinstance(expr, ast.BinaryOp) and expr.op == "||":
-            lt, lf = self.cond_guards(expr.left, env, ptrs)
-            rt, rf = self.cond_guards(expr.right, env, ptrs)
-            else_g = None if (lf is None or rf is None) else lf + rf
-            return (), else_g
+            return (lt + rt, ()) if expr.op == "&&" else ((), lf + rf)
         if isinstance(expr, ast.BinaryOp) and expr.op in (
                 "<", "<=", ">", ">=", "==", "!="):
-            ltype = getattr(expr.left, "ctype", None)
-            rtype = getattr(expr.right, "ctype", None)
-            if (ltype is not None and ltype.is_float()) or (
-                    rtype is not None and rtype.is_float()):
-                return (), ()
-            left = _single_form(self.eval_int(expr.left, env, ptrs))
-            right = _single_form(self.eval_int(expr.right, env, ptrs))
+            left = _single_form(self._eval_any(expr.left, env, ptrs))
+            right = _single_form(self._eval_any(expr.right, env, ptrs))
             if left is None or right is None:
                 return (), ()
             one = AffineForm.const(1)
@@ -840,54 +854,62 @@ class _Scanner:
     def _eval_call(self, expr: ast.Call, env, ptrs) -> Alts:
         name = expr.callee
         if name in _DIM_SYMS:
-            dim = 0
+            kind, dim = _DIM_SYMS[name], 0
+            if kind in ("gid", "lid"):
+                self._reads.add(_ID)
             if expr.args:
-                arg = _single_form(self.eval_int(expr.args[0], env, ptrs))
+                arg = _single_form(self._eval(expr.args[0], env, ptrs))
                 if arg is None or not arg.is_const:
                     return _UNKNOWN
                 dim = arg.const_value
             if not 0 <= dim <= 2:
                 return _UNKNOWN
-            return ((AffineForm.sym((_DIM_SYMS[name], dim)), ()),)
-        if name == "get_global_offset":
-            for arg in expr.args:
-                self._eval_any(arg, env, ptrs)
-            return ((AffineForm.const(0), ()),)
+            return ((AffineForm.sym((kind, dim)), ()),)
+        if name == self.accessor and expr.args:
+            ptr = self._eval_pointer(expr.args[0], env, ptrs)
+            offsets = tuple(self._eval(a, env, ptrs) for a in expr.args[1:])
+            if (ptr is None or ptr.kind != "param"
+                    or ptr.offset != AffineForm.const(0)):
+                self._escape(expr.args[0], ptrs)
+            else:
+                self.modes[ptr.name].add("r")
+                self.accessor_sites.append((offsets, tuple(self.guards)))
+            return _UNKNOWN
         callee = self.functions.get(name)
         if callee is not None and callee.body is not None:
             return self._eval_user_call(expr, callee, env, ptrs)
-        return self._eval_builtin_call(expr, env, ptrs)
-
-    def _eval_builtin_call(self, expr: ast.Call, env, ptrs) -> Alts:
-        name = expr.callee
-        is_int = (getattr(expr, "ctype", None) is not None
-                  and expr.ctype.is_integer())
+        if name == "barrier":
+            self._barriers.append((expr.span, tuple(self._control)))
         args = [self._eval_any(a, env, ptrs) for a in expr.args]
-        # Any pointer reaching an unmodelled builtin (vload/vstore,
-        # async copies, atomics) demotes its root to fallback mode.
+        if name == "get_global_offset":
+            return _ZERO
+        return self._eval_builtin(name, args, expr, ptrs)
+
+    def _eval_builtin(self, name: str, args: List[Alts], expr: ast.Call,
+                      ptrs) -> Alts:
+        # Any pointer reaching an unmodelled function (vload/vstore,
+        # async copies, atomics, a prototype) demotes its root.
         for arg in expr.args:
-            actype = getattr(arg, "ctype", None)
-            if isinstance(actype, (PointerType, ArrayType)):
-                self._poison_pointer_expr(arg)
-        if not is_int:
+            if self._maybe_pointer(arg, ptrs):
+                self._escape(arg, ptrs)
+        ctype = getattr(expr, "ctype", None)
+        if ctype is None or not ctype.is_integer():
             return _UNKNOWN
-        if name in ("min", "max") and len(args) == 2:
-            a = _single_form(args[0])
-            b = _single_form(args[1])
-            if a is not None and b is not None:
-                one = AffineForm.const(1)
-                if name == "min":  # a when a<=b, b when b<a
-                    return ((a, (a - b,)), (b, (b - a + one,)))
-                return ((a, (b - a,)), (b, (a - b + one,)))
-        if name == "clamp" and len(args) == 3:
-            x = _single_form(args[0])
-            lo = _single_form(args[1])
-            hi = _single_form(args[2])
-            if x is not None and lo is not None and hi is not None:
-                one = AffineForm.const(1)
-                return ((x, (lo - x, x - hi)),
-                        (lo, (x - lo + one,)),
-                        (hi, (hi - x + one,)))
+        forms = [_single_form(a) for a in args]
+        if None in forms:
+            return _UNKNOWN
+        one = AffineForm.const(1)
+        if name == "min" and len(forms) == 2:  # a when a<=b, b when b<a
+            a, b = forms
+            return ((a, (a - b,)), (b, (b - a + one,)))
+        if name == "max" and len(forms) == 2:
+            a, b = forms
+            return ((a, (b - a,)), (b, (a - b + one,)))
+        if name == "clamp" and len(forms) == 3:
+            x, lo, hi = forms
+            return ((x, (lo - x, x - hi)),
+                    (lo, (x - lo + one,)),
+                    (hi, (hi - x + one,)))
         return _UNKNOWN
 
     def _eval_user_call(self, expr: ast.Call, callee: ast.FunctionDef,
@@ -895,44 +917,36 @@ class _Scanner:
         if callee.name in self._call_stack or \
                 len(self._call_stack) >= _MAX_CALL_DEPTH:
             for arg in expr.args:
-                actype = getattr(arg, "ctype", None)
-                if isinstance(actype, (PointerType, ArrayType)):
-                    self._poison_pointer_expr(arg)
-                else:
-                    self._eval_any(arg, env, ptrs)
+                self._eval_any(arg, env, ptrs)
+                self._escape(arg, ptrs)
             return _UNKNOWN
+        self.reached.add(callee.name)
+        self._frames += 1
+        frame = self._frames
         callee_env: Dict[str, Alts] = {}
         callee_ptrs: Dict[str, Optional[_Ptr]] = {}
         for param, arg in zip(callee.params, expr.args):
             ctype = param.declared_type
             if isinstance(ctype, (PointerType, ArrayType)):
-                ptr = self._eval_pointer(arg, env, ptrs)
-                if ptr is _NOT_POINTER or ptr is None:
-                    self._poison_pointer_expr(arg)
-                    callee_ptrs[param.name] = None
-                else:
-                    callee_ptrs[param.name] = ptr
-            elif ctype.is_integer():
-                callee_env[param.name] = self._eval_any(arg, env, ptrs)
+                callee_ptrs[param.name], reads = self._reading(
+                    self._rooted, arg, env, ptrs)
             else:
-                self._eval_any(arg, env, ptrs)
-                callee_env[param.name] = _UNKNOWN
+                value, reads = self._reading(self._eval_any, arg, env, ptrs)
+                callee_env[param.name] = value if ctype.is_integer() else _UNKNOWN
+            self._deps[(frame, param.name)] = reads
         self._call_stack.append(callee.name)
-        self._returns_stack = getattr(self, "_returns_stack", [])
         self._returns_stack.append(([], len(self.guards)))
-        try:
-            self.exec_stmt(callee.body, callee_env, callee_ptrs)
-        finally:
-            collected, depth = self._returns_stack.pop()
-            # Early returns in the callee (`if (c) return x;`) guard the
-            # *callee's* remaining statements by extending self.guards;
-            # those guards must not outlive the call, or the caller's
-            # subsequent accesses would be narrowed by them.
-            del self.guards[depth:]
-            self._call_stack.pop()
-        is_int = (getattr(expr, "ctype", None) is not None
-                  and expr.ctype.is_integer())
-        if is_int and 0 < len(collected) <= MAX_ALTS:
+        outer_frame, self._frame = self._frame, frame
+        self.exec_stmt(callee.body, callee_env, callee_ptrs)
+        self._frame = outer_frame
+        self._call_stack.pop()
+        # Early returns in the callee (`if (c) return x;`) guard the
+        # *callee's* remaining statements by extending self.guards;
+        # those guards must not outlive the call, or the caller's
+        # subsequent accesses would be narrowed by them.
+        collected, depth = self._returns_stack.pop()
+        del self.guards[depth:]
+        if callee.return_type.is_integer() and 0 < len(collected) <= MAX_ALTS:
             return tuple(collected)
         return _UNKNOWN
 
@@ -944,117 +958,80 @@ class _Scanner:
                 self.exec_stmt(child, env, ptrs)
         elif isinstance(stmt, ast.DeclStmt):
             for decl in stmt.decls:
-                self._exec_decl(decl, env, ptrs)
+                _, reads = self._reading(self._exec_decl, decl, env, ptrs)
+                self._define(decl.name, reads)
         elif isinstance(stmt, ast.ExprStmt):
             if stmt.expr is not None:
                 self._eval_any(stmt.expr, env, ptrs)
         elif isinstance(stmt, ast.IfStmt):
             self._exec_if(stmt, env, ptrs)
-        elif isinstance(stmt, ast.ForStmt):
-            self._exec_for(stmt, env, ptrs)
-        elif isinstance(stmt, ast.WhileStmt):
-            self._havoc(stmt.body, env, ptrs)
-            then_g, _else_g = self.cond_guards(stmt.condition, env, ptrs)
-            depth = len(self.guards)
-            if then_g:
-                self.guards.extend(then_g)
-            self.exec_stmt(stmt.body, env, ptrs)
-            del self.guards[depth:]
-            self._havoc(stmt.body, env, ptrs)
-        elif isinstance(stmt, ast.DoStmt):
-            self._havoc(stmt.body, env, ptrs)
-            self.exec_stmt(stmt.body, env, ptrs)
-            self.cond_guards(stmt.condition, env, ptrs)
-            self._havoc(stmt.body, env, ptrs)
+        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt, ast.DoStmt)):
+            self._exec_loop(stmt, env, ptrs)
         elif isinstance(stmt, ast.ReturnStmt):
             if stmt.value is not None:
                 value = self._eval_any(stmt.value, env, ptrs)
-                stack = getattr(self, "_returns_stack", None)
-                if stack:
-                    collected, depth = stack[-1]
+                if self._returns_stack:
+                    collected, depth = self._returns_stack[-1]
                     extra = tuple(self.guards[depth:])
-                    for f, g in value:
-                        collected.append((f, extra + g))
+                    collected.extend((f, extra + g) for f, g in value)
         elif isinstance(stmt, ast.SwitchStmt):
-            self._eval_any(stmt.subject, env, ptrs)
-            branch_envs = []
+            # Cases fall through, break early or match nothing: like a
+            # loop, what the switch assigns is unknown in every case and
+            # after it, and an `if (c) return;` narrows its case only.
+            _, reads = self._reading(self._eval_any, stmt.subject, env, ptrs)
+            self._control.append((stmt.subject.span, reads))
+            assigned = _assigned_names(stmt)
+            depth = len(self.guards)
             for case in stmt.cases:
-                case_env = dict(env)
-                case_ptrs = dict(ptrs)
+                case_env, case_ptrs = dict(env), dict(ptrs)
+                self._havoc(assigned, case_env, case_ptrs, "switch")
                 for child in case.body:
                     self.exec_stmt(child, case_env, case_ptrs)
-                branch_envs.append((case_env, case_ptrs, ()))
-            self._join_branches(env, ptrs, branch_envs)
+                del self.guards[depth:]
+            self._control.pop()
+            self._havoc(assigned, env, ptrs, "switch")
         # Break/Continue: no effect on the abstract state.
 
     def _exec_decl(self, decl: ast.VarDecl, env, ptrs) -> None:
         ctype = decl.declared_type
         if isinstance(ctype, ArrayType):
-            try:
-                elem = ctype.base_element().sizeof()
-            except TypeError:
-                elem = 1
             ptrs[decl.name] = _Ptr("array", decl.name, AffineForm.const(0),
-                                   ctype.flat_length(), elem,
-                                   decl.address_space)
+                                   ctype.flat_length())
             if decl.init is not None:
                 self._eval_any(decl.init, env, ptrs)
-            return
-        if isinstance(ctype, PointerType):
-            if decl.init is not None:
-                ptr = self._eval_pointer(decl.init, env, ptrs)
-                if ptr is _NOT_POINTER or ptr is None:
-                    self._poison_pointer_expr(decl.init)
-                    ptrs[decl.name] = None
-                else:
-                    ptrs[decl.name] = ptr
-            else:
-                ptrs[decl.name] = None
-            return
-        if decl.init is not None:
-            value = self._eval_any(decl.init, env, ptrs)
-            env[decl.name] = value if ctype.is_integer() else _UNKNOWN
+        elif isinstance(ctype, PointerType):
+            ptrs[decl.name] = (None if decl.init is None
+                               else self._rooted(decl.init, env, ptrs))
         else:
-            env[decl.name] = _UNKNOWN
+            value = (_UNKNOWN if decl.init is None
+                     else self._eval_any(decl.init, env, ptrs))
+            env[decl.name] = value if ctype.is_integer() else _UNKNOWN
 
     def _exec_if(self, stmt: ast.IfStmt, env, ptrs) -> None:
-        then_g, else_g = self.cond_guards(stmt.condition, env, ptrs)
+        guards, reads = self._reading(
+            self.cond_guards, stmt.condition, env, ptrs)
+        self._control.append((stmt.condition.span, reads))
         depth = len(self.guards)
-
-        then_env, then_ptrs = dict(env), dict(ptrs)
-        if then_g:
-            self.guards.extend(then_g)
-        self.exec_stmt(stmt.then_branch, then_env, then_ptrs)
-        del self.guards[depth:]
-
-        else_env, else_ptrs = dict(env), dict(ptrs)
-        if stmt.else_branch is not None:
-            if else_g:
-                self.guards.extend(else_g)
-            self.exec_stmt(stmt.else_branch, else_env, else_ptrs)
-            del self.guards[depth:]
-
-        # `if (cond) return;` guards the rest of the function.
-        if _always_returns(stmt.then_branch) and stmt.else_branch is None:
-            env.clear()
-            env.update(else_env)
-            ptrs.clear()
-            ptrs.update(else_ptrs)
-            if else_g:
-                self.guards.extend(else_g)
-            return
-        if stmt.else_branch is not None and _always_returns(stmt.else_branch):
-            env.clear()
-            env.update(then_env)
-            ptrs.clear()
-            ptrs.update(then_ptrs)
-            if then_g:
-                self.guards.extend(then_g)
-            return
-        self._join_branches(env, ptrs, [
-            (then_env, then_ptrs, then_g if then_g is not None else None),
-            (else_env, else_ptrs, else_g if else_g is not None else None),
-        ])
+        branches = []
+        for branch, branch_guards in zip(
+                (stmt.then_branch, stmt.else_branch), guards):
+            branch_env, branch_ptrs = dict(env), dict(ptrs)
+            if branch is not None:
+                self.guards.extend(branch_guards)
+                self.exec_stmt(branch, branch_env, branch_ptrs)
+                del self.guards[depth:]
+            branches.append((branch_env, branch_ptrs, branch_guards))
+        self._control.pop()
+        # `if (c) return;` narrows the rest of the function by !c.
+        for returning, kept in ((stmt.then_branch, branches[1]),
+                                (stmt.else_branch, branches[0])):
+            if always_returns(returning):
+                for state, kept_state in ((env, kept[0]), (ptrs, kept[1])):
+                    state.clear()
+                    state.update(kept_state)
+                self.guards.extend(kept[2])
+                return
+        self._join_branches(env, ptrs, branches)
 
     def _join_branches(self, env, ptrs, branches) -> None:
         names = set(env)
@@ -1070,21 +1047,12 @@ class _Scanner:
                     for branch_env, _bp, _g in branches):
                 joined[name] = env[name]
                 continue
-            alts: List[Alt] = []
-            ok = True
-            for branch_env, _bp, branch_guards in branches:
-                value = branch_env.get(name, _UNKNOWN)
-                extra: Guards = branch_guards if branch_guards else ()
-                if branch_guards is None:
-                    extra = ()
-                for f, g in value:
-                    alts.append((f, extra + g))
             # Collapse identical alternatives, then cap.
             seen = {}
-            for f, g in alts:
-                key = (None if f is None else f.key(), g)
-                if key not in seen:
-                    seen[key] = (f, g)
+            for branch_env, _bp, branch_guards in branches:
+                for f, g in branch_env.get(name, _UNKNOWN):
+                    g = branch_guards + g
+                    seen.setdefault((None if f is None else f.key(), g), (f, g))
             merged = tuple(seen.values())
             if len(merged) > MAX_ALTS or any(f is None for f, _ in merged):
                 joined[name] = _UNKNOWN
@@ -1092,187 +1060,189 @@ class _Scanner:
                 joined[name] = merged
         env.clear()
         env.update(joined)
-        ptr_names = set(ptrs)
-        for _be, branch_ptrs, _g in branches:
-            ptr_names |= set(branch_ptrs)
-        joined_ptrs: Dict[str, Optional[_Ptr]] = {}
-        for name in ptr_names:
-            values = [bp.get(name) for _be, bp, _g in branches]
+        # Pointers declared inside a branch are out of scope here.
+        for name, before in list(ptrs.items()):
+            values = [branch_ptrs.get(name) for _be, branch_ptrs, _g in branches]
             first = values[0]
-            same = first is not None and all(
-                v is not None and v.kind == first.kind and v.name == first.name
-                and v.offset is not None and first.offset is not None
-                and v.offset == first.offset for v in values)
-            joined_ptrs[name] = first if same else (
-                ptrs.get(name) if all(v is ptrs.get(name) for v in values)
-                else None)
-        ptrs.clear()
-        ptrs.update(joined_ptrs)
+            if all(v is before for v in values) or (first is not None and all(
+                    v is not None and (v.kind, v.name) == (first.kind, first.name)
+                    and v.offset == first.offset for v in values)):
+                ptrs[name] = first
+            else:
+                for value in values:
+                    self._lose(value)
+                ptrs[name] = None
 
-    def _havoc(self, stmt: ast.Stmt, env, ptrs) -> None:
-        for name in _assigned_names(stmt):
+    def _havoc(self, names: Set[str], env, ptrs, where: str = "loop") -> None:
+        for name in names:
             if name in ptrs:
+                self._lose(ptrs[name], f"pointer reassigned in a {where}")
                 ptrs[name] = None
             else:
                 env[name] = _UNKNOWN
 
-    def _exec_for(self, stmt: ast.ForStmt, env, ptrs) -> None:
-        induction = self._match_affine_loop(stmt, env, ptrs)
+    def _exec_loop(self, stmt, env, ptrs) -> None:
+        """``for``/``while``/``do``: everything the loop assigns is
+        unknown inside and after it, except the counter of a counting
+        ``for``, which is ``start + step * t`` inside (fresh ``t``)."""
+        init = getattr(stmt, "init", None)
+        increment = getattr(stmt, "increment", None)
+        if init is not None:
+            self.exec_stmt(init, env, ptrs)
+        in_body = _assigned_names(stmt.body)
+        assigned = in_body | _assigned_names(increment)
+        body_env, body_ptrs = dict(env), dict(ptrs)
+        self._havoc(assigned, body_env, body_ptrs)
+        counter = self._match_counter(init, increment, in_body, env,
+                                      body_env, body_ptrs)
+        if counter is not None:
+            name, start, step = counter
+            iv = ("iv", len(self.iv_loops) + 1)
+            self.iv_loops[iv] = (stmt, step)
+            body_env[name] = ((start + AffineForm.sym(iv).scale(step), ()),)
         depth = len(self.guards)
-        if induction is not None:
-            name, init, step = induction
-            iv = self._fresh_iv()
-            body_env = dict(env)
-            body_ptrs = dict(ptrs)
-            # Widen everything else the body (or increment) assigns.
-            self._havoc(stmt.body, body_env, body_ptrs)
-            symbolic = init + AffineForm.sym(iv).scale(step)
-            body_env[name] = ((symbolic, ()),)
-            if stmt.condition is not None:
-                then_g, _ = self.cond_guards(stmt.condition, body_env, body_ptrs)
-                if then_g:
-                    self.guards.extend(then_g)
-            self.exec_stmt(stmt.body, body_env, body_ptrs)
-            if stmt.increment is not None:
-                self._eval_any(stmt.increment, body_env, body_ptrs)
-            del self.guards[depth:]
-        else:
-            if stmt.init is not None:
-                self.exec_stmt(stmt.init, env, ptrs)
-            body_env = dict(env)
-            body_ptrs = dict(ptrs)
-            self._havoc(stmt.body, body_env, body_ptrs)
-            if stmt.increment is not None:
-                self._havoc(ast.ExprStmt(stmt.increment, stmt.span),
-                            body_env, body_ptrs)
-            if stmt.condition is not None:
-                then_g, _ = self.cond_guards(stmt.condition, body_env, body_ptrs)
-                if then_g:
-                    self.guards.extend(then_g)
-            self.exec_stmt(stmt.body, body_env, body_ptrs)
-            if stmt.increment is not None:
-                self._eval_any(stmt.increment, body_env, body_ptrs)
-            del self.guards[depth:]
-        # After the loop everything it may assign is unknown.
-        self._havoc(stmt.body, env, ptrs)
-        if stmt.increment is not None:
-            self._havoc(ast.ExprStmt(stmt.increment, stmt.span), env, ptrs)
-        if isinstance(stmt.init, ast.DeclStmt):
-            for decl in stmt.init.decls:
+        reads: Set = set()
+        if stmt.condition is not None:
+            (then_g, _), reads = self._reading(
+                self.cond_guards, stmt.condition, body_env, body_ptrs)
+            if not isinstance(stmt, ast.DoStmt):  # a do body runs once anyway
+                self.guards.extend(then_g)
+        self._control.append((getattr(stmt.condition, "span", None), reads))
+        self.exec_stmt(stmt.body, body_env, body_ptrs)
+        if increment is not None:
+            self._eval_any(increment, body_env, body_ptrs)
+        self._control.pop()
+        del self.guards[depth:]
+        self._havoc(assigned, env, ptrs)
+        if isinstance(init, ast.DeclStmt):
+            for decl in init.decls:
                 env.pop(decl.name, None)
-        elif stmt.init is not None:
-            self._havoc(stmt.init, env, ptrs)
+        else:
+            self._havoc(_assigned_names(init), env, ptrs)
 
-    def _match_affine_loop(self, stmt: ast.ForStmt, env, ptrs):
-        """Match ``for (i = init; cond; i += step)`` with an affine init
-        and a *uniform* step; returns (name, init_form, step_uexpr)."""
-        name = None
-        init_form = None
-        if isinstance(stmt.init, ast.DeclStmt) and len(stmt.init.decls) == 1:
-            decl = stmt.init.decls[0]
-            if decl.init is not None and not isinstance(
-                    decl.declared_type, (PointerType, ArrayType)):
-                name = decl.name
-                init_form = _single_form(self.eval_int(decl.init, env, ptrs))
-        elif isinstance(stmt.init, ast.ExprStmt) and isinstance(
-                stmt.init.expr, ast.Assignment) and stmt.init.expr.op == "=":
-            target = stmt.init.expr.target
-            if isinstance(target, ast.Identifier) and target.name not in ptrs:
-                name = target.name
-                init_form = _single_form(
-                    self.eval_int(stmt.init.expr.value, env, ptrs))
-        if name is None or init_form is None:
+    def _match_counter(self, init, increment, in_body: Set[str], env,
+                       body_env, body_ptrs):
+        """``(name, start form, uniform step)`` of ``for (i = start; …;
+        i += step)`` — ``init`` already executed into ``env`` — when the
+        start is affine, the step uniform and the body leaves ``i``
+        alone; None otherwise."""
+        if isinstance(init, ast.DeclStmt) and len(init.decls) == 1:
+            name = init.decls[0].name
+        elif (isinstance(init, ast.ExprStmt)
+                and isinstance(init.expr, ast.Assignment)
+                and init.expr.op == "="
+                and isinstance(init.expr.target, ast.Identifier)):
+            name = init.expr.target.name
+        else:
             return None
-
-        step: Optional[UExpr] = None
-        inc = stmt.increment
-        if isinstance(inc, (ast.UnaryOp, ast.PostfixOp)) and inc.op in ("++", "--"):
-            if isinstance(inc.operand, ast.Identifier) and inc.operand.name == name:
-                step = UExpr.const(1 if inc.op == "++" else -1)
-        elif isinstance(inc, ast.Assignment) and inc.op in ("+=", "-="):
-            if isinstance(inc.target, ast.Identifier) and inc.target.name == name:
-                form = _single_form(self.eval_int(inc.value, env, ptrs))
-                if form is not None and form.is_uniform:
-                    step = form.base if inc.op == "+=" else -form.base
-        if step is None:
+        start = _single_form(env.get(name, _UNKNOWN))
+        if start is None or name in in_body:
             return None
-        # The induction variable must not be re-assigned inside the body.
-        if name in _assigned_names(stmt.body):
+        target = getattr(increment, "operand", getattr(increment, "target", None))
+        if not (isinstance(target, ast.Identifier) and target.name == name):
             return None
-        return name, init_form, step
-
-
-_NOT_POINTER = object()
-
-
-def _pick_form(alts: Optional[Alts]) -> Optional[AffineForm]:
-    if alts is None:
+        if isinstance(increment, (ast.UnaryOp, ast.PostfixOp)) and \
+                increment.op in ("++", "--"):
+            return name, start, UExpr.const(1 if increment.op == "++" else -1)
+        if isinstance(increment, ast.Assignment) and increment.op in ("+=", "-="):
+            step = _single_form(self._eval(increment.value, body_env, body_ptrs))
+            if step is not None and step.is_uniform:
+                return name, start, step.base if increment.op == "+=" else -step.base
         return None
-    return _single_form(alts)
 
 
-def _assigned_names(stmt: ast.Stmt) -> Set[str]:
+def _assigned_names(node: Optional[ast.Node]) -> Set[str]:
     names: Set[str] = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Assignment) and isinstance(
-                node.target, ast.Identifier):
-            names.add(node.target.name)
-        elif isinstance(node, (ast.UnaryOp, ast.PostfixOp)) and \
-                getattr(node, "op", "") in ("++", "--"):
-            if isinstance(node.operand, ast.Identifier):
-                names.add(node.operand.name)
-        elif isinstance(node, ast.VarDecl):
-            names.add(node.name)
+    if node is None:
+        return names
+    for child in ast.walk(node):
+        if isinstance(child, ast.Assignment):
+            target = child.target
+        elif isinstance(child, (ast.UnaryOp, ast.PostfixOp)) and \
+                child.op in ("++", "--"):
+            target = child.operand
+        elif isinstance(child, ast.VarDecl):
+            names.add(child.name)
+            continue
+        else:
+            continue
+        if isinstance(target, ast.Identifier):
+            names.add(target.name)
     return names
 
 
-def _always_returns(stmt: Optional[ast.Stmt]) -> bool:
-    if stmt is None:
-        return False
+def always_returns(stmt: Optional[ast.Stmt]) -> bool:
+    """Conservatively: does every path through ``stmt`` hit a return?"""
     if isinstance(stmt, ast.ReturnStmt):
         return True
     if isinstance(stmt, ast.CompoundStmt):
-        return any(_always_returns(child) for child in stmt.statements)
+        return any(always_returns(child) for child in stmt.statements)
     if isinstance(stmt, ast.IfStmt):
-        return (stmt.else_branch is not None
-                and _always_returns(stmt.then_branch)
-                and _always_returns(stmt.else_branch))
+        return (always_returns(stmt.then_branch)
+                and always_returns(stmt.else_branch))
     if isinstance(stmt, ast.DoStmt):
-        return _always_returns(stmt.body)
+        return always_returns(stmt.body)  # body runs at least once
+    # for/while may iterate zero times; switch may match no case.
     return False
 
 
 # -- public entry ------------------------------------------------------------
 
 
-def summarize_kernel(program: ast.Program,
-                     fn: ast.FunctionDef) -> KernelSummary:
-    """Affine access summary of one kernel of a *checked* program.
+def _merge_mode(flags: Set[str]) -> str:
+    return "rw" if flags >= {"r", "w"} else "w" if "w" in flags else "r"
 
-    Never raises on kernel content: anything the scanner cannot model
-    becomes a per-parameter fallback with a reason.
-    """
-    scanner = _Scanner(program, fn)
+
+def _summarize(scanner: _Scanner, spaces=None) -> KernelSummary:
+    """Run ``scanner`` and package what it recorded; ``params`` covers
+    the pointer parameters in ``spaces`` (all of them when None)."""
+    fn = scanner.fn
     try:
         scanner.run()
     except RecursionError:
         for name in scanner.pointer_params:
             scanner._fallback(name, "analysis recursion limit")
+    # Declared access intents (jit ``/*@intent:func.param=rw*/`` markers)
+    # are taken verbatim — a declared ``rw`` on a read-only body stays
+    # ``rw``; a ``const`` pointee is read-only by declaration.
+    declared = getattr(scanner.source, "declared_intents", None) or {}
+    modes: Dict[str, str] = {}
     params: Dict[str, ParamSummary] = {}
     for name, ctype in scanner.pointer_params.items():
-        if ctype.address_space not in ("global", "constant"):
-            continue
-        try:
-            elem = ctype.pointee.sizeof()
-        except TypeError:
-            elem = 1
-        summary = ParamSummary(name, ctype.address_space, elem)
-        summary.footprints = [f for f in scanner.footprints if f.param == name]
-        if name in scanner.fallbacks:
-            summary.fallback_reason = scanner.fallbacks[name]
-        params[name] = summary
-    return KernelSummary(fn.name, params, scanner.array_sites,
-                         _parse_reqd_wg(fn))
+        modes[name] = declared.get((fn.name, name)) or (
+            "r" if ctype.is_const else _merge_mode(scanner.modes[name]))
+        if spaces is None or ctype.address_space in spaces:
+            params[name] = ParamSummary(
+                name, ctype.address_space, _elem_size(ctype.pointee),
+                [f for f in scanner.footprints if f.param == name],
+                scanner.fallbacks.get(name))
+    return KernelSummary(fn.name, params, scanner.array_sites, modes,
+                         scanner.divergent_barriers(), scanner.reached,
+                         _parse_reqd_wg(fn), scanner.accessor_sites,
+                         scanner.iv_loops)
+
+
+def summarize_kernel(program: ast.Program,
+                     fn: ast.FunctionDef) -> KernelSummary:
+    """Summary of one abstract execution of ``fn`` — a kernel, or a
+    helper the lint pass looks at on its own — within a *checked*
+    ``program``.
+
+    Never raises on kernel content: anything the scanner cannot model
+    becomes a per-parameter fallback with a reason.
+    """
+    return _summarize(
+        _Scanner(fn, program.functions, program.globals,
+                 getattr(program, "source", None)),
+        ("global", "constant"))
+
+
+def summarize_function(fn: ast.FunctionDef, accessor: str) -> KernelSummary:
+    """Summary of a free-standing, possibly *unchecked* function (a
+    MapOverlap customizing function) with its calls to ``accessor``
+    recorded in ``accessor_sites``; ``params`` has every pointer
+    parameter, whatever its address space."""
+    return _summarize(_Scanner(fn, accessor=accessor))
 
 
 _SUMMARY_ATTR = "_skelaccess_summary"
@@ -1280,6 +1250,9 @@ _SUMMARY_ATTR = "_skelaccess_summary"
 
 def cached_kernel_summary(program: ast.Program,
                           fn: ast.FunctionDef) -> KernelSummary:
+    """:func:`summarize_kernel`, once per function definition: the memo
+    lives on the AST node, which the build cache, the bound kernels and
+    the on-disk program cache all share."""
     cached = getattr(fn, _SUMMARY_ATTR, None)
     if cached is None:
         cached = summarize_kernel(program, fn)
@@ -1337,12 +1310,15 @@ class ResolvedAccess:
 
 def _concrete(form: AffineForm, env: EvalEnv):
     """(const base, {variant sym: int coeff}) with uniforms folded."""
-    base = form.base.evaluate(env.uniforms)
-    coeffs: Dict[Sym, int] = {}
-    for sym, coeff in form.terms.items():
-        value = coeff.evaluate(env.uniforms)
-        if value:
-            coeffs[sym] = value
+    try:
+        base = form.base.evaluate(env.uniforms)
+        coeffs: Dict[Sym, int] = {}
+        for sym, coeff in form.terms.items():
+            value = coeff.evaluate(env.uniforms)
+            if value:
+                coeffs[sym] = value
+    except KeyError as exc:
+        raise Unresolvable(f"unbound symbol {exc.args[0]!r}") from None
     return base, coeffs
 
 
@@ -1393,23 +1369,31 @@ def narrow_ranges(guards: Sequence[Tuple[int, Dict[Sym, int]]],
     return ranges
 
 
-def resolve_footprint(fp: Footprint, env: EvalEnv, elem_size: int,
-                      buffer_nbytes: int) -> Optional[ResolvedAccess]:
-    """Concrete byte range of one footprint under one launch.
+def bound_form(form: AffineForm, guards: Guards, env: EvalEnv,
+               drop_unbound_guards: bool = False):
+    """The values ``form`` takes under ``guards`` in ``env``: ``(lo, hi,
+    coeffs, ranges)`` — inclusive bounds, the concrete coefficient of
+    every variant symbol and the guard-narrowed symbol ranges — or None
+    when the guards are infeasible (the site never executes).
 
-    Returns None when the guards are infeasible (the access never
-    executes); raises :class:`Unresolvable` when a scalar the footprint
-    needs is not in the environment (callers fall back to whole-chunk).
+    Raises :class:`Unresolvable` when ``form`` needs a symbol ``env``
+    does not bind, and when a guard does unless ``drop_unbound_guards``
+    (dropping a guard only widens the answer).
     """
-    try:
-        base, coeffs = _concrete(fp.index, env)
-        guard_list = [_concrete(g, env) for g in fp.guards]
-    except KeyError as exc:
-        raise Unresolvable(f"unbound symbol {exc.args[0]!r}") from None
+    base, coeffs = _concrete(form, env)
     ranges = {s: _sym_range(s, env.ranges) for s in coeffs}
-    for _gb, gc in guard_list:
-        for s in gc:
-            ranges.setdefault(s, _sym_range(s, env.ranges))
+    guard_list = []
+    for guard in guards:
+        try:
+            concrete = _concrete(guard, env)
+            for s in concrete[1]:
+                if s not in ranges:
+                    ranges[s] = _sym_range(s, env.ranges)
+        except Unresolvable:
+            if not drop_unbound_guards:
+                raise
+            continue
+        guard_list.append(concrete)
     narrowed = narrow_ranges(guard_list, ranges)
     if narrowed is None:
         return None
@@ -1418,14 +1402,31 @@ def resolve_footprint(fp: Footprint, env: EvalEnv, elem_size: int,
         rlo, rhi = narrowed[sym]
         lo += min(c * rlo, c * rhi)
         hi += max(c * rlo, c * rhi)
-    # A guard of the shape `index + u <= 0` bounds the index exactly
-    # even when the box over-approximates (grid-stride loops).
+    # A guard of the shape `form + u <= 0` bounds the form exactly even
+    # when the box over-approximates (grid-stride loops).
     for gbase, gcoeffs in guard_list:
         if gcoeffs == coeffs:
-            hi = min(hi, base - gbase)  # index <= -(gbase - base)
+            hi = min(hi, base - gbase)  # form <= -(gbase - base)
         if all(gcoeffs.get(s) == -c for s, c in coeffs.items()) and \
                 len(gcoeffs) == len(coeffs):
             lo = max(lo, gbase + base)
+    if lo > hi:
+        return None
+    return lo, hi, coeffs, narrowed
+
+
+def resolve_footprint(fp: Footprint, env: EvalEnv, elem_size: int,
+                      buffer_nbytes: int) -> Optional[ResolvedAccess]:
+    """Concrete byte range of one footprint under one launch.
+
+    Returns None when the guards are infeasible (the access never
+    executes); raises :class:`Unresolvable` when a scalar the footprint
+    needs is not in the environment (callers fall back to whole-chunk).
+    """
+    bound = bound_form(fp.index, fp.guards, env)
+    if bound is None:
+        return None
+    lo, hi, coeffs, narrowed = bound
     buffer_elems = buffer_nbytes // elem_size if elem_size else 0
     lo = max(lo, 0)
     hi = min(hi, max(0, buffer_elems - 1))

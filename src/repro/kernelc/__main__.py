@@ -144,7 +144,7 @@ def _print_access_summaries(program, name: str):
         for pname, psum in summary.params.items():
             if psum.affine:
                 affine_params += 1
-                print(f"  {pname} ({psum.space}, {psum.mode}): affine")
+                print(f"  {pname} ({psum.space}, {summary.modes[pname]}): affine")
                 for fp in psum.footprints:
                     guards = "; ".join(f"{g.format()} <= 0" for g in fp.guards)
                     line = f"    {fp.mode} [{fp.index.format()}]"
@@ -153,7 +153,7 @@ def _print_access_summaries(program, name: str):
                     print(line)
             else:
                 fallback_params += 1
-                print(f"  {pname} ({psum.space}, {psum.mode}): "
+                print(f"  {pname} ({psum.space}, {summary.modes[pname]}): "
                       f"fallback — {psum.fallback_reason}")
     return affine_params, fallback_params
 

@@ -3,44 +3,45 @@
 The paper (§3.4): *"In future work, we plan to avoid boundary checks at
 runtime by statically proving that all memory accesses are in bounds,
 as it is the case in the shown example."*  This module implements that
-plan: a conservative interval analysis over the (unchecked) AST of a
-customizing function that tries to prove every ``get(m, dx[, dy])``
-offset lies within ``[-d, +d]``.
+plan as a *query* on the analysis engine (:mod:`repro.analysis.affine`):
+the engine walks the (unchecked) AST of the customizing function with
+``get`` registered as an accessor, and :func:`analyze_get_bounds` reads
+every ``get(m, dx[, dy])`` offset — and every direct access through the
+pointer parameter — back as an :class:`Interval` that must lie within
+``[-d, +d]``.
 
-The analysis is a small abstract interpretation:
-
-* integer variables are tracked as intervals ``[lo, hi]`` (or ⊤);
-* simple counting loops (``for (int i = A; i <= B; ++i)`` and the
-  ``<``/``+=`` variants with constant bounds) bind the induction
-  variable to its iteration interval;
-* both branches of an ``if`` are joined;
-* anything else (unknown assignments, general loops) conservatively
-  widens the affected variables to ⊤.
+The read-back is conservative by construction: a value is an interval
+only over the counters of the loop shapes :func:`_counting_loop` trusts
+and under the guards that can be evaluated; a scalar parameter, a
+work-item id, any other loop's counter or an unbounded one make it ⊤.
+If the pointer escapes the engine's view the proof fails outright.
 
 The proof is sound but incomplete: a success means the generated
 ``get`` accessor can skip its runtime range check (the MapOverlap
-codegen then inlines it as a bare tile access); a failure keeps the
-checked path.
+codegen then inlines it as a bare tile access) and the staged halo can
+shrink to the proven reach; a failure keeps the checked path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from ..analysis import affine
 from . import ast
+from .ctypes_ import PointerType
 
 _UNBOUNDED = (float("-inf"), float("inf"))
+
+#: No launch to evaluate against: uniform symbols stay unbound, only
+#: induction symbols have a range.
+_NO_LAUNCH = affine.EvalEnv({}, {})
 
 
 @dataclass(frozen=True)
 class Interval:
     lo: float
     hi: float
-
-    @staticmethod
-    def const(value: int) -> "Interval":
-        return Interval(value, value)
 
     @staticmethod
     def top() -> "Interval":
@@ -53,40 +54,8 @@ class Interval:
     def join(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        if self.is_top or other.is_top:
-            # inf*0 would be NaN; stay conservative.
-            return Interval.top()
-        corners = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
-        return Interval(min(corners), max(corners))
-
     def within(self, lo: int, hi: int) -> bool:
         return lo <= self.lo and self.hi <= hi
-
-
-class _Env:
-    def __init__(self, parent: Optional[Dict[str, Interval]] = None):
-        self.values: Dict[str, Interval] = dict(parent) if parent else {}
-
-    def copy(self) -> "_Env":
-        return _Env(self.values)
-
-    def join(self, other: "_Env") -> "_Env":
-        joined = _Env()
-        for name in set(self.values) | set(other.values):
-            a = self.values.get(name, Interval.top())
-            b = other.values.get(name, Interval.top())
-            joined.values[name] = a.join(b)
-        return joined
 
 
 @dataclass
@@ -98,294 +67,108 @@ class BoundsProof:
     reason: str = ""
 
 
-class _Analyzer:
-    """Walks the customizing function, collecting get() offset intervals.
+def _counting_loop(loop: ast.ForStmt, step: affine.UExpr) -> bool:
+    """The loops whose counter the elision licence trusts: ``for (T i =
+    A; i < B; i += c)`` (or ``<=``) with a constant ``c > 0``.
 
-    When ``pointer_name`` is set, *direct* accesses through that pointer
-    parameter (``v[i]``, ``*v``, ``*(v + i)``) are collected too — a
-    customizing function is free to bypass the accessor, and a proof
-    that ignored those accesses could not justify shrinking the staged
-    halo."""
+    The engine matches more (descending and pre-declared counters, any
+    affine condition), but its forms ignore integer wrap-around — fine
+    for a race report or a lint, not for compiling a runtime check out:
+    ``for (uint i = 2; i >= 0; --i)`` never leaves the loop.  An
+    ascending counter declared in the loop header stops at its bound
+    before it can wrap."""
+    condition = loop.condition
+    return (isinstance(loop.init, ast.DeclStmt)
+            and step.is_const and step.const_value > 0
+            and isinstance(condition, ast.BinaryOp)
+            and condition.op in ("<", "<=")
+            and isinstance(condition.left, ast.Identifier)
+            and condition.left.name == loop.init.decls[0].name)
 
-    def __init__(self, accessor_name: str = "get",
-                 pointer_name: Optional[str] = None):
-        self.accessor_name = accessor_name
-        self.pointer_name = pointer_name
-        self.accesses: List[Tuple[Interval, ...]] = []
-        # Identifier nodes (by id) consumed by a recognized access
-        # pattern; any *other* occurrence of the tracked pointer —
-        # copied into a local, passed to a helper, address arithmetic
-        # we don't model — escapes the analysis and poisons the proof.
-        self._sanctioned: set = set()
-        self.pointer_escaped = False
 
-    # -- expression intervals ----------------------------------------------
-
-    def eval(self, expr: ast.Expr, env: _Env) -> Interval:
-        if isinstance(expr, ast.IntLiteral):
-            return Interval.const(expr.value)
-        if isinstance(expr, ast.CharLiteral):
-            return Interval.const(expr.value)
-        if isinstance(expr, ast.Identifier):
-            return env.values.get(expr.name, Interval.top())
-        if isinstance(expr, ast.UnaryOp):
-            if expr.op == "-":
-                return -self.eval(expr.operand, env)
-            if expr.op == "+":
-                return self.eval(expr.operand, env)
-            return Interval.top()
-        if isinstance(expr, ast.BinaryOp):
-            left = self.eval(expr.left, env)
-            right = self.eval(expr.right, env)
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            if expr.op == "*":
-                return left * right
-            return Interval.top()
-        if isinstance(expr, ast.Conditional):
-            return self.eval(expr.then_expr, env).join(self.eval(expr.else_expr, env))
-        if isinstance(expr, ast.Cast):
-            return self.eval(expr.operand, env)
+def _form_interval(form: affine.AffineForm, guards: affine.Guards,
+                   trusted) -> Optional[Interval]:
+    """The values ``form`` takes over the trusted induction symbols under
+    ``guards``; None when the guards exclude every value.  Anything
+    else in the form (a scalar parameter, a work-item id, the counter
+    of an untrusted loop, an unbounded counter) makes it ⊤; a guard
+    over anything else is dropped, which only widens."""
+    if not trusted.issuperset(form.terms):
         return Interval.top()
-
-    # -- collecting get() accesses everywhere in an expression ----------------
-
-    def scan_expr(self, expr: Optional[ast.Expr], env: _Env) -> None:
-        if expr is None:
-            return
-        for node in ast.walk(expr):
-            self.visit_expr(node, env)
-
-    def visit_expr(self, node: ast.Expr, env: _Env) -> None:
-        """Hook called once per expression node with the interval
-        environment of its program point.  The base analyzer collects
-        accessor-call offsets; subclasses (the lint pass's out-of-bounds
-        rule) override it to inspect other node kinds with the same
-        flow-sensitive intervals."""
-        if isinstance(node, ast.Call) and node.callee == self.accessor_name:
-            if node.args:
-                self._sanction(node.args[0])
-            offsets = tuple(self.eval(arg, env) for arg in node.args[1:])
-            self.accesses.append(offsets)
-        elif self.pointer_name is not None:
-            offset = self._direct_pointer_offset(node, env)
-            if offset is not None:
-                self.accesses.append((offset,))
-            elif (isinstance(node, ast.Identifier)
-                    and node.name == self.pointer_name
-                    and id(node) not in self._sanctioned):
-                # The walk is pre-order, so a recognized pattern
-                # sanctions its identifier before the identifier itself
-                # is visited; an unsanctioned occurrence means the
-                # pointer is used in a way this analysis cannot see.
-                self.pointer_escaped = True
-
-    def _sanction(self, node: ast.Expr) -> None:
-        while isinstance(node, ast.Cast):
-            node = node.operand
-        if isinstance(node, ast.Identifier):
-            self._sanctioned.add(id(node))
-
-    def _direct_pointer_offset(self, node: ast.Expr,
-                               env: _Env) -> Optional[Interval]:
-        """Offset interval of a direct access through the tracked
-        pointer parameter, or ``None`` when ``node`` is not one."""
-        name = self.pointer_name
-        if (isinstance(node, ast.Index)
-                and isinstance(node.base, ast.Identifier)
-                and node.base.name == name):
-            self._sanctioned.add(id(node.base))
-            return self.eval(node.index, env)
-        if isinstance(node, ast.UnaryOp) and node.op == "*":
-            target = node.operand
-            while isinstance(target, ast.Cast):
-                target = target.operand
-            if isinstance(target, ast.Identifier) and target.name == name:
-                self._sanctioned.add(id(target))
-                return Interval.const(0)
-            if (isinstance(target, ast.BinaryOp) and target.op in ("+", "-")
-                    and isinstance(target.left, ast.Identifier)
-                    and target.left.name == name):
-                delta = self.eval(target.right, env)
-                self._sanctioned.add(id(target.left))
-                return -delta if target.op == "-" else delta
+    guards = tuple(g for g in guards if trusted.issuperset(g.terms))
+    try:
+        bound = affine.bound_form(form, guards, _NO_LAUNCH,
+                                  drop_unbound_guards=True)
+    except affine.Unresolvable:
+        return Interval.top()
+    if bound is None:
         return None
-
-    # -- statements ------------------------------------------------------------
-
-    def exec_stmt(self, stmt: ast.Stmt, env: _Env) -> _Env:
-        if isinstance(stmt, ast.CompoundStmt):
-            for child in stmt.statements:
-                env = self.exec_stmt(child, env)
-            return env
-        if isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.decls:
-                if decl.init is not None:
-                    self.scan_expr(decl.init, env)
-                    env.values[decl.name] = self.eval(decl.init, env)
-                else:
-                    env.values[decl.name] = Interval.top()
-            return env
-        if isinstance(stmt, ast.ExprStmt):
-            self.scan_expr(stmt.expr, env)
-            return self._apply_assignments(stmt.expr, env)
-        if isinstance(stmt, ast.IfStmt):
-            self.scan_expr(stmt.condition, env)
-            then_env = self.exec_stmt(stmt.then_branch, env.copy())
-            else_env = self.exec_stmt(stmt.else_branch, env.copy()) if stmt.else_branch else env.copy()
-            return then_env.join(else_env)
-        if isinstance(stmt, ast.ForStmt):
-            return self._exec_for(stmt, env)
-        if isinstance(stmt, (ast.WhileStmt, ast.DoStmt)):
-            body = stmt.body
-            self._havoc_assigned(body, env)
-            self.scan_expr(stmt.condition, env)
-            self.exec_stmt(body, env.copy())
-            return env
-        if isinstance(stmt, ast.ReturnStmt):
-            self.scan_expr(stmt.value, env)
-            return env
-        if isinstance(stmt, (ast.BreakStmt, ast.ContinueStmt)):
-            return env
-        if isinstance(stmt, ast.SwitchStmt):
-            self.scan_expr(stmt.subject, env)
-            joined = env.copy()
-            for case in stmt.cases:
-                case_env = env.copy()
-                for child in case.body:
-                    case_env = self.exec_stmt(child, case_env)
-                joined = joined.join(case_env)
-            return joined
-        return env  # pragma: no cover
-
-    def _apply_assignments(self, expr: Optional[ast.Expr], env: _Env) -> _Env:
-        if expr is None:
-            return env
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Assignment) and isinstance(node.target, ast.Identifier):
-                if node.op == "=":
-                    env.values[node.target.name] = self.eval(node.value, env)
-                else:
-                    env.values[node.target.name] = Interval.top()
-            elif isinstance(node, (ast.UnaryOp, ast.PostfixOp)) and getattr(node, "op", "") in ("++", "--"):
-                operand = node.operand
-                if isinstance(operand, ast.Identifier):
-                    env.values[operand.name] = Interval.top()
-        return env
-
-    def _havoc_assigned(self, stmt: ast.Stmt, env: _Env) -> None:
-        """Widen every variable the statement may modify to ⊤."""
-        for node in ast.walk(stmt):
-            target = None
-            if isinstance(node, ast.Assignment) and isinstance(node.target, ast.Identifier):
-                target = node.target.name
-            elif isinstance(node, (ast.UnaryOp, ast.PostfixOp)) and getattr(node, "op", "") in ("++", "--"):
-                if isinstance(node.operand, ast.Identifier):
-                    target = node.operand.name
-            if target is not None:
-                env.values[target] = Interval.top()
-
-    def _exec_for(self, stmt: ast.ForStmt, env: _Env) -> _Env:
-        induction = self._match_counting_loop(stmt, env)
-        body_env = env.copy()
-        if induction is not None:
-            name, interval = induction
-            body_env.values[name] = interval
-            # Widen everything else the body modifies.
-            saved = body_env.values.get(name)
-            self._havoc_assigned(stmt.body, body_env)
-            body_env.values[name] = saved
-        else:
-            if stmt.init is not None:
-                body_env = self.exec_stmt(stmt.init, body_env)
-            self._havoc_assigned(stmt.body, body_env)
-            if stmt.increment is not None:
-                self._havoc_assigned(ast.ExprStmt(stmt.increment, stmt.span), body_env)
-        self.scan_expr(stmt.condition, body_env)
-        self.exec_stmt(stmt.body, body_env)
-        if stmt.increment is not None:
-            self.scan_expr(stmt.increment, body_env)
-        # After the loop, the induction variable is out of scope (it was
-        # declared in the init) or unknown.
-        return env
-
-    def _match_counting_loop(self, stmt: ast.ForStmt, env: _Env) -> Optional[Tuple[str, Interval]]:
-        """Match ``for (int i = A; i </<= B; ++i / i += c)`` patterns."""
-        if not isinstance(stmt.init, ast.DeclStmt) or len(stmt.init.decls) != 1:
-            return None
-        decl = stmt.init.decls[0]
-        if decl.init is None:
-            return None
-        start = self.eval(decl.init, env)
-        if start.is_top:
-            return None
-        name = decl.name
-
-        condition = stmt.condition
-        if not isinstance(condition, ast.BinaryOp) or condition.op not in ("<", "<="):
-            return None
-        if not (isinstance(condition.left, ast.Identifier) and condition.left.name == name):
-            return None
-        bound = self.eval(condition.right, env)
-        if bound.is_top:
-            return None
-        upper = bound.hi if condition.op == "<=" else bound.hi - 1
-
-        increment = stmt.increment
-        ascending = False
-        if isinstance(increment, (ast.UnaryOp, ast.PostfixOp)) and increment.op == "++":
-            operand = increment.operand
-            ascending = isinstance(operand, ast.Identifier) and operand.name == name
-        elif isinstance(increment, ast.Assignment) and increment.op == "+=":
-            if isinstance(increment.target, ast.Identifier) and increment.target.name == name:
-                step = self.eval(increment.value, env)
-                ascending = not step.is_top and step.lo >= 1
-        if not ascending:
-            return None
-        return name, Interval(start.lo, max(start.lo, upper))
+    lo, hi, coeffs, ranges = bound
+    if any(ranges[sym][1] >= affine.IV_LIMIT for sym in coeffs):
+        return Interval.top()
+    return Interval(lo, hi)
 
 
-# Public names for reuse outside MapOverlap codegen (the lint pass and
-# the interval-lattice property tests build on the same engine).
-IntervalAnalyzer = _Analyzer
-IntervalEnv = _Env
+def _interval(alts: affine.Alts, guards: affine.Guards,
+              trusted) -> Optional[Interval]:
+    """Join of :func:`_form_interval` over guarded alternatives."""
+    joined = None
+    for form, alt_guards in alts:
+        if form is None:
+            return Interval.top()
+        interval = _form_interval(form, guards + alt_guards, trusted)
+        if interval is not None:
+            joined = interval if joined is None else joined.join(interval)
+    return joined
 
 
 def analyze_get_bounds(function: ast.FunctionDef, overlap: int,
                        accessor_name: str = "get") -> BoundsProof:
     """Try to prove all neighbourhood accesses of ``function`` — ``get``
     offsets plus direct indexing through the pointer parameter — lie in
-    [-d, d]."""
-    from .ctypes_ import PointerType
-
-    pointer_name = None
-    if function.params and isinstance(function.params[0].declared_type, PointerType):
-        pointer_name = function.params[0].name
-    analyzer = _Analyzer(accessor_name, pointer_name)
-    env = _Env()
-    if function.body is not None:
-        analyzer.exec_stmt(function.body, env)
-    if analyzer.pointer_escaped:
-        # The pointer was copied, passed to a helper, or otherwise used
-        # outside the recognized access patterns; accesses through the
-        # alias are invisible, so the proof cannot justify eliding
-        # checks or shrinking the staged halo.
+    [-d, d].  ``function`` may be unchecked (MapOverlap decides between
+    the checked and the unchecked accessor before the kernel exists)."""
+    summary = affine.summarize_function(function, accessor_name)
+    trusted = {iv for iv, (loop, step) in summary.iv_loops.items()
+               if _counting_loop(loop, step)}
+    accesses: List[Tuple[Interval, ...]] = []
+    for offsets, guards in summary.accessor_sites:
+        intervals = tuple(_interval(alts, guards, trusted) for alts in offsets)
+        if None not in intervals:  # else: never executes
+            accesses.append(intervals)
+    escape = None
+    for param in summary.params.values():
+        escape = escape or param.fallback_reason
+        for fp in param.footprints:
+            interval = _form_interval(fp.index, fp.guards, trusted)
+            if interval is not None:
+                accesses.append((interval,))
+    if escape is None and any(
+            isinstance(node, ast.VarDecl)
+            and isinstance(node.declared_type, PointerType)
+            for node in ast.walk(function)):
+        # Policy, not soundness (the engine roots such copies): a
+        # customizing function that aliases its neighbourhood keeps the
+        # checked accessor and the declared halo, as tests/analysis and
+        # tests/kernelc pin it.
+        escape = "copied into a local pointer"
+    if escape is not None:
+        # Otherwise: the pointer was passed to a helper, aliased through
+        # something the walk cannot root, or indexed by a value it cannot
+        # bound — accesses through it are invisible, so the proof cannot
+        # justify eliding checks or shrinking the staged halo.
+        name = next(iter(summary.params), None)
         return BoundsProof(
-            False,
-            analyzer.accesses,
-            f"pointer parameter {pointer_name!r} escapes the tracked "
-            f"access patterns",
-        )
-    if not analyzer.accesses:
+            False, accesses,
+            f"pointer parameter {name!r} escapes the tracked access "
+            f"patterns ({escape})")
+    if not accesses:
         return BoundsProof(True, [], "no get() accesses")
-    for offsets in analyzer.accesses:
+    for offsets in accesses:
         for interval in offsets:
             if not interval.within(-overlap, overlap):
                 return BoundsProof(
-                    False,
-                    analyzer.accesses,
-                    f"offset interval [{interval.lo}, {interval.hi}] may exceed ±{overlap}",
-                )
-    return BoundsProof(True, analyzer.accesses, "all offsets within range")
+                    False, accesses,
+                    f"offset interval [{interval.lo}, {interval.hi}] may "
+                    f"exceed ±{overlap}")
+    return BoundsProof(True, accesses, "all offsets within range")

@@ -5,6 +5,13 @@ annotations present) and reports through the same
 :class:`~repro.kernelc.diagnostics.DiagnosticSink` machinery as the rest
 of the front-end, so findings render with carets like compile errors.
 
+The flow-sensitive rules (``barrier-divergence``, ``constant-index-oob``,
+``symbolic-oob``, ``uncoalesced-access``, ``strided-global-read``) are
+queries on the SkelAccess summary of each kernel
+(:mod:`repro.analysis.affine` — the one abstract interpreter; helper
+functions are walked inline, in their callers' context, and on their
+own only when no kernel reaches them).  The rest are plain AST scans.
+
 Rule catalogue (see ``docs/analysis.md``):
 
 ========================  ========  =================================================
@@ -12,15 +19,16 @@ rule                      severity  fires when
 ========================  ========  =================================================
 barrier-divergence        warning   ``barrier()`` inside control flow whose condition
                                     depends on ``get_global_id``/``get_local_id`` —
+                                    directly, through locals or through helper calls;
                                     work-items may disagree on reaching it (UB on GPUs)
-constant-index-oob        error     an index into a fixed-size array is *provably*
-                                    out of bounds (interval analysis, the same engine
-                                    as ``boundcheck``)
-symbolic-oob              error     the affine access analysis (SkelAccess) finds a
+constant-index-oob        error     an index into a fixed-size array evaluates to a
+                                    constant outside ``[0, length)`` and its guards
+                                    are not provably infeasible
+symbolic-oob              error     a varying index into a fixed-size array has a
                                     *witness work-item* — guaranteed to exist for any
-                                    launch honouring ``reqd_work_group_size`` — whose
-                                    index into a fixed-size array is out of bounds
-                                    with every guard on the access satisfied
+                                    launch honouring ``reqd_work_group_size`` — that
+                                    satisfies every guard on the access and is out of
+                                    bounds
 unused-binding            warning   a parameter or local variable is never read
 write-to-constant         error     a store through ``__constant`` memory
 missing-return            warning   a non-void function may fall off the end
@@ -45,18 +53,13 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Set
 
-from . import ast, boundcheck
-from .ctypes_ import ArrayType, PointerType
+from ..analysis import affine
+from . import ast
+from .ctypes_ import PointerType
 from .diagnostics import Diagnostic, DiagnosticSink
-from .source import Span
 
 _ALLOW_RE = re.compile(r"skelcl-lint:\s*allow\(([a-z0-9-]+)\)")
 _RULE_RE = re.compile(r"\[([a-z0-9-]+)\]\s*$")
-
-# Builtins whose value differs between work-items: control flow keyed on
-# them is divergent.  get_group_id/get_num_groups/get_*_size are uniform
-# across a work-group, which is all barrier semantics needs.
-_DIVERGENT_BUILTINS = {"get_global_id", "get_local_id"}
 
 
 def lint_program(program: ast.Program,
@@ -66,16 +69,27 @@ def lint_program(program: ast.Program,
     if sink is None:
         sink = DiagnosticSink(getattr(program, "source", None))
     before = len(sink.diagnostics)
+    # The flow-sensitive rules are queries on the SkelAccess summaries:
+    # one per kernel (helpers are walked inline, in their callers'
+    # context) plus one per helper no kernel reaches.
+    summaries = {fn.name: affine.cached_kernel_summary(program, fn)
+                 for fn in program.kernels()}
+    reached = set().union(*(s.reached for s in summaries.values()))
+    seen: Set[int] = set()  # array sites already reported (shared helpers)
     for fn in program.functions:
         if fn.body is None:
             continue
-        _check_barrier_divergence(fn, sink)
-        _check_constant_index_oob(fn, sink)
+        summary = summaries.get(fn.name)
+        if summary is None and fn.name not in reached:
+            summary = affine.cached_kernel_summary(program, fn)
+        if summary is not None:
+            _check_barrier_divergence(summary, sink)
+            _check_array_bounds(summary, sink, seen)
         _check_unused_bindings(fn, sink)
         _check_write_to_constant(fn, sink)
         _check_missing_return(fn, sink)
         if fn.is_kernel:
-            _check_access_footprints(program, fn, sink)
+            _check_coalescing(summary, sink)
     _apply_suppressions(program, sink, before)
     return sink.diagnostics[before:]
 
@@ -106,123 +120,16 @@ def _apply_suppressions(program: ast.Program, sink: DiagnosticSink,
 # -- rule: barrier-divergence ------------------------------------------------
 
 
-def _expr_divergent(expr: Optional[ast.Expr], tainted: Set[str]) -> bool:
-    if expr is None:
-        return False
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Call) and node.callee in _DIVERGENT_BUILTINS:
-            return True
-        if isinstance(node, ast.Identifier) and node.name in tainted:
-            return True
-    return False
-
-
-def _tainted_vars(fn: ast.FunctionDef) -> Set[str]:
-    """Variables whose value (transitively) depends on a work-item id.
-
-    Flow-insensitive fixpoint: sound for the warning's purpose — it may
-    over-taint a name that is later reassigned uniformly, never the
-    reverse."""
-    tainted: Set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for node in ast.walk(fn.body):
-            name = rhs = None
-            if isinstance(node, ast.Assignment) and isinstance(node.target, ast.Identifier):
-                name, rhs = node.target.name, node.value
-            elif isinstance(node, ast.VarDecl) and node.init is not None:
-                name, rhs = node.name, node.init
-            if name is not None and name not in tainted and _expr_divergent(rhs, tainted):
-                tainted.add(name)
-                changed = True
-    return tainted
-
-
-def _check_barrier_divergence(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
-    if not getattr(fn, "uses_barrier", False):
-        return
-    tainted = _tainted_vars(fn)
-
-    def visit(stmt: ast.Stmt, divergent_at: Optional[Span]) -> None:
-        if isinstance(stmt, ast.CompoundStmt):
-            for child in stmt.statements:
-                visit(child, divergent_at)
-        elif isinstance(stmt, ast.IfStmt):
-            here = divergent_at
-            if here is None and _expr_divergent(stmt.condition, tainted):
-                here = stmt.condition.span
-            visit(stmt.then_branch, here)
-            if stmt.else_branch is not None:
-                visit(stmt.else_branch, here)
-        elif isinstance(stmt, (ast.ForStmt, ast.WhileStmt, ast.DoStmt)):
-            here = divergent_at
-            if here is None and _expr_divergent(stmt.condition, tainted):
-                here = stmt.condition.span
-            visit(stmt.body, here)
-        elif isinstance(stmt, ast.SwitchStmt):
-            here = divergent_at
-            if here is None and _expr_divergent(stmt.subject, tainted):
-                here = stmt.subject.span
-            for case in stmt.cases:
-                for child in case.body:
-                    visit(child, here)
-        elif isinstance(stmt, ast.ExprStmt) and stmt.expr is not None:
-            if divergent_at is None:
-                return
-            for node in ast.walk(stmt.expr):
-                if isinstance(node, ast.Call) and node.callee == "barrier":
-                    sink.warning(
-                        "barrier() inside control flow that diverges across "
-                        "work-items (condition at "
-                        f"{divergent_at.start}) — work-items taking different "
-                        "paths deadlock or corrupt local memory on real GPUs "
-                        "[barrier-divergence]",
-                        node.span,
-                    )
-
-    visit(fn.body, None)
-
-
-# -- rule: constant-index-oob ------------------------------------------------
-
-
-class _OobScanner(boundcheck.IntervalAnalyzer):
-    """Reuses the boundcheck interval engine to prove indices OOB.
-
-    Only *definite* violations are reported: the index interval is known
-    (not ⊤) and lies entirely outside ``[0, length)``, so every
-    execution reaching the access is out of bounds."""
-
-    def __init__(self, sink: DiagnosticSink):
-        super().__init__()
-        self.sink = sink
-        self._reported: Set[int] = set()
-
-    def visit_expr(self, node: ast.Expr, env) -> None:
-        super().visit_expr(node, env)
-        if not isinstance(node, ast.Index) or id(node) in self._reported:
-            return
-        base_type = getattr(node.base, "ctype", None)
-        if not isinstance(base_type, ArrayType):
-            return
-        interval = self.eval(node.index, env)
-        if interval.is_top:
-            return
-        if interval.hi < 0 or interval.lo >= base_type.length:
-            self._reported.add(id(node))
-            shown = (f"{int(interval.lo)}" if interval.lo == interval.hi
-                     else f"[{int(interval.lo)}, {int(interval.hi)}]")
-            self.sink.error(
-                f"index {shown} is out of bounds for array of length "
-                f"{base_type.length} [constant-index-oob]",
-                node.span,
-            )
-
-
-def _check_constant_index_oob(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
-    scanner = _OobScanner(sink)
-    scanner.exec_stmt(fn.body, boundcheck.IntervalEnv())
+def _check_barrier_divergence(summary, sink: DiagnosticSink) -> None:
+    for span, condition_span in summary.divergent_barriers:
+        sink.warning(
+            "barrier() inside control flow that diverges across "
+            "work-items (condition at "
+            f"{condition_span.start}) — work-items taking different "
+            "paths deadlock or corrupt local memory on real GPUs "
+            "[barrier-divergence]",
+            span,
+        )
 
 
 # -- rule: unused-binding ----------------------------------------------------
@@ -287,28 +194,10 @@ def _check_write_to_constant(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
 # -- rule: missing-return ----------------------------------------------------
 
 
-def _always_returns(stmt: Optional[ast.Stmt]) -> bool:
-    """Conservatively: does every path through ``stmt`` hit a return?"""
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.ReturnStmt):
-        return True
-    if isinstance(stmt, ast.CompoundStmt):
-        return any(_always_returns(child) for child in stmt.statements)
-    if isinstance(stmt, ast.IfStmt):
-        return (stmt.else_branch is not None
-                and _always_returns(stmt.then_branch)
-                and _always_returns(stmt.else_branch))
-    if isinstance(stmt, ast.DoStmt):
-        return _always_returns(stmt.body)  # body runs at least once
-    # for/while may iterate zero times; switch may match no case.
-    return False
-
-
 def _check_missing_return(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
     if fn.return_type.is_void() or fn.is_kernel:
         return
-    if not _always_returns(fn.body):
+    if not affine.always_returns(fn.body):
         sink.warning(
             f"{fn.name}() returns {fn.return_type} but may fall off the end "
             f"without a return value [missing-return]",
@@ -316,55 +205,34 @@ def _check_missing_return(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
         )
 
 
-# -- rules: symbolic-oob / uncoalesced-access / strided-global-read ----------
+# -- rules: constant-index-oob / symbolic-oob ---------------------------------
 #
-# Both build on the SkelAccess affine summary (repro.analysis.affine):
-# symbolic-oob searches for a concrete *witness work-item* whose array
-# index provably escapes the bounds, uncoalesced-access/strided-global-
-# read look at the per-work-item stride of each __global footprint.
-
-#: Coalescing threshold: an element stride of +-1 (or 0, a broadcast)
-#: between lane-adjacent work-items coalesces into one DRAM burst;
-#: anything wider — or symbolic — splits the warp's accesses.
-_COALESCE_MAX_STRIDE = 1
+# One pass over the fixed-size-array sites of the summary.  Only
+# *definite* violations are reported.  A constant index outside
+# ``[0, length)`` is wrong on every execution that reaches it
+# (constant-index-oob).  For an index that varies, symbolic-oob searches
+# for a concrete *witness work-item* — guaranteed to exist for any
+# launch honouring ``reqd_work_group_size`` — that satisfies every guard
+# on the access and lands out of bounds.
 
 _MAX_WITNESS_SYMS = 6
 
 
-def _check_access_footprints(program: ast.Program, fn: ast.FunctionDef,
-                             sink: DiagnosticSink) -> None:
-    from ..analysis import affine
-
-    try:
-        summary = affine.cached_kernel_summary(program, fn)
-    except Exception:
-        return  # the lint pass must never break a build
-    _check_symbolic_oob(summary, sink)
-    _check_coalescing(summary, sink)
-
-
-def _witness_ranges(summary) -> dict:
-    """Variant-symbol ranges every conforming launch is guaranteed to
-    attain: work-item (0,..,0) always exists; with a
-    ``reqd_work_group_size`` attribute the whole first group does (the
-    NDRange API enforces that local sizes divide global sizes)."""
+def _witness_env(summary) -> affine.EvalEnv:
+    """What every conforming launch is guaranteed to attain: work-item
+    (0,..,0) always exists; with a ``reqd_work_group_size`` attribute
+    the whole first group does (the NDRange API enforces that local
+    sizes divide global sizes), and the local sizes are known."""
     reqd = summary.reqd_wg or (1, 1, 1)
-    ranges = {}
+    uniforms, ranges = {}, {}
     for d in range(3):
+        if summary.reqd_wg is not None:
+            uniforms[("lsize", d)] = reqd[d]
         limit = max(0, reqd[d] - 1)
         ranges[("gid", d)] = (0, limit)
         ranges[("lid", d)] = (0, limit)
         ranges[("grp", d)] = (0, 0)
-    return ranges
-
-
-def _witness_uniforms(summary) -> dict:
-    uniforms = {}
-    reqd = summary.reqd_wg
-    if reqd is not None:
-        for d in range(3):
-            uniforms[("lsize", d)] = reqd[d]
-    return uniforms
+    return affine.EvalEnv(uniforms, ranges)
 
 
 def _corners(ranges: dict, syms: list) -> list:
@@ -376,55 +244,78 @@ def _corners(ranges: dict, syms: list) -> list:
     return points
 
 
-def _check_symbolic_oob(summary, sink: DiagnosticSink) -> None:
-    from ..analysis import affine
-
-    env = affine.EvalEnv(_witness_uniforms(summary), _witness_ranges(summary))
-    reported: Set[int] = set()
+def _check_array_bounds(summary, sink: DiagnosticSink, seen: Set[int]) -> None:
+    witness = _witness_env(summary)
+    anywhere = affine.EvalEnv(
+        witness.uniforms, dict.fromkeys(witness.ranges, (0, affine.IV_LIMIT)))
     for site in summary.array_sites:
-        if site.index is None or id(site.span) in reported:
+        if site.index is None or id(site.span) in seen:
             continue
         try:
-            base, coeffs = affine._concrete(site.index, env)
-            guards = [affine._concrete(g, env) for g in site.guards]
-        except KeyError:
+            bound = affine.bound_form(site.index, site.guards, anywhere,
+                                      drop_unbound_guards=True)
+        except affine.Unresolvable:
             continue  # references a scalar parameter: not definite
-        if not coeffs:
-            continue  # constant index: constant-index-oob's territory
-        syms = sorted(set(coeffs) | {s for _b, gc in guards for s in gc})
-        if len(syms) > _MAX_WITNESS_SYMS or any(
-                s not in env.ranges and s[0] != "iv" for s in syms):
-            continue
-        # An induction symbol is pinned to iteration 0 below, which
-        # presumes the loop body executes at least once.  That is only
-        # justified when some captured guard constrains the symbol (an
-        # affine loop condition); a guard-free iv comes from a loop the
-        # analysis could not model, which may run zero times — no
-        # definite witness exists there.
-        guarded = {s for _b, gc in guards for s in gc}
-        if any(s[0] == "iv" and s not in guarded for s in coeffs):
-            continue
-        ranges = {s: (0, 0) if s[0] == "iv" else env.ranges[s] for s in syms}
-        narrowed = affine.narrow_ranges(guards, ranges)
-        if narrowed is None:
-            continue  # guards infeasible over the witness domain
-        for point in _corners(narrowed, syms):
-            if any(gb + sum(gc.get(s, 0) * v for s, v in point.items()) > 0
-                   for gb, gc in guards):
-                continue
-            index = base + sum(coeffs.get(s, 0) * v for s, v in point.items())
-            if index < 0 or index >= site.length:
-                reported.add(id(site.span))
-                witness = ", ".join(
-                    f"{affine._format_sym(s)}={v}" for s, v in point.items())
-                sink.error(
-                    f"index {site.index.format()} = {index} is out of "
+        if bound is None:
+            continue  # provably never reached
+        index, _, coeffs, _ = bound
+        if coeffs:
+            message = _symbolic_oob(site, witness)
+        elif 0 <= index < site.length:
+            message = None
+        else:
+            message = (f"index {index} is out of bounds for array of length "
+                       f"{site.length} [constant-index-oob]")
+        if message is not None:
+            seen.add(id(site.span))
+            sink.error(message, site.span)
+
+
+def _symbolic_oob(site, witness: affine.EvalEnv) -> Optional[str]:
+    guarded = {s for guard in site.guards for s in guard.terms}
+    # An induction symbol is pinned to iteration 0 below, which
+    # presumes the loop body executes at least once.  That is only
+    # justified when some captured guard constrains the symbol (an
+    # affine loop condition); a guard-free iv comes from a loop the
+    # analysis could not model, which may run zero times — no
+    # definite witness exists there.
+    if any(s[0] == "iv" and s not in guarded for s in site.index.terms):
+        return None
+    ivs = [s for s in guarded if s[0] == "iv"]
+    pinned = affine.EvalEnv(
+        witness.uniforms, {**witness.ranges, **dict.fromkeys(ivs, (0, 0))})
+    try:  # a witness has to satisfy every guard
+        bound = affine.bound_form(site.index, site.guards, pinned)
+    except affine.Unresolvable:
+        return None
+    if bound is None:
+        return None  # guards infeasible over the witness domain
+    ranges = bound[3]
+    syms = sorted(ranges)
+    if len(syms) > _MAX_WITNESS_SYMS:
+        return None
+    for point in _corners(ranges, syms):
+        here = affine.bound_form(site.index, site.guards, affine.EvalEnv(
+            witness.uniforms, {s: (v, v) for s, v in point.items()}))
+        if here is None:
+            continue  # this corner fails a guard
+        index = here[0]
+        if index < 0 or index >= site.length:
+            at = ", ".join(
+                f"{affine.format_sym(s)}={v}" for s, v in point.items())
+            return (f"index {site.index.format()} = {index} is out of "
                     f"bounds for array '{site.name}' of length "
-                    f"{site.length} at {witness or 'any work-item'} "
-                    f"[symbolic-oob]",
-                    site.span,
-                )
-                break
+                    f"{site.length} at {at or 'any work-item'} "
+                    f"[symbolic-oob]")
+    return None
+
+
+# -- rules: uncoalesced-access / strided-global-read --------------------------
+
+#: Coalescing threshold: an element stride of +-1 (or 0, a broadcast)
+#: between lane-adjacent work-items coalesces into one DRAM burst;
+#: anything wider — or symbolic — splits the warp's accesses.
+_COALESCE_MAX_STRIDE = 1
 
 
 def _check_coalescing(summary, sink: DiagnosticSink) -> None:

@@ -25,7 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..analysis.affine import AffineForm, UExpr, cached_kernel_summary
 from ..kernelc.parser import parse
+from ..ocl.errors import BuildError
 from ..skelcl.map import Map
 from ..skelcl.skeleton import rename_function
 from ..skelcl.zip import Zip
@@ -98,25 +100,24 @@ _ZIP_FOOTPRINT_SPEC = {
 
 
 def _elementwise_key(offset_param):
-    from ..analysis.affine import AffineForm, UExpr
-
     base = (UExpr.sym(("param", offset_param)) if offset_param
             else UExpr.const(0))
     return AffineForm(base, {("gid", 0): UExpr.const(1)}).key()
 
 
-def _footprints_ok(source: str, spec: Dict[str, tuple]) -> bool:
-    from ..analysis import affine
-    from ..kernelc.frontend import compile_source
-
+def _footprints_ok(skeleton, source: str, name: str,
+                   spec: Dict[str, tuple]) -> bool:
+    # Built through the skeleton's own program table: the launch that
+    # follows (if the node is not fused away) reuses the program, and
+    # the summary is the one its lint pass already computed.
     try:
-        program = compile_source(source, "<fusion legality>")
-        kernels = program.kernels()
-        if len(kernels) != 1:
-            return False
-        summary = affine.summarize_kernel(program, kernels[0])
-    except Exception:
+        program = skeleton._program(source, name).compiled.program
+    except BuildError:
         return False
+    kernels = program.kernels()
+    if len(kernels) != 1:
+        return False
+    summary = cached_kernel_summary(program, kernels[0])
     for name, psum in summary.params.items():
         expected = spec.get(name)
         if expected is None or not psum.affine:
@@ -135,15 +136,16 @@ def footprints_fusable(skeleton) -> bool:
     global memory in the elementwise pattern fusion assumes.  A shape
     check alone would accept any Map/Zip subclass; this rejects ones
     whose kernel source deviates.  Memoized on the kernel source."""
-    spec = (_ZIP_FOOTPRINT_SPEC if isinstance(skeleton, Zip)
-            else _MAP_FOOTPRINT_SPEC)
+    kind, spec = (("zip", _ZIP_FOOTPRINT_SPEC) if isinstance(skeleton, Zip)
+                  else ("map", _MAP_FOOTPRINT_SPEC))
     try:
         source = skeleton.kernel_source()
     except Exception:
         return False
     cached = _FOOTPRINT_CACHE.get(source)
     if cached is None:
-        cached = _footprints_ok(source, spec)
+        cached = _footprints_ok(
+            skeleton, source, f"skelcl_{kind}_{skeleton.user.name}", spec)
         _FOOTPRINT_CACHE[source] = cached
     return cached
 

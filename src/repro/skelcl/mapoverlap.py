@@ -37,6 +37,8 @@ source-to-source approach the SkelCL library uses.
 from __future__ import annotations
 
 import enum
+
+from ..kernelc.boundcheck import analyze_get_bounds
 from .distribution import Block, Copy, Distribution, Overlap, Single
 from .funcparse import append_hidden_params, pointer_param, scalar_return
 from .matrix import Matrix
@@ -241,8 +243,6 @@ class MapOverlap(Skeleton):
         # Static bounds proof (the paper's §3.4 future work): when every
         # get() offset is provably within ±d, the runtime range checks
         # are compiled out.
-        from ..kernelc.boundcheck import analyze_get_bounds
-
         self.bounds_proof = analyze_get_bounds(self.user.definition, overlap)
         self.checks_elided = static_bounds and self.bounds_proof.proven
 

@@ -85,6 +85,26 @@ class TestSummaries:
         # All 16 work-items write, regardless of the callee's guard.
         assert (resolved.start, resolved.stop) == (0, 16 * 4)
 
+    def test_early_return_in_a_switch_case_guards_that_case_only(self):
+        summary = summarize("""
+            __kernel void k(__global int* out, int sel) {
+                int i = get_global_id(0);
+                switch (sel) { case 0: if (i > 1) return; break; }
+                out[i] = 1;
+            }""")
+        (write,) = summary.params["out"].footprints
+        assert not write.guards
+
+    def test_switch_assignments_are_unknown_afterwards(self):
+        # sel == 0 falls through to case 1: j is 5 there, not 0.
+        summary = summarize("""
+            __kernel void k(__global int* out, int sel) {
+                int j = 0; int x = 0;
+                switch (sel) { case 0: j = 5; case 1: x = j; }
+                out[x] = 1;
+            }""")
+        assert not summary.params["out"].affine
+
     def test_reqd_work_group_size_attribute_parsed(self):
         summary = summarize("""
             __attribute__((reqd_work_group_size(64, 1, 1)))
@@ -92,6 +112,75 @@ class TestSummaries:
                 out[get_global_id(0)] = 0.0f;
             }""")
         assert summary.reqd_wg == (64, 1, 1)
+
+
+class TestEscapeDemotesTheRoot:
+    """Whatever name a pointer travels under, losing track of it demotes
+    the *parameter it is rooted at* — never nothing."""
+
+    def test_callee_parameter_reaching_an_unmodelled_builtin(self):
+        summary = summarize("""
+            void put(__global float* q, int i) {
+                vstore4((float4)(0.0f), i, q);
+            }
+            __kernel void k(__global float* out) {
+                put(out, (int)get_global_id(0));
+            }""")
+        assert not summary.params["out"].affine
+        assert summary.modes["out"] == "rw"
+
+    def test_local_aliases_joined_from_different_roots(self):
+        summary = summarize("""
+            __kernel void k(__global float* a, __global float* b, int c) {
+                __global float* p = a;
+                if (c) { p = b; }
+                p[get_global_id(0)] = 1.0f;
+            }""")
+        assert summary.fallback_params == ["a", "b"]
+        assert summary.modes["a"] == summary.modes["b"] == "rw"
+
+    def test_pointer_walked_by_a_loop(self):
+        summary = summarize("""
+            __kernel void k(__global const float* in, __global float* out,
+                            int n) {
+                __global const float* p = in + get_global_id(0);
+                float s = 0.0f;
+                for (int i = 0; i < n; ++i) { s += *p; p += 4; }
+                out[get_global_id(0)] = s;
+            }""")
+        assert not summary.params["in"].affine
+        assert summary.params["out"].affine
+        assert summary.modes["in"] == "r"  # const pointee
+
+    def test_straight_line_pointer_bumps_stay_affine(self):
+        summary = summarize("""
+            __kernel void k(__global float* out) {
+                __global float* p = out + get_global_id(0);
+                p++;
+                p += 2;
+                *p = 1.0f;
+            }""")
+        (write,) = summary.params["out"].footprints
+        assert write.index.format() == "get_global_id(0) + 3"
+
+
+class TestEveryAccessIsRecorded:
+    def test_load_inside_a_float_comparison(self):
+        summary = summarize("""
+            __kernel void k(__global const float* in, __global float* out) {
+                size_t i = get_global_id(0);
+                if (in[i + 1] > 0.5f) out[i] = 1.0f;
+            }""")
+        (read,) = summary.params["in"].footprints
+        assert read.index.format() == "get_global_id(0) + 1"
+
+    def test_increment_through_memory_reads_and_writes(self):
+        summary = summarize("""
+            __kernel void k(__global int* hist) {
+                hist[get_global_id(0)]++;
+            }""")
+        assert sorted(f.mode for f in summary.params["hist"].footprints) == ["r", "w"]
+        assert summary.modes["hist"] == "rw"
 
 
 class TestResolution:

@@ -6,6 +6,7 @@ asserted per-access.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import affine
@@ -205,3 +206,169 @@ class TestPropertyCoverage:
             }}"""
         check_coverage(source, "k", {"out": np.zeros(64, np.float32)},
                        ["out", bound], 8, 8)
+
+
+# -- the generated corpus ------------------------------------------------------
+#
+# The same two checks, on every kernel launch of tests/analysis/workloads.py
+# (all six skeletons, the planner's fused kernels, the @skelcl.jit corpus,
+# repro.apps, examples/): the per-item engine records the byte-accurate
+# trace of each launch and the access set SkelSan computed for that very
+# launch has to cover it; and whenever SkelSan declares two launches on
+# one buffer conflict-free, their traces must be disjoint too — so a
+# join/scope bug in the analysis core shows up as a failed assertion here,
+# in either direction.
+
+
+class LaunchAudit:
+    """Observes ``CommandQueue.enqueue_nd_range_kernel`` from outside by
+    wrapping the two names it resolves in ``repro.ocl.queue``."""
+
+    def __init__(self, monkeypatch):
+        from repro.ocl import queue
+
+        self.kernels = set()      # distinct kernel definitions launched
+        self.launches = 0
+        self.affine = self.fallback = 0
+        self.disjoint_pairs = 0   # conflict-free launch pairs cross-checked
+        self.history = {}         # buffer uid -> [(accesses, reads, writes)]
+        self._pending = None
+        self._execute = queue.execute_ndrange
+        self._accesses = queue.kernel_buffer_accesses
+        monkeypatch.setattr(queue, "execute_ndrange", self.execute)
+        monkeypatch.setattr(queue, "kernel_buffer_accesses", self.accesses)
+
+    def execute(self, compiled, ndrange, args, sample_fraction, counters,
+                backend=None):
+        counters.memory.trace = []
+        result = self._execute(compiled, ndrange, args, sample_fraction,
+                               counters, backend=backend)
+        assert result.backend != "vector", "the lockstep engine has no trace"
+        self._pending = (args, counters.memory.trace, result.sampled)
+        return result
+
+    def accesses(self, kernel, ndrange, metrics=None):
+        declared = self._accesses(kernel, ndrange, metrics)
+        args, trace, sampled = self._pending
+        self._pending = None
+        if not sampled:
+            self.audit(kernel, declared, args, trace)
+        return declared
+
+    def audit(self, kernel, declared, args, trace):
+        self.kernels.add(id(kernel.compiled.definition))
+        self.launches += 1
+        uid_of = {id(pointer.array): buffer.uid
+                  for pointer, buffer in zip(args, kernel._args)
+                  if getattr(buffer, "uid", None) is not None}
+        touched = {}
+        for array_id, space, start, nbytes, mode in trace:
+            if space not in ("global", "constant"):
+                continue
+            uid = uid_of[array_id]
+            assert any(
+                a.buffer_uid == uid and mode in a.mode
+                and a.start <= start and start + nbytes <= a.stop
+                and (not a.stride
+                     or (start - a.start) % a.stride + nbytes <= a.width)
+                for a in declared), (
+                f"{kernel.name}: traced {mode} of bytes [{start}, "
+                f"{start + nbytes}) of buffer #{uid} is outside "
+                f"{[a.describe() for a in declared if a.buffer_uid == uid]}")
+            reads, writes = touched.setdefault(uid, (set(), set()))
+            (writes if mode == "w" else reads).update(
+                range(start, start + nbytes))
+        for access in declared:  # whole-buffer fallbacks name no index
+            if ", " in access.provenance:
+                self.affine += 1
+            else:
+                self.fallback += 1
+        for uid, (reads, writes) in touched.items():
+            mine = [a for a in declared if a.buffer_uid == uid]
+            for theirs, their_reads, their_writes in self.history.get(uid, ()):
+                if any(a.conflicts_with(b) for a in mine for b in theirs):
+                    continue
+                self.disjoint_pairs += 1
+                clash = (writes & (their_reads | their_writes)) | (
+                    their_writes & reads)
+                assert not clash, (
+                    f"{kernel.name}: declared conflict-free with an earlier "
+                    f"launch on buffer #{uid}, but both touch bytes "
+                    f"{sorted(clash)[:8]}")
+            self.history.setdefault(uid, []).append((mine, reads, writes))
+
+
+class TestGeneratedCorpus:
+    def test_every_launch_is_covered_and_disjointness_holds(
+            self, monkeypatch):
+        from . import workloads
+
+        monkeypatch.setenv("SKELCL_BACKEND", "interp")
+        audit = LaunchAudit(monkeypatch)
+        workloads.string_skeletons()
+        workloads.fused_pipelines()
+        workloads.jit_corpus()
+        workloads.apps()
+        # 4 hand kernels + 2 hypothesis families were all this file
+        # checked before; the gate asks for ten times that.
+        assert len(audit.kernels) >= 60, len(audit.kernels)
+        assert audit.launches > len(audit.kernels)
+        assert audit.affine > 10 * audit.fallback
+        assert audit.disjoint_pairs > 0
+
+    @pytest.mark.skipif(
+        settings.default.max_examples <= 100,
+        reason="15 s on the per-item engine: runs under the analysis-ci "
+               "hypothesis profile")
+    def test_example_scripts_are_covered(self, monkeypatch, tmp_path, capsys):
+        from . import workloads
+
+        monkeypatch.setenv("SKELCL_BACKEND", "interp")
+        audit = LaunchAudit(monkeypatch)
+        workloads.examples(str(tmp_path))
+        capsys.readouterr()
+        assert audit.launches > len(audit.kernels) > 0
+
+
+_PROGRESSIONS = st.tuples(st.sampled_from([1, 2, 3, 4, 6]),
+                          st.integers(min_value=0, max_value=5))
+
+
+class TestDeclaredDisjointIsDisjoint:
+    """The converse of coverage, on the residue-class reasoning SkelSan
+    uses for strided writers: ``out[a*i + b]`` against ``out[c*i + d]``."""
+
+    @staticmethod
+    def launch(stride, offset, n):
+        source = f"""
+            __kernel void k(__global float* out, int n) {{
+                int i = get_global_id(0);
+                if (i < n) out[{stride} * i + {offset}] = 1.0f;
+            }}"""
+        array = np.zeros(6 * 16 + 8, np.float32)
+        program, trace, _names, gsize, lsize = traced_run(
+            source, "k", {"out": array}, ["out", n], 16, 8)
+        summary = affine.summarize_kernel(program, program.function("k"))
+        env = affine.make_eval_env(gsize, lsize, {"n": n})
+        windows = [affine.resolve_footprint(fp, env, 4, array.nbytes)
+                   for fp in summary.params["out"].footprints]
+        touched = {byte for _id, _space, start, nbytes, _mode in trace
+                   for byte in range(start, start + nbytes)}
+        return [w for w in windows if w is not None], touched
+
+    @settings(deadline=None)  # example budget: the hypothesis profile
+    @given(first=_PROGRESSIONS, second=_PROGRESSIONS,
+           n=st.integers(min_value=1, max_value=16))
+    def test_strided_writers(self, first, second, n):
+        from repro.analysis.access import BufferAccess
+
+        windows_a, touched_a = self.launch(*first, n)
+        windows_b, touched_b = self.launch(*second, n)
+        declared = [[BufferAccess(1, "out", w.start, w.stop, w.mode,
+                                  w.stride, w.width) for w in windows]
+                    for windows in (windows_a, windows_b)]
+        if not any(a.conflicts_with(b)
+                   for a in declared[0] for b in declared[1]):
+            assert not touched_a & touched_b, (first, second, n)
+        elif first == second:
+            assert touched_a & touched_b

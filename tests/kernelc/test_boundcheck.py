@@ -12,25 +12,6 @@ def analyze(source: str, overlap: int):
 
 
 class TestInterval:
-    def test_const(self):
-        i = Interval.const(3)
-        assert i.lo == i.hi == 3
-        assert not i.is_top
-
-    def test_arithmetic(self):
-        a = Interval(-1, 2)
-        b = Interval(0, 3)
-        assert (a + b) == Interval(-1, 5)
-        assert (a - b) == Interval(-4, 2)
-        assert (-a) == Interval(-2, 1)
-
-    def test_multiplication_corners(self):
-        assert Interval(-2, 3) * Interval(-1, 4) == Interval(-8, 12)
-
-    def test_top_propagates(self):
-        assert (Interval.top() + Interval.const(1)).is_top
-        assert (Interval.top() * Interval.const(0)).is_top  # conservative
-
     def test_join(self):
         assert Interval(-1, 0).join(Interval(2, 5)) == Interval(-1, 5)
 
@@ -161,6 +142,95 @@ class TestProofs:
     def test_ternary_offset(self):
         source = "float f(float* m, int c) { return get(m, c ? 1 : -1, 0); }"
         assert analyze(source, 1).proven
+
+
+class TestLoopCounterSoundness:
+    """The counter's range comes from the loop header only while the
+    header is the whole story."""
+
+    def test_counter_reassigned_in_body_rejected(self):
+        # i is reset to -5 once, so get(m, -4) executes: trusting the
+        # header's [-1, 1] would compile the range check out.
+        source = """
+        float f(float* m) {
+            float s = 0; int once = 0;
+            for (int i = -1; i <= 1; ++i) {
+                s += get(m, i);
+                if (i == 0 && !once) { i = -5; once = 1; }
+            }
+            return s;
+        }"""
+        assert not analyze(source, 1).proven
+
+    def test_bound_reassigned_in_body_rejected(self):
+        source = """
+        float f(float* m) {
+            float s = 0; int n = 1;
+            for (int i = 0; i <= n; ++i) { s += get(m, i); n = 5; }
+            return s;
+        }"""
+        assert not analyze(source, 1).proven
+
+    def test_zero_trip_loop_contributes_nothing(self):
+        proof = analyze("""
+        float f(float* m) {
+            float s = 0;
+            for (int i = 7; i < 0; ++i) s += get(m, i);
+            return s + get(m, 1);
+        }""", 1)
+        assert proof.proven
+        assert proof.accesses == [(Interval(1, 1),)]
+
+
+class TestSwitchSoundness:
+    """Cases fall through, break early or match nothing, and an early
+    return inside one narrows that case only: nothing a ``switch`` does
+    may tighten what comes after it."""
+
+    def test_early_return_in_a_case_does_not_narrow_the_loop(self):
+        # `if (i > 1) return` sits in case 0, where it never fires; a
+        # guard leaking out of the case bounded i to [0, 1].
+        proof = analyze("""
+        float f(float* m) {
+            float s = 0;
+            for (int i = 0; i < 5; ++i) {
+                switch (i) { case 0: if (i > 1) return s; break; }
+                s += get(m, i);
+            }
+            return s;
+        }""", 1)
+        assert not proof.proven
+        assert proof.accesses == [(Interval(0, 4),)]
+
+    def test_early_return_in_a_case_does_not_hide_later_accesses(self):
+        proof = analyze("""
+        float f(float* m, int j, int k) {
+            float s = 0;
+            switch (k) { case 0: if (j > 1) return s; break; }
+            return s + get(m, j);
+        }""", 1)
+        assert not proof.proven
+        assert len(proof.accesses) == 1 and proof.accesses[0][0].is_top
+
+    @pytest.mark.parametrize("body", [
+        "int x = 5; switch (k) { case 0: x = 0; }",  # no case matches
+        "int x = 0; int y = 0; switch (k) { case 0: y = 5; case 1: x = y; }",
+        "int x = 0; switch (k) { case 0: x = 5; if (k) break; x = 0; break;"
+        " default: x = 1; }",
+    ], ids=["no-match", "fall-through", "early-break"])
+    def test_assignments_in_a_switch_are_not_trusted(self, body):
+        proof = analyze(
+            "float f(float* m, int k) { %s return get(m, x); }" % body, 1)
+        assert not proof.proven
+
+    def test_switch_leaves_untouched_variables_alone(self):
+        proof = analyze("""
+        float f(float* m, int k) {
+            int x = 1; float s = 0;
+            switch (k) { case 0: s = 1; break; default: s = 2; }
+            return s + get(m, x);
+        }""", 1)
+        assert proof.proven
 
 
 class TestPointerEscape:

@@ -1,9 +1,9 @@
 """Property tests for the boundcheck interval lattice (hypothesis).
 
-The lint pass and the MapOverlap bounds proof both lean on this engine,
-so its algebra gets adversarial coverage: lattice laws for ``join``,
-soundness of interval arithmetic against concrete values, and soundness
-of the for-loop pattern matcher against actual loop iteration.
+``Interval`` is the read-back type of the MapOverlap bounds proof (the
+walk itself is :mod:`repro.analysis.affine`'s): lattice laws for
+``join``, and soundness of the proof's loop-counter ranges against
+actual loop iteration.
 """
 
 from hypothesis import given, settings
@@ -65,30 +65,7 @@ class TestJoinLattice:
         assert a.join(Interval.top()).is_top
 
 
-class TestArithmeticSoundness:
-    """γ-soundness: x ∈ a and y ∈ b imply x∘y ∈ a∘b."""
-
-    @given(intervals(), intervals(), st.data())
-    def test_add_sub_mul_sound(self, a, b, data):
-        x = data.draw(st.integers(int(max(a.lo, -BOUND)), int(min(a.hi, BOUND))))
-        y = data.draw(st.integers(int(max(b.lo, -BOUND)), int(min(b.hi, BOUND))))
-        assert contains(a + b, x + y)
-        assert contains(a - b, x - y)
-        assert contains(a * b, x * y)
-
-    @given(intervals(), st.data())
-    def test_neg_sound(self, a, data):
-        x = data.draw(st.integers(int(max(a.lo, -BOUND)), int(min(a.hi, BOUND))))
-        assert contains(-a, -x)
-
-    @given(intervals(), intervals(), st.data())
-    def test_operations_monotone(self, a, b, data):
-        # Widening an operand may only widen the result.
-        wider = a.join(data.draw(intervals()))
-        assert subsumes(wider + b, a + b)
-        assert subsumes(wider - b, a - b)
-        assert subsumes(wider * b, a * b)
-
+class TestWithin:
     @given(intervals())
     def test_within_respects_top(self, a):
         if a.is_top:

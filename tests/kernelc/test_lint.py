@@ -73,6 +73,35 @@ class TestBarrierDivergence:
         )
 
 
+    def test_id_flows_through_a_helper_call(self):
+        assert tagged(
+            """
+            int myid() { return get_local_id(0); }
+            __kernel void k(__global float* a, __local float* t) {
+                int id = myid();
+                if (id < 4) { barrier(CLK_LOCAL_MEM_FENCE); }
+                a[0] = t[0];
+            }""",
+            "[barrier-divergence]",
+        )
+
+    def test_uniform_helper_call_is_silent(self):
+        assert not tagged(
+            """
+            int four() { return 4; }
+            int halve(int n) { return n / 2; }
+            __kernel void k(__global float* a, __local float* t) {
+                int id = get_local_id(0);
+                t[id] = a[id];
+                if (halve((int)get_local_size(0)) < four()) {
+                    barrier(CLK_LOCAL_MEM_FENCE);
+                }
+                a[id] = t[0];
+            }""",
+            "[barrier-divergence]",
+        )
+
+
 class TestConstantIndexOob:
     def test_definite_oob_is_an_error(self):
         found = tagged(
@@ -122,6 +151,60 @@ class TestConstantIndexOob:
                 w[0] = 1.0f;
                 out[0] = w[i];
             }""",
+            "[constant-index-oob]",
+        )
+
+
+    def test_guarded_constant_through_a_helper_is_silent(self):
+        # Walked in its caller's context the index is the constant 7,
+        # but the helper's own guard excludes it.
+        assert not tagged(
+            """
+            float pick(float* w, int i) {
+                if (i < 4) { return w[i]; }
+                return 0.0f;
+            }
+            __kernel void k(__global float* out) {
+                float w[4];
+                w[0] = 1.0f;
+                out[0] = pick(w, 7);
+            }""",
+            "-oob]",
+        )
+
+    def test_constant_through_a_helper_is_an_error(self):
+        found = tagged(
+            """
+            float pick(float* w, int i) { return w[i]; }
+            __kernel void k(__global float* out) {
+                float w[4];
+                w[0] = 1.0f;
+                out[0] = pick(w, 7);
+            }""",
+            "[constant-index-oob]",
+        )
+        assert len(found) == 1
+
+    def test_guard_from_inside_a_switch_case_does_not_silence_it(self):
+        # The early return only happens in case 0; w[7] is reached.
+        assert tagged(
+            """
+            __kernel void k(__global float* out, int sel) {
+                float w[4];
+                int j = 7;
+                w[0] = 1.0f;
+                switch (sel) { case 0: if (j > 1) return; break; }
+                out[0] = w[j];
+            }""",
+            "[constant-index-oob]",
+        )
+
+    def test_helper_no_kernel_calls_is_still_checked(self):
+        assert tagged(
+            """
+            float stray() { float w[4]; w[0] = 1.0f; return w[4]; }
+            __kernel void k(__global float* out) { out[0] = 1.0f; }
+            """,
             "[constant-index-oob]",
         )
 

@@ -306,6 +306,48 @@ class TestMapOverlap:
         with pytest.raises(KernelFault):
             bad(Matrix(data=image))
 
+    @pytest.mark.parametrize("static_bounds", [True, False])
+    def test_counter_reassigned_in_loop_keeps_the_checked_accessor(
+            self, runtime_1gpu, static_bounds):
+        # The body resets the counter once, so get(v, -4) executes.  A
+        # proof that trusted the loop header elided the range check and
+        # the launch died on a raw tile index instead of the trap.
+        from repro.kernelc.memory import KernelFault
+
+        sneaky = MapOverlap(
+            """float func(float* v) {
+                float s = 0.0f; int once = 0;
+                for (int i = -1; i <= 1; ++i) {
+                    s += get(v, i);
+                    if (i == 0 && !once) { i = -5; once = 1; }
+                }
+                return s;
+            }""", 1, SCL_NEUTRAL, 0.0, static_bounds=static_bounds)
+        assert not sneaky.checks_elided
+        with pytest.raises(KernelFault, match="runtime check failed"):
+            sneaky(Vector(data=np.ones(300, np.float32)))
+
+    @pytest.mark.parametrize("static_bounds", [True, False])
+    def test_early_return_in_a_switch_case_keeps_the_checked_accessor(
+            self, runtime_1gpu, static_bounds):
+        # The `if (i > 1) return` never fires (it sits in case 0), so
+        # get(v, 4) executes.  A guard leaking out of the case bounded
+        # i to [0, 1], elided the check and read past the tile.
+        from repro.kernelc.memory import KernelFault
+
+        sneaky = MapOverlap(
+            """float func(float* v) {
+                float s = 0.0f;
+                for (int i = 0; i < 5; ++i) {
+                    switch (i) { case 0: if (i > 1) return s; break; }
+                    s += get(v, i);
+                }
+                return s;
+            }""", 1, SCL_NEUTRAL, 0.0, static_bounds=static_bounds)
+        assert not sneaky.checks_elided
+        with pytest.raises(KernelFault, match="runtime check failed"):
+            sneaky(Vector(data=np.ones(300, np.float32)))
+
     def test_multi_gpu_matches_single_gpu(self, rng):
         image = rng.rand(32, 16).astype(np.float32)
         results = {}
