@@ -2,11 +2,13 @@
 
 Fusion never splices Python callables: it generates a new OpenCL-C
 source string that defines every stage's (renamed) helper functions
-plus one wrapper function calling them in sequence, and instantiates an
-ordinary :class:`~repro.skelcl.map.Map` / :class:`~repro.skelcl.zip.Zip`
-from it.  The fused kernel therefore goes through the same ``kernelc``
-front-end, lint pass, SkelSan access-mode extraction, vectorizer and
-counters as any hand-written one.
+plus one wrapper function returning their nested call expression
+(:func:`_compose`, the only place that emits either), and instantiates
+an ordinary :class:`~repro.skelcl.map.Map` / :class:`~repro.skelcl.zip.Zip`
+— or a :class:`Premap` for Reduce's first pass — from it.  The fused
+kernel therefore goes through the same ``kernelc`` front-end, lint pass,
+SkelSan access-mode extraction, vectorizer and counters as any
+hand-written one.
 
 Bit-exactness at the fusion seams: the eager pipeline *stores* every
 intermediate at its declared element type and reloads it, which rounds
@@ -23,7 +25,7 @@ the generated source globally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.affine import AffineForm, UExpr, cached_kernel_summary
 from ..kernelc.parser import parse
@@ -56,34 +58,7 @@ def _suffixed(user, suffix: str) -> Tuple[str, str]:
     return source, f"{user.name}{suffix}"
 
 
-def _chain_expr(stages: Sequence[Map], parts: List[str], params: List[str],
-                seed_expr: str, tag: str, cast_last: bool) -> str:
-    """Append each stage's renamed source to ``parts`` and its extra
-    parameters to ``params``; return the nested call expression applying
-    the stages to ``seed_expr``.  Seams get an explicit cast to the
-    stage's output type; ``cast_last`` casts the final stage too (needed
-    when the chain's result feeds another function rather than a store,
-    which would perform the conversion itself)."""
-    expr = seed_expr
-    for index, stage in enumerate(stages):
-        source, fname = _suffixed(stage.user, f"__{tag}{index}")
-        parts.append(source)
-        extra_names = []
-        for j, ctype in enumerate(stage.extra_types):
-            name = f"SCL_{tag.upper()}{index}_{j}"
-            params.append(f"{ctype.name} {name}")
-            extra_names.append(name)
-        call = f"{fname}({expr}{''.join(', ' + n for n in extra_names)})"
-        if cast_last or index < len(stages) - 1:
-            expr = f"({stage.out_type.name})({call})"
-        else:
-            expr = call
-    return expr
-
-
-_MAP_CACHE: Dict[tuple, Map] = {}
-_ZIP_CACHE: Dict[tuple, Zip] = {}
-_PREMAP_CACHE: Dict[tuple, "Premap"] = {}
+_COMPOSED: Dict[tuple, object] = {}
 _FOOTPRINT_CACHE: Dict[str, bool] = {}
 
 # The access pattern fusion relies on, per generated-kernel parameter:
@@ -150,115 +125,115 @@ def footprints_fusable(skeleton) -> bool:
     return cached
 
 
-def _map_key(stages: Sequence[Map]) -> tuple:
-    return tuple(s.user.source for s in stages) + (stages[-1].work_group_size,)
-
-
-def fused_map(stages: Sequence[Map]) -> Map:
-    """One Map computing ``stages[-1] ∘ ... ∘ stages[0]``.  Extra
-    arguments of all stages are concatenated in stage order."""
-    key = _map_key(stages)
-    cached = _MAP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    parts: List[str] = []
-    params: List[str] = [f"{stages[0].in_type.name} SCL_X"]
-    expr = _chain_expr(stages, parts, params, "SCL_X", "m", cast_last=False)
-    wrapper = (f"{stages[-1].out_type.name} SCL_FUSED({', '.join(params)}) {{\n"
-               f"    return {expr};\n}}\n")
-    fused = Map("\n".join(parts + [wrapper]),
-                work_group_size=stages[-1].work_group_size)
-    _MAP_CACHE[key] = fused
-    return fused
-
-
-def fused_zip(left_stages: Sequence[Map], right_stages: Sequence[Map],
-              zip_skeleton: Zip, post_stages: Sequence[Map]) -> Zip:
-    """One Zip computing ``post ∘ zip(left_chain, right_chain)``.  Extra
-    arguments are concatenated left-chain, right-chain, zip, post-chain
-    (matching :func:`fused_zip_extras`)."""
-    key = (tuple(s.user.source for s in left_stages),
-           tuple(s.user.source for s in right_stages),
-           zip_skeleton.user.source,
-           tuple(s.user.source for s in post_stages),
-           zip_skeleton.work_group_size)
-    cached = _ZIP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    parts: List[str] = []
-    left_in = left_stages[0].in_type if left_stages else zip_skeleton.left_type
-    right_in = right_stages[0].in_type if right_stages else zip_skeleton.right_type
-    params: List[str] = [f"{left_in.name} SCL_L", f"{right_in.name} SCL_R"]
-    left_expr = _chain_expr(left_stages, parts, params, "SCL_L", "l", cast_last=True)
-    right_expr = _chain_expr(right_stages, parts, params, "SCL_R", "r", cast_last=True)
-    zip_source, zip_name = _suffixed(zip_skeleton.user, "__z")
-    parts.append(zip_source)
-    zip_extra_names = []
-    for j, ctype in enumerate(zip_skeleton.extra_types):
-        name = f"SCL_Z_{j}"
-        params.append(f"{ctype.name} {name}")
-        zip_extra_names.append(name)
-    expr = (f"{zip_name}({left_expr}, {right_expr}"
-            f"{''.join(', ' + n for n in zip_extra_names)})")
-    if post_stages:
-        expr = f"({zip_skeleton.out_type.name})({expr})"
-        expr = _chain_expr(post_stages, parts, params, expr, "p", cast_last=False)
-        out_type = post_stages[-1].out_type
-    else:
-        out_type = zip_skeleton.out_type
-    wrapper = (f"{out_type.name} SCL_FUSED({', '.join(params)}) {{\n"
-               f"    return {expr};\n}}\n")
-    fused = Zip("\n".join(parts + [wrapper]),
-                work_group_size=zip_skeleton.work_group_size)
-    _ZIP_CACHE[key] = fused
-    return fused
-
-
 @dataclass(frozen=True)
 class Premap:
     """A composed elementwise stage fused into Reduce's first pass: the
     full source (helpers + wrapper), the wrapper's name, its input type,
     and the extra parameter types the reduce kernel must thread
-    through.  ``extras`` (the call-time values) ride alongside."""
+    through (their call-time values arrive as the call's extras)."""
     source: str
     name: str
     in_type: object  # ScalarType
     extra_types: tuple
-    extras: tuple = ()
-
-    def with_extras(self, extras: Sequence) -> "Premap":
-        return Premap(self.source, self.name, self.in_type,
-                      self.extra_types, tuple(extras))
 
 
-def premap_of(stages: Sequence[Map]) -> Premap:
-    """The composed elementwise function of a map chain, packaged for
-    :meth:`repro.skelcl.reduce.Reduce._execute`'s fused first pass.
-    The final seam cast is left to the reduce kernel template (which
-    casts the premap result to the element type, reproducing the eager
-    store of the chain's output)."""
-    key = _map_key(stages)
-    cached = _PREMAP_CACHE.get(key)
-    if cached is not None:
-        return cached
+def _compose(tree, wrapper: str) -> Tuple[str, list, list]:
+    """The one generator of fused sources: the renamed stage sources in
+    post-order (left chain, right chain, zip, post chain) plus a
+    ``wrapper`` function returning the nested call expression of
+    ``tree``.  Returns (source, leaf types, extra parameter types);
+    leaf parameters come first, extras follow in post-order.
+
+    A ``tree`` is ``(skeleton, child, ...)`` with one child per input of
+    the skeleton: another tree for an inlined producer, ``None`` for an
+    input leaf.  Names derive from the tree position: a pure map chain
+    is ``__m{i}`` over ``SCL_X``; under a Zip (``__z``) the chains are
+    ``__l{i}`` / ``__r{i}`` over ``SCL_L`` / ``SCL_R`` and the Maps
+    above it ``__p{i}``.  Every inlined edge gets an explicit cast to
+    the producer's output type; the root does not — the store (or the
+    reduce template) performs that conversion itself."""
     parts: List[str] = []
-    params: List[str] = [f"{stages[0].in_type.name} SCL_X"]
-    expr = _chain_expr(stages, parts, params, "SCL_X", "m", cast_last=False)
-    wrapper = (f"{stages[-1].out_type.name} SCL_PREMAP({', '.join(params)}) {{\n"
-               f"    return {expr};\n}}\n")
-    extra_types = []
-    for stage in stages:
-        extra_types.extend(stage.extra_types)
-    premap = Premap("\n".join(parts + [wrapper]), "SCL_PREMAP",
-                    stages[0].in_type, tuple(extra_types))
-    _PREMAP_CACHE[key] = premap
-    return premap
+    leaves: List[tuple] = []  # (ctype, parameter name)
+    extras: List[tuple] = []
+
+    def emit(node, tag: str, leaf_type) -> Tuple[str, str, int]:
+        """(expression, tag, index) — the last two name the next stage
+        of the chain ``node`` ends."""
+        if node is None:
+            name = "SCL_X" if tag == "m" else f"SCL_{tag.upper()}"
+            leaves.append((leaf_type, name))
+            return name, tag, 0
+        skeleton, *children = node
+        if len(children) == 2:
+            args = [emit(child, side, ctype)[0] for child, side, ctype in
+                    zip(children, "lr", (skeleton.left_type, skeleton.right_type))]
+            suffix, prefix, tag, index = "__z", "SCL_Z_", "p", 0
+        else:
+            arg, tag, index = emit(children[0], tag, skeleton.in_type)
+            args = [arg]
+            suffix, prefix = f"__{tag}{index}", f"SCL_{tag.upper()}{index}_"
+            index += 1
+        source, fname = _suffixed(skeleton.user, suffix)
+        parts.append(source)
+        for j, ctype in enumerate(skeleton.extra_types):
+            extras.append((ctype, f"{prefix}{j}"))
+            args.append(f"{prefix}{j}")
+        call = f"{fname}({', '.join(args)})"
+        if node is not tree:
+            call = f"({skeleton.out_type.name})({call})"
+        return call, tag, index
+
+    expr = emit(tree, "m", None)[0]
+    params = ", ".join(f"{ctype.name} {name}" for ctype, name in leaves + extras)
+    parts.append(f"{tree[0].out_type.name} {wrapper}({params}) {{\n"
+                 f"    return {expr};\n}}\n")
+    return ("\n".join(parts), [ctype for ctype, _ in leaves],
+            [ctype for ctype, _ in extras])
 
 
-def chain_label(stages: Sequence, site_label: str, kind: str = "Map") -> str:
-    """A trace span name for a fused chain, keeping the *final* call's
-    site: ``Fused[Map f∘g]@app.py:12``."""
-    names = "∘".join(s.user.name for s in reversed(list(stages)))
+def _tree_key(tree):
+    return tree and (tree[0].user.source, *map(_tree_key, tree[1:]))
+
+
+def _composed(kind, tree, wrapper: str, instantiate):
+    """``instantiate(source, leaf types, extra types)`` of the composed
+    ``tree``, memoized on the stage sources."""
+    key = (kind, _tree_key(tree), tree[0].work_group_size)
+    cached = _COMPOSED.get(key)
+    if cached is None:
+        cached = _COMPOSED[key] = instantiate(*_compose(tree, wrapper))
+    return cached
+
+
+def fused_map(tree) -> Map:
+    """One Map computing a single-leaf ``tree`` (a map chain).  Extra
+    arguments of all stages are concatenated in stage order."""
+    return _composed(Map, tree, "SCL_FUSED", lambda source, *_: Map(
+        source, work_group_size=tree[0].work_group_size))
+
+
+def fused_zip(tree) -> Zip:
+    """One Zip computing a two-leaf ``tree``: ``post ∘ zip(left chain,
+    right chain)``, extra arguments concatenated in that order."""
+    return _composed(Zip, tree, "SCL_FUSED", lambda source, *_: Zip(
+        source, work_group_size=tree[0].work_group_size))
+
+
+def premap_of(tree) -> Premap:
+    """The composed elementwise function of a map chain, packaged for
+    :meth:`repro.skelcl.reduce.Reduce._execute`'s fused first pass."""
+    return _composed(Premap, tree, "SCL_PREMAP", lambda source, leaves, extras: Premap(
+        source, "SCL_PREMAP", leaves[0], tuple(extras)))
+
+
+def chain_label(tree, site_label: str, kind: str) -> str:
+    """A trace span name for a fused step, keeping the *final* call's
+    site: ``Fused[Map g∘f]@app.py:12``.  Names follow the tree's spine
+    from the root down to the first Zip."""
+    names = []
+    while tree is not None:
+        names.append(tree[0].user.name)
+        tree = tree[1] if len(tree) == 2 else None
     _, _, site = (site_label or "").rpartition("@")
     suffix = f"@{site}" if site else ""
-    return f"Fused[{kind} {names}]{suffix}"
+    return f"Fused[{kind} {'∘'.join(names)}]{suffix}"

@@ -14,14 +14,18 @@ Force points (see ``docs/planner.md``):
 * host mutation / ``out=`` overwrite / redistribution
   (``_before_write`` → producer *and* every pending reader, so deferred
   consumers still observe the pre-mutation value),
-* ``Session.finish_all()`` / metrics / trace export (→ ``flush``),
-* ``Reduce`` (its Scalar result is synchronous, so it forces its
-  ancestor chain immediately — the map∘reduce fusion window).
+* asking a skeleton about its last call (``last_events``) or a result
+  about its placement (``distribution``),
+* ``Session.finish_all()`` / metrics / trace export / profile exit
+  (→ ``flush``),
+* ``Reduce`` outside a record window (its Scalar result is synchronous,
+  so the node is forced as soon as it is recorded).
 
-Forcing gathers the target's pending ancestors, runs the rewrite pass
-(:meth:`Planner._rewrite`) that merges fusable producer/consumer chains
-into steps, and executes the steps oldest-first through the skeletons'
-ordinary run-now entry (``Skeleton._run``) — the async command graph, coherence protocol and
+Forcing (:meth:`Planner._force`) gathers the targets' pending ancestors,
+runs the rewrite pass (:meth:`Planner._rewrite`) that inlines fusable
+producers into their consumers, and executes the resulting steps in
+recording order through the skeletons' ordinary run-now entry
+(``Skeleton._run``) — the async command graph, coherence protocol and
 SkelSan see exactly the commands an eager program would have issued,
 minus the fused-away ones.
 
@@ -34,41 +38,34 @@ temporary still sees the right values.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from . import compose
 from .ir import PlanNode
 
+#: The fusable consumers: op -> (``skelcl_fusion_total`` rule label, leaf
+#: budget).  A fused Map/Zip kernel reads at most two inputs, the first
+#: pass of a Reduce exactly one.
+_RULES = {"map": ("map_map", 2), "zip": ("zip_map", 2), "reduce": ("map_reduce", 1)}
+
 
 class _Step:
-    """One unit of execution after rewriting: either a single node run
-    eagerly, or a fused chain (``map``: a pipeline of Map nodes; ``zip``:
-    optional Map chains on both inputs, the Zip, and optional Map nodes
-    after it)."""
+    """One launch after rewriting: ``root`` materializes its output, the
+    other covered ``nodes`` are inlined into its kernel.  The expression
+    tree is implicit: an input of a covered node is an inner edge if a
+    covered node produces it, a leaf otherwise."""
 
-    __slots__ = ("kind", "nodes", "left", "right", "zip_node", "post")
+    __slots__ = ("root", "nodes")
 
-    def __init__(self, kind: str, nodes: List[PlanNode]):
-        self.kind = kind  # "eager" | "map" | "zip"
-        self.nodes = nodes  # covered nodes, seq order
-        self.left: List[PlanNode] = []
-        self.right: List[PlanNode] = []
-        self.zip_node: Optional[PlanNode] = None
-        self.post: List[PlanNode] = []
+    def __init__(self, root: PlanNode):
+        self.root = root
+        self.nodes = [root]
 
     @property
-    def final(self) -> PlanNode:
-        return self.nodes[-1]
-
-    @property
-    def output(self):
-        return self.nodes[-1].output
-
-    @property
-    def can_extend(self) -> bool:
-        """Whether a later fusable Map consuming this step's output can
-        be folded into it."""
-        return self.kind in ("map", "zip") and all(n.fusable for n in self.nodes)
+    def leaves(self) -> int:
+        """Input leaves, per occurrence (every covered node but the root
+        feeds exactly one inner edge)."""
+        return sum(len(n.inputs) for n in self.nodes) - len(self.nodes) + 1
 
 
 class Planner:
@@ -124,7 +121,7 @@ class Planner:
         self._seq += 1
         for container in node.inputs:
             container._pending_readers.append(node)
-        output._pending = node
+        output._pending = skeleton._deferred = node
         self.pending.append(node)
         for capture in self._captures:
             capture.append(node)
@@ -152,91 +149,51 @@ class Planner:
         self._count("skelcl_plan_fallback_total", reason=op)
         return self._record(op, skeleton, inputs, out, label)
 
-    # -- reduce: the synchronous force point -------------------------------
-
     def defer_reduce(self, skeleton, inputs, extras, out, label: str):
-        """Record a Reduce without forcing (recording mode only): the
-        Scalar result stays a placeholder until the node runs — reading
-        it forces the node, like any container force point.  Recorded
-        reductions skip the map∘reduce premap fusion window (counted as
-        a fallback); correctness is unchanged."""
-        self._count("skelcl_plan_fallback_total", reason="recorded_reduce")
-        return self._record("reduce", skeleton, inputs, out, label)
+        """Record a Reduce: a node like any other, and the one fusable
+        consumer that is never a producer.  Its Scalar result stays a
+        placeholder until the node runs; reading it forces the node."""
+        return self._record("reduce", skeleton, inputs, out, label, fusable=True)
 
     def reduce_now(self, skeleton, inputs, extras, out, label: str):
-        """Record-and-force for Reduce.  If the reduction's input is the
-        sole-consumer output of a fusable map chain, the chain becomes
-        the ``premap`` of the reduction's first pass (map∘reduce); the
-        chain's containers are elided."""
-        if self.recording:
-            return self.defer_reduce(skeleton, inputs, extras, out, label)
-        (input_container,) = inputs
-        premap = None
-        producer = input_container._pending
-        if producer is not None and producer.state == PlanNode.PENDING:
-            batch = self._closure(producer)
-            steps = self._rewrite(batch)
-            last = steps[-1]
-            if (last.output is input_container and last.kind == "map"
-                    and last.can_extend
-                    and self._pending_uses(input_container) == 0):
-                chain_extras: List = []
-                for node in last.nodes:
-                    chain_extras.extend(node.extras)
-                premap = compose.premap_of(
-                    [n.skeleton for n in last.nodes]).with_extras(chain_extras)
-                self._execute_steps(steps[:-1])
-                self._elide_step(last)
-                self._count("skelcl_fusion_total", rule="map_reduce")
-                label = compose.chain_label(
-                    [n.skeleton for n in last.nodes] + [skeleton],
-                    label, kind="Reduce")
-                input_container = last.nodes[0].inputs[0]
-            else:
-                if last.output is input_container and last.kind == "map":
-                    self._count("skelcl_plan_fallback_total",
-                                reason="multi_consumer")
-                self._execute_steps(steps)
-        return skeleton._run(self.session, [input_container], (), out, label,
-                             premap=premap)
+        """Reduce's plan entry: record the node and — outside a
+        :meth:`record` window — force it, its Scalar result being
+        synchronous."""
+        out = self.defer_reduce(skeleton, inputs, extras, out, label)
+        if not self.recording:
+            self.force_node(out._pending)
+        return out
 
     # -- forcing -----------------------------------------------------------
 
+    def _force(self, nodes: Sequence[PlanNode]) -> bool:
+        """Rewrite and execute the pending ones of ``nodes`` together
+        with their pending ancestors (fusion within that batch); False
+        if there was nothing to do."""
+        batch = self._closure(nodes)
+        for step in self._rewrite(batch):
+            self._run_step(step)
+        return bool(batch)
+
     def force_node(self, node: PlanNode) -> None:
-        if node.state in (PlanNode.DONE, PlanNode.RUNNING):
-            return
+        """The read-side force point of one container / Scalar / call."""
         if node.state == PlanNode.ELIDED:
             self._recompute(node)
-            return
-        self._execute_steps(self._rewrite(self._closure(node)))
+        else:
+            self._force([node])
 
     def flush(self) -> None:
         """Execute everything still pending (with fusion across the whole
         remaining graph) — the ``finish_all()`` force point."""
-        while True:
-            batch = [n for n in self.pending if n.state == PlanNode.PENDING]
-            if not batch:
-                return
-            self._execute_steps(self._rewrite(batch))
+        while self._force(list(self.pending)):
+            pass
 
     def flush_subset(self, nodes: Sequence[PlanNode]) -> None:
         """Execute exactly ``nodes`` (plus any pending ancestors), with
         fusion *within* the subset — the serve dispatcher's force point:
         one job's recorded graph runs without dragging other tenants'
         pending work along."""
-        seen = set()
-        batch: List[PlanNode] = []
-        for node in nodes:
-            if node.state != PlanNode.PENDING:
-                continue
-            for ancestor in self._closure(node):
-                if ancestor.state == PlanNode.PENDING \
-                        and id(ancestor) not in seen:
-                    seen.add(id(ancestor))
-                    batch.append(ancestor)
-        if batch:
-            self._execute_steps(self._rewrite(
-                sorted(batch, key=lambda n: n.seq)))
+        self._force(nodes)
 
     def discard(self, nodes: Sequence[PlanNode]) -> None:
         """Throw away recorded-but-unwanted nodes (a serve submit whose
@@ -250,195 +207,130 @@ class Planner:
             self._detach(node)
             self._count("skelcl_plan_discarded_total", op=node.op)
 
-    def _closure(self, target: PlanNode) -> List[PlanNode]:
-        """``target`` plus its pending ancestors, in recording order.
-        Elided ancestors encountered on the way are recomputed first
-        (their values are inputs of the batch)."""
-        seen = set()
-        order: List[PlanNode] = []
+    def _closure(self, targets: Sequence[PlanNode]) -> List[PlanNode]:
+        """The pending ones of ``targets`` plus their pending ancestors,
+        in recording order.  Elided ancestors encountered on the way are
+        recomputed first (their values are inputs of the batch)."""
+        found: Dict[int, PlanNode] = {}
+        for target in targets:
+            self._visit(target, found)
+        return sorted(found.values(), key=lambda n: n.seq)
 
-        def visit(node: PlanNode) -> None:
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for container in node.inputs:
-                producer = getattr(container, "_pending", None)
-                if producer is None:
-                    continue
-                if producer.state == PlanNode.PENDING:
-                    visit(producer)
-                elif producer.state == PlanNode.ELIDED:
-                    self._recompute(producer)
-            order.append(node)
+    def _visit(self, node: PlanNode, found: Dict[int, PlanNode]) -> None:
+        if node.state != PlanNode.PENDING or id(node) in found:
+            return
+        found[id(node)] = node
+        for container in node.inputs:
+            producer = container._pending
+            if producer is not None and producer.state == PlanNode.ELIDED:
+                self._recompute(producer)
+            elif producer is not None:
+                self._visit(producer, found)
 
-        visit(target)
-        return sorted(order, key=lambda n: n.seq)
-
-    # -- rewrite: the fusion pass ------------------------------------------
-
-    def _pending_uses(self, container) -> int:
-        """How many times pending nodes read ``container`` — the
-        multi-consumer fusion guard."""
-        return sum(node.inputs.count(container) for node in self.pending
-                   if node.state == PlanNode.PENDING)
+    # -- rewrite: the one fusion rule --------------------------------------
 
     def _rewrite(self, batch: List[PlanNode]) -> List[_Step]:
-        steps: List[_Step] = []
-        by_output: Dict[int, _Step] = {}
-
-        def declined(container) -> None:
-            if self._pending_uses(container) > 1:
-                self._count("skelcl_plan_fallback_total", reason="multi_consumer")
-
+        """Walk ``batch`` in recording order; a fusable consumer inlines
+        the step producing one of its inputs when (1) that step's root
+        is fusable, (2) the merged expression stays within the
+        consumer's leaf budget and (3) the intermediate has exactly one
+        pending use.  Only (3) failing counts a ``multi_consumer``
+        fallback."""
+        uses = {id(n.output): sum(reader.state == PlanNode.PENDING
+                                  for reader in n.output._pending_readers)
+                for n in batch}
+        steps: Dict[int, _Step] = {}  # by id(root output), in execution order
         for node in batch:
-            if node.op == "map" and node.fusable:
-                source = node.inputs[0]
-                prev = by_output.get(id(source))
-                if (prev is not None and prev.can_extend
-                        and self._pending_uses(source) == 1):
-                    if prev.kind == "map":
-                        prev.nodes.append(node)
-                    else:
-                        prev.nodes.append(node)
-                        prev.post.append(node)
-                    by_output.pop(id(source))
-                    by_output[id(node.output)] = prev
-                    self._count("skelcl_fusion_total", rule="map_map")
+            step = _Step(node)
+            # A budget of 0 inlines nothing: opaque and unproven nodes.
+            rule, budget = _RULES[node.op] if node.fusable else (None, 0)
+            for container in node.inputs:
+                prev = steps.get(id(container))
+                if (prev is None or not prev.root.fusable
+                        or step.leaves + prev.leaves - 1 > budget):
                     continue
-                if prev is not None:
-                    declined(source)
-                step = _Step("map", [node])
-                steps.append(step)
-                by_output[id(node.output)] = step
-            elif node.op == "zip" and node.fusable:
-                left, right = node.inputs
-                step = _Step("zip", [node])
-                step.zip_node = node
-                for side, container in (("left", left), ("right", right)):
-                    prev = by_output.get(id(container))
-                    if (prev is not None and prev.kind == "map"
-                            and prev.can_extend and not prev.post
-                            and self._pending_uses(container) == 1):
-                        setattr(step, side, prev.nodes)
-                        step.nodes = sorted(step.nodes + prev.nodes,
-                                            key=lambda n: n.seq)
-                        steps.remove(prev)
-                        by_output.pop(id(container))
-                        self._count("skelcl_fusion_total", rule="zip_map")
-                    elif prev is not None:
-                        declined(container)
-                steps.append(step)
-                by_output[id(node.output)] = step
-            else:
-                step = _Step("eager", [node])
-                steps.append(step)
-                by_output[id(node.output)] = step
-        return steps
+                if uses[id(container)] > 1:
+                    self._count("skelcl_plan_fallback_total", reason="multi_consumer")
+                    continue
+                del steps[id(container)]
+                step.nodes = prev.nodes + step.nodes
+                self._count("skelcl_fusion_total", rule=rule)
+            steps[id(node.output)] = step
+        return list(steps.values())
 
     # -- execution ---------------------------------------------------------
 
-    def _execute_steps(self, steps: Sequence[_Step]) -> None:
-        self._executing += 1
-        try:
-            for step in steps:
-                self._run_step(step)
-        finally:
-            self._executing -= 1
+    def _tree(self, node: PlanNode, inside: Dict[int, PlanNode],
+              leaves: List, extras: List) -> tuple:
+        """The expression tree below ``node`` (see
+        :func:`compose._compose`); collects its input leaves and the
+        covered nodes' extras in post-order."""
+        children = []
+        for container in node.inputs:
+            producer = inside.get(id(container))
+            if producer is None:
+                leaves.append(container)
+            children.append(producer and self._tree(producer, inside, leaves, extras))
+        extras.extend(node.extras)
+        return (node.skeleton, *children)
 
     def _run_step(self, step: _Step) -> None:
-        if len(step.nodes) == 1:
-            self._run_single(step.nodes[0])
-            return
+        """Launch ``step``: compose its expression tree into one
+        skeleton (a lone node is its own), run it on the tree's leaves
+        with the covered nodes' extras, then mark the root done and
+        every inlined node elided.  A skeleton whose latest call is
+        among the covered nodes takes over the launch's events."""
+        root = step.root
+        inside = {id(n.output): n for n in step.nodes if n is not root}
+        leaves: List = []
+        extras: List = []
         for node in step.nodes:
             node.state = PlanNode.RUNNING
+        skeleton, label, options = root.skeleton, root.label, {}
+        latest = skeleton._deferred, skeleton._events
+        self._executing += 1
         try:
-            if step.kind == "map":
-                stages = step.nodes
-                fused = compose.fused_map([n.skeleton for n in stages])
-                extras: List = []
-                for node in stages:
-                    extras.extend(node.extras)
-                label = compose.chain_label([n.skeleton for n in stages],
-                                            stages[-1].label)
-                fused._run(self.session, [stages[0].inputs[0]], extras,
-                           step.output, label)
-            else:
-                zip_node = step.zip_node
-                fused = compose.fused_zip(
-                    [n.skeleton for n in step.left],
-                    [n.skeleton for n in step.right],
-                    zip_node.skeleton,
-                    [n.skeleton for n in step.post])
-                extras = []
-                for node in step.left:
-                    extras.extend(node.extras)
-                for node in step.right:
-                    extras.extend(node.extras)
-                extras.extend(zip_node.extras)
-                for node in step.post:
-                    extras.extend(node.extras)
-                left_in = step.left[0].inputs[0] if step.left else zip_node.inputs[0]
-                right_in = step.right[0].inputs[0] if step.right else zip_node.inputs[1]
-                label = compose.chain_label(
-                    [zip_node.skeleton] + [n.skeleton for n in step.post],
-                    step.final.label, kind="Zip")
-                fused._run(self.session, [left_in, right_in], extras,
-                           step.output, label)
+            expr = self._tree(root, inside, leaves, extras)
+            if inside:
+                if root.op == "reduce":
+                    options["premap"] = compose.premap_of(expr[1])
+                else:
+                    build = compose.fused_map if len(leaves) == 1 else compose.fused_zip
+                    skeleton = build(expr)
+                label = compose.chain_label(expr, label, type(skeleton).__name__)
+            skeleton._run(self.session, leaves, extras, root.output, label, **options)
         finally:
+            self._executing -= 1
+            events = skeleton._events
+            root.skeleton._deferred, root.skeleton._events = latest
             for node in step.nodes:
-                if node is step.final:
+                if node.skeleton._deferred is node:
+                    node.skeleton._deferred, node.skeleton._events = None, events
+                if node is root:
                     node.state = PlanNode.DONE
                     self._detach(node)
                 else:
-                    self._elide(node)
-
-    def _elide_step(self, step: _Step) -> None:
-        """Mark every node of a chain consumed by a reduce as elided
-        (none of its containers materialize)."""
-        for node in step.nodes:
-            self._elide(node)
-
-    def _elide(self, node: PlanNode) -> None:
-        node.state = PlanNode.ELIDED
-        try:
-            self.pending.remove(node)
-        except ValueError:
-            pass
-        self._count("skelcl_plan_elided_total", op=node.op)
-
-    def _run_single(self, node: PlanNode) -> None:
-        node.state = PlanNode.RUNNING
-        self._executing += 1
-        try:
-            node.skeleton._run(self.session, node.inputs, node.extras,
-                               node.output, node.label)
-        finally:
-            self._executing -= 1
-            node.state = PlanNode.DONE
-            self._detach(node)
+                    node.state = PlanNode.ELIDED
+                    self.pending.remove(node)
+                    self._count("skelcl_plan_elided_total", op=node.op)
 
     def _recompute(self, node: PlanNode) -> None:
         """Materialize an elided intermediate after all: run its eager
         path now (its inputs are still live — the write hooks force
         recomputation *before* any input mutation)."""
-        if node.state != PlanNode.ELIDED:
-            return
         for container in node.inputs:
-            producer = getattr(container, "_pending", None)
-            if producer is not None and producer is not node \
-                    and producer.state in (PlanNode.PENDING, PlanNode.ELIDED):
-                self.force_node(producer)
+            if container._pending is not None:
+                self.force_node(container._pending)
         self._count("skelcl_plan_recompute_total", op=node.op)
-        self._run_single(node)
+        self._run_step(_Step(node))
 
     def _detach(self, node: PlanNode) -> None:
         try:
             self.pending.remove(node)
         except ValueError:
             pass
-        if node.output is not None and node.output._pending is node:
+        if node.output._pending is node:
             node.output._pending = None
         for container in node.inputs:
-            readers = getattr(container, "_pending_readers", None)
-            if readers:
-                container._pending_readers = [n for n in readers if n is not node]
+            container._pending_readers = [n for n in container._pending_readers
+                                          if n is not node]

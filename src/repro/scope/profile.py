@@ -198,11 +198,13 @@ class profile:
 
             target = get_runtime()
         context = getattr(target, "context", target)
+        self._flush = getattr(target, "_flush_plan", lambda: None)
         self._profile = Profile(context)
         self._profile._begin()
         return self._profile
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is None:
+            self._flush()  # a lazy session's deferred calls belong to the region
             self._profile._end()
         return False

@@ -107,6 +107,9 @@ class Container:
 
     @property
     def distribution(self) -> Optional[Distribution]:
+        """Where the contents live — of a deferred result, a force point
+        (its placement is decided when the producing call runs)."""
+        self._force_pending()
         return self._distribution
 
     @property

@@ -144,18 +144,19 @@ class Reduce(Skeleton):
     def _execute(self, session, inputs, extras, out: Scalar, premap=None) -> Scalar:
         """``premap`` (planner only) is a composed map chain applied to
         every element as it is loaded: ``inputs`` is then the chain's
-        original input, already validated when the chain was deferred."""
+        original input, already validated when the chain was deferred,
+        and ``extras`` the chain's additional arguments."""
         (input_container,) = inputs
         dtype = dtype_for_ctype(self.element_type)
         program = self._program(self.kernel_source(), f"skelcl_reduce_{self.user.name}")
         if premap is None:
-            stage1_program, stage1_name, pre_extras = program, "skelcl_reduce", ()
+            stage1_program, stage1_name = program, "skelcl_reduce"
         else:
             stage1_program = self._program(
                 self.fused_kernel_source(premap),
                 f"skelcl_reduce_{self.user.name}_fused",
             )
-            stage1_name, pre_extras = "skelcl_reduce_fused", premap.extras
+            stage1_name = "skelcl_reduce_fused"
         distribution = self.resolve_input_distribution(session, input_container, Block())
         chunks = input_container.ensure_on_devices(distribution)
 
@@ -181,7 +182,7 @@ class Reduce(Skeleton):
             )
             kernel = stage1_program.create_kernel(stage1_name)
             kernel.set_args(buffer, partial_buffer, n,
-                            chunk.halo_before * unit_elements, *pre_extras)
+                            chunk.halo_before * unit_elements, *extras)
             launch = self._enqueue(session, chunk.device_index, kernel, (groups * wg,), (wg,),
                                    wait_for=input_container.chunk_events(position),
                                    inputs=[(input_container, position)])

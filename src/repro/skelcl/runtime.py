@@ -225,14 +225,16 @@ class Session:
         global _runtime
         if self._closed:
             return
-        try:
+        try:  # a deferred call may fault here, at the last force point
             self._flush_plan()
         finally:
             self._closed = True
-        _dump_observability(self)
-        self.context.release()
-        if _runtime is self:
-            _runtime = None
+            try:
+                _dump_observability(self)
+            finally:
+                self.context.release()
+                if _runtime is self:
+                    _runtime = None
 
     def __enter__(self) -> "Session":
         return self

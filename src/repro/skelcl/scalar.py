@@ -9,8 +9,9 @@ class Scalar:
     """A single value returned by a skeleton (e.g. a reduction result)."""
 
     #: A recorded-but-unexecuted Reduce producing this value (set by the
-    #: lazy planner in recording mode); any read forces it first.
+    #: lazy planner); any read forces it first.
     _pending = None
+    _pending_readers = ()  # nothing consumes a Scalar
 
     def __init__(self, value, dtype=np.float32):
         self._dtype = np.dtype(dtype)
@@ -56,4 +57,5 @@ class Scalar:
         return int(self._value)
 
     def __repr__(self) -> str:
+        self._force()
         return f"Scalar({self._value!r})"

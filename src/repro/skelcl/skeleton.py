@@ -142,7 +142,11 @@ class Skeleton:
 
     def __init__(self, source: Union[str, JitFunction, None] = None):
         self._programs: Dict[str, ocl.Program] = {}
-        self.last_events: List[ocl.Event] = []
+        self._events: List[ocl.Event] = []
+        #: The :class:`repro.plan.ir.PlanNode` of the most recent call
+        #: while a lazy session still defers it; the launch that computes
+        #: it hands its events over (``Planner._run_step``).
+        self._deferred = None
         self._call_label: Optional[str] = None
         self.jit: Optional[JitFunction] = None
         self.user: Optional[UserFunction] = None
@@ -239,7 +243,8 @@ class Skeleton:
         ``__call__`` and the entry the planner forces deferred (and
         fused) calls through.  Starts a new invocation — clears the
         per-call event list and fixes the trace span label."""
-        self.last_events = []
+        self._events = []
+        self._deferred = None
         self._call_label = label
         return self._execute(session, inputs, extras, out, **options)
 
@@ -321,6 +326,15 @@ class Skeleton:
     # -- launches ---------------------------------------------------------------
 
     @property
+    def last_events(self) -> List[ocl.Event]:
+        """The events of the most recent call.  In a lazy session a force
+        point for that call; a call fusion folded into another launch
+        reports that launch's events."""
+        if self._deferred is not None:
+            self._deferred.planner.force_node(self._deferred)
+        return self._events
+
+    @property
     def last_kernel_time_ns(self) -> int:
         """Simulated kernel time of the most recent call: the critical-path
         window over the call's kernel events — latest completion minus
@@ -368,7 +382,7 @@ class Skeleton:
         if output is not None and output_position is not None:
             output.record_chunk_event(output_position, event)
         event.label = self._call_label
-        self.last_events.append(event)
+        self._events.append(event)
         return event
 
     def _launch(
@@ -436,8 +450,7 @@ class Skeleton:
     @staticmethod
     def resolve_input_distribution(session: Session, container,
                                    default: Distribution) -> Distribution:
-        dist = container.distribution if container.distribution is not None else default
-        return partitioned(session, dist)
+        return partitioned(session, container.distribution or default)
 
     # -- extra ("additional") arguments -----------------------------------------
 

@@ -98,8 +98,7 @@ def collect():
     # Start from cold caches: what gets built must not depend on which
     # tests ran earlier in the process.
     ocl_program.clear_build_cache()
-    for cache in (compose._MAP_CACHE, compose._ZIP_CACHE,
-                  compose._PREMAP_CACHE, compose._FOOTPRINT_CACHE):
+    for cache in (compose._COMPOSED, compose._FOOTPRINT_CACHE):
         cache.clear()
     MapOverlap.__init__ = recording_init
     try:

@@ -117,7 +117,7 @@ def _mat(rows, cols, dtype=np.float32, seed=0):
 
 def string_skeletons():
     """All six skeletons, every kernel template, string customizers."""
-    skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE)
+    skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE, lazy=False)
     try:
         Map("float func(float x) { return 2.0f * x; }")(_vec(70)).to_numpy()
         Map("float func(float x, float a, int k) { return a * x + k; }")(
@@ -183,7 +183,7 @@ def jit_corpus():
     from ..jit import corpus
 
     rng = np.random.RandomState(12345)
-    skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE)
+    skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, lazy=False)
     try:
         for case in corpus.MAP_CASES:
             data = corpus.make_data(case.dtypes[0], case.domain, rng)
@@ -225,7 +225,7 @@ def apps():
     from repro.apps.sobel import SobelEdgeDetection, sobel_py
 
     rng = np.random.RandomState(7)
-    skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE)
+    skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE, lazy=False)
     try:
         a = rng.rand(100).astype(np.float32)
         DotProduct().compute(a, a)
@@ -245,9 +245,12 @@ def apps():
 
 def examples(workdir):
     """Run every example script on small arguments, in ``workdir`` (they
-    write image files into the cwd)."""
+    write image files into the cwd).  The scripts call ``init()``
+    themselves; the corpus means their eager kernels whatever
+    ``SKELCL_LAZY`` says."""
     old_argv, old_cwd = sys.argv, os.getcwd()
     os.chdir(workdir)
+    skelcl.configure(lazy=False)
     try:
         for name, *argv in EXAMPLES:
             script = os.path.join(REPO, "examples", name)
@@ -258,6 +261,7 @@ def examples(workdir):
                 if skelcl.is_initialized():
                     skelcl.terminate()
     finally:
+        skelcl.configure(lazy=None)
         sys.argv = old_argv
         os.chdir(old_cwd)
 

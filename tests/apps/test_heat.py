@@ -115,6 +115,7 @@ class TestMultiGpuHaloTraffic:
         size = 32
         grid = Matrix(data=hot_spot_grid(size))
         grid = heat.step(grid)  # warm-up: initial upload happens here
+        runtime.finish_all()  # raw queue counters below: no SkelCL-level read
         # PCIe traffic only: the in-place halo refresh also issues
         # device-local copy_buffer commands, which count into
         # total_transfer_bytes but never cross the host link.
@@ -122,6 +123,7 @@ class TestMultiGpuHaloTraffic:
         sweeps = 4
         for _ in range(sweeps):
             grid = heat.step(grid)
+        runtime.finish_all()
         moved = sum(q.total_pcie_bytes for q in runtime.queues) - before
         row_bytes = size * 4
         per_sweep = 2 * (2 * row_bytes)  # 2 halo rows, each down+up

@@ -1,0 +1,106 @@
+"""Lazy-mode force points that describe an *executed* call: asking for
+a skeleton's events or kernel time, a result's placement, a Scalar's
+repr, or leaving a profiled region must run the deferred call first —
+and a session whose closing flush faults must still tear down."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.skelcl as skelcl
+from repro import ocl
+from repro.kernelc.memory import KernelFault
+
+DOUBLE = "float f(float x) { return 2.0f * x; }"
+SQUARE = "float g(float x) { return x * x; }"
+ADD = "float s(float x, float y) { return x + y; }"
+
+_DATA = np.arange(64, dtype=np.float32)
+
+
+@pytest.fixture
+def lazy():
+    session = skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE, lazy=True)
+    yield session
+    skelcl.terminate()
+
+
+def _launches(session):
+    return session.metrics.value("skelcl_commands_total", kind="ndrange_kernel")
+
+
+def test_last_events_forces_the_call_it_describes(lazy):
+    double = skelcl.Map(DOUBLE)
+    out = double(skelcl.Vector(data=_DATA))
+    assert _launches(lazy) == 0
+    events = double.last_events
+    assert [e.command_type for e in events] == ["ndrange_kernel"] * 2
+    assert double.last_kernel_time_ns > 0
+    assert _launches(lazy) == 2  # forced once, not per accessor
+    np.testing.assert_array_equal(out.to_numpy(), 2 * _DATA)
+
+
+def test_last_events_describes_the_latest_call_not_the_latest_to_run(lazy):
+    double = skelcl.Map(DOUBLE)
+    first = double(skelcl.Vector(data=_DATA))
+    second = double(skelcl.Vector(data=_DATA + 1))
+    latest = double.last_events  # forces the second call only
+    assert _launches(lazy) == 2
+    first.to_numpy()  # now the *older* call runs
+    assert double.last_events is latest
+    # An eager-branch call (out= is a force point) supersedes the deferred one.
+    double(skelcl.Vector(data=_DATA), out=second)
+    assert double.last_events is not latest
+    assert len(double.last_events) == 2
+
+
+def test_fused_away_call_reports_the_fused_launch(lazy):
+    double, square = skelcl.Map(DOUBLE), skelcl.Map(SQUARE)
+    out = square(double(skelcl.Vector(data=_DATA)))
+    events = square.last_events  # forces the chain: one fused launch per device
+    assert lazy.metrics.value("skelcl_fusion_total", rule="map_map") == 1
+    assert double.last_events is events
+    assert all(e.label.startswith("Fused[Map g∘f]") for e in events)
+    assert lazy.metrics.value("skelcl_plan_recompute_total", op="map") == 0
+    np.testing.assert_array_equal(out.to_numpy(), (2 * _DATA) ** 2)
+
+
+def test_distribution_of_a_deferred_result_is_a_force_point(lazy):
+    vector = skelcl.Vector(data=_DATA)
+    vector.set_distribution(skelcl.Single(1))
+    out = skelcl.Map(DOUBLE)(vector)
+    assert out.distribution == skelcl.Single(1)
+    assert _launches(lazy) == 1
+
+
+def test_pending_scalar_repr_shows_the_value(lazy):
+    with lazy.planner.record():
+        total = skelcl.Reduce(ADD)(skelcl.Vector(data=_DATA))
+    assert total._pending is not None
+    assert repr(total) == f"Scalar({np.float32(_DATA.sum())!r})"
+    assert total._pending is None
+
+
+def test_profile_exit_flushes_the_region(lazy):
+    with lazy.profile() as prof:
+        skelcl.Map(DOUBLE)(skelcl.Vector(data=_DATA), label="in-region")
+    assert prof.kernel_ns_by_skeleton()["in-region"] > 0
+    assert prof.critical_path().total_ns == lazy.finish_all() > 0
+
+
+def test_close_tears_down_even_if_the_closing_flush_faults():
+    session = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, lazy=True)
+    violating = skelcl.MapOverlap("float func(float* m){ return get(m, 2, 0); }",
+                                  1, skelcl.BoundaryMode.NEUTRAL, 0.0)
+    violating(skelcl.Matrix(data=np.zeros((8, 8), np.float32)))
+    with pytest.raises(KernelFault):
+        skelcl.terminate()
+    assert session.closed
+    assert not skelcl.is_initialized()
+    with pytest.raises(skelcl.SkelCLError):
+        skelcl.Map(DOUBLE)(skelcl.Vector(data=_DATA))
+    with skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE) as fresh:
+        out = skelcl.Map(DOUBLE)(skelcl.Vector(data=_DATA))
+        np.testing.assert_array_equal(out.to_numpy(), 2 * _DATA)
+        assert fresh.finish_all() > 0

@@ -64,9 +64,11 @@ def test_build_cache_metrics(runtime_1gpu, tmp_path, monkeypatch):
     source = "float func(float x) { return x * 31.4159f; }"
     vector = skelcl.Vector(data=np.ones(64, dtype=np.float32))
     skelcl.Map(source)(vector)
+    runtime_1gpu.finish_all()  # raw build counters below: no SkelCL-level read
     compiled = metrics.value("skelcl_program_builds_total", result="compiled")
     assert compiled >= 1
     skelcl.Map(source)(vector)
+    runtime_1gpu.finish_all()
     assert metrics.value("skelcl_program_builds_total", result="memory") >= 1
     assert metrics.value("skelcl_program_builds_total", result="compiled") == compiled
 

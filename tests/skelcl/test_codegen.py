@@ -188,4 +188,5 @@ class TestGeneratedSources:
         for _ in range(3):
             neg = skelcl.Map("float func(float x) { return -x; }")
             neg(skelcl.Vector(data=np.zeros(8, np.float32)))
+        runtime_1gpu.finish_all()  # raw build-cache state below: no SkelCL-level read
         assert ocl.build_cache_size() == 1

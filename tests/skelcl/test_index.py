@@ -99,8 +99,10 @@ class TestMandelbrotUsesIndexVector:
 
         runtime = runtime_1gpu
         Mandelbrot(max_iterations=5, use_index_vector=True).render(64, 32)
+        runtime.finish_all()  # raw queue counters below: no SkelCL-level read
         virtual_bytes = sum(q.total_transfer_bytes for q in runtime.queues)
         Mandelbrot(max_iterations=5, use_index_vector=False).render(64, 32)
+        runtime.finish_all()
         total = sum(q.total_transfer_bytes for q in runtime.queues)
         materialized_bytes = total - virtual_bytes
         assert virtual_bytes == 0

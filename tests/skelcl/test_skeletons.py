@@ -304,7 +304,7 @@ class TestMapOverlap:
         bad = MapOverlap("float func(float* m) { return get(m, 0, 5); }", 1, SCL_NEUTRAL, 0.0)
         image = np.zeros((16, 16), np.float32)
         with pytest.raises(KernelFault):
-            bad(Matrix(data=image))
+            bad(Matrix(data=image)).to_numpy()  # the read is the force point
 
     @pytest.mark.parametrize("static_bounds", [True, False])
     def test_counter_reassigned_in_loop_keeps_the_checked_accessor(
@@ -325,7 +325,7 @@ class TestMapOverlap:
             }""", 1, SCL_NEUTRAL, 0.0, static_bounds=static_bounds)
         assert not sneaky.checks_elided
         with pytest.raises(KernelFault, match="runtime check failed"):
-            sneaky(Vector(data=np.ones(300, np.float32)))
+            sneaky(Vector(data=np.ones(300, np.float32))).to_numpy()
 
     @pytest.mark.parametrize("static_bounds", [True, False])
     def test_early_return_in_a_switch_case_keeps_the_checked_accessor(
@@ -346,7 +346,7 @@ class TestMapOverlap:
             }""", 1, SCL_NEUTRAL, 0.0, static_bounds=static_bounds)
         assert not sneaky.checks_elided
         with pytest.raises(KernelFault, match="runtime check failed"):
-            sneaky(Vector(data=np.ones(300, np.float32)))
+            sneaky(Vector(data=np.ones(300, np.float32))).to_numpy()
 
     def test_multi_gpu_matches_single_gpu(self, rng):
         image = rng.rand(32, 16).astype(np.float32)

@@ -81,7 +81,7 @@ class TestListing12NeighbourSum:
                                1, SCL_NEUTRAL, 0.0)
         assert not violating.checks_elided  # the static proof refuses
         with pytest.raises(KernelFault):
-            violating(Matrix(data=np.zeros((8, 8), np.float32)))
+            violating(Matrix(data=np.zeros((8, 8), np.float32))).to_numpy()
 
 
 class TestListing13OpenCLSum:
