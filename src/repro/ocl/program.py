@@ -105,8 +105,14 @@ class Program:
 
     def _enforce_lint(self) -> None:
         """Under ``SKELCL_SANITIZE=strict``, lint errors fail the build."""
+        if resolve_sanitize_mode(None) is SanitizeMode.STRICT:
+            self.fail_on_lint_errors()
+
+    def fail_on_lint_errors(self) -> None:
+        """Raise :class:`BuildError` with the lint errors of this (built)
+        program, if it has any — what a strict build does."""
         errors = [d for d in self.lint_diagnostics if d.severity is Severity.ERROR]
-        if errors and resolve_sanitize_mode(None) is SanitizeMode.STRICT:
+        if errors:
             source = getattr(getattr(self._compiled, "program", None), "source", None)
             rendered = "\n".join(d.render(source) for d in errors)
             self.build_log = rendered

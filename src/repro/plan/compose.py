@@ -28,35 +28,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..analysis.affine import AffineForm, UExpr, cached_kernel_summary
-from ..kernelc.parser import parse
 from ..ocl.errors import BuildError
 from ..skelcl.map import Map
-from ..skelcl.skeleton import rename_function
 from ..skelcl.zip import Zip
-
-_FUNCTION_NAMES: Dict[str, Tuple[str, ...]] = {}
-
-
-def _function_names(source: str) -> Tuple[str, ...]:
-    """Every function defined in ``source`` (already preprocessed)."""
-    names = _FUNCTION_NAMES.get(source)
-    if names is None:
-        program = parse(source, "<fused stage>")
-        names = tuple(fn.name for fn in program.functions)
-        _FUNCTION_NAMES[source] = names
-    return names
-
-
-def _suffixed(user, suffix: str) -> Tuple[str, str]:
-    """Rename *every* function ``user``'s source defines with ``suffix``
-    (helpers included), so stages with colliding helper names coexist in
-    one fused source.  Returns (renamed source, renamed customizing
-    function name)."""
-    source = user.source
-    for name in _function_names(user.source):
-        source = rename_function(source, name, f"{name}{suffix}")
-    return source, f"{user.name}{suffix}"
-
 
 _COMPOSED: Dict[tuple, object] = {}
 _FOOTPRINT_CACHE: Dict[str, bool] = {}
@@ -173,7 +147,7 @@ def _compose(tree, wrapper: str) -> Tuple[str, list, list]:
             args = [arg]
             suffix, prefix = f"__{tag}{index}", f"SCL_{tag.upper()}{index}_"
             index += 1
-        source, fname = _suffixed(skeleton.user, suffix)
+        source, fname = skeleton.user.renamed(suffix)
         parts.append(source)
         for j, ctype in enumerate(skeleton.extra_types):
             extras.append((ctype, f"{prefix}{j}"))

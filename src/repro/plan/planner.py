@@ -19,7 +19,9 @@ Force points (see ``docs/planner.md``):
 * ``Session.finish_all()`` / metrics / trace export / profile exit
   (→ ``flush``),
 * ``Reduce`` outside a record window (its Scalar result is synchronous,
-  so the node is forced as soon as it is recorded).
+  so the node is forced as soon as it is recorded),
+* recording a call whose input is still pending on *another* session's
+  planner (→ that producer, run by its own planner on its own session).
 
 Forcing (:meth:`Planner._force`) gathers the targets' pending ancestors,
 runs the rewrite pass (:meth:`Planner._rewrite`) that inlines fusable
@@ -120,6 +122,10 @@ class Planner:
                         seq=self._seq)
         self._seq += 1
         for container in node.inputs:
+            if container._pending is not None and container._pending.planner is not self:
+                # Another session's deferred result: it runs there, now,
+                # and reaches this session's devices as plain data.
+                container._force_pending()
             container._pending_readers.append(node)
         output._pending = skeleton._deferred = node
         self.pending.append(node)

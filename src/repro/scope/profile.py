@@ -183,9 +183,8 @@ class profile:
         print(prof.report())
 
     ``target`` may be a :class:`~repro.skelcl.runtime.Session`, an
-    :class:`~repro.ocl.Context`, or ``None`` to use the
-    process-wide SkelCL runtime (which must be initialized by the time
-    the block is *entered*)."""
+    :class:`~repro.ocl.Context`, or ``None`` to use the current
+    session (there must be one by the time the block is *entered*)."""
 
     def __init__(self, target=None):
         self._target = target

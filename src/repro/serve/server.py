@@ -1,7 +1,8 @@
 """The serving runtime: one shared device pool, many tenants.
 
-A :class:`Server` owns a single lazy :class:`~repro.skelcl.runtime.Session`
-over a (possibly mixed CPU+GPU) device pool.  Tenants open lightweight
+A :class:`Server` opens — and owns, until :meth:`Server.close` — a
+single lazy :class:`~repro.skelcl.runtime.Session` over a (possibly
+mixed CPU+GPU) device pool.  Tenants open lightweight
 :class:`ClientSession` handles and submit work in one of two forms:
 
 * ``submit(fn)`` — *graph* jobs: ``fn`` runs inside a planner recording
@@ -26,11 +27,16 @@ past window-quota stalls when no tenant may dispatch.  Job latency
 (admission → completion on this clock) therefore includes queueing
 delay, which is what the saturation benchmark measures.
 
-The server's session is installed as the process-wide SkelCL runtime
-(it calls ``skelcl.init``), so client-side containers and skeletons
-bind to the shared pool, and SkelSan — when enabled via the usual
-configuration chain — checks the *interleaved* multi-tenant command
-graph for races.
+The server's session is *not* the current session of the code that
+created the server: it is activated only while a submitted ``fn`` runs
+and while the scheduler dispatches a launch, so client code reaches the
+shared pool through ``submit`` / ``submit_map`` and nowhere else.
+Creating, draining or closing a server leaves the caller's own
+``skelcl.init()`` session current and untouched, several servers can be
+open at once, and results stay readable until the server closes (their
+containers keep the server's session).  SkelSan — when enabled via the
+usual configuration chain — checks the *interleaved* multi-tenant
+command graph for races.
 """
 
 from __future__ import annotations
@@ -112,14 +118,16 @@ class Server:
                  batching: bool = True, batch_max_elements: int = 1 << 16,
                  batch_max_jobs: int = 8, detect_races=None,
                  backend: Optional[str] = None, partition=None):
-        self.session = _runtime.init(devices=list(devices), lazy=True,
-                                     detect_races=detect_races,
-                                     backend=backend, partition=partition)
-        self.tenants: Dict[str, Tenant] = {}
+        # The scheduler validates its arguments first: a rejected
+        # policy must not leave an open session behind.
         self.scheduler = Scheduler(self, policy, quantum_ns=quantum_ns,
                                    batching=batching,
                                    batch_max_elements=batch_max_elements,
                                    batch_max_jobs=batch_max_jobs)
+        self.session = _runtime._open(devices=list(devices), lazy=True,
+                                      detect_races=detect_races,
+                                      backend=backend, partition=partition)
+        self.tenants: Dict[str, Tenant] = {}
         self.default_quota = default_quota
         self._idle_ns = 0
         self._next_job_id = 0
@@ -216,7 +224,7 @@ class Server:
         # quota needs the recorded graph, so it re-checks afterwards.
         self._admission_check(tenant, 0)
         job = Job(tenant, "graph", label=label)
-        with self.planner.record() as nodes:
+        with self.session.activate(), self.planner.record() as nodes:
             job.value = fn()
         job.nodes = nodes
         job.input_bytes = self._graph_input_bytes(nodes)
@@ -270,11 +278,12 @@ class Server:
         for job in jobs:
             job.state = Job.RUNNING
             job.start_ns = start_ns
-        if jobs[0].kind == "graph":
-            assert len(jobs) == 1
-            self.planner.flush_subset(jobs[0].nodes)
-        else:
-            self._run_maps(jobs)
+        with self.session.activate():
+            if jobs[0].kind == "graph":
+                assert len(jobs) == 1
+                self.planner.flush_subset(jobs[0].nodes)
+            else:
+                self._run_maps(jobs)
         # Resolve the context directly: Session.finish_all() would flush
         # *every* tenant's still-pending recorded graphs, not just this
         # launch's.

@@ -33,7 +33,7 @@ from .funcparse import pointer_param, scalar_return
 from .matrix import Matrix
 from .reduce import Reduce
 from .runtime import SkelCLError
-from .skeleton import Skeleton, partitioned, rename_function
+from .skeleton import Skeleton, partitioned
 from .types_ import dtype_for_ctype
 from .zip import Zip
 
@@ -205,8 +205,8 @@ class AllPairs(Skeleton):
                 u=self.out_type.name,
                 func=self.user.name,
             )
-        zip_source = rename_function(self.zip.user.source, self.zip.user.name, "SCL_ZIP_F")
-        reduce_source = rename_function(self.reduce.user.source, self.reduce.user.name, "SCL_RED_F")
+        zip_source, _ = self.zip.user.renamed("__zip", "SCL_ZIP_F")
+        reduce_source, _ = self.reduce.user.renamed("__red", "SCL_RED_F")
         template = _TILED_TEMPLATE if self.tiled else _FUSED_TEMPLATE
         return template.format(
             zip_source=zip_source,

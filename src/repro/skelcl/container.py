@@ -19,6 +19,16 @@ therefore become dependency *edges* in the command graph — a halo
 upload waits only on the neighbour's download, a kernel launch waits
 only on the uploads it actually reads — instead of implicit whole-queue
 synchronizations.
+
+Ownership: a container keeps, next to its buffers, the
+:class:`~repro.skelcl.runtime.Session` that staged them — handed over
+by the skeleton call (or planner step) that stages it — and every later
+download, redistribution and re-upload goes through that session.
+Using the container under *another* session is defined
+(:meth:`Container._move_to`): a valid host copy restages there and the
+foreign buffers are dropped; a stale one is first downloaded through
+the owning session; if that session is already closed the device-only
+result is lost and a :class:`SkelCLError` says so.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 
 from .. import ocl
 from .distribution import Block, Chunk, Distribution
-from .runtime import SkelCLError, get_runtime
+from .runtime import Session, SkelCLError, get_runtime
 from .types_ import ctype_for_dtype
 
 
@@ -51,6 +61,8 @@ class Container:
         self._distribution: Optional[Distribution] = None
         self._chunks: List[Chunk] = []
         self._buffers: Dict[int, ocl.Buffer] = {}  # keyed by chunk position
+        # The session whose devices hold `_buffers`; None until staged.
+        self._session: Optional[Session] = None
         # Dependency tracking for the asynchronous command graph: per
         # chunk position, the events that must complete before the
         # chunk's buffer holds valid data (uploads, halo writes, kernel
@@ -160,7 +172,12 @@ class Container:
             return
         if not self._device_valid:
             raise SkelCLError("container has neither valid host nor device data")
-        runtime = get_runtime()
+        runtime = self._session
+        if runtime.closed:
+            raise SkelCLError(
+                f"{self.name or self!r} lives only on the devices of a session "
+                "that was closed before the result was read"
+            )
         seen_units: set = set()
         downloads: List[ocl.Event] = []
         for position, chunk in enumerate(self._chunks):
@@ -195,55 +212,66 @@ class Container:
         self._device_valid = True
         self._host_valid = False
 
-    def _relabel_if_layout_compatible(self, target: Distribution) -> bool:
-        """Adopt ``target`` without moving data when its chunks store the
-        same ranges on the same devices (e.g. any change on one GPU, or
-        block ↔ overlap(0)).  Real SkelCL performs the same no-op
-        redistribution; only the ownership bookkeeping changes."""
-        if not self._device_valid or not self._chunks:
-            return False
-        runtime = get_runtime()
-        new_chunks = target.chunks(self._units, runtime.num_devices)
-        if len(new_chunks) != len(self._chunks):
-            return False
-        for old, new in zip(self._chunks, new_chunks):
-            if old.device_index != new.device_index:
-                return False
-            # Every unit the new layout stores (and therefore owns) must
-            # already be present in the device's buffer; e.g. copy→block
-            # (ownership shrinks) or overlap→block (halo becomes slack).
-            if new.stored_start < old.stored_start or new.stored_end > old.stored_end:
-                return False
-        # Adopt the new ownership but keep the buffers: the chunk records
-        # the buffers' actual (possibly larger) stored layout.
-        self._chunks = [
-            Chunk(new.device_index, new.owned_start, new.owned_end,
-                  old.stored_start, old.stored_end)
-            for old, new in zip(self._chunks, new_chunks)
-        ]
+    def _move_to(self, session: Session) -> None:
+        """Make ``session`` the one holding the device copy.  Buffers of
+        another session are dropped — after a stale host copy has been
+        refreshed through that session, which must still be open — and
+        the container restages here from the host."""
+        if self._session is session:
+            return
+        if self._device_valid:
+            self.ensure_host()
+            self._device_valid = False
+        self._drop_buffers()
+        self._session = session
+
+    def _redistribute(self, target: Distribution) -> None:
+        """Adopt ``target``, moving live device data the cheapest way
+        that applies (stale buffers are simply dropped):
+
+        1. *relabel* — the target's chunks store ranges the same devices
+           already hold (any change on one GPU, block ↔ overlap(0),
+           copy → block, overlap → block): only the ownership
+           bookkeeping changes, as in real SkelCL;
+        2. *halo refresh* — same owned ranges, larger stored ranges
+           (block → overlap(d)): see :meth:`_refresh_halos`;
+        3. the download / re-upload exchange of §3.2."""
+        live = self._device_valid
+        if live:
+            new_chunks = target.chunks(self._units, self._session.num_devices)
+            pairs = list(zip(self._chunks, new_chunks))
+            if len(self._chunks) == len(new_chunks) and all(
+                    old.device_index == new.device_index for old, new in pairs):
+                if all(old.stored_start <= new.stored_start
+                       and new.stored_end <= old.stored_end for old, new in pairs):
+                    # Keep the buffers: the chunks record their actual
+                    # (possibly larger) stored layout under the new ownership.
+                    self._chunks = [
+                        Chunk(new.device_index, new.owned_start, new.owned_end,
+                              old.stored_start, old.stored_end)
+                        for old, new in pairs
+                    ]
+                    self._distribution = target
+                    return
+                if all((old.owned_start, old.owned_end) == (new.owned_start, new.owned_end)
+                       and new.stored_start <= old.stored_start
+                       and old.stored_end <= new.stored_end for old, new in pairs):
+                    self._refresh_halos(new_chunks)
+                    self._distribution = target
+                    return
+            self.ensure_host()
+        self._drop_buffers()
         self._distribution = target
-        return True
+        if live:
+            self._upload()
 
-    def _refresh_halos(self, target: Distribution) -> bool:
-        """Grow per-device storage in place when only halos are missing
-        (e.g. block → overlap(d) with unchanged owned ranges): the owned
-        data is copied device-locally and only the halo units cross the
-        PCIe link — the implicit halo exchange of §3.2, without
-        round-tripping the whole container through the host."""
-        if not self._device_valid or not self._chunks:
-            return False
-        runtime = get_runtime()
-        new_chunks = target.chunks(self._units, runtime.num_devices)
-        if len(new_chunks) != len(self._chunks):
-            return False
-        for old, new in zip(self._chunks, new_chunks):
-            if old.device_index != new.device_index:
-                return False
-            if (old.owned_start, old.owned_end) != (new.owned_start, new.owned_end):
-                return False
-            if new.stored_start > old.stored_start or new.stored_end < old.stored_end:
-                return False  # storage would shrink somewhere: not a pure grow
-
+    def _refresh_halos(self, new_chunks: List[Chunk]) -> None:
+        """Grow per-device storage in place to ``new_chunks`` (same
+        owned ranges, missing halos): the owned data is copied
+        device-locally and only the halo units cross the PCIe link —
+        the implicit halo exchange of §3.2, without round-tripping the
+        whole container through the host."""
+        runtime = self._session
         unit_bytes = self._unit_elements * self._itembytes()
         new_buffers: Dict[int, ocl.Buffer] = {}
         new_events: Dict[int, List[ocl.Event]] = {}
@@ -298,8 +326,6 @@ class Container:
         self._chunks = new_chunks
         self._chunk_events = new_events
         self._chunk_readers = {}
-        self._distribution = target
-        return True
 
     def _owner_of(self, unit: int):
         """The chunk position owning ``unit`` under the current chunks."""
@@ -314,42 +340,35 @@ class Container:
         if distribution == self._distribution:
             return
         self._before_write()
-        if self._relabel_if_layout_compatible(distribution):
-            return
-        if self._refresh_halos(distribution):
-            return
-        if self._device_valid:
-            self.ensure_host()
-            self._drop_buffers()
-            self._distribution = distribution
-            self._upload()
-        else:
-            self._drop_buffers()
-            self._distribution = distribution
+        self._redistribute(distribution)
 
-    def ensure_on_devices(self, distribution: Optional[Distribution] = None) -> List[Tuple[Chunk, ocl.Buffer]]:
-        """Make device data valid under ``distribution`` (or the current /
-        default one); returns the chunk/buffer pairs for kernel launches."""
+    def ensure_on_devices(self, distribution: Optional[Distribution] = None,
+                          session: Optional[Session] = None) -> List[Tuple[Chunk, ocl.Buffer]]:
+        """Make device data valid on ``session`` under ``distribution``
+        (or the current / default one); returns the chunk/buffer pairs
+        for kernel launches.  A skeleton passes the session its call
+        runs on; a direct call without one stages on the current
+        session."""
         self._force_pending()
+        self._move_to(session or get_runtime())
         target = distribution or self._distribution or self.default_distribution()
-        if target != self._distribution and not self._relabel_if_layout_compatible(target) \
-                and not self._refresh_halos(target):
-            if self._device_valid:
-                self.ensure_host()
-                self._device_valid = False
-            self._drop_buffers()
-            self._distribution = target
+        if target != self._distribution:
+            self._redistribute(target)
         if not self._device_valid:
             self.ensure_host()
             self._upload()
         return self.chunk_buffers()
 
-    def prepare_as_output(self, distribution: Distribution) -> List[Tuple[Chunk, ocl.Buffer]]:
-        """Allocate device storage for kernel output (no upload)."""
+    def prepare_as_output(self, distribution: Distribution,
+                          session: Session) -> List[Tuple[Chunk, ocl.Buffer]]:
+        """Allocate device storage on ``session`` for kernel output (no
+        upload; whatever another session still holds is overwritten,
+        not fetched)."""
         self._before_write()
-        if distribution != self._distribution or not self._buffers:
+        if (self._session is not session or distribution != self._distribution
+                or not self._buffers):
             self._drop_buffers()
-            self._distribution = distribution
+            self._session, self._distribution = session, distribution
             self._allocate_buffers()
         self._device_valid = True
         self._host_valid = False
@@ -361,7 +380,7 @@ class Container:
     # -- internals ---------------------------------------------------------------
 
     def _allocate_buffers(self) -> None:
-        runtime = get_runtime()
+        runtime = self._session
         assert self._distribution is not None
         self._chunks = self._distribution.chunks(self._units, runtime.num_devices)
         self._buffers = {}
@@ -377,7 +396,7 @@ class Container:
     def _upload(self) -> None:
         if not self._buffers:
             self._allocate_buffers()
-        runtime = get_runtime()
+        runtime = self._session
         uploads: Dict[int, List[ocl.Event]] = {}
         for position, chunk in enumerate(self._chunks):
             if chunk.stored_size == 0:

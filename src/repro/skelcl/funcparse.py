@@ -9,8 +9,9 @@ parameters the generated ``get()`` accessor needs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..kernelc import ast
 from ..kernelc.ctypes_ import CType, PointerType, ScalarType
@@ -18,6 +19,11 @@ from ..kernelc.diagnostics import CompileError
 from ..kernelc.parser import parse
 from ..kernelc.preprocessor import preprocess
 from .runtime import SkelCLError
+
+
+def rename_function(source: str, old_name: str, new_name: str) -> str:
+    """Rename a function (and its uses) in an OpenCL-C source string."""
+    return re.sub(rf"\b{re.escape(old_name)}\b", new_name, source)
 
 
 @dataclass
@@ -28,10 +34,24 @@ class UserFunction:
     param_types: Tuple[CType, ...]
     param_names: Tuple[str, ...]
     definition: ast.FunctionDef
+    function_names: Tuple[str, ...]  # every function the source defines
 
     @property
     def arity(self) -> int:
         return len(self.param_types)
+
+    def renamed(self, suffix: str, name: Optional[str] = None) -> Tuple[str, str]:
+        """The source with *every* function it defines renamed, so that
+        several user sources — whose helpers may collide — coexist in
+        one generated program: helpers get ``suffix`` appended, the
+        customizing function becomes ``name`` (default: its own name
+        plus ``suffix``).  Returns (source, customizing function name)."""
+        name = name or f"{self.name}{suffix}"
+        source = self.source
+        for function in self.function_names:
+            source = rename_function(
+                source, function, name if function == self.name else f"{function}{suffix}")
+        return source, name
 
 
 def parse_user_function(source: str) -> UserFunction:
@@ -57,6 +77,7 @@ def parse_user_function(source: str) -> UserFunction:
         param_types=tuple(p.declared_type for p in fn.params),
         param_names=tuple(p.name for p in fn.params),
         definition=fn,
+        function_names=tuple(f.name for f in program.functions),
     )
 
 

@@ -14,7 +14,6 @@ from typing import List, Tuple
 import numpy as np
 
 from .distribution import Block, Chunk, Distribution
-from .runtime import get_runtime
 
 
 class IndexVector:
@@ -44,9 +43,10 @@ class IndexVector:
     def set_distribution(self, distribution: Distribution) -> None:
         self._distribution = distribution
 
-    def chunks(self) -> List[Chunk]:
-        """The index ranges each device computes (no buffers involved)."""
-        return self._distribution.chunks(self._size, get_runtime().num_devices)
+    def chunks(self, num_devices: int) -> List[Chunk]:
+        """The index ranges each of ``num_devices`` devices computes (no
+        buffers involved)."""
+        return self._distribution.chunks(self._size, num_devices)
 
     def __getitem__(self, index: int) -> int:
         if not 0 <= index < self._size:
@@ -94,9 +94,10 @@ class IndexMatrix:
     def distribution(self) -> Distribution:
         return self._distribution
 
-    def chunks(self) -> List[Chunk]:
-        """Row-granular chunks, as for a real Matrix."""
-        return self._distribution.chunks(self._shape[0], get_runtime().num_devices)
+    def chunks(self, num_devices: int) -> List[Chunk]:
+        """Row-granular chunks over ``num_devices`` devices, as for a
+        real Matrix."""
+        return self._distribution.chunks(self._shape[0], num_devices)
 
     def __getitem__(self, key) -> int:
         row, col = key

@@ -25,51 +25,24 @@ from .scalar import Scalar
 from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton
 from .types_ import dtype_for_ctype
 
-_KERNEL_TEMPLATE = """\
-{user_source}
-
-__kernel void skelcl_reduce(__global const {t}* SCL_IN,
-                            __global {t}* SCL_OUT,
-                            const unsigned int SCL_N,
-                            const unsigned int SCL_OFFSET) {{
-    __local {t} SCL_SCRATCH[{wg}];
-    size_t SCL_LID = get_local_id(0);
-    {t} SCL_ACC = {identity};
-    for (size_t SCL_I = get_global_id(0); SCL_I < SCL_N; SCL_I += get_global_size(0)) {{
-        SCL_ACC = {func}(SCL_ACC, SCL_IN[SCL_I + SCL_OFFSET]);
-    }}
-    SCL_SCRATCH[SCL_LID] = SCL_ACC;
-    barrier(CLK_LOCAL_MEM_FENCE);
-    for (unsigned int SCL_S = {wg} / 2; SCL_S > 0; SCL_S = SCL_S / 2) {{
-        if (SCL_LID < SCL_S) {{
-            SCL_SCRATCH[SCL_LID] = {func}(SCL_SCRATCH[SCL_LID], SCL_SCRATCH[SCL_LID + SCL_S]);
-        }}
-        barrier(CLK_LOCAL_MEM_FENCE);
-    }}
-    if (SCL_LID == 0) {{
-        SCL_OUT[get_group_id(0)] = SCL_SCRATCH[0];
-    }}
-}}
-"""
-
-# Stage 1 with a fused elementwise stage (map∘reduce): instead of
-# loading pre-materialized elements, each grid-stride iteration applies
-# the composed map chain (``{pre}``) to the *original* input.  The
-# explicit ``({t})`` cast reproduces the store the eager pipeline would
+# One template, instantiated two ways.  Plain: ``{load}`` is the input
+# element.  Stage 1 with a fused elementwise stage (map∘reduce): each
+# grid-stride iteration applies the composed map chain to the *original*
+# input instead of loading a pre-materialized element, and the explicit
+# cast to the element type reproduces the store the eager pipeline would
 # have performed on the intermediate, keeping results bit-exact.
-_FUSED_KERNEL_TEMPLATE = """\
-{pre_source}
-{user_source}
+_KERNEL_TEMPLATE = """\
+{sources}
 
-__kernel void skelcl_reduce_fused(__global const {in_t}* SCL_IN,
-                                  __global {t}* SCL_OUT,
-                                  const unsigned int SCL_N,
-                                  const unsigned int SCL_OFFSET{pre_params}) {{
+__kernel void {kernel}(__global const {in_t}* SCL_IN,
+{pad}__global {t}* SCL_OUT,
+{pad}const unsigned int SCL_N,
+{pad}const unsigned int SCL_OFFSET{params}) {{
     __local {t} SCL_SCRATCH[{wg}];
     size_t SCL_LID = get_local_id(0);
     {t} SCL_ACC = {identity};
     for (size_t SCL_I = get_global_id(0); SCL_I < SCL_N; SCL_I += get_global_size(0)) {{
-        SCL_ACC = {func}(SCL_ACC, ({t})({pre}(SCL_IN[SCL_I + SCL_OFFSET]{pre_call})));
+        SCL_ACC = {func}(SCL_ACC, {load});
     }}
     SCL_SCRATCH[SCL_LID] = SCL_ACC;
     barrier(CLK_LOCAL_MEM_FENCE);
@@ -107,29 +80,24 @@ class Reduce(Skeleton):
     def _hints(self, inputs, extras):
         return super()._hints(inputs * 2, ())  # T (T, T): both operands are elements
 
-    def kernel_source(self) -> str:
+    def kernel_source(self, premap=None) -> str:
+        """The reduction kernel; with ``premap`` (a composed map chain
+        from :mod:`repro.plan.compose`) the stage-1 variant applying it
+        to every loaded element."""
+        t = self.element_type.name
+        kernel, sources, in_t, params = "skelcl_reduce", self.user.source, t, ""
+        load = "SCL_IN[SCL_I + SCL_OFFSET]"
+        if premap is not None:
+            kernel = "skelcl_reduce_fused"
+            sources = f"{premap.source}\n{sources}"
+            in_t = premap.in_type.name
+            params = self.extra_param_source(premap.extra_types)
+            load = (f"({t})({premap.name}({load}"
+                    f"{self.extra_call_source(premap.extra_types)}))")
         return _KERNEL_TEMPLATE.format(
-            user_source=self.user.source,
-            t=self.element_type.name,
-            func=self.user.name,
-            identity=self.identity,
-            wg=self.work_group_size,
-        )
-
-    def fused_kernel_source(self, premap) -> str:
-        """Stage-1 source with ``premap`` (a composed map chain from
-        :mod:`repro.plan.compose`) applied to every loaded element."""
-        return _FUSED_KERNEL_TEMPLATE.format(
-            pre_source=premap.source,
-            user_source=self.user.source,
-            in_t=premap.in_type.name,
-            t=self.element_type.name,
-            pre=premap.name,
-            pre_params=self.extra_param_source(premap.extra_types),
-            pre_call=self.extra_call_source(premap.extra_types),
-            func=self.user.name,
-            identity=self.identity,
-            wg=self.work_group_size,
+            sources=sources, kernel=kernel, pad=" " * len(f"__kernel void {kernel}("),
+            in_t=in_t, t=t, params=params, load=load, func=self.user.name,
+            identity=self.identity, wg=self.work_group_size,
         )
 
     def _validate(self, inputs, extras) -> None:
@@ -148,17 +116,18 @@ class Reduce(Skeleton):
         and ``extras`` the chain's additional arguments."""
         (input_container,) = inputs
         dtype = dtype_for_ctype(self.element_type)
-        program = self._program(self.kernel_source(), f"skelcl_reduce_{self.user.name}")
+        program = self._program(self.kernel_source(), f"skelcl_reduce_{self.user.name}",
+                                session)
         if premap is None:
             stage1_program, stage1_name = program, "skelcl_reduce"
         else:
             stage1_program = self._program(
-                self.fused_kernel_source(premap),
-                f"skelcl_reduce_{self.user.name}_fused",
+                self.kernel_source(premap),
+                f"skelcl_reduce_{self.user.name}_fused", session,
             )
             stage1_name = "skelcl_reduce_fused"
         distribution = self.resolve_input_distribution(session, input_container, Block())
-        chunks = input_container.ensure_on_devices(distribution)
+        chunks = input_container.ensure_on_devices(distribution, session)
 
         unit_elements = input_container._unit_elements
         itembytes = dtype.itemsize

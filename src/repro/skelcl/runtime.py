@@ -1,18 +1,36 @@
-"""SkelCL runtime initialization (``SkelCL::init()`` in the paper).
+"""SkelCL sessions and the current session (``SkelCL::init()`` in the paper).
 
-``init()`` returns a :class:`Session` — an object owning the simulated
-OpenCL context (one command queue per GPU) that is also installed as
-the process-wide runtime, mirroring the original library's global
-detail-hiding.  Containers and skeletons created afterwards use the
-installed session implicitly; scoped code can instead write::
+A :class:`Session` owns the simulated OpenCL context (one command queue
+per device) of one ``init()`` call.  *Which* session an operation runs
+on has one answer per object:
+
+* the **current session** is one context variable in this module — set
+  by ``init()``, cleared when that session closes, scoped by
+  ``with session.activate():`` — read through :func:`get_runtime` by the
+  entry points that take no session: a skeleton call,
+  ``skelcl.profile()``, and a direct ``container.ensure_on_devices()``;
+* a **container** keeps the session that staged its device copy
+  (:mod:`repro.skelcl.container`), a deferred call the planner (hence
+  the session) that recorded it, a ``repro.serve.Server`` the session it
+  opened.  None of them consults the context variable again.
+
+The paper's global style therefore keeps working — containers and
+skeletons created after ``init()`` use that session implicitly — and
+scoped code can write::
 
     with skelcl.init(num_devices=2) as session:
         ...                       # session.devices, session.metrics
         session.finish_all()
     # terminate() ran on exit
 
+Being a context variable, the current session is per thread (and per
+``contextvars`` context): a worker thread starts with none — it
+activates the session it wants, or calls ``init()`` without replacing
+the main thread's — and several sessions can be driven from one thread
+by alternating ``activate()`` blocks.
+
 ``terminate()`` is idempotent, and a ``Session`` closing itself only
-tears down the global runtime if it still *is* the global runtime (a
+clears the current session if it still *is* the current session (a
 later ``init()`` replaces it, as before).
 
 Every ``init()`` keyword resolves through the unified configuration
@@ -27,7 +45,9 @@ session executed, ``metrics=<path>`` the metrics snapshot JSON.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence, Union
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator, List, Optional, Sequence, Union
 
 from .. import ocl
 from .. import settings as _settings
@@ -217,12 +237,21 @@ class Session:
     def closed(self) -> bool:
         return self._closed
 
+    @contextmanager
+    def activate(self) -> Iterator["Session"]:
+        """Make this the current session for the ``with`` block (and
+        restore the previous one after it): skeleton calls inside run
+        here, whatever ``init()`` installed."""
+        token = _current.set(self)
+        try:
+            yield self
+        finally:
+            _current.reset(token)
+
     def close(self) -> None:
         """Terminate this session (idempotent).  If it is still the
-        installed global runtime, the module-level state is cleared
-        too; a session replaced by a later ``init()`` only releases its
-        own context."""
-        global _runtime
+        current session, there is none afterwards; a session replaced
+        by a later ``init()`` only releases its own context."""
         if self._closed:
             return
         try:  # a deferred call may fault here, at the last force point
@@ -233,8 +262,8 @@ class Session:
                 _dump_observability(self)
             finally:
                 self.context.release()
-                if _runtime is self:
-                    _runtime = None
+                if _current.get() is self:
+                    _current.set(None)
 
     def __enter__(self) -> "Session":
         return self
@@ -244,7 +273,8 @@ class Session:
         return False
 
 
-_runtime: Optional[Session] = None
+#: The current session — the only place it lives.
+_current: ContextVar[Optional[Session]] = ContextVar("skelcl_session", default=None)
 
 
 def _dump_observability(session: Session) -> None:
@@ -269,58 +299,12 @@ _INIT_KEYWORDS = ("num_devices", "spec", "detect_races", "backend", "lazy",
                   "devices", "partition")
 
 
-def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = None,
-         detect_races=None, backend: Optional[str] = None,
-         lazy: Optional[bool] = None, devices=None, partition=None,
-         **unexpected) -> Session:
-    """Initialize SkelCL on ``num_devices`` simulated GPUs.
-
-    Mirrors ``SkelCL::init()``; must be called before creating containers
-    or executing skeletons.  Calling it again replaces the runtime.
-    Returns a :class:`Session`, usable directly (the classic global
-    style) or as a context manager that terminates on exit.
-
-    ``devices`` builds a heterogeneous pool: a sequence of device specs
-    and/or preset names (see :data:`repro.ocl.DEVICE_PRESETS`), one
-    device per entry — ``skelcl.init(devices=["tesla", "cpu-8core"])``.
-    It is mutually exclusive with ``num_devices``/``spec``, which keep
-    their homogeneous meaning.
-
-    ``partition`` selects how Block/Overlap distributions split data
-    over the pool: ``None`` defers to ``skelcl.configure(partition=...)``,
-    then ``SKELCL_PARTITION``, then the historic even split; ``"throughput"`` sizes chunks once,
-    proportional to each device's modeled peak throughput;
-    ``"adaptive"`` additionally re-sizes from measured per-device
-    kernel time whenever the imbalance exceeds the threshold (see
-    :mod:`repro.skelcl.partition`); an explicit
-    :class:`~repro.skelcl.partition.Partition` pins the split.
-
-    ``detect_races`` enables the SkelSan command-graph race detector on
-    every queue (see :mod:`repro.analysis`): ``"report"`` warns,
-    ``"strict"`` raises :class:`repro.analysis.RaceError`; ``None``
-    defers to ``skelcl.configure(sanitize=...)``, then ``SKELCL_SANITIZE``.
-
-    ``backend`` selects the NDRange execution backend (``"vector"`` or
-    ``"interp"``); ``None`` defers to ``skelcl.configure(backend=...)``,
-    then ``SKELCL_BACKEND``, then the vectorized default.
-
-    ``lazy`` enables the lazy skeleton planner (see :mod:`repro.plan`):
-    skeleton calls defer into a plan and are fused at force time;
-    ``None`` defers to ``skelcl.configure(lazy=...)``, then
-    ``SKELCL_LAZY`` (default: eager).
-
-    Every argument is validated eagerly, before any device state is
-    created: unknown keyword arguments raise :class:`TypeError`, bad
-    device presets / partition policies raise :class:`SkelCLError`
-    listing the valid choices.
-    """
-    global _runtime
-    if unexpected:
-        raise TypeError(
-            f"init() got unexpected keyword argument(s) "
-            f"{', '.join(sorted(unexpected))}; valid keywords: "
-            + ", ".join(_INIT_KEYWORDS)
-        )
+def _open(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = None,
+          detect_races=None, backend: Optional[str] = None,
+          lazy: Optional[bool] = None, devices=None, partition=None) -> Session:
+    """Validate ``init()``'s arguments and open a :class:`Session`
+    without making it current — what ``init()`` and
+    ``repro.serve.Server`` share."""
     if devices is not None:
         if spec is not None:
             raise SkelCLError("pass either devices= or spec=, not both")
@@ -354,24 +338,84 @@ def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = Non
             except ValueError as exc:
                 raise SkelCLError(str(exc)) from None
         count = num_devices
-    _runtime = Session(pool, count, detect_races=detect_races,
-                       backend=backend, lazy=lazy, partition=partition)
-    return _runtime
+    return Session(pool, count, detect_races=detect_races,
+                   backend=backend, lazy=lazy, partition=partition)
+
+
+def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = None,
+         detect_races=None, backend: Optional[str] = None,
+         lazy: Optional[bool] = None, devices=None, partition=None,
+         **unexpected) -> Session:
+    """Initialize SkelCL on ``num_devices`` simulated GPUs.
+
+    Mirrors ``SkelCL::init()``: opens a :class:`Session` and makes it
+    the current one, so skeleton calls made afterwards run on it.
+    Calling it again replaces the current session.  The session is
+    usable directly (the classic global style) or as a context manager
+    that terminates on exit.
+
+    ``devices`` builds a heterogeneous pool: a sequence of device specs
+    and/or preset names (see :data:`repro.ocl.DEVICE_PRESETS`), one
+    device per entry — ``skelcl.init(devices=["tesla", "cpu-8core"])``.
+    It is mutually exclusive with ``num_devices``/``spec``, which keep
+    their homogeneous meaning.
+
+    ``partition`` selects how Block/Overlap distributions split data
+    over the pool: ``None`` defers to ``skelcl.configure(partition=...)``,
+    then ``SKELCL_PARTITION``, then the historic even split; ``"throughput"`` sizes chunks once,
+    proportional to each device's modeled peak throughput;
+    ``"adaptive"`` additionally re-sizes from measured per-device
+    kernel time whenever the imbalance exceeds the threshold (see
+    :mod:`repro.skelcl.partition`); an explicit
+    :class:`~repro.skelcl.partition.Partition` pins the split.
+
+    ``detect_races`` enables the SkelSan command-graph race detector on
+    every queue (see :mod:`repro.analysis`): ``"report"`` warns,
+    ``"strict"`` raises :class:`repro.analysis.RaceError` and fails
+    skeleton builds whose lint pass reports an error; ``None`` defers
+    to ``skelcl.configure(sanitize=...)``, then ``SKELCL_SANITIZE``.
+
+    ``backend`` selects the NDRange execution backend (``"vector"`` or
+    ``"interp"``); ``None`` defers to ``skelcl.configure(backend=...)``,
+    then ``SKELCL_BACKEND``, then the vectorized default.
+
+    ``lazy`` enables the lazy skeleton planner (see :mod:`repro.plan`):
+    skeleton calls defer into a plan and are fused at force time;
+    ``None`` defers to ``skelcl.configure(lazy=...)``, then
+    ``SKELCL_LAZY`` (default: eager).
+
+    Every argument is validated eagerly, before any device state is
+    created: unknown keyword arguments raise :class:`TypeError`, bad
+    device presets / partition policies raise :class:`SkelCLError`
+    listing the valid choices.
+    """
+    if unexpected:
+        raise TypeError(
+            f"init() got unexpected keyword argument(s) "
+            f"{', '.join(sorted(unexpected))}; valid keywords: "
+            + ", ".join(_INIT_KEYWORDS)
+        )
+    session = _open(num_devices, spec, detect_races, backend, lazy, devices,
+                    partition)
+    _current.set(session)
+    return session
 
 
 def terminate() -> None:
-    """Release the runtime (``SkelCL::terminate()``).  Idempotent: safe
-    to call with no runtime installed, or twice."""
-    runtime = _runtime
-    if runtime is not None:
-        runtime.close()  # clears the global when it is still installed
+    """Close the current session (``SkelCL::terminate()``).  Idempotent:
+    safe to call with no current session, or twice."""
+    session = _current.get()
+    if session is not None:
+        session.close()  # clears the context variable
 
 
 def get_runtime() -> Session:
-    if _runtime is None:
+    """The current session; :class:`SkelCLError` when there is none."""
+    session = _current.get()
+    if session is None:
         raise SkelCLError("SkelCL is not initialized; call skelcl.init() first")
-    return _runtime
+    return session
 
 
 def is_initialized() -> bool:
-    return _runtime is not None
+    return _current.get() is not None

@@ -128,9 +128,10 @@ class Scan(Skeleton):
         current = input_vector.distribution
         carried = current.partition if isinstance(current, (Block, Overlap)) else None
         distribution = partitioned(session, Block(carried))
-        chunks = input_vector.ensure_on_devices(distribution)
-        out_chunks = out.prepare_as_output(distribution)
-        program = self._program(self.kernel_source(), f"skelcl_scan_{self.user.name}")
+        program = self._program(self.kernel_source(), f"skelcl_scan_{self.user.name}",
+                                session)
+        chunks = input_vector.ensure_on_devices(distribution, session)
+        out_chunks = out.prepare_as_output(distribution, session)
 
         # Phase A: scan each device's chunk independently — the per-chunk
         # dependency chains run concurrently across devices.

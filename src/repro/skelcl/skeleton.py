@@ -17,7 +17,6 @@ kernel caching.
 from __future__ import annotations
 
 import os.path
-import re
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -84,11 +83,6 @@ def round_up(value: int, multiple: int) -> int:
     if multiple <= 0:
         return value
     return ((value + multiple - 1) // multiple) * multiple
-
-
-def rename_function(source: str, old_name: str, new_name: str) -> str:
-    """Rename a function (and its uses) in an OpenCL-C source string."""
-    return re.sub(rf"\b{re.escape(old_name)}\b", new_name, source)
 
 
 def scalar_literal(value, ctype: ScalarType) -> str:
@@ -316,11 +310,19 @@ class Skeleton:
 
     # -- programs ------------------------------------------------------------
 
-    def _program(self, source: str, name: str) -> ocl.Program:
+    def _program(self, source: str, name: str,
+                 session: Optional[Session] = None) -> ocl.Program:
+        """The built program of ``source``, cached per skeleton.  For a
+        launch on ``session`` a lint error fails the build when that
+        session resolved ``sanitize="strict"`` — whichever link of the
+        configuration chain said so (``Program.build`` itself only
+        knows the process-wide links)."""
         program = self._programs.get(source)
         if program is None:
             program = ocl.Program(source, name).build()
             self._programs[source] = program
+        if session is not None and session.settings.sanitize == "strict":
+            program.fail_on_lint_errors()
         return program
 
     # -- launches ---------------------------------------------------------------
@@ -402,7 +404,8 @@ class Skeleton:
     ):
         """The per-chunk launch loop of every single-launch skeleton.
 
-        Stages ``inputs`` under their ``distributions`` (implicit
+        Builds the program (a failed build enqueues nothing), stages
+        ``inputs`` on ``session`` under their ``distributions`` (implicit
         transfers), prepares ``out`` under ``out_distribution``, and on
         every device owning a non-empty chunk launches ``kernel_name``
         with the arguments ``(*input_buffers, out_buffer, *scalars,
@@ -412,10 +415,10 @@ class Skeleton:
         producers of the chunks it reads and on the producers and
         readers of the chunk it overwrites, and is recorded as reader /
         writer of those chunks."""
-        staged = [container.ensure_on_devices(distribution)
+        program = self._program(source, program_name, session)
+        staged = [container.ensure_on_devices(distribution, session)
                   for container, distribution in zip(inputs, distributions)]
-        out_chunks = out.prepare_as_output(out_distribution)
-        program = self._program(source, program_name)
+        out_chunks = out.prepare_as_output(out_distribution, session)
         for position, (*in_pairs, (out_chunk, out_buffer)) in enumerate(
                 zip(*staged, out_chunks)):
             scalars, extent = chunk_args(out_chunk, *(chunk for chunk, _ in in_pairs))

@@ -90,10 +90,10 @@ def _composed_source(pipeline, monkeypatch_setattr):
     seen = []
     original = Skeleton._program
 
-    def spy(self, source, name):
+    def spy(self, source, name, *session):
         if ("SCL_FUSED" in source or "SCL_PREMAP" in source) and source not in seen:
             seen.append(source)
-        return original(self, source, name)
+        return original(self, source, name, *session)
 
     monkeypatch_setattr(Skeleton, "_program", spy)
     lazy = _run(pipeline, lazy=True)

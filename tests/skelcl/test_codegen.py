@@ -16,11 +16,12 @@ from repro.skelcl.funcparse import (
     append_hidden_params,
     parse_user_function,
     pointer_param,
+    rename_function,
     scalar_param,
     scalar_return,
 )
 from repro.skelcl.runtime import SkelCLError
-from repro.skelcl.skeleton import rename_function, round_up, scalar_literal
+from repro.skelcl.skeleton import round_up, scalar_literal
 
 
 class TestParseUserFunction:
@@ -86,6 +87,16 @@ class TestSignatureRewriting:
         assert "SCL_F(" in renamed
         assert "fnx" in renamed  # not mangled
         assert " fn(" not in renamed
+
+    def test_renamed_renames_every_function_the_source_defines(self):
+        fn = parse_user_function(
+            "float sq(float v) { return v * v; } float f(float x) { return sq(x) + 1.0f; }")
+        assert fn.function_names == ("sq", "f")
+        assert fn.renamed("__m0") == (
+            "float sq__m0(float v) { return v * v; } "
+            "float f__m0(float x) { return sq__m0(x) + 1.0f; }", "f__m0")
+        source, name = fn.renamed("__zip", "SCL_ZIP_F")
+        assert name == "SCL_ZIP_F" and "sq__zip(x)" in source and "SCL_ZIP_F(float x)" in source
 
 
 class TestHelpers:
@@ -178,6 +189,27 @@ class TestGeneratedSources:
         source = matmul.kernel_source()
         assert "SCL_ZIP_F" in source and "SCL_RED_F" in source
         self._compiles(source, "skelcl_allpairs")
+
+    def test_allpairs_operators_may_define_helpers_of_the_same_name(self, runtime_1gpu):
+        import numpy as np
+
+        plain = skelcl.AllPairs(
+            skelcl.Reduce("float func(float x, float y) { return x + y; }"),
+            skelcl.Zip("float func(float x, float y) { return x * y; }"))
+        # Operators without helpers generate what they always did.
+        assert plain.kernel_source().startswith(
+            "float SCL_ZIP_F(float x, float y) { return x * y; }\n\n"
+            "float SCL_RED_F(float x, float y) { return x + y; }\n\n__kernel")
+        distance = skelcl.AllPairs(
+            skelcl.Reduce("float sq(float v) { return v + 0.0f; }"
+                          " float r(float x, float y) { return sq(x) + y; }"),
+            skelcl.Zip("float sq(float v) { return v * v; }"
+                       " float z(float x, float y) { return sq(x - y); }"))
+        self._compiles(distance.kernel_source(), "skelcl_allpairs")
+        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        b = np.ones((2, 4), np.float32)
+        result = distance(skelcl.Matrix(data=a), skelcl.Matrix(data=b)).to_numpy()
+        assert np.array_equal(result, ((a[:, None, :] - b[None]) ** 2).sum(-1))
 
     def test_build_cache_reused_across_skeleton_instances(self, runtime_1gpu):
         from repro import ocl

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 
 import repro.skelcl as skelcl
-from repro import settings
+from repro import ocl, settings
 
 
 @pytest.fixture(autouse=True)
@@ -168,6 +169,31 @@ class TestSubsystemsReadTheChain:
         skelcl.configure(sanitize="report")
         session = skelcl.init(num_devices=1)
         assert session.context.race_detector is not None
+
+    @pytest.mark.parametrize("link", ["kwarg", "configure", "env"])
+    def test_strict_sanitize_fails_a_build_with_a_lint_error(self, link, monkeypatch):
+        """Whichever link of the chain says ``strict``, a skeleton whose
+        kernel has a lint *error* fails to build — same text, nothing
+        enqueued — instead of faulting at run time."""
+        kwargs = {}
+        if link == "kwarg":
+            kwargs["detect_races"] = "strict"
+        elif link == "configure":
+            skelcl.configure(sanitize="strict")
+        else:
+            monkeypatch.setenv("SKELCL_SANITIZE", "strict")
+        ocl.clear_build_cache()
+        session = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, **kwargs)
+        out_of_bounds = skelcl.Map("float f(float x) { float a[4]; a[0] = x; return a[7]; }")
+        with pytest.raises(ocl.BuildError) as failure:
+            out_of_bounds(skelcl.Vector(data=np.ones(8, np.float32))).to_numpy()
+        assert str(failure.value) == (
+            "program build failed:\n"
+            "skelcl_map_f:1:49: error: index 7 is out of bounds for array of "
+            "length 4 [constant-index-oob]\n"
+            "float f(float x) { float a[4]; a[0] = x; return a[7]; }\n"
+            "                                                ^^^^")
+        assert sum(len(queue.events) for queue in session.queues) == 0
 
     def test_lazy_setting_installs_the_planner(self):
         skelcl.configure(lazy=True)
