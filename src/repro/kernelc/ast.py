@@ -299,19 +299,7 @@ class Program(Node):
         return [fn for fn in self.functions if fn.is_kernel]
 
 
-# -- visitor ----------------------------------------------------------------
-
-
-class Visitor:
-    """Generic AST visitor; dispatches on node class name."""
-
-    def visit(self, node: Node):
-        method = getattr(self, f"visit_{type(node).__name__}", self.generic_visit)
-        return method(node)
-
-    def generic_visit(self, node: Node):
-        for child in children(node):
-            self.visit(child)
+# -- traversal --------------------------------------------------------------
 
 
 def children(node: Node) -> List[Node]:

@@ -32,6 +32,8 @@ from .ctypes_ import (
     usual_arithmetic_conversions,
     wrap_int,
 )
+from .execmodel import convert_value
+from .values import VecValue
 
 # Memory-fence flag values for barrier()/mem_fence().
 CLK_LOCAL_MEM_FENCE = 1
@@ -153,11 +155,6 @@ def _exp10(x: float) -> float:
 
 def _fract_trunc(x: float) -> float:
     return x - math.floor(x)
-
-
-def _rint(x: float) -> float:
-    # round-half-to-even, like C rint in the default rounding mode
-    return float(round(x / 2.0) * 2.0) if abs(x % 1.0) == 0.5 and False else float(round(x))
 
 
 def _round_half_away(x: float) -> float:
@@ -429,8 +426,6 @@ def _resolve_vload_vstore(name: str, arg_types: Sequence[CType]) -> Optional[Res
 
     if is_load:
         def impl(offset, ptr, _w=width, _e=element):
-            from .values import VecValue
-
             base = int(offset) * _w
             return VecValue(_e, [ptr.load(base + i) for i in range(_w)])
 
@@ -509,8 +504,6 @@ def _resolve_geometric(name: str, arg_types: Sequence[CType]) -> ResolvedBuiltin
         impl = lambda a, b: math.sqrt(sum((x - y) ** 2 for x, y in zip(as_list(a), as_list(b))))  # noqa: E731
         return ResolvedBuiltin(name, scalar, (vec, vec), impl, 3 * width + 4, "whole")
     if base == "normalize":
-        from .values import VecValue
-
         def impl(a, _scalar=scalar):
             comps = as_list(a)
             norm = math.sqrt(sum(x * x for x in comps))
@@ -522,8 +515,6 @@ def _resolve_geometric(name: str, arg_types: Sequence[CType]) -> ResolvedBuiltin
 
         return ResolvedBuiltin(name, vec, (vec,), impl, 3 * width + 8, "whole")
     if base == "cross":
-        from .values import VecValue
-
         if width not in (3, 4):
             raise BuiltinError("cross() requires 3- or 4-component vectors")
 
@@ -581,3 +572,28 @@ def _resolve_as_type(name: str, arg_types: Sequence[CType]) -> ResolvedBuiltin:
     if source.sizeof() not in (4, 8):
         raise BuiltinError(f"as_{spec} supports only 4- and 8-byte types")
     return ResolvedBuiltin(name, target, (source,), impl, 0)
+
+
+def apply_builtin(resolved: ResolvedBuiltin, args: Sequence):
+    """Apply a resolved builtin to runtime argument values (scalars
+    and/or :class:`VecValue`): arguments convert to the parameter types,
+    a ``plain`` builtin over vectors applies per component."""
+    converted = [convert_value(arg, param) for arg, param in zip(args, resolved.param_types)]
+    if resolved.kind == "whole":
+        if resolved.name == "select":
+            a, b, c = converted
+            if isinstance(c, VecValue):
+                a_components = a.components if isinstance(a, VecValue) else [a] * c.width
+                b_components = b.components if isinstance(b, VecValue) else [b] * c.width
+                element = a.element_type if isinstance(a, VecValue) else resolved.result_type.element
+                out = [bc if cc else ac for ac, bc, cc in zip(a_components, b_components, c.components)]
+                return VecValue(element, out)
+            return b if c else a
+        result = resolved.impl(*converted)
+    elif isinstance(resolved.result_type, VectorType) and any(isinstance(a, VecValue) for a in converted):
+        width = resolved.result_type.width
+        lanes = [arg.components if isinstance(arg, VecValue) else [arg] * width for arg in converted]
+        return VecValue(resolved.result_type.element, [resolved.impl(*lane_args) for lane_args in zip(*lanes)])
+    else:
+        result = resolved.impl(*converted)
+    return convert_value(result, resolved.result_type)

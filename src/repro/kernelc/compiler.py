@@ -1,6 +1,19 @@
-"""Compiling backend: checked kernelc AST → Python functions.
+"""The one lowering of checked kernelc ASTs to Python, and the per-item
+engine it generates.
 
-Each function in a program is translated to a Python function taking
+:class:`_FunctionCompiler` is the only place that *decides* how an
+OpenCL-C expression lowers — implicit conversions, the binary-operator
+rule (compound assignment is that rule plus the assignment conversion),
+array flattening, lvalues, address-of, pointer arithmetic, ``++``/``--``,
+work-item queries, declarations.  It writes every decision against the
+leaf *emitters* of a :class:`_Spelling`, which only say how one
+operation is spelled in Python.  The spelling defined here is the
+per-item engine's: plain ``int``/``float`` scalars, :class:`Pointer`
+and :class:`VecValue`.  The lockstep generator (:mod:`.vectorize`)
+subclasses both — its spelling calls the lane library, its generator
+adds masked control flow — and re-decides nothing.
+
+Per-item engine: each C function becomes a Python function taking
 ``(C, ctx, [lmem,] *args)`` where ``C`` is the launch's
 :class:`~repro.kernelc.execmodel.ExecutionCounters`, ``ctx`` the
 :class:`WorkItemContext` and ``lmem`` (kernels only) the list of
@@ -30,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast
-from .builtins import ResolvedBuiltin
+from .builtins import ResolvedBuiltin, apply_builtin
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -44,17 +57,26 @@ from .execmodel import (
     c_fdiv,
     c_idiv,
     c_imod,
+    collect_local_decls,
     compare_value,
+    constant_globals,
     convert_value,
     copy_value,
 )
-from .interp import _flatten_initializer, apply_builtin, collect_local_decls
-from .memory import ArrayRef, KernelFault, Pointer, allocate
+from .memory import (
+    NULL_POINTER,
+    KernelFault,
+    allocate_array,
+    flatten_initializer,
+    same_pointer,
+)
 from .values import VecValue
 
 # Static per-operator costs (in abstract device "ops").
 _OP_COSTS = {"+": 1, "-": 1, "*": 1, "/": 4, "%": 4, "<<": 1, ">>": 1, "&": 1, "|": 1, "^": 1,
              "<": 1, ">": 1, "<=": 1, ">=": 1, "==": 1, "!=": 1, "&&": 1, "||": 1}
+
+_CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
 
 
 def _is_literal(expr: ast.Expr, *values) -> bool:
@@ -68,8 +90,7 @@ def _literal_value(expr: ast.Expr):
     return None
 
 
-_FOLDABLE_BINOPS = frozenset(["+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^",
-                              "<", ">", "<=", ">=", "==", "!="])
+_FOLDABLE_BINOPS = frozenset(["+", "-", "*", "/", "%", "<<", ">>", "&", "|", "^", *_CMP_OPS])
 
 
 def fold_constants(expr: ast.Expr, lookup=None):
@@ -106,7 +127,7 @@ def fold_constants(expr: ast.Expr, lookup=None):
         if left is None or right is None:
             return None
         try:
-            if expr.op in ("<", ">", "<=", ">=", "==", "!="):
+            if expr.op in _CMP_OPS:
                 return compare_value(expr.op, left, right, op_type)
             return binary_value(expr.op, left, right, op_type)
         except Exception:
@@ -185,10 +206,6 @@ class CompiledKernel:
     charges: Dict[tuple, int] = field(default_factory=dict, repr=False)
     cse: Dict[int, int] = field(default_factory=dict, repr=False)
 
-    @property
-    def num_params(self) -> int:
-        return len(self.definition.params)
-
 
 @dataclass
 class CompiledProgram:
@@ -203,23 +220,121 @@ class CompiledProgram:
             raise KeyError(f"no kernel named {name!r}; available: {sorted(self.kernels)}") from None
 
 
-class _ExprPart:
-    """Compiled expression: prelude statements + a Python expression."""
-
-    __slots__ = ("prelude", "code")
-
-    def __init__(self, code: str, prelude: Optional[List[str]] = None):
-        self.code = code
-        self.prelude = prelude if prelude is not None else []
+def _is_unsigned(ctype) -> bool:
+    return isinstance(ctype, ScalarType) and ctype.is_integer() \
+        and not ctype.signed and not ctype.is_bool()
 
 
-_UNSIGNED_MASKS = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF, 8: 0xFFFFFFFFFFFFFFFF}
+class _Spelling:
+    """The leaf emitters of the lowering, as the per-item engine spells
+    them: every method returns Python text over plain scalars,
+    :class:`Pointer` and :class:`VecValue` and takes no decision about C
+    semantics (``assign`` and ``discard`` also emit)."""
+
+    null = "_NULLPTR"
+    void = "None"
+
+    def __init__(self, generator: "_FunctionCompiler"):
+        self.g = generator
+
+    def atom(self, code: str) -> str:
+        """``code`` as the object of a method call or a negation."""
+        return f"({code})"
+
+    def load(self, pointer: str, index: str) -> str:
+        return f"{pointer}.load({index})"
+
+    def store(self, pointer: str, index: str, value: str) -> str:
+        return f"{pointer}.store({index}, {value})"
+
+    def arith(self, op: str, left: str, right: str, op_type: ScalarType) -> str:
+        return f"(({left}) {op} ({right}))"
+
+    compare = arith  # a truth value; ``truth_value`` makes it a C int
+
+    def truth_value(self, code: str) -> str:
+        return code
+
+    def divide(self, op: str, left: str, right: str, op_type: ScalarType) -> str:
+        if op == "%":
+            return f"_imod({left}, {right})"
+        return f"_fdiv({left}, {right})" if op_type.is_float() else f"_idiv({left}, {right})"
+
+    def shift(self, op: str, left: str, right: str, op_type: ScalarType) -> str:
+        return f"(({left}) {op} (({right}) % {op_type.bits}))"
+
+    def mask(self, code: str, ctype: ScalarType) -> str:
+        return f"(({code}) & {(1 << ctype.bits) - 1})"
+
+    def sign_wrap(self, code: str, bits: int) -> str:
+        return f"_sw{bits}({code})"
+
+    def to_bool(self, code: str) -> str:
+        return f"(1 if ({code}) else 0)"
+
+    def logical_not(self, code: str) -> str:
+        return f"(0 if ({code}) else 1)"
+
+    def int_to_float(self, code: str, source: ScalarType) -> str:
+        return f"float({code})"
+
+    def float_to_int(self, code: str) -> str:
+        return f"int({code})"
+
+    def cast(self, code: str, target: ScalarType, source: CType) -> str:
+        return f"_cvt({code}, {self.g.pc.constant(target)})"
+
+    def step(self, code: str, delta: int) -> str:
+        return f"{code} + ({delta})"
+
+    def scale_index(self, code: str, stride: int) -> str:
+        return f"({code}) * {stride}"
+
+    def add_index(self, left: str, right: str) -> str:
+        return f"{left} + {right}"
+
+    def pointer_equal(self, left: str, right: str, negated: bool) -> str:
+        return f"int({'not ' if negated else ''}_ptr_eq({left}, {right}))"
+
+    def pointer_compare(self, op: str, left: str, right: str) -> str:
+        return f"int(({left}).offset {op} ({right}).offset)"
+
+    def workitem(self, name: str, dim: str) -> str:
+        return f"ctx.{name}({dim})"
+
+    def private_array(self, ctype: ArrayType, values: Optional[tuple]) -> str:
+        pool = self.g.pc.constant
+        return f"_mk_array({pool(ctype)}, {pool(values) if values is not None else None})"
+
+    def call(self, symbol: str, args: List[str]) -> str:
+        return f"{symbol}({', '.join(['C', 'ctx'] + args)})"
+
+    def builtin(self, resolved: ResolvedBuiltin, args: List[str]) -> str:
+        pool = self.g.pc.constant
+        if resolved.kind == "whole" or isinstance(resolved.result_type, VectorType) \
+                or any(isinstance(t, VectorType) for t in resolved.param_types):
+            return f"_applyb({pool(resolved)}, ({', '.join(args)},))"
+        code = f"{pool(resolved.impl)}({', '.join(args)})"
+        return code if resolved.name == "abs" else self.g._mask_unsigned(code, resolved.result_type)
+
+    def assign(self, name: str, code: str, value_needed: bool = True) -> str:
+        """Assign the local ``name``; returns the expression of its new value."""
+        self.g.emit(f"{name} = {code}")
+        self.g.invalidate_name(name)
+        return name
+
+    def discard(self, code: str) -> str:
+        """Evaluate ``code`` for its side effects only."""
+        return f"({code}, None)[1]" if _has_side_effect_code(code) else self.void
 
 
 class _FunctionCompiler:
-    def __init__(self, program_compiler: "_ProgramCompiler", function: ast.FunctionDef):
+    """Lowers one checked C function; see the module docstring."""
+
+    def __init__(self, program_compiler: "_ProgramCompiler", function: Optional[ast.FunctionDef]):
         self.pc = program_compiler
         self.function = function
+        self.e = _Spelling(self)
         self.lines: List[str] = []
         self.indent = 1
         self.temp_counter = 0
@@ -266,20 +381,29 @@ class _FunctionCompiler:
         self.temp_counter += 1
         return f"_{hint}{self.temp_counter}"
 
+    def temp(self, hint: str, code: str) -> str:
+        """Hold ``code`` in a fresh local."""
+        name = self.fresh(hint)
+        self.emit(f"{name} = {code}")
+        return name
+
+    def effect(self, code: str) -> None:
+        """Evaluate ``code`` as a statement if it can do anything."""
+        if _has_side_effect_code(code):
+            self.emit(code)
+
     def charge(self, cost: int) -> None:
         if cost > 0:
             self.emit(f"C.ops += {cost}")
 
     # -- deferred charging (CSE-aware) -------------------------------------
 
-    def begin_charge(self, *nodes) -> Tuple[int, int, int, tuple]:
+    def begin_charge(self, node) -> Tuple[int, int, int, tuple]:
         """Emit a charge placeholder; finalized after the statement's
         expressions compile (CSE may have elided some of the cost)."""
         index = len(self.lines)
         self.emit("C.ops += 0")
-        cost = sum(self.cost(n) for n in nodes if n is not None)
-        key = tuple(id(n) for n in nodes if n is not None)
-        return (index, cost, self._cse_savings, key)
+        return (index, self.cost(node), self._cse_savings, (id(node),))
 
     def end_charge(self, token: Tuple[int, int, int, tuple], extra: int = 0) -> None:
         index, cost, savings_before, key = token
@@ -296,11 +420,22 @@ class _FunctionCompiler:
         if final:
             self.pc.charges[key] = final
 
-    def record_cse(self, expr: ast.Expr, temp: str) -> None:
-        """The load ``expr`` was elided, reusing the load held in ``temp``."""
-        self.pc.cse[id(expr)] = self._load_origins[temp]
-
     # -- load-CSE bookkeeping ------------------------------------------------
+
+    def reuse_load(self, expr: ast.Index, load: str, pure: bool) -> str:
+        """The value of the load ``expr`` spelled ``load``: repeated
+        identical loads within a basic block reuse the first one's temp
+        (only when base and index were side-effect free)."""
+        if not pure:
+            return load
+        cached = self._load_cache.get(load)
+        if cached is not None:
+            self._cse_savings += node_cost(expr)
+            self.pc.cse[id(expr)] = self._load_origins[cached]
+            return cached
+        cached = self._load_cache[load] = self.temp("ld", load)
+        self._load_origins[cached] = id(expr)
+        return cached
 
     def invalidate_loads(self) -> None:
         self._load_cache.clear()
@@ -399,25 +534,18 @@ class _FunctionCompiler:
         ctype = decl.declared_type
         if decl.address_space == "local":
             name = self.declare_name(decl.name)
-            index = self.pc.local_index(self.function, decl)
-            self.emit(f"{name} = lmem[{index}]")
+            self.emit(f"{name} = lmem[{self.pc.local_index(self.function, decl)}]")
             return
         if isinstance(ctype, ArrayType):
             name = self.declare_name(decl.name)
-            const = self.pc.constant(ctype)
-            if decl.init is not None:
-                values = _flatten_initializer(decl.init)
-                values_const = self.pc.constant(tuple(values))
-                self.emit(f"{name} = _mk_array({const}, {values_const})")
-            else:
-                self.emit(f"{name} = _mk_array({const}, None)")
+            values = tuple(flatten_initializer(decl.init)) if decl.init is not None else None
+            self.emit(f"{name} = {self.e.private_array(ctype, values)}")
             return
         if decl.init is not None:
             token = self.begin_charge(decl.init)
-            part = self.compile_expr(decl.init)
-            self.emit_lines(part.prelude)
+            code = self.compile_expr(decl.init)
             self.end_charge(token)
-            code = self.convert_code(part.code, decl.init.ctype, ctype)
+            code = self.convert_code(code, decl.init.ctype, ctype)
             if isinstance(ctype, VectorType):
                 code = f"_copyv({code})"
         else:
@@ -434,7 +562,7 @@ class _FunctionCompiler:
         if isinstance(ctype, VectorType):
             return f"_zerovec({self.pc.constant(ctype)})"
         if isinstance(ctype, PointerType):
-            return "_NULLPTR"
+            return self.e.null
         assert isinstance(ctype, ScalarType)
         return "0.0" if ctype.is_float() else "0"
 
@@ -444,63 +572,54 @@ class _FunctionCompiler:
             return
         if isinstance(expr, ast.Call) and getattr(expr, "kind", "") == "builtin" \
                 and expr.resolved.kind == "barrier":
-            part = self.compile_expr(expr.args[0])
-            self.emit_lines(part.prelude)
+            flags = self.compile_expr(expr.args[0])
             self.emit("C.barriers += 1")
-            self.emit(f"yield ('barrier', {part.code})")
+            self.emit(f"yield ('barrier', {flags})")
             self.invalidate_loads()
             return
-        token = self.begin_charge(expr)
-        if isinstance(expr, ast.Assignment):
-            part = self.compile_assignment(expr)
-            self.emit_lines(part.prelude)
-            self.end_charge(token)
-            return
-        part = self.compile_expr(expr)
-        self.emit_lines(part.prelude)
-        self.end_charge(token)
-        if _has_side_effect_code(part.code):
-            self.emit(part.code)
+        self._compile_charged_effect(expr)
 
-    def compile_if(self, stmt: ast.IfStmt) -> None:
-        token = self.begin_charge(stmt.condition)
-        part = self.compile_expr(stmt.condition)
-        self.emit_lines(part.prelude)
+    def _compile_charged_effect(self, expr: ast.Expr) -> None:
+        """Charge and evaluate ``expr`` for its side effects."""
+        token = self.begin_charge(expr)
+        code = self.compile_expr(expr)
+        self.end_charge(token)
+        self.effect(code)
+
+    def _compile_condition(self, condition: ast.Expr) -> str:
+        token = self.begin_charge(condition)
+        code = self.compile_expr(condition)
         self.end_charge(token, extra=1)
-        snapshot = self.snapshot_loads()
-        self.emit(f"if {part.code}:")
+        return code
+
+    def _compile_scope(self, stmt: ast.Stmt) -> None:
+        self.scope_stack.append({})
+        self.compile_stmt(stmt)
+        self.scope_stack.pop()
+
+    def _compile_block(self, header: str, stmt: ast.Stmt) -> None:
+        self.emit(header)
         self.indent += 1
         before = len(self.lines)
-        self.scope_stack.append({})
-        self.compile_stmt(stmt.then_branch)
-        self.scope_stack.pop()
+        self._compile_scope(stmt)
         if len(self.lines) == before:
             self.emit("pass")
         self.indent -= 1
+
+    def compile_if(self, stmt: ast.IfStmt) -> None:
+        condition = self._compile_condition(stmt.condition)
+        snapshot = self.snapshot_loads()
+        self._compile_block(f"if {condition}:", stmt.then_branch)
         self.restore_loads(dict(snapshot))
         if stmt.else_branch is not None:
-            self.emit("else:")
-            self.indent += 1
-            before = len(self.lines)
-            self.scope_stack.append({})
-            self.compile_stmt(stmt.else_branch)
-            self.scope_stack.pop()
-            if len(self.lines) == before:
-                self.emit("pass")
-            self.indent -= 1
-            self.restore_loads(dict(snapshot))
+            self._compile_block("else:", stmt.else_branch)
         # Branches may have stored to memory: keep only loads that were
         # already valid before and not invalidated by either branch.
         self.invalidate_loads()
 
     def _compile_loop_condition_break(self, condition: Optional[ast.Expr]) -> None:
-        if condition is None:
-            return
-        token = self.begin_charge(condition)
-        part = self.compile_expr(condition)
-        self.emit_lines(part.prelude)
-        self.end_charge(token, extra=1)
-        self.emit(f"if not ({part.code}): break")
+        if condition is not None:
+            self.emit(f"if not ({self._compile_condition(condition)}): break")
 
     def compile_while(self, stmt: ast.WhileStmt) -> None:
         self.invalidate_loads()
@@ -508,9 +627,7 @@ class _FunctionCompiler:
         self.indent += 1
         self._compile_loop_condition_break(stmt.condition)
         self.contexts.append(("loop", []))
-        self.scope_stack.append({})
-        self.compile_stmt(stmt.body)
-        self.scope_stack.pop()
+        self._compile_scope(stmt.body)
         self.contexts.pop()
         self.indent -= 1
         self.invalidate_loads()
@@ -522,48 +639,33 @@ class _FunctionCompiler:
         self.invalidate_loads()
         increment_lines: List[str] = []
         if stmt.increment is not None:
-            increment_lines = self._capture_lines(lambda: self._compile_increment(stmt.increment))
+            increment_lines, _ = self._capture_lines(
+                lambda: self._compile_charged_effect(stmt.increment))
         self.emit("while True:")
         self.indent += 1
         self._compile_loop_condition_break(stmt.condition)
         self.contexts.append(("loop", increment_lines))
         inner = len(self.lines)
-        self.scope_stack.append({})
-        self.compile_stmt(stmt.body)
-        self.scope_stack.pop()
+        self._compile_scope(stmt.body)
         self.contexts.pop()
         if len(self.lines) == inner and not increment_lines and stmt.condition is None:
             self.emit("pass")
-        for line in increment_lines:
-            self.lines.append("    " * self.indent + line)
+        self.emit_lines(increment_lines)
         self.indent -= 1
         self.scope_stack.pop()
         self.invalidate_loads()
 
-    def _compile_increment(self, expr: ast.Expr) -> None:
-        token = self.begin_charge(expr)
-        if isinstance(expr, ast.Assignment):
-            part = self.compile_assignment(expr)
-            self.emit_lines(part.prelude)
-            self.end_charge(token)
-            return
-        part = self.compile_expr(expr)
-        self.emit_lines(part.prelude)
-        self.end_charge(token)
-        if _has_side_effect_code(part.code):
-            self.emit(part.code)
-
-    def _capture_lines(self, action: Callable[[], None]) -> List[str]:
-        """Run ``action`` capturing emitted lines (dedented) instead of
-        appending them to the body."""
+    def _capture_lines(self, action: Callable[[], object]) -> Tuple[List[str], object]:
+        """Run ``action`` capturing the lines it emits (dedented) instead
+        of appending them to the body, with the loads it caches dropped
+        again (they run conditionally); returns them with its result."""
         saved_lines, saved_indent = self.lines, self.indent
         snapshot = self.snapshot_loads()
         self.lines, self.indent = [], 0
-        action()
-        captured = [line for line in self.lines]
-        self.lines, self.indent = saved_lines, saved_indent
+        result = action()
+        captured, self.lines, self.indent = self.lines, saved_lines, saved_indent
         self.restore_loads(snapshot)
-        return captured
+        return captured, result
 
     def compile_do(self, stmt: ast.DoStmt) -> None:
         self.invalidate_loads()
@@ -572,9 +674,7 @@ class _FunctionCompiler:
         self.indent += 1
         if not has_continue:
             self.contexts.append(("loop", []))
-            self.scope_stack.append({})
-            self.compile_stmt(stmt.body)
-            self.scope_stack.pop()
+            self._compile_scope(stmt.body)
             self.contexts.pop()
         else:
             # continue must fall through to the condition: run the body in
@@ -584,18 +684,12 @@ class _FunctionCompiler:
             self.emit("for _once in (0,):")
             self.indent += 1
             self.contexts.append(("do_wrap", break_flag))
-            self.scope_stack.append({})
-            self.compile_stmt(stmt.body)
-            self.scope_stack.pop()
+            self._compile_scope(stmt.body)
             self.contexts.pop()
             self.indent -= 1
             self.emit(f"if {break_flag}: break")
         self.invalidate_loads()
-        token = self.begin_charge(stmt.condition)
-        part = self.compile_expr(stmt.condition)
-        self.emit_lines(part.prelude)
-        self.end_charge(token, extra=1)
-        self.emit(f"if not ({part.code}): break")
+        self._compile_loop_condition_break(stmt.condition)
         self.indent -= 1
         self.invalidate_loads()
 
@@ -604,10 +698,7 @@ class _FunctionCompiler:
         cost = node_cost(stmt.subject) + len(stmt.cases)
         self.on_charge((id(stmt), "switch"), cost)
         self.charge(cost)
-        subject = self.compile_expr(stmt.subject)
-        self.emit_lines(subject.prelude)
-        subject_name = self.fresh("sw")
-        self.emit(f"{subject_name} = {subject.code}")
+        subject_name = self.temp("sw", self.compile_expr(stmt.subject))
         start_name = self.fresh("st")
         default_index = len(stmt.cases)
         conditions: List[str] = []
@@ -615,9 +706,7 @@ class _FunctionCompiler:
             if case.value is None:
                 default_index = index
                 continue
-            value_part = self.compile_expr(case.value)
-            self.emit_lines(value_part.prelude)
-            conditions.append((index, value_part.code))
+            conditions.append((index, self.compile_expr(case.value)))
         first = True
         for index, code in conditions:
             keyword = "if" if first else "elif"
@@ -660,25 +749,17 @@ class _FunctionCompiler:
             self.indent -= 1
 
     def compile_return(self, stmt: ast.ReturnStmt) -> None:
-        if self.function.is_kernel:
-            self.emit("return")
-            return
-        if stmt.value is None:
+        if self.function.is_kernel or stmt.value is None:
             self.emit("return")
             return
         token = self.begin_charge(stmt.value)
-        part = self.compile_expr(stmt.value)
-        self.emit_lines(part.prelude)
+        code = self.compile_expr(stmt.value)
         self.end_charge(token)
-        code = self.convert_code(part.code, stmt.value.ctype, self.function.return_type)
-        self.emit(f"return {code}")
+        self.emit(f"return {self.convert_code(code, stmt.value.ctype, self.function.return_type)}")
 
     def compile_break(self) -> None:
         for kind, payload in reversed(self.contexts):
-            if kind == "loop":
-                self.emit("break")
-                return
-            if kind == "switch":
+            if kind in ("loop", "switch"):
                 self.emit("break")
                 return
             if kind == "do_wrap":
@@ -705,418 +786,281 @@ class _FunctionCompiler:
 
     # -- expressions ----------------------------------------------------------
 
-    def compile_expr(self, expr: ast.Expr) -> _ExprPart:
+    def compile_expr(self, expr: ast.Expr) -> str:
+        """Emit what evaluating ``expr`` needs first and return the
+        Python expression of its value."""
         # Constant folding: emit whole constant subtrees as literals
         # (identifiers resolve through the const-propagation table).
         if not isinstance(expr, (ast.IntLiteral, ast.FloatLiteral, ast.CharLiteral)):
             folded = self.fold(expr)
             if folded is not None:
-                return _ExprPart(repr(folded))
-        method = getattr(self, f"_expr_{type(expr).__name__}")
-        return method(expr)
+                return repr(folded)
+        return getattr(self, f"_expr_{type(expr).__name__}")(expr)
 
-    def _expr_IntLiteral(self, expr: ast.IntLiteral) -> _ExprPart:
-        return _ExprPart(repr(convert_scalar(expr.value, expr.ctype)))
+    def compile_converted(self, expr: ast.Expr, target: CType) -> str:
+        """``expr`` as a value of type ``target`` (arrays decay)."""
+        return self._converted(self.compile_expr(expr), expr, target)
 
-    def _expr_FloatLiteral(self, expr: ast.FloatLiteral) -> _ExprPart:
-        return _ExprPart(repr(float(expr.value)))
+    def _converted(self, code: str, expr: ast.Expr, target: CType) -> str:
+        return self.convert_code(self._decay_code(code, expr.ctype), expr.ctype, target)
 
-    def _expr_CharLiteral(self, expr: ast.CharLiteral) -> _ExprPart:
-        return _ExprPart(repr(convert_scalar(expr.value, expr.ctype)))
+    def _expr_IntLiteral(self, expr: ast.IntLiteral) -> str:
+        return repr(convert_scalar(expr.value, expr.ctype))
 
-    def _expr_Identifier(self, expr: ast.Identifier) -> _ExprPart:
+    def _expr_FloatLiteral(self, expr: ast.FloatLiteral) -> str:
+        return repr(float(expr.value))
+
+    _expr_CharLiteral = _expr_IntLiteral
+
+    def _expr_Identifier(self, expr: ast.Identifier) -> str:
         constant = getattr(expr, "constant_value", None)
         if constant is not None:
-            return _ExprPart(repr(constant))
-        name = self.lookup_name(expr.name)
-        if name is not None:
-            return _ExprPart(name)
-        # File-scope __constant data.
-        return _ExprPart(self.pc.global_symbol(expr.name))
+            return repr(constant)
+        # A local, else file-scope __constant data.
+        return self.lookup_name(expr.name) or self.pc.global_symbol(expr.name)
 
-    def _expr_UnaryOp(self, expr: ast.UnaryOp) -> _ExprPart:
+    def _expr_UnaryOp(self, expr: ast.UnaryOp) -> str:
         op = expr.op
         if op in ("++", "--"):
             return self._compile_incdec(expr.operand, op, prefix=True)
-        if op == "*":
-            operand = self.compile_expr(expr.operand)
-            return _ExprPart(f"({operand.code}).load(0)", operand.prelude)
         if op == "&":
             return self._expr_address_of(expr)
         operand = self.compile_expr(expr.operand)
-        ctype = expr.ctype
-        if isinstance(ctype, VectorType):
-            const = self.pc.constant(ctype)
-            return _ExprPart(f"_unaryv({const}, {op!r}, {operand.code})", operand.prelude)
+        if op == "*":
+            return self.e.load(self.e.atom(operand), "0")
+        if isinstance(expr.ctype, VectorType):
+            return f"_unaryv({self.pc.constant(expr.ctype)}, {op!r}, {operand})"
         if op == "!":
-            return _ExprPart(f"(0 if ({operand.code}) else 1)", operand.prelude)
-        if op == "~":
-            code = f"(~({operand.code}))"
-        elif op == "-":
-            code = f"(-({operand.code}))"
-        else:  # unary +
-            code = f"(+({operand.code}))"
-        code = self._mask_unsigned(code, ctype)
-        return _ExprPart(code, operand.prelude)
+            return self.e.logical_not(operand)
+        return self._mask_unsigned(f"({op}{self.e.atom(operand)})", expr.ctype)
 
-    def _expr_address_of(self, expr: ast.UnaryOp) -> _ExprPart:
-        inner = expr.operand
+    def _expr_address_of(self, expr: ast.UnaryOp) -> str:
+        inner, atom = expr.operand, self.e.atom
         if isinstance(inner, ast.Index):
-            base_type = inner.base.ctype
-            if isinstance(base_type, ArrayType):
+            if isinstance(inner.base.ctype, ArrayType):
                 flattened = self._flatten_array_access(inner)
                 if flattened is not None:
-                    root, flat_index, prelude = flattened
-                    return _ExprPart(f"({root}).pointer.add({flat_index})", prelude)
+                    return f"{atom(flattened[0])}.pointer.add({flattened[1]})"
                 base = self.compile_expr(inner.base)
-                index = self.compile_expr(inner.index)
-                return _ExprPart(f"({base.code}).index({index.code}).decayed()",
-                                 base.prelude + index.prelude)
+                return f"{atom(base)}.index({self.compile_expr(inner.index)}).decayed()"
             base = self.compile_expr(inner.base)
-            index = self.compile_expr(inner.index)
-            return _ExprPart(f"({base.code}).add({index.code})", base.prelude + index.prelude)
+            return f"{atom(base)}.add({self.compile_expr(inner.index)})"
         if isinstance(inner, ast.UnaryOp) and inner.op == "*":
-            operand = self.compile_expr(inner.operand)
-            return _ExprPart(operand.code, operand.prelude)
+            return self.compile_expr(inner.operand)
         if isinstance(inner, ast.Identifier) and isinstance(inner.ctype, ArrayType):
-            part = self.compile_expr(inner)
-            return _ExprPart(f"({part.code}).decayed()", part.prelude)
+            return self._decay_code(self.compile_expr(inner), inner.ctype)
         raise _unsupported(expr, "taking the address of a plain variable is not supported")
 
     def _mask_unsigned(self, code: str, ctype: CType) -> str:
-        if isinstance(ctype, ScalarType) and ctype.is_integer() and not ctype.signed and not ctype.is_bool():
-            return f"(({code}) & {_UNSIGNED_MASKS[ctype.size]})"
-        return code
+        return self.e.mask(code, ctype) if _is_unsigned(ctype) else code
 
-    def _compile_incdec(self, target: ast.Expr, op: str, prefix: bool) -> _ExprPart:
-        delta = "1" if op == "++" else "-1"
+    def _compile_incdec(self, target: ast.Expr, op: str, prefix: bool) -> str:
+        delta = 1 if op == "++" else -1
         ctype = target.ctype
-        if isinstance(target, ast.Identifier) and not isinstance(ctype, (VectorType,)):
-            name = self.lookup_name(target.name)
-            assert name is not None
-            self.invalidate_name(name)
+
+        def stepped(code: str) -> str:
             if isinstance(ctype, PointerType):
-                update = f"{name} = {name}.add({delta})"
-            else:
-                update = f"{name} = {self._mask_unsigned(f'{name} + ({delta})', ctype)}"
+                return f"{code}.add({delta})"
+            return self._mask_unsigned(self.e.step(code, delta), ctype)
+
+        if isinstance(target, ast.Identifier):
+            name = self.lookup_name(target.name)
             if prefix:
-                return _ExprPart(name, [update])
-            temp = self.fresh()
-            return _ExprPart(temp, [f"{temp} = {name}", update])
+                return self.e.assign(name, stepped(name))
+            old = self.temp("t", name)
+            self.e.assign(name, stepped(name), value_needed=False)
+            return old
         # General lvalue: load-modify-store.
         lvalue = self._compile_lvalue(target)
-        temp = self.fresh()
-        prelude = list(lvalue.prelude)
-        prelude.append(f"{temp} = {lvalue.load_code()}")
-        if isinstance(ctype, PointerType):
-            new_code = f"{temp}.add({delta})"
-        else:
-            new_code = self._mask_unsigned(f"{temp} + ({delta})", ctype)
+        current = self.temp("cur", self._load(lvalue))
+        new = stepped(current)
         if prefix:
-            new_temp = self.fresh()
-            prelude.append(f"{new_temp} = {new_code}")
-            prelude.extend(lvalue.store_lines(new_temp))
-            self.invalidate_loads()
-            return _ExprPart(new_temp, prelude)
-        prelude.extend(lvalue.store_lines(new_code))
+            new = self.temp("t", new)
+        self._store(lvalue, new)
         self.invalidate_loads()
-        return _ExprPart(temp, prelude)
+        return new if prefix else current
 
-    def _expr_PostfixOp(self, expr: ast.PostfixOp) -> _ExprPart:
+    def _expr_PostfixOp(self, expr: ast.PostfixOp) -> str:
         return self._compile_incdec(expr.operand, expr.op, prefix=False)
 
-    def _expr_BinaryOp(self, expr: ast.BinaryOp) -> _ExprPart:
-        op = expr.op
-        left_type = _decayed_type(expr.left)
-        right_type = _decayed_type(expr.right)
-
-        if op in ("&&", "||"):
+    def _expr_BinaryOp(self, expr: ast.BinaryOp) -> str:
+        if expr.op in ("&&", "||"):
             return self._compile_logical(expr)
-
         left = self.compile_expr(expr.left)
         right = self.compile_expr(expr.right)
-        prelude = left.prelude + right.prelude
-        op_type = expr.op_type
+        return self._binary(expr.op, left, right, expr.left, expr.right, expr.op_type)
 
-        # Pointer arithmetic / comparisons.
-        if isinstance(left_type, PointerType) or isinstance(right_type, PointerType):
-            return self._compile_pointer_binary(expr, left, right, left_type, right_type, prelude)
-
+    def _binary(self, op: str, lcode: str, rcode: str, left: ast.Expr, right: ast.Expr,
+                op_type: CType) -> str:
+        """The C binary-operator rule on two compiled operands (``left``
+        and ``right`` are the operand nodes, for their types and
+        literal values)."""
+        if _is_pointer(left) or _is_pointer(right):
+            return self._pointer_binary(op, lcode, rcode, left, right)
         if isinstance(op_type, VectorType):
-            const = self.pc.constant(op_type)
-            helper = "_cmpv" if op in ("<", ">", "<=", ">=", "==", "!=") else "_binv"
-            return _ExprPart(f"{helper}({op!r}, {left.code}, {right.code}, {const})", prelude)
-
+            helper = "_cmpv" if op in _CMP_OPS else "_binv"
+            return f"{helper}({op!r}, {lcode}, {rcode}, {self.pc.constant(op_type)})"
         assert isinstance(op_type, ScalarType)
-        lcode, rcode = left.code, right.code
-        # Order-sensitive operations (comparisons, division, remainder,
-        # right shift) need operands coerced to the unsigned domain when
+        e = self.e
+        if op in _CMP_OPS:
+            return e.truth_value(self._compare(op, lcode, rcode, op_type))
+
+        def coerce(code: str) -> str:  # a no-op unless op_type is unsigned
+            return self._mask_unsigned(code, op_type)
+
+        # Order-sensitive operations (division, remainder, right shift,
+        # comparisons) need operands coerced to the unsigned domain when
         # the computation type is unsigned — C's "usual arithmetic
         # conversions" make (-1 < 1u) false.  Ring operations (+ - * etc.)
         # only need the result masked.
-        is_unsigned = op_type.is_integer() and not op_type.signed and not op_type.is_bool()
-        if op in ("<", ">", "<=", ">=", "==", "!="):
-            if is_unsigned:
-                lcode = self._mask_unsigned(lcode, op_type)
-                rcode = self._mask_unsigned(rcode, op_type)
-            return _ExprPart(f"(({lcode}) {op} ({rcode}))", prelude)
-        if op == "/":
-            if op_type.is_float():
-                return _ExprPart(f"_fdiv({lcode}, {rcode})", prelude)
-            if is_unsigned:
-                lcode = self._mask_unsigned(lcode, op_type)
-                rcode = self._mask_unsigned(rcode, op_type)
-            return _ExprPart(f"_idiv({lcode}, {rcode})", prelude)
-        if op == "%":
-            if is_unsigned:
-                lcode = self._mask_unsigned(lcode, op_type)
-                rcode = self._mask_unsigned(rcode, op_type)
-            return _ExprPart(f"_imod({lcode}, {rcode})", prelude)
+        if op in ("/", "%"):
+            return e.divide(op, coerce(lcode), coerce(rcode), op_type)
         if op in ("<<", ">>"):
-            if op == ">>" and is_unsigned:
-                lcode = self._mask_unsigned(lcode, op_type)
-            code = f"(({lcode}) {op} (({rcode}) % {op_type.bits}))"
-            return _ExprPart(self._mask_unsigned(code, op_type), prelude)
+            # OpenCL masks the shift count by the width of the promoted type.
+            return coerce(e.shift(op, coerce(lcode) if op == ">>" else lcode, rcode, op_type))
         # Strength reduction: fold multiplications by +-1 and additions
-        # of 0 (matching node_cost, which charges nothing for them).
+        # of 0 (matching node_cost, which charges nothing for them; it
+        # changes float signed-zero results: -0.0 + 0 stays -0.0).
         if op == "*":
-            if _is_literal(expr.right, 1, 1.0):
-                return _ExprPart(lcode, prelude)
-            if _is_literal(expr.left, 1, 1.0):
-                return _ExprPart(rcode, prelude)
-            if _is_literal(expr.right, -1, -1.0):
-                return _ExprPart(self._mask_unsigned(f"(-({lcode}))", op_type), prelude)
-            if _is_literal(expr.left, -1, -1.0):
-                return _ExprPart(self._mask_unsigned(f"(-({rcode}))", op_type), prelude)
-        elif op in ("+", "-") and _is_literal(expr.right, 0, 0.0):
-            return _ExprPart(lcode, prelude)
-        elif op == "+" and _is_literal(expr.left, 0, 0.0):
-            return _ExprPart(rcode, prelude)
-        code = f"(({lcode}) {op} ({rcode}))"
-        return _ExprPart(self._mask_unsigned(code, op_type), prelude)
+            for kept, other in ((lcode, right), (rcode, left)):
+                if _is_literal(other, 1, 1.0):
+                    return kept
+                if _is_literal(other, -1, -1.0):
+                    return coerce(f"(-{e.atom(kept)})")
+        elif op in ("+", "-") and _is_literal(right, 0, 0.0):
+            return lcode
+        elif op == "+" and _is_literal(left, 0, 0.0):
+            return rcode
+        return coerce(e.arith(op, lcode, rcode, op_type))
 
-    def _compile_logical(self, expr: ast.BinaryOp) -> _ExprPart:
+    def _compare(self, op: str, lcode: str, rcode: str, op_type: ScalarType) -> str:
+        """A scalar comparison as a truth value."""
+        return self.e.compare(op, self._mask_unsigned(lcode, op_type),
+                              self._mask_unsigned(rcode, op_type), op_type)
+
+    def _compile_logical(self, expr: ast.BinaryOp) -> str:
         left = self.compile_expr(expr.left)
         # The right side evaluates conditionally: loads cached inside it
         # must not escape into unconditional contexts.
-        snapshot = self.snapshot_loads()
-        right = self.compile_expr(expr.right)
-        self.restore_loads(snapshot)
-        if not right.prelude:
+        right_lines, right = self._capture_lines(lambda: self.compile_expr(expr.right))
+        if not right_lines:
             joiner = "and" if expr.op == "&&" else "or"
-            return _ExprPart(f"(1 if (({left.code}) {joiner} ({right.code})) else 0)", left.prelude)
+            return f"(1 if (({left}) {joiner} ({right})) else 0)"
         # The right side needs statements: lower with explicit control flow
         # to preserve short-circuit evaluation.
         result = self.fresh("lg")
-        prelude = list(left.prelude)
         if expr.op == "&&":
-            prelude.append(f"{result} = 0")
-            prelude.append(f"if ({left.code}):")
-            for line in right.prelude:
-                prelude.append("    " + line)
-            prelude.append(f"    {result} = 1 if ({right.code}) else 0")
+            self.emit(f"{result} = 0")
+            self.emit(f"if ({left}):")
         else:
-            prelude.append(f"{result} = 1")
-            prelude.append(f"if not ({left.code}):")
-            for line in right.prelude:
-                prelude.append("    " + line)
-            prelude.append(f"    {result} = 1 if ({right.code}) else 0")
-        return _ExprPart(result, prelude)
+            self.emit(f"{result} = 1")
+            self.emit(f"if not ({left}):")
+        self.indent += 1
+        self.emit_lines(right_lines)
+        self.emit(f"{result} = 1 if ({right}) else 0")
+        self.indent -= 1
+        return result
 
-    def _compile_pointer_binary(self, expr, left, right, left_type, right_type, prelude) -> _ExprPart:
-        op = expr.op
-        left_ptr = isinstance(left_type, PointerType)
-        right_ptr = isinstance(right_type, PointerType)
-        lcode = self._decay_code(left.code, expr.left.ctype)
-        rcode = self._decay_code(right.code, expr.right.ctype)
+    def _pointer_binary(self, op: str, lcode: str, rcode: str, left: ast.Expr,
+                        right: ast.Expr) -> str:
+        e = self.e
+        lcode = self._decay_code(lcode, left.ctype)
+        rcode = self._decay_code(rcode, right.ctype)
         if op == "+":
-            if left_ptr:
-                return _ExprPart(f"({lcode}).add({rcode})", prelude)
-            return _ExprPart(f"({rcode}).add({lcode})", prelude)
+            pointer, offset = (lcode, rcode) if _is_pointer(left) else (rcode, lcode)
+            return f"{e.atom(pointer)}.add({offset})"
         if op == "-":
-            if left_ptr and right_ptr:
-                return _ExprPart(f"({lcode}).diff({rcode})", prelude)
-            return _ExprPart(f"({lcode}).add(-({rcode}))", prelude)
+            if _is_pointer(right):
+                return f"{e.atom(lcode)}.diff({rcode})"
+            return f"{e.atom(lcode)}.add(-{e.atom(rcode)})"
         if op in ("==", "!="):
-            negate = "" if op == "==" else "not "
-            return _ExprPart(f"int({negate}_ptr_eq({lcode}, {rcode}))", prelude)
-        return _ExprPart(f"int(({lcode}).offset {op} ({rcode}).offset)", prelude)
+            return e.pointer_equal(lcode, rcode, negated=op == "!=")
+        return e.pointer_compare(op, lcode, rcode)
 
     def _decay_code(self, code: str, ctype: Optional[CType]) -> str:
-        if isinstance(ctype, ArrayType):
-            return f"({code}).decayed()"
-        return code
+        return f"{self.e.atom(code)}.decayed()" if isinstance(ctype, ArrayType) else code
 
-    def _expr_Assignment(self, expr: ast.Assignment) -> _ExprPart:
-        return self.compile_assignment(expr)
-
-    def compile_assignment(self, expr: ast.Assignment) -> _ExprPart:
+    def _expr_Assignment(self, expr: ast.Assignment) -> str:
         target_type = expr.target.ctype
-
-        # Fast path: simple variable target.
-        if isinstance(expr.target, ast.Identifier):
-            value = self.compile_expr(expr.value)
-            value_code = self._decay_code(value.code, expr.value.ctype)
-            name = self.lookup_name(expr.target.name)
-            assert name is not None
-            prelude = list(value.prelude)
-            if expr.op == "=":
-                new_code = self.convert_code(value_code, expr.value.ctype, target_type)
-                if isinstance(target_type, VectorType):
-                    new_code = f"_copyv({new_code})"
-            else:
-                new_code = self._compound_code(name, value_code, expr)
-            prelude.append(f"{name} = {new_code}")
-            self.invalidate_name(name)
-            return _ExprPart(name, prelude)
-
-        # Compile the lvalue before the value so the compile-time order
-        # matches the emitted runtime order (lvalue prelude first).  A
-        # load shared between both sides must pick its CSE source from
-        # whichever side executes first, or the cached temp would be
-        # referenced before its defining line.
+        # The lvalue runs before the value.  A load shared between both
+        # sides must pick its CSE source from whichever side executes
+        # first, or the cached temp would be referenced before its
+        # defining line.
         lvalue = self._compile_lvalue(expr.target)
-        value = self.compile_expr(expr.value)
-        value_code = self._decay_code(value.code, expr.value.ctype)
-        prelude = lvalue.prelude + value.prelude
+        variable = lvalue.kind == "var"
         if expr.op == "=":
-            stored = self.convert_code(value_code, expr.value.ctype, target_type)
+            value = self.compile_converted(expr.value, target_type)
+            if variable and isinstance(target_type, VectorType):
+                value = f"_copyv({value})"
         else:
-            current = self.fresh("cur")
-            prelude.append(f"{current} = {lvalue.load_code()}")
-            stored = self._compound_code(current, value_code, expr)
-        temp = self.fresh("val")
-        prelude.append(f"{temp} = {stored}")
-        prelude.extend(lvalue.store_lines(temp))
+            # ``a op= b`` is ``a = a op b`` with the lvalue resolved once:
+            # the binary rule, then the assignment conversion.
+            operand = self.compile_expr(expr.value)
+            current = lvalue.target if variable else self.temp("cur", self._load(lvalue))
+            value = self.convert_code(
+                self._binary(expr.op[:-1], current, operand, expr.target, expr.value, expr.op_type),
+                expr.op_type, target_type)
+        if variable:
+            return self.e.assign(lvalue.target, value)
+        stored = self.temp("val", value)
+        self._store(lvalue, stored)
         self.invalidate_loads()  # stored through memory
-        return _ExprPart(temp, prelude)
+        return stored
 
-    def _compound_code(self, current_code: str, value_code: str, expr: ast.Assignment) -> str:
-        op = expr.op[:-1]
-        target_type = expr.target.ctype
-        if isinstance(target_type, PointerType):
-            sign = "" if op == "+" else "-"
-            return f"({current_code}).add({sign}({value_code}))"
-        if isinstance(target_type, VectorType) or isinstance(expr.value.ctype, VectorType):
-            const = self.pc.constant(target_type)
-            return f"_binv({op!r}, {current_code}, {value_code}, {const})"
-        assert isinstance(target_type, ScalarType)
-        value_type = expr.value.ctype
-        # Compute in the wider type when mixing float into an int target.
-        if isinstance(value_type, ScalarType) and value_type.is_float() and target_type.is_integer():
-            combined = f"(({current_code}) {op} ({value_code}))" if op not in ("/",) else f"_fdiv({current_code}, {value_code})"
-            return self.convert_code(combined, value_type, target_type)
-        if op == "/":
-            combined = f"_fdiv({current_code}, {value_code})" if target_type.is_float() else f"_idiv({current_code}, {value_code})"
-        elif op == "%":
-            combined = f"_imod({current_code}, {value_code})"
-        elif op in ("<<", ">>"):
-            combined = f"(({current_code}) {op} (({value_code}) % {target_type.bits}))"
-        else:
-            value = self.convert_code(value_code, value_type, target_type) if (
-                isinstance(value_type, ScalarType) and value_type.is_float() and target_type.is_integer()
-            ) else value_code
-            combined = f"(({current_code}) {op} ({value}))"
-        return self._mask_unsigned(combined, target_type)
-
-    def _expr_Conditional(self, expr: ast.Conditional) -> _ExprPart:
+    def _expr_Conditional(self, expr: ast.Conditional) -> str:
         condition = self.compile_expr(expr.condition)
-        snapshot = self.snapshot_loads()
-        then_part = self.compile_expr(expr.then_expr)
-        self.restore_loads(dict(snapshot))
-        else_part = self.compile_expr(expr.else_expr)
-        self.restore_loads(snapshot)
-        then_code = self.convert_code(self._decay_code(then_part.code, expr.then_expr.ctype),
-                                      expr.then_expr.ctype, expr.ctype)
-        else_code = self.convert_code(self._decay_code(else_part.code, expr.else_expr.ctype),
-                                      expr.else_expr.ctype, expr.ctype)
-        if not then_part.prelude and not else_part.prelude:
-            return _ExprPart(f"(({then_code}) if ({condition.code}) else ({else_code}))", condition.prelude)
+        then_lines, then_code = self._capture_lines(lambda: self.compile_expr(expr.then_expr))
+        else_lines, else_code = self._capture_lines(lambda: self.compile_expr(expr.else_expr))
+        then_code = self._converted(then_code, expr.then_expr, expr.ctype)
+        else_code = self._converted(else_code, expr.else_expr, expr.ctype)
+        if not then_lines and not else_lines:
+            return f"(({then_code}) if ({condition}) else ({else_code}))"
         result = self.fresh("sel")
-        prelude = list(condition.prelude)
-        prelude.append(f"if ({condition.code}):")
-        for line in then_part.prelude:
-            prelude.append("    " + line)
-        prelude.append(f"    {result} = {then_code}")
-        prelude.append("else:")
-        for line in else_part.prelude:
-            prelude.append("    " + line)
-        prelude.append(f"    {result} = {else_code}")
-        return _ExprPart(result, prelude)
+        for header, lines, code in ((f"if ({condition}):", then_lines, then_code),
+                                    ("else:", else_lines, else_code)):
+            self.emit(header)
+            self.indent += 1
+            self.emit_lines(lines)
+            self.emit(f"{result} = {code}")
+            self.indent -= 1
+        return result
 
-    def _expr_Call(self, expr: ast.Call) -> _ExprPart:
+    def _expr_Call(self, expr: ast.Call) -> str:
         if expr.kind == "user":
-            return self._compile_user_call(expr)
+            target: ast.FunctionDef = expr.callee_def
+            codes = [self.compile_expr(arg) for arg in expr.args]
+            args = [self._converted(code, arg, param.declared_type)
+                    for code, arg, param in zip(codes, expr.args, target.params)]
+            self.invalidate_loads()  # the callee may write memory
+            return self.e.call(self.pc.function_symbol(target.name), args)
         resolved: ResolvedBuiltin = expr.resolved
         if resolved.kind == "workitem":
             return self._compile_workitem(expr, resolved)
         if resolved.kind == "barrier":
             raise _unsupported(expr, "barrier() must be a standalone statement")
         if resolved.name in ("mem_fence", "read_mem_fence", "write_mem_fence"):
-            part = self.compile_expr(expr.args[0])
-            return _ExprPart("None", part.prelude)
+            self.compile_expr(expr.args[0])
+            return self.e.void
+        codes = [self.compile_expr(arg) for arg in expr.args]
+        args = [self.convert_code(code, arg.ctype, param_type)
+                for code, arg, param_type in zip(codes, expr.args, resolved.param_types)]
+        return self.e.builtin(resolved, args)
 
-        parts = [self.compile_expr(arg) for arg in expr.args]
-        prelude: List[str] = []
-        for part in parts:
-            prelude.extend(part.prelude)
-        arg_codes = [
-            self.convert_code(part.code, arg.ctype, param_type)
-            for part, arg, param_type in zip(parts, expr.args, resolved.param_types)
-        ]
-        needs_generic = (
-            resolved.kind == "whole"
-            or isinstance(resolved.result_type, VectorType)
-            or any(isinstance(t, VectorType) for t in resolved.param_types)
-        )
-        if needs_generic:
-            const = self.pc.constant(resolved)
-            return _ExprPart(f"_applyb({const}, ({', '.join(arg_codes)},))", prelude)
-        impl_const = self.pc.constant(resolved.impl)
-        code = f"{impl_const}({', '.join(arg_codes)})"
-        result = resolved.result_type
-        if isinstance(result, ScalarType) and result.is_integer() and not result.signed and resolved.name not in ("abs",):
-            code = self._mask_unsigned(code, result)
-        return _ExprPart(code, prelude)
-
-    def _compile_workitem(self, expr: ast.Call, resolved: ResolvedBuiltin) -> _ExprPart:
-        attr = {
-            "get_global_id": "global_id",
-            "get_local_id": "local_id",
-            "get_group_id": "group_id",
-            "get_global_size": "global_size",
-            "get_local_size": "local_size",
-            "get_global_offset": "global_offset",
-        }.get(resolved.name)
+    def _compile_workitem(self, expr: ast.Call, resolved: ResolvedBuiltin) -> str:
         if resolved.name == "get_work_dim":
-            return _ExprPart("ctx.work_dim")
-        if expr.args and isinstance(expr.args[0], ast.IntLiteral) and attr is not None \
-                and 0 <= expr.args[0].value <= 2:
-            return _ExprPart(f"ctx.{attr}[{expr.args[0].value}]")
-        parts = [self.compile_expr(arg) for arg in expr.args]
-        prelude = [line for part in parts for line in part.prelude]
-        args = ", ".join(part.code for part in parts)
-        return _ExprPart(f"ctx.{resolved.name}({args})", prelude)
+            return "ctx.work_dim"
+        dim = expr.args[0]
+        # ids and sizes are tuples padded to three entries (get_num_groups
+        # is derived): a literal dimension indexes them directly.
+        if isinstance(dim, ast.IntLiteral) and 0 <= dim.value <= 2 \
+                and resolved.name != "get_num_groups":
+            return f"ctx.{resolved.name[4:]}[{dim.value}]"
+        return self.e.workitem(resolved.name, self.compile_expr(dim))
 
-    def _compile_user_call(self, expr: ast.Call) -> _ExprPart:
-        target: ast.FunctionDef = expr.callee_def
-        parts = [self.compile_expr(arg) for arg in expr.args]
-        prelude = [line for part in parts for line in part.prelude]
-        arg_codes = []
-        for part, arg, param in zip(parts, expr.args, target.params):
-            code = self._decay_code(part.code, arg.ctype)
-            code = self.convert_code(code, arg.ctype, param.declared_type)
-            arg_codes.append(code)
-        symbol = self.pc.function_symbol(target.name)
-        joined = ", ".join(arg_codes)
-        call = f"{symbol}(C, ctx, {joined})" if joined else f"{symbol}(C, ctx)"
-        self.invalidate_loads()  # the callee may write memory
-        return _ExprPart(call, prelude)
-
-    def _flatten_array_access(self, expr: ast.Index):
+    def _flatten_array_access(self, expr: ast.Index) -> Optional[Tuple[str, str]]:
         """Flatten a full multi-dim array access ``a[i][j]`` into the root
-        ArrayRef and a single flat index expression (no intermediate
-        ArrayRef/Pointer objects at runtime).  None when not applicable.
+        array and a single flat index expression (no intermediate
+        array/pointer objects at runtime).  None when not applicable.
         """
         if isinstance(expr.ctype, ArrayType):
             return None  # partial indexing yields an array row
@@ -1127,145 +1071,113 @@ class _FunctionCompiler:
             node = node.base
         if not isinstance(node.ctype, ArrayType) or not indices:
             return None
-        indices.reverse()  # outermost dimension first
-        strides: List[int] = []
+        root = self.compile_expr(node)
         ctype: CType = node.ctype
-        for _ in indices:
-            element = ctype.element
-            strides.append(element.flat_length() if isinstance(element, ArrayType) else 1)
-            ctype = element
-        base_part = self.compile_expr(node)
-        prelude = list(base_part.prelude)
-        terms: List[str] = []
-        for index_expr, stride in zip(indices, strides):
-            part = self.compile_expr(index_expr)
-            prelude.extend(part.prelude)
-            terms.append(part.code if stride == 1 else f"({part.code}) * {stride}")
-        return base_part.code, " + ".join(terms), prelude
+        flat = None
+        for index_expr in reversed(indices):  # outermost dimension first
+            ctype = ctype.element
+            stride = ctype.flat_length() if isinstance(ctype, ArrayType) else 1
+            term = self.compile_expr(index_expr)
+            if stride != 1:
+                term = self.e.scale_index(term, stride)
+            flat = term if flat is None else self.e.add_index(flat, term)
+        return root, flat
 
-    def _expr_Index(self, expr: ast.Index) -> _ExprPart:
-        base_type = expr.base.ctype
-        if isinstance(base_type, ArrayType):
+    def _expr_Index(self, expr: ast.Index) -> str:
+        mark = len(self.lines)
+        atom = self.e.atom
+        if isinstance(expr.base.ctype, ArrayType):
             flattened = self._flatten_array_access(expr)
             if flattened is None:
                 base = self.compile_expr(expr.base)
-                index = self.compile_expr(expr.index)
-                return _ExprPart(f"({base.code}).index({index.code})",
-                                 base.prelude + index.prelude)
-            root, flat_index, prelude = flattened
-            load_code = f"({root}).pointer.load({flat_index})"
+                return f"{atom(base)}.index({self.compile_expr(expr.index)})"
+            load = self.e.load(f"{atom(flattened[0])}.pointer", flattened[1])
         else:
             base = self.compile_expr(expr.base)
-            index = self.compile_expr(expr.index)
-            prelude = base.prelude + index.prelude
-            load_code = f"({base.code}).load({index.code})"
-        # CSE: repeated identical loads within a basic block reuse the
-        # first load's temp (only for side-effect-free base/index).
-        if not prelude:
-            cached = self._load_cache.get(load_code)
-            if cached is not None:
-                self._cse_savings += node_cost(expr)
-                self.record_cse(expr, cached)
-                return _ExprPart(cached)
-            temp = self.fresh("ld")
-            self._load_cache[load_code] = temp
-            self._load_origins[temp] = id(expr)
-            return _ExprPart(temp, [f"{temp} = {load_code}"])
-        return _ExprPart(load_code, prelude)
+            load = self.e.load(atom(base), self.compile_expr(expr.index))
+        return self.reuse_load(expr, load, pure=len(self.lines) == mark)
 
-    def _expr_Member(self, expr: ast.Member) -> _ExprPart:
+    def _expr_Member(self, expr: ast.Member) -> str:
         base = self.compile_expr(expr.base)
         indices = expr.indices
         if len(indices) == 1:
-            return _ExprPart(f"({base.code}).components[{indices[0]}]", base.prelude)
-        idx_tuple = ", ".join(str(i) for i in indices)
-        return _ExprPart(f"_vswiz({base.code}, ({idx_tuple},))", base.prelude)
+            return f"({base}).components[{indices[0]}]"
+        return f"_vswiz({base}, ({', '.join(str(i) for i in indices)},))"
 
-    def _expr_Cast(self, expr: ast.Cast) -> _ExprPart:
+    def _expr_Cast(self, expr: ast.Cast) -> str:
         operand = self.compile_expr(expr.operand)
         source = expr.operand.ctype
         target = expr.target_type
         if target.is_void():
-            return _ExprPart(f"({operand.code}, None)[1]" if _has_side_effect_code(operand.code) else "None",
-                             operand.prelude)
+            return self.e.discard(operand)
         if isinstance(target, PointerType):
-            code = self._decay_code(operand.code, source)
             if isinstance(source, (PointerType, ArrayType)):
-                pointee_const = self.pc.constant(target.pointee)
-                return _ExprPart(f"({code}).retyped({pointee_const})", operand.prelude)
+                pointee = self.pc.constant(target.pointee)
+                return f"{self.e.atom(self._decay_code(operand, source))}.retyped({pointee})"
             raise _unsupported(expr, "invalid pointer cast")
         # Exact conversion semantics on explicit casts.
-        const = self.pc.constant(target)
-        return _ExprPart(f"_cvt({operand.code}, {const})", operand.prelude)
+        return self.e.cast(operand, target, source)
 
-    def _expr_VectorLiteral(self, expr: ast.VectorLiteral) -> _ExprPart:
-        target: VectorType = expr.target_type
-        parts = [self.compile_expr(element) for element in expr.elements]
-        prelude = [line for part in parts for line in part.prelude]
-        codes = ", ".join(part.code for part in parts)
-        const = self.pc.constant(target)
-        return _ExprPart(f"_vecnew({const}, ({codes},))", prelude)
+    def _expr_VectorLiteral(self, expr: ast.VectorLiteral) -> str:
+        codes = ", ".join(self.compile_expr(element) for element in expr.elements)
+        return f"_vecnew({self.pc.constant(expr.target_type)}, ({codes},))"
 
-    def _expr_SizeofExpr(self, expr: ast.SizeofExpr) -> _ExprPart:
+    def _expr_SizeofExpr(self, expr: ast.SizeofExpr) -> str:
         queried = expr.queried_type if expr.queried_type is not None else expr.operand.ctype
-        return _ExprPart(str(queried.sizeof()))
+        return str(queried.sizeof())
 
-    def _expr_CommaExpr(self, expr: ast.CommaExpr) -> _ExprPart:
-        prelude: List[str] = []
-        for part_expr in expr.parts[:-1]:
-            part = self.compile_expr(part_expr)
-            prelude.extend(part.prelude)
-            if _has_side_effect_code(part.code):
-                prelude.append(part.code)
-        last = self.compile_expr(expr.parts[-1])
-        prelude.extend(last.prelude)
-        return _ExprPart(last.code, prelude)
+    def _expr_CommaExpr(self, expr: ast.CommaExpr) -> str:
+        for part in expr.parts[:-1]:
+            self.effect(self.compile_expr(part))
+        return self.compile_expr(expr.parts[-1])
 
     # -- lvalues ----------------------------------------------------------------
 
-    def _compile_lvalue(self, expr: ast.Expr) -> "_CompiledLValue":
+    def _compile_lvalue(self, expr: ast.Expr) -> "_LValue":
+        """Resolve an assignable location once: its operands are held in
+        locals, so loading and storing it re-evaluates nothing."""
         if isinstance(expr, ast.Identifier):
-            name = self.lookup_name(expr.name)
-            assert name is not None
-            return _CompiledLValue([], kind="var", target=name)
+            return _LValue("var", self.lookup_name(expr.name))
         if isinstance(expr, ast.Index):
-            base_type = expr.base.ctype
-            pointer_temp = self.fresh("ptr")
-            index_temp = self.fresh("idx")
-            if isinstance(base_type, ArrayType):
+            pointer, index = self.fresh("ptr"), self.fresh("idx")
+            if isinstance(expr.base.ctype, ArrayType):
                 flattened = self._flatten_array_access(expr)
                 assert flattened is not None, "array rows are not assignable"
-                root, flat_index, prelude = flattened
-                prelude.append(f"{pointer_temp} = ({root}).pointer")
-                prelude.append(f"{index_temp} = {flat_index}")
-                return _CompiledLValue(prelude, kind="mem", target=pointer_temp, index=index_temp)
-            base = self.compile_expr(expr.base)
-            index = self.compile_expr(expr.index)
-            prelude = base.prelude + index.prelude
-            prelude.append(f"{pointer_temp} = {base.code}")
-            prelude.append(f"{index_temp} = {index.code}")
-            return _CompiledLValue(prelude, kind="mem", target=pointer_temp, index=index_temp)
+                base, offset = f"{self.e.atom(flattened[0])}.pointer", flattened[1]
+            else:
+                base, offset = self.compile_expr(expr.base), self.compile_expr(expr.index)
+            self.emit(f"{pointer} = {base}")
+            self.emit(f"{index} = {offset}")
+            return _LValue("mem", pointer, index)
         if isinstance(expr, ast.UnaryOp) and expr.op == "*":
-            operand = self.compile_expr(expr.operand)
-            pointer_temp = self.fresh("ptr")
-            prelude = list(operand.prelude)
-            prelude.append(f"{pointer_temp} = {operand.code}")
-            return _CompiledLValue(prelude, kind="mem", target=pointer_temp, index="0")
+            return _LValue("mem", self.temp("ptr", self.compile_expr(expr.operand)), "0")
         if isinstance(expr, ast.Member):
-            base_lvalue = self._compile_lvalue(expr.base)
-            prelude = list(base_lvalue.prelude)
-            vec_temp = self.fresh("vec")
-            prelude.append(f"{vec_temp} = {base_lvalue.load_code()}")
-            element_const = self.pc.constant(expr.base.ctype.element)
-            return _CompiledLValue(
-                prelude,
-                kind="veccomp",
-                target=vec_temp,
-                indices=tuple(expr.indices),
-                writeback=base_lvalue if base_lvalue.kind != "var" else None,
-                element_const=element_const,
-            )
+            base = self._compile_lvalue(expr.base)
+            vector = self.temp("vec", self._load(base))
+            return _LValue("veccomp", vector, tuple(expr.indices),
+                           base if base.kind != "var" else None,
+                           self.pc.constant(expr.base.ctype.element))
         raise _unsupported(expr, f"expression is not assignable: {type(expr).__name__}")
+
+    def _load(self, lvalue: "_LValue") -> str:
+        if lvalue.kind == "var":
+            return lvalue.target
+        if lvalue.kind == "mem":
+            return self.e.load(lvalue.target, lvalue.index)
+        if len(lvalue.index) == 1:
+            return f"{lvalue.target}.components[{lvalue.index[0]}]"
+        return f"_vswiz({lvalue.target}, ({', '.join(str(i) for i in lvalue.index)},))"
+
+    def _store(self, lvalue: "_LValue", value: str) -> None:
+        if lvalue.kind == "var":
+            self.emit(f"{lvalue.target} = {value}")
+        elif lvalue.kind == "mem":
+            self.emit(self.e.store(lvalue.target, lvalue.index, value))
+        else:
+            indices = ", ".join(str(i) for i in lvalue.index)
+            self.emit(f"_vset({lvalue.target}, ({indices},), {value}, {lvalue.element})")
+            if lvalue.writeback is not None:
+                self._store(lvalue.writeback, lvalue.target)
 
     def convert_code(self, code: str, source: Optional[CType], target: CType) -> str:
         """Emit a conversion of ``code`` from ``source`` to ``target``.
@@ -1277,21 +1189,17 @@ class _FunctionCompiler:
         if isinstance(source, ArrayType):
             return code  # decayed by the caller
         if isinstance(target, VectorType) or isinstance(source, VectorType):
-            const = self.pc.constant(target)
-            return f"_cvv({code}, {const})"
+            return f"_cvv({code}, {self.pc.constant(target)})"
         if isinstance(target, PointerType) or isinstance(source, PointerType):
             return code
         assert isinstance(source, ScalarType) and isinstance(target, ScalarType)
         if target.is_bool():
-            return f"(1 if ({code}) else 0)"
+            return self.e.to_bool(code)
         if target.is_float():
-            return f"float({code})" if source.is_integer() else code
+            return self.e.int_to_float(code, source) if source.is_integer() else code
         # integer target
         if source.is_float():
-            code = f"int({code})"
-            if not target.signed:
-                return self._mask_unsigned(code, target)
-            return code
+            return self._mask_unsigned(self.e.float_to_int(code), target)
         if not target.signed:
             return self._mask_unsigned(code, target)
         # Signed target: wrap unless the conversion is a value-preserving
@@ -1299,54 +1207,28 @@ class _FunctionCompiler:
         # classic `get_global_id(0) - 1` OpenCL pattern).
         if source.signed and source.size <= target.size:
             return code
-        return f"_sw{target.bits}({code})"
+        return self.e.sign_wrap(code, target.bits)
 
 
-class _CompiledLValue:
-    __slots__ = ("prelude", "kind", "target", "index", "indices", "writeback", "element_const")
+class _LValue:
+    """A resolved assignable location: a local (``var``), a pointer and
+    element index held in locals (``mem``), or components ``index`` of
+    the vector held in ``target`` (``veccomp``, written back through
+    ``writeback`` when the vector lives in memory)."""
 
-    def __init__(self, prelude, kind, target, index=None, indices=None, writeback=None, element_const=None):
-        self.prelude = prelude
+    __slots__ = ("kind", "target", "index", "writeback", "element")
+
+    def __init__(self, kind, target, index=None, writeback=None, element=None):
         self.kind = kind
         self.target = target
         self.index = index
-        self.indices = indices
         self.writeback = writeback
-        self.element_const = element_const
-
-    def load_code(self) -> str:
-        if self.kind == "var":
-            return self.target
-        if self.kind == "mem":
-            return f"{self.target}.load({self.index})"
-        if self.kind == "veccomp":
-            if len(self.indices) == 1:
-                return f"{self.target}.components[{self.indices[0]}]"
-            idx = ", ".join(str(i) for i in self.indices)
-            return f"_vswiz({self.target}, ({idx},))"
-        raise AssertionError(self.kind)  # pragma: no cover
-
-    def store_lines(self, value_code: str) -> List[str]:
-        if self.kind == "var":
-            return [f"{self.target} = {value_code}"]
-        if self.kind == "mem":
-            return [f"{self.target}.store({self.index}, {value_code})"]
-        if self.kind == "veccomp":
-            idx = ", ".join(str(i) for i in self.indices)
-            lines = [f"_vset({self.target}, ({idx},), {value_code}, {self.element_const})"]
-            if self.writeback is not None:
-                lines.extend(self.writeback.store_lines(self.target))
-            return lines
-        raise AssertionError(self.kind)  # pragma: no cover
+        self.element = element
 
 
-def _decayed_type(expr: ast.Expr) -> Optional[CType]:
-    ctype = expr.ctype
-    if isinstance(ctype, ArrayType):
-        symbol = getattr(expr, "symbol", None)
-        space = symbol.address_space if symbol is not None else "private"
-        return PointerType(ctype.element, space)
-    return ctype
+def _is_pointer(expr: ast.Expr) -> bool:
+    """True for pointer operands (arrays decay to pointers)."""
+    return isinstance(expr.ctype, (PointerType, ArrayType))
 
 
 def _has_side_effect_code(code: str) -> bool:
@@ -1372,17 +1254,14 @@ class _unsupported(Exception):
 
 
 class _ProgramCompiler:
+    """The constant pool and symbol names of one generated module."""
+
     def __init__(self, program: ast.Program):
         self.program = program
         self.constants: List[object] = []
         self._constant_index: Dict[int, int] = {}
-        self._local_indices: Dict[Tuple[str, int], int] = {}
         self.charges: Dict[tuple, int] = {}
         self.cse: Dict[int, int] = {}
-        for function in program.functions:
-            if function.is_kernel:
-                for position, decl in enumerate(collect_local_decls(function)):
-                    self._local_indices[(function.name, id(decl))] = position
 
     def constant(self, value) -> str:
         key = id(value)
@@ -1400,7 +1279,8 @@ class _ProgramCompiler:
         return f"_g_{name}"
 
     def local_index(self, function: ast.FunctionDef, decl: ast.VarDecl) -> int:
-        return self._local_indices[(function.name, id(decl))]
+        """Where ``lmem`` holds ``decl`` (``CompiledKernel.local_decls`` order)."""
+        return [id(d) for d in collect_local_decls(function)].index(id(decl))
 
     def compile(self) -> CompiledProgram:
         pieces: List[str] = []
@@ -1411,9 +1291,7 @@ class _ProgramCompiler:
         names = ", ".join(f"'{fn.name}': {self.function_symbol(fn.name)}" for fn in self.program.functions)
         source_code = f"{body}\n\n_FUNCTIONS = {{{names}}}\n"
 
-        namespace = _runtime_namespace()
-        namespace["_K"] = self.constants
-        self._bind_globals(namespace)
+        namespace = self.namespace()
         exec(compile(source_code, "<kernelc-compiled>", "exec"), namespace)  # noqa: S102
         functions = namespace["_FUNCTIONS"]
 
@@ -1433,69 +1311,26 @@ class _ProgramCompiler:
             )
         return CompiledProgram(self.program, kernels, source_code)
 
-    def _bind_globals(self, namespace: Dict[str, object]) -> None:
-        if not self.program.globals:
-            return
-        from .interp import Machine
+    def namespace(self) -> Dict[str, object]:
+        """What a generated module runs in: the runtime helpers, the
+        constant pool and the program's ``__constant`` globals (scalar
+        initializers evaluate as the code this compiler generates for
+        them)."""
+        namespace = dict(_RUNTIME, _K=self.constants)
 
-        machine = Machine(self.program)
-        for global_decl in self.program.globals:
-            name = global_decl.decl.name
-            namespace[self.global_symbol(name)] = machine.globals[name]
+        def evaluate(init: ast.Expr):
+            generator = _FunctionCompiler(self, None)
+            code = generator.compile_expr(init)
+            if generator.lines:
+                raise KernelFault("__constant initializer is not a constant expression")
+            return eval(code, namespace)  # noqa: S307
+
+        for name, value in constant_globals(self.program, evaluate):
+            namespace[self.global_symbol(name)] = value
+        return namespace
 
 
 # -- runtime helpers bound into generated code --------------------------------
-
-
-def _vswiz(vec: VecValue, indices) -> VecValue:
-    return VecValue(vec.element_type, [vec.components[i] for i in indices])
-
-
-def _vset(vec: VecValue, indices, value, element_type) -> None:
-    if len(indices) == 1:
-        vec.components[indices[0]] = convert_scalar(value, element_type)
-        return
-    if not isinstance(value, VecValue):
-        raise KernelFault("assigning a scalar to a multi-component swizzle")
-    for target_index, component in zip(indices, value.components):
-        vec.components[target_index] = convert_scalar(component, element_type)
-
-
-def _vecnew(target: VectorType, parts) -> VecValue:
-    components: List = []
-    for part in parts:
-        if isinstance(part, VecValue):
-            components.extend(part.components)
-        else:
-            components.append(part)
-    if len(components) == 1 and target.width > 1:
-        components = components * target.width
-    return VecValue(target.element, components)
-
-
-def _zerovec(ctype: VectorType) -> VecValue:
-    return VecValue(ctype.element, [0] * ctype.width)
-
-
-def _mk_array(ctype: ArrayType, init_values) -> ArrayRef:
-    pointer = allocate(ctype.base_element(), ctype.flat_length(), "private")
-    if init_values is not None:
-        base = ctype.base_element()
-        for i, value in enumerate(init_values):
-            pointer.array[i] = convert_scalar(value, base)
-    return ArrayRef(pointer, ctype.element)
-
-
-def _ptr_eq(a, b) -> bool:
-    return isinstance(a, Pointer) and isinstance(b, Pointer) and a.array is b.array and a.offset == b.offset
-
-
-class _NullPointerSentinel:
-    def __getattr__(self, name):
-        raise KernelFault("use of an uninitialized (null) pointer")
-
-
-_NULLPTR = _NullPointerSentinel()
 
 
 def _sw(bits: int):
@@ -1508,50 +1343,34 @@ def _sw(bits: int):
     return wrap
 
 
-def _runtime_namespace() -> Dict[str, object]:
-    return {
-        "_sw8": _sw(8),
-        "_sw16": _sw(16),
-        "_sw32": _sw(32),
-        "_sw64": _sw(64),
-        "_idiv": c_idiv,
-        "_imod": c_imod,
-        "_fdiv": c_fdiv,
-        "_binv": binary_value,
-        "_cmpv": compare_value,
-        "_unaryv": _unary_vector,
-        "_applyb": apply_builtin,
-        "_vswiz": _vswiz,
-        "_vset": _vset,
-        "_vecnew": _vecnew,
-        "_zerovec": _zerovec,
-        "_mk_array": _mk_array,
-        "_copyv": copy_value,
-        "_cvt": convert_value,
-        "_cvv": convert_value,
-        "_ptr_eq": _ptr_eq,
-        "_KernelFault": KernelFault,
-        "_NULLPTR": _NULLPTR,
-        # Folded float constants are emitted via repr(), which renders
-        # non-finite values as the bare names inf/nan.
-        "inf": float("inf"),
-        "nan": float("nan"),
-    }
-
-
-def _unary_vector(ctype: VectorType, op: str, operand) -> VecValue:
-    from .ctypes_ import wrap_int
-
-    if not isinstance(operand, VecValue):
-        operand = VecValue(ctype.element, [operand] * ctype.width)
-    element = ctype.element
-    if op == "-":
-        return VecValue(element, [-c for c in operand.components])
-    if op == "~":
-        return VecValue(element, [wrap_int(~int(c), element) for c in operand.components])
-    if op == "!":
-        return VecValue(element, [0 if c else 1 for c in operand.components])
-    return VecValue(element, list(operand.components))
+_RUNTIME = {
+    "_sw8": _sw(8),
+    "_sw16": _sw(16),
+    "_sw32": _sw(32),
+    "_sw64": _sw(64),
+    "_idiv": c_idiv,
+    "_imod": c_imod,
+    "_fdiv": c_fdiv,
+    "_binv": binary_value,
+    "_cmpv": compare_value,
+    "_unaryv": lambda ctype, op, operand: operand.unary(op),
+    "_applyb": apply_builtin,
+    "_vswiz": VecValue.swizzle,
+    "_vset": lambda vec, indices, value, element: vec.store_components(indices, value),
+    "_vecnew": VecValue.literal,
+    "_zerovec": VecValue.zero,
+    "_mk_array": allocate_array,
+    "_copyv": copy_value,
+    "_cvt": convert_value,
+    "_cvv": convert_value,
+    "_ptr_eq": same_pointer,
+    "_KernelFault": KernelFault,
+    "_NULLPTR": NULL_POINTER,
+    # Folded float constants are emitted via repr(), which renders
+    # non-finite values as the bare names inf/nan.
+    "inf": float("inf"),
+    "nan": float("nan"),
+}
 
 
 def compile_program(program: ast.Program) -> CompiledProgram:

@@ -9,9 +9,8 @@ compiled backend.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -195,20 +194,6 @@ class ArrayType(CType):
         return f"{self.element}[{self.length}]"
 
 
-@dataclass(frozen=True)
-class FunctionType(CType):
-    return_type: CType
-    param_types: Tuple[CType, ...]
-    is_kernel: bool = False
-
-    def is_function(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        params = ", ".join(str(p) for p in self.param_types)
-        return f"{self.return_type}({params})"
-
-
 def make_vector_type(name: str) -> Optional[VectorType]:
     """Parse a vector type name like ``float4``; None if not one."""
     for base in ("uchar", "ushort", "uint", "ulong", "char", "short", "int", "long", "float", "double"):
@@ -351,12 +336,3 @@ def ctype_from_numpy(dtype: np.dtype) -> ScalarType:
     if dtype not in table:
         raise TypeError(f"unsupported dtype {dtype}")
     return table[dtype]
-
-
-def float_bits(value: float, ctype: ScalarType) -> int:
-    """Bit pattern of ``value`` at ``ctype``'s precision (for as_type)."""
-    if ctype == FLOAT:
-        return struct.unpack("<I", struct.pack("<f", value))[0]
-    if ctype == DOUBLE:
-        return struct.unpack("<Q", struct.pack("<d", value))[0]
-    raise TypeError(f"no bit pattern for {ctype}")

@@ -1,19 +1,26 @@
-"""Execution-model pieces shared by the interpreter and compiled kernels:
+"""Execution-model pieces every engine shares — the tree-walking
+interpreter calls them directly, the per-item engine binds them into its
+generated modules, the lockstep library falls back to them for uniform
+(scalar) values:
 
 * :class:`WorkItemContext` — work-item ids/sizes for the builtin queries,
 * :class:`ExecutionCounters` — operation and memory traffic counters,
 * C operator semantics (truncating division, masked shifts, wrapping),
-* value conversion between arbitrary runtime values and C types.
+* value conversion between arbitrary runtime values and C types,
+* what a launch allocates around the kernel body: a work-group's
+  ``__local`` storage and the program's ``__constant`` globals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .ctypes_ import CType, ScalarType, VectorType, convert_scalar
-from .memory import KernelFault, MemoryCounters, Pointer
+from . import ast
+from .ctypes_ import ArrayType, CType, ScalarType, VectorType, convert_scalar
+from .memory import (ArrayRef, KernelFault, MemoryCounters, Pointer, allocate_array,
+                     flatten_initializer)
 from .values import VecValue
 
 # SIMD width used for divergence accounting (NVIDIA warp).
@@ -150,12 +157,6 @@ def c_fdiv(a: float, b: float) -> float:
     return a / b
 
 
-def c_fmod(a: float, b: float) -> float:
-    if b == 0.0:
-        return math.nan
-    return math.fmod(a, b)
-
-
 def scalar_binary(op: str, a, b, ctype: ScalarType):
     """Apply a C binary operator on scalars already converted to ``ctype``."""
     if op == "+":
@@ -267,3 +268,44 @@ def copy_value(value):
     if isinstance(value, VecValue):
         return VecValue(value.element_type, list(value.components))
     return value
+
+
+# -- storage a launch sets up around the kernel body ---------------------------
+
+
+def collect_local_decls(function: ast.FunctionDef) -> List[ast.VarDecl]:
+    """All ``__local`` variable declarations in a kernel body."""
+    return [node for node in ast.walk(function.body)
+            if isinstance(node, ast.VarDecl) and node.address_space == "local"]
+
+
+def allocate_local_memory(function: ast.FunctionDef,
+                          counters: Optional[ExecutionCounters] = None) -> Dict[int, ArrayRef]:
+    """Group-shared storage for a kernel's ``__local`` variables, keyed
+    by ``id`` of the declaration."""
+    memory = counters.memory if counters is not None else None
+    return {id(decl): allocate_array(decl.declared_type, None, "local", memory)
+            for decl in collect_local_decls(function)}
+
+
+def local_memory_bytes(function: ast.FunctionDef) -> int:
+    """Total __local bytes a kernel declares (for occupancy modeling)."""
+    return sum(decl.declared_type.sizeof() for decl in collect_local_decls(function))
+
+
+def constant_globals(program: ast.Program, evaluate: Callable[[ast.Expr], object],
+                     counters: Optional[MemoryCounters] = None) -> Iterator[Tuple[str, object]]:
+    """``(name, value)`` of each file-scope ``__constant`` declaration,
+    in source order.  Arrays are allocated and initialized here; a
+    scalar or vector initializer is an expression, so the calling engine
+    supplies ``evaluate`` (which may read the globals yielded so far)."""
+    for global_decl in program.globals:
+        decl = global_decl.decl
+        ctype = decl.declared_type
+        if isinstance(ctype, ArrayType):
+            values = flatten_initializer(decl.init) if decl.init is not None else None
+            yield decl.name, allocate_array(ctype, values, "constant", counters)
+        elif decl.init is None:
+            raise KernelFault(f"__constant variable {decl.name!r} has no initializer")
+        else:
+            yield decl.name, convert_value(evaluate(decl.init), ctype)

@@ -1,13 +1,19 @@
-"""Reference tree-walking interpreter for checked kernelc programs.
+"""Reference tree-walking interpreter for checked kernelc programs: the
+test oracle, and nothing else.
 
 The interpreter executes one work-item at a time.  Statement execution is
 generator-based so that ``barrier()`` can suspend a work-item: executing
-a kernel yields ``('barrier', flags)`` events which the NDRange executor
-uses to phase-synchronize a work-group.  Helper (non-kernel) functions
+a kernel yields ``('barrier', flags)`` events which the test drivers use
+to phase-synchronize a work-group.  Helper (non-kernel) functions
 cannot barrier (enforced by the type checker) and run to completion.
 
-This backend is the semantic reference; the compiled backend
-(:mod:`repro.kernelc.compiler`) is differentially tested against it.
+This engine is the semantic reference the generated engines
+(:mod:`repro.kernelc.compiler`, :mod:`repro.kernelc.vectorize`) are
+differentially tested against: it converts after every operation, where
+they relax (see ``compiler.py``).  It holds the tree walk only — values,
+memory, operators, builtins and launch storage are the library the
+other engines run on (:mod:`.values`, :mod:`.memory`, :mod:`.execmodel`,
+:mod:`.builtins`) — and nothing under ``src/repro`` imports it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from . import ast
-from .builtins import ResolvedBuiltin
+from .builtins import ResolvedBuiltin, apply_builtin
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -30,11 +36,14 @@ from .execmodel import (
     WorkItemContext,
     binary_value,
     compare_value,
+    constant_globals,
     convert_value,
     copy_value,
+    scalar_compare,
     truthy,
 )
-from .memory import ArrayRef, KernelFault, Pointer, allocate
+from .memory import (NULL_POINTER, ArrayRef, KernelFault, Pointer, allocate_array,
+                     flatten_initializer, same_pointer)
 from .values import VecValue
 
 
@@ -60,40 +69,10 @@ class Machine:
         self.counters = counters if counters is not None else ExecutionCounters()
         self.functions = {fn.name: fn for fn in program.functions}
         self.globals: Dict[str, object] = {}
-        for global_decl in program.globals:
-            self.globals[global_decl.decl.name] = self._materialize_global(global_decl.decl)
-
-    def _materialize_global(self, decl: ast.VarDecl):
-        ctype = decl.declared_type
-        if isinstance(ctype, ArrayType):
-            pointer = allocate(ctype.base_element(), ctype.flat_length(), "constant", self.counters.memory)
-            if decl.init is not None:
-                values = _flatten_initializer(decl.init)
-                for i, value in enumerate(values):
-                    pointer.array[i] = convert_scalar(value, ctype.base_element())
-            return ArrayRef(pointer, ctype.element)
-        if decl.init is None:
-            raise KernelFault(f"__constant variable {decl.name!r} has no initializer")
-        env = _Env()
         interp = Interpreter(self, WorkItemContext((0,), (0,), (0,), (1,), (1,)), {})
-        value = interp.eval(decl.init, env)
-        return convert_value(value, ctype)
-
-
-def _flatten_initializer(init: ast.Expr) -> List:
-    if isinstance(init, ast.VectorLiteral) and init.is_array_initializer:
-        out: List = []
-        for element in init.elements:
-            out.extend(_flatten_initializer(element))
-        return out
-    if isinstance(init, ast.IntLiteral) or isinstance(init, ast.FloatLiteral):
-        return [init.value]
-    if isinstance(init, ast.UnaryOp) and init.op == "-":
-        inner = _flatten_initializer(init.operand)
-        return [-inner[0]]
-    if isinstance(init, ast.CharLiteral):
-        return [init.value]
-    raise KernelFault("unsupported constant initializer element")
+        for name, value in constant_globals(program, lambda init: interp.eval(init, _Env()),
+                                            self.counters.memory):
+            self.globals[name] = value
 
 
 class _Env:
@@ -151,10 +130,7 @@ class _LValue:
         if self.kind == "mem":
             return self.pointer.load(self.index)
         if self.kind == "vec":
-            components = [self.vec.components[i] for i in self.indices]
-            if len(components) == 1:
-                return components[0]
-            return VecValue(self.vec.element_type, components)
+            return _components(self.vec, self.indices)
         raise AssertionError(self.kind)  # pragma: no cover
 
     def store(self, value) -> None:
@@ -163,13 +139,7 @@ class _LValue:
         elif self.kind == "mem":
             self.pointer.store(self.index, value)
         elif self.kind == "vec":
-            if len(self.indices) == 1:
-                self.vec.components[self.indices[0]] = convert_scalar(value, self.vec.element_type)
-            else:
-                if not isinstance(value, VecValue):
-                    raise KernelFault("assigning a scalar to a multi-component swizzle")
-                for target_index, component in zip(self.indices, value.components):
-                    self.vec.components[target_index] = convert_scalar(component, self.vec.element_type)
+            self.vec.store_components(self.indices, value)
             if self.writeback is not None:
                 self.writeback.store(self.vec)
         else:  # pragma: no cover
@@ -350,14 +320,8 @@ class Interpreter:
             env.declare(decl.name, storage)
             return
         if isinstance(ctype, ArrayType):
-            pointer = allocate(ctype.base_element(), ctype.flat_length(), "private")
-            if decl.init is not None:
-                values = _flatten_initializer(decl.init)
-                if len(values) > ctype.flat_length():
-                    raise KernelFault(f"too many initializers for {ctype}")
-                for i, value in enumerate(values):
-                    pointer.array[i] = convert_scalar(value, ctype.base_element())
-            env.declare(decl.name, ArrayRef(pointer, ctype.element))
+            values = flatten_initializer(decl.init) if decl.init is not None else None
+            env.declare(decl.name, allocate_array(ctype, values))
             return
         if decl.init is not None:
             value = convert_value(self.eval(decl.init, env), ctype)
@@ -459,16 +423,11 @@ class Interpreter:
         self.counters.ops += 1
         if op == "!":
             return int(not truthy(operand))
+        if isinstance(operand, VecValue):
+            return operand.unary(op)
         if op == "~":
-            if isinstance(operand, VecValue):
-                element = operand.element_type
-                return operand.map(lambda c: wrap_int(~c, element))
-            ctype = expr.ctype
-            return wrap_int(~int(operand), ctype)
+            return wrap_int(~int(operand), expr.ctype)
         if op == "-":
-            if isinstance(operand, VecValue):
-                element = operand.element_type
-                return operand.map(lambda c: convert_scalar(-c, element))
             return convert_value(-operand, expr.ctype)
         if op == "+":
             return convert_value(operand, expr.ctype)
@@ -523,12 +482,8 @@ class Interpreter:
                 return left.diff(right)
             return left.add(-int(right))
         if op in ("==", "!="):
-            same = isinstance(left, Pointer) and isinstance(right, Pointer) \
-                and left.array is right.array and left.offset == right.offset
-            return int(same) if op == "==" else int(not same)
+            return int(same_pointer(left, right) == (op == "=="))
         if op in ("<", ">", "<=", ">="):
-            from .execmodel import scalar_compare
-
             return scalar_compare(op, left.offset, right.offset)
         raise KernelFault(f"invalid pointer operation '{op}'")
 
@@ -540,17 +495,14 @@ class Interpreter:
             value = value.decayed()
         target_type = expr.target.ctype
         if expr.op != "=":
+            # ``a op= b`` is ``a = a op b`` with the lvalue resolved once.
             op = expr.op[:-1]
             current = lvalue.load()
             if isinstance(current, Pointer):
-                value = current.add(int(value) if op == "+" else -int(value))
-            elif op in ("<", ">"):  # pragma: no cover - not a compound op
-                raise AssertionError()
+                value = self._pointer_binary(op, current, value)
             else:
                 try:
-                    op_type = target_type if not isinstance(target_type, PointerType) else None
-                    computation = _compound_type(target_type, expr.value.ctype)
-                    value = binary_value(op, current, value, computation)
+                    value = binary_value(op, current, value, expr.op_type)
                 except TypeError as exc:
                     raise KernelFault(str(exc)) from exc
         converted = convert_value(value, target_type) if not isinstance(value, Pointer) else value
@@ -602,10 +554,7 @@ class Interpreter:
         base = self.eval(expr.base, env)
         if not isinstance(base, VecValue):
             raise KernelFault("component access on a non-vector value")
-        components = [base.components[i] for i in expr.indices]
-        if len(components) == 1:
-            return components[0]
-        return VecValue(base.element_type, components)
+        return _components(base, expr.indices)
 
     def _eval_Cast(self, expr: ast.Cast, env: _Env):
         value = self.eval(expr.operand, env)
@@ -617,18 +566,9 @@ class Interpreter:
         return convert_value(value, expr.ctype)
 
     def _eval_VectorLiteral(self, expr: ast.VectorLiteral, env: _Env):
-        target: VectorType = expr.target_type
-        components: List = []
-        for element in expr.elements:
-            value = self.eval(element, env)
-            if isinstance(value, VecValue):
-                components.extend(value.components)
-            else:
-                components.append(value)
+        parts = [self.eval(element, env) for element in expr.elements]
         self.counters.ops += 1
-        if len(components) == 1 and target.width > 1:
-            components = components * target.width
-        return VecValue(target.element, components)
+        return VecValue.literal(expr.target_type, parts)
 
     def _eval_SizeofExpr(self, expr: ast.SizeofExpr, env: _Env):
         if expr.queried_type is not None:
@@ -642,92 +582,16 @@ class Interpreter:
         return result
 
 
-def _compound_type(target_type: CType, value_type: CType) -> CType:
-    """The computation type of ``a op= b``: C computes in the common type
-    then converts back; we compute directly in the target type, except
-    when the value is a float and the target an integer, where the
-    common float type is needed for correct truncation."""
-    from .ctypes_ import common_type
-
-    if isinstance(target_type, (ScalarType, VectorType)):
-        target_element = target_type.element if isinstance(target_type, VectorType) else target_type
-        value_element = value_type.element if isinstance(value_type, VectorType) else value_type
-        if isinstance(value_element, ScalarType) and value_element.is_float() and target_element.is_integer():
-            return common_type(target_type, value_type)
-    return target_type
-
-
-def apply_builtin(resolved: ResolvedBuiltin, args: Sequence):
-    """Apply a resolved builtin to runtime argument values."""
-    converted = [convert_value(arg, param) for arg, param in zip(args, resolved.param_types)]
-    if resolved.kind == "whole":
-        if resolved.name == "select":
-            a, b, c = converted
-            if isinstance(c, VecValue):
-                a_components = a.components if isinstance(a, VecValue) else [a] * c.width
-                b_components = b.components if isinstance(b, VecValue) else [b] * c.width
-                element = a.element_type if isinstance(a, VecValue) else resolved.result_type.element
-                out = [bc if cc else ac for ac, bc, cc in zip(a_components, b_components, c.components)]
-                return VecValue(element, out)
-            return b if c else a
-        result = resolved.impl(*converted)
-    elif isinstance(resolved.result_type, VectorType) and any(isinstance(a, VecValue) for a in converted):
-        width = resolved.result_type.width
-        lanes = []
-        for arg in converted:
-            lanes.append(arg.components if isinstance(arg, VecValue) else [arg] * width)
-        element = resolved.result_type.element
-        return VecValue(element, [resolved.impl(*lane_args) for lane_args in zip(*lanes)])
-    else:
-        result = resolved.impl(*converted)
-    return convert_value(result, resolved.result_type)
+def _components(vec: VecValue, indices):
+    """``vec.<indices>``: one component is a scalar, several a vector."""
+    return vec.components[indices[0]] if len(indices) == 1 else vec.swizzle(indices)
 
 
 def _default_value(ctype: CType):
     if isinstance(ctype, VectorType):
-        return VecValue(ctype.element, [0] * ctype.width)
+        return VecValue.zero(ctype)
     if isinstance(ctype, PointerType):
         return NULL_POINTER
     if isinstance(ctype, ScalarType):
         return 0.0 if ctype.is_float() else 0
     raise KernelFault(f"cannot default-initialize {ctype}")
-
-
-class _NullPointer:
-    def __getattr__(self, name):
-        raise KernelFault("use of an uninitialized (null) pointer")
-
-    def __repr__(self) -> str:
-        return "<null pointer>"
-
-
-NULL_POINTER = _NullPointer()
-
-
-def collect_local_decls(function: ast.FunctionDef) -> List[ast.VarDecl]:
-    """All ``__local`` variable declarations in a kernel body."""
-    result: List[ast.VarDecl] = []
-    for node in ast.walk(function.body):
-        if isinstance(node, ast.VarDecl) and node.address_space == "local":
-            result.append(node)
-    return result
-
-
-def allocate_local_memory(function: ast.FunctionDef, counters: Optional[ExecutionCounters] = None) -> Dict[int, ArrayRef]:
-    """Allocate group-shared storage for a kernel's ``__local`` variables."""
-    memory_counters = counters.memory if counters is not None else None
-    storage: Dict[int, ArrayRef] = {}
-    for decl in collect_local_decls(function):
-        ctype = decl.declared_type
-        if isinstance(ctype, ArrayType):
-            pointer = allocate(ctype.base_element(), ctype.flat_length(), "local", memory_counters)
-            storage[id(decl)] = ArrayRef(pointer, ctype.element)
-        else:
-            pointer = allocate(ctype, 1, "local", memory_counters)
-            storage[id(decl)] = ArrayRef(pointer, ctype)
-    return storage
-
-
-def local_memory_bytes(function: ast.FunctionDef) -> int:
-    """Total __local bytes a kernel declares (for occupancy modeling)."""
-    return sum(decl.declared_type.sizeof() for decl in collect_local_decls(function))

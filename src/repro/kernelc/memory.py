@@ -10,11 +10,12 @@ device can charge time for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .ctypes_ import CType, ScalarType, VectorType, convert_scalar, numpy_dtype
+from . import ast
+from .ctypes_ import ArrayType, CType, ScalarType, VectorType, convert_scalar, numpy_dtype
 from .values import VecValue
 
 
@@ -215,25 +216,14 @@ class ArrayRef:
         self.pointer = pointer
         self.element = element
 
-    def row_stride(self) -> int:
-        from .ctypes_ import ArrayType
-
-        if isinstance(self.element, ArrayType):
-            return self.element.flat_length()
-        return 1
-
     def index(self, i: int):
         """Index one level: sub-array ``ArrayRef`` or scalar pointer slot."""
-        from .ctypes_ import ArrayType
-
         if isinstance(self.element, ArrayType):
             return ArrayRef(self.pointer.add(int(i) * self.element.flat_length()), self.element.element)
         return self.pointer, int(i)
 
     def decayed(self) -> Pointer:
         """Array-to-pointer decay (points at this level's first element)."""
-        from .ctypes_ import ArrayType
-
         if isinstance(self.element, ArrayType):
             raise KernelFault("cannot decay a multi-dimensional array to a flat pointer")
         return self.pointer
@@ -249,3 +239,49 @@ def allocate(element_type: CType, count: int, address_space: str, counters: Opti
     else:
         array = np.zeros(count, dtype=numpy_dtype(element_type))
     return Pointer(array, element_type, address_space, 0, counters, count)
+
+
+class NullPointer:
+    """The value of a pointer variable declared without an initializer:
+    truthy, equal to no real pointer, a fault on any use."""
+
+    def __getattr__(self, name):
+        raise KernelFault("use of an uninitialized (null) pointer")
+
+    def __repr__(self) -> str:
+        return "<null pointer>"
+
+
+NULL_POINTER = NullPointer()
+
+
+def same_pointer(a, b) -> bool:
+    """C ``a == b`` on pointer values (the null pointer equals nothing)."""
+    return isinstance(a, Pointer) and isinstance(b, Pointer) \
+        and a.array is b.array and a.offset == b.offset
+
+
+def flatten_initializer(init: ast.Expr) -> List:
+    """The scalar values of a (nested) brace initializer, in order."""
+    if isinstance(init, ast.VectorLiteral) and init.is_array_initializer:
+        return [value for element in init.elements for value in flatten_initializer(element)]
+    if isinstance(init, (ast.IntLiteral, ast.FloatLiteral, ast.CharLiteral)):
+        return [init.value]
+    if isinstance(init, ast.UnaryOp) and init.op == "-":
+        return [-flatten_initializer(init.operand)[0]]
+    raise KernelFault("unsupported constant initializer element")
+
+
+def allocate_array(ctype: CType, values: Optional[Sequence] = None, address_space: str = "private",
+                   counters: Optional[MemoryCounters] = None) -> ArrayRef:
+    """The storage of one C array variable (a lone ``__local`` scalar is
+    an array of one), its leading elements set to ``values``."""
+    if not isinstance(ctype, ArrayType):
+        return ArrayRef(allocate(ctype, 1, address_space, counters), ctype)
+    element = ctype.base_element()
+    pointer = allocate(element, ctype.flat_length(), address_space, counters)
+    if values is not None:
+        if len(values) > ctype.flat_length():
+            raise KernelFault(f"too many initializers for {ctype}")
+        pointer.array[: len(values)] = [convert_scalar(value, element) for value in values]
+    return ArrayRef(pointer, ctype.element)

@@ -40,8 +40,5 @@ class Scope:
             scope = scope.parent
         return None
 
-    def lookup_local(self, name: str) -> Optional[Symbol]:
-        return self._symbols.get(name)
-
     def child(self) -> "Scope":
         return Scope(self)

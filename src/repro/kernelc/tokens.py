@@ -152,11 +152,6 @@ class Token:
     def is_punct(self, *names: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text in names
 
-    def is_ident(self, *names: str) -> bool:
-        if self.kind is not TokenKind.IDENT:
-            return False
-        return not names or self.text in names
-
     def __str__(self) -> str:
         if self.kind is TokenKind.EOF:
             return "<eof>"

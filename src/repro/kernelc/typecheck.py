@@ -16,7 +16,8 @@ rely on:
 Annotations added to nodes (consumed by the backends):
 
 * ``Expr.ctype``, ``Expr.is_lvalue``
-* ``BinaryOp.op_type`` — the computation type of the operation
+* ``BinaryOp.op_type`` — the computation type of the operation; on a
+  compound ``Assignment`` the one of ``target op value``
 * ``Call.kind`` (``'builtin'``/``'user'``), ``Call.resolved``
   (:class:`ResolvedBuiltin`) or ``Call.callee_def`` (FunctionDef)
 * ``Identifier.symbol`` or ``Identifier.constant_value``
@@ -444,10 +445,8 @@ class TypeChecker:
             return self._check_pointer_binary(expr, left_type, right_type)
 
         if op in _COMPARISON_OPS:
-            try:
-                operand_common = common_type(left_type, right_type)
-            except TypeError as exc:
-                self.sink.error(str(exc), expr.span)
+            operand_common = self._arithmetic_type(expr, op, left_type, right_type)
+            if operand_common is None:
                 return None
             expr.op_type = operand_common
             if isinstance(operand_common, VectorType):
@@ -461,18 +460,23 @@ class TypeChecker:
                 if not (isinstance(element, ScalarType) and element.is_integer()):
                     self.sink.error(f"invalid operand type {ctype} to '{op}'", side.span)
                     return None
-            if op in ("<<", ">>") and not isinstance(left_type, VectorType):
-                result = integer_promote(left_type)
-                expr.op_type = result
-                return result
 
+        result = self._arithmetic_type(expr, op, left_type, right_type)
+        expr.op_type = result
+        return result
+
+    def _arithmetic_type(self, expr: ast.Expr, op: str, left_type: CType,
+                         right_type: CType) -> Optional[CType]:
+        """The type ``left op right`` computes in: the usual arithmetic
+        conversions, except that a shift computes in its promoted left
+        operand's type."""
+        if op in ("<<", ">>") and not isinstance(left_type, VectorType):
+            return integer_promote(left_type)
         try:
-            result = common_type(left_type, right_type)
+            return common_type(left_type, right_type)
         except TypeError as exc:
             self.sink.error(str(exc), expr.span)
             return None
-        expr.op_type = result
-        return result
 
     def _check_pointer_binary(self, expr: ast.BinaryOp, left_type: CType, right_type: CType) -> Optional[CType]:
         op = expr.op
@@ -515,18 +519,23 @@ class TypeChecker:
             if not self._convertible(value_decayed, target_type):
                 self.sink.error(f"cannot assign {value_decayed} to {target_type}", expr.span)
         else:
+            # ``a op= b`` is ``a = a op b``: op_type is what that operation
+            # computes in; the engines convert its result back to the target.
             base_op = expr.op[:-1]
             if isinstance(target_type, PointerType):
                 if base_op not in ("+", "-") or not (
                     isinstance(value_decayed, ScalarType) and value_decayed.is_integer()
                 ):
                     self.sink.error(f"invalid compound assignment to pointer: '{expr.op}'", expr.span)
+                expr.op_type = target_type
             else:
                 element = target_type.element if isinstance(target_type, VectorType) else target_type
                 if base_op in _INT_ONLY_OPS and not (isinstance(element, ScalarType) and element.is_integer()):
                     self.sink.error(f"invalid operand type {target_type} to '{expr.op}'", expr.span)
                 if not self._convertible(value_decayed, target_type):
                     self.sink.error(f"cannot apply '{expr.op}' with {value_decayed} to {target_type}", expr.span)
+                else:
+                    expr.op_type = self._arithmetic_type(expr, base_op, target_type, value_decayed)
         return target_type
 
     def _expr_Conditional(self, expr: ast.Conditional, scope: Scope) -> Optional[CType]:

@@ -1,8 +1,12 @@
-"""Runtime value representation shared by the interpreter and compiler.
+"""Runtime value representation shared by the interpreter and the
+per-item engine.
 
 Scalars are plain Python ``int``/``float`` (converted to C semantics at
-casts and stores).  Vectors are :class:`VecValue`.  Pointers are
-:class:`~repro.kernelc.memory.Pointer`.
+casts and stores).  Vectors are :class:`VecValue`, which carries the
+vector operations that are not element-wise arithmetic (swizzle,
+component store, literal, zero, unary; binary and comparison operators
+are :func:`~repro.kernelc.execmodel.binary_value` / ``compare_value``).
+Pointers are :class:`~repro.kernelc.memory.Pointer`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,48 @@ class VecValue:
 
     def ctype(self) -> VectorType:
         return VectorType(self.element_type, self.width)
+
+    @classmethod
+    def zero(cls, ctype: VectorType) -> "VecValue":
+        return cls(ctype.element, [0] * ctype.width)
+
+    @classmethod
+    def literal(cls, ctype: VectorType, parts: Sequence) -> "VecValue":
+        """``(typeN)(parts...)``: vector parts are spliced in, a single
+        scalar is broadcast."""
+        components: List = []
+        for part in parts:
+            if isinstance(part, VecValue):
+                components.extend(part.components)
+            else:
+                components.append(part)
+        if len(components) == 1:
+            components = components * ctype.width
+        return cls(ctype.element, components)
+
+    def swizzle(self, indices: Sequence[int]) -> "VecValue":
+        return VecValue(self.element_type, [self.components[i] for i in indices])
+
+    def store_components(self, indices: Sequence[int], value) -> None:
+        """``self.<indices> = value`` (in place)."""
+        if len(indices) == 1:
+            value = [value]
+        elif isinstance(value, VecValue):
+            value = value.components
+        else:
+            from .memory import KernelFault
+
+            raise KernelFault("assigning a scalar to a multi-component swizzle")
+        for index, component in zip(indices, value):
+            self.components[index] = convert_scalar(component, self.element_type)
+
+    def unary(self, op: str) -> "VecValue":
+        """Component-wise ``-``, ``~`` or ``+``."""
+        if op == "-":
+            return self.map(lambda c: -c)
+        if op == "~":
+            return self.map(lambda c: ~int(c))
+        return self.map(lambda c: c)
 
     def map(self, func) -> "VecValue":
         return VecValue(self.element_type, [func(c) for c in self.components])

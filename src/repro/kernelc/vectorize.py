@@ -9,11 +9,17 @@ gathers/scatters and ``barrier()`` a per-group all-or-none mask check.
 :func:`plan_for` *compiles* the kernel the first time it is launched:
 :class:`_LaneCompiler` walks the AST once and emits one straight-line
 Python function per C function (``plan.source``), cached on the
-:class:`~.compiler.CompiledKernel`.  Everything static is decided there
-— constant folding, the per-item op charges and load-CSE decisions
-``compile_program`` recorded (``kernel.charges`` / ``kernel.cse``),
-dispatch on node type, ``op_type``, signedness and conversion pair,
-C variables as Python locals, statically uniform subexpressions as
+:class:`~.compiler.CompiledKernel`.  It re-decides nothing about C:
+every expression lowers through the one lowering it inherits from
+:class:`~.compiler._FunctionCompiler`; :class:`_LaneSpelling` overrides
+only the leaf emitters (``.gather``/``.scatter``, ``_i_add``,
+``_divide_l``, ``_sw``, ``_merge``-assignment, …), and the generator adds
+what is inherently masked — statement control flow, ``&&``/``||``/``?:``,
+uniformity, and the replay of the per-item op charges and load-CSE
+decisions ``compile_program`` recorded (``kernel.charges`` /
+``kernel.cse``).  Everything static is decided there — constant
+folding, dispatch on node type, ``op_type``, signedness and conversion
+pair, C variables as Python locals, statically uniform subexpressions as
 scalar code; ``docs/kernelc.md`` has the list and a reading guide.
 :func:`execute` then only binds arguments, fetches the memoized launch
 geometry, calls the function and does the warp accounting.
@@ -50,14 +56,15 @@ from __future__ import annotations
 import math
 import operator
 from collections import OrderedDict, namedtuple
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import ast
-from .builtins import ResolvedBuiltin, _strip_prefix
-from .compiler import (_FunctionCompiler, _ProgramCompiler, CompiledKernel,
-                       _is_literal, _runtime_namespace)
+from .builtins import ResolvedBuiltin, _strip_prefix, apply_builtin
+from .compiler import (_CMP_OPS, _FunctionCompiler, _ProgramCompiler, _Spelling, CompiledKernel,
+                       _is_pointer, _is_unsigned)
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -68,14 +75,12 @@ from .ctypes_ import (
     numpy_dtype,
 )
 from .execmodel import WARP_SIZE, c_fdiv, c_idiv, c_imod
-from .interp import Machine, _flatten_initializer, apply_builtin
-from .memory import KernelFault, Pointer
+from .memory import NULL_POINTER, ArrayRef, KernelFault, NullPointer, Pointer, allocate_array
 
 _I64 = np.int64
 _U64 = np.uint64
 _TWO63 = 1 << 63
 _TWO64 = 1 << 64
-_CMP_OPS = ("<", ">", "<=", ">=", "==", "!=")
 _ID_QUERIES = ("get_global_id", "get_local_id", "get_group_id")
 _FENCES = ("mem_fence", "read_mem_fence", "write_mem_fence")
 ndarray = np.ndarray
@@ -243,19 +248,6 @@ def reject_reason(kernel: CompiledKernel) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-class VNull:
-    """The null-pointer sentinel (default value of pointer variables).
-
-    Mirrors the compiled backend's ``_NULLPTR``: truthy, compares
-    unequal to real pointers without faulting, faults on any use."""
-
-    def __getattr__(self, name):
-        raise KernelFault("use of an uninitialized (null) pointer")
-
-
-_VNULL = VNull()
-
-
 class VPtr:
     """A (possibly lane-varying) pointer into one flat numpy storage.
 
@@ -285,7 +277,7 @@ class VPtr:
                     self.length, offset, self.base)
 
     def diff(self, other):
-        if isinstance(other, VNull):
+        if isinstance(other, NullPointer):
             other.offset  # faults
         if not isinstance(other, VPtr) or self.array is not other.array:
             raise KernelFault("subtracting pointers into different objects")
@@ -365,7 +357,7 @@ class VPtr:
 
 
 class VArray:
-    """Mirror of :class:`memory.ArrayRef` over a :class:`VPtr`."""
+    """What :class:`memory.ArrayRef` is to ``Pointer``, over a :class:`VPtr`."""
 
     __slots__ = ("pointer", "element")
 
@@ -384,7 +376,7 @@ class VArray:
         return self.pointer
 
 
-_POINTERS = (VPtr, VArray, VNull)
+_POINTERS = (VPtr, VArray, NullPointer)
 
 
 def _mul_index(i, stride: int):
@@ -495,7 +487,7 @@ def _merge(old, new, mask: ndarray):
             offset = np.where(mask, _as_int_operand(new.offset), _as_int_operand(old.offset))
             return VPtr(new.array, new.element_type, new.space, new.tally,
                         new.length, offset, new.base)
-        if isinstance(old, VNull) and isinstance(new, (VNull, VArray)):
+        if isinstance(old, NullPointer) and isinstance(new, (NullPointer, VArray)):
             # decl-default replaced by a binding: lanes outside the mask
             # could only observe this through UB.
             return new
@@ -787,14 +779,16 @@ class _Run:
                               "barrier other items skipped")
         self.counters.barriers += int(counts.sum())
 
-    def private_array(self, flat: int, element: ScalarType, init_row, row_type) -> VArray:
-        lanes = self.lanes
+    def private_array(self, ctype: ArrayType, row) -> VArray:
+        """Every lane's copy of a private array (``row``: one initialized
+        copy, None for all zeros)."""
+        lanes, flat, element = self.lanes, ctype.flat_length(), ctype.base_element()
         storage = np.zeros(lanes.n * flat, dtype=numpy_dtype(element))
-        if init_row is not None:
-            storage.reshape(lanes.n, flat)[:, :] = init_row
+        if row is not None:
+            storage.reshape(lanes.n, flat)[:, :] = row
         vptr = VPtr(storage, element, "private", None, flat, 0,
                     np.arange(lanes.n, dtype=_I64) * flat)
-        return VArray(vptr, row_type)
+        return VArray(vptr, ctype.element)
 
 
 _ARITH = {"+": "add", "-": "sub", "*": "mul", "&": "and_", "|": "or_", "^": "xor",
@@ -806,7 +800,7 @@ _LIBRARY = {
     "_f2i": _f2i, "_cast": _cast, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
     "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
     "_add_scalar": _add_scalar, "_mul_index": _mul_index, "_workitem": _workitem,
-    "_switch_start": _switch_start, "_VNULL": _VNULL, "_op": operator,
+    "_switch_start": _switch_start, "_VNULL": NULL_POINTER, "_op": operator,
 }
 for _symbol, _name in _ARITH.items():
     for _domain, _coerce in (("i", _as_int_operand), ("f", _as_float_operand),
@@ -821,29 +815,133 @@ for _symbol, _name in _ARITH.items():
 _SAME, _NARROWED, _DEAD = "same", "narrowed", "dead"  # a statement's effect on its mask
 
 
-def _is_unsigned(ctype) -> bool:
-    return isinstance(ctype, ScalarType) and ctype.is_integer() \
-        and not ctype.signed and not ctype.is_bool()
-
-
 def _is_u64(ctype) -> bool:
     return _is_unsigned(ctype) and ctype.size == 8
+
+
+class _LaneSpelling(_Spelling):
+    """The leaf emitters over the lane library: a value may be lanes (an
+    array) or a uniform Python scalar, memory is gathered and scattered
+    under the generator's current chain mask ``g.m``."""
+
+    null = "_VNULL"
+    void = "0"
+
+    def atom(self, code):
+        return code
+
+    def load(self, pointer, index):
+        return f"{pointer}.gather({index}, {self.g.m})"
+
+    def store(self, pointer, index, value):
+        return f"{pointer}.scatter({index}, {value}, {self.g.m})"
+
+    def arith(self, op, left, right, op_type):
+        return f"_{'f' if op_type.is_float() else 'i'}_{_ARITH[op]}({left}, {right})"
+
+    def compare(self, op, left, right, op_type):
+        domain = "f" if op_type.is_float() else "u" if _is_u64(op_type) else "i"
+        return f"_{domain}_{_ARITH[op]}({left}, {right})"
+
+    def truth_value(self, code):
+        return f"_b2i({code})"
+
+    def divide(self, op, left, right, op_type):
+        if op_type.is_float():
+            return f"_fdiv_l({left}, {right})"
+        return f"_divide_l({left}, {right}, {self.g.m}, {_is_u64(op_type)}, {op == '%'})"
+
+    def shift(self, op, left, right, op_type):
+        mode = "u>>" if op == ">>" and _is_u64(op_type) else op
+        return f"_shift_l({left}, {right}, {op_type.bits}, {mode!r})"
+
+    def mask(self, code, ctype):
+        # int64 lanes already hold 64-bit patterns
+        return f"_um64({code})" if ctype.size == 8 else super().mask(code, ctype)
+
+    def sign_wrap(self, code, bits):
+        return f"_sw({code}, {bits})"
+
+    def to_bool(self, code):
+        return f"_to_bool({code})"
+
+    def logical_not(self, code):
+        return f"(1 - _to_bool({code}))"
+
+    def int_to_float(self, code, source):
+        return f"_i2f({code}{', True' if _is_u64(source) else ''})"
+
+    def float_to_int(self, code):
+        return f"_f2i({code}, {self.g.m})"
+
+    def cast(self, code, target, source):
+        return f"_cast({code}, {self.g.pc.constant(target)}, {_is_u64(source)}, {self.g.m})"
+
+    def step(self, code, delta):
+        return f"_add_scalar({code}, {delta})"
+
+    def scale_index(self, code, stride):
+        return f"_mul_index({code}, {stride})"
+
+    def add_index(self, left, right):
+        return f"_add_scalar({left}, {right})"
+
+    def pointer_equal(self, left, right, negated):
+        equal = f"_ptr_eq_l({left}, {right})"
+        return f"(1 - {equal})" if negated else equal
+
+    def pointer_compare(self, op, left, right):
+        return f"_ptr_cmp(_op.{_ARITH[op]}, {left}, {right})"
+
+    def workitem(self, name, dim):
+        return f"_workitem(ctx, {name!r}, {dim})"
+
+    def private_array(self, ctype, values):
+        row = allocate_array(ctype, values).pointer.array if values is not None else None
+        return f"R.private_array(*{self.g.pc.constant((ctype, row))})"
+
+    def call(self, symbol, args):
+        return f"{symbol}({', '.join(['R', 'ctx', self.g.m] + args)})"
+
+    def builtin(self, resolved, args):
+        return f"{self.g.pc.constant(_Builtin(resolved))}(({', '.join(args)},), {self.g.m})"
+
+    def assign(self, name, code, value_needed=True):
+        g = self.g
+        if value_needed:
+            code = g.temp("t", code)
+        # Only the lanes of the chain change; on the chain the variable
+        # was declared on those are all that can see it.
+        g.emit(f"{name} = {code}" if g.var_chain.get(name) == g.m
+               else f"{name} = _merge({name}, {code}, {g.m})")
+        return code
+
+    def discard(self, code):
+        self.g.effect(code)
+        return self.void
 
 
 class _LaneCompiler(_FunctionCompiler):
     """Emits the lockstep Python function of one C function.
 
-    Inherits the per-item compiler's name management, const propagation
-    and — for statically uniform subexpressions — its scalar expression
-    code generator (``compile_expr``); everything lane-varying goes
-    through ``lane_*`` and calls the runtime library.  A *chain* is one
-    Python variable holding the active-lane mask of a statement list;
-    it is reassigned (never mutated) as lanes leave.
+    Every lowering decision is the inherited one; this class adds what is
+    inherently masked.  A *chain* is one Python variable holding the
+    active-lane mask of a statement list; it is reassigned (never
+    mutated) as lanes leave.  Statements (``lane_*``) are compiled on an
+    explicit chain; expressions are compiled by the inherited lowering
+    on the *current* chain ``self.m``, spelled by ``self.e``: the lane
+    spelling, or — for statically uniform subtrees, variables and
+    declarations, whose values are Python scalars — the per-item one.
+    ``&&``/``||``/``?:`` split their chain (``_lane_*`` methods, looked
+    up before the inherited ``_expr_*``), charges and load-CSE replay
+    what ``compile_program`` recorded.
     """
 
     def __init__(self, program_compiler, function, facts: _FunctionFacts,
                  kernel: CompiledKernel):
         super().__init__(program_compiler, function)
+        self.scalar_spelling, self.e = self.e, _LaneSpelling(self)
+        self.m = "m"
         self.facts, self.kernel = facts, kernel
         self.charges = kernel.charges
         self.cse = kernel.cse
@@ -858,6 +956,19 @@ class _LaneCompiler(_FunctionCompiler):
         self._slot = None  # (chain, line index, ops) of the open charge line
         self._blocks: List[int] = []
 
+    @contextmanager
+    def _state(self, **state):
+        """Compile with the current chain ``m`` and/or spelling ``e`` set."""
+        saved = {name: getattr(self, name) for name in state}
+        self.__dict__.update(state)
+        try:
+            yield
+        finally:
+            self.__dict__.update(saved)
+
+    def _spelled_for(self, uniform: bool):
+        return self._state(e=self.scalar_spelling if uniform else self.e)
+
     # -- emission ------------------------------------------------------------
 
     def open(self, header: str) -> None:
@@ -871,11 +982,6 @@ class _LaneCompiler(_FunctionCompiler):
             self.emit("pass")
         self.indent -= 1
         self._slot = None
-
-    def temp(self, hint: str, code: str) -> str:
-        name = self.fresh(hint)
-        self.emit(f"{name} = {code}")
-        return name
 
     def is_full(self, m: str) -> bool:
         return self.full and m == "m"
@@ -904,16 +1010,16 @@ class _LaneCompiler(_FunctionCompiler):
         self._slot = (m, len(self.lines), cost)
         self.emit(line)
 
-    def declare(self, c_name: str, m: str) -> str:
-        name = self.declare_name(c_name)
-        self.var_chain[name] = m
-        return name
+    def begin_charge(self, node) -> None:
+        self.charge_lanes(self.m, node)  # the final cost is on record
 
-    def assign(self, name: str, code: str, m: str) -> None:
-        if self.var_chain.get(name) == m:
-            self.emit(f"{name} = {code}")
-        else:
-            self.emit(f"{name} = _merge({name}, {code}, {m})")
+    def end_charge(self, token, extra: int = 0) -> None:
+        pass
+
+    def declare_name(self, c_name: str) -> str:
+        name = super().declare_name(c_name)
+        self.var_chain[name] = self.m
+        return name
 
     def escapes(self, node) -> frozenset:
         """Which of return/break/continue can carry lanes out of ``node``."""
@@ -935,7 +1041,7 @@ class _LaneCompiler(_FunctionCompiler):
 
     def compile(self) -> str:
         fn = self.function
-        params = [self.declare(param.name, "m") for param in fn.params]
+        params = [self.declare_name(param.name) for param in fn.params]
         if fn.is_kernel:
             self.uniform_names.update(
                 name for param, name in zip(fn.params, params)
@@ -994,8 +1100,9 @@ class _LaneCompiler(_FunctionCompiler):
             self.scope_stack.pop()
             return status
         if isinstance(stmt, ast.DeclStmt):
-            for decl in stmt.decls:
-                self.lane_decl(decl, m)
+            with self._state(m=m):
+                for decl in stmt.decls:
+                    self.compile_decl(decl)
             return _SAME
         if isinstance(stmt, ast.ExprStmt):
             return self.lane_expr_stmt(stmt.expr, m)
@@ -1017,43 +1124,15 @@ class _LaneCompiler(_FunctionCompiler):
                 return _DEAD
         raise AssertionError(f"unhandled statement {type(stmt).__name__}")  # pragma: no cover
 
-    def lane_decl(self, decl: ast.VarDecl, m: str) -> None:
-        ctype = decl.declared_type
-        if decl.address_space == "local":
-            index = [id(d) for d in self.kernel.local_decls].index(id(decl))
-            self.emit(f"{self.declare(decl.name, m)} = lmem[{index}]")
-            return
-        if isinstance(ctype, ArrayType):
-            element = ctype.base_element()
-            init_row = None
-            if decl.init is not None:
-                values = [convert_scalar(v, element) for v in _flatten_initializer(decl.init)]
-                init_row = np.zeros(ctype.flat_length(), dtype=numpy_dtype(element))
-                init_row[: len(values)] = values
-            spec = (ctype.flat_length(), element, init_row, ctype.element)
-            self.emit(f"{self.declare(decl.name, m)} = R.private_array(*{self.pc.constant(spec)})")
-            return
-        uniform = False
-        if decl.init is not None:
-            self.charge_lanes(m, decl.init)
-            uniform = isinstance(ctype, ScalarType) and decl.name not in self.written \
-                and self.uniform(decl.init)
-            if uniform:
-                code = self.convert_code(self.scalar(decl.init), decl.init.ctype, ctype)
-            else:
-                code = self.convert(self.lane_expr(decl.init, m), decl.init.ctype, ctype, m)
-        elif isinstance(ctype, PointerType):
-            code = "_VNULL"
-        else:
-            code = "0.0" if ctype.is_float() else "0"
-        name = self.declare(decl.name, m)
-        self.emit(f"{name} = {code}")
+    def compile_decl(self, decl: ast.VarDecl) -> None:
+        """A scalar that is initialized uniformly and never written again
+        is a uniform name: its declaration is scalar code."""
+        uniform = isinstance(decl.declared_type, ScalarType) and decl.init is not None \
+            and decl.name not in self.written and self.uniform(decl.init)
+        with self._spelled_for(uniform):
+            super().compile_decl(decl)
         if uniform:
-            self.uniform_names.add(name)
-        if decl.is_const and decl.init is not None and isinstance(ctype, ScalarType):
-            folded = self.fold(decl.init)
-            if folded is not None:
-                self._const_values[name] = convert_scalar(folded, ctype)
+            self.uniform_names.add(self.lookup_name(decl.name))
 
     def lane_expr_stmt(self, expr, m: str) -> str:
         if expr is None:
@@ -1067,11 +1146,6 @@ class _LaneCompiler(_FunctionCompiler):
         self.charge_lanes(m, expr)
         self.effect(self.lane_expr(expr, m))
         return _SAME
-
-    def effect(self, code: str) -> None:
-        """Evaluate ``code`` for its side effects (loads can fault)."""
-        if "(" in code:
-            self.emit(code)
 
     def lane_if(self, stmt: ast.IfStmt, m: str) -> str:
         self.charge_lanes(m, stmt.condition)
@@ -1236,8 +1310,8 @@ class _LaneCompiler(_FunctionCompiler):
         if self.function.is_kernel or stmt.value is None:
             return _DEAD
         self.charge_lanes(m, stmt.value)
-        value = self.convert(self.lane_expr(stmt.value, m), stmt.value.ctype,
-                             self.function.return_type, m)
+        with self._state(m=m):
+            value = self.compile_converted(stmt.value, self.function.return_type)
         if stmt is self.tail_return:
             self.emit(f"return {value}")
         else:
@@ -1248,7 +1322,7 @@ class _LaneCompiler(_FunctionCompiler):
 
     def uniform(self, expr) -> bool:
         """True when ``expr`` is a Python scalar on every launch, so the
-        inherited per-item scalar code generator can emit it."""
+        per-item spelling can emit it."""
         if isinstance(expr, (ast.IntLiteral, ast.FloatLiteral, ast.CharLiteral, ast.SizeofExpr)) \
                 or self.fold(expr) is not None:
             return True
@@ -1274,194 +1348,71 @@ class _LaneCompiler(_FunctionCompiler):
             return ok and all(self.uniform(arg) for arg in expr.args)
         return False
 
+    def _uniform_target(self, target) -> bool:
+        return isinstance(target, ast.Identifier) \
+            and self.lookup_name(target.name) in self.uniform_names
+
+    def compile_expr(self, expr) -> str:
+        if self.e is self.scalar_spelling:  # inside a uniform subtree
+            return super().compile_expr(expr)
+        if self.uniform(expr):
+            with self._spelled_for(True):
+                return super().compile_expr(expr)
+        name = type(expr).__name__
+        return (getattr(self, f"_lane_{name}", None) or getattr(self, f"_expr_{name}"))(expr)
+
+    def _expr_Assignment(self, expr) -> str:
+        with self._spelled_for(self._uniform_target(expr.target)):
+            return super()._expr_Assignment(expr)
+
+    def _compile_incdec(self, target, op, prefix) -> str:
+        with self._spelled_for(self._uniform_target(target)):
+            return super()._compile_incdec(target, op, prefix)
+
     def scalar(self, expr) -> str:
-        """The per-item compiler's Python expression of a uniform ``expr``."""
-        part = self.compile_expr(expr)
-        assert not part.prelude, "uniform expressions have no side effects"
-        return part.code
+        """The per-item Python expression of a uniform ``expr``."""
+        mark = len(self.lines)
+        code = self.compile_expr(expr)
+        assert len(self.lines) == mark, "uniform expressions have no side effects"
+        return code
 
     def lane_expr(self, expr, m: str) -> str:
         """Emit what evaluating ``expr`` on chain ``m`` needs and return
         the Python expression of its value (scalar or lanes)."""
-        if self.uniform(expr):
-            return self.scalar(expr)
-        return getattr(self, f"_lane_{type(expr).__name__}")(expr, m)
+        with self._state(m=m):
+            return self.compile_expr(expr)
 
     def condition(self, expr, m: str) -> str:
         """The mask expression of the lanes of ``m`` where ``expr`` holds."""
         if isinstance(expr, ast.BinaryOp) and expr.op in ("&&", "||"):
             return self._lane_logical(expr, m, as_mask=True)
-        if isinstance(expr, ast.BinaryOp) and expr.op in _CMP_OPS:
-            compare = self.compare(expr, m)
-            if compare is not None:
-                return f"_truthy({compare}, {m})"
-        return f"_truthy({self.lane_expr(expr, m)}, {m})"
+        with self._state(m=m):
+            if isinstance(expr, ast.BinaryOp) and expr.op in _CMP_OPS \
+                    and not _is_pointer(expr.left) and not _is_pointer(expr.right):
+                # the truth value itself, not the C int made from it
+                value = self._compare(expr.op, self.compile_expr(expr.left),
+                                      self.compile_expr(expr.right), expr.op_type)
+            else:
+                value = self.compile_expr(expr)
+        return f"_truthy({value}, {m})"
 
-    def lane_mask(self, code: str, ctype) -> str:
-        """``_mask_unsigned`` for values that may be lanes."""
-        if not _is_unsigned(ctype):
-            return code
-        if ctype.size == 8:
-            return f"_um64({code})"
-        return f"(({code}) & {(1 << ctype.bits) - 1})"
+    def reuse_load(self, expr, load: str, pure: bool) -> str:
+        if id(expr) in self.cse_sources:
+            load = self.load_vars[id(expr)] = self.temp("ld", load)
+        return load
 
-    def decay(self, code: str, ctype) -> str:
-        return f"{code}.decayed()" if isinstance(ctype, ArrayType) else code
-
-    def convert(self, code: str, source, target, m: str) -> str:
-        """Mirror of ``convert_code`` (relaxed fast-math conversions)."""
-        if source is None or source == target or isinstance(source, ArrayType) \
-                or isinstance(target, PointerType) or isinstance(source, PointerType):
-            return code
-        if target.is_bool():
-            return f"_to_bool({code})"
-        if target.is_float():
-            if source.is_integer():
-                return f"_i2f({code}{', True' if _is_u64(source) else ''})"
-            return code
-        if source.is_float():
-            return self.lane_mask(f"_f2i({code}, {m})", target)
-        if not target.signed:
-            return self.lane_mask(code, target)
-        if source.signed and source.size <= target.size:
-            return code
-        return f"_sw({code}, {target.bits})"
-
-    def _lane_Identifier(self, expr, m):
-        return self.scalar(expr)  # a local's name or a __constant global's symbol
-
-    def _lane_CommaExpr(self, expr, m):
-        for part in expr.parts[:-1]:
-            self.effect(self.lane_expr(part, m))
-        return self.lane_expr(expr.parts[-1], m)
-
-    def _lane_UnaryOp(self, expr, m):
-        op = expr.op
-        if op in ("++", "--"):
-            return self.incdec(expr.operand, op, m, prefix=True)
-        if op == "*":
-            return f"{self.lane_expr(expr.operand, m)}.gather(0, {m})"
-        if op == "&":
-            return self.address_of(expr.operand, m)
-        value = self.lane_expr(expr.operand, m)
-        if op == "!":
-            return f"(1 - _to_bool({value}))"
-        return self.lane_mask(f"({op}{value})", expr.ctype)
-
-    def _lane_PostfixOp(self, expr, m):
-        return self.incdec(expr.operand, expr.op, m, prefix=False)
-
-    def address_of(self, inner, m):
-        if isinstance(inner, ast.Index):
-            if isinstance(inner.base.ctype, ArrayType):
-                flattened = self.flatten(inner, m)
-                if flattened is not None:
-                    return f"{flattened[0]}.pointer.add({flattened[1]})"
-                return (f"{self.lane_expr(inner.base, m)}"
-                        f".index({self.lane_expr(inner.index, m)}).decayed()")
-            return f"{self.lane_expr(inner.base, m)}.add({self.lane_expr(inner.index, m)})"
-        if isinstance(inner, ast.UnaryOp) and inner.op == "*":
-            return self.lane_expr(inner.operand, m)
-        if isinstance(inner, ast.Identifier) and isinstance(inner.ctype, ArrayType):
-            return f"{self.lane_expr(inner, m)}.decayed()"
-        raise AssertionError("compile_program rejects the address of a plain variable")
-
-    def incdec(self, target, op, m, prefix: bool):
-        delta = 1 if op == "++" else -1
-        ctype = target.ctype
-
-        def stepped(code):
-            if isinstance(ctype, PointerType):
-                return f"{code}.add({delta})"
-            return self.lane_mask(f"_add_scalar({code}, {delta})", ctype)
-
-        if isinstance(target, ast.Identifier):
-            name = self.lookup_name(target.name)
-            if name in self.uniform_names:
-                part = self._compile_incdec(target, op, prefix)
-                self.emit_lines(part.prelude)
-                return part.code
-            if prefix:
-                new = self.temp("t", stepped(name))
-                self.assign(name, new, m)
-                return new
-            old = self.temp("t", name)
-            self.assign(name, stepped(name), m)
-            return old
-        pointer, index = self.lvalue(target, m)
-        current = self.temp("cur", f"{pointer}.gather({index}, {m})")
-        new = self.temp("t", stepped(current))
-        self.emit(f"{pointer}.scatter({index}, {new}, {m})")
-        return new if prefix else current
-
-    def lvalue(self, expr, m):
-        """Pointer + element index locals of a memory lvalue (mirrors
-        ``_compile_lvalue``; variable targets are handled by callers)."""
-        if isinstance(expr, ast.Index):
-            if isinstance(expr.base.ctype, ArrayType):
-                flattened = self.flatten(expr, m)
-                assert flattened is not None, "array rows are not assignable"
-                return (self.temp("ptr", f"{flattened[0]}.pointer"),
-                        self.temp("idx", flattened[1]))
-            return (self.temp("ptr", self.lane_expr(expr.base, m)),
-                    self.temp("idx", self.lane_expr(expr.index, m)))
-        if isinstance(expr, ast.UnaryOp) and expr.op == "*":
-            return self.temp("ptr", self.lane_expr(expr.operand, m)), "0"
-        raise AssertionError("compile_program rejects non-assignable targets")
-
-    def flatten(self, expr: ast.Index, m):
-        """Mirror of ``_flatten_array_access``: full multi-dim accesses
-        collapse to (root VArray code, flat index code)."""
-        if isinstance(expr.ctype, ArrayType):
-            return None
-        indices: List[ast.Expr] = []
-        node: ast.Expr = expr
-        while isinstance(node, ast.Index) and isinstance(node.base.ctype, ArrayType):
-            indices.append(node.index)
-            node = node.base
-        if not isinstance(node.ctype, ArrayType) or not indices:
-            return None
-        root = self.lane_expr(node, m)
-        ctype: CType = node.ctype
-        flat = None
-        for index_expr in reversed(indices):
-            ctype = ctype.element
-            stride = ctype.flat_length() if isinstance(ctype, ArrayType) else 1
-            term = self.lane_expr(index_expr, m)
-            if stride != 1:
-                term = f"_mul_index({term}, {stride})"
-            flat = term if flat is None else f"_add_scalar({flat}, {term})"
-        return root, flat
-
-    def _lane_Index(self, expr, m):
+    def _lane_Index(self, expr):
         source = self.cse.get(id(expr))
         if source is not None:
             return self.load_vars[source]  # the per-item compiler elided this load
-        if isinstance(expr.base.ctype, ArrayType):
-            flattened = self.flatten(expr, m)
-            if flattened is None:
-                return f"{self.lane_expr(expr.base, m)}.index({self.lane_expr(expr.index, m)})"
-            code = f"{flattened[0]}.pointer.gather({flattened[1]}, {m})"
-        else:
-            code = f"{self.lane_expr(expr.base, m)}.gather({self.lane_expr(expr.index, m)}, {m})"
-        if id(expr) in self.cse_sources:
-            code = self.load_vars[id(expr)] = self.temp("ld", code)
-        return code
+        return self._expr_Index(expr)
 
-    def _lane_Cast(self, expr, m):
-        target = expr.target_type
-        value = self.lane_expr(expr.operand, m)
-        if target.is_void():
-            self.effect(value)
-            return "0"
-        return (f"_cast({value}, {self.pc.constant(target)}, "
-                f"{_is_u64(expr.operand.ctype)}, {m})")
-
-    def _lane_Conditional(self, expr, m):
+    def _lane_Conditional(self, expr):
         def arm(branch, chain):
-            value = self.decay(self.lane_expr(branch, chain), branch.ctype)
-            return self.convert(value, branch.ctype, expr.ctype, chain)
+            with self._state(m=chain):
+                return self.compile_converted(branch, expr.ctype)
 
+        m = self.m
         result = self.fresh("sel")
         then_m = self.temp("m", self.condition(expr.condition, m))
         else_m = self.temp("m", f"{m} & ~{then_m}")
@@ -1475,102 +1426,10 @@ class _LaneCompiler(_FunctionCompiler):
         self.close()
         return result
 
-    def _lane_Assignment(self, expr, m):
-        target_type = expr.target.ctype
-        if isinstance(expr.target, ast.Identifier):
-            name = self.lookup_name(expr.target.name)
-            if name in self.uniform_names:
-                part = self.compile_assignment(expr)
-                self.emit_lines(part.prelude)
-                return part.code
-            value = self.decay(self.lane_expr(expr.value, m), expr.value.ctype)
-            if expr.op == "=":
-                new = self.convert(value, expr.value.ctype, target_type, m)
-            else:
-                new = self.compound(name, value, expr, m)
-            new = self.temp("t", new)
-            self.assign(name, new, m)
-            return new
-        pointer, index = self.lvalue(expr.target, m)
-        value = self.decay(self.lane_expr(expr.value, m), expr.value.ctype)
-        if expr.op == "=":
-            stored = self.convert(value, expr.value.ctype, target_type, m)
-        else:
-            current = self.temp("cur", f"{pointer}.gather({index}, {m})")
-            stored = self.compound(current, value, expr, m)
-        stored = self.temp("val", stored)
-        self.emit(f"{pointer}.scatter({index}, {stored}, {m})")
-        return stored
-
-    def compound(self, current: str, value: str, expr: ast.Assignment, m: str) -> str:
-        op = expr.op[:-1]
-        target_type = expr.target.ctype
-        if isinstance(target_type, PointerType):
-            return f"{current}.add({value if op == '+' else f'(-{value})'})"
-        value_type = expr.value.ctype
-        if isinstance(value_type, ScalarType) and value_type.is_float() and target_type.is_integer():
-            combined = f"_fdiv_l({current}, {value})" if op == "/" \
-                else f"_f_{_ARITH[op]}({current}, {value})"
-            return self.convert(combined, value_type, target_type, m)
-        return self.lane_mask(self.arith(op, current, value, target_type, m), target_type)
-
-    def arith(self, op: str, left: str, right: str, op_type: ScalarType, m: str) -> str:
-        """One C arithmetic operator on already-prepared operands."""
-        if op == "/":
-            if op_type.is_float():
-                return f"_fdiv_l({left}, {right})"
-        if op in ("/", "%"):
-            return f"_divide_l({left}, {right}, {m}, {_is_u64(op_type)}, {op == '%'})"
-        if op in ("<<", ">>"):
-            mode = "u>>" if op == ">>" and _is_u64(op_type) else op
-            return f"_shift_l({left}, {right}, {op_type.bits}, {mode!r})"
-        return f"_{'f' if op_type.is_float() else 'i'}_{_ARITH[op]}({left}, {right})"
-
-    def compare(self, expr: ast.BinaryOp, m: str) -> Optional[str]:
-        """A scalar comparison as a boolean (lanes or Python) expression;
-        None when an operand is a pointer."""
-        if isinstance(expr.left.ctype, (PointerType, ArrayType)) \
-                or isinstance(expr.right.ctype, (PointerType, ArrayType)):
-            return None
-        op_type = expr.op_type
-        left = self.lane_mask(self.lane_expr(expr.left, m), op_type)
-        right = self.lane_mask(self.lane_expr(expr.right, m), op_type)
-        domain = "f" if op_type.is_float() else "u" if _is_u64(op_type) else "i"
-        return f"_{domain}_{_ARITH[expr.op]}({left}, {right})"
-
-    def _lane_BinaryOp(self, expr, m):
-        op = expr.op
-        if op in ("&&", "||"):
-            return self._lane_logical(expr, m, as_mask=False)
-        if op in _CMP_OPS:
-            compare = self.compare(expr, m)
-            if compare is not None:
-                return f"_b2i({compare})"
-        left = self.lane_expr(expr.left, m)
-        right = self.lane_expr(expr.right, m)
-        if isinstance(expr.left.ctype, (PointerType, ArrayType)) \
-                or isinstance(expr.right.ctype, (PointerType, ArrayType)):
-            return self.pointer_binop(expr, left, right)
-        op_type: ScalarType = expr.op_type
-        if op in ("/", "%"):
-            if not op_type.is_float():
-                left, right = self.lane_mask(left, op_type), self.lane_mask(right, op_type)
-            return self.arith(op, left, right, op_type, m)
-        if op == ">>":
-            left = self.lane_mask(left, op_type)
-        # Strength reduction, mirrored from the compiled backend (it
-        # changes float signed-zero results: -0.0 + 0 stays -0.0).
-        elif op == "*":
-            for kept, other in ((left, expr.right), (right, expr.left)):
-                if _is_literal(other, 1, 1.0):
-                    return kept
-                if _is_literal(other, -1, -1.0):
-                    return self.lane_mask(f"(-{kept})", op_type)
-        elif op in ("+", "-") and _is_literal(expr.right, 0, 0.0):
-            return left
-        elif op == "+" and _is_literal(expr.left, 0, 0.0):
-            return right
-        return self.lane_mask(self.arith(op, left, right, op_type, m), op_type)
+    def _lane_BinaryOp(self, expr):
+        if expr.op in ("&&", "||"):
+            return self._lane_logical(expr, self.m, as_mask=False)
+        return self._expr_BinaryOp(expr)
 
     def _lane_logical(self, expr, m, as_mask: bool):
         """Short-circuit ``&&``/``||``: the right side runs on the lanes
@@ -1586,71 +1445,22 @@ class _LaneCompiler(_FunctionCompiler):
         mask = right if is_and else f"({left} | {right})"
         return mask if as_mask else f"_b2i({mask})"
 
-    def pointer_binop(self, expr, left: str, right: str) -> str:
-        op = expr.op
-        left_ptr = isinstance(expr.left.ctype, (PointerType, ArrayType))
-        right_ptr = isinstance(expr.right.ctype, (PointerType, ArrayType))
-        left = self.decay(left, expr.left.ctype)
-        right = self.decay(right, expr.right.ctype)
-        if op == "+":
-            return f"{left}.add({right})" if left_ptr else f"{right}.add({left})"
-        if op == "-":
-            return f"{left}.diff({right})" if left_ptr and right_ptr else f"{left}.add(-{right})"
-        if op == "==":
-            return f"_ptr_eq_l({left}, {right})"
-        if op == "!=":
-            return f"(1 - _ptr_eq_l({left}, {right}))"
-        return f"_ptr_cmp(_op.{_ARITH[op]}, {left}, {right})"
-
-    def _lane_Call(self, expr, m):
-        if getattr(expr, "kind", "") == "user":
-            target: ast.FunctionDef = expr.callee_def
-            args = [self.convert(self.decay(self.lane_expr(arg, m), arg.ctype),
-                                 arg.ctype, param.declared_type, m)
-                    for arg, param in zip(expr.args, target.params)]
-            return f"{self.pc.function_symbol(target.name)}({', '.join(['R', 'ctx', m] + args)})"
-        resolved: ResolvedBuiltin = expr.resolved
-        if resolved.kind == "workitem":
-            dim = expr.args[0]
-            if isinstance(dim, ast.IntLiteral) and 0 <= dim.value <= 2:
-                return f"ctx.{resolved.name[4:]}[{dim.value}]"
-            return f"_workitem(ctx, {resolved.name!r}, {self.lane_expr(dim, m)})"
-        assert resolved.kind != "barrier", "compile_program rejects barrier() in an expression"
-        if resolved.name in _FENCES:
-            self.effect(self.lane_expr(expr.args[0], m))
-            return "0"
-        args = [self.convert(self.lane_expr(arg, m), arg.ctype, param_type, m)
-                for arg, param_type in zip(expr.args, resolved.param_types)]
-        return f"{self.pc.constant(_Builtin(resolved))}(({', '.join(args)},), {m})"
-
-
-class _Unit(_ProgramCompiler):
-    """The constant pool and symbol names of one generated module."""
-
-    def __init__(self, program: ast.Program):  # no __local index: R.lmem is in
-        self.program = program  # kernel.local_decls order
-        self.constants: List[object] = []
-        self._constant_index: Dict[int, int] = {}
-
 
 def _generate(kernel: CompiledKernel, functions) -> _KernelPlan:
     """Compile ``kernel`` and the helpers it reaches into one module."""
     program = kernel.program
-    pc = _Unit(program)
+    pc = _ProgramCompiler(program)
     source = "\n\n".join(_LaneCompiler(pc, fn, facts, kernel).compile()
                          for fn, facts in functions) + "\n"
-    namespace = _runtime_namespace()
+    namespace = pc.namespace()
     namespace.update(_LIBRARY)
-    namespace["_K"] = pc.constants
-    if program.globals:
-        machine = Machine(program)
-        for global_decl in program.globals:
-            value = machine.globals[global_decl.decl.name]
-            if hasattr(value, "pointer"):  # ArrayRef
-                ptr = value.pointer
-                value = VArray(VPtr(ptr.array, ptr.element_type, ptr.address_space,
-                                    None, ptr.length, ptr.offset, None), value.element)
-            namespace[pc.global_symbol(global_decl.decl.name)] = value
+    for global_decl in program.globals:
+        symbol = pc.global_symbol(global_decl.decl.name)
+        value = namespace[symbol]
+        if isinstance(value, ArrayRef):
+            ptr = value.pointer
+            namespace[symbol] = VArray(VPtr(ptr.array, ptr.element_type, ptr.address_space,
+                                            None, ptr.length, ptr.offset, None), value.element)
     exec(compile(source, f"<kernelc-lockstep:{kernel.name}>", "exec"), namespace)  # noqa: S102
     return _KernelPlan(None, namespace[pc.function_symbol(kernel.name)], source)
 

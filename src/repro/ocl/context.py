@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis.races import RaceDetector, SanitizeMode, resolve_sanitize_mode
@@ -38,7 +39,9 @@ class Context:
         if not self.devices:
             raise InvalidValue("a context needs at least one device")
         self.queues: List[CommandQueue] = [CommandQueue(device) for device in self.devices]
-        self._buffers: List[Buffer] = []
+        # Weak: a buffer nothing else refers to is garbage, and its
+        # ``__del__`` returns its bytes to the device.
+        self._buffers: "weakref.WeakSet[Buffer]" = weakref.WeakSet()
         # SkelScope metrics: one registry per context, shared by all
         # queues (commands counted at enqueue; timeline gauges derived
         # at snapshot time, once timestamps are resolved).
@@ -77,7 +80,7 @@ class Context:
     def create_buffer(self, nbytes: int, device: Optional[Device] = None, name: str = "") -> Buffer:
         target = device if device is not None else self.devices[0]
         buffer = Buffer(target, nbytes, name)
-        self._buffers.append(buffer)
+        self._buffers.add(buffer)
         return buffer
 
     def create_program(self, source: str, name: str = "<kernel>",
@@ -150,7 +153,7 @@ class Context:
         return render_timeline(self, width=width)
 
     def release(self) -> None:
-        for buffer in self._buffers:
+        for buffer in list(self._buffers):
             buffer.release()
         self._buffers.clear()
 

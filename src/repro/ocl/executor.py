@@ -1,20 +1,23 @@
 """NDRange execution on a simulated device.
 
-Two backends execute an NDRange:
+Two engines execute an NDRange, both generated from the one lowering of
+:mod:`repro.kernelc.compiler`:
 
 ``vector`` (the default)
-    The lockstep numpy backend (:mod:`repro.kernelc.vectorize`): every
+    The lockstep numpy engine (:mod:`repro.kernelc.vectorize`): every
     selected work-item advances through the kernel simultaneously under
     active-lane masks.  Kernels using constructs with no lockstep
-    lowering fall back transparently to the per-item backend.
+    lowering fall back transparently to the per-item engine.
 
 ``interp``
-    The per-item compiled engine (:mod:`repro.kernelc.compiler`, not the
-    tree-walking interpreter): every work-item runs the kernel's
-    generated Python function to completion (or, for ``barrier()``
-    kernels, phase-by-phase as a generator with divergence detection).
+    The per-item compiled engine (:mod:`repro.kernelc.compiler`): every
+    work-item runs the kernel's generated Python function to completion
+    (or, for ``barrier()`` kernels, phase-by-phase as a generator with
+    divergence detection).  The name is historical: the tree-walking
+    interpreter (:mod:`repro.kernelc.interp`) is the test oracle and no
+    launch runs on it.
 
-Both backends produce bit-identical buffers and identical
+Both engines produce bit-identical buffers and identical
 ``ExecutionCounters``; ``tests/kernelc/test_vectorize_differential.py``
 enforces this.  Select with the ``backend=`` argument (plumbed through
 ``Context``) or the ``SKELCL_BACKEND`` environment variable.
@@ -35,13 +38,13 @@ from typing import List, Optional, Sequence
 from .. import settings
 from ..kernelc import vectorize
 from ..kernelc.compiler import CompiledKernel
-from ..kernelc.execmodel import WARP_SIZE, ExecutionCounters, WorkItemContext
-from ..kernelc.interp import allocate_local_memory
+from ..kernelc.execmodel import (WARP_SIZE, ExecutionCounters, WorkItemContext,
+                                 allocate_local_memory)
 from ..kernelc.memory import KernelFault
 from .errors import InvalidValue
 from .ndrange import NDRange
 
-BACKENDS = ("vector", "interp")
+BACKENDS = settings._BACKENDS  # the one tuple: the settings chain validates against it
 DEFAULT_BACKEND = "vector"
 
 

@@ -28,10 +28,6 @@ class Kernel:
         return self.compiled.name
 
     @property
-    def num_args(self) -> int:
-        return len(self._args)
-
-    @property
     def params(self) -> List[ast.Param]:
         return self.compiled.definition.params
 

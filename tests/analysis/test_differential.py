@@ -36,7 +36,8 @@ def traced_run(source, kernel_name, arrays, args, global_size,
     # Reuse run_kernel's interpreter plumbing but keep our counters:
     # execute manually (run_kernel would build fresh buffers/counters).
     from repro.kernelc.execmodel import convert_value
-    from repro.kernelc.interp import Interpreter, Machine, allocate_local_memory
+    from repro.kernelc.execmodel import allocate_local_memory
+    from repro.kernelc.interp import Interpreter, Machine
     from ..kernelc.helpers import _contexts
 
     definition = program.function(kernel_name)

@@ -13,20 +13,15 @@ that moves a verdict on purpose regenerates it and lists the moved
 entries in CHANGES.md.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import re
-import tempfile
 
 from repro.analysis import affine
 from repro.analysis.access import pointer_param_modes
 from repro.kernelc.frontend import compile_source
 from repro.kernelc.lint import lint_program
-from repro.ocl import program as ocl_program
-from repro.plan import compose
 from repro.skelcl.mapoverlap import MapOverlap
 
 from . import workloads
@@ -95,20 +90,11 @@ def collect():
         static = kwargs.get("static_bounds", args[4] if len(args) > 4 else True)
         stencils.append((self, static))
 
-    # Start from cold caches: what gets built must not depend on which
-    # tests ran earlier in the process.
-    ocl_program.clear_build_cache()
-    for cache in (compose._COMPOSED, compose._FOOTPRINT_CACHE):
-        cache.clear()
     MapOverlap.__init__ = recording_init
     try:
-        with tempfile.TemporaryDirectory() as workdir, \
-                contextlib.redirect_stdout(io.StringIO()):
-            workloads.run_all(workdir)
+        built = workloads.built_programs()
     finally:
         MapOverlap.__init__ = original_init
-    built = sorted(ocl_program._BUILD_CACHE)
-    ocl_program.clear_build_cache()
 
     programs = {}
     for source, defines in built:

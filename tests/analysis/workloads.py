@@ -274,6 +274,28 @@ def run_all(workdir):
     examples(workdir)
 
 
+def built_programs():
+    """Run the whole corpus from cold caches (what gets built must not
+    depend on which tests ran earlier in the process); returns the sorted
+    ``(source, defines)`` of every program it built."""
+    import contextlib
+    import io
+    import tempfile
+
+    from repro.ocl import program as ocl_program
+    from repro.plan import compose
+
+    ocl_program.clear_build_cache()
+    for cache in (compose._COMPOSED, compose._FOOTPRINT_CACHE):
+        cache.clear()
+    with tempfile.TemporaryDirectory() as workdir, \
+            contextlib.redirect_stdout(io.StringIO()):
+        run_all(workdir)
+    built = sorted(ocl_program._BUILD_CACHE)
+    ocl_program.clear_build_cache()
+    return built
+
+
 def kernel_strings():
     """``(label, source)`` for every literal kernel source shipped in
     ``repro.baselines``, ``repro.apps`` and ``examples/``, plus

@@ -10,7 +10,8 @@ import numpy as np
 from repro.kernelc import ExecutionCounters, WorkItemContext, compile_source
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
-from repro.kernelc.interp import Interpreter, Machine, allocate_local_memory
+from repro.kernelc.execmodel import allocate_local_memory
+from repro.kernelc.interp import Interpreter, Machine
 from repro.kernelc.memory import Pointer
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.kernelc import compile_source
 from repro.kernelc.ctypes_ import FLOAT, INT
-from repro.kernelc.interp import Machine, local_memory_bytes
+from repro.kernelc.execmodel import local_memory_bytes
+from repro.kernelc.interp import Machine
 from repro.kernelc.memory import KernelFault
 
 from .helpers import run_kernel

@@ -180,3 +180,29 @@ class TestRuntimeGuards:
         assert scalar.get_value() == 2.5
         assert float(scalar) == 2.5
         assert int(skelcl.Scalar(3, np.int32)) == 3
+
+
+class TestDroppedContainersFreeDeviceMemory:
+    """The context's buffer registry is weak: a container nothing refers
+    to any more gives its device buffers back (it used to hold every
+    buffer until ``Context.release()``, so the 129th call below ran the
+    64 MiB test device out of memory)."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_three_hundred_calls_on_fresh_vectors(self, lazy):
+        import gc
+
+        session = skelcl.init(devices=["test"], lazy=lazy)
+        try:
+            double = skelcl.Map("float func(float x) { return 2.0f * x; }")
+            data = np.ones(64 * 1024, np.float32)
+            for _ in range(300):
+                out = double(Vector(data=data))
+                assert out[0] == 2.0  # forces a deferred call
+            gc.collect()
+            device = session.context.devices[0]
+            assert 0 < device.allocated_bytes <= 4 * data.nbytes
+            session.context.release()
+            assert device.allocated_bytes == 0
+        finally:
+            skelcl.terminate()

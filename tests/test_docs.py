@@ -73,3 +73,25 @@ def test_the_skeletons_the_docs_enumerate_are_the_ones_exported():
                        design)
     assert stated.group(1) == NUMBER_WORDS[len(exported)]
     assert set(re.findall(r"`(\w+)`", stated.group(2))) == exported
+
+
+def test_design_inventory_names_exactly_the_modules_of_each_package():
+    """DESIGN.md §3: a package's row names every module file the package
+    has and no module it does not have.  Module names are the backticked
+    bare identifiers at the top level of the row's Contents cell — what
+    stands inside parentheses describes a module."""
+    design = _read("DESIGN.md")
+    inventory = design[design.index("## 3. System inventory"):design.index("## 4.")]
+    rows = dict(re.findall(r"^\| [^|]+ \| `repro\.(\w+)`[^|]*\| (.*) \|$", inventory,
+                           re.MULTILINE))
+    for package in ("kernelc", "ocl", "skelcl", "plan", "analysis", "jit", "serve", "scope"):
+        cell, stripped = rows[package], None
+        while stripped != cell:  # drop parenthesized descriptions, innermost first
+            stripped, cell = cell, re.sub(r"\([^()]*\)", "", cell)
+        named = set(re.findall(r"`([a-z_][a-z0-9_]*)`", cell))
+        files = glob.glob(os.path.join(ROOT, "src", "repro", package, "*.py"))
+        modules = {os.path.splitext(os.path.basename(path))[0] for path in files}
+        modules -= {"__init__", "__main__"}
+        assert named == modules, (
+            f"DESIGN.md row of repro.{package}: undescribed modules "
+            f"{sorted(modules - named)}, nonexistent modules {sorted(named - modules)}")
