@@ -16,13 +16,20 @@ walk per kernel definition, shared with the lint pass and the planner):
 
 Both over-approximate, so the race detector never misses a conflict
 because of them.
+
+What a launch resolves to depends on the launch only through its
+*shape* — global and local size, the integer scalar arguments a
+footprint or guard names, the byte size of each bound buffer — so
+:func:`kernel_buffer_accesses` resolves each shape once per kernel and
+afterwards only stamps the resolved rows with the launch's buffers
+(``docs/analysis.md``, "Resolution at enqueue").
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +43,11 @@ READ_WRITE = "rw"
 #: Above this many resolved ranges per parameter the per-site set is
 #: collapsed to its dense hull, keeping race checks O(small).
 _MAX_RANGES_PER_PARAM = 8
+
+#: Resolved launch shapes a kernel summary keeps (least recently used
+#: dropped): a skeleton launches a kernel in a handful of shapes — one
+#: per device chunk size — so this bounds memory, not the hit rate.
+_MAX_LAUNCH_SHAPES = 128
 
 
 @dataclass(frozen=True)
@@ -144,50 +156,87 @@ def _scalar_args(kernel) -> Dict[str, int]:
     return scalars
 
 
-def _count_summary(metrics, kind: str) -> None:
-    if metrics is not None:
-        metrics.counter("skelcl_access_summary_total", kind=kind).inc()
+# A resolved access before it is bound to a buffer — the fields of a
+# BufferAccess after ``buffer_uid`` and ``buffer_name``:
+# (start, stop, mode, stride, width, provenance).
+_Row = Tuple[int, int, str, int, int, str]
 
 
-def _resolve_param(summary, param_name, value, env) -> Optional[List[BufferAccess]]:
-    """Footprint-derived accesses for one Buffer argument, or None to
-    fall back to the whole-chunk range."""
+def _resolve_param(summary, param_name, nbytes, env) -> Optional[List[_Row]]:
+    """Footprint-derived rows for one Buffer argument of ``nbytes``
+    bytes, or None to fall back to the whole-chunk range."""
     psum = summary.params.get(param_name)
     if psum is None or not psum.affine:
         return None
-    resolved: List[BufferAccess] = []
-    name = value.name or param_name
+    rows: List[_Row] = []
     for fp in psum.footprints:
         try:
-            access = affine.resolve_footprint(fp, env, psum.elem_size,
-                                              value.nbytes)
+            access = affine.resolve_footprint(fp, env, psum.elem_size, nbytes)
         except (affine.Unresolvable, OverflowError):
             return None
         if access is None:
             continue  # guards infeasible for this launch
-        provenance = f"arg {param_name}, index {fp.index.format()}"
-        resolved.append(BufferAccess(
-            value.uid, name, access.start, access.stop, fp.mode,
-            access.stride, access.width, provenance))
-    if len(resolved) > _MAX_RANGES_PER_PARAM:
-        start = min(a.start for a in resolved)
-        stop = max(a.stop for a in resolved)
-        resolved = [BufferAccess(value.uid, name, start, stop,
-                                 summary.modes[param_name],
-                                 provenance=f"arg {param_name}, {len(psum.footprints)} sites")]
-    return _merge_ranges(resolved)
+        rows.append((access.start, access.stop, fp.mode, access.stride, access.width,
+                     f"arg {param_name}, index {fp.index.format()}"))
+    if len(rows) > _MAX_RANGES_PER_PARAM:
+        return [(min(row[0] for row in rows), max(row[1] for row in rows),
+                 summary.modes[param_name], 0, 0,
+                 f"arg {param_name}, {len(psum.footprints)} sites")]
+    # Coalesce identical-shape duplicates (one site reached through
+    # several paths) while keeping distinct strides/modes apart.
+    merged: Dict[tuple, _Row] = {}
+    for row in rows:
+        merged.setdefault(row[:5], row)
+    return list(merged.values())
 
 
-def _merge_ranges(accesses: List[BufferAccess]) -> List[BufferAccess]:
-    """Coalesce identical-shape duplicates (one site reached through
-    several paths) while keeping distinct strides/modes apart."""
-    seen: Dict[tuple, BufferAccess] = {}
-    for access in accesses:
-        key = (access.start, access.stop, access.stride, access.width,
-               access.mode)
-        if key not in seen:
-            seen[key] = access
-    return list(seen.values())
+def _resolve_launch(kernel, summary, ndrange) -> tuple:
+    """A launch's access set, all but the buffers' identity: per Buffer
+    argument ``(argument index, parameter name, rows)``, and how many of
+    them resolved to each kind (``"affine"``: footprint rows,
+    ``"fallback"``: the whole buffer).  The one place rows are computed.
+    What it reads of the launch — the geometry, the integer scalar
+    arguments, each Buffer's ``nbytes`` — is what :func:`_launch_shape`
+    keys the memo on; the rest (footprints, guards, element sizes,
+    modes) is the summary's."""
+    env = None
+    if ndrange is not None:
+        env = affine.make_eval_env(ndrange.global_size, ndrange.local_size,
+                                   _scalar_args(kernel))
+    bound, kinds = [], {}
+    for index, (param, value) in enumerate(zip(kernel.compiled.definition.params,
+                                               kernel._args)):
+        if getattr(value, "uid", None) is None:  # not a Buffer (scalar/vector argument)
+            continue
+        rows = None
+        if env is not None:
+            rows = _resolve_param(summary, param.name, value.nbytes, env)
+        kind = "affine"
+        if rows is None:
+            kind = "fallback"
+            rows = [(0, value.nbytes, summary.modes.get(param.name, READ_WRITE),
+                     0, 0, f"arg {param.name}")]
+        bound.append((index, param.name, tuple(rows)))
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return tuple(bound), tuple(kinds.items())
+
+
+def _launch_shape(kernel, summary, ndrange) -> tuple:
+    """The memo key: every launch-dependent value :func:`_resolve_launch`
+    reads.  One entry per argument, typed by what the argument is, so a
+    Buffer's size, a scalar's value and "not an integer" never collide."""
+    shape = [ndrange.global_size, ndrange.local_size]
+    scalars = summary.footprint_scalars
+    for param, value in zip(kernel.compiled.definition.params, kernel._args):
+        if getattr(value, "uid", None) is not None:
+            shape.append(value.nbytes)
+        elif param.name not in scalars:
+            shape.append(None)  # no form names it: it cannot change the answer
+        elif isinstance(value, (int, np.integer)):
+            shape.append((int(value),))
+        else:
+            shape.append(())  # unbound in the evaluation: its parameters fall back
+    return tuple(shape)
 
 
 def kernel_buffer_accesses(kernel, ndrange=None, metrics=None) -> List[BufferAccess]:
@@ -199,32 +248,46 @@ def kernel_buffer_accesses(kernel, ndrange=None, metrics=None) -> List[BufferAcc
     scalar arguments; parameters the summary could not model — and
     every parameter when ``ndrange`` is None — get the whole-buffer
     range with the mode the summary recorded.
-    ``metrics`` (a SkelScope registry) counts each pointer argument
-    under ``skelcl_access_summary_total{kind=affine|fallback}``.
+
+    Resolution is a pure function of the summary and the *launch shape*
+    (:func:`_launch_shape`), so it runs once per shape: the summary keeps
+    its :data:`_MAX_LAUNCH_SHAPES` most recently used resolutions, and a
+    launch that repeats one only stamps the rows with its own buffers'
+    ``uid`` and ``name`` — per argument index, so one buffer bound to
+    two parameters needs no special case.
+
+    ``metrics`` (a SkelScope registry, or a queue's handles to one)
+    counts each launch under ``skelcl_access_memo_total{result=hit|miss}``
+    and each of its pointer arguments under
+    ``skelcl_access_summary_total{kind=affine|fallback}``.
     """
-    compiled = kernel.compiled
     summary = affine.cached_kernel_summary(kernel.program.compiled.program,
-                                           compiled.definition)
-    env = None
-    if ndrange is not None:
-        env = affine.make_eval_env(ndrange.global_size, ndrange.local_size,
-                                   _scalar_args(kernel))
+                                           kernel.compiled.definition)
+    if ndrange is None:
+        metrics = None  # nothing is resolved against a launch: nothing to count
+        resolved = _resolve_launch(kernel, summary, None)
+    else:
+        memo = summary.launch_shapes
+        shape = _launch_shape(kernel, summary, ndrange)
+        # pop + re-insert moves a hit to the recent end and, unlike
+        # get + move_to_end, cannot trip over another thread's eviction.
+        resolved = memo.pop(shape, None)
+        if metrics is not None:
+            metrics.counter("skelcl_access_memo_total",
+                            result="miss" if resolved is None else "hit").inc()
+        if resolved is None:
+            resolved = _resolve_launch(kernel, summary, ndrange)
+        memo[shape] = resolved
+        if len(memo) > _MAX_LAUNCH_SHAPES:
+            memo.popitem(last=False)
+    bound, kinds = resolved
+    if metrics is not None:
+        for kind, pointer_arguments in kinds:
+            metrics.counter("skelcl_access_summary_total", kind=kind).inc(pointer_arguments)
     accesses: List[BufferAccess] = []
-    for param, value in zip(compiled.definition.params, kernel._args):
-        uid = getattr(value, "uid", None)
-        if uid is None:  # not a Buffer (scalar/vector argument)
-            continue
-        resolved = None
-        if env is not None:
-            resolved = _resolve_param(summary, param.name, value, env)
-        if resolved is not None:
-            _count_summary(metrics, "affine")
-            accesses.extend(resolved)
-            continue
-        if ndrange is not None:
-            _count_summary(metrics, "fallback")
-        mode = summary.modes.get(param.name, READ_WRITE)
-        accesses.append(BufferAccess(uid, value.name or param.name,
-                                     0, value.nbytes, mode,
-                                     provenance=f"arg {param.name}"))
+    args = kernel._args
+    for index, param_name, rows in bound:
+        buffer = args[index]
+        uid, name = buffer.uid, buffer.name or param_name
+        accesses += [BufferAccess(uid, name, *row) for row in rows]
     return accesses

@@ -59,8 +59,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..kernelc import ast
 from ..kernelc.ctypes_ import ArrayType, CType, PointerType
@@ -258,6 +260,12 @@ class AffineForm:
     def __repr__(self) -> str:
         return f"AffineForm({self.format()})"
 
+    def uniform_symbols(self) -> Iterator[Sym]:
+        """Every uniform symbol the base or a coefficient mentions."""
+        for polynomial in (self.base, *self.terms.values()):
+            for monomial in polynomial.terms:
+                yield from monomial
+
     def format(self) -> str:
         parts = []
         for s, c in sorted(self.terms.items()):
@@ -368,6 +376,24 @@ class KernelSummary:
     accessor_sites: List[Tuple[Tuple[Alts, ...], Guards]] = field(default_factory=list)
     #: Induction symbol -> (its loop statement, uniform step).
     iv_loops: Dict[Sym, Tuple[ast.Stmt, UExpr]] = field(default_factory=dict)
+    #: Launch shape -> resolved access rows: the enqueue-time memo of
+    #: :func:`repro.analysis.access.kernel_buffer_accesses`, kept here so
+    #: it lives and dies with the summary (i.e. with the AST).
+    launch_shapes: "OrderedDict[tuple, tuple]" = field(
+        default_factory=OrderedDict, repr=False, compare=False)
+
+    @cached_property
+    def footprint_scalars(self) -> FrozenSet[str]:
+        """The scalar parameters some footprint index or guard of an
+        affine parameter names — the only scalar arguments enqueue-time
+        resolution reads (no form mentions the others, so they cannot
+        change its answer)."""
+        return frozenset(
+            sym[1]
+            for psum in self.params.values() if psum.affine
+            for fp in psum.footprints
+            for form in (fp.index, *fp.guards)
+            for sym in form.uniform_symbols() if sym[0] == "param")
 
     @property
     def affine_sites(self) -> int:

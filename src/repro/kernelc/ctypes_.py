@@ -268,11 +268,15 @@ def wrap_int(value: int, ctype: ScalarType) -> int:
 
 def round_float(value: float, ctype: ScalarType) -> float:
     """Round a Python float to the precision of ``ctype``."""
-    if ctype == DOUBLE:
-        return float(value)
-    if ctype == FLOAT:
+    # Dispatch on the name: the three float types are told apart by it,
+    # and comparing frozen dataclasses field by field on every
+    # conversion costs more than the rounding.
+    name = ctype.name
+    if name == "float":
         return float(np.float32(value))
-    if ctype == HALF:
+    if name == "double":
+        return float(value)
+    if name == "half":
         return float(np.float16(value))
     raise TypeError(f"not a float type: {ctype}")
 

@@ -209,7 +209,7 @@ def binary_value(op: str, left, right, op_type: CType):
             scalar_binary(op, convert_scalar(a, element), convert_scalar(b, element), element)
             for a, b in zip(left_components, right_components)
         ]
-        return VecValue(element, out)
+        return VecValue.of_converted(element, out)  # scalar_binary converts its result
     assert isinstance(op_type, ScalarType)
     return scalar_binary(op, convert_scalar(left, op_type), convert_scalar(right, op_type), op_type)
 
@@ -266,7 +266,7 @@ def truthy(value) -> bool:
 def copy_value(value):
     """Value-semantics copy (vectors are mutable containers)."""
     if isinstance(value, VecValue):
-        return VecValue(value.element_type, list(value.components))
+        return VecValue.of_converted(value.element_type, list(value.components))
     return value
 
 

@@ -4,8 +4,8 @@
 this module adds a second, cross-process level keyed on the
 *preprocessed* source (so distinct ``#define`` spellings of the same
 expansion share an entry) hashed together with a format version and a
-toolchain fingerprint (the kernelc sources themselves — editing the
-compiler invalidates every entry).
+toolchain fingerprint (the kernelc and analysis sources themselves —
+editing the compiler or the summary classes invalidates every entry).
 
 Entries store the type-checked AST plus the lint findings via pickle.
 :class:`~repro.kernelc.builtins.ResolvedBuiltin` values embed lambdas
@@ -52,18 +52,23 @@ def cache_dir() -> str:
 
 
 def _toolchain_fingerprint() -> str:
-    """A digest over the kernelc sources: any compiler change invalidates
-    the cache wholesale (cheap and safe; computed once per process)."""
+    """A digest over the sources of every class an entry pickles — the
+    kernelc package (AST, types, diagnostics) and ``repro.analysis``
+    (the SkelAccess summary memoized on the AST): any change to either
+    invalidates the cache wholesale (cheap and safe; computed once per
+    process)."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
         digest = hashlib.sha256()
-        package_dir = os.path.dirname(os.path.abspath(__file__))
-        for entry in sorted(os.listdir(package_dir)):
-            if not entry.endswith(".py"):
-                continue
-            digest.update(entry.encode())
-            with open(os.path.join(package_dir, entry), "rb") as handle:
-                digest.update(handle.read())
+        kernelc_dir = os.path.dirname(os.path.abspath(__file__))
+        for package_dir in (kernelc_dir,
+                            os.path.join(os.path.dirname(kernelc_dir), "analysis")):
+            for entry in sorted(os.listdir(package_dir)):
+                if not entry.endswith(".py"):
+                    continue
+                digest.update(entry.encode())
+                with open(os.path.join(package_dir, entry), "rb") as handle:
+                    digest.update(handle.read())
         _fingerprint_cache = digest.hexdigest()
     return _fingerprint_cache
 

@@ -27,6 +27,17 @@ class VecValue:
         self.element_type = element_type
         self.components = [convert_scalar(c, element_type) for c in components]
 
+    @classmethod
+    def of_converted(cls, element_type: ScalarType, components: List) -> "VecValue":
+        """A vector over ``components`` as they are: a fresh list whose
+        items already went through ``convert_scalar(_, element_type)``
+        (it is idempotent, so the result equals the checked
+        constructor's — minus one conversion per component)."""
+        self = cls.__new__(cls)
+        self.element_type = element_type
+        self.components = components
+        return self
+
     @property
     def width(self) -> int:
         return len(self.components)
@@ -36,7 +47,7 @@ class VecValue:
 
     @classmethod
     def zero(cls, ctype: VectorType) -> "VecValue":
-        return cls(ctype.element, [0] * ctype.width)
+        return cls.of_converted(ctype.element, [convert_scalar(0, ctype.element)] * ctype.width)
 
     @classmethod
     def literal(cls, ctype: VectorType, parts: Sequence) -> "VecValue":
@@ -53,7 +64,7 @@ class VecValue:
         return cls(ctype.element, components)
 
     def swizzle(self, indices: Sequence[int]) -> "VecValue":
-        return VecValue(self.element_type, [self.components[i] for i in indices])
+        return VecValue.of_converted(self.element_type, [self.components[i] for i in indices])
 
     def store_components(self, indices: Sequence[int], value) -> None:
         """``self.<indices> = value`` (in place)."""

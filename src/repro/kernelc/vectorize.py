@@ -1474,7 +1474,10 @@ class _LaneLayout:
     """Per-lane work-item identities for ``selected groups x local ids``,
     lanes ordered group-major (matching the per-item executor's loops).
     Doubles as the ``ctx`` of scalar code from the per-item generator.
-    Shared between launches through :func:`_layout`: read-only."""
+    Shared between launches through :func:`_layout`: read-only — which
+    is why it also carries what :func:`execute` would otherwise rebuild
+    per launch from the geometry alone (:meth:`row_bases`,
+    :meth:`warp_max`)."""
 
     def __init__(self, global_size, local_size, selected):
         dims = len(global_size)
@@ -1510,6 +1513,27 @@ class _LaneLayout:
                 store.append(value)
         self.full = np.ones(self.n, dtype=bool)
         self.full.flags.writeable = False
+        self._row_bases: Dict[int, ndarray] = {}
+
+    def row_bases(self, flat: int) -> ndarray:
+        """Per lane, the storage row origin of its group's copy of a
+        ``__local`` allocation of ``flat`` elements."""
+        bases = self._row_bases.get(flat)
+        if bases is None:
+            bases = self._row_bases[flat] = np.repeat(
+                np.arange(self.num_groups, dtype=_I64) * flat, self.group_size)
+            bases.flags.writeable = False
+        return bases
+
+    def warp_max(self, ops: ndarray) -> ndarray:
+        """Per 32-lane warp of every group, the largest of the per-lane
+        ``ops``; a partial trailing warp is padded with idle lanes."""
+        chunks = -(-self.group_size // WARP_SIZE)
+        if chunks * WARP_SIZE != self.group_size:
+            padded = np.zeros((self.num_groups, chunks * WARP_SIZE), dtype=_I64)
+            padded[:, : self.group_size] = ops.reshape(self.num_groups, self.group_size)
+            ops = padded
+        return ops.reshape(self.num_groups, chunks, WARP_SIZE).max(axis=2)
 
     def query(self, name: str, dim: int):
         """Mirror of the ``WorkItemContext`` accessors (ids default to 0
@@ -1566,8 +1590,7 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
         flat = ctype.flat_length()
         element = ctype.base_element()
         storage = np.zeros(lanes.num_groups * flat, dtype=numpy_dtype(element))
-        vptr = VPtr(storage, element, "local", counters.memory, flat, 0,
-                    np.repeat(np.arange(lanes.num_groups, dtype=_I64) * flat, lanes.group_size))
+        vptr = VPtr(storage, element, "local", counters.memory, flat, 0, lanes.row_bases(flat))
         run.lmem.append(VArray(vptr, ctype.element))
     values = [VPtr(arg.array, arg.element_type, arg.address_space, arg.counters,
                    arg.length, arg.offset, None) if isinstance(arg, Pointer) else arg
@@ -1580,8 +1603,5 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
         # Warp-divergence accounting, mirroring the per-item executor: a
         # 32-lane warp runs as long as its slowest lane; partial trailing
         # chunks still pay for a full warp.
-        chunks = -(-lanes.group_size // WARP_SIZE)
-        padded = np.zeros((lanes.num_groups, chunks * WARP_SIZE), dtype=_I64)
-        padded[:, : lanes.group_size] = run.ops.reshape(lanes.num_groups, lanes.group_size)
-        warp_max = padded.reshape(lanes.num_groups, chunks, WARP_SIZE).max(axis=2)
+        warp_max = lanes.warp_max(run.ops)
         counters.warp_ops += (int(warp_max.sum()) + run.base * warp_max.size) * WARP_SIZE

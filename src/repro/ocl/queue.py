@@ -29,6 +29,7 @@ Ordering rules mirror OpenCL 1.x in-order queues with events:
 
 from __future__ import annotations
 
+import functools
 import os.path
 import sys
 from collections import deque
@@ -57,20 +58,75 @@ from .timing import kernel_time_ns, simd_utilization, transfer_time_ns
 _OCL_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
+@functools.lru_cache(maxsize=1024)
+def _site_file(filename: str) -> Optional[str]:
+    """``dir/file.py`` for a code object's file, None for one under
+    ``repro/ocl`` — a property of the file name, so worked out once per
+    file rather than per frame of every command."""
+    if os.path.abspath(filename).startswith(_OCL_DIR):
+        return None
+    return "/".join(filename.replace("\\", "/").rsplit("/", 2)[-2:])
+
+
 def _capture_enqueue_site() -> Optional[str]:
     """``file.py:line`` of the innermost caller outside ``repro.ocl`` —
     the skeleton or user code that issued the enqueue."""
     frame = sys._getframe(2)
     while frame is not None:
-        filename = frame.f_code.co_filename
-        if not os.path.abspath(filename).startswith(_OCL_DIR):
-            parts = filename.replace("\\", "/").rsplit("/", 2)[-2:]
-            return f"{'/'.join(parts)}:{frame.f_lineno}"
+        site = _site_file(frame.f_code.co_filename)
+        if site is not None:
+            return f"{site}:{frame.f_lineno}"
         frame = frame.f_back
     return None
 
 
+class _Series(dict):
+    """A queue's handles to the metric series it writes.
+
+    The registry finds a series by sorting and stringifying its labels;
+    a command counts into up to seven, every time the same ones, so the
+    queue keeps the metric objects and pays one dict lookup each:
+    ``series[_COMMANDS, "marker"]`` — a key is the series' family, name
+    and label names (the constants below) followed by the label values.
+    ``MetricsRegistry.reset()`` zeroes metrics in place, so a handle
+    stays valid for the registry's life, and a series is still created
+    by the first command that counts into it: one nothing touched stays
+    out of the snapshot."""
+
+    def __init__(self, registry):
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, key):
+        (family, name, *labels), *values = key
+        handle = self[key] = getattr(self.registry, family)(name, **dict(zip(labels, values)))
+        return handle
+
+    def counter(self, name: str, **labels):
+        """The registry's own spelling, which is all
+        ``kernel_buffer_accesses`` asks of its ``metrics``."""
+        return self[(("counter", name, *labels), *labels.values())]
+
+
+_COMMANDS = ("counter", "skelcl_commands_total", "kind")
+_TRANSFER_BYTES = ("counter", "skelcl_transfer_bytes_total", "link", "direction")
+_TRANSFER_NS = ("counter", "skelcl_transfer_ns_total", "link", "device")
+_VECTOR_FALLBACK = ("counter", "skelcl_vector_fallback_total", "reason")
+_KERNEL_NS_TOTAL = ("counter", "skelcl_kernel_ns_total", "device")
+_KERNEL_NS = ("histogram", "skelcl_kernel_ns", "device")
+_WORK_ITEMS = (("counter", "skelcl_work_items_total"),)  # no labels: the whole key
+_KERNEL_OPS = (("counter", "skelcl_kernel_ops_total"),)
+
+
 class CommandQueue:
+    """An in-order command queue on one device (module docstring: how
+    commands are scheduled).  Per command it pays only for what differs
+    between commands: the kernel's access set is resolved once per launch
+    shape (:func:`repro.analysis.access.kernel_buffer_accesses`), metric
+    series are reached through kept handles (:class:`_Series`), and the
+    sampled-taint scan runs only when a sampled launch or buffer is
+    involved."""
+
     def __init__(self, device: Device, profiling: bool = True):
         self.device = device
         self.profiling = profiling
@@ -92,9 +148,10 @@ class CommandQueue:
         # Execution backend attached by the owning Context; None defers
         # to SKELCL_BACKEND / the executor default at launch time.
         self._backend: Optional[str] = None
-        # SkelScope metrics registry attached by the owning Context
-        # (may stay None for bare queues built in tests).
-        self._metrics = None
+        # Handles into the SkelScope metrics registry the owning Context
+        # attaches through ``_metrics`` (stays None for bare queues
+        # built in tests).
+        self._series: Optional[_Series] = None
         # Aggregate statistics over the queue's lifetime.  ``transfer``
         # covers every data-movement command (write/read/copy);
         # ``pcie`` only the commands crossing the host link (write/read).
@@ -103,6 +160,15 @@ class CommandQueue:
         self.total_transfer_bytes = 0
         self.total_pcie_ns = 0
         self.total_pcie_bytes = 0
+
+    @property
+    def _metrics(self):
+        """The attached SkelScope registry (None for a bare queue)."""
+        return None if self._series is None else self._series.registry
+
+    @_metrics.setter
+    def _metrics(self, registry) -> None:
+        self._series = None if registry is None else _Series(registry)
 
     # -- timeline -----------------------------------------------------------
 
@@ -160,9 +226,9 @@ class CommandQueue:
             self._engine_tail[event.engine] = event
         if self.profiling:
             self.events.append(event)
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("skelcl_commands_total", kind=event.command_type).inc()
+        series = self._series
+        if series is not None:
+            series[_COMMANDS, event.command_type].inc()
         sanitizer = self._sanitizer
         if sanitizer is not None and sanitizer.enabled:
             event.enqueue_site = _capture_enqueue_site()
@@ -175,12 +241,11 @@ class CommandQueue:
         """Metrics for one data movement: ``link`` separates the host
         link ("pcie": write/read) from device-local traffic ("device":
         copy_buffer, i.e. the inter-GPU redistribution path)."""
-        metrics = self._metrics
-        if metrics is None:
+        series = self._series
+        if series is None:
             return
-        device = self.device.index
-        metrics.counter("skelcl_transfer_bytes_total", link=link, direction=direction).inc(nbytes)
-        metrics.counter("skelcl_transfer_ns_total", link=link, device=device).inc(duration)
+        series[_TRANSFER_BYTES, link, direction].inc(nbytes)
+        series[_TRANSFER_NS, link, self.device.index].inc(duration)
 
     def _resolve_until(self, target: Event) -> None:
         """Resolve pending commands (in order) until ``target`` is complete."""
@@ -224,6 +289,7 @@ class CommandQueue:
         event_wait_list: Optional[Sequence[Event]] = None,
     ) -> Event:
         """Launch ``kernel``; returns the profiling event."""
+        series = self._series
         ndrange = NDRange.create(global_size, local_size, self.device.max_work_group_size)
         counters = ExecutionCounters()
         # The pointers created here report memory traffic into
@@ -255,15 +321,15 @@ class CommandQueue:
         if result.fallback_reason is not None:
             # The vector engine declined this kernel: say why, per launch.
             event.info["fallback_reason"] = result.fallback_reason
-            if self._metrics is not None:
-                self._metrics.counter("skelcl_vector_fallback_total",
-                                      reason=result.fallback_reason).inc()
-        event.accesses = kernel_buffer_accesses(kernel, ndrange, self._metrics)
+            if series is not None:
+                series[_VECTOR_FALLBACK, result.fallback_reason].inc()
+        event.accesses = kernel_buffer_accesses(kernel, ndrange, series)
         # Sampled-execution taint: a sampled launch leaves its outputs
         # partially written, and a kernel consuming tainted data spreads
-        # the taint to everything it writes.
+        # the taint to everything it writes.  The access set is scanned
+        # only when a bound buffer is tainted at all.
         buffers = {arg.uid: arg for arg in kernel._args if isinstance(arg, Buffer)}
-        reads_tainted = any(
+        reads_tainted = any(buffer.sampled for buffer in buffers.values()) and any(
             buffers[access.buffer_uid].sampled
             for access in event.accesses
             if access.reads and access.buffer_uid in buffers
@@ -274,12 +340,12 @@ class CommandQueue:
                     buffers[access.buffer_uid].sampled = True
         self._submit(event, duration, event_wait_list)
         self.total_kernel_ns += duration
-        if self._metrics is not None:
+        if series is not None:
             device = self.device.index
-            self._metrics.counter("skelcl_kernel_ns_total", device=device).inc(duration)
-            self._metrics.counter("skelcl_work_items_total").inc(ndrange.total_work_items)
-            self._metrics.counter("skelcl_kernel_ops_total").inc(result.counters.ops)
-            self._metrics.histogram("skelcl_kernel_ns", device=device).observe(duration)
+            series[_KERNEL_NS_TOTAL, device].inc(duration)
+            series[_WORK_ITEMS].inc(ndrange.total_work_items)
+            series[_KERNEL_OPS].inc(result.counters.ops)
+            series[_KERNEL_NS, device].observe(duration)
         return event
 
     def enqueue_write_buffer(self, buffer: Buffer, data: np.ndarray, blocking: bool = True,
