@@ -199,18 +199,14 @@ def _resolve_launch(kernel, summary, ndrange) -> tuple:
     arguments, each Buffer's ``nbytes`` — is what :func:`_launch_shape`
     keys the memo on; the rest (footprints, guards, element sizes,
     modes) is the summary's."""
-    env = None
-    if ndrange is not None:
-        env = affine.make_eval_env(ndrange.global_size, ndrange.local_size,
-                                   _scalar_args(kernel))
+    env = affine.make_eval_env(ndrange.global_size, ndrange.local_size,
+                               _scalar_args(kernel))
     bound, kinds = [], {}
     for index, (param, value) in enumerate(zip(kernel.compiled.definition.params,
                                                kernel._args)):
         if getattr(value, "uid", None) is None:  # not a Buffer (scalar/vector argument)
             continue
-        rows = None
-        if env is not None:
-            rows = _resolve_param(summary, param.name, value.nbytes, env)
+        rows = _resolve_param(summary, param.name, value.nbytes, env)
         kind = "affine"
         if rows is None:
             kind = "fallback"
@@ -239,15 +235,15 @@ def _launch_shape(kernel, summary, ndrange) -> tuple:
     return tuple(shape)
 
 
-def kernel_buffer_accesses(kernel, ndrange=None, metrics=None) -> List[BufferAccess]:
-    """The buffer access set of a bound :class:`repro.ocl.Kernel`.
+def kernel_buffer_accesses(kernel, ndrange, metrics=None) -> List[BufferAccess]:
+    """The buffer access set of a bound :class:`repro.ocl.Kernel`
+    launched over ``ndrange``.
 
-    With an ``ndrange``, every Buffer argument whose parameter has an
-    affine summary yields exact per-site byte ranges (with stride and
-    provenance), evaluated against the launch geometry and the integer
-    scalar arguments; parameters the summary could not model — and
-    every parameter when ``ndrange`` is None — get the whole-buffer
-    range with the mode the summary recorded.
+    Every Buffer argument whose parameter has an affine summary yields
+    exact per-site byte ranges (with stride and provenance), evaluated
+    against the launch geometry and the integer scalar arguments;
+    parameters the summary could not model get the whole-buffer range
+    with the mode the summary recorded.
 
     Resolution is a pure function of the summary and the *launch shape*
     (:func:`_launch_shape`), so it runs once per shape: the summary keeps
@@ -263,23 +259,19 @@ def kernel_buffer_accesses(kernel, ndrange=None, metrics=None) -> List[BufferAcc
     """
     summary = affine.cached_kernel_summary(kernel.program.compiled.program,
                                            kernel.compiled.definition)
-    if ndrange is None:
-        metrics = None  # nothing is resolved against a launch: nothing to count
-        resolved = _resolve_launch(kernel, summary, None)
-    else:
-        memo = summary.launch_shapes
-        shape = _launch_shape(kernel, summary, ndrange)
-        # pop + re-insert moves a hit to the recent end and, unlike
-        # get + move_to_end, cannot trip over another thread's eviction.
-        resolved = memo.pop(shape, None)
-        if metrics is not None:
-            metrics.counter("skelcl_access_memo_total",
-                            result="miss" if resolved is None else "hit").inc()
-        if resolved is None:
-            resolved = _resolve_launch(kernel, summary, ndrange)
-        memo[shape] = resolved
-        if len(memo) > _MAX_LAUNCH_SHAPES:
-            memo.popitem(last=False)
+    memo = summary.launch_shapes
+    shape = _launch_shape(kernel, summary, ndrange)
+    # pop + re-insert moves a hit to the recent end and, unlike
+    # get + move_to_end, cannot trip over another thread's eviction.
+    resolved = memo.pop(shape, None)
+    if metrics is not None:
+        metrics.counter("skelcl_access_memo_total",
+                        result="miss" if resolved is None else "hit").inc()
+    if resolved is None:
+        resolved = _resolve_launch(kernel, summary, ndrange)
+    memo[shape] = resolved
+    if len(memo) > _MAX_LAUNCH_SHAPES:
+        memo.popitem(last=False)
     bound, kinds = resolved
     if metrics is not None:
         for kind, pointer_arguments in kinds:

@@ -396,10 +396,6 @@ class KernelSummary:
             for sym in form.uniform_symbols() if sym[0] == "param")
 
     @property
-    def affine_sites(self) -> int:
-        return sum(len(p.footprints) for p in self.params.values() if p.affine)
-
-    @property
     def fallback_params(self) -> List[str]:
         return [n for n, p in self.params.items() if not p.affine]
 

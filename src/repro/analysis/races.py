@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import settings
 from .access import BufferAccess
 
 
@@ -41,20 +42,6 @@ class SanitizeMode(enum.Enum):
     STRICT = "strict"
 
 
-_ENV_VALUES = {
-    "": SanitizeMode.OFF,
-    "0": SanitizeMode.OFF,
-    "off": SanitizeMode.OFF,
-    "none": SanitizeMode.OFF,
-    "report": SanitizeMode.REPORT,
-    "warn": SanitizeMode.REPORT,
-    "1": SanitizeMode.STRICT,
-    "on": SanitizeMode.STRICT,
-    "error": SanitizeMode.STRICT,
-    "strict": SanitizeMode.STRICT,
-}
-
-
 def resolve_sanitize_mode(explicit=None) -> SanitizeMode:
     """Turn a ``Context(detect_races=...)`` argument into a mode.
 
@@ -62,19 +49,9 @@ def resolve_sanitize_mode(explicit=None) -> SanitizeMode:
     (``skelcl.configure(sanitize=...)``, then the ``SKELCL_SANITIZE``
     environment variable, default off); otherwise accepts a
     :class:`SanitizeMode`, a mode string, or a bool (``True`` →
-    strict)."""
-    if explicit is None:
-        from .. import settings
-
-        return SanitizeMode(settings.get("sanitize"))
-    if isinstance(explicit, SanitizeMode):
-        return explicit
-    if isinstance(explicit, bool):
-        return SanitizeMode.STRICT if explicit else SanitizeMode.OFF
-    mode = _ENV_VALUES.get(str(explicit).strip().lower())
-    if mode is None:
-        raise ValueError(f"{explicit!r} is not a sanitize mode (off/report/strict)")
-    return mode
+    strict) — the spellings :mod:`repro.settings` accepts, validated
+    there (:class:`ValueError`)."""
+    return SanitizeMode(settings.get("sanitize", explicit))
 
 
 class RaceWarning(UserWarning):

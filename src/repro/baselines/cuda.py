@@ -113,7 +113,7 @@ class CudaRuntime:
     def load_module(self, cuda_source: str, name: str = "<cuda module>") -> ocl.Program:
         program = self._modules.get(cuda_source)
         if program is None:
-            program = ocl.Program(cuda_to_opencl(cuda_source), name).build()
+            program = self.context.create_program(cuda_to_opencl(cuda_source), name).build()
             self._modules[cuda_source] = program
         return program
 

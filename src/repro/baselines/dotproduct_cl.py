@@ -53,7 +53,7 @@ class DotProductOpenCL:
         self.context = context
         self.queue = context.queues[0]
         self.max_groups = max_groups
-        self.program = ocl.Program(DOT_PRODUCT_KERNEL, "dot_product_cl").build()
+        self.program = context.create_program(DOT_PRODUCT_KERNEL, "dot_product_cl").build()
 
     def run(self, a: np.ndarray, b: np.ndarray):
         """Compute the dot product; returns ``(value, kernel_event)``."""

@@ -46,7 +46,7 @@ class MandelbrotOpenCL:
         self.context = context
         self.queue = context.queues[0]
         self.work_group = work_group
-        self.program = ocl.Program(MANDELBROT_CL_KERNEL, "mandelbrot_cl").build()
+        self.program = context.create_program(MANDELBROT_CL_KERNEL, "mandelbrot_cl").build()
 
     def run(
         self,

@@ -55,7 +55,7 @@ class SobelAmd:
         self.context = context
         self.queue = context.queues[0]
         self.work_group = work_group
-        self.program = ocl.Program(SOBEL_AMD_KERNEL, "sobel_amd").build()
+        self.program = context.create_program(SOBEL_AMD_KERNEL, "sobel_amd").build()
 
     def run(self, image: np.ndarray, sample_fraction: Optional[float] = None):
         """Run Sobel; returns ``(edges, kernel_event)``."""

@@ -92,7 +92,7 @@ class SobelNvidia:
         self.context = context
         self.queue = context.queues[0]
         self.work_group: Tuple[int, int] = (TILE, TILE)
-        self.program = ocl.Program(SOBEL_NVIDIA_KERNEL, "sobel_nvidia").build()
+        self.program = context.create_program(SOBEL_NVIDIA_KERNEL, "sobel_nvidia").build()
 
     def run(self, image: np.ndarray, sample_fraction: Optional[float] = None):
         """Run Sobel; returns ``(edges, kernel_event)``."""

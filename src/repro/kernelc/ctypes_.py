@@ -295,6 +295,9 @@ def convert_scalar(value, ctype: ScalarType):
     raise TypeError(f"cannot convert value to {ctype}")
 
 
+# The one dtype <-> C-type table: the numpy dtype that stores each scalar
+# type.  ``bool`` and ``size_t`` are stored like ``uchar`` and ``ulong``,
+# the types their dtypes map back to.
 _NUMPY_DTYPES = {
     "bool": np.uint8,
     "char": np.int8,
@@ -321,22 +324,14 @@ def numpy_dtype(ctype: CType) -> np.dtype:
     raise TypeError(f"no numpy dtype for {ctype}")
 
 
+_CTYPE_OF_DTYPE = {np.dtype(dtype): SCALAR_TYPES[name]
+                   for name, dtype in _NUMPY_DTYPES.items()
+                   if name not in ("bool", "size_t")}
+
+
 def ctype_from_numpy(dtype: np.dtype) -> ScalarType:
     """Inverse of :func:`numpy_dtype` for scalar dtypes."""
-    table = {
-        np.dtype(np.int8): CHAR,
-        np.dtype(np.uint8): UCHAR,
-        np.dtype(np.int16): SHORT,
-        np.dtype(np.uint16): USHORT,
-        np.dtype(np.int32): INT,
-        np.dtype(np.uint32): UINT,
-        np.dtype(np.int64): LONG,
-        np.dtype(np.uint64): ULONG,
-        np.dtype(np.float32): FLOAT,
-        np.dtype(np.float64): DOUBLE,
-        np.dtype(np.float16): HALF,
-    }
     dtype = np.dtype(dtype)
-    if dtype not in table:
+    if dtype not in _CTYPE_OF_DTYPE:
         raise TypeError(f"unsupported dtype {dtype}")
-    return table[dtype]
+    return _CTYPE_OF_DTYPE[dtype]

@@ -85,7 +85,7 @@ class Context:
 
     def create_program(self, source: str, name: str = "<kernel>",
                        defines: Optional[Dict[str, str]] = None) -> Program:
-        return Program(source, name, defines)
+        return Program(source, name, defines, metrics=self.metrics)
 
     # -- simulated wall-clock ---------------------------------------------
 

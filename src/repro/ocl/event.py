@@ -111,10 +111,6 @@ class Event:
         return self.planned_ns
 
     @property
-    def duration_us(self) -> float:
-        return self.duration_ns / 1e3
-
-    @property
     def duration_ms(self) -> float:
         return self.duration_ns / 1e6
 

@@ -51,17 +51,11 @@ DEFAULT_BACKEND = "vector"
 def resolve_backend(backend: Optional[str]) -> str:
     """Normalize a backend selection (None defers to the configuration
     chain: ``skelcl.configure(backend=...)``, then ``SKELCL_BACKEND``,
-    then the default)."""
-    if backend is None:
-        try:
-            return settings.get("backend")
-        except ValueError as exc:
-            raise InvalidValue(str(exc)) from None
-    if backend not in BACKENDS:
-        raise InvalidValue(
-            f"unknown execution backend {backend!r} (choose from {', '.join(BACKENDS)})"
-        )
-    return backend
+    then the default), validated by :mod:`repro.settings`."""
+    try:
+        return settings.get("backend", backend)
+    except ValueError as exc:
+        raise InvalidValue(str(exc)) from None
 
 
 @dataclass

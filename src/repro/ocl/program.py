@@ -3,7 +3,10 @@
 ``Program.build()`` runs the full kernelc front-end, the lint pass and
 the compiling backend.  Builds are cached per ``(source, defines)`` so
 that skeleton libraries repeatedly instantiating the same generated
-source (as SkelCL does) only pay the compilation cost once.
+source (as SkelCL does) only pay the compilation cost once.  A program
+made by ``Context.create_program`` counts how its build was served —
+``skelcl_program_builds_total{result=memory|disk|compiled}`` — on that
+context's metrics; a bare ``Program`` counts nowhere.
 
 Lint findings (:mod:`repro.kernelc.lint`) are recorded on the program
 (``lint_diagnostics``) and rendered into the build log; lint *errors*
@@ -16,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.races import SanitizeMode, resolve_sanitize_mode
-from ..scope.metrics import record_build
 from ..kernelc import progcache
 from ..kernelc.compiler import CompiledProgram, compile_program
 from ..kernelc.diagnostics import CompileError, Diagnostic, Severity
@@ -40,10 +42,12 @@ def build_cache_size() -> int:
 
 
 class Program:
-    def __init__(self, source: str, name: str = "<kernel>", defines: Optional[Dict[str, str]] = None):
+    def __init__(self, source: str, name: str = "<kernel>",
+                 defines: Optional[Dict[str, str]] = None, metrics=None):
         self.source = source
         self.name = name
         self.defines = dict(defines) if defines else {}
+        self._metrics = metrics  # the creating context's registry, if any
         self.build_log = ""
         self.lint_diagnostics: List[Diagnostic] = []
         self._compiled: Optional[CompiledProgram] = None
@@ -52,11 +56,18 @@ class Program:
     def is_built(self) -> bool:
         return self._compiled is not None
 
+    def _count_build(self, result: str) -> None:
+        """``result``: ``"memory"`` (in-process build-cache hit),
+        ``"disk"`` (served from the persistent program cache) or
+        ``"compiled"`` (cold front-end + backend run)."""
+        if self._metrics is not None:
+            self._metrics.counter("skelcl_program_builds_total", result=result).inc()
+
     def build(self) -> "Program":
         key = (self.source, tuple(sorted(self.defines.items())))
         cached = _BUILD_CACHE.get(key)
         if cached is not None:
-            record_build("memory")
+            self._count_build("memory")
             self._compiled, self.lint_diagnostics = cached
             self.build_log = "(cached)"
             self._enforce_lint()
@@ -80,7 +91,7 @@ class Program:
             except Exception:
                 compiled = lint = None  # corrupt/stale entry: cold-compile
         if compiled is not None:
-            record_build("disk")
+            self._count_build("disk")
             self.build_log = "(disk cache)"
         else:
             try:
@@ -90,7 +101,7 @@ class Program:
             except CompileError as exc:
                 self.build_log = str(exc)
                 raise BuildError(self.build_log) from exc
-            record_build("compiled")
+            self._count_build("compiled")
             progcache.store(preprocessed, checked, lint)
             self.build_log = "build successful"
         _BUILD_CACHE[key] = (compiled, lint)

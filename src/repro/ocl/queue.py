@@ -29,15 +29,14 @@ Ordering rules mirror OpenCL 1.x in-order queues with events:
 
 from __future__ import annotations
 
-import functools
 import os.path
-import sys
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.access import BufferAccess, kernel_buffer_accesses
+from ..callsite import call_site
 from ..kernelc.execmodel import ExecutionCounters
 from .buffer import Buffer
 from .device import Device
@@ -56,28 +55,6 @@ from .ndrange import NDRange
 from .timing import kernel_time_ns, simd_utilization, transfer_time_ns
 
 _OCL_DIR = os.path.dirname(os.path.abspath(__file__))
-
-
-@functools.lru_cache(maxsize=1024)
-def _site_file(filename: str) -> Optional[str]:
-    """``dir/file.py`` for a code object's file, None for one under
-    ``repro/ocl`` — a property of the file name, so worked out once per
-    file rather than per frame of every command."""
-    if os.path.abspath(filename).startswith(_OCL_DIR):
-        return None
-    return "/".join(filename.replace("\\", "/").rsplit("/", 2)[-2:])
-
-
-def _capture_enqueue_site() -> Optional[str]:
-    """``file.py:line`` of the innermost caller outside ``repro.ocl`` —
-    the skeleton or user code that issued the enqueue."""
-    frame = sys._getframe(2)
-    while frame is not None:
-        site = _site_file(frame.f_code.co_filename)
-        if site is not None:
-            return f"{site}:{frame.f_lineno}"
-        frame = frame.f_back
-    return None
 
 
 class _Series(dict):
@@ -127,9 +104,8 @@ class CommandQueue:
     sampled-taint scan runs only when a sampled launch or buffer is
     involved."""
 
-    def __init__(self, device: Device, profiling: bool = True):
+    def __init__(self, device: Device):
         self.device = device
-        self.profiling = profiling
         self.events: List[Event] = []
         # Scheduler state: commands whose timestamps are unresolved, the
         # ready time of each engine, and the last command per engine /
@@ -224,14 +200,14 @@ class CommandQueue:
         self._last_event = event
         if event.engine in self._engine_tail:
             self._engine_tail[event.engine] = event
-        if self.profiling:
-            self.events.append(event)
+        self.events.append(event)
         series = self._series
         if series is not None:
             series[_COMMANDS, event.command_type].inc()
         sanitizer = self._sanitizer
         if sanitizer is not None and sanitizer.enabled:
-            event.enqueue_site = _capture_enqueue_site()
+            # The skeleton or user code that issued the enqueue.
+            event.enqueue_site = call_site(_OCL_DIR, parts=2)
             # Queue state is final at this point, so a strict-mode
             # RaceError leaves a consistent timeline behind it.
             sanitizer.observe(event)
@@ -348,8 +324,7 @@ class CommandQueue:
             series[_KERNEL_NS, device].observe(duration)
         return event
 
-    def enqueue_write_buffer(self, buffer: Buffer, data: np.ndarray, blocking: bool = True,
-                             offset_bytes: int = 0,
+    def enqueue_write_buffer(self, buffer: Buffer, data: np.ndarray, offset_bytes: int = 0,
                              event_wait_list: Optional[Sequence[Event]] = None) -> Event:
         if buffer.device is not self.device:
             raise InvalidValue("buffer belongs to a different device than this queue")
@@ -399,7 +374,7 @@ class CommandQueue:
         return event
 
     def enqueue_read_buffer(self, buffer: Buffer, dtype, count: Optional[int] = None,
-                            offset_bytes: int = 0, blocking: bool = True,
+                            offset_bytes: int = 0,
                             event_wait_list: Optional[Sequence[Event]] = None):
         """Read back data; returns ``(array, event)``."""
         if buffer.device is not self.device:

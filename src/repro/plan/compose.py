@@ -55,12 +55,12 @@ def _elementwise_key(offset_param):
 
 
 def _footprints_ok(skeleton, source: str, name: str,
-                   spec: Dict[str, tuple]) -> bool:
+                   spec: Dict[str, tuple], session) -> bool:
     # Built through the skeleton's own program table: the launch that
     # follows (if the node is not fused away) reuses the program, and
     # the summary is the one its lint pass already computed.
     try:
-        program = skeleton._program(source, name).compiled.program
+        program = skeleton._built(source, name, session).compiled.program
     except BuildError:
         return False
     kernels = program.kernels()
@@ -79,12 +79,13 @@ def _footprints_ok(skeleton, source: str, name: str,
     return True
 
 
-def footprints_fusable(skeleton) -> bool:
+def footprints_fusable(skeleton, session=None) -> bool:
     """Footprint legality gate for fusion: the skeleton's generated
     kernel must *prove* (via its SkelAccess summary) that it touches
     global memory in the elementwise pattern fusion assumes.  A shape
     check alone would accept any Map/Zip subclass; this rejects ones
-    whose kernel source deviates.  Memoized on the kernel source."""
+    whose kernel source deviates.  Memoized on the kernel source; the
+    build a miss costs is counted on ``session`` (the planner's)."""
     kind, spec = (("zip", _ZIP_FOOTPRINT_SPEC) if isinstance(skeleton, Zip)
                   else ("map", _MAP_FOOTPRINT_SPEC))
     try:
@@ -94,7 +95,7 @@ def footprints_fusable(skeleton) -> bool:
     cached = _FOOTPRINT_CACHE.get(source)
     if cached is None:
         cached = _footprints_ok(
-            skeleton, source, f"skelcl_{kind}_{skeleton.user.name}", spec)
+            skeleton, source, f"skelcl_{kind}_{skeleton.user.name}", spec, session)
         _FOOTPRINT_CACHE[source] = cached
     return cached
 

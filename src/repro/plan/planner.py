@@ -1,27 +1,34 @@
 """The lazy planner: record, rewrite (fuse), force.
 
 One :class:`Planner` hangs off a lazy :class:`~repro.skelcl.runtime.Session`.
-``Skeleton.__call__`` routes here instead of enqueueing: it hands over
-the call it has already validated, labelled and given an output
-container (same errors, same call site as eager mode), and the planner
-records a :class:`~repro.plan.ir.PlanNode`.  Every entry takes the same
-``(skeleton, inputs, extras, out, label)``.
+``Skeleton.__call__`` routes here instead of running the call: it hands
+over the :class:`~repro.plan.ir.PlanNode` recording the call it has
+already validated, labelled and given an output container (same errors,
+same call site as eager mode), and the planner keeps the node pending.
+Every entry takes that one node.
 
-Force points (see ``docs/planner.md``):
+Force points — the complete list, each under the hook through which it
+reaches the planner (``docs/planner.md`` gives the user-visible triggers
+of each; ``tests/test_docs.py`` keeps the two lists identical):
 
-* reading a container on the host (``ensure_host`` → producer),
-* using it on devices (``ensure_on_devices`` → producer),
-* host mutation / ``out=`` overwrite / redistribution
-  (``_before_write`` → producer *and* every pending reader, so deferred
-  consumers still observe the pre-mutation value),
-* asking a skeleton about its last call (``last_events``) or a result
-  about its placement (``distribution``),
-* ``Session.finish_all()`` / metrics / trace export / profile exit
-  (→ ``flush``),
-* ``Reduce`` outside a record window (its Scalar result is synchronous,
-  so the node is forced as soon as it is recorded),
-* recording a call whose input is still pending on *another* session's
-  planner (→ that producer, run by its own planner on its own session).
+* ``ensure_host`` — reading a container on the host → its producer,
+* ``Scalar._force`` — reading a Scalar → its producer,
+* ``ensure_on_devices`` — using a container on devices → its producer,
+* ``distribution`` — asking a result about its placement → its
+  producer,
+* ``last_events`` — asking a skeleton about its last call → that call,
+  if still pending,
+* ``_before_write`` — host mutation / ``out=`` overwrite /
+  redistribution → the producer *and* every pending reader, so deferred
+  consumers still observe the pre-mutation value,
+* ``_record`` — recording a call whose input is still pending on
+  *another* session's planner → that producer, run by its own planner on
+  its own session,
+* ``reduce_now`` — ``Reduce`` outside a record window (its Scalar result
+  is synchronous, so the node is forced as soon as it is recorded),
+* ``_flush_plan`` — ``Session.finish_all()`` / metrics / trace export /
+  timeline / ``rebalance()`` / profile exit / close → ``flush``,
+* ``flush_subset`` — a serve dispatch → that job's recorded nodes.
 
 Forcing (:meth:`Planner._force`) gathers the targets' pending ancestors,
 runs the rewrite pass (:meth:`Planner._rewrite`) that inlines fusable
@@ -115,11 +122,9 @@ class Planner:
             self._recording -= 1
             self._captures.remove(captured)
 
-    def _record(self, op: str, skeleton, inputs: Sequence, output,
-                label: str, extras: Sequence = (), *, fusable: bool = False):
-        node = PlanNode(self, op, skeleton, inputs, output,
-                        fusable=fusable, label=label, extras=tuple(extras),
-                        seq=self._seq)
+    def _record(self, op: str, node: PlanNode, *, fusable: bool = False):
+        """Keep ``node`` pending as an ``op``; returns its output."""
+        node.op, node.fusable, node.seq = op, fusable, self._seq
         self._seq += 1
         for container in node.inputs:
             if container._pending is not None and container._pending.planner is not self:
@@ -127,47 +132,46 @@ class Planner:
                 # and reaches this session's devices as plain data.
                 container._force_pending()
             container._pending_readers.append(node)
-        output._pending = skeleton._deferred = node
+        node.output._pending = node
         self.pending.append(node)
         for capture in self._captures:
             capture.append(node)
         self._count("skelcl_plan_deferred_total", op=op)
-        return output
+        return node.output
 
-    def _defer_elementwise(self, op: str, skeleton, inputs, extras, out, label):
-        fusable = compose.footprints_fusable(skeleton)
+    def _defer_elementwise(self, op: str, node: PlanNode):
+        fusable = compose.footprints_fusable(node.skeleton, self.session)
         if not fusable:
             self._count("skelcl_plan_fallback_total", reason="footprint")
-        return self._record(op, skeleton, inputs, out, label, extras,
-                            fusable=fusable)
+        return self._record(op, node, fusable=fusable)
 
-    def defer_map(self, skeleton, inputs, extras, out, label: str):
-        return self._defer_elementwise("map", skeleton, inputs, extras, out, label)
+    def defer_map(self, node: PlanNode):
+        return self._defer_elementwise("map", node)
 
-    def defer_zip(self, skeleton, inputs, extras, out, label: str):
-        return self._defer_elementwise("zip", skeleton, inputs, extras, out, label)
+    def defer_zip(self, node: PlanNode):
+        return self._defer_elementwise("zip", node)
 
-    def defer_opaque(self, skeleton, inputs, extras, out, label: str):
+    def defer_opaque(self, node: PlanNode):
         """Defer a skeleton with no fusion rules (Scan, MapOverlap,
         AllPairs): it executes through its eager path at force time,
         node by node — the documented fallback."""
-        op = type(skeleton).__name__.lower()
+        op = type(node.skeleton).__name__.lower()
         self._count("skelcl_plan_fallback_total", reason=op)
-        return self._record(op, skeleton, inputs, out, label)
+        return self._record(op, node)
 
-    def defer_reduce(self, skeleton, inputs, extras, out, label: str):
+    def defer_reduce(self, node: PlanNode):
         """Record a Reduce: a node like any other, and the one fusable
         consumer that is never a producer.  Its Scalar result stays a
         placeholder until the node runs; reading it forces the node."""
-        return self._record("reduce", skeleton, inputs, out, label, fusable=True)
+        return self._record("reduce", node, fusable=True)
 
-    def reduce_now(self, skeleton, inputs, extras, out, label: str):
+    def reduce_now(self, node: PlanNode):
         """Reduce's plan entry: record the node and — outside a
         :meth:`record` window — force it, its Scalar result being
         synchronous."""
-        out = self.defer_reduce(skeleton, inputs, extras, out, label)
+        out = self.defer_reduce(node)
         if not self.recording:
-            self.force_node(out._pending)
+            self.force_node(node)
         return out
 
     # -- forcing -----------------------------------------------------------
@@ -209,8 +213,8 @@ class Planner:
         for node in nodes:
             if node.state != PlanNode.PENDING:
                 continue
-            node.state = PlanNode.DONE
             self._detach(node)
+            node.finish()
             self._count("skelcl_plan_discarded_total", op=node.op)
 
     def _closure(self, targets: Sequence[PlanNode]) -> List[PlanNode]:
@@ -281,56 +285,54 @@ class Planner:
         return (node.skeleton, *children)
 
     def _run_step(self, step: _Step) -> None:
-        """Launch ``step``: compose its expression tree into one
-        skeleton (a lone node is its own), run it on the tree's leaves
-        with the covered nodes' extras, then mark the root done and
-        every inlined node elided.  A skeleton whose latest call is
-        among the covered nodes takes over the launch's events."""
+        """Launch ``step`` as the call its root records.  A lone node
+        runs as recorded.  A fused step rewrites the root into the
+        fused call — inputs the tree's leaves, extras the covered nodes'
+        extras, label the chain's — run by the skeleton composed from
+        its expression tree (a Reduce root runs itself, with the chain
+        as ``premap``).  The root is done afterwards; every inlined node
+        is elided and shares the launch's event list."""
         root = step.root
         inside = {id(n.output): n for n in step.nodes if n is not root}
         leaves: List = []
         extras: List = []
         for node in step.nodes:
             node.state = PlanNode.RUNNING
-        skeleton, label, options = root.skeleton, root.label, {}
-        latest = skeleton._deferred, skeleton._events
+        self._detach(root)
+        skeleton = root.skeleton
         self._executing += 1
         try:
             expr = self._tree(root, inside, leaves, extras)
             if inside:
                 if root.op == "reduce":
-                    options["premap"] = compose.premap_of(expr[1])
+                    root.options = {"premap": compose.premap_of(expr[1])}
                 else:
                     build = compose.fused_map if len(leaves) == 1 else compose.fused_zip
                     skeleton = build(expr)
-                label = compose.chain_label(expr, label, type(skeleton).__name__)
-            skeleton._run(self.session, leaves, extras, root.output, label, **options)
+                root.inputs, root.extras = tuple(leaves), tuple(extras)
+                root.label = compose.chain_label(expr, root.label, type(skeleton).__name__)
+            skeleton._run(root)
         finally:
             self._executing -= 1
-            events = skeleton._events
-            root.skeleton._deferred, root.skeleton._events = latest
-            for node in step.nodes:
-                if node.skeleton._deferred is node:
-                    node.skeleton._deferred, node.skeleton._events = None, events
-                if node is root:
-                    node.state = PlanNode.DONE
-                    self._detach(node)
-                else:
-                    node.state = PlanNode.ELIDED
-                    self.pending.remove(node)
-                    self._count("skelcl_plan_elided_total", op=node.op)
+            for node in inside.values():
+                node.elide(root.events)
+                self.pending.remove(node)
+                self._count("skelcl_plan_elided_total", op=node.op)
 
     def _recompute(self, node: PlanNode) -> None:
         """Materialize an elided intermediate after all: run its eager
         path now (its inputs are still live — the write hooks force
-        recomputation *before* any input mutation)."""
+        recomputation *before* any input mutation).  The recompute is a
+        launch of its own, with its own event list."""
         for container in node.inputs:
             if container._pending is not None:
                 self.force_node(container._pending)
         self._count("skelcl_plan_recompute_total", op=node.op)
+        node.output, node.events = node.output(), []  # asked for by that container
         self._run_step(_Step(node))
 
     def _detach(self, node: PlanNode) -> None:
+        """Take ``node`` off the pending list and off its containers."""
         try:
             self.pending.remove(node)
         except ValueError:

@@ -30,7 +30,6 @@ from .metrics import (
     MetricsRegistry,
     derive_serve_metrics,
     derive_timeline_metrics,
-    record_build,
 )
 from .profile import CriticalPath, Profile, profile
 from .timeline import render_timeline
@@ -58,7 +57,6 @@ __all__ = [
     "derive_timeline_metrics",
     "event_tid",
     "profile",
-    "record_build",
     "render_timeline",
     "trace_events",
     "validate_trace",

@@ -22,7 +22,6 @@ prints the end-of-run report.
 from __future__ import annotations
 
 import json
-import weakref
 from typing import Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -68,9 +67,6 @@ class Gauge:
 
     def inc(self, amount=1) -> None:
         self.value += amount
-
-    def dec(self, amount=1) -> None:
-        self.value -= amount
 
     def reset(self) -> None:
         self.value = 0
@@ -118,39 +114,13 @@ class Histogram:
         }
 
 
-# Registries currently attached to live contexts; process-wide producers
-# with no context at hand (the program build cache) broadcast to all of
-# them.  Weak references: a released context must not leak its registry.
-_LIVE_REGISTRIES: "weakref.WeakSet[MetricsRegistry]" = weakref.WeakSet()
-
-
-def live_registries() -> List["MetricsRegistry"]:
-    return list(_LIVE_REGISTRIES)
-
-
-def record_build(result: str) -> None:
-    """Program-build hook: count builds on every live registry — builds
-    are keyed by source text globally, not per context, so each context
-    observes the process-wide behaviour.
-
-    ``result`` is one of ``"memory"`` (in-process build-cache hit),
-    ``"disk"`` (served from the persistent program cache), or
-    ``"compiled"`` (cold front-end + backend run)."""
-    if result not in ("memory", "disk", "compiled"):
-        raise ValueError(f"unknown build result {result!r}")
-    for registry in _LIVE_REGISTRIES:
-        registry.counter("skelcl_program_builds_total", result=result).inc()
-
-
 class MetricsRegistry:
     """A named collection of counters, gauges and histograms."""
 
-    def __init__(self, register_live: bool = True):
+    def __init__(self):
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
-        if register_live:
-            _LIVE_REGISTRIES.add(self)
 
     # -- access ----------------------------------------------------------
 

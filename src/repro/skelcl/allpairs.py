@@ -177,7 +177,7 @@ class AllPairs(Skeleton):
             super().__init__()
             if reduce is None or zip is None:
                 raise SkelCLError("AllPairs needs a Reduce and a Zip (or a raw source)")
-            if zip.user is None or reduce.user is None:
+            if zip._user is None or reduce._user is None:
                 raise SkelCLError(
                     "AllPairs needs specialized operators: annotate the "
                     "@skelcl.jit zip/reduce functions so their element "
@@ -246,10 +246,10 @@ class AllPairs(Skeleton):
     def _output_shape(self, inputs) -> tuple:
         return (inputs[0].rows, inputs[1].rows)
 
-    def _execute(self, session, inputs, extras, out):
+    def _execute(self, node):
         # The B-side Copy distribution makes AllPairs unfusable — under
         # the planner it defers as an eager-at-force node (docs/planner.md).
-        a, b = inputs
+        a, b = node.inputs
         d, m = a.cols, b.rows
         if b is a:
             # Aliased inputs (e.g. allpairs(P, P) in n-body): A needs a
@@ -260,10 +260,10 @@ class AllPairs(Skeleton):
             b = Matrix(data=np.array(a.to_numpy(), copy=True))
         # A's rows split over the devices (partition-sized when a policy
         # is active); B is replicated, and the output rows follow A.
-        a_dist = partitioned(session, Block())
+        a_dist = partitioned(node.session, Block())
         local = self.tile if self.tiled else 16
         return self._launch(
-            session, (a, b), (a_dist, Copy()), out, a_dist,
+            node, (a, b), (a_dist, Copy()), a_dist,
             self.kernel_source(), "skelcl_allpairs", "skelcl_allpairs", (local, local),
             lambda _c_chunk, a_chunk, _b_chunk: ((a_chunk.owned_size, m, d),
                                                  (m, a_chunk.owned_size)))

@@ -156,27 +156,27 @@ class Map(Skeleton):
             )
         self.check_extra_args(extra_types, extras)
 
-    def _execute(self, session, inputs, extras, out, sample_fraction=None):
-        (container,) = inputs
+    def _execute(self, node, sample_fraction=None):
+        session, (container,) = node.session, node.inputs
         wg = self.work_group_size
         if isinstance(container, IndexMatrix):
             # The customizing function receives (row, col): no input buffer.
             cols = container.cols
             return self._launch(
-                session, (), (), out, partitioned(session, container.distribution),
+                node, (), (), partitioned(session, container.distribution),
                 self.index_matrix_kernel_source(),
                 f"skelcl_map_index_m_{self.user.name}", "skelcl_map_index_m", (16, 16),
                 lambda chunk: ((cols, chunk.owned_size, chunk.owned_start),
                                (cols, chunk.owned_size)),
-                extras, sample_fraction)
+                sample_fraction)
         if isinstance(container, IndexVector):
             # No input buffer, elements are indices.
             return self._launch(
-                session, (), (), out, partitioned(session, container.distribution),
+                node, (), (), partitioned(session, container.distribution),
                 self.index_kernel_source(),
                 f"skelcl_map_index_{self.user.name}", "skelcl_map_index", (wg,),
                 lambda chunk: ((chunk.owned_size, chunk.owned_start), (chunk.owned_size,)),
-                extras, sample_fraction)
+                sample_fraction)
         distribution = self.resolve_input_distribution(session, container, Block())
         unit_elements = container._unit_elements
 
@@ -185,6 +185,6 @@ class Map(Skeleton):
             return (n, chunk.halo_before * unit_elements), (n,)
 
         return self._launch(
-            session, inputs, [distribution], out, self.output_distribution(distribution),
+            node, node.inputs, [distribution], self.output_distribution(distribution),
             self.kernel_source(), f"skelcl_map_{self.user.name}", "skelcl_map", (wg,),
-            chunk_args, extras, sample_fraction)
+            chunk_args, sample_fraction)

@@ -361,10 +361,10 @@ class MapOverlap(Skeleton):
                 f"MapOverlap input dtype {inputs[0].dtype} does not match {self.in_type}"
             )
 
-    def _execute(self, session, inputs, extras, out):
+    def _execute(self, node):
         # Halo exchange makes MapOverlap unfusable — under the planner it
         # defers as an eager-at-force node (docs/planner.md, "Fallbacks").
-        (container,) = inputs
+        session, (container,) = node.session, node.inputs
         distribution = self._resolve_distribution(session, container)
         if isinstance(container, Matrix):
             width, height = container.cols, container.rows
@@ -385,8 +385,8 @@ class MapOverlap(Skeleton):
                          chunk.halo_before, chunk.stored_size),
                         (chunk.owned_size,))
 
-        self._launch(
-            session, inputs, [distribution], out, self.output_distribution(distribution),
+        out = self._launch(
+            node, node.inputs, [distribution], self.output_distribution(distribution),
             source, f"skelcl_mapoverlap_{self.user.name}", kernel_name, local_size,
             chunk_args)
         if distribution.kind == "overlap" and self.effective_overlap < self.overlap:

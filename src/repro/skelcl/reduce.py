@@ -109,12 +109,12 @@ class Reduce(Skeleton):
     def _output_shape(self, inputs) -> tuple:
         return ()
 
-    def _execute(self, session, inputs, extras, out: Scalar, premap=None) -> Scalar:
+    def _execute(self, node, premap=None) -> Scalar:
         """``premap`` (planner only) is a composed map chain applied to
-        every element as it is loaded: ``inputs`` is then the chain's
-        original input, already validated when the chain was deferred,
-        and ``extras`` the chain's additional arguments."""
-        (input_container,) = inputs
+        every element as it is loaded: the node's input is then the
+        chain's original input, already validated when the chain was
+        deferred, and its extras the chain's additional arguments."""
+        session, (input_container,), out = node.session, node.inputs, node.output
         dtype = dtype_for_ctype(self.element_type)
         program = self._program(self.kernel_source(), f"skelcl_reduce_{self.user.name}",
                                 session)
@@ -151,8 +151,8 @@ class Reduce(Skeleton):
             )
             kernel = stage1_program.create_kernel(stage1_name)
             kernel.set_args(buffer, partial_buffer, n,
-                            chunk.halo_before * unit_elements, *extras)
-            launch = self._enqueue(session, chunk.device_index, kernel, (groups * wg,), (wg,),
+                            chunk.halo_before * unit_elements, *node.extras)
+            launch = self._enqueue(node, chunk.device_index, kernel, (groups * wg,), (wg,),
                                    wait_for=input_container.chunk_events(position),
                                    inputs=[(input_container, position)])
             data, read_event = queue.enqueue_read_buffer(
@@ -180,7 +180,7 @@ class Reduce(Skeleton):
                                                   event_wait_list=partial_reads)
         kernel = program.create_kernel("skelcl_reduce")
         kernel.set_args(in_buffer, out_buffer, len(gathered), 0)
-        launch2 = self._enqueue(session, 0, kernel, (wg,), (wg,), wait_for=[write_event])
+        launch2 = self._enqueue(node, 0, kernel, (wg,), (wg,), wait_for=[write_event])
         result, _event = queue0.enqueue_read_buffer(out_buffer, dtype, 1,
                                                     event_wait_list=[launch2])
         in_buffer.release()

@@ -10,9 +10,10 @@ on has one answer per object:
   entry points that take no session: a skeleton call,
   ``skelcl.profile()``, and a direct ``container.ensure_on_devices()``;
 * a **container** keeps the session that staged its device copy
-  (:mod:`repro.skelcl.container`), a deferred call the planner (hence
-  the session) that recorded it, a ``repro.serve.Server`` the session it
-  opened.  None of them consults the context variable again.
+  (:mod:`repro.skelcl.container`), the record of a call
+  (:class:`repro.plan.ir.PlanNode`) the session the call was made on, a
+  ``repro.serve.Server`` the session it opened.  None of them consults
+  the context variable again.
 
 The paper's global style therefore keeps working — containers and
 skeletons created after ``init()`` use that session implicitly — and

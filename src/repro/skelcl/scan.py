@@ -120,8 +120,8 @@ class Scan(Skeleton):
                 f"Scan input dtype {inputs[0].dtype} does not match {self.element_type}"
             )
 
-    def _execute(self, session, inputs, extras, out: Vector) -> Vector:
-        (input_vector,) = inputs
+    def _execute(self, node) -> Vector:
+        session, (input_vector,), out = node.session, node.inputs, node.output
         dtype = dtype_for_ctype(self.element_type)
         # Scan requires ordered, disjoint chunks; an uneven input split
         # is preserved (only the halo is dropped from an Overlap).
@@ -142,7 +142,7 @@ class Scan(Skeleton):
             if n == 0:
                 continue
             final = self._scan_on_device(
-                session, program, in_chunk.device_index, in_buffer, out_buffer, n,
+                node, program, in_chunk.device_index, in_buffer, out_buffer, n,
                 in_chunk.halo_before,
                 wait_for=input_vector.chunk_events(position) + out.chunk_write_events(position),
             )
@@ -150,16 +150,17 @@ class Scan(Skeleton):
             out.record_chunk_event(position, final)
 
         if len([c for c, _b in chunks if c.owned_size > 0]) > 1:
-            self._apply_device_offsets(session, program, out, out_chunks, dtype)
+            self._apply_device_offsets(node, program, out, out_chunks, dtype)
         out.mark_written_on_devices()
         return out
 
     # -- single-device multi-block scan (recursive) -------------------------
 
-    def _scan_on_device(self, session, program, device_index: int, in_buffer, out_buffer,
+    def _scan_on_device(self, node, program, device_index: int, in_buffer, out_buffer,
                         n: int, offset: int, wait_for=None) -> "ocl.Event":
         """Scan one buffer on one device; returns the event producing the
         final contents of ``out_buffer``."""
+        session = node.session
         dtype = dtype_for_ctype(self.element_type)
         groups = (n + _SCAN_WG - 1) // _SCAN_WG
         sums_buffer = session.context.create_buffer(
@@ -167,18 +168,18 @@ class Scan(Skeleton):
         )
         kernel = program.create_kernel("skelcl_scan_block")
         kernel.set_args(in_buffer, out_buffer, sums_buffer, n, offset)
-        block_scan = self._enqueue(session, device_index, kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
+        block_scan = self._enqueue(node, device_index, kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
                                    wait_for=wait_for)
         final = block_scan
         if groups > 1:
             scanned_sums = session.context.create_buffer(
                 groups * dtype.itemsize, session.devices[device_index], name="scan_sums_scanned"
             )
-            sums_scan = self._scan_on_device(session, program, device_index, sums_buffer, scanned_sums,
+            sums_scan = self._scan_on_device(node, program, device_index, sums_buffer, scanned_sums,
                                              groups, 0, wait_for=[block_scan])
             add_kernel = program.create_kernel("skelcl_scan_add_blocks")
             add_kernel.set_args(out_buffer, scanned_sums, n)
-            final = self._enqueue(session, device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
+            final = self._enqueue(node, device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
                                   wait_for=[block_scan, sums_scan])
             scanned_sums.release()
         sums_buffer.release()
@@ -186,8 +187,9 @@ class Scan(Skeleton):
 
     # -- cross-device offsets --------------------------------------------------
 
-    def _apply_device_offsets(self, session, program, out, out_chunks, dtype) -> None:
+    def _apply_device_offsets(self, node, program, out, out_chunks, dtype) -> None:
         # Gather per-device totals (the last element of each scanned chunk).
+        session = node.session
         totals = []
         active = []
         total_reads = []
@@ -217,7 +219,7 @@ class Scan(Skeleton):
                                                   event_wait_list=total_reads)
         kernel = program.create_kernel("skelcl_scan_block")
         kernel.set_args(tot_in, tot_out, sums_scratch, len(totals), 0)
-        launch = self._enqueue(session, 0, kernel, (_SCAN_WG,), (_SCAN_WG,), wait_for=[write_event])
+        launch = self._enqueue(node, 0, kernel, (_SCAN_WG,), (_SCAN_WG,), wait_for=[write_event])
         scanned, scanned_read = queue0.enqueue_read_buffer(tot_out, dtype, len(totals),
                                                            event_wait_list=[launch])
         for buffer in (tot_in, tot_out, sums_scratch):
@@ -230,6 +232,6 @@ class Scan(Skeleton):
             add_kernel = program.create_kernel("skelcl_scan_add_offset")
             add_kernel.set_args(buffer, offset_value, chunk.owned_size)
             groups = (chunk.owned_size + _SCAN_WG - 1) // _SCAN_WG
-            self._enqueue(session, chunk.device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
+            self._enqueue(node, chunk.device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
                           wait_for=[scanned_read] + out.chunk_write_events(position),
                           output=out, output_position=position)

@@ -16,16 +16,18 @@ kernel caching.
 
 from __future__ import annotations
 
+import copy
 import os.path
-import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import ocl
+from ..callsite import call_site
 from ..jit import JitFunction
 from ..jit.lower import WEAK_FLOAT, WEAK_INT
 from ..kernelc.ctypes_ import ScalarType, ctype_from_numpy
+from ..plan.ir import PlanNode
 from .container import Container
 from .distribution import Block, Distribution, Overlap
 from .funcparse import UserFunction, parse_user_function
@@ -42,23 +44,12 @@ DEFAULT_WORK_GROUP_SIZE = 256
 _SKELCL_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def capture_call_site() -> Optional[str]:
-    """``file.py:line`` of the innermost caller outside ``repro.skelcl``
-    — the user code that invoked the skeleton.  One cheap frame walk
-    per skeleton *call* (not per command)."""
-    frame = sys._getframe(2)
-    while frame is not None:
-        filename = frame.f_code.co_filename
-        if not os.path.abspath(filename).startswith(_SKELCL_DIR):
-            return f"{filename.replace(os.sep, '/').rsplit('/', 1)[-1]}:{frame.f_lineno}"
-        frame = frame.f_back
-    return None
-
-
-def default_call_label(skeleton_name: str, func_name: str) -> str:
+def default_label(skeleton_name: str, func_name: str) -> str:
     """The trace span name for an unlabelled call: skeleton + user
-    function + call site, e.g. ``MapOverlap(func)@sobel.py:38``."""
-    site = capture_call_site()
+    function + the user code that invoked the skeleton (one frame walk
+    per skeleton *call*, not per command), e.g.
+    ``MapOverlap(func)@sobel.py:38``."""
+    site = call_site(_SKELCL_DIR)
     label = f"{skeleton_name}({func_name})"
     return f"{label}@{site}" if site else label
 
@@ -105,14 +96,26 @@ class Skeleton:
     """Base of all skeletons: the call protocol, program caching and the
     per-chunk launch loop.
 
+    A skeleton is a value: customized once, at construction, and not
+    assigned to by its calls.  A call is one record — a
+    :class:`~repro.plan.ir.PlanNode` carrying the session, operands,
+    label and events — and all a skeleton keeps of its calls is the
+    pointer to the latest record (besides memo fills: built programs,
+    bound specializations).  One skeleton object can therefore be called
+    from several sessions and threads at once.
+
     A skeleton is customized either by an OpenCL-C source string or by
     a :class:`repro.jit.JitFunction` (a ``@skelcl.jit``-decorated Python
     function).  A jitted customizer is *specialized* — lowered to
-    OpenCL-C at concrete parameter types — eagerly when every parameter
-    is annotated, otherwise lazily at the first call from the container
-    dtypes.  After specialization ``self.user`` is indistinguishable
-    from the string path, so code generation, caching, fusion and the
-    analyses all run unchanged.
+    OpenCL-C at concrete parameter types.  When every parameter is
+    annotated that happens at construction, and the skeleton is
+    indistinguishable from the string path.  Otherwise the types come
+    from each call's containers: the call resolves its type key to a
+    *bound specialization* — a copy of this skeleton customized by the
+    source lowered at those types, created once per key and never
+    changed afterwards — and it is the bound skeleton the call record
+    names, so code generation, caching, fusion and the analyses all run
+    unchanged and a deferred call keeps the types it was recorded with.
 
     Subclasses *declare* what differs between the patterns: the class
     attributes below, ``_bind_user`` (signature-driven types, including
@@ -136,23 +139,27 @@ class Skeleton:
 
     def __init__(self, source: Union[str, JitFunction, None] = None):
         self._programs: Dict[str, ocl.Program] = {}
-        self._events: List[ocl.Event] = []
-        #: The :class:`repro.plan.ir.PlanNode` of the most recent call
-        #: while a lazy session still defers it; the launch that computes
-        #: it hands its events over (``Planner._run_step``).
-        self._deferred = None
-        self._call_label: Optional[str] = None
+        #: The record of the most recent call — the one attribute calls
+        #: assign.
+        self._latest: Optional[PlanNode] = None
         self.jit: Optional[JitFunction] = None
-        self.user: Optional[UserFunction] = None
+        self._user: Optional[UserFunction] = None
+        #: Type key -> bound specialization, when the customizer's types
+        #: come from the call; None for a skeleton that is its own.
+        self._bound: Optional[Dict[tuple, "Skeleton"]] = None
         if isinstance(source, JitFunction):
             self.jit = source
-            self._jit_key = None
             if source.is_fully_annotated() and (
                     source.n_outputs is None or source.component is not None):
-                self._specialize_for(source.resolve_param_ctypes())
+                self._customize(source.lower_source())
+            else:
+                self._bound = {}
         elif source is not None:
-            self.user = parse_user_function(source)
-            self._bind_user()
+            self._customize(source)
+
+    def _customize(self, source: str) -> None:
+        self._user = parse_user_function(source)
+        self._bind_user()
 
     # -- the call protocol ---------------------------------------------------
 
@@ -164,12 +171,14 @@ class Skeleton:
         1. split the positionals into input containers and additional
            arguments (a positional ``out`` is a :class:`TypeError`) and
            check the container kinds,
-        2. specialize a jit customizer from the call's argument types,
+        2. resolve a jit customizer's bound specialization from the
+           call's argument types,
         3. validate the call (the class's ``_validate``),
         4. fix the trace label (``label=`` or skeleton + function + site),
         5. check ``out=`` against the result's kind, shape and dtype — or
            create the result container,
-        6. defer the validated call to the lazy planner, or run it now.
+        6. record the validated call as one node, and hand the node to
+           the session's lazy planner or run it now.
 
         Nothing is enqueued before step 6, so a rejected call leaves the
         session untouched.  An ``out=`` container is overwritten in
@@ -201,13 +210,11 @@ class Skeleton:
                     f"{', '.join(kind.__name__ for kind in self.accepts)} "
                     f"containers, got {type(container).__name__}"
                 )
-        if self.jit is not None:
-            self._specialize_for(
-                self.jit.resolve_param_ctypes(self._hints(inputs, extras)), session)
-        self._validate(inputs, extras)
-        label = label or default_call_label(name, self.func_name)
-        shape = self._output_shape(inputs)
-        dtype = dtype_for_ctype(self.out_type)
+        bound = self if self._bound is None else self._bound_for(self._hints(inputs, extras))
+        bound._validate(inputs, extras)
+        label = label or default_label(name, bound.func_name)
+        shape = bound._output_shape(inputs)
+        dtype = dtype_for_ctype(bound.out_type)
         overwrites = isinstance(out, Container)
         if out is None:
             if len(shape) == 2:
@@ -224,28 +231,39 @@ class Skeleton:
                     f"output container has shape {shape_of(out)}, expected {shape}")
             if overwrites and out.dtype != dtype:
                 raise SkelCLError(
-                    f"output container dtype {out.dtype} does not match {self.out_type}")
+                    f"output container dtype {out.dtype} does not match {bound.out_type}")
+        node = self._latest = PlanNode(session, bound, inputs, extras, out, label, options)
         planner = session.planner
         if (planner is not None and not overwrites and not options
                 and all(isinstance(c, Container) for c in inputs)):
-            return getattr(planner, self.plan_entry)(self, inputs, extras, out, label)
-        return self._run(session, inputs, extras, out, label, **options)
+            return getattr(planner, self.plan_entry)(node)
+        return bound._run(node)
 
-    def _run(self, session: Session, inputs: Sequence, extras: Sequence, out,
-             label: str, **options):
-        """Run an already-validated call now: the eager path of
-        ``__call__`` and the entry the planner forces deferred (and
-        fused) calls through.  Starts a new invocation — clears the
-        per-call event list and fixes the trace span label."""
-        self._events = []
-        self._deferred = None
-        self._call_label = label
-        return self._execute(session, inputs, extras, out, **options)
+    def _run(self, node: PlanNode):
+        """Run the recorded call ``node`` now, with this skeleton's
+        kernels: ``node.skeleton`` itself — the eager path of
+        ``__call__`` and the planner's way to force a deferred call —
+        or the composed skeleton of a fused step, which the planner runs
+        on the root node it rewrote."""
+        node.state = PlanNode.RUNNING
+        try:
+            return self._execute(node, **node.options)
+        finally:
+            node.finish()
+
+    @property
+    def user(self) -> Optional[UserFunction]:
+        """The customizing function.  A jit customizer whose types come
+        from the call has one per bound specialization: this is the
+        latest call's (None before the first)."""
+        if self._bound is not None and self._latest is not None:
+            return self._latest.skeleton._user
+        return self._user
 
     @property
     def func_name(self) -> str:
         """The customizing function's name, as shown in trace labels."""
-        return self.user.name
+        return self._user.name
 
     def _hints(self, inputs: Sequence, extras: Sequence) -> List:
         """Call-site type hints for jit specialization: one element
@@ -265,9 +283,9 @@ class Skeleton:
         default."""
         return shape_of(inputs[0])
 
-    def _execute(self, session: Session, inputs: Sequence, extras: Sequence,
-                 out, **options):
-        """Enqueue the call's commands and return ``out``."""
+    def _execute(self, node: PlanNode, **options):
+        """Enqueue the commands of the call ``node`` records and return
+        its output container."""
         raise NotImplementedError
 
     # -- jit specialization --------------------------------------------------
@@ -275,23 +293,21 @@ class Skeleton:
     def _bind_user(self) -> None:
         """Validate ``self.user`` and extract the signature-driven
         attributes (element/output/extra types).  Subclasses override;
-        called every time ``self.user`` is (re)bound."""
+        called once, when the skeleton is customized."""
 
-    def _specialize_for(self, param_ctypes, session: Optional[Session] = None) -> None:
-        """Bind ``self.user`` to the jit customizer lowered at
-        ``param_ctypes`` (annotations merged with call-site hints);
-        no-op for an already-matching specialization."""
-        key = tuple(param_ctypes)
-        if self.user is not None and key == self._jit_key:
-            return
-        if self.user is not None and session.planner is not None:
-            # Re-specializing to different types: lazily-planned stages
-            # captured the previous specialization's source — force them
-            # out before the signature changes under them.
-            session.planner.flush()
-        self.user = parse_user_function(self.jit.lower_source(param_ctypes))
-        self._jit_key = key
-        self._bind_user()
+    def _bound_for(self, hints: Sequence) -> "Skeleton":
+        """The bound specialization for a call with ``hints``: this
+        skeleton customized by the jit function lowered at the
+        parameter types the annotations and the hints resolve to.  Made
+        on the first call at those types and memoized."""
+        key = self.jit.resolve_param_ctypes(hints)
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = copy.copy(self)
+            bound._bound = bound._latest = None
+            bound._customize(self.jit.lower_source(key))
+            bound = self._bound.setdefault(key, bound)
+        return bound
 
     @staticmethod
     def _hint_for_extra(value):
@@ -310,18 +326,23 @@ class Skeleton:
 
     # -- programs ------------------------------------------------------------
 
-    def _program(self, source: str, name: str,
-                 session: Optional[Session] = None) -> ocl.Program:
-        """The built program of ``source``, cached per skeleton.  For a
-        launch on ``session`` a lint error fails the build when that
-        session resolved ``sanitize="strict"`` — whichever link of the
-        configuration chain said so (``Program.build`` itself only
-        knows the process-wide links)."""
+    def _built(self, source: str, name: str,
+               session: Optional[Session] = None) -> ocl.Program:
+        """The built program of ``source``, cached per skeleton; a build
+        is counted on the metrics of the ``session`` that asked."""
         program = self._programs.get(source)
         if program is None:
-            program = ocl.Program(source, name).build()
-            self._programs[source] = program
-        if session is not None and session.settings.sanitize == "strict":
+            create = ocl.Program if session is None else session.context.create_program
+            program = self._programs[source] = create(source, name).build()
+        return program
+
+    def _program(self, source: str, name: str, session: Session) -> ocl.Program:
+        """:meth:`_built`, for a launch on ``session``: a lint error
+        fails the build when that session resolved ``sanitize="strict"``
+        — whichever link of the configuration chain said so
+        (``Program.build`` itself only knows the process-wide links)."""
+        program = self._built(source, name, session)
+        if session.settings.sanitize == "strict":
             program.fail_on_lint_errors()
         return program
 
@@ -332,9 +353,11 @@ class Skeleton:
         """The events of the most recent call.  In a lazy session a force
         point for that call; a call fusion folded into another launch
         reports that launch's events."""
-        if self._deferred is not None:
-            self._deferred.planner.force_node(self._deferred)
-        return self._events
+        node = self._latest
+        if node is None:
+            return []
+        node.force()
+        return node.events
 
     @property
     def last_kernel_time_ns(self) -> int:
@@ -353,7 +376,7 @@ class Skeleton:
 
     def _enqueue(
         self,
-        session: Session,
+        node: PlanNode,
         device_index: int,
         kernel: ocl.Kernel,
         global_size,
@@ -364,7 +387,8 @@ class Skeleton:
         output_position: Optional[int] = None,
         inputs: Sequence = (),
     ) -> ocl.Event:
-        """Launch ``kernel`` with an explicit wait list.
+        """Launch ``kernel`` for the call ``node`` with an explicit wait
+        list; the event takes the call's label and joins its events.
 
         ``wait_for`` lists the events producing the buffers this launch
         reads or overwrites (RAW/WAW/WAR edges).  When ``output`` (a
@@ -374,7 +398,7 @@ class Skeleton:
         on it.  ``inputs`` lists ``(container, position)`` pairs the
         launch reads: the event is recorded as a *reader* of those
         chunks, so a later writer orders itself after this launch."""
-        event = session.queue(device_index).enqueue_nd_range_kernel(
+        event = node.session.queue(device_index).enqueue_nd_range_kernel(
             kernel, global_size, local_size, sample_fraction,
             event_wait_list=wait_for,
         )
@@ -383,38 +407,38 @@ class Skeleton:
             container.record_chunk_reader(position, event)
         if output is not None and output_position is not None:
             output.record_chunk_event(output_position, event)
-        event.label = self._call_label
-        self._events.append(event)
+        event.label = node.label
+        node.events.append(event)
         return event
 
     def _launch(
         self,
-        session: Session,
+        node: PlanNode,
         inputs: Sequence[Container],
         distributions: Sequence[Distribution],
-        out: Container,
         out_distribution: Distribution,
         source: str,
         program_name: str,
         kernel_name: str,
         local_size: Tuple[int, ...],
         chunk_args: Callable[..., Tuple[tuple, Tuple[int, ...]]],
-        extras: Sequence = (),
         sample_fraction: Optional[float] = None,
     ):
         """The per-chunk launch loop of every single-launch skeleton.
 
         Builds the program (a failed build enqueues nothing), stages
-        ``inputs`` on ``session`` under their ``distributions`` (implicit
-        transfers), prepares ``out`` under ``out_distribution``, and on
-        every device owning a non-empty chunk launches ``kernel_name``
-        with the arguments ``(*input_buffers, out_buffer, *scalars,
-        *extras)``.  ``chunk_args(out_chunk, *input_chunks)`` returns the
-        chunk's ``scalars`` and its work-item extent, which is rounded up
-        to ``local_size`` per dimension.  Each launch waits on the
+        ``inputs`` on the call's session under their ``distributions``
+        (implicit transfers), prepares the call's output under
+        ``out_distribution``, and on every device owning a non-empty
+        chunk launches ``kernel_name`` with the arguments
+        ``(*input_buffers, out_buffer, *scalars, *node.extras)``.
+        ``chunk_args(out_chunk, *input_chunks)`` returns the chunk's
+        ``scalars`` and its work-item extent, which is rounded up to
+        ``local_size`` per dimension.  Each launch waits on the
         producers of the chunks it reads and on the producers and
         readers of the chunk it overwrites, and is recorded as reader /
         writer of those chunks."""
+        session, out = node.session, node.output
         program = self._program(source, program_name, session)
         staged = [container.ensure_on_devices(distribution, session)
                   for container, distribution in zip(inputs, distributions)]
@@ -426,11 +450,11 @@ class Skeleton:
                 continue
             kernel = program.create_kernel(kernel_name)
             kernel.set_args(*(buffer for _, buffer in in_pairs), out_buffer,
-                            *scalars, *extras)
+                            *scalars, *node.extras)
             wait_for: List[ocl.Event] = []
             for container in inputs:
                 wait_for += container.chunk_events(position)
-            self._enqueue(session, out_chunk.device_index, kernel,
+            self._enqueue(node, out_chunk.device_index, kernel,
                           tuple(round_up(n, wg) for n, wg in zip(extent, local_size)),
                           local_size, sample_fraction,
                           wait_for=wait_for + out.chunk_write_events(position),

@@ -1,69 +1,38 @@
-"""Mapping between numpy dtypes and OpenCL-C element types."""
+"""Container element types: numpy dtypes <-> OpenCL-C scalar types.
+
+Both directions are read off the one table in
+:mod:`repro.kernelc.ctypes_`; a container holds every scalar type it
+lists except ``half``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernelc.ctypes_ import (
-    CHAR,
-    DOUBLE,
-    FLOAT,
-    INT,
-    LONG,
-    ScalarType,
-    SHORT,
-    UCHAR,
-    UINT,
-    ULONG,
-    USHORT,
-)
+from ..kernelc.ctypes_ import SCALAR_TYPES, ScalarType, ctype_from_numpy, numpy_dtype
 
-_DTYPE_TO_CTYPE = {
-    np.dtype(np.int8): CHAR,
-    np.dtype(np.uint8): UCHAR,
-    np.dtype(np.int16): SHORT,
-    np.dtype(np.uint16): USHORT,
-    np.dtype(np.int32): INT,
-    np.dtype(np.uint32): UINT,
-    np.dtype(np.int64): LONG,
-    np.dtype(np.uint64): ULONG,
-    np.dtype(np.float32): FLOAT,
-    np.dtype(np.float64): DOUBLE,
-}
-
-_CNAME_TO_DTYPE = {
-    "char": np.dtype(np.int8),
-    "uchar": np.dtype(np.uint8),
-    "short": np.dtype(np.int16),
-    "ushort": np.dtype(np.uint16),
-    "int": np.dtype(np.int32),
-    "uint": np.dtype(np.uint32),
-    "long": np.dtype(np.int64),
-    "ulong": np.dtype(np.uint64),
-    "size_t": np.dtype(np.uint64),
-    "float": np.dtype(np.float32),
-    "double": np.dtype(np.float64),
-    "bool": np.dtype(np.uint8),
-}
+_DTYPE_OF_CNAME = {name: numpy_dtype(ctype) for name, ctype in SCALAR_TYPES.items()
+                   if name not in ("void", "half")}
+_CTYPE_OF_DTYPE = {dtype: ctype_from_numpy(dtype) for dtype in _DTYPE_OF_CNAME.values()}
 
 
 def ctype_for_dtype(dtype) -> ScalarType:
     dtype = np.dtype(dtype)
     try:
-        return _DTYPE_TO_CTYPE[dtype]
+        return _CTYPE_OF_DTYPE[dtype]
     except KeyError:
         raise TypeError(f"unsupported container dtype {dtype}") from None
 
 
 def dtype_for_ctype(ctype: ScalarType) -> np.dtype:
     try:
-        return _CNAME_TO_DTYPE[ctype.name]
+        return _DTYPE_OF_CNAME[ctype.name]
     except KeyError:
         raise TypeError(f"no numpy dtype for C type {ctype}") from None
 
 
 def dtype_for_cname(name: str) -> np.dtype:
     try:
-        return _CNAME_TO_DTYPE[name]
+        return _DTYPE_OF_CNAME[name]
     except KeyError:
         raise TypeError(f"no numpy dtype for C type name {name!r}") from None

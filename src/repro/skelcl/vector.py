@@ -80,13 +80,6 @@ class Vector(Container):
     def new_like(self, dtype=None, name: str = "") -> "Vector":
         return Vector(self._units, dtype=dtype if dtype is not None else self._host.dtype, name=name)
 
-    def resized_copy(self, size: int) -> "Vector":
-        out = Vector(size, dtype=self._host.dtype)
-        self.ensure_host()
-        n = min(size, self._units)
-        out._host[:n] = self._host[:n]
-        return out
-
     def __repr__(self) -> str:
         dist = self._distribution.kind if self._distribution else "none"
         return f"<Vector size={self._units} dtype={self._host.dtype} dist={dist}>"

@@ -76,8 +76,9 @@ class Zip(Skeleton):
             raise SkelCLError(f"right input dtype {right.dtype} does not match {self.right_type}")
         self.check_extra_args(self.extra_types, extras)
 
-    def _execute(self, session, inputs, extras, out):
-        distribution = self.resolve_input_distribution(session, inputs[0], Block())
+    def _execute(self, node):
+        inputs = node.inputs
+        distribution = self.resolve_input_distribution(node.session, inputs[0], Block())
         unit_elements = inputs[0]._unit_elements
 
         def chunk_args(_out_chunk, left, right):
@@ -86,7 +87,6 @@ class Zip(Skeleton):
                     right.halo_before * unit_elements), (n,)
 
         return self._launch(
-            session, inputs, [distribution] * 2, out,
-            self.output_distribution(distribution),
+            node, inputs, [distribution] * 2, self.output_distribution(distribution),
             self.kernel_source(), f"skelcl_zip_{self.user.name}", "skelcl_zip",
-            (self.work_group_size,), chunk_args, extras)
+            (self.work_group_size,), chunk_args)

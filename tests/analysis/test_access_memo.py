@@ -145,7 +145,7 @@ class TestHitEqualsFreshResolution:
         first = data.draw(launches(kernel))
         second = data.draw(varied(kernel, first))
         alias = data.draw(st.booleans())
-        metrics = MetricsRegistry(register_live=False)
+        metrics = MetricsRegistry()
         summary_of(kernel).launch_shapes.clear()
         for round_, launch in enumerate((first, second, first, second)):
             ndrange, buffers = bind(kernel, device, launch, alias, f"r{round_}b")
@@ -172,7 +172,7 @@ class TestHitEqualsFreshResolution:
             }""").build().create_kernel("k")
         assert summary_of(kernel).footprint_scalars == {"n"}
         summary_of(kernel).launch_shapes.clear()
-        metrics = MetricsRegistry(register_live=False)
+        metrics = MetricsRegistry()
         ndrange = ocl.NDRange.create(64, 16)
         a, b = ocl.Buffer(device, 256, "a"), ocl.Buffer(device, 256, "b")
         stops = []
@@ -305,7 +305,7 @@ def test_memo_stays_at_its_bound_and_right(device):
     kernel = ocl.Program(halo.SCALE).build().create_kernel("scale")
     memo = summary_of(kernel).launch_shapes
     memo.clear()
-    metrics = MetricsRegistry(register_live=False)
+    metrics = MetricsRegistry()
     ndrange = ocl.NDRange.create(halo.N, 256)
     buffers = [ocl.Buffer(device, 16 * bound * 10, name) for name in ("a", "out")]
     for n in range(1, 10 * bound + 1):  # n bounds the footprint: every n is a shape

@@ -42,13 +42,14 @@ def _entries(path):
 
 
 def test_disk_hit_after_memory_cache_clear(cache_dir, runtime_1gpu):
-    metrics = runtime_1gpu.metrics
-    Program(SOURCE).build()
+    # A build is counted on the metrics of the context it was made for.
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    create(SOURCE).build()
     assert metrics.value("skelcl_program_builds_total", result="compiled") == 1
     assert len(_entries(cache_dir)) == 1
 
     clear_build_cache()  # simulate a fresh process: in-memory level gone
-    program = Program(SOURCE).build()
+    program = create(SOURCE).build()
     assert metrics.value("skelcl_program_builds_total", result="disk") == 1
     assert metrics.value("skelcl_program_builds_total", result="compiled") == 1
     assert "disk cache" in program.build_log
@@ -69,31 +70,31 @@ def test_disk_entry_produces_identical_results(cache_dir, runtime_1gpu):
 
 def test_skelcl_cache_off_disables_persistence(cache_dir, monkeypatch, runtime_1gpu):
     monkeypatch.setenv("SKELCL_CACHE", "off")
-    metrics = runtime_1gpu.metrics
-    Program(SOURCE).build()
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    create(SOURCE).build()
     assert not _entries(cache_dir)
 
     clear_build_cache()
-    Program(SOURCE).build()
+    create(SOURCE).build()
     assert metrics.value("skelcl_program_builds_total", result="compiled") == 2
     assert metrics.value("skelcl_program_builds_total", result="disk") == 0
 
 
 def test_corrupt_entry_falls_back_to_cold_compile(cache_dir, runtime_1gpu):
-    Program(SOURCE).build()
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    create(SOURCE).build()
     (entry,) = _entries(cache_dir)
     with open(entry, "wb") as handle:
         handle.write(b"not a pickle")
 
     clear_build_cache()
-    program = Program(SOURCE).build()
-    metrics = runtime_1gpu.metrics
+    program = create(SOURCE).build()
     assert metrics.value("skelcl_program_builds_total", result="compiled") == 2
     assert metrics.value("skelcl_program_builds_total", result="disk") == 0
     assert program.kernel_names() == ["triple"]
     # The cold compile repaired the entry in place.
     clear_build_cache()
-    Program(SOURCE).build()
+    create(SOURCE).build()
     assert metrics.value("skelcl_program_builds_total", result="disk") == 1
 
 

@@ -5,11 +5,15 @@ and a session whose closing flush faults must still tear down."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.skelcl as skelcl
 from repro import ocl
+from repro.jit import JitFunction
 from repro.kernelc.memory import KernelFault
 
 DOUBLE = "float f(float x) { return 2.0f * x; }"
@@ -17,6 +21,11 @@ SQUARE = "float g(float x) { return x * x; }"
 ADD = "float s(float x, float y) { return x + y; }"
 
 _DATA = np.arange(64, dtype=np.float32)
+
+
+@skelcl.jit
+def j_double(x):  # types come from each call's container
+    return x + x
 
 
 @pytest.fixture
@@ -64,6 +73,46 @@ def test_fused_away_call_reports_the_fused_launch(lazy):
     assert all(e.label.startswith("Fused[Map g∘f]") for e in events)
     assert lazy.metrics.value("skelcl_plan_recompute_total", op="map") == 0
     np.testing.assert_array_equal(out.to_numpy(), (2 * _DATA) ** 2)
+
+
+def test_a_jit_call_at_a_new_dtype_is_not_a_force_point(lazy, monkeypatch):
+    lowered = []
+    lower_source = JitFunction.lower_source
+    monkeypatch.setattr(JitFunction, "lower_source",
+                        lambda self, hints=None: lowered.append(hints) or lower_source(self, hints))
+    double = skelcl.Map(j_double)
+    inputs = [_DATA, _DATA.astype(np.int32), _DATA + 1]
+    outs = [double(skelcl.Vector(data=data)) for data in inputs]
+    assert _launches(lazy) == 0  # each deferred call keeps its own specialization
+    assert len(lowered) == 2
+    for out, data in zip(outs, inputs):
+        result = out.to_numpy()
+        assert result.dtype == data.dtype
+        np.testing.assert_array_equal(result, 2 * data)
+    assert _launches(lazy) == 6 and len(lowered) == 2
+
+
+@pytest.mark.parametrize("lazy_session", [False, True], ids=["eager", "lazy"])
+def test_the_latest_call_of_a_skeleton_pins_events_but_no_containers(lazy_session):
+    """A finished node lets go of its containers, a fused-away one when
+    the container it could still be asked to fill is gone — by reference
+    counting, with the cycle collector off."""
+    double, square = skelcl.Map(DOUBLE), skelcl.Map(SQUARE)
+    with skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE, lazy=lazy_session):
+        gc.collect()
+        gc.disable()
+        try:
+            x = skelcl.Vector(data=_DATA)
+            mid = double(x)
+            out = square(mid)
+            np.testing.assert_array_equal(out.to_numpy(), (2 * _DATA) ** 2)
+            containers = [weakref.ref(container) for container in (x, mid, out)]
+            del x, mid, out
+            assert [container() for container in containers] == [None] * 3
+        finally:
+            gc.enable()
+        for skeleton in (double, square):
+            assert [e.command_type for e in skeleton.last_events] == ["ndrange_kernel"] * 2
 
 
 def test_distribution_of_a_deferred_result_is_a_force_point(lazy):

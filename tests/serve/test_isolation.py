@@ -12,6 +12,11 @@ from repro import scope, serve
 from repro.analysis import RaceError
 
 
+@skelcl.jit
+def j_double(x):  # types come from each call's container
+    return x + x
+
+
 @pytest.fixture(autouse=True)
 def _teardown():
     yield
@@ -187,3 +192,22 @@ class TestInterleavedTenants:
             with pytest.raises(RaceError, match="data race"):
                 queue.enqueue_write_buffer(buffer, np.ones(64, np.float32),
                                            event_wait_list=[])
+
+    def test_shared_jit_skeleton_at_a_new_dtype_runs_nobody_elses_job(self):
+        """Tenant b's submit of a shared jit skeleton at a dtype it has
+        not seen is a recording like any other: tenant a's queued job
+        stays queued, and the scheduler — not b's submit — runs and
+        charges it."""
+        shared = skelcl.Map(j_double)
+        floats = np.arange(64, dtype=np.float32)
+        ints = np.arange(64, dtype=np.int32)
+        with serve.Server(devices=["test", "test"], detect_races="strict") as server:
+            job_a = server.client("a").submit(lambda: shared(skelcl.Vector(data=floats)))
+            job_b = server.client("b").submit(lambda: shared(skelcl.Vector(data=ints)))
+            assert server.metrics.value("skelcl_commands_total", kind="ndrange_kernel") == 0
+            assert (job_a.state, job_b.state) == (serve.Job.QUEUED, serve.Job.QUEUED)
+            stats = server.drain()
+            assert stats["a"]["device_ns"] > 0 and stats["b"]["device_ns"] > 0
+            for job, data in ((job_a, floats), (job_b, ints)):
+                result = job.result().to_numpy()
+                assert result.dtype == data.dtype and np.array_equal(result, 2 * data)

@@ -4,12 +4,16 @@ owns a session instead of replacing the caller's.
 
 (a) two sessions driven call by call from one thread, (b) containers
 crossing sessions, (c) two servers at once, (d) a server beside a user
-session, (e) threads and ``contextvars`` contexts.
+session, (e) threads and ``contextvars`` contexts, (f) one skeleton
+object shared by sessions and threads: a call is one record, a skeleton
+is not assigned to by its calls, a build is counted where it was asked
+for.
 """
 
 from __future__ import annotations
 
 import contextvars
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +24,33 @@ from repro import ocl, serve
 from repro.skelcl import SkelCLError
 
 DOUBLE = "float f(float x) { return 2.0f * x; }"
+SQUARE = "float g(float x) { return x * x; }"
+
+
+@skelcl.jit
+def j_double(x):  # types come from each call's container
+    return x + x
+
+
+@skelcl.jit
+def j_add(x, y):
+    return x + y
+
+
+@skelcl.jit
+def j_add32(x: np.float32, y: np.float32) -> np.float32:
+    return x + y
+
+
+@skelcl.jit
+def j_mul32(x: np.float32, y: np.float32) -> np.float32:
+    return x * y
+
+
+@skelcl.jit
+def j_blur(v: skelcl.READ[np.float32]) -> np.float32:
+    return (get(v, -1) + get(v, 0) + get(v, 1)) / 3.0  # noqa: F821
+
 
 EAGER_2GPU = dict(num_devices=2, spec=ocl.TEST_DEVICE, lazy=False)
 LAZY_3DEV = dict(devices=["test", "test", "test"], lazy=True)
@@ -315,3 +346,166 @@ def test_init_elsewhere_does_not_change_this_contexts_session(with_main_session)
         assert not skelcl.is_initialized()
     else:
         assert skelcl.get_runtime() is main and not main.closed
+
+
+# -- (f) one skeleton object, several sessions and threads -------------------
+
+def _kernel_events(session):
+    return [event for queue in session.queues for event in queue.events
+            if event.command_type == "ndrange_kernel"]
+
+
+def _before_first_launch_on_device_0(session, action) -> None:
+    """Run ``action`` once, inside the next skeleton call on ``session``:
+    after the call was made, before its first kernel reaches device 0."""
+    queue = session.queue(0)
+    enqueue = queue.enqueue_nd_range_kernel
+
+    def hooked(*args, **kwargs):
+        queue.enqueue_nd_range_kernel = enqueue
+        action()
+        return enqueue(*args, **kwargs)
+
+    queue.enqueue_nd_range_kernel = hooked
+
+
+def _shared_call(kind: str):
+    """(call(vector, label) -> result, the skeleton to ask for events,
+    lazy?, B's dtype).  Labels keep their ``@site`` through fusion."""
+    if kind == "fused":
+        double, square = skelcl.Map(DOUBLE), skelcl.Map(SQUARE)
+        return (lambda v, label: square(double(v), label=label)), square, True, np.float32
+    shared = skelcl.Map(DOUBLE if kind == "string" else j_double)
+    return (lambda v, label: shared(v, label=label), shared, False,
+            np.float32 if kind == "string" else np.int32)
+
+
+def _expected(kind: str, data):
+    return (2 * data) ** 2 if kind == "fused" else 2 * data
+
+
+@pytest.mark.parametrize("kind", ["string", "jit", "fused"])
+def test_call_made_inside_another_sessions_call_keeps_label_and_events_apart(kind):
+    call, observed, lazy, dtype_b = _shared_call(kind)
+    config = dict(num_devices=2, spec=ocl.TEST_DEVICE, lazy=lazy)
+    a, b = skelcl.init(**config), skelcl.init(**config)
+    data_a = np.arange(64, dtype=np.float32)
+    data_b = np.arange(100, 164).astype(dtype_b)
+    seen = {}
+
+    def b_calls_the_same_skeleton():
+        seen["a"] = observed.last_events  # the list A's running call reports
+        with b.activate():
+            result = call(skelcl.Vector(data=data_b), "call@B")
+            seen["b"] = list(observed.last_events)
+            seen["result"] = result.to_numpy()
+
+    _before_first_launch_on_device_0(a, b_calls_the_same_skeleton)
+    with a.activate():
+        result_a = call(skelcl.Vector(data=data_a), "call@A").to_numpy()
+    assert np.array_equal(result_a, _expected(kind, data_a))
+    assert np.array_equal(seen["result"], _expected(kind, data_b))
+    assert seen["result"].dtype == dtype_b
+    for name, session in (("a", a), ("b", b)):
+        events = _kernel_events(session)
+        assert [event.label.rpartition("@")[2] for event in events] == [name.upper()] * 2
+        assert len(seen[name]) == 2 and all(
+            mine is event for mine, event in zip(seen[name], events))
+    a.close()
+
+
+@pytest.mark.parametrize("kind", ["string", "jit"])
+def test_two_threads_calling_one_skeleton_each_on_its_own_session(kind):
+    shared = skelcl.Map(DOUBLE if kind == "string" else j_double)
+    dtypes = {"A": np.float32, "B": np.float32 if kind == "string" else np.int32}
+    failures, done = [], []
+
+    def worker(name: str) -> None:
+        with skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE) as session:
+            for step in range(200):
+                data = (np.arange(48) + step).astype(dtypes[name])
+                result = shared(skelcl.Vector(data=data), label=name).to_numpy()
+                if result.dtype != data.dtype or not np.array_equal(result, 2 * data):
+                    failures.append((name, step, "result"))
+            labels = [event.label for event in _kernel_events(session)]
+            if labels != [name] * 400:
+                failures.append((name, len(labels), sorted(set(labels))))
+        done.append(name)
+
+    threads = [threading.Thread(target=worker, args=(name,)) for name in "AB"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and sorted(done) == ["A", "B"]
+
+
+def _six_skeletons(customizer: str):
+    if customizer == "string":
+        return _skeletons()
+    return {
+        "map": skelcl.Map(j_double),
+        "zip": skelcl.Zip(j_add),
+        "reduce": skelcl.Reduce(j_add),
+        "scan": skelcl.Scan(j_add),
+        "overlap": skelcl.MapOverlap(j_blur, 1, skelcl.SCL_NEUTRAL, 0.0),
+        "allpairs": skelcl.AllPairs(skelcl.Reduce(j_add32), zip=skelcl.Zip(j_mul32)),
+    }
+
+
+def _call_all(sk, dtype) -> None:
+    """Every skeleton once, Map twice in a chain (fused when lazy), all
+    read back, events asked for."""
+    v = skelcl.Vector(data=np.arange(40).astype(dtype))
+    f = skelcl.Vector(data=np.arange(40, dtype=np.float32))
+    m = skelcl.Matrix(data=np.ones((6, 4), np.float32))
+    results = [sk["map"](sk["map"](v)), sk["zip"](v, v), sk["reduce"](v),
+               sk["scan"](v), sk["overlap"](f), sk["allpairs"](m, m)]
+    for result in results:
+        result.to_numpy()
+    for skeleton in sk.values():
+        assert skeleton.last_events and skeleton.last_kernel_time_ns > 0
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("customizer", ["string", "jit"])
+def test_calls_assign_nothing_on_a_skeleton_but_its_latest_record(customizer, lazy,
+                                                                   monkeypatch):
+    sk = _six_skeletons(customizer)
+    dtypes = [np.float32] if customizer == "string" else [np.float32, np.int32, np.float32]
+    assigned = []
+
+    def recording(self, name, value):
+        assigned.append((type(self).__name__, name))
+        object.__setattr__(self, name, value)
+
+    with skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE, lazy=lazy):
+        for dtype in dtypes:  # first use: programs, specializations, fused skeletons
+            _call_all(sk, dtype)
+        # From here on every skeleton in the process is watched —
+        # the composed ones fusion memoized included.
+        monkeypatch.setattr(skelcl.Skeleton, "__setattr__", recording, raising=False)
+        for dtype in dtypes:
+            _call_all(sk, dtype)
+    assert {name for _, name in assigned} == {"_latest"}
+    assert {kind for kind, _ in assigned} == {
+        "Map", "Zip", "Reduce", "Scan", "MapOverlap", "AllPairs"}
+
+
+def test_a_build_is_counted_on_the_session_it_was_made_for():
+    def builds(session):
+        return sum(session.metrics.value("skelcl_program_builds_total", result=result)
+                   for result in ("memory", "disk", "compiled"))
+
+    idle = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE)
+    busy = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE)  # `idle` stays open
+    double = skelcl.Map("float only_busy_builds_this(float x) { return 2.0f * x; }")
+    assert double(skelcl.Vector(data=np.ones(8, np.float32))).to_numpy().tolist() == [2.0] * 8
+    assert (builds(busy), builds(idle)) == (1, 0)
+    idle.close()

@@ -95,3 +95,43 @@ def test_design_inventory_names_exactly_the_modules_of_each_package():
         assert named == modules, (
             f"DESIGN.md row of repro.{package}: undescribed modules "
             f"{sorted(modules - named)}, nonexistent modules {sorted(named - modules)}")
+
+
+def test_force_point_list_is_the_same_in_planner_docstring_docs_and_code():
+    """docs/planner.md's force-point table and the list in
+    ``repro/plan/planner.py``'s docstring name the same hooks, and every
+    hook is a method of the runtime whose body forces."""
+    from repro.plan import planner
+    from repro.skelcl.container import Container
+
+    listed = planner.__doc__[planner.__doc__.index("Force points"):
+                             planner.__doc__.index("Forcing (")]
+    in_docstring = re.findall(r"^\* ``([\w.]+)`` —", listed, re.MULTILINE)
+    page = _read("docs", "planner.md")
+    table = page[page.index("## Force points"):page.index("## The rewrite rule")]
+    in_docs = re.findall(r"^\|.*\| `([\w.]+)` \|$", table, re.MULTILINE)
+    assert len(in_docstring) == len(set(in_docstring)) >= 10
+    assert sorted(in_docstring) == sorted(in_docs)
+    owners = (Container, skelcl.Scalar, skelcl.Skeleton, planner.Planner, runtime.Session)
+    for hook in in_docstring:
+        owner_name, _, name = hook.rpartition(".")
+        (method,) = [vars(owner)[name] for owner in owners
+                     if name in vars(owner) and owner_name in ("", owner.__name__)]
+        body = inspect.getsource(getattr(method, "fget", method))
+        assert re.search(r"force(_node|_pending)?\(|\.flush\(", body), \
+            f"{hook} forces nothing"
+
+
+def test_every_metric_the_sources_emit_is_documented():
+    """A metric name is a ``skelcl_*`` string handed to a registry's
+    ``counter`` / ``gauge`` / ``histogram`` (directly, or as one of the
+    queue's series keys); each appears on a page under ``docs/``."""
+    pages = "".join(_read(page) for page in
+                    sorted(glob.glob(os.path.join(ROOT, "docs", "*.md"))))
+    code = "".join(_read(path) for path in sorted(
+        glob.glob(os.path.join(ROOT, "src", "repro", "**", "*.py"), recursive=True)))
+    emitted = set(re.findall(
+        r"""(?:counter|gauge|histogram)(?:\(|",)\s*"(skelcl_\w+)\"""", code))
+    assert len(emitted) >= 30
+    undocumented = sorted(name for name in emitted if f"`{name}" not in pages)
+    assert undocumented == []
