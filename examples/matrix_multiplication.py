@@ -27,8 +27,8 @@ def main() -> None:
         assert np.allclose(result, expected, rtol=1e-3), "wrong result!"
         by_device = {}
         for event in app.last_events:
-            index = event.info.get("device_index", 0)
-            by_device[index] = by_device.get(index, 0) + event.duration_ns
+            by_device[event.device_index] = (by_device.get(event.device_index, 0)
+                                             + event.duration_ns)
         times[devices] = max(by_device.values())
         skelcl.terminate()
 

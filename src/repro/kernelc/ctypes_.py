@@ -47,9 +47,6 @@ class CType:
     def is_array(self) -> bool:
         return False
 
-    def is_function(self) -> bool:
-        return False
-
     def sizeof(self) -> int:
         raise TypeError(f"type {self} has no size")
 

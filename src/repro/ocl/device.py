@@ -25,10 +25,6 @@ class Device:
         return self.spec.global_mem_bytes
 
     @property
-    def local_mem_size(self) -> int:
-        return self.spec.local_mem_bytes
-
-    @property
     def max_work_group_size(self) -> int:
         return self.spec.max_work_group_size
 

@@ -75,7 +75,6 @@ class Event:
     #              'barriers', 'work_items', 'groups_total',
     #              'groups_executed' (ints)
     #   transfers: 'bytes' (int)
-    #   skeletons: 'device_index' (int, which simulated GPU ran it)
     info: Dict[str, Union[int, float]] = field(default_factory=dict)
     # Dependency edges: this command may not start before every event in
     # the list is complete (the enqueue call's ``event_wait_list``).

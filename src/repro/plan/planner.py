@@ -12,7 +12,7 @@ reaches the planner (``docs/planner.md`` gives the user-visible triggers
 of each; ``tests/test_docs.py`` keeps the two lists identical):
 
 * ``ensure_host`` — reading a container on the host → its producer,
-* ``Scalar._force`` — reading a Scalar → its producer,
+* ``Scalar.to_numpy`` — reading a Scalar (every read) → its producer,
 * ``ensure_on_devices`` — using a container on devices → its producer,
 * ``distribution`` — asking a result about its placement → its
   producer,
@@ -23,20 +23,26 @@ of each; ``tests/test_docs.py`` keeps the two lists identical):
   consumers still observe the pre-mutation value,
 * ``_record`` — recording a call whose input is still pending on
   *another* session's planner → that producer, run by its own planner on
-  its own session,
+  its own session (and a call on a poisoned input is refused here),
 * ``reduce_now`` — ``Reduce`` outside a record window (its Scalar result
   is synchronous, so the node is forced as soon as it is recorded),
 * ``_flush_plan`` — ``Session.finish_all()`` / metrics / trace export /
   timeline / ``rebalance()`` / profile exit / close → ``flush``,
 * ``flush_subset`` — a serve dispatch → that job's recorded nodes.
 
+Each of them goes through :meth:`PlanNode.force
+<repro.plan.ir.PlanNode.force>` (or ``flush``), and a producer that
+failed raises its error there instead of running.
+
 Forcing (:meth:`Planner._force`) gathers the targets' pending ancestors,
 runs the rewrite pass (:meth:`Planner._rewrite`) that inlines fusable
 producers into their consumers, and executes the resulting steps in
-recording order through the skeletons' ordinary run-now entry
-(``Skeleton._run``) — the async command graph, coherence protocol and
+recording order through the entry every call runs through
+(``PlanNode.run``) — the async command graph, coherence protocol and
 SkelSan see exactly the commands an eager program would have issued,
-minus the fused-away ones.
+minus the fused-away ones.  A step that raises ends its root ``failed``
+(``PlanNode.finish``), which cancels the recorded calls waiting on the
+result; the rest of the batch stays pending.
 
 Intermediates folded away by fusion are *elided*: never materialized,
 but recomputable (their nodes keep their inputs, and host mutation of
@@ -80,33 +86,32 @@ class _Step:
 class Planner:
     def __init__(self, session):
         self.session = session
-        self.pending: List[PlanNode] = []
+        self._recorded: List[PlanNode] = []
         self._seq = 0
-        self._executing = 0
-        self._recording = 0
         self._captures: List[List[PlanNode]] = []
 
     # -- observability -----------------------------------------------------
-
-    @property
-    def executing(self) -> bool:
-        """True while the planner itself is running plan steps; the
-        container write hooks skip reader-forcing then (ordering inside
-        a batch is the planner's job, and the event graph carries the
-        actual dependencies)."""
-        return self._executing > 0
 
     def _count(self, name: str, **labels) -> None:
         self.session.metrics.counter(name, **labels).inc()
 
     # -- recording ---------------------------------------------------------
 
+    def _prune(self) -> List[PlanNode]:
+        self._recorded = [n for n in self._recorded if n.state == PlanNode.PENDING]
+        return self._recorded
+
+    pending = property(_prune, doc="""
+        The recorded calls still waiting to run, in recording order.  A
+        node leaves by changing state — run, fused away, failed,
+        cancelled, discarded — wherever that happens.""")
+
     @property
     def recording(self) -> bool:
         """True inside a :meth:`record` window (a serve-job submit):
         every skeleton call defers, including Reduce — otherwise a
         synchronous force point — so the whole job stays a graph."""
-        return self._recording > 0
+        return bool(self._captures)
 
     @contextmanager
     def record(self):
@@ -115,11 +120,9 @@ class Planner:
         each capture their own nodes (inner nodes appear in both)."""
         captured: List[PlanNode] = []
         self._captures.append(captured)
-        self._recording += 1
         try:
             yield captured
         finally:
-            self._recording -= 1
             self._captures.remove(captured)
 
     def _record(self, op: str, node: PlanNode, *, fusable: bool = False):
@@ -127,13 +130,17 @@ class Planner:
         node.op, node.fusable, node.seq = op, fusable, self._seq
         self._seq += 1
         for container in node.inputs:
-            if container._pending is not None and container._pending.planner is not self:
-                # Another session's deferred result: it runs there, now,
-                # and reaches this session's devices as plain data.
-                container._force_pending()
+            producer = container._pending
+            if producer is not None and (producer.state == PlanNode.FAILED
+                                         or producer.session is not self.session):
+                # A poisoned input refuses the call.  Another session's
+                # deferred result runs there, now, and reaches this
+                # session's devices as plain data.
+                producer.force()
+        for container in node.inputs:
             container._pending_readers.append(node)
         node.output._pending = node
-        self.pending.append(node)
+        self._recorded.append(node)
         for capture in self._captures:
             capture.append(node)
         self._count("skelcl_plan_deferred_total", op=op)
@@ -183,6 +190,7 @@ class Planner:
         batch = self._closure(nodes)
         for step in self._rewrite(batch):
             self._run_step(step)
+        self._prune()
         return bool(batch)
 
     def force_node(self, node: PlanNode) -> None:
@@ -195,7 +203,7 @@ class Planner:
     def flush(self) -> None:
         """Execute everything still pending (with fusion across the whole
         remaining graph) — the ``finish_all()`` force point."""
-        while self._force(list(self.pending)):
+        while self._force(self.pending):
             pass
 
     def flush_subset(self, nodes: Sequence[PlanNode]) -> None:
@@ -205,17 +213,17 @@ class Planner:
         pending work along."""
         self._force(nodes)
 
-    def discard(self, nodes: Sequence[PlanNode]) -> None:
-        """Throw away recorded-but-unwanted nodes (a serve submit whose
-        admission was rejected *after* recording): each pending node is
-        detached without ever executing.  Containers the discarded nodes
-        were going to produce keep their placeholder contents."""
+    def discard(self, nodes: Sequence[PlanNode], error=None) -> None:
+        """Throw away recorded-but-unwanted nodes (a serve submit that
+        raised, or whose admission was rejected *after* recording): each
+        pending node ends without ever executing.  Containers the
+        discarded nodes were going to produce keep their placeholder
+        contents — or, given the ``error`` of the serve job whose graph
+        failed midway, are poisoned with it."""
         for node in nodes:
-            if node.state != PlanNode.PENDING:
-                continue
-            self._detach(node)
-            node.finish()
-            self._count("skelcl_plan_discarded_total", op=node.op)
+            if node.state == PlanNode.PENDING:
+                node.finish(error)
+                self._count("skelcl_plan_discarded_total", op=node.op)
 
     def _closure(self, targets: Sequence[PlanNode]) -> List[PlanNode]:
         """The pending ones of ``targets`` plus their pending ancestors,
@@ -290,34 +298,27 @@ class Planner:
         fused call — inputs the tree's leaves, extras the covered nodes'
         extras, label the chain's — run by the skeleton composed from
         its expression tree (a Reduce root runs itself, with the chain
-        as ``premap``).  The root is done afterwards; every inlined node
-        is elided and shares the launch's event list."""
+        as ``premap``); every inlined node is elided and shares the
+        launch's event list — also when the launch then fails: the
+        root's output is poisoned, the inlined intermediates stay
+        recomputable."""
         root = step.root
-        inside = {id(n.output): n for n in step.nodes if n is not root}
-        leaves: List = []
-        extras: List = []
-        for node in step.nodes:
-            node.state = PlanNode.RUNNING
-        self._detach(root)
         skeleton = root.skeleton
-        self._executing += 1
-        try:
+        inside = {id(n.output): n for n in step.nodes if n is not root}
+        if inside:
+            leaves, extras = [], []
             expr = self._tree(root, inside, leaves, extras)
-            if inside:
-                if root.op == "reduce":
-                    root.options = {"premap": compose.premap_of(expr[1])}
-                else:
-                    build = compose.fused_map if len(leaves) == 1 else compose.fused_zip
-                    skeleton = build(expr)
-                root.inputs, root.extras = tuple(leaves), tuple(extras)
-                root.label = compose.chain_label(expr, root.label, type(skeleton).__name__)
-            skeleton._run(root)
-        finally:
-            self._executing -= 1
+            if root.op == "reduce":
+                root.options = {"premap": compose.premap_of(expr[1])}
+            else:
+                build = compose.fused_map if len(leaves) == 1 else compose.fused_zip
+                skeleton = build(expr)
+            root.inputs, root.extras = tuple(leaves), tuple(extras)
+            root.label = compose.chain_label(expr, root.label, type(skeleton).__name__)
             for node in inside.values():
-                node.elide(root.events)
-                self.pending.remove(node)
+                node.elide(root)
                 self._count("skelcl_plan_elided_total", op=node.op)
+        root.run(skeleton)
 
     def _recompute(self, node: PlanNode) -> None:
         """Materialize an elided intermediate after all: run its eager
@@ -325,20 +326,7 @@ class Planner:
         recomputation *before* any input mutation).  The recompute is a
         launch of its own, with its own event list."""
         for container in node.inputs:
-            if container._pending is not None:
-                self.force_node(container._pending)
+            container._force_pending()
         self._count("skelcl_plan_recompute_total", op=node.op)
         node.output, node.events = node.output(), []  # asked for by that container
-        self._run_step(_Step(node))
-
-    def _detach(self, node: PlanNode) -> None:
-        """Take ``node`` off the pending list and off its containers."""
-        try:
-            self.pending.remove(node)
-        except ValueError:
-            pass
-        if node.output._pending is node:
-            node.output._pending = None
-        for container in node.inputs:
-            container._pending_readers = [n for n in container._pending_readers
-                                          if n is not node]
+        node.run()

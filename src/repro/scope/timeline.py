@@ -10,19 +10,19 @@ concurrently) is visible without leaving the shell::
     GPU1.compute   |      ######################                      |
     GPU1.transfer  |======                      ====                  |
 
-``#`` marks kernel time, ``=`` transfer time, ``.`` marker/barrier
-resolution points; overlapping commands in one lane merge.
+``#`` marks kernel time, ``=`` transfer time; overlapping commands in
+one lane merge (markers and barriers take no lane).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-_ENGINE_CHAR = {"compute": "#", "transfer": "=", "sync": "."}
-_ENGINE_ORDER = {"compute": 0, "transfer": 1, "sync": 2}
+_ENGINE_CHAR = {"compute": "#", "transfer": "="}
+_ENGINE_ORDER = {"compute": 0, "transfer": 1}
 
 
-def render_timeline(context, width: int = 64, include_sync: bool = False) -> str:
+def render_timeline(context, width: int = 64) -> str:
     """Render the resolved timelines of ``context`` as ASCII lanes.
 
     ``width`` is the number of columns the time axis spans; lanes are
@@ -31,7 +31,7 @@ def render_timeline(context, width: int = 64, include_sync: bool = False) -> str
     lanes: Dict[Tuple[int, str], List[Tuple[int, int]]] = {}
     for queue in context.queues:
         for event in queue.events:
-            if event.engine == "sync" and not include_sync:
+            if event.engine == "sync":
                 continue
             lanes.setdefault((queue.device.index, event.engine), []).append(
                 (event.start_ns, event.end_ns)

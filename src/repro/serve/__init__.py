@@ -20,14 +20,14 @@ Pieces:
   small map jobs (:mod:`repro.serve.scheduler`);
 * :class:`Tenant` / :class:`TenantQuota` — per-tenant queues, weights,
   admission and window quotas (:mod:`repro.serve.tenant`);
-* :class:`Job` and the error taxonomy (:class:`Backpressure`,
+* :class:`Job` and the error taxonomy (:class:`JobFailed`, :class:`Backpressure`,
   :class:`QuotaExceeded`) — :mod:`repro.serve.jobs`.
 
 See ``docs/serving.md`` for the design rationale and the fairness /
 backpressure semantics.
 """
 
-from .jobs import Backpressure, Job, QuotaExceeded, ServeError
+from .jobs import Backpressure, Job, JobFailed, QuotaExceeded, ServeError
 from .scheduler import POLICIES, Scheduler
 from .server import ClientSession, Server
 from .tenant import Tenant, TenantQuota
@@ -36,6 +36,7 @@ __all__ = [
     "Backpressure",
     "ClientSession",
     "Job",
+    "JobFailed",
     "POLICIES",
     "QuotaExceeded",
     "Scheduler",

@@ -3,11 +3,14 @@
 A :class:`Job` is one tenant request: either a *graph* job (a recorded
 skeleton command graph, captured by the lazy planner's recording mode at
 submit) or a *map* job (a structured single-skeleton call over a host
-array, the batchable form).  Jobs move ``queued → running → done``; a
-request the admission controller refuses never becomes a queued job —
-the submit call raises :class:`Backpressure` or :class:`QuotaExceeded`
-instead, and the client is expected to back off and retry after a
-``drain()``.
+array, the batchable form).  Jobs move ``queued → running → done`` or
+``→ failed`` — :meth:`Job.finish` is the one place a job ends, and a
+job whose launch raised ends there too: the error is the job's outcome
+(``job.error``; ``job.result()`` raises :class:`JobFailed`), not the
+scheduler's.  A request the admission controller refuses never becomes
+a queued job — the submit call raises :class:`Backpressure` or
+:class:`QuotaExceeded` instead, and the client is expected to back off
+and retry after a ``drain()``.
 """
 
 from __future__ import annotations
@@ -29,13 +32,19 @@ class QuotaExceeded(ServeError):
     tenant's ``max_inflight_bytes`` quota."""
 
 
+class JobFailed(ServeError):
+    """``job.result()`` of a job whose launch raised; chained to that
+    error (also ``job.error``)."""
+
+
 class Job:
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
+    FAILED = "failed"
 
     __slots__ = ("id", "tenant", "kind", "label", "state", "nodes",
-                 "payload", "batch_key", "value", "input_bytes",
+                 "payload", "batch_key", "value", "error", "input_bytes",
                  "arrival_ns", "start_ns", "end_ns", "cost_ns", "batched")
 
     def __init__(self, tenant, kind: str, *, label: Optional[str] = None):
@@ -48,6 +57,7 @@ class Job:
         self.payload = None        # map jobs: (skeleton, array, extras)
         self.batch_key = None      # map jobs: launch-batching key
         self.value = None          # the client-visible result
+        self.error: Optional[BaseException] = None  # what a failed job's launch raised
         self.input_bytes = 0       # declared inputs (quota accounting)
         self.arrival_ns = 0        # serving clock at admission
         self.start_ns: Optional[int] = None
@@ -66,10 +76,34 @@ class Job:
             return None
         return self.end_ns - self.arrival_ns
 
+    def finish(self, end_ns: int, cost_ns: int,
+               error: Optional[BaseException] = None) -> None:
+        """The one end of a job, ``done`` or — with the ``error`` its
+        launch raised — ``failed``: its share of the launch's kernel-ns
+        is recorded, its declared bytes leave the tenant's in-flight
+        total, and the tenant's outcome counters move."""
+        tenant = self.tenant
+        self.end_ns, self.cost_ns, self.error = end_ns, cost_ns, error
+        tenant.inflight_bytes -= self.input_bytes
+        if error is None:
+            self.state, outcome = Job.DONE, "completed"
+            tenant.jobs_completed += 1
+            tenant.metrics.histogram("skelcl_serve_latency_ns",
+                                     tenant=tenant.name).observe(self.latency_ns)
+        else:
+            self.state, outcome = Job.FAILED, "failed"
+            tenant.jobs_failed += 1
+        tenant.metrics.counter("skelcl_serve_jobs_total",
+                               tenant=tenant.name, outcome=outcome).inc()
+
     def result(self):
         """The job's result (a graph job's submit-callable return value,
         or a map job's output array).  Only available once the scheduler
-        has run the job — call ``server.drain()`` first."""
+        has run the job — call ``server.drain()`` first; a failed job
+        raises :class:`JobFailed` from its error."""
+        if self.state == Job.FAILED:
+            raise JobFailed(f"job #{self.id} ({self.label or self.kind}) failed: "
+                            f"{self.error}") from self.error
         if self.state != Job.DONE:
             raise ServeError(
                 f"job #{self.id} ({self.label or self.kind}) is {self.state}; "

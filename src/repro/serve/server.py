@@ -174,7 +174,8 @@ class Server:
         if name in self.tenants:
             raise ServeError(f"tenant {name!r} already exists")
         tenant = Tenant(name, index=len(self.tenants), weight=weight,
-                        quota=quota if quota is not None else self.default_quota)
+                        quota=quota if quota is not None else self.default_quota,
+                        metrics=self.metrics)
         self.tenants[name] = tenant
         return ClientSession(self, tenant)
 
@@ -225,14 +226,16 @@ class Server:
         self._admission_check(tenant, 0)
         job = Job(tenant, "graph", label=label)
         with self.session.activate(), self.planner.record() as nodes:
-            job.value = fn()
-        job.nodes = nodes
-        job.input_bytes = self._graph_input_bytes(nodes)
-        try:
-            return self._admit(tenant, job)
-        except ServeError:
-            self.planner.discard(nodes)
-            raise
+            try:
+                job.value = fn()
+                job.nodes = nodes
+                job.input_bytes = self._graph_input_bytes(nodes)
+                return self._admit(tenant, job)
+            except BaseException:
+                # fn raised midway, or admission refused the recorded
+                # graph: nothing of it stays behind in the shared plan.
+                self.planner.discard(nodes)
+                raise
 
     @staticmethod
     def _graph_input_bytes(nodes) -> int:
@@ -245,9 +248,7 @@ class Server:
                 if id(container) in produced or id(container) in seen:
                     continue
                 seen.add(id(container))
-                host = getattr(container, "_host", None)
-                if host is not None:
-                    total += host.nbytes
+                total += container._host.nbytes  # a recorded call's inputs are containers
         return total
 
     def _submit_map(self, tenant: Tenant, skeleton, data,
@@ -268,7 +269,10 @@ class Server:
     def dispatch(self, tenant: Tenant, jobs: List[Job]) -> int:
         """Run one launch: a single job, or a batch of compatible map
         jobs.  Returns the measured kernel-ns cost charged to the
-        tenant (the DRR currency)."""
+        tenant (the DRR currency).  A launch that raises is its jobs'
+        outcome, not the scheduler's: they end ``failed`` with the
+        error, the tenant pays for the kernel-ns spent up to it, and
+        the scheduler goes on."""
         context = self.session.context
         # A job cannot start before it arrived on the serving clock.
         self.fast_forward_to(max(job.arrival_ns for job in jobs))
@@ -278,12 +282,20 @@ class Server:
         for job in jobs:
             job.state = Job.RUNNING
             job.start_ns = start_ns
-        with self.session.activate():
-            if jobs[0].kind == "graph":
-                assert len(jobs) == 1
-                self.planner.flush_subset(jobs[0].nodes)
-            else:
-                self._run_maps(jobs)
+        error = None
+        try:
+            with self.session.activate():
+                if jobs[0].kind == "graph":
+                    assert len(jobs) == 1
+                    self.planner.flush_subset(jobs[0].nodes)
+                else:
+                    self._run_maps(jobs)
+        except Exception as failure:
+            # Kept on the jobs without the frames it was raised in (they
+            # hold the launch's containers); its message names the call.
+            error = failure.with_traceback(None)
+            # What the failed graph had not run yet never will.
+            self.planner.discard(jobs[0].nodes, error)
         # Resolve the context directly: Session.finish_all() would flush
         # *every* tenant's still-pending recorded graphs, not just this
         # launch's.
@@ -292,18 +304,9 @@ class Server:
         self._tag_events(tenant, marks)
         tenant.charge(cost)
         end_ns = self.now_ns
-        per_job = cost // len(jobs)
         for job in jobs:
-            job.state = Job.DONE
-            job.end_ns = end_ns
-            job.cost_ns = per_job
             job.batched = len(jobs) > 1
-            tenant.inflight_bytes -= job.input_bytes
-            tenant.jobs_completed += 1
-            self.metrics.counter("skelcl_serve_jobs_total",
-                                 tenant=tenant.name, outcome="completed").inc()
-            self.metrics.histogram("skelcl_serve_latency_ns",
-                                   tenant=tenant.name).observe(job.latency_ns)
+            job.finish(end_ns, cost // len(jobs), error)
         self.metrics.counter("skelcl_serve_tenant_ns_total",
                              tenant=tenant.name).inc(cost)
         self.metrics.gauge("skelcl_serve_queue_depth",
@@ -364,6 +367,7 @@ class Server:
                 "weight": tenant.weight,
                 "submitted": tenant.jobs_submitted,
                 "completed": tenant.jobs_completed,
+                "failed": tenant.jobs_failed,
                 "rejected": tenant.jobs_rejected,
                 "queued": len(tenant.queue),
                 "device_ns": tenant.device_ns_total,

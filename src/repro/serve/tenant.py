@@ -49,7 +49,7 @@ class TenantQuota:
 
 class Tenant:
     def __init__(self, name: str, index: int, weight: float = 1.0,
-                 quota: Optional[TenantQuota] = None):
+                 quota: Optional[TenantQuota] = None, metrics=None):
         if not name or not isinstance(name, str):
             raise ServeError("a tenant needs a non-empty string name")
         if not (weight > 0):
@@ -58,6 +58,7 @@ class Tenant:
         self.index = index  # stable: drives the tenant's trace tracks
         self.weight = float(weight)
         self.quota = quota if quota is not None else TenantQuota()
+        self.metrics = metrics  # the server's registry: job outcomes land there
         self.queue: Deque[Job] = deque()
         self.deficit = 0.0          # DRR credit, in modeled kernel-ns
         self.inflight_bytes = 0
@@ -66,6 +67,7 @@ class Tenant:
         self.window_used_ns = 0
         self.jobs_submitted = 0
         self.jobs_completed = 0
+        self.jobs_failed = 0
         self.jobs_rejected = 0
 
     # -- window quota ------------------------------------------------------

@@ -38,12 +38,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import ocl
+from ..plan.ir import Produced
 from .distribution import Block, Chunk, Distribution
 from .runtime import Session, SkelCLError, get_runtime
 from .types_ import ctype_for_dtype
 
 
-class Container:
+class Container(Produced):
     """Base of :class:`Vector` and :class:`Matrix`.
 
     Subclasses define the *unit*: the granularity of distribution
@@ -73,43 +74,10 @@ class Container:
         self._chunk_readers: Dict[int, List[ocl.Event]] = {}
         self._host_events: List[ocl.Event] = []
         self.element_ctype = ctype_for_dtype(host.dtype)
-        # Lazy-planner state (see repro.plan): the deferred node that
-        # will produce this container's contents, and the deferred nodes
-        # reading it (forced before any in-place mutation so they still
-        # observe the pre-mutation values).
-        self._pending = None
+        # The recorded calls still to read this container (see
+        # repro.plan.ir.Produced): forced before any in-place mutation,
+        # so they still observe the pre-mutation values.
         self._pending_readers: List = []
-
-    # -- lazy-planner force points -----------------------------------------
-
-    def _force_pending(self) -> None:
-        """Force the deferred producer of this container, if any — the
-        read-side force point (host access, device use as an input)."""
-        node = self._pending
-        if node is not None:
-            node.planner.force_node(node)
-
-    def _before_write(self) -> None:
-        """Force point ahead of any in-place mutation (host writes,
-        ``out=`` reuse, redistribution teardown): materialize our own
-        deferred contents, then run every deferred reader so it consumes
-        the *current* values, not the about-to-be-written ones."""
-        self._force_pending()
-        readers = self._pending_readers
-        if not readers:
-            return
-        remaining = []
-        for node in readers:
-            if node.done:
-                continue
-            if node.planner.executing:
-                # The planner itself is writing (running a plan step);
-                # batch ordering and the event graph already sequence
-                # the in-flight readers correctly.
-                remaining.append(node)
-                continue
-            node.planner.force_node(node)
-        self._pending_readers = remaining
 
     # -- public state -------------------------------------------------------
 
@@ -203,14 +171,29 @@ class Container:
         self._host_events = downloads
         self._host_valid = True
 
-    def invalidate_devices(self) -> None:
-        """Host data changed: device copies are stale."""
+    def _host_for_write(self, whole: bool = False) -> np.ndarray:
+        """The up-to-date host copy, for the host write the caller does
+        next (of the ``whole`` content, or part of it): a force point
+        (:meth:`_before_write`), and the device copies are stale."""
+        self._before_write(whole)
+        self.ensure_host()
         self._device_valid = False
+        return self._host
 
     def mark_written_on_devices(self) -> None:
         """A kernel wrote this container: host copy is stale."""
         self._device_valid = True
         self._host_valid = False
+
+    def _produced(self, ok: bool) -> None:
+        """The call filling this container ended (``PlanNode.finish``):
+        its kernels wrote it — or it failed, and what the devices hold
+        is nobody's result: dropped, the host placeholder stands in."""
+        if ok:
+            self.mark_written_on_devices()
+        else:
+            self._drop_buffers()
+            self._host_valid, self._device_valid = True, False
 
     def _move_to(self, session: Session) -> None:
         """Make ``session`` the one holding the device copy.  Buffers of
@@ -361,17 +344,16 @@ class Container:
 
     def prepare_as_output(self, distribution: Distribution,
                           session: Session) -> List[Tuple[Chunk, ocl.Buffer]]:
-        """Allocate device storage on ``session`` for kernel output (no
-        upload; whatever another session still holds is overwritten,
-        not fetched)."""
-        self._before_write()
+        """Allocate device storage on ``session`` for the output of the
+        call that is running as this container's producer (no upload;
+        whatever another session still holds is overwritten, not
+        fetched).  Validity is not touched: the contents become valid
+        when that call finishes."""
         if (self._session is not session or distribution != self._distribution
                 or not self._buffers):
             self._drop_buffers()
             self._session, self._distribution = session, distribution
             self._allocate_buffers()
-        self._device_valid = True
-        self._host_valid = False
         return self.chunk_buffers()
 
     def chunk_buffers(self) -> List[Tuple[Chunk, ocl.Buffer]]:
@@ -383,15 +365,16 @@ class Container:
         runtime = self._session
         assert self._distribution is not None
         self._chunks = self._distribution.chunks(self._units, runtime.num_devices)
-        self._buffers = {}
         self._chunk_events = {}
         self._chunk_readers = {}
+        buffers = {}  # all or none: a device may run out of memory midway
         for position, chunk in enumerate(self._chunks):
             nbytes = max(chunk.stored_size, 1) * self._unit_elements * self._itembytes()
             device = runtime.devices[chunk.device_index]
-            self._buffers[position] = runtime.context.create_buffer(
+            buffers[position] = runtime.context.create_buffer(
                 nbytes, device, name=f"{self.name or 'container'}[{position}]"
             )
+        self._buffers = buffers
 
     def _upload(self) -> None:
         if not self._buffers:

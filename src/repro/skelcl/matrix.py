@@ -71,41 +71,24 @@ class Matrix(Container):
         return self._host[key * self.cols : (key + 1) * self.cols].copy()
 
     def __setitem__(self, key, value) -> None:
-        self._before_write()
-        self.ensure_host()
-        if isinstance(key, tuple):
-            self._host[self._flat_index(key)] = value
-        else:
-            self._host[key * self.cols : (key + 1) * self.cols] = value
-        self.invalidate_devices()
+        index = (self._flat_index(key) if isinstance(key, tuple)
+                 else slice(key * self.cols, (key + 1) * self.cols))
+        self._host_for_write()[index] = value
 
     def fill(self, value) -> "Matrix":
-        self._before_write()
-        self.ensure_host()
-        self._host[:] = value
-        self.invalidate_devices()
+        self._host_for_write(whole=True)[:] = value
         return self
 
     def assign(self, array: np.ndarray) -> "Matrix":
-        self._before_write()
-        self.ensure_host()
         array = np.asarray(array, dtype=self._host.dtype)
         if array.shape != self._shape:
             raise ValueError(f"assigning shape {array.shape} to matrix of shape {self._shape}")
-        self._host[:] = array.reshape(-1)
-        self.invalidate_devices()
+        self._host_for_write(whole=True)[:] = array.reshape(-1)
         return self
 
     def to_numpy(self) -> np.ndarray:
         self.ensure_host()
         return self._host.copy().reshape(self._shape)
-
-    def new_like(self, shape: Optional[Tuple[int, int]] = None, dtype=None, name: str = "") -> "Matrix":
-        return Matrix(
-            shape if shape is not None else self._shape,
-            dtype=dtype if dtype is not None else self._host.dtype,
-            name=name,
-        )
 
     def __repr__(self) -> str:
         dist = self._distribution.kind if self._distribution else "none"

@@ -128,10 +128,10 @@ class Partition:
             start += length
         return ranges
 
-    def quantized(self, quantum: float = WEIGHT_QUANTUM) -> "Partition":
-        """Normalized weights rounded to ``quantum`` — the canonical
-        form the adaptive loop compares for convergence."""
-        digits = max(0, round(-math.log10(quantum)))
+    def quantized(self) -> "Partition":
+        """Normalized weights rounded to ``WEIGHT_QUANTUM`` — the
+        canonical form the adaptive loop compares for convergence."""
+        digits = max(0, round(-math.log10(WEIGHT_QUANTUM)))
         return Partition(tuple(round(w, digits) for w in self.normalized()))
 
     def __repr__(self) -> str:
@@ -177,11 +177,9 @@ class AdaptivePartitioner:
     """
 
     def __init__(self, session, initial="throughput",
-                 threshold: float = REBALANCE_THRESHOLD,
-                 quantum: float = WEIGHT_QUANTUM):
+                 threshold: float = REBALANCE_THRESHOLD):
         self.session = session
         self.threshold = threshold
-        self.quantum = quantum
         self.modeled = [modeled_throughput(spec) for spec in session.specs]
         if isinstance(initial, Partition):
             seed = initial
@@ -199,7 +197,7 @@ class AdaptivePartitioner:
                 f"partition has {seed.num_devices} weights for "
                 f"{session.num_devices} device(s)"
             )
-        self._partition = seed.quantized(quantum)
+        self._partition = seed.quantized()
         self.repartitions = 0
         self.last_imbalance = 1.0
         self.history: List[Partition] = [self._partition]
@@ -263,7 +261,7 @@ class AdaptivePartitioner:
             m if m is not None else modeled * scale
             for m, modeled in zip(measured, self.modeled)
         ]
-        candidate = Partition.proportional(filled).quantized(self.quantum)
+        candidate = Partition.proportional(filled).quantized()
         if candidate == self._partition:
             return False
         self._partition = candidate

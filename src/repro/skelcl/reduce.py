@@ -25,6 +25,9 @@ from .scalar import Scalar
 from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton
 from .types_ import dtype_for_ctype
 
+# Stage 1 launches at most this many work-groups per device (grid-stride).
+_MAX_GROUPS = 64
+
 # One template, instantiated two ways.  Plain: ``{load}`` is the input
 # element.  Stage 1 with a fused elementwise stage (map∘reduce): each
 # grid-stride iteration applies the composed map chain to the *original*
@@ -63,10 +66,9 @@ class Reduce(Skeleton):
     plan_entry = "reduce_now"
 
     def __init__(self, source, identity: str = "0",
-                 work_group_size: int = DEFAULT_WORK_GROUP_SIZE, max_groups: int = 64):
+                 work_group_size: int = DEFAULT_WORK_GROUP_SIZE):
         self.identity = identity
         self.work_group_size = work_group_size
-        self.max_groups = max_groups
         super().__init__(source)
 
     def _bind_user(self) -> None:
@@ -144,7 +146,7 @@ class Reduce(Skeleton):
                 if seen_copy:
                     continue  # every device holds the same data; reduce once
                 seen_copy = True
-            groups = min(self.max_groups, (n + wg - 1) // wg)
+            groups = min(_MAX_GROUPS, (n + wg - 1) // wg)
             queue = session.queue(chunk.device_index)
             partial_buffer = session.context.create_buffer(
                 groups * itembytes, session.devices[chunk.device_index], name="reduce_partials"

@@ -4,28 +4,29 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..plan.ir import Produced
 
-class Scalar:
-    """A single value returned by a skeleton (e.g. a reduction result)."""
 
-    #: A recorded-but-unexecuted Reduce producing this value (set by the
-    #: lazy planner); any read forces it first.
-    _pending = None
-    _pending_readers = ()  # nothing consumes a Scalar
+class Scalar(Produced):
+    """A single value returned by a skeleton (e.g. a reduction result).
+    Under the lazy planner a recorded-but-unexecuted Reduce may still be
+    its producer; every read goes through :meth:`to_numpy`, which forces
+    it first."""
 
     def __init__(self, value, dtype=np.float32):
         self._dtype = np.dtype(dtype)
         self._value = self._dtype.type(value)
 
-    def _force(self) -> None:
-        node = self._pending
-        if node is not None:
-            node.planner.force_node(node)
+    def to_numpy(self):
+        """The typed value (a NumPy scalar of :attr:`dtype`)."""
+        self._force_pending()
+        return self._value
 
     def get_value(self):
         """The host value (``C.getValue()`` in the paper's listing)."""
-        self._force()
-        return self._value.item()
+        return self.to_numpy().item()
+
+    value = property(get_value)
 
     def assign(self, value, dtype=None) -> "Scalar":
         """Overwrite the held value (fills a preallocated ``out=`` Scalar)."""
@@ -35,27 +36,14 @@ class Scalar:
         return self
 
     @property
-    def value(self):
-        self._force()
-        return self._value.item()
-
-    def to_numpy(self):
-        """The typed value (a NumPy scalar of :attr:`dtype`)."""
-        self._force()
-        return self._value
-
-    @property
     def dtype(self) -> np.dtype:
         return self._dtype
 
     def __float__(self) -> float:
-        self._force()
-        return float(self._value)
+        return float(self.to_numpy())
 
     def __int__(self) -> int:
-        self._force()
-        return int(self._value)
+        return int(self.to_numpy())
 
     def __repr__(self) -> str:
-        self._force()
-        return f"Scalar({self._value!r})"
+        return f"Scalar({self.to_numpy()!r})"

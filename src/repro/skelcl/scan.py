@@ -151,7 +151,6 @@ class Scan(Skeleton):
 
         if len([c for c, _b in chunks if c.owned_size > 0]) > 1:
             self._apply_device_offsets(node, program, out, out_chunks, dtype)
-        out.mark_written_on_devices()
         return out
 
     # -- single-device multi-block scan (recursive) -------------------------

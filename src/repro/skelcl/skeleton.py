@@ -241,15 +241,8 @@ class Skeleton:
 
     def _run(self, node: PlanNode):
         """Run the recorded call ``node`` now, with this skeleton's
-        kernels: ``node.skeleton`` itself — the eager path of
-        ``__call__`` and the planner's way to force a deferred call —
-        or the composed skeleton of a fused step, which the planner runs
-        on the root node it rewrote."""
-        node.state = PlanNode.RUNNING
-        try:
-            return self._execute(node, **node.options)
-        finally:
-            node.finish()
+        kernels (:meth:`PlanNode.run`, where every call runs and ends)."""
+        return node.run(self)
 
     @property
     def user(self) -> Optional[UserFunction]:
@@ -351,12 +344,13 @@ class Skeleton:
     @property
     def last_events(self) -> List[ocl.Event]:
         """The events of the most recent call.  In a lazy session a force
-        point for that call; a call fusion folded into another launch
-        reports that launch's events."""
+        point for that call (a failed call raises its error); a call
+        fusion folded into another launch reports that launch's events."""
         node = self._latest
         if node is None:
             return []
-        node.force()
+        if node.state != PlanNode.ELIDED:
+            node.force()
         return node.events
 
     @property
@@ -402,7 +396,6 @@ class Skeleton:
             kernel, global_size, local_size, sample_fraction,
             event_wait_list=wait_for,
         )
-        event.info["device_index"] = device_index
         for container, position in inputs:
             container.record_chunk_reader(position, event)
         if output is not None and output_position is not None:
@@ -460,7 +453,6 @@ class Skeleton:
                           wait_for=wait_for + out.chunk_write_events(position),
                           inputs=[(container, position) for container in inputs],
                           output=out, output_position=position)
-        out.mark_written_on_devices()
         return out
 
     # -- distribution policy -------------------------------------------------------

@@ -46,39 +46,27 @@ class Vector(Container):
         return self._host[index]
 
     def __setitem__(self, index, value) -> None:
-        self._before_write()
-        self.ensure_host()
-        self._host[index] = value
-        self.invalidate_devices()
+        self._host_for_write()[index] = value
 
     def __iter__(self):
         self.ensure_host()
         return iter(self._host)
 
     def fill(self, value) -> "Vector":
-        self._before_write()
-        self.ensure_host()
-        self._host[:] = value
-        self.invalidate_devices()
+        self._host_for_write(whole=True)[:] = value
         return self
 
     def assign(self, values: Iterable) -> "Vector":
-        self._before_write()
-        self.ensure_host()
         data = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                           dtype=self._host.dtype)
         if data.size != self._units:
             raise ValueError(f"assigning {data.size} values to a vector of size {self._units}")
-        self._host[:] = data
-        self.invalidate_devices()
+        self._host_for_write(whole=True)[:] = data
         return self
 
     def to_numpy(self) -> np.ndarray:
         self.ensure_host()
         return self._host.copy()
-
-    def new_like(self, dtype=None, name: str = "") -> "Vector":
-        return Vector(self._units, dtype=dtype if dtype is not None else self._host.dtype, name=name)
 
     def __repr__(self) -> str:
         dist = self._distribution.kind if self._distribution else "none"

@@ -153,3 +153,43 @@ def test_close_tears_down_even_if_the_closing_flush_faults():
         out = skelcl.Map(DOUBLE)(skelcl.Vector(data=_DATA))
         np.testing.assert_array_equal(out.to_numpy(), 2 * _DATA)
         assert fresh.finish_all() > 0
+
+
+TRAP = "float bad(float x) { int z = (int)x - (int)x; return (float)(1 / z); }"
+TRAP_ADD = "float bad(float x, float y) { int z = (int)x - (int)x; return y + (float)(1 / z); }"
+
+_FORCE_POINTS_OF_A_CONTAINER = {
+    "ensure_host": lambda r: r.to_numpy(),
+    "ensure_on_devices": lambda r: r.ensure_on_devices(),
+    "distribution": lambda r: r.distribution,
+    "_before_write": lambda r: r.__setitem__(0, 1.0),
+    "_record": lambda r: skelcl.Map(DOUBLE)(r),
+    "reduce_now": lambda r: skelcl.Reduce(ADD)(r),
+}
+
+
+@pytest.mark.parametrize("hook", sorted(_FORCE_POINTS_OF_A_CONTAINER))
+def test_every_force_point_of_a_failed_producer_raises_its_error_and_launches_nothing(lazy, hook):
+    """The first force runs the call and it faults; from then on the
+    result is poisoned and each force point raises that error again —
+    naming the failed call — without running anything."""
+    force = _FORCE_POINTS_OF_A_CONTAINER[hook]
+    r = skelcl.Map(TRAP)(skelcl.Vector(data=_DATA), label="the-failed-call")
+    with pytest.raises(KernelFault, match=r"\[in the-failed-call\]"):
+        r.to_numpy()
+    for _ in range(2):
+        with pytest.raises(KernelFault, match=r"integer division by zero \[in the-failed-call\]$"):
+            force(r)
+    assert _launches(lazy) == 0 and lazy.planner.pending == []
+    lazy.finish_all()  # _flush_plan: nothing is left to run, or to report
+
+
+def test_a_failed_reduce_poisons_its_scalar_and_last_events(lazy):
+    trapping = skelcl.Reduce(TRAP_ADD)
+    with lazy.planner.record() as nodes:
+        total = trapping(skelcl.Vector(data=_DATA), label="the-failed-reduce")
+    for read in (total.to_numpy, total.get_value, lambda: float(total), lambda: repr(total),
+                 lambda: trapping.last_events, lambda: lazy.planner.flush_subset(nodes) or total.value):
+        with pytest.raises(KernelFault, match=r"\[in the-failed-reduce\]$"):
+            read()
+    assert _launches(lazy) == 0 and nodes[0].state == "failed"

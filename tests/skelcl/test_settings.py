@@ -192,7 +192,9 @@ class TestSubsystemsReadTheChain:
             "skelcl_map_f:1:49: error: index 7 is out of bounds for array of "
             "length 4 [constant-index-oob]\n"
             "float f(float x) { float a[4]; a[0] = x; return a[7]; }\n"
-            "                                                ^^^^")
+            "                                                ^^^^"
+            f" [in {failure.value.call_label}]")  # the call that failed
+        assert failure.value.call_label.startswith("Map(f)@test_settings.py:")
         assert sum(len(queue.events) for queue in session.queues) == 0
 
     def test_lazy_setting_installs_the_planner(self):

@@ -102,6 +102,7 @@ def test_force_point_list_is_the_same_in_planner_docstring_docs_and_code():
     ``repro/plan/planner.py``'s docstring name the same hooks, and every
     hook is a method of the runtime whose body forces."""
     from repro.plan import planner
+    from repro.plan.ir import Produced
     from repro.skelcl.container import Container
 
     listed = planner.__doc__[planner.__doc__.index("Force points"):
@@ -112,7 +113,8 @@ def test_force_point_list_is_the_same_in_planner_docstring_docs_and_code():
     in_docs = re.findall(r"^\|.*\| `([\w.]+)` \|$", table, re.MULTILINE)
     assert len(in_docstring) == len(set(in_docstring)) >= 10
     assert sorted(in_docstring) == sorted(in_docs)
-    owners = (Container, skelcl.Scalar, skelcl.Skeleton, planner.Planner, runtime.Session)
+    owners = (Produced, Container, skelcl.Scalar, skelcl.Skeleton, planner.Planner,
+              runtime.Session)
     for hook in in_docstring:
         owner_name, _, name = hook.rpartition(".")
         (method,) = [vars(owner)[name] for owner in owners
