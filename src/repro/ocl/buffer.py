@@ -93,6 +93,21 @@ class Buffer:
         raw = self._storage[offset_bytes : offset_bytes + nbytes]
         return raw.view(dtype).copy()
 
+    def copy_from(self, src: "Buffer", nbytes: int, src_offset_bytes: int = 0,
+                  offset_bytes: int = 0) -> None:
+        """Copy ``nbytes`` of ``src`` into this buffer, storage to
+        storage: one copy, no temporary (NumPy orders an overlapping
+        copy within one buffer like ``memmove``)."""
+        if src_offset_bytes + nbytes > src.nbytes:
+            raise InvalidValue("read overflows buffer")
+        if offset_bytes + nbytes > self.nbytes:
+            raise InvalidValue(
+                f"write of {nbytes} bytes at offset {offset_bytes} "
+                f"overflows buffer of {self.nbytes} bytes"
+            )
+        self._storage[offset_bytes : offset_bytes + nbytes] = \
+            src._storage[src_offset_bytes : src_offset_bytes + nbytes]
+
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Buffer{label} {self.nbytes} bytes on {self.device.name}>"

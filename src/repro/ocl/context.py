@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..analysis.races import RaceDetector, SanitizeMode, resolve_sanitize_mode
 from ..scope.metrics import MetricsRegistry
+from . import hostmem
 from .buffer import Buffer
 from .device import Device, Platform
 from .errors import InvalidValue
@@ -38,6 +39,9 @@ class Context:
             self.devices = list(devices)
         if not self.devices:
             raise InvalidValue("a context needs at least one device")
+        # Everything that simulates devices builds a context first: the
+        # one place the process-wide host allocator policy is applied.
+        hostmem.keep_heap_mapped()
         self.queues: List[CommandQueue] = [CommandQueue(device) for device in self.devices]
         # Weak: a buffer nothing else refers to is garbage, and its
         # ``__del__`` returns its bytes to the device.

@@ -353,8 +353,7 @@ class CommandQueue:
         """
         if src.device is not self.device or dst.device is not self.device:
             raise InvalidValue("copy_buffer requires both buffers on this queue's device")
-        data = src.read_to_host(np.uint8, nbytes, src_offset_bytes)
-        dst.write_from_host(data, dst_offset_bytes)
+        dst.copy_from(src, nbytes, src_offset_bytes, dst_offset_bytes)
         if src.sampled:
             dst.sampled = True
         elif dst_offset_bytes == 0 and nbytes >= dst.nbytes:

@@ -22,7 +22,13 @@ prints the end-of-run report.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Dict, Iterable, List, Optional, Tuple
+
+try:
+    import resource
+except ImportError:  # Windows: the two getrusage gauges are omitted
+    resource = None
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -243,12 +249,29 @@ def derive_timeline_metrics(context, registry: Optional[MetricsRegistry] = None)
     time, and per-skeleton kernel time.  Resolves the command graph
     (``context.finish_all()``) first.
 
+    Alongside, what the simulator costs the host's memory system —
+    process-wide and since process start, not per context: the allocator
+    policy in force (:mod:`repro.ocl.hostmem`) as
+    ``skelcl_host_allocator_info{policy=}`` = 1, and from ``getrusage``
+    the minor page faults taken and the peak resident set.  A window
+    whose fault count grows by thousands per launch-heavy call is paying
+    for fresh pages on every large temporary.
+
     ``context`` is duck-typed (needs ``finish_all()``, ``queues`` with
     ``events``/``device``); ``registry`` defaults to ``context.metrics``.
     """
+    from ..ocl import hostmem  # not at import: repro.ocl imports this module
+
     registry = registry if registry is not None else context.metrics
     elapsed = context.finish_all()
     registry.gauge("skelcl_critical_path_ns").set(elapsed)
+    registry.gauge("skelcl_host_allocator_info", policy=hostmem.policy()).set(1)
+    if resource is not None:
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        registry.gauge("skelcl_host_minor_faults").set(usage.ru_minflt)
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        unit = 1 if sys.platform == "darwin" else 1024
+        registry.gauge("skelcl_host_peak_rss_bytes").set(usage.ru_maxrss * unit)
     by_skeleton: Dict[str, int] = {}
     compute_busy: List[int] = []
     for queue in context.queues:

@@ -28,7 +28,8 @@ Using the container under *another* session is defined
 (:meth:`Container._move_to`): a valid host copy restages there and the
 foreign buffers are dropped; a stale one is first downloaded through
 the owning session; if that session is already closed the device-only
-result is lost and a :class:`SkelCLError` says so.
+result is lost and a :class:`SkelCLError` says so.  The split it had
+there does not come along when it cannot apply (:func:`_adopted`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,22 @@ from ..plan.ir import Produced
 from .distribution import Block, Chunk, Distribution
 from .runtime import Session, SkelCLError, get_runtime
 from .types_ import ctype_for_dtype
+
+
+def _adopted(distribution: Distribution, session: Session) -> Distribution:
+    """``distribution`` as ``session`` can stage it.  A partition is
+    one session's split of *its* devices.  One with another number of
+    weights was sized elsewhere: it arrives as the label of a container
+    migrating from the session that sized it, and on what a skeleton
+    derives from that label before the container is staged (its other
+    inputs' and its output's distribution).  It is replaced by this
+    session's own split — the even one when it has no policy.  One that
+    fits is carried, as a policy-less session carries any container's
+    split; `Single`/`Copy` have none."""
+    partition = distribution.partition
+    if partition is not None and partition.num_devices != session.num_devices:
+        return distribution.with_partition(session.partition)
+    return distribution
 
 
 class Container(Produced):
@@ -333,8 +350,10 @@ class Container(Produced):
         runs on; a direct call without one stages on the current
         session."""
         self._force_pending()
-        self._move_to(session or get_runtime())
-        target = distribution or self._distribution or self.default_distribution()
+        session = session or get_runtime()
+        self._move_to(session)
+        target = _adopted(
+            distribution or self._distribution or self.default_distribution(), session)
         if target != self._distribution:
             self._redistribute(target)
         if not self._device_valid:
@@ -349,6 +368,7 @@ class Container(Produced):
         whatever another session still holds is overwritten, not
         fetched).  Validity is not touched: the contents become valid
         when that call finishes."""
+        distribution = _adopted(distribution, session)
         if (self._session is not session or distribution != self._distribution
                 or not self._buffers):
             self._drop_buffers()

@@ -303,3 +303,32 @@ class TestCounters:
         event = queue.enqueue_copy_buffer(src, dst, 256)
         assert queue.total_transfer_bytes == bytes_before + 256
         assert queue.total_transfer_ns == ns_before + event.duration_ns
+
+    @pytest.mark.parametrize("src_offset, dst_offset", [(0, 16), (16, 0)],
+                             ids=["forward", "backward"])
+    def test_copy_within_one_buffer_moves_overlapping_ranges_like_memmove(
+            self, ctx, src_offset, dst_offset):
+        queue = ctx.queues[0]
+        data = np.arange(64, dtype=np.uint8)
+        buffer = ctx.create_buffer(64)
+        queue.enqueue_write_buffer(buffer, data)
+        event = queue.enqueue_copy_buffer(buffer, buffer, 48, src_offset, dst_offset)
+        expected = data.copy()
+        expected[dst_offset:dst_offset + 48] = data[src_offset:src_offset + 48]
+        out, _ = queue.enqueue_read_buffer(buffer, np.uint8)
+        np.testing.assert_array_equal(out, expected)
+        assert [(a.reads, a.writes, a.start, a.stop) for a in event.accesses] == [
+            (True, False, src_offset, src_offset + 48),
+            (False, True, dst_offset, dst_offset + 48)]
+
+    def test_copy_buffer_bounds_are_checked_before_anything_moves(self, ctx):
+        queue = ctx.queues[0]
+        src, dst = ctx.create_buffer(64), ctx.create_buffer(32)
+        queue.enqueue_write_buffer(src, np.full(64, 7, np.uint8))
+        with pytest.raises(ocl.InvalidValue, match="read overflows buffer"):
+            queue.enqueue_copy_buffer(src, dst, 32, src_offset_bytes=48)
+        with pytest.raises(ocl.InvalidValue,
+                           match="write of 32 bytes at offset 8 overflows buffer of 32"):
+            queue.enqueue_copy_buffer(src, dst, 32, dst_offset_bytes=8)
+        out, _ = queue.enqueue_read_buffer(dst, np.uint8)
+        assert not out.any()

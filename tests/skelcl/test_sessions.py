@@ -240,6 +240,67 @@ def test_device_only_result_of_a_closed_session_is_an_error(lazy):
     assert kept.to_numpy().tolist() == [2.0] * 8
 
 
+THROUGHPUT_2 = dict(devices=["tesla", "fermi"], partition="throughput")
+EVEN_3 = dict(num_devices=3, spec=ocl.TEST_DEVICE)
+EVEN_POLICY_3 = dict(num_devices=3, spec=ocl.TEST_DEVICE, partition="even")
+PLAIN_2 = dict(num_devices=2, spec=ocl.TEST_DEVICE)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+@pytest.mark.parametrize("first, second", [
+    (THROUGHPUT_2, EVEN_3), (EVEN_3, THROUGHPUT_2), (EVEN_POLICY_3, PLAIN_2),
+], ids=["throughput2-to-3", "3-to-throughput2", "even3-to-2"])
+def test_result_split_by_one_sessions_partition_is_reblocked_where_it_migrates(
+        first, second, lazy):
+    """A partition is one session's split of its devices: a result
+    labelled with it restages under the adopting session's own split —
+    as the input of every skeleton that carries its input's split on
+    (Map, Zip, MapOverlap, Scan), and so do their outputs."""
+    double = skelcl.Map(DOUBLE)
+    add = skelcl.Zip("float f(float x, float y) { return x + y; }")
+    around = skelcl.MapOverlap(
+        "float func(float* v) { return get(v, -1) + get(v, 1); }",
+        1, skelcl.SCL_NEUTRAL, 0.0)
+    prefix = skelcl.Scan("float f(float x, float y) { return x + y; }")
+    data = np.arange(1, 101, dtype=np.float32)
+    a = skelcl.init(detect_races="strict", lazy=lazy, **first)
+    b = skelcl.init(detect_races="strict", lazy=lazy, **second)
+    with a.activate():
+        moved = [double(skelcl.Vector(data=data)) for _ in range(4)]
+        assert all(len(v.distribution.chunks(100, a.num_devices)) == a.num_devices
+                   for v in moved)
+    with b.activate():
+        results = [double(moved[0]), add(moved[1], skelcl.Vector(data=data)),
+                   around(moved[2]), prefix(moved[3])]
+        arrays = [r.to_numpy() for r in results]
+    padded = np.concatenate([[0], 2 * data, [0]]).astype(np.float32)
+    expected = [4 * data, 3 * data, padded[:-2] + padded[2:],
+                np.cumsum(2 * data, dtype=np.float32)]
+    for got, want in zip(arrays, expected):
+        assert np.array_equal(got, want)
+    even = skelcl.Partition.even(b.num_devices).ranges(100)
+    split = (b.partition.ranges(100) if b.partition is not None else even)
+    for container in moved + results:
+        assert container._session is b
+        assert [(c.owned_start, c.owned_end) for c in container._chunks] == split
+    assert a.context.check_races() == [] and b.context.check_races() == []
+    a.close()
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+def test_single_distribution_beyond_the_adopting_pool_still_raises(lazy):
+    double = skelcl.Map(DOUBLE)
+    a = skelcl.init(lazy=lazy, **EVEN_3)
+    skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, lazy=lazy)
+    with a.activate():
+        pinned = skelcl.Vector(data=np.ones(8, np.float32))
+        pinned.set_distribution(skelcl.Single(2))
+        pinned = double(pinned)
+    with pytest.raises(ValueError, match="single distribution on device 2"):
+        double(pinned).to_numpy()  # on the 1-device session, now current
+    a.close()
+
+
 # -- (c) two servers at once -------------------------------------------------
 
 def _tenant_jobs(client, seed: int):
