@@ -45,7 +45,7 @@ def _measure_redistributions(n):
         # and exchanges only the halo units (each crosses the link twice,
         # owner -> host -> consumer); every other transition here is a
         # full download-once + upload-per-chunk exchange.
-        stored_after = sum(c.stored_size for c in target.chunks(n, 4))
+        stored_after = sum(c.stored_size for c in target.chunks(n, runtime.partition))
         if isinstance(source, skelcl.Block) and isinstance(target, skelcl.Overlap):
             # In-place grow: only the halo units cross the link (twice).
             halo_units = stored_after - n

@@ -29,7 +29,7 @@ def main() -> None:
 
     rows = []
     for dist in (skelcl.Single(), skelcl.Copy(), skelcl.Block(), skelcl.Overlap(1024)):
-        chunks = dist.chunks(n, runtime.num_devices)
+        chunks = dist.chunks(n, runtime.partition)
         stored = sum(c.stored_size for c in chunks)
         rows.append((repr(dist), f"{stored * 4 / (1 << 20):.2f} MiB",
                      ", ".join(f"gpu{c.device_index}:{c.stored_size}" for c in chunks)))

@@ -53,7 +53,8 @@ class Context:
         for queue in self.queues:
             queue._metrics = self.metrics
             queue._backend = self.backend
-        mode = resolve_sanitize_mode(detect_races)
+        #: The SkelSan mode this context resolved; its programs' too.
+        self.sanitize = mode = resolve_sanitize_mode(detect_races)
         self.race_detector: Optional[RaceDetector] = None
         if mode is not SanitizeMode.OFF:
             # One detector shared by all queues: the command graph spans
@@ -89,7 +90,8 @@ class Context:
 
     def create_program(self, source: str, name: str = "<kernel>",
                        defines: Optional[Dict[str, str]] = None) -> Program:
-        return Program(source, name, defines, metrics=self.metrics)
+        return Program(source, name, defines, metrics=self.metrics,
+                       sanitize=self.sanitize)
 
     # -- simulated wall-clock ---------------------------------------------
 

@@ -10,8 +10,11 @@ context's metrics; a bare ``Program`` counts nowhere.
 
 Lint findings (:mod:`repro.kernelc.lint`) are recorded on the program
 (``lint_diagnostics``) and rendered into the build log; lint *errors*
-fail the build when the SkelSan strict switch is set
-(``SKELCL_SANITIZE=strict``).
+fail the build under the SkelSan strict mode — the mode its context
+resolved (``Context(detect_races=...)`` first, then the configuration
+chain) for a program made by ``Context.create_program``, the
+process-wide links of the chain (``skelcl.configure(sanitize=...)``,
+``SKELCL_SANITIZE``) for a bare ``Program``.
 """
 
 from __future__ import annotations
@@ -43,11 +46,13 @@ def build_cache_size() -> int:
 
 class Program:
     def __init__(self, source: str, name: str = "<kernel>",
-                 defines: Optional[Dict[str, str]] = None, metrics=None):
+                 defines: Optional[Dict[str, str]] = None, metrics=None,
+                 sanitize=None):
         self.source = source
         self.name = name
         self.defines = dict(defines) if defines else {}
         self._metrics = metrics  # the creating context's registry, if any
+        self._sanitize = sanitize  # ... and its resolved SkelSan mode
         self.build_log = ""
         self.lint_diagnostics: List[Diagnostic] = []
         self._compiled: Optional[CompiledProgram] = None
@@ -115,8 +120,8 @@ class Program:
         return self
 
     def _enforce_lint(self) -> None:
-        """Under ``SKELCL_SANITIZE=strict``, lint errors fail the build."""
-        if resolve_sanitize_mode(None) is SanitizeMode.STRICT:
+        """Under the strict SkelSan mode, lint errors fail the build."""
+        if resolve_sanitize_mode(self._sanitize) is SanitizeMode.STRICT:
             self.fail_on_lint_errors()
 
     def fail_on_lint_errors(self) -> None:

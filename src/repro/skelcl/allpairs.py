@@ -33,7 +33,7 @@ from .funcparse import pointer_param, scalar_return
 from .matrix import Matrix
 from .reduce import Reduce
 from .runtime import SkelCLError
-from .skeleton import Skeleton, partitioned
+from .skeleton import Skeleton
 from .types_ import dtype_for_ctype
 from .zip import Zip
 
@@ -258,9 +258,9 @@ class AllPairs(Skeleton):
             # side's chunks mid-flight.  Materialize an independent copy
             # for the B side instead.
             b = Matrix(data=np.array(a.to_numpy(), copy=True))
-        # A's rows split over the devices (partition-sized when a policy
-        # is active); B is replicated, and the output rows follow A.
-        a_dist = partitioned(node.session, Block())
+        # A's rows split over the devices; B is replicated, and the
+        # output rows follow A.
+        a_dist = Block()
         local = self.tile if self.tiled else 16
         return self._launch(
             node, (a, b), (a_dist, Copy()), a_dist,

@@ -28,8 +28,18 @@ Using the container under *another* session is defined
 (:meth:`Container._move_to`): a valid host copy restages there and the
 foreign buffers are dropped; a stale one is first downloaded through
 the owning session; if that session is already closed the device-only
-result is lost and a :class:`SkelCLError` says so.  The split it had
-there does not come along when it cannot apply (:func:`_adopted`).
+result is lost and a :class:`SkelCLError` says so.
+
+The split: a distribution names a placement, the session's
+``partition`` sizes it.  A staged container remembers, next to its
+chunks, the partition they were made under (``_split``), and one rule
+(:meth:`Container._is_current`) says whether what is staged still is
+what a distribution means: labelled that distribution *and* made under
+its session's current partition.  A partition that changed (adaptive
+re-size, ``rebalance()``, assignment) — like a changed label — restages
+the container at its next use through :meth:`Container._redistribute`;
+a container arriving from another session has no device copy left and
+is blocked by the adopting session's split.
 """
 
 from __future__ import annotations
@@ -41,24 +51,9 @@ import numpy as np
 from .. import ocl
 from ..plan.ir import Produced
 from .distribution import Block, Chunk, Distribution
+from .partition import Partition
 from .runtime import Session, SkelCLError, get_runtime
 from .types_ import ctype_for_dtype
-
-
-def _adopted(distribution: Distribution, session: Session) -> Distribution:
-    """``distribution`` as ``session`` can stage it.  A partition is
-    one session's split of *its* devices.  One with another number of
-    weights was sized elsewhere: it arrives as the label of a container
-    migrating from the session that sized it, and on what a skeleton
-    derives from that label before the container is staged (its other
-    inputs' and its output's distribution).  It is replaced by this
-    session's own split — the even one when it has no policy.  One that
-    fits is carried, as a policy-less session carries any container's
-    split; `Single`/`Copy` have none."""
-    partition = distribution.partition
-    if partition is not None and partition.num_devices != session.num_devices:
-        return distribution.with_partition(session.partition)
-    return distribution
 
 
 class Container(Produced):
@@ -78,6 +73,8 @@ class Container(Produced):
         self._device_valid = False
         self._distribution: Optional[Distribution] = None
         self._chunks: List[Chunk] = []
+        # The session partition `_chunks` were made under; None: no chunks.
+        self._split: Optional[Partition] = None
         self._buffers: Dict[int, ocl.Buffer] = {}  # keyed by chunk position
         # The session whose devices hold `_buffers`; None until staged.
         self._session: Optional[Session] = None
@@ -238,7 +235,8 @@ class Container(Produced):
         3. the download / re-upload exchange of §3.2."""
         live = self._device_valid
         if live:
-            new_chunks = target.chunks(self._units, self._session.num_devices)
+            split = self._session.partition
+            new_chunks = target.chunks(self._units, split)
             pairs = list(zip(self._chunks, new_chunks))
             if len(self._chunks) == len(new_chunks) and all(
                     old.device_index == new.device_index for old, new in pairs):
@@ -251,13 +249,13 @@ class Container(Produced):
                               old.stored_start, old.stored_end)
                         for old, new in pairs
                     ]
-                    self._distribution = target
+                    self._distribution, self._split = target, split
                     return
                 if all((old.owned_start, old.owned_end) == (new.owned_start, new.owned_end)
                        and new.stored_start <= old.stored_start
                        and old.stored_end <= new.stored_end for old, new in pairs):
                     self._refresh_halos(new_chunks)
-                    self._distribution = target
+                    self._distribution, self._split = target, split
                     return
             self.ensure_host()
         self._drop_buffers()
@@ -334,10 +332,18 @@ class Container(Produced):
                 return position, chunk
         raise SkelCLError(f"no chunk owns unit {unit}")
 
+    def _is_current(self, distribution: Distribution) -> bool:
+        """The one staleness rule: what is staged (if anything) is what
+        ``distribution`` means now — the container is labelled this
+        distribution *and* its chunks were made under the current
+        partition of the session holding them."""
+        return distribution == self._distribution and (
+            self._split is None or self._split == self._session.partition)
+
     def set_distribution(self, distribution: Distribution) -> None:
         """Change the distribution; triggers implicit data exchange when
         device data is live (the cumbersome manual OpenCL dance of §3.2)."""
-        if distribution == self._distribution:
+        if self._is_current(distribution):
             return
         self._before_write()
         self._redistribute(distribution)
@@ -352,9 +358,8 @@ class Container(Produced):
         self._force_pending()
         session = session or get_runtime()
         self._move_to(session)
-        target = _adopted(
-            distribution or self._distribution or self.default_distribution(), session)
-        if target != self._distribution:
+        target = distribution or self._distribution or self.default_distribution()
+        if not self._is_current(target):
             self._redistribute(target)
         if not self._device_valid:
             self.ensure_host()
@@ -368,8 +373,7 @@ class Container(Produced):
         whatever another session still holds is overwritten, not
         fetched).  Validity is not touched: the contents become valid
         when that call finishes."""
-        distribution = _adopted(distribution, session)
-        if (self._session is not session or distribution != self._distribution
+        if (self._session is not session or not self._is_current(distribution)
                 or not self._buffers):
             self._drop_buffers()
             self._session, self._distribution = session, distribution
@@ -384,7 +388,8 @@ class Container(Produced):
     def _allocate_buffers(self) -> None:
         runtime = self._session
         assert self._distribution is not None
-        self._chunks = self._distribution.chunks(self._units, runtime.num_devices)
+        self._split = runtime.partition
+        self._chunks = self._distribution.chunks(self._units, self._split)
         self._chunk_events = {}
         self._chunk_readers = {}
         buffers = {}  # all or none: a device may run out of memory midway
@@ -424,6 +429,6 @@ class Container(Produced):
         for buffer in self._buffers.values():
             buffer.release()
         self._buffers = {}
-        self._chunks = []
+        self._chunks, self._split = [], None
         self._chunk_events = {}
         self._chunk_readers = {}

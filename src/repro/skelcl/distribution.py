@@ -14,19 +14,20 @@ matrices) into a list of :class:`Chunk`: the *owned* range a device is
 responsible for plus the *stored* range (owned + halo) it keeps in its
 buffer.
 
-Chunk *sizing* is delegated to :class:`~repro.skelcl.partition.Partition`
-— an immutable per-device weight vector.  ``Block`` and ``Overlap``
-accept an optional partition (``None`` means the historic even split),
-so heterogeneous pools can give a 4x-faster GPU a 4x-larger chunk while
-`Single`/`Copy` are unaffected.  ``with_partition`` re-targets a
-distribution at a new split, preserving its other parameters (e.g. the
-overlap width).
+A distribution says *how* data is placed, never *how much* each device
+gets: the split of the devices is a
+:class:`~repro.skelcl.partition.Partition` — an immutable per-device
+weight vector — owned by the session (``session.partition``), and
+``chunks(size, split)`` takes the one the chunks are staged under.
+``Block`` and ``Overlap`` size their owned ranges by it, so a
+heterogeneous pool gives a 4x-faster GPU a 4x-larger chunk;
+`Single`/`Copy` read only its device count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .partition import Partition
 
@@ -62,18 +63,10 @@ class Distribution:
     """Base class; instances are immutable and compared by value."""
 
     kind = "abstract"
-    #: The partition sizing this distribution's chunks, when it splits
-    #: data at all (`Block`/`Overlap`); None means the even split.
-    partition: Optional[Partition] = None
 
-    def chunks(self, size: int, num_devices: int) -> List[Chunk]:
+    def chunks(self, size: int, split: Partition) -> List[Chunk]:
+        """The chunks of ``size`` units on the devices ``split`` sizes."""
         raise NotImplementedError
-
-    def with_partition(self, partition: Optional[Partition]) -> "Distribution":
-        """This distribution re-targeted at ``partition``.  The base
-        returns ``self``: `Single` and `Copy` do not split data, so a
-        partition does not apply to them."""
-        return self
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and vars(self) == vars(other)
@@ -93,11 +86,11 @@ class Single(Distribution):
     def __init__(self, device_index: int = 0):
         self.device_index = device_index
 
-    def chunks(self, size: int, num_devices: int) -> List[Chunk]:
-        if not 0 <= self.device_index < num_devices:
+    def chunks(self, size: int, split: Partition) -> List[Chunk]:
+        if not 0 <= self.device_index < split.num_devices:
             raise ValueError(
                 f"single distribution on device {self.device_index}, "
-                f"but only {num_devices} device(s) available"
+                f"but only {split.num_devices} device(s) available"
             )
         return [Chunk(self.device_index, 0, size, 0, size)]
 
@@ -110,49 +103,23 @@ class Copy(Distribution):
 
     kind = "copy"
 
-    def chunks(self, size: int, num_devices: int) -> List[Chunk]:
-        return [Chunk(index, 0, size, 0, size) for index in range(num_devices)]
-
-
-def _resolve_ranges(partition: Optional[Partition], size: int,
-                    num_devices: int) -> List[tuple]:
-    part = partition if partition is not None else Partition.even(num_devices)
-    if part.num_devices != num_devices:
-        raise ValueError(
-            f"partition has {part.num_devices} weights but the runtime "
-            f"has {num_devices} device(s)"
-        )
-    return part.ranges(size)
+    def chunks(self, size: int, split: Partition) -> List[Chunk]:
+        return [Chunk(index, 0, size, 0, size) for index in range(split.num_devices)]
 
 
 class Block(Distribution):
     """Contiguous disjoint chunks, one per device.
 
-    Without a partition the chunks are as equal as possible (the
-    paper's homogeneous split); with one, each device's chunk is sized
+    Under the even split the chunks are as equal as possible (the
+    paper's homogeneous case); otherwise each device's chunk is sized
     by its weight — including zero-length chunks for zero weights.
     """
 
     kind = "block"
 
-    def __init__(self, partition: Optional[Partition] = None):
-        self.partition = partition
-
-    def chunks(self, size: int, num_devices: int) -> List[Chunk]:
-        return [
-            Chunk(index, start, end, start, end)
-            for index, (start, end) in enumerate(
-                _resolve_ranges(self.partition, size, num_devices)
-            )
-        ]
-
-    def with_partition(self, partition: Optional[Partition]) -> "Block":
-        return Block(partition)
-
-    def __repr__(self) -> str:
-        if self.partition is None:
-            return "Block()"
-        return f"Block(partition={self.partition})"
+    def chunks(self, size: int, split: Partition) -> List[Chunk]:
+        return [Chunk(index, start, end, start, end)
+                for index, (start, end) in enumerate(split.ranges(size))]
 
 
 class Overlap(Distribution):
@@ -161,25 +128,22 @@ class Overlap(Distribution):
     Each device stores its block and, additionally, ``overlap``
     elements (vector) or rows (matrix) of the neighbouring blocks, so a
     MapOverlap skeleton can read across chunk borders without inter-GPU
-    communication (Fig. 1d / Fig. 2d).  Like `Block`, an optional
-    partition sizes the owned ranges; a device whose owned range is
-    empty stores nothing at all — no halo — so fully-skewed partitions
-    enqueue no work for the starved device.
+    communication (Fig. 1d / Fig. 2d).  The owned ranges are `Block`'s;
+    a device whose owned range is empty stores nothing at all — no
+    halo — so fully-skewed partitions enqueue no work for the starved
+    device.
     """
 
     kind = "overlap"
 
-    def __init__(self, overlap: int = 1, partition: Optional[Partition] = None):
+    def __init__(self, overlap: int = 1):
         if overlap < 0:
             raise ValueError(f"overlap must be non-negative, got {overlap}")
         self.overlap = overlap
-        self.partition = partition
 
-    def chunks(self, size: int, num_devices: int) -> List[Chunk]:
+    def chunks(self, size: int, split: Partition) -> List[Chunk]:
         result: List[Chunk] = []
-        for index, (start, end) in enumerate(
-            _resolve_ranges(self.partition, size, num_devices)
-        ):
+        for index, (start, end) in enumerate(split.ranges(size)):
             if start == end:
                 # An empty owned range keeps no halo either: the device
                 # holds no data and no commands are enqueued for it.
@@ -190,13 +154,8 @@ class Overlap(Distribution):
             result.append(Chunk(index, start, end, stored_start, stored_end))
         return result
 
-    def with_partition(self, partition: Optional[Partition]) -> "Overlap":
-        return Overlap(self.overlap, partition)
-
     def __repr__(self) -> str:
-        if self.partition is None:
-            return f"Overlap(overlap={self.overlap})"
-        return f"Overlap(overlap={self.overlap}, partition={self.partition})"
+        return f"Overlap(overlap={self.overlap})"
 
 
 def block_ranges(size: int, num_devices: int) -> List[tuple]:

@@ -14,6 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .distribution import Block, Chunk, Distribution
+from .partition import Partition
 
 
 class IndexVector:
@@ -43,10 +44,10 @@ class IndexVector:
     def set_distribution(self, distribution: Distribution) -> None:
         self._distribution = distribution
 
-    def chunks(self, num_devices: int) -> List[Chunk]:
-        """The index ranges each of ``num_devices`` devices computes (no
-        buffers involved)."""
-        return self._distribution.chunks(self._size, num_devices)
+    def chunks(self, split: Partition) -> List[Chunk]:
+        """The index ranges each device computes under the session
+        partition ``split`` (no buffers involved)."""
+        return self._distribution.chunks(self._size, split)
 
     def __getitem__(self, index: int) -> int:
         if not 0 <= index < self._size:
@@ -94,10 +95,10 @@ class IndexMatrix:
     def distribution(self) -> Distribution:
         return self._distribution
 
-    def chunks(self, num_devices: int) -> List[Chunk]:
-        """Row-granular chunks over ``num_devices`` devices, as for a
-        real Matrix."""
-        return self._distribution.chunks(self._shape[0], num_devices)
+    def chunks(self, split: Partition) -> List[Chunk]:
+        """Row-granular chunks under the session partition ``split``,
+        as for a real Matrix."""
+        return self._distribution.chunks(self._shape[0], split)
 
     def __getitem__(self, key) -> int:
         row, col = key

@@ -19,7 +19,7 @@ from .funcparse import scalar_param, scalar_return
 from .index import IndexMatrix, IndexVector
 from .matrix import Matrix
 from .runtime import SkelCLError
-from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton, partitioned
+from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton
 from .types_ import dtype_for_ctype
 from .vector import Vector
 
@@ -157,13 +157,13 @@ class Map(Skeleton):
         self.check_extra_args(extra_types, extras)
 
     def _execute(self, node, sample_fraction=None):
-        session, (container,) = node.session, node.inputs
+        (container,) = node.inputs
         wg = self.work_group_size
         if isinstance(container, IndexMatrix):
             # The customizing function receives (row, col): no input buffer.
             cols = container.cols
             return self._launch(
-                node, (), (), partitioned(session, container.distribution),
+                node, (), (), container.distribution,
                 self.index_matrix_kernel_source(),
                 f"skelcl_map_index_m_{self.user.name}", "skelcl_map_index_m", (16, 16),
                 lambda chunk: ((cols, chunk.owned_size, chunk.owned_start),
@@ -172,12 +172,12 @@ class Map(Skeleton):
         if isinstance(container, IndexVector):
             # No input buffer, elements are indices.
             return self._launch(
-                node, (), (), partitioned(session, container.distribution),
+                node, (), (), container.distribution,
                 self.index_kernel_source(),
                 f"skelcl_map_index_{self.user.name}", "skelcl_map_index", (wg,),
                 lambda chunk: ((chunk.owned_size, chunk.owned_start), (chunk.owned_size,)),
                 sample_fraction)
-        distribution = self.resolve_input_distribution(session, container, Block())
+        distribution = container.distribution or Block()
         unit_elements = container._unit_elements
 
         def chunk_args(_out_chunk, chunk):

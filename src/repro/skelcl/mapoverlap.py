@@ -39,11 +39,11 @@ from __future__ import annotations
 import enum
 
 from ..kernelc.boundcheck import analyze_get_bounds
-from .distribution import Block, Copy, Distribution, Overlap, Single
+from .distribution import Copy, Distribution, Overlap, Single
 from .funcparse import append_hidden_params, pointer_param, scalar_return
 from .matrix import Matrix
 from .runtime import SkelCLError
-from .skeleton import Skeleton, partitioned, scalar_literal
+from .skeleton import Skeleton, scalar_literal
 from .types_ import dtype_for_ctype
 
 
@@ -325,17 +325,15 @@ class MapOverlap(Skeleton):
 
     # -- distribution policy -----------------------------------------------------
 
-    def _resolve_distribution(self, session, container) -> Distribution:
+    def _resolve_distribution(self, container) -> Distribution:
         current = container.distribution
         halo = self.effective_overlap
         if isinstance(current, (Single, Copy)):
             return current  # whole data present: no halo needed
         if isinstance(current, Overlap) and current.overlap >= halo:
-            return partitioned(session, current)
-        # A block-distributed input keeps its (possibly uneven) split;
-        # the halo is grown around the same owned ranges.
-        carried = current.partition if isinstance(current, (Block, Overlap)) else None
-        return partitioned(session, Overlap(halo, carried))
+            return current
+        # The halo is grown around a block-distributed input's owned ranges.
+        return Overlap(halo)
 
     def _count_halo_savings(self, session, chunks, total: int, row_bytes: int) -> None:
         """Credit ``skelcl_transfer_bytes_saved_total`` with the halo
@@ -365,7 +363,7 @@ class MapOverlap(Skeleton):
         # Halo exchange makes MapOverlap unfusable — under the planner it
         # defers as an eager-at-force node (docs/planner.md, "Fallbacks").
         session, (container,) = node.session, node.inputs
-        distribution = self._resolve_distribution(session, container)
+        distribution = self._resolve_distribution(container)
         if isinstance(container, Matrix):
             width, height = container.cols, container.rows
             source, kernel_name, local_size = (

@@ -128,7 +128,7 @@ class Reduce(Skeleton):
                 f"skelcl_reduce_{self.user.name}_fused", session,
             )
             stage1_name = "skelcl_reduce_fused"
-        distribution = self.resolve_input_distribution(session, input_container, Block())
+        distribution = input_container.distribution or Block()
         chunks = input_container.ensure_on_devices(distribution, session)
 
         unit_elements = input_container._unit_elements

@@ -87,10 +87,6 @@ class Session:
         self.specs = specs
         self.spec = specs[0] if specs else None
         self.num_devices = len(specs)
-        # The active Partition sizing Block/Overlap splits, or None for
-        # the historic even split.  Managed below (static policy or
-        # adaptive partitioner); skeletons read it via `partitioned()`.
-        self.partition: Optional[Partition] = None
         self.context = ocl.Context.create(specs, detect_races=self.settings.sanitize,
                                           backend=self.settings.backend)
         self._closed = False
@@ -126,24 +122,39 @@ class Session:
 
     # -- partitioning ------------------------------------------------------
 
+    @property
+    def partition(self) -> Partition:
+        """The split of this session's devices — the only place one
+        lives: every Block/Overlap container is sized by it where it is
+        staged, and restaged at its next use after it changed
+        (:mod:`repro.skelcl.container`).  The even split unless a policy
+        (``init(partition=...)``), the adaptive partitioner or an
+        assignment says otherwise."""
+        return self._partition
+
+    @partition.setter
+    def partition(self, partition: Partition) -> None:
+        if not isinstance(partition, Partition):
+            raise SkelCLError(
+                f"session.partition must be a Partition, got {partition!r}")
+        if partition.num_devices != self.num_devices:
+            raise SkelCLError(
+                f"partition has {partition.num_devices} weights for "
+                f"{self.num_devices} device(s)"
+            )
+        self._partition = partition
+
     def _install_partition_policy(self, policy) -> None:
-        if policy is None:
-            return
         if isinstance(policy, Partition):
-            if policy.num_devices != self.num_devices:
-                raise SkelCLError(
-                    f"partition has {policy.num_devices} weights for "
-                    f"{self.num_devices} device(s)"
-                )
             self.partition = policy
         elif isinstance(policy, AdaptivePartitioner):
             self.partitioner = policy
             self.partition = policy.partition
-        elif policy in ("even",):
+        elif policy is None or policy == "even":
             self.partition = Partition.even(self.num_devices)
         elif policy in ("throughput", "proportional"):
             self.partition = Partition.from_specs(self.specs).quantized()
-        elif policy in ("adaptive",):
+        elif policy == "adaptive":
             self.partitioner = AdaptivePartitioner(self)
             self.partition = self.partitioner.partition
         else:
@@ -155,7 +166,7 @@ class Session:
     def _observe_partition(self) -> None:
         """Feed the adaptive partitioner after a flush; a changed
         partition takes effect on the next skeleton call, where stale
-        containers redistribute through the command graph."""
+        containers restage through the command graph."""
         if self.partitioner is not None:
             self.partitioner.observe()
             self.partition = self.partitioner.partition

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distribution import Block, Overlap
+from .distribution import Block
 from .funcparse import scalar_param, scalar_return
 from .runtime import SkelCLError
-from .skeleton import Skeleton, partitioned
+from .skeleton import Skeleton
 from .types_ import dtype_for_ctype
 from .vector import Vector
 
@@ -123,11 +123,7 @@ class Scan(Skeleton):
     def _execute(self, node) -> Vector:
         session, (input_vector,), out = node.session, node.inputs, node.output
         dtype = dtype_for_ctype(self.element_type)
-        # Scan requires ordered, disjoint chunks; an uneven input split
-        # is preserved (only the halo is dropped from an Overlap).
-        current = input_vector.distribution
-        carried = current.partition if isinstance(current, (Block, Overlap)) else None
-        distribution = partitioned(session, Block(carried))
+        distribution = Block()  # Scan requires ordered, disjoint chunks
         program = self._program(self.kernel_source(), f"skelcl_scan_{self.user.name}",
                                 session)
         chunks = input_vector.ensure_on_devices(distribution, session)

@@ -54,22 +54,6 @@ def default_label(skeleton_name: str, func_name: str) -> str:
     return f"{label}@{site}" if site else label
 
 
-def partitioned(session: Session, distribution: Distribution) -> Distribution:
-    """``distribution`` re-targeted at the session's active partition.
-
-    When the session has no partition policy (the historic default)
-    the distribution is returned unchanged; otherwise Block/Overlap are
-    re-sized to the active weights (Single/Copy pass through).  Called
-    at every point a skeleton resolves a distribution, so a partition
-    change — adaptive or via ``session.rebalance()`` — redistributes
-    stale containers through the ordinary command-graph machinery on
-    their next use."""
-    partition = session.partition
-    if partition is None or distribution.partition == partition:
-        return distribution
-    return distribution.with_partition(partition)
-
-
 def round_up(value: int, multiple: int) -> int:
     if multiple <= 0:
         return value
@@ -332,8 +316,8 @@ class Skeleton:
     def _program(self, source: str, name: str, session: Session) -> ocl.Program:
         """:meth:`_built`, for a launch on ``session``: a lint error
         fails the build when that session resolved ``sanitize="strict"``
-        — whichever link of the configuration chain said so
-        (``Program.build`` itself only knows the process-wide links)."""
+        (``Program.build`` enforces the mode of the session that built
+        it, and a skeleton's programs are shared between sessions)."""
         program = self._built(source, name, session)
         if session.settings.sanitize == "strict":
             program.fail_on_lint_errors()
@@ -460,16 +444,10 @@ class Skeleton:
     @staticmethod
     def output_distribution(input_distribution: Distribution) -> Distribution:
         """Outputs follow the input's distribution; overlap inputs
-        produce block outputs (each device owns its block of results,
-        sized by the same partition)."""
+        produce block outputs (each device owns its block of results)."""
         if isinstance(input_distribution, Overlap):
-            return Block(input_distribution.partition)
+            return Block()
         return input_distribution
-
-    @staticmethod
-    def resolve_input_distribution(session: Session, container,
-                                   default: Distribution) -> Distribution:
-        return partitioned(session, container.distribution or default)
 
     # -- extra ("additional") arguments -----------------------------------------
 

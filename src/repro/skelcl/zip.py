@@ -78,7 +78,7 @@ class Zip(Skeleton):
 
     def _execute(self, node):
         inputs = node.inputs
-        distribution = self.resolve_input_distribution(node.session, inputs[0], Block())
+        distribution = inputs[0].distribution or Block()
         unit_elements = inputs[0]._unit_elements
 
         def chunk_args(_out_chunk, left, right):

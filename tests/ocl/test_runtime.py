@@ -99,6 +99,43 @@ class TestPrograms:
         with pytest.raises(KeyError):
             program.create_kernel("missing")
 
+    LINT_ERROR = ("__kernel void k(__global float* o) { float a[2]; a[0] = 1.0f; "
+                  "if (o[0] < -1.0f) { o[1] = a[3]; } }")
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["cold", "memory-cache"])
+    @pytest.mark.parametrize("environment, explicit, fails", [
+        ("strict", "off", False), (None, "strict", True),
+        ("strict", None, True), (None, None, False),
+    ], ids=["off-beats-env", "strict-without-env", "env-alone", "neither"])
+    def test_lint_errors_fail_the_build_under_the_contexts_own_mode(
+            self, environment, explicit, fails, cached, monkeypatch):
+        """``create_program`` hands the program the mode its context
+        resolved — explicit ``detect_races`` first — on the cold and the
+        cached path alike; a bare ``Program`` knows the chain only."""
+        if environment is None:
+            monkeypatch.delenv("SKELCL_SANITIZE", raising=False)
+        else:
+            monkeypatch.setenv("SKELCL_SANITIZE", environment)
+        ocl.clear_build_cache()
+        if cached:
+            lenient = ocl.Context.create(ocl.TEST_DEVICE, detect_races="off")
+            lenient.create_program(self.LINT_ERROR).build()
+            lenient.release()
+        context = ocl.Context.create(ocl.TEST_DEVICE, detect_races=explicit)
+        program = context.create_program(self.LINT_ERROR)
+        if fails:
+            with pytest.raises(ocl.BuildError, match="constant-index-oob"):
+                program.build()
+        else:
+            assert program.build().is_built
+        bare = ocl.Program(self.LINT_ERROR)
+        if environment == "strict":
+            with pytest.raises(ocl.BuildError, match="constant-index-oob"):
+                bare.build()
+        else:
+            assert bare.build().is_built
+        context.release()
+
 
 class TestKernelLaunch:
     def test_correct_result(self, ctx):

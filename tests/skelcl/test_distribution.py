@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.skelcl.distribution import Block, Copy, Overlap, Single, block_ranges
+from repro.skelcl.partition import Partition
 
 
 class TestBlockRanges:
@@ -42,22 +43,22 @@ class TestBlockRanges:
 
 class TestSingle:
     def test_default_device(self):
-        (chunk,) = Single().chunks(10, 4)
+        (chunk,) = Single().chunks(10, Partition.even(4))
         assert chunk.device_index == 0
         assert chunk.owned_start == 0 and chunk.owned_end == 10
 
     def test_explicit_device(self):
-        (chunk,) = Single(2).chunks(10, 4)
+        (chunk,) = Single(2).chunks(10, Partition.even(4))
         assert chunk.device_index == 2
 
     def test_invalid_device_rejected(self):
         with pytest.raises(ValueError):
-            Single(5).chunks(10, 2)
+            Single(5).chunks(10, Partition.even(2))
 
 
 class TestCopy:
     def test_every_device_holds_everything(self):
-        chunks = Copy().chunks(7, 3)
+        chunks = Copy().chunks(7, Partition.even(3))
         assert len(chunks) == 3
         for chunk in chunks:
             assert (chunk.owned_start, chunk.owned_end) == (0, 7)
@@ -66,7 +67,7 @@ class TestCopy:
 
 class TestOverlap:
     def test_halo_extends_into_neighbors(self):
-        chunks = Overlap(2).chunks(10, 2)
+        chunks = Overlap(2).chunks(10, Partition.even(2))
         first, second = chunks
         assert (first.owned_start, first.owned_end) == (0, 5)
         assert (first.stored_start, first.stored_end) == (0, 7)
@@ -75,15 +76,13 @@ class TestOverlap:
         assert second.halo_before == 2 and second.halo_after == 0
 
     def test_halo_clipped_at_edges(self):
-        chunks = Overlap(100).chunks(10, 2)
+        chunks = Overlap(100).chunks(10, Partition.even(2))
         for chunk in chunks:
             assert chunk.stored_start >= 0
             assert chunk.stored_end <= 10
 
     def test_zero_overlap_is_block(self):
-        assert Overlap(0).chunks(9, 3) == [
-            c for c in Block().chunks(9, 3)
-        ]
+        assert Overlap(0).chunks(9, Partition.even(3)) == Block().chunks(9, Partition.even(3))
 
     def test_negative_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -92,7 +91,7 @@ class TestOverlap:
     @given(size=st.integers(1, 500), devices=st.integers(1, 6), overlap=st.integers(0, 20))
     @settings(max_examples=80, deadline=None)
     def test_overlap_invariants(self, size, devices, overlap):
-        chunks = Overlap(overlap).chunks(size, devices)
+        chunks = Overlap(overlap).chunks(size, Partition.even(devices))
         for chunk in chunks:
             assert chunk.stored_start <= chunk.owned_start <= chunk.owned_end <= chunk.stored_end
             assert chunk.halo_before <= overlap

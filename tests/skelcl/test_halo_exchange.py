@@ -64,7 +64,7 @@ class TestHaloExchange:
         before = pcie_bytes(runtime)
         vec.set_distribution(Overlap(d))
         moved = pcie_bytes(runtime) - before
-        halo_units = sum(c.stored_size for c in Overlap(d).chunks(n, 4)) - n
+        halo_units = sum(c.stored_size for c in Overlap(d).chunks(n, runtime.partition)) - n
         assert moved == 2 * halo_units * 4  # each halo unit: download + upload
         assert moved < n  # far less than a full round trip
         # The owned data moved device-locally.

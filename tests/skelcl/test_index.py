@@ -25,12 +25,12 @@ class TestIndexVectorBasics:
 
     def test_chunks_follow_distribution(self, runtime_4gpu):
         iv = IndexVector(100)
-        devices = runtime_4gpu.num_devices
-        chunks = iv.chunks(devices)
+        split = runtime_4gpu.partition
+        chunks = iv.chunks(split)
         assert [c.owned_size for c in chunks] == [25, 25, 25, 25]
         iv.set_distribution(Single(2))
-        assert len(iv.chunks(devices)) == 1
-        assert iv.chunks(devices)[0].device_index == 2
+        assert len(iv.chunks(split)) == 1
+        assert iv.chunks(split)[0].device_index == 2
 
     def test_index_matrix(self, runtime_1gpu):
         im = IndexMatrix((3, 4))

@@ -249,13 +249,16 @@ PLAIN_2 = dict(num_devices=2, spec=ocl.TEST_DEVICE)
 @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
 @pytest.mark.parametrize("first, second", [
     (THROUGHPUT_2, EVEN_3), (EVEN_3, THROUGHPUT_2), (EVEN_POLICY_3, PLAIN_2),
-], ids=["throughput2-to-3", "3-to-throughput2", "even3-to-2"])
+    (THROUGHPUT_2, PLAIN_2), (PLAIN_2, THROUGHPUT_2),
+], ids=["throughput2-to-3", "3-to-throughput2", "even3-to-2",
+        "throughput2-to-2", "2-to-throughput2"])
 def test_result_split_by_one_sessions_partition_is_reblocked_where_it_migrates(
         first, second, lazy):
     """A partition is one session's split of its devices: a result
-    labelled with it restages under the adopting session's own split —
-    as the input of every skeleton that carries its input's split on
-    (Map, Zip, MapOverlap, Scan), and so do their outputs."""
+    staged under it restages under the adopting session's own split —
+    the same number of devices or not, policy or none — as the input of
+    every skeleton that keeps its input's distribution (Map, Zip,
+    MapOverlap, Scan), and so do their outputs."""
     double = skelcl.Map(DOUBLE)
     add = skelcl.Zip("float f(float x, float y) { return x + y; }")
     around = skelcl.MapOverlap(
@@ -267,7 +270,7 @@ def test_result_split_by_one_sessions_partition_is_reblocked_where_it_migrates(
     b = skelcl.init(detect_races="strict", lazy=lazy, **second)
     with a.activate():
         moved = [double(skelcl.Vector(data=data)) for _ in range(4)]
-        assert all(len(v.distribution.chunks(100, a.num_devices)) == a.num_devices
+        assert all(len(v.distribution.chunks(100, a.partition)) == a.num_devices
                    for v in moved)
     with b.activate():
         results = [double(moved[0]), add(moved[1], skelcl.Vector(data=data)),
@@ -278,8 +281,7 @@ def test_result_split_by_one_sessions_partition_is_reblocked_where_it_migrates(
                 np.cumsum(2 * data, dtype=np.float32)]
     for got, want in zip(arrays, expected):
         assert np.array_equal(got, want)
-    even = skelcl.Partition.even(b.num_devices).ranges(100)
-    split = (b.partition.ranges(100) if b.partition is not None else even)
+    split = b.partition.ranges(100)
     for container in moved + results:
         assert container._session is b
         assert [(c.owned_start, c.owned_end) for c in container._chunks] == split

@@ -197,6 +197,26 @@ class TestSubsystemsReadTheChain:
         assert failure.value.call_label.startswith("Map(f)@test_settings.py:")
         assert sum(len(queue.events) for queue in session.queues) == 0
 
+    @pytest.mark.parametrize("link", ["configure", "env"])
+    def test_explicit_off_beats_a_strict_link_at_build_time_too(self, link, monkeypatch):
+        """The session's resolved mode — not the process-wide links —
+        decides whether a lint error fails its builds."""
+        if link == "configure":
+            skelcl.configure(sanitize="strict")
+        else:
+            monkeypatch.setenv("SKELCL_SANITIZE", "strict")
+        ocl.clear_build_cache()
+        guarded = skelcl.Map("float f(float x) { float a[2]; a[0] = x; "
+                             "if (x < -1.0f) { return a[3]; } return a[0]; }")
+        data = skelcl.Vector(data=np.ones(8, np.float32))
+        with skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, detect_races="off") as session:
+            assert session.settings.sanitize == "off"
+            assert guarded(data).to_numpy().tolist() == [1.0] * 8
+        # The skeleton's built program is shared; a strict session still refuses it.
+        with skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE):
+            with pytest.raises(ocl.BuildError, match="constant-index-oob"):
+                guarded(data).to_numpy()
+
     def test_lazy_setting_installs_the_planner(self):
         skelcl.configure(lazy=True)
         session = skelcl.init(num_devices=1)
@@ -205,7 +225,8 @@ class TestSubsystemsReadTheChain:
     def test_partition_setting_installs_a_partition(self):
         skelcl.configure(partition="even")
         session = skelcl.init(num_devices=2)
-        assert session.partition is not None
+        assert session.settings.partition == "even"
+        assert session.partition == skelcl.Partition.even(2)
 
     def test_cache_setting_reaches_progcache(self):
         from repro.kernelc import progcache
