@@ -7,8 +7,9 @@ checking, expression nodes additionally carry a ``ctype`` attribute
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from typing import List, Optional, Tuple, get_args, get_type_hints
 
 from .ctypes_ import CType
 from .source import Span
@@ -302,25 +303,31 @@ class Program(Node):
 # -- traversal --------------------------------------------------------------
 
 
+def _holds_nodes(hint) -> bool:
+    if isinstance(hint, type):
+        return issubclass(hint, Node)
+    return any(_holds_nodes(arg) for arg in get_args(hint))
+
+
+@lru_cache(maxsize=None)
+def _child_fields(cls: type) -> Tuple[str, ...]:
+    """The dataclass fields of node class ``cls`` declared to hold nodes,
+    in declaration order.  Types, spans and whatever a later pass sets on
+    a node (``Call.callee_def`` would make recursive functions cyclic) are
+    no fields of that kind, so an annotation is never taken for a child."""
+    hints = get_type_hints(cls)
+    return tuple(f.name for f in fields(cls) if _holds_nodes(hints[f.name]))
+
+
 def children(node: Node) -> List[Node]:
     """The direct child nodes of ``node`` in source order."""
     result: List[Node] = []
-
-    def add(value):
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
             result.append(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                add(item)
-
-    for attr_name, value in vars(node).items():
-        # Skip non-child annotations: types, spans, and checker-added
-        # cross-references (Call.callee_def would make recursive
-        # functions cyclic; Identifier.symbol is not part of the tree).
-        if attr_name in ("span", "ctype", "declared_type", "target_type",
-                         "queried_type", "callee_def", "resolved", "symbol"):
-            continue
-        add(value)
+        elif value:  # a list of nodes
+            result.extend(value)
     return result
 
 

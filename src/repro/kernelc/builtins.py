@@ -10,6 +10,7 @@ an operation-count cost used by the device timing model.
 from __future__ import annotations
 
 import math
+import pickle
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -94,6 +95,18 @@ class ResolvedBuiltin:
     # 'workitem': backend supplies the value from the work-item context
     # 'barrier': synchronization point
     kind: str = "plain"
+
+    def __reduce__(self):
+        # ``impl`` is a closure: pickles as its name and exact parameter
+        # types, resolved again on load (deterministic on those).
+        return _resolve_again, (self.name, self.param_types)
+
+
+def _resolve_again(name: str, param_types: Tuple[CType, ...]) -> ResolvedBuiltin:
+    resolved = resolve_builtin(name, list(param_types))
+    if resolved is None:
+        raise pickle.UnpicklingError(f"builtin {name!r} no longer resolves")
+    return resolved
 
 
 def _trap(code: int):

@@ -39,7 +39,9 @@ Operation counts are statically accumulated per basic block.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import ast
@@ -192,6 +194,34 @@ def node_cost(node: ast.Node, lookup=None) -> int:
 
 
 @dataclass
+class GeneratedModule:
+    """One generated Python module, as a generator hands it to its
+    ``materialize`` and as the program cache keeps it: the code object
+    (marshalled when pickled — the ``.pyc`` idiom), its text, and the
+    constant pool ``_K`` it indexes."""
+
+    code: CodeType
+    source: str  # the generated Python (for debugging/inspection)
+    constants: List[object]
+    # Pool slots holding a builtin's bare ``impl``: a closure, which does
+    # not pickle — the builtin does (by name and types), and stands in.
+    impls: Dict[int, ResolvedBuiltin]
+
+    def __getstate__(self):
+        pool = list(self.constants)
+        for index, resolved in self.impls.items():
+            pool[index] = resolved
+        return marshal.dumps(self.code), self.source, pool, tuple(self.impls)
+
+    def __setstate__(self, state):
+        code, self.source, self.constants, slots = state
+        self.code = marshal.loads(code)
+        self.impls = {index: self.constants[index] for index in slots}
+        for index, resolved in self.impls.items():
+            self.constants[index] = resolved.impl
+
+
+@dataclass
 class CompiledKernel:
     name: str
     func: Callable
@@ -202,16 +232,26 @@ class CompiledKernel:
     # The charge schedule ``{ids of a statement's charged nodes: ops}`` and
     # the load-CSE decisions ``{id(elided Index): id(source Index)}`` this
     # compile made, shared by the program's kernels; the lockstep
-    # generator (:mod:`.vectorize`) emits both as literals.
-    charges: Dict[tuple, int] = field(default_factory=dict, repr=False)
-    cse: Dict[int, int] = field(default_factory=dict, repr=False)
+    # generator (:mod:`.vectorize`) emits both as literals.  Keyed by
+    # ``id``, so never persisted: None on a kernel restored from the
+    # program cache, whose lockstep plan is restored too or generated
+    # after a fresh ``compile_program``.
+    charges: Optional[Dict[tuple, int]] = field(default_factory=dict, repr=False)
+    cse: Optional[Dict[int, int]] = field(default_factory=dict, repr=False)
+    # Where the program cache keeps this kernel's lockstep plan (None:
+    # nowhere — the program was not built through the cache).
+    plan_path: Optional[str] = field(default=None, repr=False)
 
 
 @dataclass
 class CompiledProgram:
     program: ast.Program
     kernels: Dict[str, CompiledKernel]
-    source_code: str  # the generated Python (for debugging/inspection)
+    module: GeneratedModule = field(repr=False)
+
+    @property
+    def source_code(self) -> str:
+        return self.module.source
 
     def kernel(self, name: str) -> CompiledKernel:
         try:
@@ -314,7 +354,7 @@ class _Spelling:
         if resolved.kind == "whole" or isinstance(resolved.result_type, VectorType) \
                 or any(isinstance(t, VectorType) for t in resolved.param_types):
             return f"_applyb({pool(resolved)}, ({', '.join(args)},))"
-        code = f"{pool(resolved.impl)}({', '.join(args)})"
+        code = f"{pool(resolved.impl, resolved)}({', '.join(args)})"
         return code if resolved.name == "abs" else self.g._mask_unsigned(code, resolved.result_type)
 
     def assign(self, name: str, code: str, value_needed: bool = True) -> str:
@@ -1254,22 +1294,29 @@ class _unsupported(Exception):
 
 
 class _ProgramCompiler:
-    """The constant pool and symbol names of one generated module."""
+    """The constant pool and symbol names of one generated module — one
+    being generated, or (``module``) one generated earlier whose pool is
+    taken over."""
 
-    def __init__(self, program: ast.Program):
+    def __init__(self, program: ast.Program, module: Optional[GeneratedModule] = None):
         self.program = program
-        self.constants: List[object] = []
+        self.constants: List[object] = module.constants if module else []
+        self.impls: Dict[int, ResolvedBuiltin] = module.impls if module else {}
         self._constant_index: Dict[int, int] = {}
         self.charges: Dict[tuple, int] = {}
         self.cse: Dict[int, int] = {}
 
-    def constant(self, value) -> str:
+    def constant(self, value, impl_of: Optional[ResolvedBuiltin] = None) -> str:
+        """The pool slot of ``value`` (``impl_of``: the builtin whose
+        ``impl`` it is, see :class:`GeneratedModule`)."""
         key = id(value)
         index = self._constant_index.get(key)
         if index is None:
             index = len(self.constants)
             self.constants.append(value)
             self._constant_index[key] = index
+            if impl_of is not None:
+                self.impls[index] = impl_of
         return f"_K[{index}]"
 
     def function_symbol(self, name: str) -> str:
@@ -1282,24 +1329,26 @@ class _ProgramCompiler:
         """Where ``lmem`` holds ``decl`` (``CompiledKernel.local_decls`` order)."""
         return [id(d) for d in collect_local_decls(function)].index(id(decl))
 
-    def compile(self) -> CompiledProgram:
-        pieces: List[str] = []
-        for function in self.program.functions:
-            compiler = _FunctionCompiler(self, function)
-            pieces.append(compiler.compile())
-        body = "\n\n".join(pieces)
+    def module(self, source: str, filename: str) -> GeneratedModule:
+        """``source``, which indexes this pool, compiled."""
+        return GeneratedModule(compile(source, filename, "exec"), source,
+                               self.constants, self.impls)
+
+    def generate(self) -> GeneratedModule:
+        """Emit the per-item module: one function per C function."""
+        body = "\n\n".join(_FunctionCompiler(self, function).compile()
+                           for function in self.program.functions)
         names = ", ".join(f"'{fn.name}': {self.function_symbol(fn.name)}" for fn in self.program.functions)
-        source_code = f"{body}\n\n_FUNCTIONS = {{{names}}}\n"
+        return self.module(f"{body}\n\n_FUNCTIONS = {{{names}}}\n", "<kernelc-compiled>")
 
+    def materialize(self, module: GeneratedModule) -> CompiledProgram:
+        """Run ``module`` in its namespace and wrap its kernels: the tail
+        of a compile, and all a restore from the program cache does."""
         namespace = self.namespace()
-        exec(compile(source_code, "<kernelc-compiled>", "exec"), namespace)  # noqa: S102
+        exec(module.code, namespace)  # noqa: S102
         functions = namespace["_FUNCTIONS"]
-
-        kernels: Dict[str, CompiledKernel] = {}
-        for function in self.program.functions:
-            if not function.is_kernel:
-                continue
-            kernels[function.name] = CompiledKernel(
+        kernels = {
+            function.name: CompiledKernel(
                 name=function.name,
                 func=functions[function.name],
                 uses_barrier=bool(getattr(function, "uses_barrier", False)),
@@ -1309,7 +1358,8 @@ class _ProgramCompiler:
                 charges=self.charges,
                 cse=self.cse,
             )
-        return CompiledProgram(self.program, kernels, source_code)
+            for function in self.program.functions if function.is_kernel}
+        return CompiledProgram(self.program, kernels, module)
 
     def namespace(self) -> Dict[str, object]:
         """What a generated module runs in: the runtime helpers, the
@@ -1375,4 +1425,16 @@ _RUNTIME = {
 
 def compile_program(program: ast.Program) -> CompiledProgram:
     """Compile a checked program to Python functions."""
-    return _ProgramCompiler(program).compile()
+    compiler = _ProgramCompiler(program)
+    return compiler.materialize(compiler.generate())
+
+
+def restore_program(program: ast.Program, module: GeneratedModule) -> CompiledProgram:
+    """The :class:`CompiledProgram` of ``program`` around the ``module``
+    an earlier :func:`compile_program` of it generated (both from the
+    program cache): nothing is generated, and the kernels carry no
+    charge tables."""
+    compiled = _ProgramCompiler(program, module).materialize(module)
+    for kernel in compiled.kernels.values():
+        kernel.charges = kernel.cse = None
+    return compiled

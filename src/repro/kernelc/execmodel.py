@@ -274,9 +274,15 @@ def copy_value(value):
 
 
 def collect_local_decls(function: ast.FunctionDef) -> List[ast.VarDecl]:
-    """All ``__local`` variable declarations in a kernel body."""
-    return [node for node in ast.walk(function.body)
+    """All ``__local`` variable declarations in a kernel body, in source
+    order.  Found by one walk per function and kept on its node (callers
+    share the list; the program cache persists it with the AST)."""
+    decls = function.__dict__.get("_local_decls")
+    if decls is None:
+        decls = function._local_decls = [
+            node for node in ast.walk(function.body)
             if isinstance(node, ast.VarDecl) and node.address_space == "local"]
+    return decls
 
 
 def allocate_local_memory(function: ast.FunctionDef,

@@ -3,20 +3,34 @@
 ``Program.build()`` keys its in-memory cache on raw source + defines;
 this module adds a second, cross-process level keyed on the
 *preprocessed* source (so distinct ``#define`` spellings of the same
-expansion share an entry) hashed together with a format version and a
-toolchain fingerprint (the kernelc and analysis sources themselves —
-editing the compiler or the summary classes invalidates every entry).
+expansion share an entry) hashed together with a format version, the
+interpreter's ``cache_tag`` (code objects are marshalled, and
+``marshal`` is version-specific) and a toolchain fingerprint (the
+kernelc and analysis sources themselves — editing the compiler, a
+helper generated code calls or the summary classes invalidates every
+entry).
 
-Entries store the type-checked AST plus the lint findings via pickle.
-:class:`~repro.kernelc.builtins.ResolvedBuiltin` values embed lambdas
-and cannot pickle; they are externalized as persistent IDs and
-re-resolved on load (resolution is deterministic on the exact parameter
-types the checker recorded).
+An entry holds what a build produced, front end *and* back end: the
+type-checked AST, the lint findings and the generated per-item module
+(:class:`~repro.kernelc.compiler.GeneratedModule`: code object, text,
+constant pool), so that a disk hit unpickles and ``exec``s and runs no
+generator.  The lockstep plan of a kernel — reject reason or generated
+module — is written next to its entry (``<key>.<kernel>.plan``) when
+:mod:`.vectorize` first produces it: a kernel nobody launches costs
+nothing.  :class:`~repro.kernelc.builtins.ResolvedBuiltin` values embed
+closures; they pickle as ``(name, parameter types)`` and are resolved
+again on load.  The charge tables of a compile are keyed by ``id`` and
+are never persisted (see :func:`.vectorize._generated_plan`).
 
-Every failure mode — unreadable file, stale format, pickle error,
-re-resolution mismatch — is a silent miss: the caller falls back to a
-cold compile and overwrites the entry.  ``skelcl.configure(cache=False)``
-(or ``SKELCL_CACHE=off``) disables the cache; ``cache_dir`` /
+Every failure mode — unreadable file, stale format, truncated blob,
+builtin that no longer resolves — is a silent miss: the caller falls
+back to a cold compile and overwrites the entry.  Silent to the caller,
+not to the metrics: ``skelcl_program_cache_total{op,what,result}``
+counts hits, misses and errors (with the exception's class as
+``reason``) on the registry passed in.  Trust: an entry is a pickle (and
+a code object) from the user's own cache directory — the boundary of
+``__pycache__``.  ``skelcl.configure(cache=False)`` (or
+``SKELCL_CACHE=off``) disables the cache, code included; ``cache_dir`` /
 ``SKELCL_CACHE_DIR`` relocates it, and the ``dir`` / ``SKELCL_DIR``
 base directory hosts the default location (``<dir>/programs``, i.e.
 ``~/.cache/skelcl/programs`` out of the box) — see
@@ -26,15 +40,13 @@ base directory hosts the default location (``<dir>/programs``, i.e.
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import pickle
+import sys
 import tempfile
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from .builtins import ResolvedBuiltin, resolve_builtin
-
-_FORMAT = "skelcl-progcache-v1"
+_FORMAT = "skelcl-progcache-v2"
 
 _fingerprint_cache: Optional[str] = None
 
@@ -52,11 +64,12 @@ def cache_dir() -> str:
 
 
 def _toolchain_fingerprint() -> str:
-    """A digest over the sources of every class an entry pickles — the
-    kernelc package (AST, types, diagnostics) and ``repro.analysis``
-    (the SkelAccess summary memoized on the AST): any change to either
-    invalidates the cache wholesale (cheap and safe; computed once per
-    process)."""
+    """A digest over the sources of every class an entry pickles and
+    every helper its code objects call — the kernelc package (AST, types,
+    diagnostics, both generators and their runtime libraries) and
+    ``repro.analysis`` (the SkelAccess summary memoized on the AST): any
+    change to either invalidates the cache wholesale (cheap and safe;
+    computed once per process)."""
     global _fingerprint_cache
     if _fingerprint_cache is None:
         digest = hashlib.sha256()
@@ -76,61 +89,57 @@ def _toolchain_fingerprint() -> str:
 def entry_path(preprocessed: str) -> str:
     digest = hashlib.sha256()
     digest.update(_FORMAT.encode())
+    digest.update(sys.implementation.cache_tag.encode())
     digest.update(_toolchain_fingerprint().encode())
     digest.update(preprocessed.encode())
     name = digest.hexdigest()
     return os.path.join(cache_dir(), name[:2], name + ".pkl")
 
 
-class _Pickler(pickle.Pickler):
-    def persistent_id(self, obj):
-        if isinstance(obj, ResolvedBuiltin):
-            return ("kernelc-builtin", obj.name, tuple(obj.param_types))
-        return None
+def plan_path(entry: str, kernel_name: str) -> str:
+    """Where the lockstep plan of kernel ``kernel_name`` of the program
+    at ``entry`` is kept."""
+    return f"{entry[:-len('.pkl')]}.{kernel_name}.plan"
 
 
-class _Unpickler(pickle.Unpickler):
-    def persistent_load(self, pid):
-        tag, name, param_types = pid
-        if tag != "kernelc-builtin":
-            raise pickle.UnpicklingError(f"unknown persistent id tag {tag!r}")
-        resolved = resolve_builtin(name, list(param_types))
-        if resolved is None:
-            raise pickle.UnpicklingError(f"builtin {name!r} no longer resolves")
-        return resolved
+def _count(metrics, op: str, what: str, result: str, **reason) -> None:
+    if metrics is not None:
+        metrics.counter("skelcl_program_cache_total", op=op, what=what, result=result,
+                        **reason).inc()
 
 
-def load(preprocessed: str) -> Optional[Tuple[object, List[object]]]:
-    """The cached ``(checked program, lint diagnostics)`` for
-    ``preprocessed``, or None on any kind of miss."""
+def _read(path: str, what: str, restore: Callable, metrics):
+    """``restore(*payload)`` of the file at ``path``, or None: the
+    restore-or-miss rule — whatever goes wrong between opening the file
+    and having a usable object again is a miss."""
     if not enabled():
         return None
     try:
-        with open(entry_path(preprocessed), "rb") as handle:
-            payload = _Unpickler(handle).load()
-        if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
-            return None
-        return payload["program"], payload["lint"]
-    except Exception:
+        with open(path, "rb") as handle:
+            tag, *payload = pickle.load(handle)
+        if tag != _FORMAT:
+            raise pickle.UnpicklingError(f"not a {_FORMAT} {what}")
+        restored = restore(*payload)
+    except FileNotFoundError:
+        _count(metrics, "load", what, "miss")
         return None
+    except Exception as exc:
+        _count(metrics, "load", what, "error", reason=type(exc).__name__)
+        return None
+    _count(metrics, "load", what, "hit")
+    return restored
 
 
-def store(preprocessed: str, program: object, lint: List[object]) -> bool:
-    """Persist a successfully compiled program; returns False (and stays
-    silent) on any failure."""
+def _write(path: str, what: str, metrics, *payload) -> bool:
     if not enabled():
         return False
     try:
-        buffer = io.BytesIO()
-        _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(
-            {"format": _FORMAT, "program": program, "lint": lint}
-        )
-        path = entry_path(preprocessed)
+        blob = pickle.dumps((_FORMAT, *payload), protocol=pickle.HIGHEST_PROTOCOL)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(buffer.getvalue())
+                handle.write(blob)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -138,6 +147,34 @@ def store(preprocessed: str, program: object, lint: List[object]) -> bool:
             except OSError:
                 pass
             raise
-        return True
-    except Exception:
+    except Exception as exc:
+        _count(metrics, "store", what, "error", reason=type(exc).__name__)
         return False
+    _count(metrics, "store", what, "stored")
+    return True
+
+
+def load(entry: str, restore: Callable, metrics=None):
+    """``restore(checked program, lint diagnostics, generated per-item
+    module)`` of what is kept at ``entry`` (:func:`entry_path`), or None
+    on any kind of miss — a ``restore`` that raises included."""
+    return _read(entry, "program", restore, metrics)
+
+
+def store(entry: str, program: object, lint: List[object], module: object,
+          metrics=None) -> bool:
+    """Persist a successfully compiled program; returns False (and stays
+    silent) on any failure."""
+    return _write(entry, "program", metrics, program, lint, module)
+
+
+def load_plan(path: str, restore: Callable, metrics=None):
+    """``restore(reject reason, generated module)`` — one of the two is
+    None — of the lockstep plan kept at ``path`` (:func:`plan_path`), or
+    None."""
+    return _read(path, "plan", restore, metrics)
+
+
+def store_plan(path: str, reason: Optional[str], module: object, metrics=None) -> bool:
+    """Persist a kernel's lockstep plan, as silently as :func:`store`."""
+    return _write(path, "plan", metrics, reason, module)

@@ -9,7 +9,11 @@ gathers/scatters and ``barrier()`` a per-group all-or-none mask check.
 :func:`plan_for` *compiles* the kernel the first time it is launched:
 :class:`_LaneCompiler` walks the AST once and emits one straight-line
 Python function per C function (``plan.source``), cached on the
-:class:`~.compiler.CompiledKernel`.  It re-decides nothing about C:
+:class:`~.compiler.CompiledKernel` and — as a code object, when the
+program was built through it — in the program cache, where the first
+launch in a later process finds it and generates nothing
+(:func:`_generate` emits and compiles, :func:`_materialize` runs a
+module, new or restored, in its namespace).  It re-decides nothing about C:
 every expression lowers through the one lowering it inherits from
 :class:`~.compiler._FunctionCompiler`; :class:`_LaneSpelling` overrides
 only the leaf emitters (``.gather``/``.scatter``, ``_i_add``,
@@ -61,10 +65,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import ast
+from . import ast, progcache
 from .builtins import ResolvedBuiltin, _strip_prefix, apply_builtin
 from .compiler import (_CMP_OPS, _FunctionCompiler, _ProgramCompiler, _Spelling, CompiledKernel,
-                       _is_pointer, _is_unsigned)
+                       GeneratedModule, _is_pointer, _is_unsigned, compile_program)
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -218,23 +222,52 @@ def _analyse(kernel: CompiledKernel):
 _KernelPlan = namedtuple("_KernelPlan", "reason run source", defaults=(None, ""))
 
 
-def _plan(kernel: CompiledKernel) -> _KernelPlan:
+def _plan(kernel: CompiledKernel, metrics=None) -> _KernelPlan:
     plan = kernel.__dict__.get("_vector_plan")
     if plan is None:
-        reason, functions = _analyse(kernel)
-        try:
-            plan = _KernelPlan(reason) if reason is not None else _generate(kernel, functions)
-        except SyntaxError:  # Python caps block nesting and indentation depth
-            plan = _KernelPlan("control flow nested too deeply")
-        kernel._vector_plan = plan
+        plan = _restored_plan(kernel, metrics)
+        if metrics is not None:
+            metrics.counter("skelcl_program_codegen_total", engine="lockstep",
+                            result="restored" if plan else "generated").inc()
+        kernel._vector_plan = plan = plan or _generated_plan(kernel, metrics)
     return plan
 
 
-def plan_for(kernel: CompiledKernel) -> Optional[_KernelPlan]:
-    """The compiled lockstep plan for ``kernel`` (generated on first use,
-    cached on the kernel), or None when the kernel must fall back to the
-    per-item backend."""
-    plan = _plan(kernel)
+def _restored_plan(kernel: CompiledKernel, metrics) -> Optional[_KernelPlan]:
+    """The plan an earlier process generated for this kernel, if the
+    program cache has it and it still loads and runs; no generator does."""
+    return kernel.plan_path and progcache.load_plan(
+        kernel.plan_path,
+        lambda reason, module: _KernelPlan(reason) if reason is not None
+        else _materialize(kernel, module),
+        metrics)
+
+
+def _generated_plan(kernel: CompiledKernel, metrics) -> _KernelPlan:
+    if kernel.charges is None:
+        # Restored from the program cache, which cannot keep the charge
+        # and CSE tables the generator replays (they are keyed by ``id``):
+        # take them from a fresh per-item compile, never from nothing.
+        fresh = compile_program(kernel.program).kernel(kernel.name)
+        kernel.charges, kernel.cse = fresh.charges, fresh.cse
+    reason, functions = _analyse(kernel)
+    module = None
+    if reason is None:
+        try:
+            module = _generate(kernel, functions)
+        except SyntaxError:  # Python caps block nesting and indentation depth
+            reason = "control flow nested too deeply"
+    if kernel.plan_path:
+        progcache.store_plan(kernel.plan_path, reason, module, metrics)
+    return _KernelPlan(reason) if reason is not None else _materialize(kernel, module)
+
+
+def plan_for(kernel: CompiledKernel, metrics=None) -> Optional[_KernelPlan]:
+    """The compiled lockstep plan for ``kernel`` (restored from the
+    program cache or generated on first use, cached on the kernel), or
+    None when the kernel must fall back to the per-item backend.
+    ``metrics``: the registry to count that first use on."""
+    plan = _plan(kernel, metrics)
     return plan if plan.reason is None else None
 
 
@@ -699,6 +732,9 @@ class _Builtin:
         self.result_float = scalar and result.is_float()
         self.result_mask = (1 << result.bits) - 1 if scalar and result.is_integer() \
             and not result.signed and resolved.name != "abs" else 0
+
+    def __reduce__(self):
+        return _Builtin, (self.resolved,)
 
     def one(self, args):
         resolved = self.resolved
@@ -1446,12 +1482,20 @@ class _LaneCompiler(_FunctionCompiler):
         return mask if as_mask else f"_b2i({mask})"
 
 
-def _generate(kernel: CompiledKernel, functions) -> _KernelPlan:
-    """Compile ``kernel`` and the helpers it reaches into one module."""
-    program = kernel.program
-    pc = _ProgramCompiler(program)
+def _generate(kernel: CompiledKernel, functions) -> GeneratedModule:
+    """Emit ``kernel`` and the helpers it reaches as one module."""
+    pc = _ProgramCompiler(kernel.program)
     source = "\n\n".join(_LaneCompiler(pc, fn, facts, kernel).compile()
                          for fn, facts in functions) + "\n"
+    return pc.module(source, f"<kernelc-lockstep:{kernel.name}>")
+
+
+def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan:
+    """Run ``module`` — just generated, or restored from the program
+    cache — in its namespace: the per-item one over the lane library,
+    ``__constant`` arrays as lane-wise arrays."""
+    program = kernel.program
+    pc = _ProgramCompiler(program, module)
     namespace = pc.namespace()
     namespace.update(_LIBRARY)
     for global_decl in program.globals:
@@ -1461,8 +1505,8 @@ def _generate(kernel: CompiledKernel, functions) -> _KernelPlan:
             ptr = value.pointer
             namespace[symbol] = VArray(VPtr(ptr.array, ptr.element_type, ptr.address_space,
                                             None, ptr.length, ptr.offset, None), value.element)
-    exec(compile(source, f"<kernelc-lockstep:{kernel.name}>", "exec"), namespace)  # noqa: S102
-    return _KernelPlan(None, namespace[pc.function_symbol(kernel.name)], source)
+    exec(module.code, namespace)  # noqa: S102
+    return _KernelPlan(None, namespace[pc.function_symbol(kernel.name)], module.source)
 
 
 # ---------------------------------------------------------------------------

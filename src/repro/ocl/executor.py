@@ -91,12 +91,15 @@ def execute_ndrange(
     sample_fraction: Optional[float] = None,
     counters: Optional[ExecutionCounters] = None,
     backend: Optional[str] = None,
+    metrics=None,
 ) -> ExecutionResult:
     """Execute ``kernel`` over ``ndrange``; returns scaled cost counters.
 
     ``counters`` must be the same object the argument pointers report
     their memory traffic to (the queue wires this up), so that sampled
     execution scales operations and memory traffic consistently.
+    ``metrics`` (a registry, or the queue's handles to one) is told how
+    the kernel's lockstep plan came to be, the launch it is made on.
     """
     if counters is None:
         counters = ExecutionCounters()
@@ -112,7 +115,7 @@ def execute_ndrange(
 
     fallback_reason = None
     if backend == "vector":
-        plan = vectorize.plan_for(kernel)
+        plan = vectorize.plan_for(kernel, metrics)
         if plan is not None:
             vectorize.execute(kernel, plan, ndrange, selected, args, counters)
             if executed < total:

@@ -3,10 +3,15 @@
 ``Program.build()`` runs the full kernelc front-end, the lint pass and
 the compiling backend.  Builds are cached per ``(source, defines)`` so
 that skeleton libraries repeatedly instantiating the same generated
-source (as SkelCL does) only pay the compilation cost once.  A program
-made by ``Context.create_program`` counts how its build was served —
-``skelcl_program_builds_total{result=memory|disk|compiled}`` — on that
-context's metrics; a bare ``Program`` counts nowhere.
+source (as SkelCL does) only pay the compilation cost once per process,
+and in the persistent program cache (:mod:`repro.kernelc.progcache`) so
+that a later process pays neither front end nor code generation: a disk
+hit unpickles the checked AST and ``exec``s the stored module.  A
+program made by ``Context.create_program`` counts how its build was
+served — ``skelcl_program_builds_total{result=memory|disk|compiled}``,
+``skelcl_program_codegen_total{engine="peritem",result=generated|restored}``
+and the cache's own ``skelcl_program_cache_total`` — on that context's
+metrics; a bare ``Program`` counts nowhere.
 
 Lint findings (:mod:`repro.kernelc.lint`) are recorded on the program
 (``lint_diagnostics``) and rendered into the build log; lint *errors*
@@ -23,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.races import SanitizeMode, resolve_sanitize_mode
 from ..kernelc import progcache
-from ..kernelc.compiler import CompiledProgram, compile_program
+from ..kernelc.compiler import CompiledProgram, compile_program, restore_program
 from ..kernelc.diagnostics import CompileError, Diagnostic, Severity
 from ..kernelc.frontend import compile_preprocessed, preprocess_source
 from ..kernelc.lint import lint_program
@@ -61,12 +66,17 @@ class Program:
     def is_built(self) -> bool:
         return self._compiled is not None
 
-    def _count_build(self, result: str) -> None:
+    def _count_build(self, result: str, codegen: Optional[str] = None) -> None:
         """``result``: ``"memory"`` (in-process build-cache hit),
         ``"disk"`` (served from the persistent program cache) or
-        ``"compiled"`` (cold front-end + backend run)."""
+        ``"compiled"`` (cold front-end + backend run); ``codegen``: what
+        became of the per-item generator (``"generated"`` / ``"restored"``
+        — it ran, or its module came from disk)."""
         if self._metrics is not None:
             self._metrics.counter("skelcl_program_builds_total", result=result).inc()
+            if codegen is not None:
+                self._metrics.counter("skelcl_program_codegen_total", engine="peritem",
+                                      result=codegen).inc()
 
     def build(self) -> "Program":
         key = (self.source, tuple(sorted(self.defines.items())))
@@ -83,20 +93,16 @@ class Program:
             self.build_log = str(exc)
             raise BuildError(self.build_log) from exc
 
-        # On-disk level: a prior process type-checked this exact
-        # preprocessed source — skip re-parse/re-typecheck/lint and go
-        # straight to the compiling backend.
-        compiled = lint = None
+        # On-disk level: a prior process built this exact preprocessed
+        # source — take its checked AST, lint findings and generated
+        # module, and only ``exec`` the latter.
         checked = None
-        entry = progcache.load(preprocessed)
-        if entry is not None:
-            restored, lint = entry
-            try:
-                compiled = compile_program(restored)
-            except Exception:
-                compiled = lint = None  # corrupt/stale entry: cold-compile
+        entry_path = progcache.entry_path(preprocessed)
+        compiled, lint = progcache.load(
+            entry_path, lambda program, lint, module: (restore_program(program, module), lint),
+            self._metrics) or (None, None)
         if compiled is not None:
-            self._count_build("disk")
+            self._count_build("disk", "restored")
             self.build_log = "(disk cache)"
         else:
             try:
@@ -106,9 +112,13 @@ class Program:
             except CompileError as exc:
                 self.build_log = str(exc)
                 raise BuildError(self.build_log) from exc
-            self._count_build("compiled")
-            progcache.store(preprocessed, checked, lint)
+            self._count_build("compiled", "generated")
+            progcache.store(entry_path, checked, lint, compiled.module, self._metrics)
             self.build_log = "build successful"
+        # Each kernel's lockstep plan is kept beside the entry, written by
+        # whichever process first launches it.
+        for kernel in compiled.kernels.values():
+            kernel.plan_path = progcache.plan_path(entry_path, kernel.name)
         _BUILD_CACHE[key] = (compiled, lint)
         self._compiled = compiled
         self.lint_diagnostics = lint

@@ -273,7 +273,7 @@ class CommandQueue:
         # object, so sampling scales both consistently.
         args = kernel.marshal_args(counters, self.device)
         result = execute_ndrange(kernel.compiled, ndrange, args, sample_fraction, counters,
-                                 backend=self._backend)
+                                 backend=self._backend, metrics=series)
         duration = kernel_time_ns(
             self.device.spec,
             result.counters,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from ..kernelc import ast
@@ -26,7 +27,7 @@ def rename_function(source: str, old_name: str, new_name: str) -> str:
     return re.sub(rf"\b{re.escape(old_name)}\b", new_name, source)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserFunction:
     source: str  # the (preprocessed) full user source, possibly with helpers
     name: str  # the customizing function: the *last* function defined
@@ -54,11 +55,15 @@ class UserFunction:
         return source, name
 
 
+@lru_cache(maxsize=64)
 def parse_user_function(source: str) -> UserFunction:
     """Parse a customizing function string.
 
     The string may contain several helper functions; the last function
-    defined is the customizing function (as in SkelCL).
+    defined is the customizing function (as in SkelCL).  Skeletons are
+    routinely constructed from one string over and over (the paper's
+    listings do it inside loops), so the most recent sources are parsed
+    once and share their — frozen — :class:`UserFunction`.
     """
     expanded = preprocess(source, "<user function>")
     try:

@@ -240,10 +240,10 @@ class LaunchAudit:
         monkeypatch.setattr(queue, "kernel_buffer_accesses", self.accesses)
 
     def execute(self, compiled, ndrange, args, sample_fraction, counters,
-                backend=None):
+                **options):
         counters.memory.trace = []
         result = self._execute(compiled, ndrange, args, sample_fraction,
-                               counters, backend=backend)
+                               counters, **options)
         assert result.backend != "vector", "the lockstep engine has no trace"
         self._pending = (args, counters.memory.trace, result.sampled)
         return result
