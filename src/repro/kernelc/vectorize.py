@@ -28,6 +28,14 @@ scalar code; ``docs/kernelc.md`` has the list and a reading guide.
 :func:`execute` then only binds arguments, fetches the memoized launch
 geometry, calls the function and does the warp accounting.
 
+An idle lane costs as much as an active one, so a *compactable region* —
+a branch of an ``if`` or a loop body under a lane-varying condition
+(:meth:`_LaneCompiler.compactable`) — is bracketed by :func:`_region`
+and :meth:`_Region.leave`: when few of many lanes are active it runs on
+those alone, with a sub-run, a sliced context and sliced live-ins, and
+everything it charged or wrote is put back where the full run would
+have left it (``docs/kernelc.md``, "Compacted regions").
+
 The helpers the generated code calls (the runtime library below) carry
 the semantics, held to a *bit-exactness contract*: for any conforming
 kernel, output buffers and every ``ExecutionCounters`` field equal the
@@ -59,6 +67,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from collections import OrderedDict, namedtuple
 from contextlib import contextmanager
 from typing import Dict, List, Optional
@@ -798,7 +807,7 @@ def _switch_start(mask, subject, cases, default_index: int, num_cases: int):
 class _Run:
     """Per-launch state the generated code charges into."""
 
-    __slots__ = ("ops", "base", "counters", "lanes", "lmem")
+    __slots__ = ("ops", "base", "counters", "lanes", "lmem", "regions")
 
     def __init__(self, counters, lanes: "_LaneLayout"):
         self.ops = np.zeros(lanes.n, dtype=_I64)  # per-lane op charges
@@ -806,6 +815,7 @@ class _Run:
         self.counters = counters
         self.lanes = lanes
         self.lmem: List[VArray] = []
+        self.regions = [0, 0]  # compactable region entries: compacted, full
 
     def barrier(self, mask: ndarray) -> None:
         lanes = self.lanes
@@ -827,6 +837,90 @@ class _Run:
         return VArray(vptr, ctype.element)
 
 
+#: A compactable region runs on its active lanes alone when at most this
+#: share of the current lanes is active, and there are at least
+#: ``_COMPACT_MIN_LANES`` of those: entering and leaving costs ~10 us
+#: whatever the size, which fewer idle lanes do not pay back.  Measured
+#: per launch, compacted / full host time: Reduce 0.48x at 16,384 lanes,
+#: 0.73x at 4,096, 0.96x at 1,024, 1.07x at 256 (docs/kernelc.md,
+#: "Compacted regions").
+_COMPACT_DENSITY = 0.5
+_COMPACT_MIN_LANES = 1024
+
+
+def _sub(value, ix: ndarray):
+    """A live-in of a compacted region on its lanes ``ix`` alone."""
+    if isinstance(value, ndarray):
+        return value[ix]
+    if isinstance(value, VPtr):
+        if value.base is None and not isinstance(value.offset, ndarray):
+            return value  # the same address on every lane
+        return VPtr(value.array, value.element_type, value.space, value.tally, value.length,
+                    _sub(value.offset, ix), _sub(value.base, ix))
+    if isinstance(value, VArray):
+        return VArray(_sub(value.pointer, ix), value.element)
+    if isinstance(value, list):  # the kernel's __local arrays
+        return [_sub(item, ix) for item in value]
+    return value
+
+
+def _widen(old, new, ix: ndarray, chain: ndarray):
+    """An outer variable a compacted region wrote (``new``, on ``ix``)
+    back on every lane: what ``_merge`` leaves had the region run on
+    ``chain`` — the same values, in the same int/float domain."""
+    if not isinstance(new, ndarray):
+        return _merge(old, new, chain)
+    if isinstance(old, ndarray) and old.dtype == new.dtype:
+        lanes = old.copy()  # what np.where gives when no operand is coerced
+        lanes[ix] = new
+        return lanes
+    lanes = np.zeros(chain.shape, new.dtype)
+    lanes[ix] = new
+    return _merge(old, lanes, chain)
+
+
+def _region(R, chain: ndarray, values: tuple) -> Optional["_Region"]:
+    """Entry of a compactable region on ``chain`` with live-ins
+    ``values``: None when it runs on every lane, else the region that
+    runs on the active ones alone."""
+    if chain.size < _COMPACT_MIN_LANES \
+            or np.count_nonzero(chain) > chain.size * _COMPACT_DENSITY:
+        R.regions[1] += 1
+        return None
+    R.regions[0] += 1
+    return _Region(R, chain, values, chain.nonzero()[0])
+
+
+class _Region:
+    """A region running on the lanes ``ix`` (sorted, so lanes keep their
+    order and the first faulting lane stays the first).  ``inner`` is
+    what the generated code runs it on: a sub-run whose per-lane ops are
+    the region's, the work-item context of ``ix``, and the live-ins on
+    ``ix`` (under them the region's own chain, now all true)."""
+
+    __slots__ = ("run", "chain", "outer", "ix", "inner")
+
+    def __init__(self, run: _Run, chain: ndarray, values: tuple, ix: ndarray):
+        self.run, self.chain, self.outer, self.ix = run, chain, values, ix
+        sub = _Run(run.counters, run.lanes.subset(ix))
+        sub.regions = run.regions
+        self.inner = (sub, sub.lanes, sub.ops, tuple([_sub(value, ix) for value in values]))
+
+    def leave(self, *written):
+        """Back on every lane: the region's op charges folded into the
+        run, its live-ins restored and the ``written`` ones — the last
+        of them — widened (:func:`_widen`)."""
+        run, ix = self.run, self.ix
+        run.ops[ix] += self.inner[2]
+        values = self.outer
+        if written:
+            values, inner = list(values), self.inner[3]
+            for position, new in enumerate(written, len(values) - len(written)):
+                if new is not inner[position]:
+                    values[position] = _widen(values[position], new, ix, self.chain)
+        return run, run.lanes, run.ops, tuple(values)
+
+
 _ARITH = {"+": "add", "-": "sub", "*": "mul", "&": "and_", "|": "or_", "^": "xor",
           "<": "lt", ">": "gt", "<=": "le", ">=": "ge", "==": "eq", "!=": "ne"}
 
@@ -836,7 +930,7 @@ _LIBRARY = {
     "_f2i": _f2i, "_cast": _cast, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
     "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
     "_add_scalar": _add_scalar, "_mul_index": _mul_index, "_workitem": _workitem,
-    "_switch_start": _switch_start, "_VNULL": NULL_POINTER, "_op": operator,
+    "_switch_start": _switch_start, "_region": _region, "_VNULL": NULL_POINTER, "_op": operator,
 }
 for _symbol, _name in _ARITH.items():
     for _domain, _coerce in (("i", _as_int_operand), ("f", _as_float_operand),
@@ -850,9 +944,34 @@ for _symbol, _name in _ARITH.items():
 
 _SAME, _NARROWED, _DEAD = "same", "narrowed", "dead"  # a statement's effect on its mask
 
+_ASSIGNED = re.compile(r" *(?:else: )?(\w+) [|+]?=(?!=)")  # the local a generated line binds
+_NAMES = re.compile(r"(?<![\w.])[A-Za-z_]\w*")  # the names a generated line mentions
+_RUN_LOCALS = {"R", "ctx", "ops"}  # what a compacted region swaps for its own
+
 
 def _is_u64(ctype) -> bool:
     return _is_unsigned(ctype) and ctype.size == 8
+
+
+_NONE, _WORK = frozenset(), frozenset(["work"])
+_BARRIER, _POINTER = frozenset(["barrier"]), frozenset(["pointer"])
+
+
+def _traits(node) -> frozenset:
+    """What ``node`` itself tells about a body holding it: "barrier",
+    "pointer" (a pointer variable is assigned) or "work" (memory is
+    touched, a function called, or control flow of its own runs)."""
+    if isinstance(node, ast.Call):
+        if node.kind == "builtin" and node.resolved.kind == "barrier":
+            return _BARRIER
+        return _WORK if node.kind == "user" or node.resolved.kind != "workitem" else _NONE
+    if _written_name(node) is not None:
+        target = node.target if isinstance(node, ast.Assignment) else node.operand
+        return _POINTER if isinstance(target.ctype, PointerType) else _NONE
+    if isinstance(node, (ast.Index, ast.IfStmt, ast.SwitchStmt, ast.ForStmt, ast.WhileStmt,
+                         ast.DoStmt)) or isinstance(node, ast.UnaryOp) and node.op == "*":
+        return _WORK
+    return _NONE
 
 
 class _LaneSpelling(_Spelling):
@@ -989,6 +1108,8 @@ class _LaneCompiler(_FunctionCompiler):
         self.full = function.is_kernel  # chain "m" still holds every lane
         self.loops: List[tuple] = []  # ("loop", done, cont) / ("switch", brk)
         self._escape_memo: Dict[int, frozenset] = {}
+        self._trait_memo: Dict[int, frozenset] = {}
+        self.made = {"m", "lmem"}  # the locals bound so far that are no C variables
         self._slot = None  # (chain, line index, ops) of the open charge line
         self._blocks: List[int] = []
 
@@ -1057,6 +1178,11 @@ class _LaneCompiler(_FunctionCompiler):
         self.var_chain[name] = self.m
         return name
 
+    def fresh(self, hint: str = "t") -> str:
+        name = super().fresh(hint)
+        self.made.add(name)
+        return name
+
     def escapes(self, node) -> frozenset:
         """Which of return/break/continue can carry lanes out of ``node``."""
         found = self._escape_memo.get(id(node))
@@ -1071,6 +1197,25 @@ class _LaneCompiler(_FunctionCompiler):
             elif isinstance(node, ast.SwitchStmt):
                 found -= {"break"}
             self._escape_memo[id(node)] = found
+        return found
+
+    def compactable(self, body) -> bool:
+        """Whether a branch or loop body may run compacted: nothing
+        escapes it, it holds no barrier, assigns no pointer variable (a
+        divergent pointer merge must fail where it fails on every lane)
+        and does more than charge and merge — it touches memory, calls a
+        function or has control flow of its own, or compaction would
+        cost more than it saves."""
+        traits = self.traits(body)
+        return "work" in traits and not traits & (_BARRIER | _POINTER) \
+            and not self.escapes(body)
+
+    def traits(self, node) -> frozenset:
+        """The :func:`_traits` of ``node`` and everything under it."""
+        found = self._trait_memo.get(id(node))
+        if found is None:
+            found = self._trait_memo[id(node)] = \
+                _traits(node).union(*map(self.traits, ast.children(node)))
         return found
 
     # -- function body ---------------------------------------------------------
@@ -1128,6 +1273,34 @@ class _LaneCompiler(_FunctionCompiler):
         status = self.lane_stmt(stmt, m)
         self.scope_stack.pop()
         return status
+
+    def lane_region(self, body, m: str) -> str:
+        """``lane_scope`` for a branch or loop body on the lane-varying
+        chain ``m``.  A compactable body (:meth:`compactable`) is emitted
+        once, between an entry that may swap the run, context, op array
+        and every live-in for their values on the active lanes
+        (``_region``) and an exit that swaps them back.  The live-ins are
+        the locals bound before the body that it mentions; those it binds
+        are widened on the way out."""
+        if not self.compactable(body):
+            return self.lane_scope(body, m)
+        before, start = self.used_names | self.made, len(self.lines)
+        effect = self.lane_scope(body, m)
+        self._slot = None  # the body's charges are the region run's
+        inside = self.lines[start:]
+        bound = {match.group(1) for match in map(_ASSIGNED.match, inside) if match}
+        written = sorted(bound & before - _RUN_LOCALS)
+        mentioned = {name for line in inside for name in _NAMES.findall(line)}
+        read = sorted(mentioned & before - _RUN_LOCALS - self.uniform_names - set(written))
+        names = ", ".join(read + written)
+        values = f"({names}{',' if len(read + written) == 1 else ''})"
+        region, pad = self.fresh("rg"), "    " * self.indent
+        self.lines[start:start] = [
+            f"{pad}{region} = _region(R, {m}, {values})",
+            f"{pad}if {region} is not None: R, ctx, ops, {values} = {region}.inner"]
+        self.emit(f"if {region} is not None: "
+                  f"R, ctx, ops, {values} = {region}.leave({', '.join(written)})")
+        return effect
 
     def lane_stmt(self, stmt, m: str) -> str:
         if isinstance(stmt, ast.CompoundStmt):
@@ -1205,12 +1378,12 @@ class _LaneCompiler(_FunctionCompiler):
         need_else = stmt.else_branch is not None or bool(self.escapes(stmt.then_branch))
         else_m = self.temp("m", f"{m} & ~{then_m}") if need_else else None
         self.open(f"if {then_m}.any():")
-        then_effect = self.lane_scope(stmt.then_branch, then_m)
+        then_effect = self.lane_region(stmt.then_branch, then_m)
         self.close()
         else_effect = _SAME
         if stmt.else_branch is not None:
             self.open(f"if {else_m}.any():")
-            else_effect = self.lane_scope(stmt.else_branch, else_m)
+            else_effect = self.lane_region(stmt.else_branch, else_m)
             self.close()
         if then_effect is _SAME and else_effect is _SAME:
             return _SAME
@@ -1277,7 +1450,9 @@ class _LaneCompiler(_FunctionCompiler):
             check(live, done)
         cont = self.temp("m", f"_zeros({m})") if "continue" in escapes else None
         self.loops.append(("loop", done, cont))
-        effect = self.lane_scope(stmt.body, live)
+        # (a uniform condition comes here only with an escaping body,
+        # which lane_region leaves as it is)
+        effect = self.lane_region(stmt.body, live)
         self.loops.pop()
         if effect is _DEAD and cont is None:
             self.emit("break")
@@ -1595,6 +1770,29 @@ class _LaneLayout:
             return lambda dim=0: self.query(name, int(dim))
         raise AttributeError(name)
 
+    def subset(self, ix: ndarray) -> "_LaneLayout":
+        """The context of the lanes ``ix`` (a compacted region's)."""
+        return _LaneSubset(self, ix)
+
+
+class _LaneSubset(_LaneLayout):
+    """The lanes ``ix`` of ``layout``: work-item ids are sliced when first
+    read, sizes and everything else are the layout's."""
+
+    def __init__(self, layout: _LaneLayout, ix: ndarray):
+        self.layout, self.ix, self.n = layout, ix, len(ix)
+
+    def subset(self, ix: ndarray) -> "_LaneLayout":
+        return _LaneSubset(self.layout, self.ix[ix])
+
+    def __getattr__(self, name: str):
+        if name in ("local_id", "group_id", "global_id"):
+            ids = [v[self.ix] if isinstance(v, ndarray) else v
+                   for v in getattr(self.layout, name)]
+            setattr(self, name, ids)
+            return ids
+        return getattr(self.layout, name)
+
 
 _LAYOUT_LANES = 1 << 19  # lanes the layout memo may hold (a few MiB per 64 Ki)
 _layouts: "OrderedDict[tuple, _LaneLayout]" = OrderedDict()
@@ -1621,11 +1819,12 @@ def _layout(global_size, local_size, selected) -> _LaneLayout:
 
 
 def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
-            counters) -> None:
+            counters, metrics=None) -> None:
     """Run ``kernel`` in lockstep over the ``selected`` work-groups of
     ``ndrange`` (a list of group ids; None = all of them), mutating
     argument buffers and ``counters`` exactly as the per-item executor
-    would."""
+    would.  ``metrics``: the registry to count the launch's compactable
+    region entries on."""
     lanes = _layout(ndrange.global_size, ndrange.local_size, selected)
     run = _Run(counters, lanes)
     # Group-local allocations: one row of storage per selected group.
@@ -1641,6 +1840,10 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
               for arg in args]
     with np.errstate(all="ignore"):
         plan.run(run, lanes, lanes.full, *values)
+    if metrics is not None:
+        for path, entries in zip(("compacted", "full"), run.regions):
+            if entries:
+                metrics.counter("skelcl_lockstep_regions_total", path=path).inc(entries)
 
     counters.ops += int(run.ops.sum()) + run.base * lanes.n
     if not kernel.uses_barrier:

@@ -14,8 +14,8 @@ Two engines execute an NDRange, both generated from the one lowering of
     work-item runs the kernel's generated Python function to completion
     (or, for ``barrier()`` kernels, phase-by-phase as a generator with
     divergence detection).  The name is historical: the tree-walking
-    interpreter (:mod:`repro.kernelc.interp`) is the test oracle and no
-    launch runs on it.
+    interpreter lives with the tests (``tests/kernelc/interp.py``), their
+    oracle, and no launch runs on it.
 
 Both engines produce bit-identical buffers and identical
 ``ExecutionCounters``; ``tests/kernelc/test_vectorize_differential.py``
@@ -117,7 +117,7 @@ def execute_ndrange(
     if backend == "vector":
         plan = vectorize.plan_for(kernel, metrics)
         if plan is not None:
-            vectorize.execute(kernel, plan, ndrange, selected, args, counters)
+            vectorize.execute(kernel, plan, ndrange, selected, args, counters, metrics)
             if executed < total:
                 counters = counters.scaled(total / executed)
             return ExecutionResult(counters, total, executed, "vector")

@@ -37,8 +37,8 @@ def traced_run(source, kernel_name, arrays, args, global_size,
     # execute manually (run_kernel would build fresh buffers/counters).
     from repro.kernelc.execmodel import convert_value
     from repro.kernelc.execmodel import allocate_local_memory
-    from repro.kernelc.interp import Interpreter, Machine
     from ..kernelc.helpers import _contexts
+    from ..kernelc.interp import Interpreter, Machine
 
     definition = program.function(kernel_name)
     runtime_args = [pointers[a] if isinstance(a, str) else a for a in args]

@@ -1,12 +1,18 @@
-"""Shared fixtures: SkelCL runtimes on small simulated devices."""
+"""Shared fixtures: SkelCL runtimes on small simulated devices.
+
+``--hypothesis-profile=analysis-ci`` is the larger example budget the
+CI ``analysis`` job fuzzes with; tier-1 runs hypothesis's default."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import repro.skelcl as skelcl
 from repro import ocl
+
+settings.register_profile("analysis-ci", max_examples=600, deadline=None)
 
 
 @pytest.fixture

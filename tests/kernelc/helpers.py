@@ -11,8 +11,9 @@ from repro.kernelc import ExecutionCounters, WorkItemContext, compile_source
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.execmodel import allocate_local_memory
-from repro.kernelc.interp import Interpreter, Machine
 from repro.kernelc.memory import Pointer
+
+from .interp import Interpreter, Machine
 
 
 def make_buffers(arrays: Dict[str, np.ndarray], counters: ExecutionCounters) -> Dict[str, Pointer]:

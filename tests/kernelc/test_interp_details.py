@@ -6,10 +6,10 @@ import pytest
 from repro.kernelc import compile_source
 from repro.kernelc.ctypes_ import FLOAT, INT
 from repro.kernelc.execmodel import local_memory_bytes
-from repro.kernelc.interp import Machine
 from repro.kernelc.memory import KernelFault
 
 from .helpers import run_kernel
+from .interp import Machine
 
 
 def run(source, arrays, args, backend, n=1, local=None):
