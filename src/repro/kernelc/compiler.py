@@ -273,6 +273,9 @@ class _Spelling:
 
     null = "_NULLPTR"
     void = "None"
+    # A vector local holds its VecValue by reference: ``_vset`` on a temp
+    # holding it changes the local, and nothing is written back.
+    vectors_by_reference = True
 
     def __init__(self, generator: "_FunctionCompiler"):
         self.g = generator
@@ -294,6 +297,19 @@ class _Spelling:
 
     def truth_value(self, code: str) -> str:
         return code
+
+    def vector(self, helper: str, *args: str) -> str:
+        """A call of the vector runtime function ``helper``."""
+        return f"{helper}({', '.join(args)})"
+
+    def vector_part(self, code: str, source: CType, element: ScalarType) -> str:
+        """``code`` (of type ``source``) as an operand a vector operation
+        converts to ``element``."""
+        return code
+
+    def component(self, code: str, index: int) -> str:
+        """Component ``index`` of the vector ``code`` (an atom)."""
+        return f"{code}.components[{index}]"
 
     def divide(self, op: str, left: str, right: str, op_type: ScalarType) -> str:
         if op == "%":
@@ -587,7 +603,7 @@ class _FunctionCompiler:
             self.end_charge(token)
             code = self.convert_code(code, decl.init.ctype, ctype)
             if isinstance(ctype, VectorType):
-                code = f"_copyv({code})"
+                code = self.e.vector("_copyv", code)
         else:
             code = self.default_value_code(ctype)
         name = self.declare_name(decl.name)
@@ -869,7 +885,7 @@ class _FunctionCompiler:
         if op == "*":
             return self.e.load(self.e.atom(operand), "0")
         if isinstance(expr.ctype, VectorType):
-            return f"_unaryv({self.pc.constant(expr.ctype)}, {op!r}, {operand})"
+            return self.e.vector("_unaryv", self.pc.constant(expr.ctype), repr(op), operand)
         if op == "!":
             return self.e.logical_not(operand)
         return self._mask_unsigned(f"({op}{self.e.atom(operand)})", expr.ctype)
@@ -938,8 +954,11 @@ class _FunctionCompiler:
         if _is_pointer(left) or _is_pointer(right):
             return self._pointer_binary(op, lcode, rcode, left, right)
         if isinstance(op_type, VectorType):
-            helper = "_cmpv" if op in _CMP_OPS else "_binv"
-            return f"{helper}({op!r}, {lcode}, {rcode}, {self.pc.constant(op_type)})"
+            element = op_type.element
+            return self.e.vector("_cmpv" if op in _CMP_OPS else "_binv", repr(op),
+                                 self.e.vector_part(lcode, left.ctype, element),
+                                 self.e.vector_part(rcode, right.ctype, element),
+                                 self.pc.constant(op_type))
         assert isinstance(op_type, ScalarType)
         e = self.e
         if op in _CMP_OPS:
@@ -1031,7 +1050,7 @@ class _FunctionCompiler:
         if expr.op == "=":
             value = self.compile_converted(expr.value, target_type)
             if variable and isinstance(target_type, VectorType):
-                value = f"_copyv({value})"
+                value = self.e.vector("_copyv", value)
         else:
             # ``a op= b`` is ``a = a op b`` with the lvalue resolved once:
             # the binary rule, then the assignment conversion.
@@ -1141,7 +1160,7 @@ class _FunctionCompiler:
         base = self.compile_expr(expr.base)
         indices = expr.indices
         if len(indices) == 1:
-            return f"({base}).components[{indices[0]}]"
+            return self.e.component(f"({base})", indices[0])
         return f"_vswiz({base}, ({', '.join(str(i) for i in indices)},))"
 
     def _expr_Cast(self, expr: ast.Cast) -> str:
@@ -1159,8 +1178,10 @@ class _FunctionCompiler:
         return self.e.cast(operand, target, source)
 
     def _expr_VectorLiteral(self, expr: ast.VectorLiteral) -> str:
-        codes = ", ".join(self.compile_expr(element) for element in expr.elements)
-        return f"_vecnew({self.pc.constant(expr.target_type)}, ({codes},))"
+        target = expr.target_type
+        codes = ", ".join(self.e.vector_part(self.compile_expr(element), element.ctype,
+                                             target.element) for element in expr.elements)
+        return self.e.vector("_vecnew", self.pc.constant(target), f"({codes},)")
 
     def _expr_SizeofExpr(self, expr: ast.SizeofExpr) -> str:
         queried = expr.queried_type if expr.queried_type is not None else expr.operand.ctype
@@ -1194,8 +1215,8 @@ class _FunctionCompiler:
         if isinstance(expr, ast.Member):
             base = self._compile_lvalue(expr.base)
             vector = self.temp("vec", self._load(base))
-            return _LValue("veccomp", vector, tuple(expr.indices),
-                           base if base.kind != "var" else None,
+            by_reference = base.kind == "var" and self.e.vectors_by_reference
+            return _LValue("veccomp", vector, tuple(expr.indices), None if by_reference else base,
                            self.pc.constant(expr.base.ctype.element))
         raise _unsupported(expr, f"expression is not assignable: {type(expr).__name__}")
 
@@ -1205,7 +1226,7 @@ class _FunctionCompiler:
         if lvalue.kind == "mem":
             return self.e.load(lvalue.target, lvalue.index)
         if len(lvalue.index) == 1:
-            return f"{lvalue.target}.components[{lvalue.index[0]}]"
+            return self.e.component(lvalue.target, lvalue.index[0])
         return f"_vswiz({lvalue.target}, ({', '.join(str(i) for i in lvalue.index)},))"
 
     def _store(self, lvalue: "_LValue", value: str) -> None:
@@ -1215,7 +1236,8 @@ class _FunctionCompiler:
             self.emit(self.e.store(lvalue.target, lvalue.index, value))
         else:
             indices = ", ".join(str(i) for i in lvalue.index)
-            self.emit(f"_vset({lvalue.target}, ({indices},), {value}, {lvalue.element})")
+            code = self.e.vector("_vset", lvalue.target, f"({indices},)", value, lvalue.element)
+            self.emit(code if self.e.vectors_by_reference else f"{lvalue.target} = {code}")
             if lvalue.writeback is not None:
                 self._store(lvalue.writeback, lvalue.target)
 
@@ -1229,7 +1251,8 @@ class _FunctionCompiler:
         if isinstance(source, ArrayType):
             return code  # decayed by the caller
         if isinstance(target, VectorType) or isinstance(source, VectorType):
-            return f"_cvv({code}, {self.pc.constant(target)})"
+            return self.e.vector("_cvv", self.e.vector_part(code, source, target.element),
+                                 self.pc.constant(target))
         if isinstance(target, PointerType) or isinstance(source, PointerType):
             return code
         assert isinstance(source, ScalarType) and isinstance(target, ScalarType)
@@ -1254,7 +1277,8 @@ class _LValue:
     """A resolved assignable location: a local (``var``), a pointer and
     element index held in locals (``mem``), or components ``index`` of
     the vector held in ``target`` (``veccomp``, written back through
-    ``writeback`` when the vector lives in memory)."""
+    ``writeback`` unless the spelling holds vector locals by reference
+    and the vector lives in one)."""
 
     __slots__ = ("kind", "target", "index", "writeback", "element")
 

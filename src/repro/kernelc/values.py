@@ -102,6 +102,9 @@ class VecValue:
     def __iter__(self):
         return iter(self.components)
 
+    def __getitem__(self, index: int):
+        return self.components[index]
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VecValue)

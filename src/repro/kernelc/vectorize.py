@@ -57,10 +57,14 @@ Intentional differences (documented, all under undefined behaviour):
 * With intra-group data races, lockstep statement order differs from
   the sequential per-item order.
 
-Kernels using constructs with no lockstep lowering (vector types,
-pointer casts, recursion, barriers inside helper functions, …) are
-rejected statically (:func:`reject_reason`) and fall back to the
-per-item backend.
+Vector types (``floatN`` …) run on lanes too: a uniform vector is the
+per-item :class:`~.values.VecValue`, a lane-varying one a ``(width,
+lanes)`` array whose rows are its components, so a scalar lane array
+broadcasts against it and ``_merge`` selects on it unchanged ("Vector
+types" in ``docs/kernelc.md``).  Kernels using constructs with no
+lockstep lowering (pointer casts, ``__local`` scalars, recursion,
+barriers inside helper functions, …) are rejected statically
+(:func:`reject_reason`) and fall back to the per-item backend.
 """
 
 from __future__ import annotations
@@ -87,8 +91,10 @@ from .ctypes_ import (
     convert_scalar,
     numpy_dtype,
 )
-from .execmodel import WARP_SIZE, c_fdiv, c_idiv, c_imod
+from .execmodel import (WARP_SIZE, binary_value, c_fdiv, c_idiv, c_imod, compare_value,
+                        convert_value, copy_value)
 from .memory import NULL_POINTER, ArrayRef, KernelFault, NullPointer, Pointer, allocate_array
+from .values import VecValue
 
 _I64 = np.int64
 _U64 = np.uint64
@@ -109,16 +115,6 @@ class VectorizeError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def _contains_vector(ctype) -> bool:
-    if isinstance(ctype, VectorType):
-        return True
-    if isinstance(ctype, PointerType):
-        return _contains_vector(ctype.pointee)
-    if isinstance(ctype, ArrayType):
-        return _contains_vector(ctype.element)
-    return False
-
-
 class _FunctionFacts:
     """What one walk of a function body finds: why it has no lockstep
     lowering (or None), the user functions it calls, the C names written
@@ -129,11 +125,7 @@ class _FunctionFacts:
         self.callees: List[Optional[ast.FunctionDef]] = []
         self.returns: List[ast.ReturnStmt] = []
         reason = None
-        if _contains_vector(fn.return_type):
-            reason = "vector return type"
-        elif any(_contains_vector(param.declared_type) for param in fn.params):
-            reason = "vector parameter type"
-        elif not fn.is_kernel and getattr(fn, "uses_barrier", False):
+        if not fn.is_kernel and getattr(fn, "uses_barrier", False):
             reason = "barrier inside a helper function"
         writes: Dict[str, int] = {}
         loops = []
@@ -159,27 +151,13 @@ class _FunctionFacts:
 
     @staticmethod
     def _node_reason(node, fn: ast.FunctionDef) -> Optional[str]:
-        if isinstance(node, ast.StringLiteral):
-            return "string literal"
-        if isinstance(node, ast.Member):
-            return "vector component access"
-        if isinstance(node, ast.VectorLiteral) and not getattr(node, "is_array_initializer", False):
-            return "vector literal"
         if isinstance(node, ast.Cast) and isinstance(node.target_type, PointerType):
             return "pointer cast"
-        if isinstance(node, ast.VarDecl):
-            if _contains_vector(node.declared_type):
-                return "vector variable"
-            if node.address_space == "local" and not isinstance(node.declared_type, ArrayType):
+        if isinstance(node, ast.VarDecl) and node.address_space == "local":
+            if not isinstance(node.declared_type, ArrayType):
                 return "__local scalar variable"
-            if node.address_space == "local" and not fn.is_kernel:
+            if not fn.is_kernel:
                 return "__local declaration in a helper function"
-        ctype = getattr(node, "ctype", None)
-        if ctype is not None and _contains_vector(ctype):
-            return "vector-typed expression"
-        op_type = getattr(node, "op_type", None)
-        if op_type is not None and _contains_vector(op_type):
-            return "vector arithmetic"
         return None
 
 
@@ -220,9 +198,6 @@ def _analyse(kernel: CompiledKernel):
     reason = visit(kernel.definition)
     for _, facts in order:
         reason = reason or facts.reason
-    for global_decl in kernel.program.globals:
-        if reason is None and _contains_vector(global_decl.decl.declared_type):
-            reason = "vector-typed __constant global"
     return reason, order
 
 
@@ -331,7 +306,9 @@ class VPtr:
 
     def _rows(self, index, mask):
         """Storage rows for ``index``, bounds-checked for active lanes;
-        rows of inactive lanes are unspecified but in range."""
+        rows of inactive lanes are unspecified but in range.  A
+        ``(width, lanes)`` index reports the first faulting lane, and in
+        it the first faulting component, as the per-item engine does."""
         offset = self.offset
         if isinstance(index, ndarray) or isinstance(offset, ndarray):
             where = _int_lanes_pair(offset, index) if isinstance(offset, ndarray) or offset \
@@ -341,7 +318,7 @@ class VPtr:
                 bad &= mask
                 if bad.any():
                     raise KernelFault(f"out-of-bounds {self.space} access: element "
-                                      f"{int(where[np.argmax(bad)])} of {self.length}")
+                                      f"{int(where.T.flat[np.argmax(bad.T)])} of {self.length}")
                 where = np.where(mask, where, 0)
         else:
             where = offset + int(index)
@@ -372,15 +349,57 @@ class VPtr:
         count = int(np.count_nonzero(mask))
         rows = self._rows(index, mask)
         self._charge(count, store=False)
+        etype = self.element_type
+        if isinstance(etype, VectorType):
+            return self._gather_components(rows, etype)
         if not isinstance(rows, ndarray):
             value = self.array[rows].item()
-            return float(value) if self.element_type.is_float() else int(value)
-        return self.array[rows].astype(np.float64 if self.element_type.is_float() else _I64)
+            return float(value) if etype.is_float() else int(value)
+        return self.array[rows].astype(np.float64 if etype.is_float() else _I64)
+
+    def _gather_components(self, rows, etype: VectorType):
+        """The vectors at ``rows`` (in vectors): a VecValue at one row,
+        a ``(width, lanes)`` array at lane rows."""
+        width = etype.width
+        if not isinstance(rows, ndarray):
+            start = rows * width
+            return VecValue.of_converted(etype.element,
+                                         self.array[start:start + width].tolist())
+        return self.array[rows * width + _COMPONENTS[width]].astype(_lane_dtype(etype.element))
+
+    def _vector_rows(self, width: int, offset, mask, store: bool):
+        """Rows of ``vload``/``vstore{width}`` at ``offset``: ``width``
+        consecutive elements from element ``offset * width``, per lane."""
+        index = _as_int_operand(offset) * width + _COMPONENTS[width]
+        rows = self._rows(np.broadcast_to(index, (width, mask.size)), mask)
+        self._charge(int(np.count_nonzero(mask)) * width, store)
+        return rows
+
+    def vload(self, width: int, offset, mask):
+        rows = self._vector_rows(width, offset, mask, store=False)
+        return self.array[rows].astype(_lane_dtype(self.element_type))
+
+    def vstore(self, width: int, value, offset, mask) -> None:
+        self._store_components(self._vector_rows(width, offset, mask, store=True), value, mask)
+
+    def _store_components(self, addresses: ndarray, value, mask) -> None:
+        """Store the vector lanes ``value`` at ``(width, lanes)`` element
+        ``addresses``, active lanes only, in lane order (a later lane's
+        store wins, as when the per-item engine runs them one by one)."""
+        active = addresses.T[mask]
+        values = np.broadcast_to(_vec_operand(value), addresses.shape).T[mask]
+        self.array[active.ravel()] = values.ravel().astype(self.array.dtype)
 
     def scatter(self, index, value, mask) -> None:
         count = int(np.count_nonzero(mask))
         rows = self._rows(index, mask)
         self._charge(count, store=True)
+        etype = self.element_type
+        if isinstance(etype, VectorType):
+            if not isinstance(rows, ndarray):
+                rows = np.full(mask.shape, rows, dtype=_I64)
+            self._store_components(rows * etype.width + _COMPONENTS[etype.width], value, mask)
+            return
         partial = count != mask.size
         if not isinstance(rows, ndarray):
             rows = np.full(count, rows, dtype=_I64)
@@ -419,6 +438,20 @@ class VArray:
 
 
 _POINTERS = (VPtr, VArray, NullPointer)
+
+#: Per vector width, the column of component offsets that turns lane
+#: rows ``(lanes,)`` into element addresses ``(width, lanes)``.
+_COMPONENTS = {width: np.arange(width, dtype=_I64)[:, None] for width in (2, 3, 4, 8, 16)}
+
+
+def _lane_dtype(element: ScalarType):
+    """What lanes of ``element`` values are stored in."""
+    return np.float64 if element.is_float() else _I64
+
+
+def _width(ctype) -> int:
+    """Scalars of storage per element of type ``ctype``."""
+    return ctype.width if isinstance(ctype, VectorType) else 1
 
 
 def _mul_index(i, stride: int):
@@ -462,8 +495,9 @@ def _is_float_value(v) -> bool:
 
 
 def _float_lanes_to_int(values: ndarray, mask) -> ndarray:
-    """Per-lane ``int(v)`` (truncation) with CPython's error behaviour."""
-    active = values if mask is None else values[mask]
+    """Per-lane ``int(v)`` (truncation) with CPython's error behaviour
+    (``values``: lanes, or a vector's ``(width, lanes)``)."""
+    active = values if mask is None else values[..., mask]
     if np.isnan(active).any():
         raise ValueError("cannot convert float NaN to integer")
     if np.isinf(active).any():
@@ -474,8 +508,8 @@ def _float_lanes_to_int(values: ndarray, mask) -> ndarray:
         return truncated.astype(_I64)
     out = np.empty(values.shape, dtype=_I64)
     np.copyto(out, truncated.astype(_I64, casting="unsafe"), where=~huge)
-    for lane in np.nonzero(huge)[0]:
-        out[lane] = _wrap_to_i64(int(truncated[lane]))
+    for where in zip(*np.nonzero(huge)):
+        out[where] = _wrap_to_i64(int(truncated[where]))
     return out
 
 
@@ -537,6 +571,8 @@ def _merge(old, new, mask: ndarray):
             "divergent pointer values cannot be merged on the vector "
             "backend (lanes would point into different objects)"
         )
+    if isinstance(old, VecValue) or isinstance(new, VecValue):
+        old, new = _vec_operand(old), _vec_operand(new)  # uniform vectors, as columns
     if not isinstance(old, ndarray) and not isinstance(new, ndarray):
         if isinstance(old, float) and isinstance(new, float):
             if (old == new and math.copysign(1.0, old) == math.copysign(1.0, new)) \
@@ -672,6 +708,123 @@ def _cast(value, target: ScalarType, source_u64: bool, mask):
     return value.astype(np.float32 if target.size == 4 else np.float16).astype(np.float64)
 
 
+# -- vectors -------------------------------------------------------------------
+# A uniform vector is a VecValue, as in per-item code; lanes of one are a
+# ``(width, lanes)`` array of its element's lane dtype, a row per
+# component.  Each operation below computes a VecValue with the per-item
+# runtime's own function when no operand is lanes, else a full
+# ``(width, lanes)`` array; none changes an operand in place, so a copy
+# (``_copyv``) is the value itself.
+
+
+def _vec_operand(v):
+    """``v`` as a numpy operand: a VecValue becomes a ``(width, 1)``
+    column that broadcasts against lanes; lanes and scalars pass."""
+    if not isinstance(v, VecValue):
+        return v
+    if v.element_type.is_float():
+        return np.array(v.components, dtype=np.float64)[:, None]
+    return np.array([_wrap_to_i64(c) for c in v.components], dtype=_I64)[:, None]
+
+
+def _elements(v, element: ScalarType, mask):
+    """``convert_scalar(_, element)`` of every component of ``v`` (a
+    vector or a scalar, uniform or lanes), as a numpy operand."""
+    if isinstance(v, VecValue):
+        return _vec_operand(VecValue(element, v.components))
+    return _cast(v, element, False, mask)
+
+
+def _u2f(v):
+    """Lanes of 64-bit unsigned values (held as patterns) as the floats
+    a vector operation converting them starts from; uniform values are
+    exact already."""
+    return v.view(_U64).astype(np.float64) if isinstance(v, ndarray) else v
+
+
+def _vecnew(ctype: VectorType, parts, mask):
+    """``(typeN)(parts...)``: vector parts spliced, one scalar broadcast."""
+    if not any(isinstance(part, ndarray) for part in parts):
+        return VecValue.literal(ctype, parts)
+    rows: list = []
+    for part in parts:
+        if isinstance(part, VecValue) or isinstance(part, ndarray) and part.ndim == 2:
+            rows.extend(part)
+        else:
+            rows.append(part)
+    if len(rows) == 1:
+        rows *= ctype.width
+    out = np.empty((ctype.width, mask.size), _lane_dtype(ctype.element))
+    for index, row in enumerate(rows):
+        out[index] = _cast(row, ctype.element, False, mask)
+    return out
+
+
+def _vswiz(v, indices):
+    return v[list(indices)] if isinstance(v, ndarray) else v.swizzle(indices)
+
+
+def _vset(vector, indices, value, element: ScalarType, mask):
+    """``vector`` with its components ``indices`` set to ``value`` on
+    the lanes of ``mask``."""
+    if not isinstance(vector, ndarray) and not isinstance(value, ndarray) and bool(mask.all()):
+        vector = copy_value(vector)
+        vector.store_components(indices, value)
+        return vector
+    column = _vec_operand(vector)
+    out = np.empty((column.shape[0], mask.size), _lane_dtype(element))
+    out[...] = column
+    for index, part in zip(indices, [value] if len(indices) == 1 else value):
+        out[index] = np.where(mask, _cast(part, element, False, mask), out[index])
+    return out
+
+
+_VECTOR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "&": operator.and_, "|": operator.or_, "^": operator.xor}
+
+
+def _binv(op: str, left, right, op_type: VectorType, mask):
+    """``binary_value``: both operands and the result in the element type."""
+    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
+        return binary_value(op, left, right, op_type)
+    element = op_type.element
+    a, b = _elements(left, element, mask), _elements(right, element, mask)
+    if op in ("/", "%"):
+        value = _fdiv_l(a, b) if element.is_float() \
+            else _divide_l(a, b, mask, _is_u64(element), op == "%")
+    elif op in ("<<", ">>"):
+        value = _shift_l(a, b, element.bits, "u>>" if op == ">>" and _is_u64(element) else op)
+    else:
+        value = _VECTOR_OPS[op](a, b)
+    return _cast(value, element, False, mask)
+
+
+def _cmpv(op: str, left, right, op_type: VectorType, mask):
+    """``compare_value``: -1 where ``op`` holds, else 0."""
+    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
+        return compare_value(op, left, right, op_type)
+    element = op_type.element
+    a, b = _elements(left, element, mask), _elements(right, element, mask)
+    if _is_u64(element):
+        a, b = _as_u64_operand(a), _as_u64_operand(b)
+    return -getattr(operator, _ARITH[op])(a, b).astype(_I64)
+
+
+def _unaryv(ctype: VectorType, op: str, operand, mask):
+    if not isinstance(operand, ndarray):
+        return operand.unary(op)
+    value = -operand if op == "-" else ~operand if op == "~" else operand
+    return _cast(value, ctype.element, False, mask)
+
+
+def _cvv(value, ctype: VectorType, mask):
+    """``convert_value`` to a vector type: a scalar is broadcast."""
+    if not isinstance(value, ndarray):
+        return convert_value(value, ctype)
+    converted = _cast(value, ctype.element, False, mask)
+    return np.repeat(converted[None], ctype.width, axis=0) if converted.ndim == 1 else converted
+
+
 # -- builtins ------------------------------------------------------------------
 
 
@@ -716,29 +869,52 @@ _FAST_BUILTINS = {
 }
 
 
+def _np_dot(a, b):
+    """``dot`` as the per-item engine sums it: from 0, left to right."""
+    total = 0.0
+    for x, y in zip(_component_rows(a), _component_rows(b)):
+        total = total + x * y
+    return total
+
+
+def _component_rows(v):
+    return v if isinstance(v, ndarray) and v.ndim == 2 else (v,)
+
+
+_FAST_WHOLE = {"dot": _np_dot, "length": lambda a: np.sqrt(_np_dot(a, a))}
+
+
 class _Builtin:
     """One call site's builtin with its static decisions taken: the
-    numpy fast path (or None), argument domains and result masking."""
+    numpy fast path (or None), argument domains and result conversion.
+    A builtin over vectors converts its result to the result element
+    type, as ``apply_builtin`` does."""
 
-    __slots__ = ("resolved", "fast", "float_params", "unsigned_params",
-                 "result_float", "result_mask")
+    __slots__ = ("resolved", "fast", "memory", "vector", "elements", "float_params",
+                 "unsigned_params", "result_element", "result_float", "result_mask")
 
     def __init__(self, resolved: ResolvedBuiltin):
         self.resolved = resolved
-        params = resolved.param_types
+        params, result = resolved.param_types, resolved.result_type
         name = _strip_prefix(resolved.name)
-        self.fast = _FAST_BUILTINS.get(name) if resolved.kind == "plain" else None
-        if name in ("min", "max", "clamp", "abs") and isinstance(params[0], ScalarType) \
-                and params[0].is_integer() and not params[0].signed and params[0].size == 8:
+        if resolved.kind == "plain":
+            self.fast = _FAST_BUILTINS.get(name) or (
+                _identity if name.startswith("convert_") else None)
+        else:
+            self.fast = _FAST_WHOLE.get(name)
+        self.memory = next((kind for kind in ("vload", "vstore") if name.startswith(kind)), None)
+        self.vector = any(isinstance(t, VectorType) for t in (result, *params))
+        self.elements = [p.element if isinstance(p, VectorType) else p for p in params]
+        if name in ("min", "max", "clamp", "abs") and _is_u64(self.elements[0]):
             # 64-bit unsigned values are stored as bit patterns, unsafe
             # in the int64 domain: those take the per-lane path.
             self.fast = None
-        self.float_params = [isinstance(p, ScalarType) and p.is_float() for p in params]
-        self.unsigned_params = [isinstance(p, ScalarType) and p.is_integer() and not p.signed
-                                for p in params]
-        result = resolved.result_type
+        self.float_params = [isinstance(e, ScalarType) and e.is_float() for e in self.elements]
+        self.unsigned_params = [_is_u64(e) for e in self.elements]
+        element = self.result_element = result.element if isinstance(result, VectorType) \
+            else result
         scalar = isinstance(result, ScalarType)
-        self.result_float = scalar and result.is_float()
+        self.result_float = element.is_float()
         self.result_mask = (1 << result.bits) - 1 if scalar and result.is_integer() \
             and not result.signed and resolved.name != "abs" else 0
 
@@ -747,32 +923,56 @@ class _Builtin:
 
     def one(self, args):
         resolved = self.resolved
-        value = resolved.impl(*args) if resolved.kind == "plain" \
+        value = resolved.impl(*args) if resolved.kind == "plain" and not self.vector \
             else apply_builtin(resolved, tuple(args))
         return value & self.result_mask if self.result_mask else value
 
     def __call__(self, args, mask):
+        if self.memory == "vload" and isinstance(args[1], VPtr):
+            return args[1].vload(self.resolved.result_type.width, args[0], mask)
+        if self.memory == "vstore" and isinstance(args[2], VPtr):
+            return args[2].vstore(self.resolved.param_types[0].width, args[0], args[1], mask)
         if not any(isinstance(a, ndarray) for a in args):
             return self.one(args)  # uniform: computed once
         if self.fast is not None:
             result = self.fast(*[
                 _as_float_operand(a) if is_float or _is_float_value(a) else _as_int_operand(a)
-                for a, is_float in zip(args, self.float_params)])
+                for a, is_float in zip(map(_vec_operand, args), self.float_params)])
+            if self.vector:
+                return _cast(result, self.result_element, False, mask)
             if self.result_mask and self.resolved.result_type.size < 8:
                 result = result & _I64(self.result_mask)
             return result
-        out = np.zeros(mask.shape, dtype=np.float64 if self.result_float else _I64)
+        result_type = self.resolved.result_type
+        width = result_type.width if isinstance(result_type, VectorType) else 0
+        out = np.zeros((width, mask.size) if width else mask.shape,
+                       dtype=np.float64 if self.result_float else _I64)
         for lane in np.nonzero(mask)[0]:
-            lane_args = []
-            for a, unsigned in zip(args, self.unsigned_params):
-                if isinstance(a, ndarray):
-                    a = a[lane].item()
-                    if unsigned and a < 0:
-                        a += _TWO64  # 64-bit pattern -> exact unsigned value
-                lane_args.append(a)
-            value = self.one(lane_args)
-            out[lane] = float(value) if self.result_float else _wrap_to_i64(value)
+            value = self.one([self._lane_arg(a, lane, element, unsigned) for a, element, unsigned
+                              in zip(args, self.elements, self.unsigned_params)])
+            if width:
+                out[:, lane] = [self._lane_value(c) for c in value.components]
+            else:
+                out[lane] = self._lane_value(value)
         return out
+
+    @staticmethod
+    def _lane_arg(a, lane, element, unsigned):
+        """Argument ``a`` as the per-item engine holds it on ``lane``."""
+        if not isinstance(a, ndarray):
+            return a
+        if a.ndim == 2:
+            return VecValue.of_converted(element, [
+                c + _TWO64 if unsigned and c < 0 else c for c in a[:, lane].tolist()])
+        a = a[lane].item()
+        return a + _TWO64 if unsigned and a < 0 else a  # 64-bit pattern -> exact value
+
+    def _lane_value(self, value):
+        return float(value) if self.result_float else _wrap_to_i64(value)
+
+
+def _identity(x):
+    return x
 
 
 def _workitem(ctx, name: str, dim):
@@ -829,9 +1029,9 @@ class _Run:
         """Every lane's copy of a private array (``row``: one initialized
         copy, None for all zeros)."""
         lanes, flat, element = self.lanes, ctype.flat_length(), ctype.base_element()
-        storage = np.zeros(lanes.n * flat, dtype=numpy_dtype(element))
+        storage = np.zeros(lanes.n * flat * _width(element), dtype=numpy_dtype(element))
         if row is not None:
-            storage.reshape(lanes.n, flat)[:, :] = row
+            storage.reshape(lanes.n, -1)[:, :] = row
         vptr = VPtr(storage, element, "private", None, flat, 0,
                     np.arange(lanes.n, dtype=_I64) * flat)
         return VArray(vptr, ctype.element)
@@ -851,7 +1051,7 @@ _COMPACT_MIN_LANES = 1024
 def _sub(value, ix: ndarray):
     """A live-in of a compacted region on its lanes ``ix`` alone."""
     if isinstance(value, ndarray):
-        return value[ix]
+        return value[ix] if value.ndim == 1 else value[:, ix]  # a vector's lanes: columns
     if isinstance(value, VPtr):
         if value.base is None and not isinstance(value.offset, ndarray):
             return value  # the same address on every lane
@@ -870,12 +1070,13 @@ def _widen(old, new, ix: ndarray, chain: ndarray):
     ``chain`` — the same values, in the same int/float domain."""
     if not isinstance(new, ndarray):
         return _merge(old, new, chain)
+    at = ix if new.ndim == 1 else (slice(None), ix)  # a vector's lanes: columns
     if isinstance(old, ndarray) and old.dtype == new.dtype:
         lanes = old.copy()  # what np.where gives when no operand is coerced
-        lanes[ix] = new
+        lanes[at] = new
         return lanes
-    lanes = np.zeros(chain.shape, new.dtype)
-    lanes[ix] = new
+    lanes = np.zeros(new.shape[:-1] + chain.shape, new.dtype)
+    lanes[at] = new
     return _merge(old, lanes, chain)
 
 
@@ -931,6 +1132,8 @@ _LIBRARY = {
     "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
     "_add_scalar": _add_scalar, "_mul_index": _mul_index, "_workitem": _workitem,
     "_switch_start": _switch_start, "_region": _region, "_VNULL": NULL_POINTER, "_op": operator,
+    "_vecnew": _vecnew, "_vswiz": _vswiz, "_vset": _vset, "_binv": _binv, "_cmpv": _cmpv,
+    "_unaryv": _unaryv, "_cvv": _cvv, "_u2f": _u2f,
 }
 for _symbol, _name in _ARITH.items():
     for _domain, _coerce in (("i", _as_int_operand), ("f", _as_float_operand),
@@ -981,6 +1184,7 @@ class _LaneSpelling(_Spelling):
 
     null = "_VNULL"
     void = "0"
+    vectors_by_reference = False  # no lane value is changed in place
 
     def atom(self, code):
         return code
@@ -1000,6 +1204,19 @@ class _LaneSpelling(_Spelling):
 
     def truth_value(self, code):
         return f"_b2i({code})"
+
+    def vector(self, helper, *args):
+        if helper == "_copyv":
+            return args[0]  # lane values are never changed in place
+        return f"{helper}({', '.join(args + (self.g.m,))})"
+
+    def vector_part(self, code, source, element):
+        if isinstance(source, VectorType):
+            source = source.element
+        return f"_u2f({code})" if _is_u64(source) and element.is_float() else code
+
+    def component(self, code, index):
+        return f"{code}[{index}]"
 
     def divide(self, op, left, right, op_type):
         if op_type.is_float():
@@ -1030,6 +1247,9 @@ class _LaneSpelling(_Spelling):
         return f"_f2i({code}, {self.g.m})"
 
     def cast(self, code, target, source):
+        if isinstance(target, VectorType):
+            return self.vector("_cvv", self.vector_part(code, source, target.element),
+                               self.g.pc.constant(target))
         return f"_cast({code}, {self.g.pc.constant(target)}, {_is_u64(source)}, {self.g.m})"
 
     def step(self, code, delta):
@@ -1832,7 +2052,7 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
         ctype = decl.declared_type
         flat = ctype.flat_length()
         element = ctype.base_element()
-        storage = np.zeros(lanes.num_groups * flat, dtype=numpy_dtype(element))
+        storage = np.zeros(lanes.num_groups * flat * _width(element), dtype=numpy_dtype(element))
         vptr = VPtr(storage, element, "local", counters.memory, flat, 0, lanes.row_bases(flat))
         run.lmem.append(VArray(vptr, ctype.element))
     values = [VPtr(arg.array, arg.element_type, arg.address_space, arg.counters,

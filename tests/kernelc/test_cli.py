@@ -57,12 +57,12 @@ class TestCli:
         assert ".scatter(" in lockstep
 
     def test_python_output_names_the_reject_reason(self, tmp_path, capsys):
-        path = tmp_path / "vec.cl"
-        path.write_text("__kernel void v(__global float4* o) "
-                        "{ o[get_global_id(0)] = (float4)(1.0f); }")
+        path = tmp_path / "cast.cl"
+        path.write_text("__kernel void v(__global float* o) "
+                        "{ __global int* p = (__global int*)o; p[get_global_id(0)] = 0; }")
         assert main([str(path), "--python"]) == 0
         out = capsys.readouterr().out
-        assert "kernel v: no lockstep source, runs per item: vector" in out
+        assert "kernel v: no lockstep source, runs per item: pointer cast" in out
 
     def test_python_combines_with_lint_on_a_module(self, tmp_path, capsys):
         module = tmp_path / "module.py"

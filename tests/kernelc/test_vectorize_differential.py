@@ -28,6 +28,7 @@ from repro.kernelc import ExecutionCounters, compile_source
 from repro.kernelc.__main__ import _extract_kernel_strings
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
+from repro.kernelc.diagnostics import CompileError
 from repro.kernelc.execmodel import convert_value
 from repro.kernelc.memory import KernelFault, Pointer
 from repro.kernelc import vectorize
@@ -552,13 +553,22 @@ class TestFallback:
         expected = np.array([10, 20, 30] * 6, np.int32)[:16]
         np.testing.assert_array_equal(bufs["out"], expected)
 
-    def test_vector_type_kernel_falls_back(self):
+    def test_vector_type_kernel_runs_lockstep(self):
+        # tests/kernelc/test_vectorize_vectors.py covers vector types in full.
         source = """__kernel void k(__global float4* out) {
-            out[get_global_id(0)] = (float4)(1.0f, 2.0f, 3.0f, 4.0f);
+            out[get_global_id(0)] = (float4)(1.0f, 2.0f, 3.0f, 4.0f) * (float)get_global_id(0);
         }"""
-        program = compile_source(source)
-        compiled = compile_program(program).kernel("k")
-        assert vectorize.plan_for(compiled) is None
+        compiled = compile_program(compile_source(source)).kernel("k")
+        assert vectorize.plan_for(compiled) is not None
+        bufs = assert_backends_agree(source, "k", {"out": np.zeros(64, np.float32)}, ["out"],
+                                     (16,), (8,))
+        np.testing.assert_array_equal(bufs["out"][4:8], [1.0, 2.0, 3.0, 4.0])
+
+    def test_string_literal_fails_to_build(self):
+        with pytest.raises(CompileError, match="string literals are not supported"):
+            compile_source("""__kernel void k(__global char* out) {
+                out[get_global_id(0)] = "abc"[1];
+            }""")
 
 
 class TestRegressions:

@@ -1,8 +1,8 @@
 """One process of the two-process program-cache tests (run as a script).
 
-Builds and launches one program of every skeleton kind plus three raw
-kernels — a ``__constant`` global, a barrier, a ``float2`` the lockstep
-engine rejects — and prints one JSON object: per launch the kernel
+Builds and launches one program of every skeleton kind plus four raw
+kernels — a ``__constant`` global, a barrier, ``float2`` locals and a
+pointer cast the lockstep engine rejects — and prints one JSON object: per launch the kernel
 name, the engine that ran it and *every* ``ExecutionCounters`` field,
 per result a digest, the session's modeled clock and its metrics.
 
@@ -48,6 +48,13 @@ __kernel void swap_pairs(__global const float* in, __global float* out) {
     float2 pair = (float2)(in[2 * gid], in[2 * gid + 1]);
     out[2 * gid] = pair.y + fabs(pair.x);
     out[2 * gid + 1] = pair.x;
+}
+"""
+
+BITS = """
+__kernel void float_bits(__global const float* in, __global float* out) {
+    __global const int* bits = (__global const int*)in;
+    out[get_global_id(0)] = (float)(bits[get_global_id(0)] >> 20);
 }
 """
 
@@ -110,7 +117,7 @@ def main() -> None:
 
     context, queue = session.context, session.queues[0]
     for source, data in ((CONSTANT_GLOBAL, a[:64]), (BARRIER, np.arange(64, dtype=np.int32)),
-                         (FLOAT2, a[:64])):
+                         (FLOAT2, a[:64]), (BITS, a[:64])):
         program = context.create_program(source).build()
         (name,) = program.kernel_names()
         source_buffer = context.create_buffer(data.nbytes)

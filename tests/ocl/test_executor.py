@@ -136,8 +136,10 @@ class TestBackendReporting:
     is counted and shows on the kernel's trace slice."""
 
     FALLBACK = """__kernel void k(__global float* o) {
-        float2 z = (float2)(1.0f, 2.0f);
-        o[get_global_id(0)] = z.x + z.y;
+        __local float z;
+        z = 3.0f;
+        barrier(CLK_LOCAL_MEM_FENCE);
+        o[get_global_id(0)] = z;
     }"""
     LOCKSTEP = """__kernel void k(__global float* o) {
         o[get_global_id(0)] = 3.0f;
@@ -154,11 +156,12 @@ class TestBackendReporting:
         for _ in range(3):
             event = launch(vector_ctx, self.FALLBACK, "k", [buf], (64,), (32,))
         assert event.info["backend"] == "interp"
-        assert event.info["fallback_reason"] == "vector variable"
+        assert event.info["fallback_reason"] == "__local scalar variable"
         assert vector_ctx.metrics.value("skelcl_vector_fallback_total",
-                                        reason="vector variable") == 3
+                                        reason="__local scalar variable") == 3
         slices = [e for e in vector_ctx.trace_events() if e.get("name") == "k"]
-        assert slices and all(s["args"]["fallback_reason"] == "vector variable" for s in slices)
+        assert slices and all(s["args"]["fallback_reason"] == "__local scalar variable"
+                              for s in slices)
 
     def test_lockstep_launch_adds_no_series(self, vector_ctx):
         buf = vector_ctx.create_buffer(64 * 4)

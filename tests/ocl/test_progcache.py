@@ -484,7 +484,9 @@ def test_cli_prints_for_a_restored_program_what_it_prints_cold(cache_dir, capsys
     a restored program carries the same text."""
     from repro.kernelc.__main__ import _print_python
 
-    source = TWO_KERNELS + "__kernel void pairs(__global float2* v) { v[0].x = 1.0f; }\n"
+    source = TWO_KERNELS + (
+        "__kernel void pairs(__global float2* v) { v[0].x = 1.0f; }\n"
+        "__kernel void bits(__global float* v) { ((__global int*)v)[0] = 1; }\n")
     _print_python(compile_source(source, "<cli>"), "<cli>")
     printed = capsys.readouterr().out
     _cold, restored = _restored(source)
@@ -497,3 +499,5 @@ def test_cli_prints_for_a_restored_program_what_it_prints_cold(cache_dir, capsys
         else:
             text += f"\n# <cli>: kernel {kernel.name}: lockstep source\n" + plan.source
     assert text == printed
+    assert "kernel pairs: lockstep source" in printed
+    assert "kernel bits: no lockstep source, runs per item: pointer cast" in printed
