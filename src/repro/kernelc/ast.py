@@ -17,6 +17,12 @@ from .source import Span
 
 class Node:
     span: Span
+    # Set by the lowering (``compiler.compile_program``) and pickled with
+    # the AST: the ops the statement charged through this node costs,
+    # load-CSE savings taken off (an expression a statement evaluates, a
+    # ``switch`` for its subject and case comparisons).  Both engines
+    # charge it.
+    charge: int = 0
 
 
 class Expr(Node):
@@ -25,6 +31,11 @@ class Expr(Node):
     ctype: Optional[CType] = None
     # True when this expression denotes an lvalue (set by the checker).
     is_lvalue: bool = False
+    # Load CSE, set by the lowering on ``Index`` loads: the earlier load
+    # of the same basic block whose value this one reuses, and whether a
+    # later load reuses this one's.
+    cse_source: Optional["Index"] = None
+    cse_origin: bool = False
 
 
 class Stmt(Node):

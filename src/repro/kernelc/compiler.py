@@ -13,8 +13,15 @@ and :class:`VecValue`.  The lockstep generator (:mod:`.vectorize`)
 subclasses both — its spelling calls the lane library, its generator
 adds masked control flow — and re-decides nothing.
 
-Per-item engine: each C function becomes a Python function taking
-``(C, ctx, [lmem,] *args)`` where ``C`` is the launch's
+:func:`compile_program` runs the lowering once and keeps no Python: it
+wants what the lowering records on the checked AST — each statement's
+op charge after load CSE (:attr:`ast.Node.charge`) and the load-CSE
+decisions (:attr:`ast.Expr.cse_source`) — which the lockstep generator
+emits as they are, and which pickle with the AST into the program cache.
+
+Per-item engine (generated when a per-item launch first needs it,
+:meth:`CompiledProgram.per_item`): each C function becomes a Python
+function taking ``(C, ctx, [lmem,] *args)`` where ``C`` is the launch's
 :class:`~repro.kernelc.execmodel.ExecutionCounters`, ``ctx`` the
 :class:`WorkItemContext` and ``lmem`` (kernels only) the list of
 group-shared ``__local`` allocations.  Kernels that call ``barrier()``
@@ -195,8 +202,8 @@ def node_cost(node: ast.Node, lookup=None) -> int:
 
 @dataclass
 class GeneratedModule:
-    """One generated Python module, as a generator hands it to its
-    ``materialize`` and as the program cache keeps it: the code object
+    """One generated Python module, as a generator hands it over to be
+    run and as the program cache keeps a lockstep plan: the code object
     (marshalled when pickled — the ``.pyc`` idiom), its text, and the
     constant pool ``_K`` it indexes."""
 
@@ -224,34 +231,63 @@ class GeneratedModule:
 @dataclass
 class CompiledKernel:
     name: str
-    func: Callable
     uses_barrier: bool
     definition: ast.FunctionDef
     local_decls: List[ast.VarDecl]
-    program: Optional[ast.Program] = None  # owning checked AST (backends)
-    # The charge schedule ``{ids of a statement's charged nodes: ops}`` and
-    # the load-CSE decisions ``{id(elided Index): id(source Index)}`` this
-    # compile made, shared by the program's kernels; the lockstep
-    # generator (:mod:`.vectorize`) emits both as literals.  Keyed by
-    # ``id``, so never persisted: None on a kernel restored from the
-    # program cache, whose lockstep plan is restored too or generated
-    # after a fresh ``compile_program``.
-    charges: Optional[Dict[tuple, int]] = field(default_factory=dict, repr=False)
-    cse: Optional[Dict[int, int]] = field(default_factory=dict, repr=False)
+    owner: "CompiledProgram" = field(repr=False)
     # Where the program cache keeps this kernel's lockstep plan (None:
     # nowhere — the program was not built through the cache).
     plan_path: Optional[str] = field(default=None, repr=False)
 
+    @property
+    def program(self) -> ast.Program:
+        """The owning checked AST."""
+        return self.owner.program
 
-@dataclass
+    def per_item(self, metrics=None) -> Callable:
+        """This kernel's function on the per-item engine
+        (:meth:`CompiledProgram.per_item`)."""
+        return self.owner.per_item(metrics)[self.name]
+
+
 class CompiledProgram:
-    program: ast.Program
-    kernels: Dict[str, CompiledKernel]
-    module: GeneratedModule = field(repr=False)
+    """A lowered program: its checked AST, which carries what both
+    engines charge (:attr:`ast.Node.charge`, load CSE), and its kernels.
+    The per-item module is generated when a per-item launch first needs
+    it — the lockstep engine runs every kernel it does not reject."""
+
+    def __init__(self, program: ast.Program):
+        self.program = program
+        self.kernels: Dict[str, CompiledKernel] = {
+            function.name: CompiledKernel(
+                name=function.name,
+                uses_barrier=bool(getattr(function, "uses_barrier", False)),
+                definition=function,
+                local_decls=collect_local_decls(function),
+                owner=self,
+            )
+            for function in program.functions if function.is_kernel}
+        self._functions: Optional[Dict[str, Callable]] = None
 
     @property
     def source_code(self) -> str:
-        return self.module.source
+        """The per-item module's Python (generated afresh)."""
+        return _ProgramCompiler(self.program).lower()
+
+    def per_item(self, metrics=None) -> Dict[str, Callable]:
+        """The per-item module's functions by C name.  The first call
+        generates, compiles and runs the module, and counts that as
+        ``skelcl_program_codegen_total{engine="peritem",result="generated"}``
+        on ``metrics``."""
+        if self._functions is None:
+            module = _ProgramCompiler(self.program).generate()
+            namespace = _ProgramCompiler(self.program, module).namespace()
+            exec(module.code, namespace)  # noqa: S102
+            self._functions = namespace["_FUNCTIONS"]
+            if metrics is not None:
+                metrics.counter("skelcl_program_codegen_total", engine="peritem",
+                                result="generated").inc()
+        return self._functions
 
     def kernel(self, name: str) -> CompiledKernel:
         try:
@@ -404,9 +440,8 @@ class _FunctionCompiler:
         # temp holding its value.  ``_cse_savings`` accumulates the op
         # cost of elided evaluations so charges can be corrected.
         self._load_cache: Dict[str, str] = {}
-        # Which Index node first produced each cached temp (so backends
-        # replaying the CSE decisions can map elided loads to sources).
-        self._load_origins: Dict[str, int] = {}
+        # Which Index node first produced each cached temp.
+        self._load_origins: Dict[str, ast.Index] = {}
         self._cse_savings = 0
         # Const-propagation: mangled name -> compile-time value for
         # const-declared scalars with constant initializers.
@@ -454,43 +489,46 @@ class _FunctionCompiler:
 
     # -- deferred charging (CSE-aware) -------------------------------------
 
-    def begin_charge(self, node) -> Tuple[int, int, int, tuple]:
+    def begin_charge(self, node) -> Tuple[int, int, int, ast.Node]:
         """Emit a charge placeholder; finalized after the statement's
         expressions compile (CSE may have elided some of the cost)."""
         index = len(self.lines)
         self.emit("C.ops += 0")
-        return (index, self.cost(node), self._cse_savings, (id(node),))
+        return (index, self.cost(node), self._cse_savings, node)
 
-    def end_charge(self, token: Tuple[int, int, int, tuple], extra: int = 0) -> None:
-        index, cost, savings_before, key = token
+    def end_charge(self, token: Tuple[int, int, int, ast.Node], extra: int = 0) -> None:
+        index, cost, savings_before, node = token
         final = max(0, cost + extra - (self._cse_savings - savings_before))
-        self.on_charge(key, final)
+        self.on_charge(node, final)
         if final > 0:
             self.lines[index] = self.lines[index].replace("C.ops += 0", f"C.ops += {final}")
         else:
             self.lines[index] = ""  # zero-cost statement: drop the charge
 
-    def on_charge(self, key: tuple, final: int) -> None:
-        """The statement identified by ``key`` (ids of its charged AST
-        nodes) costs ``final`` ops: recorded for the lockstep backend."""
+    @staticmethod
+    def on_charge(node: ast.Node, final: int) -> None:
+        """The statement charged through ``node`` costs ``final`` ops:
+        recorded on the node (:attr:`ast.Node.charge`)."""
         if final:
-            self.pc.charges[key] = final
+            node.charge = final
 
     # -- load-CSE bookkeeping ------------------------------------------------
 
     def reuse_load(self, expr: ast.Index, load: str, pure: bool) -> str:
         """The value of the load ``expr`` spelled ``load``: repeated
         identical loads within a basic block reuse the first one's temp
-        (only when base and index were side-effect free)."""
+        (only when base and index were side-effect free), which is
+        recorded on both nodes (:attr:`ast.Expr.cse_source`)."""
         if not pure:
             return load
         cached = self._load_cache.get(load)
         if cached is not None:
             self._cse_savings += node_cost(expr)
-            self.pc.cse[id(expr)] = self._load_origins[cached]
+            source = expr.cse_source = self._load_origins[cached]
+            source.cse_origin = True
             return cached
         cached = self._load_cache[load] = self.temp("ld", load)
-        self._load_origins[cached] = id(expr)
+        self._load_origins[cached] = expr
         return cached
 
     def invalidate_loads(self) -> None:
@@ -752,7 +790,7 @@ class _FunctionCompiler:
     def compile_switch(self, stmt: ast.SwitchStmt) -> None:
         self.invalidate_loads()
         cost = node_cost(stmt.subject) + len(stmt.cases)
-        self.on_charge((id(stmt), "switch"), cost)
+        self.on_charge(stmt, cost)
         self.charge(cost)
         subject_name = self.temp("sw", self.compile_expr(stmt.subject))
         start_name = self.fresh("st")
@@ -1319,16 +1357,14 @@ class _unsupported(Exception):
 
 class _ProgramCompiler:
     """The constant pool and symbol names of one generated module — one
-    being generated, or (``module``) one generated earlier whose pool is
-    taken over."""
+    being generated, or (``module``) one generated earlier, whose pool is
+    copied: what the namespace adds to it stays out of the module."""
 
     def __init__(self, program: ast.Program, module: Optional[GeneratedModule] = None):
         self.program = program
-        self.constants: List[object] = module.constants if module else []
-        self.impls: Dict[int, ResolvedBuiltin] = module.impls if module else {}
+        self.constants: List[object] = list(module.constants) if module else []
+        self.impls: Dict[int, ResolvedBuiltin] = dict(module.impls) if module else {}
         self._constant_index: Dict[int, int] = {}
-        self.charges: Dict[tuple, int] = {}
-        self.cse: Dict[int, int] = {}
 
     def constant(self, value, impl_of: Optional[ResolvedBuiltin] = None) -> str:
         """The pool slot of ``value`` (``impl_of``: the builtin whose
@@ -1358,32 +1394,18 @@ class _ProgramCompiler:
         return GeneratedModule(compile(source, filename, "exec"), source,
                                self.constants, self.impls)
 
-    def generate(self) -> GeneratedModule:
-        """Emit the per-item module: one function per C function."""
+    def lower(self) -> str:
+        """The per-item module's Python: one function per C function.
+        Lowering records each statement's charge and load-CSE decisions
+        on the nodes."""
         body = "\n\n".join(_FunctionCompiler(self, function).compile()
                            for function in self.program.functions)
         names = ", ".join(f"'{fn.name}': {self.function_symbol(fn.name)}" for fn in self.program.functions)
-        return self.module(f"{body}\n\n_FUNCTIONS = {{{names}}}\n", "<kernelc-compiled>")
+        return f"{body}\n\n_FUNCTIONS = {{{names}}}\n"
 
-    def materialize(self, module: GeneratedModule) -> CompiledProgram:
-        """Run ``module`` in its namespace and wrap its kernels: the tail
-        of a compile, and all a restore from the program cache does."""
-        namespace = self.namespace()
-        exec(module.code, namespace)  # noqa: S102
-        functions = namespace["_FUNCTIONS"]
-        kernels = {
-            function.name: CompiledKernel(
-                name=function.name,
-                func=functions[function.name],
-                uses_barrier=bool(getattr(function, "uses_barrier", False)),
-                definition=function,
-                local_decls=collect_local_decls(function),
-                program=self.program,
-                charges=self.charges,
-                cse=self.cse,
-            )
-            for function in self.program.functions if function.is_kernel}
-        return CompiledProgram(self.program, kernels, module)
+    def generate(self) -> GeneratedModule:
+        """The per-item module, compiled."""
+        return self.module(self.lower(), "<kernelc-compiled>")
 
     def namespace(self) -> Dict[str, object]:
         """What a generated module runs in: the runtime helpers, the
@@ -1448,17 +1470,16 @@ _RUNTIME = {
 
 
 def compile_program(program: ast.Program) -> CompiledProgram:
-    """Compile a checked program to Python functions."""
-    compiler = _ProgramCompiler(program)
-    return compiler.materialize(compiler.generate())
+    """Lower a checked program once, for what the lowering records on its
+    nodes (the charges and load CSE both engines read); no Python is
+    compiled."""
+    _ProgramCompiler(program).lower()
+    return restore_program(program)
 
 
-def restore_program(program: ast.Program, module: GeneratedModule) -> CompiledProgram:
-    """The :class:`CompiledProgram` of ``program`` around the ``module``
-    an earlier :func:`compile_program` of it generated (both from the
-    program cache): nothing is generated, and the kernels carry no
-    charge tables."""
-    compiled = _ProgramCompiler(program, module).materialize(module)
-    for kernel in compiled.kernels.values():
-        kernel.charges = kernel.cse = None
-    return compiled
+def restore_program(program: ast.Program) -> CompiledProgram:
+    """The :class:`CompiledProgram` of a ``program`` that
+    :func:`compile_program` lowered earlier — in this process, or in
+    another one that stored it in the program cache, whose entry keeps
+    the nodes' records: nothing is lowered."""
+    return CompiledProgram(program)

@@ -1,17 +1,27 @@
-"""Hand-written lexer for the OpenCL-C subset.
+"""Lexer for the OpenCL-C subset.
 
 Produces a list of :class:`~repro.kernelc.tokens.Token`.  Comments are
 skipped; newlines are not tokens (the preprocessor runs on raw lines
 before lexing).  All errors are reported through a
 :class:`~repro.kernelc.diagnostics.DiagnosticSink`.
+
+One compiled pattern (:data:`_TOKEN`) recognizes every token with the
+trivia before it, the end of input and every lexical error, and is
+matched once per token; the alternative that matched (its group name)
+says what to build.  Literals are decoded from the matched text
+afterwards.  ``tests/kernelc/lexer_oracle.py`` is the
+character-by-character scanner this one replaced: the tokens and
+diagnostics of the two are held equal by
+``tests/kernelc/test_lexer_differential.py``.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from .diagnostics import DiagnosticSink
-from .source import SourceFile
+from .source import Location, SourceFile, Span
 from .tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
 
 _SIMPLE_ESCAPES = {
@@ -28,202 +38,169 @@ _SIMPLE_ESCAPES = {
     "v": "\v",
 }
 
+# One match is the trivia (whitespace and comments) before a token, then
+# the token: the alternatives are tried in order, and the one that
+# matched names the kind.  Identifiers start with a letter
+# (``str.isalpha``, so non-ASCII letters too) or ``_`` and go on with
+# ``\w`` (``str.isalnum`` or ``_``); ``[^\W\d]`` also admits numeric
+# characters such as ``½``, which the ``name`` branch turns back into an
+# error.  A hexadecimal literal without digits takes no suffix; a
+# decimal point followed by a second one is no float; an exponent needs
+# a digit.  A literal runs until its closing quote, a string's also
+# until a newline; a backslash takes the next character (or a ``\x`` and
+# its hex digits) with it.
+_TOKEN = re.compile(
+    r"""
+    (?:[ \t\r\n\f\v]+|//[^\n]*|/\*.*?\*/)*
+    (?:
+      (?P<name>[^\W\d]\w*)
+    | (?P<hex>0[xX](?:[0-9a-fA-F]+[uUlL]*)?)
+    | (?P<float>(?:\d+\.(?!\.)\d*|\.\d+)(?:[eE][+-]?\d+)?[fFlL]?|\d+[eE][+-]?\d+[fFlL]?)
+    | (?P<int>\d+[uUlL]*)
+    | (?P<char>'(?:\\(?:x[0-9a-fA-F]*|.)?|[^'\\])?'?)
+    | (?P<string>"(?:[^"\\\n]|\\(?:x[0-9a-fA-F]*|.)?)*"?)
+    | (?P<open_comment>/\*)
+    | (?P<punct>""" + "|".join(map(re.escape, PUNCTUATORS)) + r""")
+    | (?P<end>\Z)
+    | (?P<error>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|.)?", re.DOTALL)
+_STRING_RUN = re.compile(r'[^"\\\n]+')
+_OCTAL = re.compile("0[0-7]+")
+# Builds a position or token tuple without the Python frame of its
+# NamedTuple constructor: the lexer makes four per token.
+_new = tuple.__new__
+
 
 class Lexer:
     def __init__(self, source: SourceFile, sink: Optional[DiagnosticSink] = None):
         self.source = source
         self.text = source.text
-        self.pos = 0
         self.sink = sink if sink is not None else DiagnosticSink(source)
 
-    # -- helpers ---------------------------------------------------------
-
-    def _peek(self, ahead: int = 0) -> str:
-        # Returns NUL at end-of-input: unlike "", it is never a member of
-        # character-class strings like "uUlL", avoiding `"" in s` pitfalls.
-        index = self.pos + ahead
-        return self.text[index] if index < len(self.text) else "\0"
-
-    def _make(self, kind: TokenKind, start: int, value=None, suffix: str = "") -> Token:
-        return Token(kind, self.text[start : self.pos], self.source.span(start, self.pos), value, suffix)
-
-    def _error(self, message: str, start: int) -> None:
-        self.sink.error(message, self.source.span(start, max(self.pos, start + 1)))
-
-    # -- scanning --------------------------------------------------------
+    def _error(self, message: str, start: int, end: int) -> None:
+        self.sink.error(message, self.source.span(start, end))
 
     def tokenize(self) -> List[Token]:
+        text, source = self.text, self.source
+        match = _TOKEN.match
         tokens: List[Token] = []
+        append = tokens.append
+        pos = 0
+        # Tokens other than literals hold no newline: their spans are
+        # made from the current line and where it starts.
+        line, line_start = 1, 0
         while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
+            found = match(text, pos)
+            kind = found.lastgroup
+            start = found.start(kind)
+            if start != pos:  # trivia
+                newlines = text.count("\n", pos, start)
+                if newlines:
+                    line += newlines
+                    line_start = text.rindex("\n", pos, start) + 1
+            pos = found.end()
+            lexeme = found.group(kind)
+            if kind == "char" or kind == "string":
+                append(self._char(lexeme, start) if kind == "char" else self._string(lexeme, start))
+                if "\n" in lexeme:
+                    line += lexeme.count("\n")
+                    line_start = start + lexeme.rindex("\n") + 1
+                continue
+            span = _new(Span, (_new(Location, (line, start - line_start + 1, start)),
+                               _new(Location, (line, pos - line_start + 1, pos))))
+            if kind == "name":
+                if lexeme in KEYWORDS:
+                    if lexeme == "true" or lexeme == "false":
+                        append(Token(TokenKind.INT_LITERAL, lexeme, span, int(lexeme == "true")))
+                    else:
+                        append(_new(Token, (TokenKind.KEYWORD, lexeme, span, None, "")))
+                elif lexeme[0] >= "\x80" and not lexeme[0].isalpha():
+                    pos = start + 1
+                    self._error(f"unexpected character {lexeme[0]!r}", start, pos)
+                else:
+                    append(_new(Token, (TokenKind.IDENT, lexeme, span, None, "")))
+            elif kind == "punct":
+                append(_new(Token, (TokenKind.PUNCT, lexeme, span, None, "")))
+            elif kind == "int":
+                body = lexeme.rstrip("uUlL")
+                value = int(body, 8) if _OCTAL.fullmatch(body) else int(body)
+                append(Token(TokenKind.INT_LITERAL, lexeme, span, value,
+                             lexeme[len(body):].lower()))
+            elif kind == "float":
+                suffix = lexeme[-1] if lexeme[-1] in "fFlL" else ""
+                body = lexeme[:len(lexeme) - len(suffix)]
+                append(Token(TokenKind.FLOAT_LITERAL, lexeme, span, float(body), suffix.lower()))
+            elif kind == "hex":
+                if len(lexeme) == 2:
+                    self._error("missing digits in hexadecimal literal", start, pos)
+                    append(Token(TokenKind.INT_LITERAL, lexeme, span, 0))
+                else:
+                    body = lexeme.rstrip("uUlL")
+                    append(Token(TokenKind.INT_LITERAL, lexeme, span, int(body[2:], 16),
+                                 lexeme[len(body):].lower()))
+            elif kind == "end":  # after an unterminated comment too
+                append(Token(TokenKind.EOF, "", source.span(start, start)))
                 return tokens
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n\f\v":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self.pos += 1
-            elif ch == "/" and self._peek(1) == "*":
-                start = self.pos
-                self.pos += 2
-                while self.pos < len(self.text) and not (self.text[self.pos] == "*" and self._peek(1) == "/"):
-                    self.pos += 1
-                if self.pos >= len(self.text):
-                    self._error("unterminated block comment", start)
-                    return
-                self.pos += 2
+            elif kind == "open_comment":
+                pos = len(text)
+                self._error("unterminated block comment", start, pos)
             else:
-                return
+                self._error(f"unexpected character {lexeme!r}", start, pos)
 
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        start = self.pos
-        if self.pos >= len(self.text):
-            return Token(TokenKind.EOF, "", self.source.span(start, start))
-
-        ch = self.text[self.pos]
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier(start)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number(start)
-        if ch == "'":
-            return self._lex_char(start)
-        if ch == '"':
-            return self._lex_string(start)
-        for punct in PUNCTUATORS:
-            if self.text.startswith(punct, self.pos):
-                self.pos += len(punct)
-                return self._make(TokenKind.PUNCT, start)
-        self.pos += 1
-        self._error(f"unexpected character {ch!r}", start)
-        return self.next_token()
-
-    def _lex_identifier(self, start: int) -> Token:
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        text = self.text[start : self.pos]
-        if text in KEYWORDS:
-            if text == "true":
-                return Token(TokenKind.INT_LITERAL, text, self.source.span(start, self.pos), 1)
-            if text == "false":
-                return Token(TokenKind.INT_LITERAL, text, self.source.span(start, self.pos), 0)
-            return self._make(TokenKind.KEYWORD, start)
-        return self._make(TokenKind.IDENT, start)
-
-    def _lex_number(self, start: int) -> Token:
-        text = self.text
-        is_float = False
-        if text.startswith(("0x", "0X"), self.pos):
-            self.pos += 2
-            digit_start = self.pos
-            while self.pos < len(text) and text[self.pos] in "0123456789abcdefABCDEF":
-                self.pos += 1
-            if self.pos == digit_start:
-                self._error("missing digits in hexadecimal literal", start)
-                return self._make(TokenKind.INT_LITERAL, start, 0)
-            value = int(text[start + 2 : self.pos], 16)
-            suffix = self._lex_int_suffix()
-            return self._make(TokenKind.INT_LITERAL, start, value, suffix)
-
-        while self.pos < len(text) and text[self.pos].isdigit():
-            self.pos += 1
-        if self._peek() == "." and self._peek(1) != ".":
-            is_float = True
-            self.pos += 1
-            while self.pos < len(text) and text[self.pos].isdigit():
-                self.pos += 1
-        if self._peek() in "eE" and (self._peek(1).isdigit() or (self._peek(1) in "+-" and self._peek(2).isdigit())):
-            is_float = True
-            self.pos += 1
-            if self._peek() in "+-":
-                self.pos += 1
-            while self.pos < len(text) and text[self.pos].isdigit():
-                self.pos += 1
-
-        body = text[start : self.pos]
-        if is_float:
-            suffix = ""
-            if self._peek() in "fF":
-                suffix = "f"
-                self.pos += 1
-            elif self._peek() in "lL":
-                suffix = "l"
-                self.pos += 1
-            return self._make(TokenKind.FLOAT_LITERAL, start, float(body), suffix)
-        # Octal literals (leading 0) decode as octal like C.
-        if len(body) > 1 and body[0] == "0" and all(c in "01234567" for c in body[1:]):
-            value = int(body, 8)
-        else:
-            value = int(body, 10)
-        suffix = self._lex_int_suffix()
-        return self._make(TokenKind.INT_LITERAL, start, value, suffix)
-
-    def _lex_int_suffix(self) -> str:
-        suffix = ""
-        while self._peek() in "uUlL":
-            suffix += self.text[self.pos].lower()
-            self.pos += 1
-        return suffix
-
-    def _lex_escape(self, start: int) -> str:
-        # Caller consumed the backslash.
-        if self.pos >= len(self.text):
-            self._error("unterminated escape sequence", start)
+    def _escape(self, sequence: Optional[str], start: int, end: int) -> str:
+        """The character the escape ``\\sequence`` (None: a backslash at
+        the end of input) of the literal at ``start`` denotes, the escape
+        ending at ``end``."""
+        if sequence is None:
+            self._error("unterminated escape sequence", start, end)
             return ""
-        ch = self._peek()
-        self.pos += 1
-        if ch == "x":
-            digits = ""
-            while self._peek() in "0123456789abcdefABCDEF":
-                digits += self.text[self.pos]
-                self.pos += 1
-            if not digits:
-                self._error("\\x used with no following hex digits", start)
+        if sequence[0] == "x":
+            if len(sequence) == 1:
+                self._error("\\x used with no following hex digits", start, end)
                 return ""
-            return chr(int(digits, 16) & 0xFF)
-        if ch in _SIMPLE_ESCAPES:
-            return _SIMPLE_ESCAPES[ch]
-        self._error(f"unknown escape sequence '\\{ch}'", start)
-        return ch
+            return chr(int(sequence[1:], 16) & 0xFF)
+        decoded = _SIMPLE_ESCAPES.get(sequence)
+        if decoded is None:
+            self._error(f"unknown escape sequence '\\{sequence}'", start, end)
+            return sequence
+        return decoded
 
-    def _lex_char(self, start: int) -> Token:
-        self.pos += 1  # opening quote
-        if self._peek() == "\\":
-            self.pos += 1
-            decoded = self._lex_escape(start)
+    def _char(self, lexeme: str, start: int) -> Token:
+        if lexeme[1:2] == "\\":
+            escape = _ESCAPE.match(lexeme, 1)
+            end = escape.end()
+            decoded = self._escape(escape.group(1), start, start + end)
             value = ord(decoded) if decoded else 0
-        elif self.pos < len(self.text) and self._peek() != "'":
-            value = ord(self.text[self.pos])
-            self.pos += 1
+        elif lexeme[1:2] not in ("", "'"):
+            end, value = 2, ord(lexeme[1])
         else:
-            self._error("empty character literal", start)
-            value = 0
-        if self._peek() == "'":
-            self.pos += 1
-        else:
-            self._error("unterminated character literal", start)
-        return self._make(TokenKind.CHAR_LITERAL, start, value)
+            end, value = 1, 0
+            self._error("empty character literal", start, start + 1)
+        if len(lexeme) == end:
+            self._error("unterminated character literal", start, start + end)
+        return Token(TokenKind.CHAR_LITERAL, lexeme, self.source.span(start, start + len(lexeme)),
+                     value)
 
-    def _lex_string(self, start: int) -> Token:
-        self.pos += 1  # opening quote
+    def _string(self, lexeme: str, start: int) -> Token:
         parts: List[str] = []
-        while self.pos < len(self.text) and self.text[self.pos] not in ('"', "\n"):
-            if self.text[self.pos] == "\\":
-                self.pos += 1
-                parts.append(self._lex_escape(start))
+        at = 1
+        while at < len(lexeme) and lexeme[at] != '"':
+            if lexeme[at] == "\\":
+                escape = _ESCAPE.match(lexeme, at)
+                at = escape.end()
+                parts.append(self._escape(escape.group(1), start, start + at))
             else:
-                parts.append(self.text[self.pos])
-                self.pos += 1
-        if self._peek() == '"':
-            self.pos += 1
-        else:
-            self._error("unterminated string literal", start)
-        return self._make(TokenKind.STRING_LITERAL, start, "".join(parts))
+                run = _STRING_RUN.match(lexeme, at)
+                at = run.end()
+                parts.append(run.group())
+        if at == len(lexeme):
+            self._error("unterminated string literal", start, start + at)
+        return Token(TokenKind.STRING_LITERAL, lexeme, self.source.span(start, start + len(lexeme)),
+                     "".join(parts))
 
 
 def tokenize(text: str, name: str = "<kernel>", sink: Optional[DiagnosticSink] = None) -> List[Token]:

@@ -37,6 +37,8 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+# Every ``ident`` token of ``_TOKEN_RE`` is one of these words.
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 _MAX_EXPANSION_DEPTH = 64
 
@@ -102,7 +104,7 @@ class Preprocessor:
             if not active:
                 out.append("")
                 continue
-            out.append(self._expand(line))
+            out.append(self._expand_line(line))
 
         if cond_stack:
             raise PreprocessorError(f"{name}: unterminated conditional directive")
@@ -222,6 +224,15 @@ class Preprocessor:
             raise PreprocessorError(f"{name}:{lineno}: cannot evaluate #if condition {expr!r}: {exc}") from exc
 
     # -- expansion -------------------------------------------------------
+
+    def _expand_line(self, line: str) -> str:
+        """``line`` with its macros expanded.  Expansion rebuilds a line
+        from its tokens, so a line in which no macro name occurs (not
+        even in a string or comment) comes out as it went in: it is
+        copied without being tokenized."""
+        if not self.macros or self.macros.keys().isdisjoint(_WORD.findall(line)):
+            return line
+        return self._expand(line)
 
     def _expand(self, text: str, depth: int = 0, hidden: frozenset = frozenset()) -> str:
         if depth > _MAX_EXPANSION_DEPTH:

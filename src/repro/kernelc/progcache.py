@@ -10,17 +10,19 @@ kernelc and analysis sources themselves — editing the compiler, a
 helper generated code calls or the summary classes invalidates every
 entry).
 
-An entry holds what a build produced, front end *and* back end: the
-type-checked AST, the lint findings and the generated per-item module
+An entry holds what a build produced: the checked AST — with the op
+charges and load-CSE decisions the lowering recorded on its nodes — and
+the lint findings, so that a disk hit unpickles and runs neither the
+front end nor the lowering.  The lockstep plan of a kernel — reject
+reason or generated module
 (:class:`~repro.kernelc.compiler.GeneratedModule`: code object, text,
-constant pool), so that a disk hit unpickles and ``exec``s and runs no
-generator.  The lockstep plan of a kernel — reject reason or generated
-module — is written next to its entry (``<key>.<kernel>.plan``) when
-:mod:`.vectorize` first produces it: a kernel nobody launches costs
-nothing.  :class:`~repro.kernelc.builtins.ResolvedBuiltin` values embed
-closures; they pickle as ``(name, parameter types)`` and are resolved
-again on load.  The charge tables of a compile are keyed by ``id`` and
-are never persisted (see :func:`.vectorize._generated_plan`).
+constant pool) — is written next to its entry (``<key>.<kernel>.plan``)
+when :mod:`.vectorize` first produces it: a kernel nobody launches
+costs nothing.  No entry holds a per-item module; one is generated in
+the process whose launch first needs it.
+:class:`~repro.kernelc.builtins.ResolvedBuiltin` values embed closures;
+they pickle as ``(name, parameter types)`` and are resolved again on
+load.
 
 Every failure mode — unreadable file, stale format, truncated blob,
 builtin that no longer resolves — is a silent miss: the caller falls
@@ -46,7 +48,7 @@ import sys
 import tempfile
 from typing import Callable, List, Optional
 
-_FORMAT = "skelcl-progcache-v2"
+_FORMAT = "skelcl-progcache-v3"
 
 _fingerprint_cache: Optional[str] = None
 
@@ -155,17 +157,16 @@ def _write(path: str, what: str, metrics, *payload) -> bool:
 
 
 def load(entry: str, restore: Callable, metrics=None):
-    """``restore(checked program, lint diagnostics, generated per-item
-    module)`` of what is kept at ``entry`` (:func:`entry_path`), or None
-    on any kind of miss — a ``restore`` that raises included."""
+    """``restore(checked program, lint diagnostics)`` of what is kept at
+    ``entry`` (:func:`entry_path`), or None on any kind of miss — a
+    ``restore`` that raises included."""
     return _read(entry, "program", restore, metrics)
 
 
-def store(entry: str, program: object, lint: List[object], module: object,
-          metrics=None) -> bool:
+def store(entry: str, program: object, lint: List[object], metrics=None) -> bool:
     """Persist a successfully compiled program; returns False (and stays
     silent) on any failure."""
-    return _write(entry, "program", metrics, program, lint, module)
+    return _write(entry, "program", metrics, program, lint)
 
 
 def load_plan(path: str, restore: Callable, metrics=None):

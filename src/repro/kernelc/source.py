@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 # Origin markers emitted by the jit frontend: ``/*@py:file.py:12*/``
 # maps a generated line back to the Python source it was lowered from;
@@ -18,10 +17,10 @@ from typing import Dict, Optional, Tuple
 # the access analysis consumes verbatim.
 _ORIGIN_MARKER = re.compile(r"/\*@py:([^:*]+):(\d+)\*/")
 _INTENT_MARKER = re.compile(r"/\*@intent:(\w+)\.(\w+)=(r|w|rw)\*/")
+_NEWLINE = re.compile("\n")
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     """A point in a source file (1-based line and column)."""
 
     line: int
@@ -32,8 +31,7 @@ class Location:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A half-open range ``[start, end)`` of source offsets."""
 
     start: Location
@@ -43,9 +41,10 @@ class Span:
         return str(self.start)
 
     def merge(self, other: "Span") -> "Span":
-        """Smallest span covering both ``self`` and ``other``."""
-        start = min(self.start, other.start, key=lambda l: l.offset)
-        end = max(self.end, other.end, key=lambda l: l.offset)
+        """Smallest span covering both ``self`` and ``other``; of two
+        points at the same offset, ``self``'s is kept."""
+        start = self.start if self.start.offset <= other.start.offset else other.start
+        end = self.end if self.end.offset >= other.end.offset else other.end
         return Span(start, end)
 
 
@@ -60,10 +59,7 @@ class SourceFile:
     def __init__(self, text: str, name: str = "<kernel>"):
         self.text = text
         self.name = name
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        self._line_starts = [0, *(match.end() for match in _NEWLINE.finditer(text))]
         # Python-origin markers (jit-lowered code): 1-based generated
         # line → (python file, python line).
         self.origins: Dict[int, Tuple[str, int]] = {}

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .source import Span
 
@@ -83,8 +82,8 @@ VECTOR_BASE_TYPES = ("char", "uchar", "short", "ushort", "int", "uint", "long", 
 VECTOR_WIDTHS = (2, 3, 4, 8, 16)
 VECTOR_TYPE_NAMES = frozenset(f"{base}{width}" for base in VECTOR_BASE_TYPES for width in VECTOR_WIDTHS)
 
-# All multi-character punctuators, longest first so the lexer can use
-# maximal munch by checking prefixes in order.
+# All punctuators, longest first: the lexer's pattern tries them in this
+# order, so the one it matches is the longest (maximal munch).
 PUNCTUATORS = (
     "<<=",
     ">>=",
@@ -135,8 +134,7 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     span: Span

@@ -19,12 +19,13 @@ every expression lowers through the one lowering it inherits from
 only the leaf emitters (``.gather``/``.scatter``, ``_i_add``,
 ``_divide_l``, ``_sw``, ``_merge``-assignment, …), and the generator adds
 what is inherently masked — statement control flow, ``&&``/``||``/``?:``,
-uniformity, and the replay of the per-item op charges and load-CSE
-decisions ``compile_program`` recorded (``kernel.charges`` /
-``kernel.cse``).  Everything static is decided there — constant
-folding, dispatch on node type, ``op_type``, signedness and conversion
-pair, C variables as Python locals, statically uniform subexpressions as
-scalar code; ``docs/kernelc.md`` has the list and a reading guide.
+uniformity, and the op charges and load-CSE decisions the lowering
+recorded on the checked AST (``node.charge`` / ``node.cse_source``),
+which a program restored from the cache carries too.  Everything
+static is decided there — constant folding, dispatch on node type,
+``op_type``, signedness and conversion pair, C variables as Python
+locals, statically uniform subexpressions as scalar code;
+``docs/kernelc.md`` has the list and a reading guide.
 :func:`execute` then only binds arguments, fetches the memoized launch
 geometry, calls the function and does the warp accounting.
 
@@ -81,7 +82,7 @@ import numpy as np
 from . import ast, progcache
 from .builtins import ResolvedBuiltin, _strip_prefix, apply_builtin
 from .compiler import (_CMP_OPS, _FunctionCompiler, _ProgramCompiler, _Spelling, CompiledKernel,
-                       GeneratedModule, _is_pointer, _is_unsigned, compile_program)
+                       GeneratedModule, _is_pointer, _is_unsigned)
 from .ctypes_ import (
     ArrayType,
     CType,
@@ -174,8 +175,6 @@ def _written_name(node) -> Optional[str]:
 def _analyse(kernel: CompiledKernel):
     """``(reject reason or None, [(function, facts)] reachable from the
     kernel, kernel first)``."""
-    if kernel.program is None:
-        return "kernel compiled without its owning program", []
     order: List[tuple] = []
     state: Dict[int, int] = {}  # id(fn) -> 1 visiting, 2 done
 
@@ -228,12 +227,6 @@ def _restored_plan(kernel: CompiledKernel, metrics) -> Optional[_KernelPlan]:
 
 
 def _generated_plan(kernel: CompiledKernel, metrics) -> _KernelPlan:
-    if kernel.charges is None:
-        # Restored from the program cache, which cannot keep the charge
-        # and CSE tables the generator replays (they are keyed by ``id``):
-        # take them from a fresh per-item compile, never from nothing.
-        fresh = compile_program(kernel.program).kernel(kernel.name)
-        kernel.charges, kernel.cse = fresh.charges, fresh.cse
     reason, functions = _analyse(kernel)
     module = None
     if reason is None:
@@ -1308,8 +1301,8 @@ class _LaneCompiler(_FunctionCompiler):
     spelling, or — for statically uniform subtrees, variables and
     declarations, whose values are Python scalars — the per-item one.
     ``&&``/``||``/``?:`` split their chain (``_lane_*`` methods, looked
-    up before the inherited ``_expr_*``), charges and load-CSE replay
-    what ``compile_program`` recorded.
+    up before the inherited ``_expr_*``), charges and load CSE are what
+    ``compile_program`` recorded on the nodes.
     """
 
     def __init__(self, program_compiler, function, facts: _FunctionFacts,
@@ -1318,9 +1311,6 @@ class _LaneCompiler(_FunctionCompiler):
         self.scalar_spelling, self.e = self.e, _LaneSpelling(self)
         self.m = "m"
         self.facts, self.kernel = facts, kernel
-        self.charges = kernel.charges
-        self.cse = kernel.cse
-        self.cse_sources = set(kernel.cse.values())
         self.load_vars: Dict[int, str] = {}  # id(source Index) -> local holding it
         self.written = facts.written
         self.uniform_names: set = set()  # Python locals that always hold scalars
@@ -1370,10 +1360,10 @@ class _LaneCompiler(_FunctionCompiler):
             self.full = False
         return _NARROWED
 
-    def charge_lanes(self, m: str, node, key=None) -> None:
+    def charge_lanes(self, m: str, node) -> None:
         """Add the recorded cost of ``node`` to the lanes of ``m``; charges
         of one straight-line block are summed into one line."""
-        cost = self.charges.get(key or (id(node),), 0)
+        cost = node.charge
         if not cost:
             return
         if self._slot is not None and self._slot[0] == m:
@@ -1704,9 +1694,9 @@ class _LaneCompiler(_FunctionCompiler):
                 self.uniform_names.discard(name)
 
     def lane_switch(self, stmt: ast.SwitchStmt, m: str) -> str:
-        # The per-item compiler charges subject cost + one comparison per
-        # case upfront (recorded under the (id, "switch") key).
-        self.charge_lanes(m, stmt, key=(id(stmt), "switch"))
+        # The lowering charges subject cost + one comparison per case
+        # upfront, recorded on the switch statement.
+        self.charge_lanes(m, stmt)
         subject = self.lane_expr(stmt.subject, m)
         num_cases = len(stmt.cases)
         default_index = num_cases
@@ -1828,14 +1818,14 @@ class _LaneCompiler(_FunctionCompiler):
         return f"_truthy({value}, {m})"
 
     def reuse_load(self, expr, load: str, pure: bool) -> str:
-        if id(expr) in self.cse_sources:
+        if expr.cse_origin:
             load = self.load_vars[id(expr)] = self.temp("ld", load)
         return load
 
     def _lane_Index(self, expr):
-        source = self.cse.get(id(expr))
+        source = expr.cse_source
         if source is not None:
-            return self.load_vars[source]  # the per-item compiler elided this load
+            return self.load_vars[id(source)]  # the lowering elided this load
         return self._expr_Index(expr)
 
     def _lane_Conditional(self, expr):

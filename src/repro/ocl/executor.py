@@ -10,7 +10,8 @@ Two engines execute an NDRange, both generated from the one lowering of
     lowering fall back transparently to the per-item engine.
 
 ``interp``
-    The per-item compiled engine (:mod:`repro.kernelc.compiler`): every
+    The per-item compiled engine (:mod:`repro.kernelc.compiler`), whose
+    module a program generates at its first per-item launch: every
     work-item runs the kernel's generated Python function to completion
     (or, for ``barrier()`` kernels, phase-by-phase as a generator with
     divergence detection).  The name is historical: the tree-walking
@@ -99,7 +100,8 @@ def execute_ndrange(
     their memory traffic to (the queue wires this up), so that sampled
     execution scales operations and memory traffic consistently.
     ``metrics`` (a registry, or the queue's handles to one) is told how
-    the kernel's lockstep plan came to be, the launch it is made on.
+    the kernel's lockstep plan or per-item module came to be, the launch
+    it is made on.
     """
     if counters is None:
         counters = ExecutionCounters()
@@ -129,7 +131,7 @@ def execute_ndrange(
     local_ids = list(ndrange.local_ids())
     local_size = ndrange.local_size
     global_size = ndrange.global_size
-    func = kernel.func
+    func = kernel.per_item(metrics)
     has_locals = bool(kernel.local_decls)
 
     for group in selected:

@@ -1,15 +1,17 @@
 """Programs: kernel source → checked AST → compiled kernels.
 
 ``Program.build()`` runs the full kernelc front-end, the lint pass and
-the compiling backend.  Builds are cached per ``(source, defines)`` so
-that skeleton libraries repeatedly instantiating the same generated
-source (as SkelCL does) only pay the compilation cost once per process,
-and in the persistent program cache (:mod:`repro.kernelc.progcache`) so
-that a later process pays neither front end nor code generation: a disk
-hit unpickles the checked AST and ``exec``s the stored module.  A
+the lowering (:func:`~repro.kernelc.compiler.compile_program`, which
+records each statement's charge on the checked AST and generates no
+module: the lockstep plan of a kernel is made at its first launch, the
+per-item module at a program's first per-item launch).  Builds are
+cached per ``(source, defines)`` so that skeleton libraries repeatedly
+instantiating the same generated source (as SkelCL does) only pay the
+build once per process, and in the persistent program cache
+(:mod:`repro.kernelc.progcache`) so that a later process pays neither
+front end nor lowering: a disk hit unpickles the checked AST.  A
 program made by ``Context.create_program`` counts how its build was
-served — ``skelcl_program_builds_total{result=memory|disk|compiled}``,
-``skelcl_program_codegen_total{engine="peritem",result=generated|restored}``
+served — ``skelcl_program_builds_total{result=memory|disk|compiled}``
 and the cache's own ``skelcl_program_cache_total`` — on that context's
 metrics; a bare ``Program`` counts nowhere.
 
@@ -66,17 +68,12 @@ class Program:
     def is_built(self) -> bool:
         return self._compiled is not None
 
-    def _count_build(self, result: str, codegen: Optional[str] = None) -> None:
+    def _count_build(self, result: str) -> None:
         """``result``: ``"memory"`` (in-process build-cache hit),
         ``"disk"`` (served from the persistent program cache) or
-        ``"compiled"`` (cold front-end + backend run); ``codegen``: what
-        became of the per-item generator (``"generated"`` / ``"restored"``
-        — it ran, or its module came from disk)."""
+        ``"compiled"`` (cold front end and lowering run)."""
         if self._metrics is not None:
             self._metrics.counter("skelcl_program_builds_total", result=result).inc()
-            if codegen is not None:
-                self._metrics.counter("skelcl_program_codegen_total", engine="peritem",
-                                      result=codegen).inc()
 
     def build(self) -> "Program":
         key = (self.source, tuple(sorted(self.defines.items())))
@@ -94,15 +91,15 @@ class Program:
             raise BuildError(self.build_log) from exc
 
         # On-disk level: a prior process built this exact preprocessed
-        # source — take its checked AST, lint findings and generated
-        # module, and only ``exec`` the latter.
+        # source — take its checked AST (lowered: the charges are on its
+        # nodes) and lint findings.
         checked = None
         entry_path = progcache.entry_path(preprocessed)
         compiled, lint = progcache.load(
-            entry_path, lambda program, lint, module: (restore_program(program, module), lint),
+            entry_path, lambda program, lint: (restore_program(program), lint),
             self._metrics) or (None, None)
         if compiled is not None:
-            self._count_build("disk", "restored")
+            self._count_build("disk")
             self.build_log = "(disk cache)"
         else:
             try:
@@ -112,8 +109,8 @@ class Program:
             except CompileError as exc:
                 self.build_log = str(exc)
                 raise BuildError(self.build_log) from exc
-            self._count_build("compiled", "generated")
-            progcache.store(entry_path, checked, lint, compiled.module, self._metrics)
+            self._count_build("compiled")
+            progcache.store(entry_path, checked, lint, self._metrics)
             self.build_log = "build successful"
         # Each kernel's lockstep plan is kept beside the entry, written by
         # whichever process first launches it.

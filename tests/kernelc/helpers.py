@@ -87,11 +87,12 @@ def run_kernel(
 
     if backend == "compiler":
         compiled = compile_program(program).kernel(kernel_name)
+        func = compiled.per_item()
         for group, contexts in _contexts(tuple(global_size), tuple(local_size)):
             storage = allocate_local_memory(definition, counters)
             lmem = [storage[id(d)] for d in compiled.local_decls]
             if compiled.uses_barrier:
-                generators = [compiled.func(counters, ctx, lmem, *runtime_args) for ctx in contexts]
+                generators = [func(counters, ctx, lmem, *runtime_args) for ctx in contexts]
                 alive = generators
                 while alive:
                     next_alive = []
@@ -104,7 +105,7 @@ def run_kernel(
                     alive = next_alive
             else:
                 for ctx in contexts:
-                    compiled.func(counters, ctx, lmem, *runtime_args)
+                    func(counters, ctx, lmem, *runtime_args)
     elif backend == "vector":
         from repro.kernelc import vectorize
         from repro.ocl.ndrange import NDRange

@@ -6,14 +6,14 @@ scalar arguments, sampled or not — only calls it.  These tests pin that
 (the generator runs once), that each such launch still equals the
 per-item engine bit for bit and counter for counter, that faults raised
 inside the generated function keep their type and message, and that the
-static tables the generator reads (the two-key ``switch`` charge, the
-load-CSE decisions) are recorded by ``compile_program`` itself.
+static facts the generator reads (the ``switch`` charge, the load-CSE
+decisions) are recorded on the AST by ``compile_program`` itself.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernelc import ExecutionCounters, compile_source, vectorize
+from repro.kernelc import ExecutionCounters, ast, compile_source, vectorize
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.execmodel import convert_value
@@ -227,11 +227,15 @@ __kernel void k(__global const int* in, __global int* out, const int bias) {
 
 
 class TestStaticTables:
-    def test_switch_charge_and_cse_come_from_the_single_compile(self):
+    def test_switch_charge_and_cse_are_recorded_on_the_nodes(self):
         compiled = compiled_kernel(SWITCH_AND_CSE)
-        switch_keys = [key for key in compiled.charges if key[1:] == ("switch",)]
-        assert len(switch_keys) == 1 and compiled.charges[switch_keys[0]] > 4
-        assert compiled.cse  # in[gid] * in[gid]: the second load is elided
+        nodes = list(ast.walk(compiled.definition))
+        (switch,) = [node for node in nodes if isinstance(node, ast.SwitchStmt)]
+        assert switch.charge > 4
+        # in[gid] * in[gid]: the second load is elided, the first held.
+        elided = [node for node in nodes
+                  if isinstance(node, ast.Expr) and node.cse_source is not None]
+        assert elided and all(node.cse_source.cse_origin for node in elided)
         source = vectorize.plan_for(compiled).source
         # The elided load reuses the first load's local instead of gathering.
         assert source.count("_ld") >= 3 and "_switch_start(" in source

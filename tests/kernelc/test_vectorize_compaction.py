@@ -348,18 +348,18 @@ def test_restored_plans_carry_the_compaction_code(tmp_path, monkeypatch):
     checked = compile_source(source, "<compaction>")
     cold = compile_program(checked)
     entry = progcache.entry_path(source)
-    assert progcache.store(entry, checked, lint_program(checked), cold.module)
+    assert progcache.store(entry, checked, lint_program(checked))
     cold.kernel("k").plan_path = progcache.plan_path(entry, "k")
     generated = vectorize.plan_for(cold.kernel("k")).source
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a generator ran for a restored program")
 
-    restored = progcache.load(entry, lambda program, lint, module: restore_program(program, module))
+    restored = progcache.load(entry, lambda program, lint: restore_program(program))
     kernel = restored.kernel("k")
     kernel.plan_path = progcache.plan_path(entry, "k")
-    for module in (compiler, vectorize):
-        monkeypatch.setattr(module, "compile_program", forbidden)
+    monkeypatch.setattr(compiler, "compile_program", forbidden)
+    monkeypatch.setattr(compiler._ProgramCompiler, "lower", forbidden)
     monkeypatch.setattr(vectorize, "_generate", forbidden)
     monkeypatch.setattr(vectorize, "_analyse", forbidden)
     plan = vectorize.plan_for(kernel)

@@ -7,7 +7,10 @@ name, the engine that ran it and *every* ``ExecutionCounters`` field,
 per result a digest, the session's modeled clock and its metrics.
 
 ``PROGCACHE_CHILD_GENERATORS=forbid`` makes every code-generator entry
-point raise first: the process must then be served from the cache alone.
+point raise first: the process must then be served from the cache alone,
+but for the per-item module of the pointer-cast program, which no cache
+keeps.  ``PROGCACHE_CHILD_GENERATORS=lockstep`` lets the lockstep
+generator run and nothing else.
 """
 
 import dataclasses
@@ -73,11 +76,28 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a code generator ran in a process that must not generate")
 
 
-def main() -> None:
-    if os.environ.get("PROGCACHE_CHILD_GENERATORS") == "forbid":
-        for module in (compiler, ocl_program, vectorize):
-            module.compile_program = _forbidden
+def _forbid(including_lockstep: bool) -> None:
+    """Make the lowering and the per-item generator raise first — but for
+    the program of ``BITS``, whose kernel runs per item — and with
+    ``including_lockstep`` the lockstep generator too."""
+    for module in (compiler, ocl_program):
+        module.compile_program = _forbidden
+    generate = compiler._ProgramCompiler.generate
+
+    def per_item_of_bits_only(self):
+        if "float_bits" not in (function.name for function in self.program.functions):
+            _forbidden()
+        return generate(self)
+
+    compiler._ProgramCompiler.generate = per_item_of_bits_only
+    if including_lockstep:
         vectorize._generate = vectorize._analyse = _forbidden
+
+
+def main() -> None:
+    generators = os.environ.get("PROGCACHE_CHILD_GENERATORS")
+    if generators in ("forbid", "lockstep"):
+        _forbid(including_lockstep=generators == "forbid")
 
     launches = []
     execute = ocl_queue.execute_ndrange

@@ -1,8 +1,9 @@
 """The persistent compiled-program cache: disk hits across build-cache
 clears and across processes, env switches, and corruption tolerance —
-and that a disk hit runs no code generator: an entry holds the per-item
-module, a plan file per launched kernel its lockstep plan, both as code
-objects."""
+and that a disk hit runs no code generator: an entry holds the checked
+AST with the charges on its nodes, a plan file per launched kernel its
+lockstep plan as a code object, and the per-item module is generated
+only by a launch that needs it."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import contextlib
 import glob
 import io
 import json
+import marshal
 import os
 import pickle
 import subprocess
@@ -22,7 +24,8 @@ import pytest
 import repro
 import repro.skelcl as skelcl
 from repro import ocl
-from repro.kernelc import builtins, compile_source, compiler, lint_program, progcache, vectorize
+from repro.kernelc import (ast, builtins, compile_source, compiler, lint_program, progcache,
+                           vectorize)
 from repro.kernelc.compiler import compile_program, restore_program
 from repro.ocl import Program, clear_build_cache
 from repro.ocl import program as ocl_program
@@ -224,25 +227,32 @@ def cold_run(tmp_path_factory):
     return _child(cache), cache
 
 
+# The pointer-cast kernel runs per item: its program's module is made by
+# the process that launches it, and by no other program.
+PER_ITEM_GENERATED = {"{engine=peritem,result=generated}": 1}
+
+
 def test_warm_process_runs_no_generator_and_counts_the_same(cold_run, tmp_path):
     cold, cache = cold_run
     assert {launch[1] for launch in cold["launches"]} == {"vector", "interp"}
     assert _generated(cold) and not cold["metrics"]["skelcl_program_builds_total"].get(
         "{result=disk}")
-    # Process B: compile_program, vectorize._generate and ._analyse raise.
+    assert _generated(cold)["{engine=peritem,result=generated}"] == 1
+    # Process B: compile_program, vectorize._generate and ._analyse raise,
+    # and so does the per-item generator for every program but BITS's.
     warm = _child(cache, generators="forbid")
     for field in ("launches", "results", "modeled_ns"):  # every ExecutionCounters field
         assert warm[field] == cold[field], field
     builds = warm["metrics"]["skelcl_program_builds_total"]
     assert builds == {"{result=disk}": len(_entries(cache))}
-    assert not _generated(warm)
+    assert _generated(warm) == PER_ITEM_GENERATED
     assert set(warm["metrics"]["skelcl_program_cache_total"]) == {
         "{op=load,result=hit,what=plan}", "{op=load,result=hit,what=program}"}
 
 
-def test_lost_plan_files_are_regenerated_from_fresh_charge_tables(cold_run, tmp_path):
-    """A restored kernel has no charge tables (they are keyed by ``id``);
-    without its plan file it must recompile for them, not replay none."""
+def test_lost_plan_files_are_regenerated_from_the_charges_on_the_ast(cold_run, tmp_path):
+    """A restored program carries its charges on its nodes: without its
+    plan files the lockstep generator runs, and nothing lowers again."""
     import shutil
 
     cold, cache = cold_run
@@ -252,11 +262,13 @@ def test_lost_plan_files_are_regenerated_from_fresh_charge_tables(cold_run, tmp_
     assert plans
     for plan in plans:
         os.unlink(plan)
-    run = _child(copy)
+    # compile_program and the per-item generator (but for BITS) raise.
+    run = _child(copy, generators="lockstep")
     for field in ("launches", "results", "modeled_ns"):
         assert run[field] == cold[field], field
     assert run["metrics"]["skelcl_program_builds_total"] == {"{result=disk}": len(_entries(copy))}
-    assert _generated(run) == {"{engine=lockstep,result=generated}": len(plans)}
+    assert _generated(run) == {"{engine=lockstep,result=generated}": len(plans),
+                               **PER_ITEM_GENERATED}
     assert sorted(map(os.path.basename, _plans(copy))) == sorted(map(os.path.basename, plans))
 
 
@@ -275,17 +287,45 @@ def _truncate(path):
         handle.write(blob[:len(blob) // 2])
 
 
+class _Unmarshalled:
+    """Unpickles as ``marshal.loads(blob)``."""
+
+    def __init__(self, blob):
+        self.blob = blob
+
+    def __reduce__(self):
+        return marshal.loads, (self.blob,)
+
+
+class _StaleProgram:
+    """Unpickles fine; restoring it raises, as a program kept in a format
+    this build no longer reads would."""
+
+    @property
+    def functions(self):
+        raise RuntimeError("stale program")
+
+
 def _garbage_code(path):
+    """A plan's code (an entry's checked AST) no longer unmarshals."""
     def edit(payload):
-        module = payload[-1]
-        state = module.__getstate__()
-        module.__getstate__ = lambda: (b"\x00garbage",) + state[1:]
+        if isinstance(payload[-1], compiler.GeneratedModule):
+            module = payload[-1]
+            state = module.__getstate__()
+            module.__getstate__ = lambda: (b"\x00garbage",) + state[1:]
+        else:
+            payload[1] = _Unmarshalled(b"\x00garbage")
     _rewrite(path, edit)
 
 
 def _exec_raises(path):
+    """A plan's code (an entry's checked AST) loads, and raises when run
+    (restored)."""
     def edit(payload):
-        payload[-1].code = compile("raise RuntimeError('stale module')", "<stale>", "exec")
+        if isinstance(payload[-1], compiler.GeneratedModule):
+            payload[-1].code = compile("raise RuntimeError('stale module')", "<stale>", "exec")
+        else:
+            payload[1] = _StaleProgram()
     _rewrite(path, edit)
 
 
@@ -376,8 +416,9 @@ def test_failed_store_is_silent_to_the_build_and_counted(cache_dir, monkeypatch,
     metrics = runtime_vector.metrics
 
     def unpicklable(self):
-        raise pickle.PicklingError("a pool entry that does not pickle")
+        raise pickle.PicklingError("a node or a pool entry that does not pickle")
 
+    monkeypatch.setattr(ast.Program, "__getstate__", unpicklable, raising=False)
     monkeypatch.setattr(compiler.GeneratedModule, "__getstate__", unpicklable)
     program = runtime_vector.context.create_program(SOURCE).build()
     out, _ = _launch(runtime_vector, program, "triple")
@@ -411,16 +452,98 @@ def test_a_kernel_nobody_launches_costs_no_plan(cache_dir, monkeypatch, runtime_
     assert [os.path.basename(p).split(".")[1:] for p in _plans(cache_dir)] == [["used", "plan"]]
 
     # A later process launches the other one: its plan is not on disk, so
-    # it is generated — from recomputed tables — and joins the entry.
+    # it is generated — from the charges on the restored AST — and joins
+    # the entry.
     clear_build_cache()
     program = runtime_vector.context.create_program(TWO_KERNELS).build()
     cold = compile_program(compile_source(TWO_KERNELS, "<cold>")).kernel("unused")
     out, info = _launch(runtime_vector, program, "unused")
     assert generated == ["used", "unused"] and len(_plans(cache_dir)) == 2
-    assert program.compiled.kernel("unused").charges
     assert vectorize.plan_for(program.compiled.kernel("unused")).source == \
         vectorize.plan_for(cold).source
     assert info["ops"] > 0 and out[4] == 2.0
+
+
+def _per_item_codegen(metrics):
+    counters = metrics.snapshot()["counters"].get("skelcl_program_codegen_total", {})
+    return {series: n for series, n in counters.items() if "engine=peritem" in series}
+
+
+def test_lockstep_kernels_never_generate_a_per_item_module(cache_dir, runtime_vector):
+    """Neither a cold build nor a disk build of a program whose kernels
+    all run lockstep generates the per-item module."""
+    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
+    for _ in range(2):
+        clear_build_cache()
+        for source, name in ((SOURCE, "triple"), (TWO_KERNELS, "used"), (TWO_KERNELS, "unused")):
+            _launch(runtime_vector, create(source).build(), name)
+    assert metrics.value("skelcl_program_builds_total", result="compiled") == 2
+    assert metrics.value("skelcl_program_builds_total", result="disk") == 2
+    assert not _per_item_codegen(metrics)
+
+
+BITS = """
+__kernel void float_bits(__global const float* in, __global float* out) {
+    __global const int* bits = (__global const int*)in;
+    out[get_global_id(0)] = (float)(bits[get_global_id(0)] >> 20);
+}
+"""
+
+
+def test_a_rejected_kernel_generates_the_per_item_module_at_its_first_launch(
+        cache_dir, runtime_vector):
+    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
+    generated = {"{engine=peritem,result=generated}": 1}
+    expected = (np.arange(64, dtype=np.float32).view(np.int32) >> 20).astype(np.float32)
+    program = create(BITS).build()
+    assert vectorize.reject_reason(program.compiled.kernel("float_bits")) == "pointer cast"
+    assert not _per_item_codegen(metrics)  # nothing at build
+    first, info = _launch(runtime_vector, program, "float_bits")
+    assert _per_item_codegen(metrics) == generated
+    second, again = _launch(runtime_vector, program, "float_bits")
+    assert _per_item_codegen(metrics) == generated  # generated once
+    assert first.tobytes() == second.tobytes() == expected.tobytes() and info == again
+    # A disk build is a new program, which generates its own module.
+    clear_build_cache()
+    restored, restored_info = _launch(runtime_vector, create(BITS).build(), "float_bits")
+    assert metrics.value("skelcl_program_builds_total", result="disk") == 1
+    assert _per_item_codegen(metrics) == {"{engine=peritem,result=generated}": 2}
+    assert restored.tobytes() == expected.tobytes() and restored_info == info
+
+
+CONSTANT_GLOBALS = """
+__constant float weights[4] = {0.5f, 1.5f, 2.5f, 3.5f};
+__constant float root2 = sqrt(2.0f);
+__kernel void weigh(__global const float* in, __global float* out) {
+    int gid = get_global_id(0);
+    out[gid] = in[gid] * weights[gid % 4] + root2;
+}
+"""
+
+
+def test_materializing_a_module_leaves_its_constant_pool_alone(cache_dir, runtime_vector):
+    """Running a module sets up its ``__constant`` globals, and a scalar
+    initializer may take pool slots of its own: they go to a copy of the
+    pool, so a module restored again and again keeps the pool it was
+    generated with."""
+    expected, _ = _launch(runtime_vector, runtime_vector.context.create_program(
+        CONSTANT_GLOBALS).build(), "weigh")
+    program = compile_program(compile_source(CONSTANT_GLOBALS))
+    kernel = program.kernel("weigh")
+    generated = vectorize._generate(kernel, vectorize._analyse(kernel)[1])
+    (plan,) = _plans(cache_dir)
+    restored = progcache.load_plan(plan, lambda reason, module: module)
+    per_item = compiler._ProgramCompiler(program.program).generate()
+    sizes = len(generated.constants), len(per_item.constants)
+    assert len(restored.constants) == sizes[0]
+    for _ in range(3):
+        vectorize._materialize(kernel, restored)
+        compiler._ProgramCompiler(program.program, per_item).namespace()
+    assert (len(restored.constants), len(per_item.constants)) == sizes
+    clear_build_cache()
+    got, _ = _launch(runtime_vector, runtime_vector.context.create_program(
+        CONSTANT_GLOBALS).build(), "weigh")
+    assert got.tobytes() == expected.tobytes()
 
 
 def _restored(source, defines=None):
@@ -430,9 +553,9 @@ def _restored(source, defines=None):
     checked = compile_source(source, "<parity>", defines)
     cold = compile_program(checked)
     entry = progcache.entry_path(source + repr(defines))
-    assert progcache.store(entry, checked, lint_program(checked), cold.module), \
+    assert progcache.store(entry, checked, lint_program(checked)), \
         "progcache.store refused the entry"
-    restored = progcache.load(entry, lambda program, lint, module: restore_program(program, module))
+    restored = progcache.load(entry, lambda program, lint: restore_program(program))
     for name, kernel in cold.kernels.items():
         kernel.plan_path = restored.kernels[name].plan_path = progcache.plan_path(entry, name)
         vectorize.reject_reason(kernel)  # plans the cold kernel: writes the plan file
@@ -444,8 +567,10 @@ def test_every_corpus_program_stores_and_restores_to_the_golden_code(cache_dir, 
     """Every program of ``repro.apps``, the skeleton templates, the jit
     and fusion corpora and the ``tests/kernelc`` differential corpus
     pickles (a silent ``False`` from ``store`` is how an unpicklable pool
-    entry hides), and what comes back — with the generators switched off
-    — is, hash for hash, the code-generation golden."""
+    entry hides), and what comes back carries the cold charges and load
+    CSE on its nodes and is, hash for hash, the code-generation golden —
+    lowered again for the per-item hash, and with the generators switched
+    off for the lockstep plans."""
     from tests.analysis import workloads
     from tests.analysis.test_verdict_parity import _digest
     from tests.kernelc import test_codegen_parity as parity
@@ -460,23 +585,33 @@ def test_every_corpus_program_stores_and_restores_to_the_golden_code(cache_dir, 
     assert sorted(label for label, _, _ in corpus) == sorted(golden)
 
     pairs = [(label, *_restored(source, defines)) for label, source, defines in corpus]
+    for label, cold, restored in pairs:
+        assert _records(restored.program) == _records(cold.program), label
+    per_item = {label: parity._sha(restored.source_code) for label, _, restored in pairs}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a generator ran for a restored program")
 
-    for module in (compiler, vectorize):
-        monkeypatch.setattr(module, "compile_program", forbidden)
+    monkeypatch.setattr(compiler, "compile_program", forbidden)
+    monkeypatch.setattr(compiler._ProgramCompiler, "lower", forbidden)
     monkeypatch.setattr(vectorize, "_generate", forbidden)
     monkeypatch.setattr(vectorize, "_analyse", forbidden)
     for label, cold, restored in pairs:
         lockstep = {}
         for name, kernel in restored.kernels.items():
-            assert kernel.charges is None and kernel.cse is None
             plan = vectorize.plan_for(kernel)
             lockstep[name] = parity._sha(plan.source) if plan is not None \
                 else "rejected: " + vectorize.reject_reason(kernel)
-        assert {"per_item": parity._sha(restored.source_code), "lockstep": lockstep} \
-            == golden[label], label
+        assert {"per_item": per_item[label], "lockstep": lockstep} == golden[label], label
+
+
+def _records(program):
+    """What the lowering recorded on ``program``, node by node in walk
+    order: the charge, and where a load's CSE source sits in that order."""
+    nodes = [node for function in program.functions for node in ast.walk(function)]
+    position = {id(node): index for index, node in enumerate(nodes)}
+    return [(node.charge, getattr(node, "cse_origin", False),
+             position.get(id(getattr(node, "cse_source", None)))) for node in nodes]
 
 
 def test_cli_prints_for_a_restored_program_what_it_prints_cold(cache_dir, capsys):
