@@ -82,9 +82,7 @@ def run_policies(elements: int, rounds: int) -> dict:
 
     data = np.random.RandomState(7).rand(elements).astype(np.float32)
     results: dict = {"policies": {}}
-    # Vector backend keeps the interp CI matrix fast; the modeled times
-    # this benchmark gates on are backend-independent.
-    with skelcl.init(devices=DEVICES, backend="vector") as session:
+    with skelcl.init(devices=DEVICES) as session:
         skel = skelcl.Map(HEAVY_MAP)
         vec = skelcl.Vector(data=data)
 

@@ -346,11 +346,11 @@ class ParamSummary:
     space: str  # address space of the pointee
     elem_size: int
     footprints: List[Footprint] = field(default_factory=list)
-    fallback_reason: Optional[str] = None  # None = fully affine
+    whole_buffer_reason: Optional[str] = None  # None = fully affine
 
     @property
     def affine(self) -> bool:
-        return self.fallback_reason is None
+        return self.whole_buffer_reason is None
 
 
 @dataclass

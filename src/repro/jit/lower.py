@@ -348,7 +348,7 @@ class Lowerer:
         """Pin NumPy's per-operation semantics with an explicit cast.
 
         NumPy wraps integers at the result width and rounds floats after
-        every operation; the execution backends evaluate with relaxed
+        every operation; the execution engine evaluates with relaxed
         semantics (ints at arbitrary precision, floats in double) and
         only apply exact conversions at *explicit casts* and memory
         stores.  Wrapping each strong-typed operation in a cast makes

@@ -1,17 +1,16 @@
-"""kernelc: an OpenCL-C subset front-end and execution engines.
+"""kernelc: an OpenCL-C subset front-end and execution engine.
 
 This package implements the "compiler" half of the SkelCL reproduction:
 kernel sources (including those generated by the skeleton library) are
 preprocessed, lexed, parsed and type-checked, then lowered *once*
-(:mod:`.compiler`) to the Python of two engines — the lockstep NumPy
-engine every launch runs on (:mod:`.vectorize`) and the per-work-item
-engine that is its fallback, generated when a launch first needs it —
-with operation and memory-traffic
-accounting that drives the simulated device timing model.  Both run on
+(:mod:`.compiler`) to the Python of the lockstep NumPy engine every
+launch runs on (:mod:`.vectorize`), with operation and memory-traffic
+accounting that drives the simulated device timing model.  It runs on
 one runtime value library (:mod:`.values`, :mod:`.memory`,
-:mod:`.execmodel`, :mod:`.builtins`), as does the tree-walking
-reference interpreter the tests hold them against
-(``tests/kernelc/interp.py``, not part of this package).
+:mod:`.execmodel`, :mod:`.builtins`), as do the two oracles the tests
+hold it against (``tests/kernelc/peritem.py``, the per-work-item module
+of the same lowering, and ``tests/kernelc/interp.py``, a tree-walking
+interpreter; neither is part of this package).
 
 Public API (this module's ``__all__``):
 

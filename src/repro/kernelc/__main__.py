@@ -5,10 +5,8 @@ Usage::
     python -m repro.kernelc FILE.cl            # compile, report kernels
     python -m repro.kernelc FILE.cl --ast      # print the parsed AST
     python -m repro.kernelc FILE.cl --print    # pretty-print the source
-    python -m repro.kernelc FILE.cl --python   # show the generated Python: the
-                                               # per-item source, then each
-                                               # kernel's lockstep source (or
-                                               # why it has none)
+    python -m repro.kernelc FILE.cl --python   # show each kernel's generated
+                                               # lockstep Python
     python -m repro.kernelc FILE.cl --lint     # run the lint pass
     python -m repro.kernelc FILE.cl --access   # show affine access summaries
     python -m repro.kernelc FILE.py --lint     # lint kernel strings in a
@@ -79,19 +77,20 @@ def _extract_kernel_strings(path: str):
     return found
 
 
-def _print_python(program, name: str) -> None:
-    """The per-item Python of ``program``, then per kernel the lockstep
-    engine's generated source or the reason it falls back."""
-    compiled = compile_program(program)
-    sys.stdout.write(compiled.source_code)
-    for kernel in compiled.kernels.values():
-        plan = vectorize.plan_for(kernel)
-        if plan is None:
-            print(f"\n# {name}: kernel {kernel.name}: no lockstep source, runs per "
-                  f"item: {vectorize.reject_reason(kernel)}")
-        else:
-            print(f"\n# {name}: kernel {kernel.name}: lockstep source")
-            sys.stdout.write(plan.source)
+def _print_python(program, name: str) -> int:
+    """Per kernel of ``program``, the lockstep engine's generated source;
+    1 when a kernel has none (its diagnostic goes to stderr), else 0."""
+    status = 0
+    for kernel in compile_program(program).kernels.values():
+        try:
+            source = vectorize.plan_for(kernel).source
+        except CompileError as exc:
+            sys.stderr.write(f"{exc}\n")
+            status = 1
+            continue
+        print(f"# {name}: kernel {kernel.name}: lockstep source")
+        sys.stdout.write(source)
+    return status
 
 
 def _lint_python_module(path: str, show_access: bool = False,
@@ -118,7 +117,7 @@ def _lint_python_module(path: str, show_access: bool = False,
             affine_total += a
             fallback_total += f
         if show_python:
-            _print_python(program, name)
+            failed += _print_python(program, name)
     status = "clean" if not failed else f"{failed} with errors"
     print(f"{path}: {len(strings)} kernel string(s), {status}")
     if show_access and (affine_total or fallback_total):
@@ -154,7 +153,7 @@ def _print_access_summaries(program, name: str):
             else:
                 fallback_params += 1
                 print(f"  {pname} ({psum.space}, {summary.modes[pname]}): "
-                      f"fallback — {psum.fallback_reason}")
+                      f"fallback — {psum.whole_buffer_reason}")
     return affine_params, fallback_params
 
 
@@ -166,8 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument("--print", dest="pretty", action="store_true",
                         help="pretty-print the parsed source")
     parser.add_argument("--python", action="store_true",
-                        help="show the generated Python: the per-item code, then "
-                             "each kernel's lockstep code or its reject reason")
+                        help="show each kernel's generated lockstep Python")
     parser.add_argument("--lint", action="store_true",
                         help="run the lint pass (exit 1 on lint errors); on a "
                              ".py file, lint every embedded kernel string")
@@ -217,7 +215,7 @@ def main(argv=None) -> int:
             print(f"{name}: lint {'clean' if not diagnostics else f'{len(diagnostics)} finding(s), {errors} error(s)'}")
             status = 1 if errors else 0
         if args.python:
-            _print_python(program, name)
+            status |= _print_python(program, name)
         return status
 
     if args.ast:
@@ -227,7 +225,7 @@ def main(argv=None) -> int:
 
         sys.stdout.write(print_program(program))
     elif args.python:
-        _print_python(program, name)
+        return _print_python(program, name)
     else:
         kernels = ", ".join(k.name for k in program.kernels()) or "(none)"
         helpers = [f.name for f in program.functions if not f.is_kernel]

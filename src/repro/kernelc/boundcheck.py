@@ -138,7 +138,7 @@ def analyze_get_bounds(function: ast.FunctionDef, overlap: int,
             accesses.append(intervals)
     escape = None
     for param in summary.params.values():
-        escape = escape or param.fallback_reason
+        escape = escape or param.whole_buffer_reason
         for fp in param.footprints:
             interval = _form_interval(fp.index, fp.guards, trusted)
             if interval is not None:

@@ -1,7 +1,7 @@
 """OpenCL-C builtin functions: work-item queries, math, common, integer,
 geometric and relational functions, plus ``convert_*`` / ``as_*``.
 
-The type checker and both execution backends resolve builtin calls via
+The type checker and the code the lowering generates resolve builtin calls via
 :func:`resolve_builtin`, which returns the result type, the parameter
 types the arguments convert to, a scalar-level Python implementation and
 an operation-count cost used by the device timing model.
@@ -92,7 +92,7 @@ class ResolvedBuiltin:
     cost: int
     # 'plain': impl over converted scalar args (vectors applied per lane)
     # 'whole': impl receives whole (possibly vector) values
-    # 'workitem': backend supplies the value from the work-item context
+    # 'workitem': the engine supplies the value from the work-item context
     # 'barrier': synchronization point
     kind: str = "plain"
 
@@ -202,7 +202,7 @@ _FLOAT_UNARY = {
     "log1p": (_safe(math.log1p), 8),
     "fabs": (abs, 1),
     # float results, as in C: an int 0 would lose its sign under unary minus
-    # in the per-item engine, where lanes of the lockstep engine keep it.
+    # in uniform (scalar) code, where lanes of the lockstep engine keep it.
     "floor": (lambda x: float(math.floor(x)), 1),
     "ceil": (lambda x: float(math.ceil(x)), 1),
     "trunc": (lambda x: float(math.trunc(x)), 1),

@@ -1,5 +1,4 @@
-"""The one lowering of checked kernelc ASTs to Python, and the per-item
-engine it generates.
+"""The one lowering of checked kernelc ASTs to Python.
 
 :class:`_FunctionCompiler` is the only place that *decides* how an
 OpenCL-C expression lowers — implicit conversions, the binary-operator
@@ -8,10 +7,11 @@ array flattening, lvalues, address-of, pointer arithmetic, ``++``/``--``,
 work-item queries, declarations.  It writes every decision against the
 leaf *emitters* of a :class:`_Spelling`, which only say how one
 operation is spelled in Python.  The spelling defined here is the
-per-item engine's: plain ``int``/``float`` scalars, :class:`Pointer`
-and :class:`VecValue`.  The lockstep generator (:mod:`.vectorize`)
+scalar one: plain ``int``/``float`` scalars, :class:`Pointer` and
+:class:`VecValue`.  The lockstep generator (:mod:`.vectorize`)
 subclasses both — its spelling calls the lane library, its generator
-adds masked control flow — and re-decides nothing.
+adds masked control flow, and it spells its statically uniform subtrees
+with the scalar spelling — and re-decides nothing.
 
 :func:`compile_program` runs the lowering once and keeps no Python: it
 wants what the lowering records on the checked AST — each statement's
@@ -19,14 +19,15 @@ op charge after load CSE (:attr:`ast.Node.charge`) and the load-CSE
 decisions (:attr:`ast.Expr.cse_source`) — which the lockstep generator
 emits as they are, and which pickle with the AST into the program cache.
 
-Per-item engine (generated when a per-item launch first needs it,
-:meth:`CompiledProgram.per_item`): each C function becomes a Python
-function taking ``(C, ctx, [lmem,] *args)`` where ``C`` is the launch's
+What the lowering writes (:meth:`_ProgramCompiler.lower`) is a per-item
+module: each C function becomes a Python function taking ``(C, ctx,
+[lmem,] *args)`` where ``C`` is the launch's
 :class:`~repro.kernelc.execmodel.ExecutionCounters`, ``ctx`` the
 :class:`WorkItemContext` and ``lmem`` (kernels only) the list of
 group-shared ``__local`` allocations.  Kernels that call ``barrier()``
-compile to Python *generators* that yield ``('barrier', flags)``, which
-the NDRange executor uses to phase-synchronize a work-group.
+compile to Python *generators* that yield ``('barrier', flags)``.  No
+launch runs it: the tests compile it into the per-item oracle the
+lockstep engine is held against (``tests/kernelc/peritem.py``).
 
 Semantics relative to the reference interpreter ("relaxed fast math"):
 
@@ -244,17 +245,10 @@ class CompiledKernel:
         """The owning checked AST."""
         return self.owner.program
 
-    def per_item(self, metrics=None) -> Callable:
-        """This kernel's function on the per-item engine
-        (:meth:`CompiledProgram.per_item`)."""
-        return self.owner.per_item(metrics)[self.name]
-
 
 class CompiledProgram:
-    """A lowered program: its checked AST, which carries what both
-    engines charge (:attr:`ast.Node.charge`, load CSE), and its kernels.
-    The per-item module is generated when a per-item launch first needs
-    it — the lockstep engine runs every kernel it does not reject."""
+    """A lowered program: its checked AST, which carries what a launch
+    charges (:attr:`ast.Node.charge`, load CSE), and its kernels."""
 
     def __init__(self, program: ast.Program):
         self.program = program
@@ -267,27 +261,6 @@ class CompiledProgram:
                 owner=self,
             )
             for function in program.functions if function.is_kernel}
-        self._functions: Optional[Dict[str, Callable]] = None
-
-    @property
-    def source_code(self) -> str:
-        """The per-item module's Python (generated afresh)."""
-        return _ProgramCompiler(self.program).lower()
-
-    def per_item(self, metrics=None) -> Dict[str, Callable]:
-        """The per-item module's functions by C name.  The first call
-        generates, compiles and runs the module, and counts that as
-        ``skelcl_program_codegen_total{engine="peritem",result="generated"}``
-        on ``metrics``."""
-        if self._functions is None:
-            module = _ProgramCompiler(self.program).generate()
-            namespace = _ProgramCompiler(self.program, module).namespace()
-            exec(module.code, namespace)  # noqa: S102
-            self._functions = namespace["_FUNCTIONS"]
-            if metrics is not None:
-                metrics.counter("skelcl_program_codegen_total", engine="peritem",
-                                result="generated").inc()
-        return self._functions
 
     def kernel(self, name: str) -> CompiledKernel:
         try:
@@ -302,8 +275,8 @@ def _is_unsigned(ctype) -> bool:
 
 
 class _Spelling:
-    """The leaf emitters of the lowering, as the per-item engine spells
-    them: every method returns Python text over plain scalars,
+    """The leaf emitters of the lowering, spelled for one work-item at a
+    time: every method returns Python text over plain scalars,
     :class:`Pointer` and :class:`VecValue` and takes no decision about C
     semantics (``assign`` and ``discard`` also emit)."""
 
@@ -391,6 +364,11 @@ class _Spelling:
     def pointer_compare(self, op: str, left: str, right: str) -> str:
         return f"int(({left}).offset {op} ({right}).offset)"
 
+    def retype(self, pointer: str, pointee: str) -> str:
+        """The pointer ``pointer`` (an atom) cast to point at the type in
+        pool slot ``pointee``."""
+        return f"{pointer}.retyped({pointee})"
+
     def workitem(self, name: str, dim: str) -> str:
         return f"ctx.{name}({dim})"
 
@@ -446,6 +424,8 @@ class _FunctionCompiler:
         # Const-propagation: mangled name -> compile-time value for
         # const-declared scalars with constant initializers.
         self._const_values: Dict[str, object] = {}
+        # The locals holding a pointer to a ``__local`` scalar's storage.
+        self.local_scalars: set = set()
 
     def _const_lookup(self, c_name: str):
         python_name = self.lookup_name(c_name)
@@ -628,7 +608,13 @@ class _FunctionCompiler:
         ctype = decl.declared_type
         if decl.address_space == "local":
             name = self.declare_name(decl.name)
-            self.emit(f"{name} = lmem[{self.pc.local_index(self.function, decl)}]")
+            storage = f"lmem[{self.pc.local_index(self.function, decl)}]"
+            if not isinstance(ctype, ArrayType):
+                # The work-group shares a __local scalar: it is an array of
+                # one, and every use loads or stores its element.
+                storage += ".pointer"
+                self.local_scalars.add(name)
+            self.emit(f"{name} = {storage}")
             return
         if isinstance(ctype, ArrayType):
             name = self.declare_name(decl.name)
@@ -911,7 +897,10 @@ class _FunctionCompiler:
         if constant is not None:
             return repr(constant)
         # A local, else file-scope __constant data.
-        return self.lookup_name(expr.name) or self.pc.global_symbol(expr.name)
+        name = self.lookup_name(expr.name)
+        if name in self.local_scalars:
+            return self.e.load(name, "0")
+        return name or self.pc.global_symbol(expr.name)
 
     def _expr_UnaryOp(self, expr: ast.UnaryOp) -> str:
         op = expr.op
@@ -957,15 +946,15 @@ class _FunctionCompiler:
                 return f"{code}.add({delta})"
             return self._mask_unsigned(self.e.step(code, delta), ctype)
 
-        if isinstance(target, ast.Identifier):
-            name = self.lookup_name(target.name)
+        lvalue = self._compile_lvalue(target)
+        if lvalue.kind == "var":
+            name = lvalue.target
             if prefix:
                 return self.e.assign(name, stepped(name))
             old = self.temp("t", name)
             self.e.assign(name, stepped(name), value_needed=False)
             return old
-        # General lvalue: load-modify-store.
-        lvalue = self._compile_lvalue(target)
+        # Through memory: load-modify-store.
         current = self.temp("cur", self._load(lvalue))
         new = stepped(current)
         if prefix:
@@ -1209,8 +1198,8 @@ class _FunctionCompiler:
             return self.e.discard(operand)
         if isinstance(target, PointerType):
             if isinstance(source, (PointerType, ArrayType)):
-                pointee = self.pc.constant(target.pointee)
-                return f"{self.e.atom(self._decay_code(operand, source))}.retyped({pointee})"
+                return self.e.retype(self.e.atom(self._decay_code(operand, source)),
+                                     self.pc.constant(target.pointee))
             raise _unsupported(expr, "invalid pointer cast")
         # Exact conversion semantics on explicit casts.
         return self.e.cast(operand, target, source)
@@ -1236,7 +1225,9 @@ class _FunctionCompiler:
         """Resolve an assignable location once: its operands are held in
         locals, so loading and storing it re-evaluates nothing."""
         if isinstance(expr, ast.Identifier):
-            return _LValue("var", self.lookup_name(expr.name))
+            name = self.lookup_name(expr.name)
+            return _LValue("mem", name, "0") if name in self.local_scalars \
+                else _LValue("var", name)
         if isinstance(expr, ast.Index):
             pointer, index = self.fresh("ptr"), self.fresh("idx")
             if isinstance(expr.base.ctype, ArrayType):
@@ -1403,10 +1394,6 @@ class _ProgramCompiler:
         names = ", ".join(f"'{fn.name}': {self.function_symbol(fn.name)}" for fn in self.program.functions)
         return f"{body}\n\n_FUNCTIONS = {{{names}}}\n"
 
-    def generate(self) -> GeneratedModule:
-        """The per-item module, compiled."""
-        return self.module(self.lower(), "<kernelc-compiled>")
-
     def namespace(self) -> Dict[str, object]:
         """What a generated module runs in: the runtime helpers, the
         constant pool and the program's ``__constant`` globals (scalar
@@ -1471,7 +1458,7 @@ _RUNTIME = {
 
 def compile_program(program: ast.Program) -> CompiledProgram:
     """Lower a checked program once, for what the lowering records on its
-    nodes (the charges and load CSE both engines read); no Python is
+    nodes (the charges and load CSE a launch reads); no Python is
     compiled."""
     _ProgramCompiler(program).lower()
     return restore_program(program)

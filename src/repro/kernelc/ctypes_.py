@@ -4,7 +4,7 @@ Models scalar types (with C integer widths and signedness), OpenCL vector
 types (``float4`` etc.), pointers with address spaces, fixed-size arrays
 and function types.  Also implements the value-level conversion semantics
 (integer wrap-around, float truncation) shared by the interpreter and the
-compiled backend.
+generated code.
 """
 
 from __future__ import annotations

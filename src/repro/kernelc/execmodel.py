@@ -1,7 +1,7 @@
-"""Execution-model pieces every engine shares — the tree-walking
-interpreter calls them directly, the per-item engine binds them into its
-generated modules, the lockstep library falls back to them for uniform
-(scalar) values:
+"""Execution-model pieces the engine and its oracles share — the
+tree-walking interpreter calls them directly, the lowering binds them
+into the modules it generates, the lockstep library falls back to them
+for uniform (scalar) values:
 
 * :class:`WorkItemContext` — work-item ids/sizes for the builtin queries,
 * :class:`ExecutionCounters` — operation and memory traffic counters,

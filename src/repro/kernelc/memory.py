@@ -128,7 +128,7 @@ class Pointer:
         new_stride, new_base = stride_and_base(element_type)
         byte_offset = self.offset * old_stride * old_base.sizeof()
         new_unit = new_stride * new_base.sizeof()
-        if byte_offset % new_unit != 0:
+        if byte_offset % new_unit or self.array.nbytes % new_base.sizeof():
             raise KernelFault("misaligned pointer cast")
         new_array = self.array.view(numpy_dtype(new_base))
         return Pointer(

@@ -13,13 +13,11 @@ entry).
 An entry holds what a build produced: the checked AST — with the op
 charges and load-CSE decisions the lowering recorded on its nodes — and
 the lint findings, so that a disk hit unpickles and runs neither the
-front end nor the lowering.  The lockstep plan of a kernel — reject
-reason or generated module
-(:class:`~repro.kernelc.compiler.GeneratedModule`: code object, text,
-constant pool) — is written next to its entry (``<key>.<kernel>.plan``)
-when :mod:`.vectorize` first produces it: a kernel nobody launches
-costs nothing.  No entry holds a per-item module; one is generated in
-the process whose launch first needs it.
+front end nor the lowering.  The lockstep plan of a kernel — its
+generated module (:class:`~repro.kernelc.compiler.GeneratedModule`:
+code object, text, constant pool) — is written next to its entry
+(``<key>.<kernel>.plan``) when :mod:`.vectorize` first produces it: a
+kernel nobody launches costs nothing.
 :class:`~repro.kernelc.builtins.ResolvedBuiltin` values embed closures;
 they pickle as ``(name, parameter types)`` and are resolved again on
 load.
@@ -48,7 +46,7 @@ import sys
 import tempfile
 from typing import Callable, List, Optional
 
-_FORMAT = "skelcl-progcache-v3"
+_FORMAT = "skelcl-progcache-v4"
 
 _fingerprint_cache: Optional[str] = None
 
@@ -68,7 +66,8 @@ def cache_dir() -> str:
 def _toolchain_fingerprint() -> str:
     """A digest over the sources of every class an entry pickles and
     every helper its code objects call — the kernelc package (AST, types,
-    diagnostics, both generators and their runtime libraries) and
+    diagnostics, the lowering, the lockstep generator and its runtime
+    library) and
     ``repro.analysis`` (the SkelAccess summary memoized on the AST): any
     change to either invalidates the cache wholesale (cheap and safe;
     computed once per process)."""
@@ -170,12 +169,11 @@ def store(entry: str, program: object, lint: List[object], metrics=None) -> bool
 
 
 def load_plan(path: str, restore: Callable, metrics=None):
-    """``restore(reject reason, generated module)`` — one of the two is
-    None — of the lockstep plan kept at ``path`` (:func:`plan_path`), or
-    None."""
+    """``restore(generated module)`` of the lockstep plan kept at
+    ``path`` (:func:`plan_path`), or None."""
     return _read(path, "plan", restore, metrics)
 
 
-def store_plan(path: str, reason: Optional[str], module: object, metrics=None) -> bool:
+def store_plan(path: str, module: object, metrics=None) -> bool:
     """Persist a kernel's lockstep plan, as silently as :func:`store`."""
-    return _write(path, "plan", metrics, reason, module)
+    return _write(path, "plan", metrics, module)

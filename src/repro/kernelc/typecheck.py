@@ -2,8 +2,8 @@
 
 The checker walks each function, maintains lexical scopes, assigns every
 expression node a ``ctype`` and ``is_lvalue`` flag, resolves calls
-(builtin or user) and enforces the C/OpenCL typing rules the backends
-rely on:
+(builtin or user) and enforces the C/OpenCL typing rules the lowering
+relies on:
 
 * usual arithmetic conversions, integer promotions,
 * pointer arithmetic (``p + i``, ``p - p``, ``p[i]``, ``*p``, ``&x``),
@@ -11,9 +11,11 @@ rely on:
 * assignment/lvalue/const rules,
 * kernel rules (void return, pointer params must name an address space),
 * ``barrier()`` only in kernel function bodies (the execution model
-  synchronizes at kernel top-level statements).
+  synchronizes at kernel top-level statements),
+* every called function is defined, and none calls itself, directly or
+  through others (OpenCL C has no recursion).
 
-Annotations added to nodes (consumed by the backends):
+Annotations added to nodes (consumed by the lowering):
 
 * ``Expr.ctype``, ``Expr.is_lvalue``
 * ``BinaryOp.op_type`` — the computation type of the operation; on a
@@ -67,6 +69,8 @@ class TypeChecker:
         self.current_function: Optional[ast.FunctionDef] = None
         self.loop_depth = 0
         self.switch_depth = 0
+        # id(function) -> [(call, callee)] of the user calls in its body.
+        self.calls: Dict[int, List[tuple]] = {}
 
     # -- driver ------------------------------------------------------------
 
@@ -76,6 +80,7 @@ class TypeChecker:
             self._check_global(global_decl)
         for function in self.program.functions:
             self._check_function(function)
+        self._check_recursion()
         self.program.uses_barrier = any(
             getattr(fn, "uses_barrier", False) for fn in self.program.functions
         )
@@ -94,6 +99,29 @@ class TypeChecker:
                 self.sink.error(
                     f"function {function.name!r} shadows an OpenCL builtin", function.span
                 )
+
+    def _check_recursion(self) -> None:
+        """Report each call that closes a cycle of calls, once."""
+        state: Dict[int, int] = {}  # id(function) -> 1 on the call path, 2 done
+        path: List[str] = []
+
+        def visit(function: ast.FunctionDef) -> None:
+            state[id(function)] = 1
+            path.append(function.name)
+            for call, callee in self.calls.get(id(function), ()):
+                mark = state.get(id(callee))
+                if mark == 1:
+                    cycle = " -> ".join(path[path.index(callee.name):] + [callee.name])
+                    self.sink.error(f"recursive call to {callee.name!r} ({cycle}): "
+                                    "OpenCL C forbids recursion", call.span)
+                elif mark is None:
+                    visit(callee)
+            path.pop()
+            state[id(function)] = 2
+
+        for function in self.program.functions:
+            if id(function) not in state:
+                visit(function)
 
     def _check_global(self, global_decl: ast.GlobalDecl) -> None:
         decl = global_decl.decl
@@ -606,6 +634,11 @@ class TypeChecker:
         if target.is_kernel:
             self.sink.error(f"cannot call __kernel function {target.name!r} from a kernel", expr.span)
             return None
+        if target.body is None:
+            self.sink.error(f"call to {target.name!r}, which is declared but never defined",
+                            expr.span)
+        elif self.current_function is not None:
+            self.calls.setdefault(id(self.current_function), []).append((expr, target))
         if len(arg_types) != len(target.params):
             self.sink.error(
                 f"{target.name}() expects {len(target.params)} argument(s), got {len(arg_types)}",

@@ -1,5 +1,5 @@
-"""Runtime value representation shared by the interpreter and the
-per-item engine.
+"""Runtime value representation shared by the interpreter and the code
+the lowering generates.
 
 Scalars are plain Python ``int``/``float`` (converted to C semantics at
 casts and stores).  Vectors are :class:`VecValue`, which carries the

@@ -1,4 +1,4 @@
-"""Vectorized (lockstep) NDRange backend, compiled once per kernel.
+"""The lockstep NDRange engine, compiled once per kernel.
 
 Runs a type-checked kernel over every selected work-item of an NDRange
 at once with numpy array operations: one statement executes for all
@@ -39,10 +39,11 @@ have left it (``docs/kernelc.md``, "Compacted regions").
 
 The helpers the generated code calls (the runtime library below) carry
 the semantics, held to a *bit-exactness contract*: for any conforming
-kernel, output buffers and every ``ExecutionCounters`` field equal the
-per-item backend's (``tests/kernelc/test_vectorize_*``).  The compiled
-backend computes floats in double and signed ints at arbitrary
-precision, masking unsigned ints at every op; here lane values live in
+kernel, output buffers and every ``ExecutionCounters`` field equal those
+of the per-item module the same lowering writes, run one work-item at a
+time (the tests' oracle, ``tests/kernelc/peritem.py``).  That module
+computes floats in double and signed ints at arbitrary precision,
+masking unsigned ints at every op; here lane values live in
 ``float64``/``int64`` arrays (unsigned 8-byte values as 64-bit
 patterns), *uniform* values stay exact Python scalars, and what an
 inactive lane holds is unspecified.
@@ -57,15 +58,19 @@ Intentional differences (documented, all under undefined behaviour):
   raises :class:`VectorizeError` (no numpy representation exists).
 * With intra-group data races, lockstep statement order differs from
   the sequential per-item order.
+* Two casts of one pointer to one type compare equal (one view of the
+  storage, :meth:`VPtr.retyped`); per item, each cast is a view of its
+  own.
 
 Vector types (``floatN`` …) run on lanes too: a uniform vector is the
-per-item :class:`~.values.VecValue`, a lane-varying one a ``(width,
+scalar :class:`~.values.VecValue`, a lane-varying one a ``(width,
 lanes)`` array whose rows are its components, so a scalar lane array
 broadcasts against it and ``_merge`` selects on it unchanged ("Vector
-types" in ``docs/kernelc.md``).  Kernels using constructs with no
-lockstep lowering (pointer casts, ``__local`` scalars, recursion,
-barriers inside helper functions, …) are rejected statically
-(:func:`reject_reason`) and fall back to the per-item backend.
+types" in ``docs/kernelc.md``).  So do pointer casts (a view of the
+same storage at the new element type) and ``__local`` scalars (an array
+of one, as the lowering spells them).  Every kernel the type checker
+accepts has a plan; one whose control flow nests deeper than Python
+allows blocks fails to build with a :class:`CompileError`.
 """
 
 from __future__ import annotations
@@ -92,6 +97,7 @@ from .ctypes_ import (
     convert_scalar,
     numpy_dtype,
 )
+from .diagnostics import CompileError, Diagnostic, Severity
 from .execmodel import (WARP_SIZE, binary_value, c_fdiv, c_idiv, c_imod, compare_value,
                         convert_value, copy_value)
 from .memory import NULL_POINTER, ArrayRef, KernelFault, NullPointer, Pointer, allocate_array
@@ -107,36 +113,32 @@ ndarray = np.ndarray
 
 
 class VectorizeError(RuntimeError):
-    """A kernel hit a runtime situation the lockstep backend cannot
+    """A kernel hit a runtime situation the lockstep engine cannot
     represent (currently: merging divergent pointer values)."""
 
 
 # ---------------------------------------------------------------------------
-# Static support classifier.
+# What the generator needs to know of each function, found in one walk.
 # ---------------------------------------------------------------------------
 
 
 class _FunctionFacts:
-    """What one walk of a function body finds: why it has no lockstep
-    lowering (or None), the user functions it calls, the C names written
-    anywhere but in the increment of a ``for`` whose init declares them
-    (only the others can be uniform) and its return statements."""
+    """What one walk of a function body finds: the user functions it
+    calls, the C names written anywhere but in the increment of a ``for``
+    whose init declares them (only the others can be uniform) and its
+    return statements."""
 
     def __init__(self, fn: ast.FunctionDef):
-        self.callees: List[Optional[ast.FunctionDef]] = []
+        self.callees: List[ast.FunctionDef] = []
         self.returns: List[ast.ReturnStmt] = []
-        reason = None
-        if not fn.is_kernel and getattr(fn, "uses_barrier", False):
-            reason = "barrier inside a helper function"
         writes: Dict[str, int] = {}
         loops = []
         for node in ast.walk(fn.body):
-            reason = reason or self._node_reason(node, fn)
             name = _written_name(node)
             if name is not None:
                 writes[name] = writes.get(name, 0) + 1
             elif isinstance(node, ast.Call) and getattr(node, "kind", "") == "user":
-                self.callees.append(getattr(node, "callee_def", None))
+                self.callees.append(node.callee_def)
             elif isinstance(node, ast.ReturnStmt):
                 self.returns.append(node)
             elif isinstance(node, ast.ForStmt) and isinstance(node.init, ast.DeclStmt) \
@@ -147,19 +149,7 @@ class _FunctionFacts:
             for node in ast.walk(loop.increment):
                 if _written_name(node) in declared:
                     writes[_written_name(node)] -= 1
-        self.reason = reason
         self.written = {name for name, count in writes.items() if count > 0}
-
-    @staticmethod
-    def _node_reason(node, fn: ast.FunctionDef) -> Optional[str]:
-        if isinstance(node, ast.Cast) and isinstance(node.target_type, PointerType):
-            return "pointer cast"
-        if isinstance(node, ast.VarDecl) and node.address_space == "local":
-            if not isinstance(node.declared_type, ArrayType):
-                return "__local scalar variable"
-            if not fn.is_kernel:
-                return "__local declaration in a helper function"
-        return None
 
 
 def _written_name(node) -> Optional[str]:
@@ -172,40 +162,34 @@ def _written_name(node) -> Optional[str]:
     return node.name if isinstance(node, ast.Identifier) else None
 
 
-def _analyse(kernel: CompiledKernel):
-    """``(reject reason or None, [(function, facts)] reachable from the
-    kernel, kernel first)``."""
+def _functions(kernel: CompiledKernel) -> List[tuple]:
+    """``[(function, facts)]`` reachable from the kernel, kernel first
+    (the type checker has made sure every callee is defined and none
+    recurses)."""
     order: List[tuple] = []
-    state: Dict[int, int] = {}  # id(fn) -> 1 visiting, 2 done
+    seen: set = set()
 
-    def visit(fn: Optional[ast.FunctionDef]) -> Optional[str]:
-        if fn is None or fn.body is None:
-            return "call to an undefined function"
-        mark = state.get(id(fn))
-        if mark is not None:
-            return "recursion" if mark == 1 else None
-        state[id(fn)] = 1
-        facts = _FunctionFacts(fn)
-        order.append((fn, facts))
-        for target in facts.callees:
-            reason = visit(target)
-            if reason is not None:
-                return reason
-        state[id(fn)] = 2
-        return None
+    def visit(fn: ast.FunctionDef) -> None:
+        if id(fn) not in seen:
+            seen.add(id(fn))
+            facts = _FunctionFacts(fn)
+            order.append((fn, facts))
+            for target in facts.callees:
+                visit(target)
 
-    reason = visit(kernel.definition)
-    for _, facts in order:
-        reason = reason or facts.reason
-    return reason, order
+    visit(kernel.definition)
+    return order
 
 
 #: What :func:`plan_for` caches on a kernel: the generated function and its
-#: source, or the reason there is none.
-_KernelPlan = namedtuple("_KernelPlan", "reason run source", defaults=(None, ""))
+#: source.
+_KernelPlan = namedtuple("_KernelPlan", "run source")
 
 
-def _plan(kernel: CompiledKernel, metrics=None) -> _KernelPlan:
+def plan_for(kernel: CompiledKernel, metrics=None) -> _KernelPlan:
+    """The compiled lockstep plan for ``kernel``: restored from the
+    program cache or generated on first use, and cached on the kernel.
+    ``metrics``: the registry to count that first use on."""
     plan = kernel.__dict__.get("_vector_plan")
     if plan is None:
         plan = _restored_plan(kernel, metrics)
@@ -220,37 +204,20 @@ def _restored_plan(kernel: CompiledKernel, metrics) -> Optional[_KernelPlan]:
     """The plan an earlier process generated for this kernel, if the
     program cache has it and it still loads and runs; no generator does."""
     return kernel.plan_path and progcache.load_plan(
-        kernel.plan_path,
-        lambda reason, module: _KernelPlan(reason) if reason is not None
-        else _materialize(kernel, module),
-        metrics)
+        kernel.plan_path, lambda module: _materialize(kernel, module), metrics)
 
 
 def _generated_plan(kernel: CompiledKernel, metrics) -> _KernelPlan:
-    reason, functions = _analyse(kernel)
-    module = None
-    if reason is None:
-        try:
-            module = _generate(kernel, functions)
-        except SyntaxError:  # Python caps block nesting and indentation depth
-            reason = "control flow nested too deeply"
+    try:
+        module = _generate(kernel, _functions(kernel))
+    except SyntaxError as exc:  # Python caps block nesting and indentation depth
+        raise CompileError([Diagnostic(
+            Severity.ERROR, f"kernel {kernel.name!r}: control flow nested too deeply "
+            f"for the lockstep engine ({exc.msg})", kernel.definition.span)],
+            getattr(kernel.program, "source", None)) from None
     if kernel.plan_path:
-        progcache.store_plan(kernel.plan_path, reason, module, metrics)
-    return _KernelPlan(reason) if reason is not None else _materialize(kernel, module)
-
-
-def plan_for(kernel: CompiledKernel, metrics=None) -> Optional[_KernelPlan]:
-    """The compiled lockstep plan for ``kernel`` (restored from the
-    program cache or generated on first use, cached on the kernel), or
-    None when the kernel must fall back to the per-item backend.
-    ``metrics``: the registry to count that first use on."""
-    plan = _plan(kernel, metrics)
-    return plan if plan.reason is None else None
-
-
-def reject_reason(kernel: CompiledKernel) -> Optional[str]:
-    """Why ``kernel`` cannot run on the vector backend (None = it can)."""
-    return _plan(kernel).reason
+        progcache.store_plan(kernel.plan_path, module, metrics)
+    return _materialize(kernel, module)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +230,9 @@ class VPtr:
 
     ``offset`` is the logical element offset (Python int when uniform,
     int64 lanes array otherwise); ``base`` adds a per-lane storage-row
-    origin for group-local and private allocations (None for storage
-    shared by all lanes, e.g. global buffers)."""
+    origin, in scalars of the storage, for group-local and private
+    allocations (None for storage shared by all lanes, e.g. global
+    buffers)."""
 
     __slots__ = ("array", "element_type", "space", "tally", "length", "offset", "base")
 
@@ -298,10 +266,11 @@ class VPtr:
     # -- lane-wise memory access ------------------------------------------
 
     def _rows(self, index, mask):
-        """Storage rows for ``index``, bounds-checked for active lanes;
-        rows of inactive lanes are unspecified but in range.  A
-        ``(width, lanes)`` index reports the first faulting lane, and in
-        it the first faulting component, as the per-item engine does."""
+        """Storage rows for ``index`` (of a vector element: of its first
+        component), bounds-checked for active lanes; rows of inactive
+        lanes are unspecified but in range.  A ``(width, lanes)`` index
+        reports the first faulting lane, and in it the first faulting
+        component, as one work-item at a time does."""
         offset = self.offset
         if isinstance(index, ndarray) or isinstance(offset, ndarray):
             where = _int_lanes_pair(offset, index) if isinstance(offset, ndarray) or offset \
@@ -318,6 +287,8 @@ class VPtr:
             if not 0 <= where < self.length:
                 raise KernelFault(
                     f"out-of-bounds {self.space} access: element {where} of {self.length}")
+        if isinstance(self.element_type, VectorType):
+            where = where * self.element_type.width
         return where if self.base is None else where + self.base
 
     def _charge(self, count: int, store: bool) -> None:
@@ -351,14 +322,12 @@ class VPtr:
         return self.array[rows].astype(np.float64 if etype.is_float() else _I64)
 
     def _gather_components(self, rows, etype: VectorType):
-        """The vectors at ``rows`` (in vectors): a VecValue at one row,
-        a ``(width, lanes)`` array at lane rows."""
+        """The vectors at ``rows``: a VecValue at one row, a ``(width,
+        lanes)`` array at lane rows."""
         width = etype.width
         if not isinstance(rows, ndarray):
-            start = rows * width
-            return VecValue.of_converted(etype.element,
-                                         self.array[start:start + width].tolist())
-        return self.array[rows * width + _COMPONENTS[width]].astype(_lane_dtype(etype.element))
+            return VecValue.of_converted(etype.element, self.array[rows:rows + width].tolist())
+        return self.array[rows + _COMPONENTS[width]].astype(_lane_dtype(etype.element))
 
     def _vector_rows(self, width: int, offset, mask, store: bool):
         """Rows of ``vload``/``vstore{width}`` at ``offset``: ``width``
@@ -378,7 +347,7 @@ class VPtr:
     def _store_components(self, addresses: ndarray, value, mask) -> None:
         """Store the vector lanes ``value`` at ``(width, lanes)`` element
         ``addresses``, active lanes only, in lane order (a later lane's
-        store wins, as when the per-item engine runs them one by one)."""
+        store wins, as when work-items store one after another)."""
         active = addresses.T[mask]
         values = np.broadcast_to(_vec_operand(value), addresses.shape).T[mask]
         self.array[active.ravel()] = values.ravel().astype(self.array.dtype)
@@ -391,7 +360,7 @@ class VPtr:
         if isinstance(etype, VectorType):
             if not isinstance(rows, ndarray):
                 rows = np.full(mask.shape, rows, dtype=_I64)
-            self._store_components(rows * etype.width + _COMPONENTS[etype.width], value, mask)
+            self._store_components(rows + _COMPONENTS[etype.width], value, mask)
             return
         partial = count != mask.size
         if not isinstance(rows, ndarray):
@@ -408,6 +377,47 @@ class VPtr:
             self.array[rows] = active.astype(self.array.dtype)
         else:
             self.array[rows] = convert_scalar(value, self.element_type)
+
+    def retyped(self, element_type: CType, mask, views: dict) -> "VPtr":
+        """This pointer cast to point at ``element_type``: the storage
+        viewed at the new scalar type, the offset and row origins
+        rescaled, as :meth:`memory.Pointer.retyped` does for one
+        work-item — a cast misaligned on an active lane faults, as does
+        one to a scalar that does not divide a row.  ``views`` (the
+        run's) keeps one view of a storage per dtype and one rescaled
+        copy of a row origin array per scalar size, each mapped back to
+        what it was made from, so casts on different branches give
+        pointers ``_merge`` can join."""
+        if element_type == self.element_type:
+            return self
+        itemsize = self.array.itemsize
+        origin, row = views.get(id(self.array), (self.array, None))  # row: bytes
+        if row is None:
+            row = self.array.nbytes if self.base is None \
+                else self.length * _width(self.element_type) * itemsize
+        dtype = numpy_dtype(element_type.element if isinstance(element_type, VectorType)
+                            else element_type)
+        unit = _width(element_type) * dtype.itemsize
+        start = _mul_index(self.offset, _width(self.element_type) * itemsize)  # bytes
+        misaligned = start % unit
+        if isinstance(misaligned, ndarray):
+            misaligned = ((misaligned != 0) & mask).any()
+        if misaligned or row % dtype.itemsize:
+            raise KernelFault("misaligned pointer cast")
+        array = origin if origin.dtype == dtype else views.get((id(origin), dtype))
+        if array is None:
+            array = views[(id(origin), dtype)] = origin.view(dtype)
+            views[id(array)] = (origin, row)
+        base = self.base
+        if base is not None and itemsize != dtype.itemsize:
+            root, size = views.get(id(base), (base, itemsize))  # size: of a scalar
+            key = (id(root), size, dtype.itemsize)
+            base = root if size == dtype.itemsize else views.get(key)
+            if base is None:
+                base = views[key] = root * size // dtype.itemsize
+                views[id(base)] = (root, size)
+        return VPtr(array, element_type, self.space, self.tally, row // unit, start // unit,
+                    base)
 
 
 class VArray:
@@ -507,7 +517,7 @@ def _float_lanes_to_int(values: ndarray, mask) -> ndarray:
 
 
 def _sw(v, bits: int):
-    """``_sw{bits}`` of the compiled backend, valid on both domains."""
+    """``_sw{bits}`` of the scalar spelling, valid on both domains."""
     if not isinstance(v, ndarray):
         half = 1 << (bits - 1)
         return ((int(v) + half) & ((1 << bits) - 1)) - half
@@ -561,8 +571,8 @@ def _merge(old, new, mask: ndarray):
             # could only observe this through UB.
             return new
         raise VectorizeError(
-            "divergent pointer values cannot be merged on the vector "
-            "backend (lanes would point into different objects)"
+            "divergent pointer values cannot be merged on the lockstep "
+            "engine (lanes would point into different objects)"
         )
     if isinstance(old, VecValue) or isinstance(new, VecValue):
         old, new = _vec_operand(old), _vec_operand(new)  # uniform vectors, as columns
@@ -702,9 +712,9 @@ def _cast(value, target: ScalarType, source_u64: bool, mask):
 
 
 # -- vectors -------------------------------------------------------------------
-# A uniform vector is a VecValue, as in per-item code; lanes of one are a
+# A uniform vector is a VecValue, as in scalar code; lanes of one are a
 # ``(width, lanes)`` array of its element's lane dtype, a row per
-# component.  Each operation below computes a VecValue with the per-item
+# component.  Each operation below computes a VecValue with the scalar
 # runtime's own function when no operand is lanes, else a full
 # ``(width, lanes)`` array; none changes an operand in place, so a copy
 # (``_copyv``) is the value itself.
@@ -863,7 +873,7 @@ _FAST_BUILTINS = {
 
 
 def _np_dot(a, b):
-    """``dot`` as the per-item engine sums it: from 0, left to right."""
+    """``dot`` as one work-item sums it: from 0, left to right."""
     total = 0.0
     for x, y in zip(_component_rows(a), _component_rows(b)):
         total = total + x * y
@@ -951,7 +961,7 @@ class _Builtin:
 
     @staticmethod
     def _lane_arg(a, lane, element, unsigned):
-        """Argument ``a`` as the per-item engine holds it on ``lane``."""
+        """Argument ``a`` as scalar code holds it on ``lane``."""
         if not isinstance(a, ndarray):
             return a
         if a.ndim == 2:
@@ -1000,7 +1010,7 @@ def _switch_start(mask, subject, cases, default_index: int, num_cases: int):
 class _Run:
     """Per-launch state the generated code charges into."""
 
-    __slots__ = ("ops", "base", "counters", "lanes", "lmem", "regions")
+    __slots__ = ("ops", "base", "counters", "lanes", "lmem", "regions", "views")
 
     def __init__(self, counters, lanes: "_LaneLayout"):
         self.ops = np.zeros(lanes.n, dtype=_I64)  # per-lane op charges
@@ -1009,6 +1019,7 @@ class _Run:
         self.lanes = lanes
         self.lmem: List[VArray] = []
         self.regions = [0, 0]  # compactable region entries: compacted, full
+        self.views: dict = {}  # what pointer casts made (VPtr.retyped)
 
     def barrier(self, mask: ndarray) -> None:
         lanes = self.lanes
@@ -1026,7 +1037,7 @@ class _Run:
         if row is not None:
             storage.reshape(lanes.n, -1)[:, :] = row
         vptr = VPtr(storage, element, "private", None, flat, 0,
-                    np.arange(lanes.n, dtype=_I64) * flat)
+                    np.arange(lanes.n, dtype=_I64) * (flat * _width(element)))
         return VArray(vptr, ctype.element)
 
 
@@ -1097,7 +1108,7 @@ class _Region:
     def __init__(self, run: _Run, chain: ndarray, values: tuple, ix: ndarray):
         self.run, self.chain, self.outer, self.ix = run, chain, values, ix
         sub = _Run(run.counters, run.lanes.subset(ix))
-        sub.regions = run.regions
+        sub.regions, sub.views = run.regions, run.views
         self.inner = (sub, sub.lanes, sub.ops, tuple([_sub(value, ix) for value in values]))
 
     def leave(self, *written):
@@ -1261,6 +1272,9 @@ class _LaneSpelling(_Spelling):
     def pointer_compare(self, op, left, right):
         return f"_ptr_cmp(_op.{_ARITH[op]}, {left}, {right})"
 
+    def retype(self, pointer, pointee):
+        return f"{pointer}.retyped({pointee}, {self.g.m}, R.views)"
+
     def workitem(self, name, dim):
         return f"_workitem(ctx, {name!r}, {dim})"
 
@@ -1299,7 +1313,7 @@ class _LaneCompiler(_FunctionCompiler):
     explicit chain; expressions are compiled by the inherited lowering
     on the *current* chain ``self.m``, spelled by ``self.e``: the lane
     spelling, or — for statically uniform subtrees, variables and
-    declarations, whose values are Python scalars — the per-item one.
+    declarations, whose values are Python scalars — the scalar one.
     ``&&``/``||``/``?:`` split their chain (``_lane_*`` methods, looked
     up before the inherited ``_expr_*``), charges and load CSE are what
     ``compile_program`` recorded on the nodes.
@@ -1743,7 +1757,7 @@ class _LaneCompiler(_FunctionCompiler):
 
     def uniform(self, expr) -> bool:
         """True when ``expr`` is a Python scalar on every launch, so the
-        per-item spelling can emit it."""
+        scalar spelling can emit it."""
         if isinstance(expr, (ast.IntLiteral, ast.FloatLiteral, ast.CharLiteral, ast.SizeofExpr)) \
                 or self.fold(expr) is not None:
             return True
@@ -1791,7 +1805,7 @@ class _LaneCompiler(_FunctionCompiler):
             return super()._compile_incdec(target, op, prefix)
 
     def scalar(self, expr) -> str:
-        """The per-item Python expression of a uniform ``expr``."""
+        """The scalar Python expression of a uniform ``expr``."""
         mark = len(self.lines)
         code = self.compile_expr(expr)
         assert len(self.lines) == mark, "uniform expressions have no side effects"
@@ -1877,7 +1891,7 @@ def _generate(kernel: CompiledKernel, functions) -> GeneratedModule:
 
 def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan:
     """Run ``module`` — just generated, or restored from the program
-    cache — in its namespace: the per-item one over the lane library,
+    cache — in its namespace: the scalar one over the lane library,
     ``__constant`` arrays as lane-wise arrays."""
     program = kernel.program
     pc = _ProgramCompiler(program, module)
@@ -1891,7 +1905,7 @@ def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan
             namespace[symbol] = VArray(VPtr(ptr.array, ptr.element_type, ptr.address_space,
                                             None, ptr.length, ptr.offset, None), value.element)
     exec(module.code, namespace)  # noqa: S102
-    return _KernelPlan(None, namespace[pc.function_symbol(kernel.name)], module.source)
+    return _KernelPlan(namespace[pc.function_symbol(kernel.name)], module.source)
 
 
 # ---------------------------------------------------------------------------
@@ -1901,8 +1915,8 @@ def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan
 
 class _LaneLayout:
     """Per-lane work-item identities for ``selected groups x local ids``,
-    lanes ordered group-major (matching the per-item executor's loops).
-    Doubles as the ``ctx`` of scalar code from the per-item generator.
+    lanes ordered group-major, as work-items are enumerated.  Doubles as
+    the ``ctx`` of the scalar spelling's code.
     Shared between launches through :func:`_layout`: read-only — which
     is why it also carries what :func:`execute` would otherwise rebuild
     per launch from the geometry alone (:meth:`row_bases`,
@@ -1946,7 +1960,7 @@ class _LaneLayout:
 
     def row_bases(self, flat: int) -> ndarray:
         """Per lane, the storage row origin of its group's copy of a
-        ``__local`` allocation of ``flat`` elements."""
+        ``__local`` allocation of ``flat`` scalars."""
         bases = self._row_bases.get(flat)
         if bases is None:
             bases = self._row_bases[flat] = np.repeat(
@@ -2032,18 +2046,22 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
             counters, metrics=None) -> None:
     """Run ``kernel`` in lockstep over the ``selected`` work-groups of
     ``ndrange`` (a list of group ids; None = all of them), mutating
-    argument buffers and ``counters`` exactly as the per-item executor
-    would.  ``metrics``: the registry to count the launch's compactable
+    argument buffers and ``counters`` exactly as running the work-items
+    one at a time would.  ``metrics``: the registry to count the launch's compactable
     region entries on."""
     lanes = _layout(ndrange.global_size, ndrange.local_size, selected)
     run = _Run(counters, lanes)
-    # Group-local allocations: one row of storage per selected group.
+    # Group-local allocations: one row of storage per selected group (a
+    # __local scalar is an array of one).
     for decl in kernel.local_decls:
         ctype = decl.declared_type
+        if not isinstance(ctype, ArrayType):
+            ctype = ArrayType(ctype, 1)
         flat = ctype.flat_length()
         element = ctype.base_element()
         storage = np.zeros(lanes.num_groups * flat * _width(element), dtype=numpy_dtype(element))
-        vptr = VPtr(storage, element, "local", counters.memory, flat, 0, lanes.row_bases(flat))
+        vptr = VPtr(storage, element, "local", counters.memory, flat, 0,
+                    lanes.row_bases(flat * _width(element)))
         run.lmem.append(VArray(vptr, ctype.element))
     values = [VPtr(arg.array, arg.element_type, arg.address_space, arg.counters,
                    arg.length, arg.offset, None) if isinstance(arg, Pointer) else arg
@@ -2057,8 +2075,7 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
 
     counters.ops += int(run.ops.sum()) + run.base * lanes.n
     if not kernel.uses_barrier:
-        # Warp-divergence accounting, mirroring the per-item executor: a
-        # 32-lane warp runs as long as its slowest lane; partial trailing
-        # chunks still pay for a full warp.
+        # Warp-divergence accounting: a 32-lane warp runs as long as its
+        # slowest lane; partial trailing chunks still pay for a full warp.
         warp_max = lanes.warp_max(run.ops)
         counters.warp_ops += (int(warp_max.sum()) + run.base * warp_max.size) * WARP_SIZE

@@ -34,7 +34,7 @@ from .errors import (
     SampledBufferRead,
 )
 from .event import Event, EventStatus, wait_for_events
-from .executor import BACKENDS, DEFAULT_BACKEND, ExecutionResult, execute_ndrange, resolve_backend
+from .executor import ExecutionResult, execute_ndrange
 from .kernel import Kernel
 from .ndrange import NDRange
 from .program import Program, build_cache_size, clear_build_cache
@@ -52,13 +52,11 @@ from .spec import (
 from .timing import kernel_time_ns, peer_transfer_time_ns, transfer_time_ns
 
 __all__ = [
-    "BACKENDS",
     "Buffer",
     "BuildError",
     "CPU_16CORE",
     "CPU_8CORE",
     "DEVICE_PRESETS",
-    "DEFAULT_BACKEND",
     "CommandQueue",
     "Context",
     "Device",
@@ -88,7 +86,6 @@ __all__ = [
     "execute_ndrange",
     "kernel_time_ns",
     "peer_transfer_time_ns",
-    "resolve_backend",
     "resolve_device_spec",
     "transfer_time_ns",
     "wait_for_events",

@@ -11,28 +11,19 @@ from . import hostmem
 from .buffer import Buffer
 from .device import Device, Platform
 from .errors import InvalidValue
-from .executor import resolve_backend
 from .program import Program
 from .queue import CommandQueue
 from .spec import DeviceSpec
 
 
 class Context:
-    def __init__(self, devices: Union[Platform, Sequence[Device]],
-                 detect_races=None, backend: Optional[str] = None):
+    def __init__(self, devices: Union[Platform, Sequence[Device]], detect_races=None):
         """``detect_races`` arms the SkelSan race detector on every queue
         of this context: ``"report"`` warns on unordered conflicting
         commands, ``"strict"`` raises :class:`repro.analysis.RaceError`
         at the racy enqueue.  ``None`` (the default) defers to the
         ``SKELCL_SANITIZE`` environment variable, so existing code is
-        checked transparently when the switch is set.
-
-        ``backend`` selects the NDRange execution backend for every
-        queue: ``"vector"`` (lockstep numpy) or ``"interp"`` (per
-        work-item).  ``None`` defers to ``SKELCL_BACKEND``, then to the
-        default (``"vector"``).  Both backends are bit-exact and
-        counter-exact for conforming kernels."""
-        self.backend = resolve_backend(backend)
+        checked transparently when the switch is set."""
         if isinstance(devices, Platform):
             self.devices: List[Device] = list(devices.devices)
         else:
@@ -52,7 +43,6 @@ class Context:
         self.metrics = MetricsRegistry()
         for queue in self.queues:
             queue._metrics = self.metrics
-            queue._backend = self.backend
         #: The SkelSan mode this context resolved; its programs' too.
         self.sanitize = mode = resolve_sanitize_mode(detect_races)
         self.race_detector: Optional[RaceDetector] = None
@@ -65,12 +55,11 @@ class Context:
 
     @staticmethod
     def create(spec: Union[DeviceSpec, Sequence[DeviceSpec]], num_devices: int = 1,
-               detect_races=None, backend: Optional[str] = None) -> "Context":
+               detect_races=None) -> "Context":
         """A context over ``num_devices`` copies of ``spec``, or — when
         ``spec`` is a sequence — one device per listed spec (a mixed
         CPU+GPU pool; ``num_devices`` is then ignored)."""
-        return Context(Platform(spec, num_devices), detect_races=detect_races,
-                       backend=backend)
+        return Context(Platform(spec, num_devices), detect_races=detect_races)
 
     @property
     def num_devices(self) -> int:

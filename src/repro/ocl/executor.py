@@ -1,27 +1,13 @@
 """NDRange execution on a simulated device.
 
-Two engines execute an NDRange, both generated from the one lowering of
-:mod:`repro.kernelc.compiler`:
-
-``vector`` (the default)
-    The lockstep numpy engine (:mod:`repro.kernelc.vectorize`): every
-    selected work-item advances through the kernel simultaneously under
-    active-lane masks.  Kernels using constructs with no lockstep
-    lowering fall back transparently to the per-item engine.
-
-``interp``
-    The per-item compiled engine (:mod:`repro.kernelc.compiler`), whose
-    module a program generates at its first per-item launch: every
-    work-item runs the kernel's generated Python function to completion
-    (or, for ``barrier()`` kernels, phase-by-phase as a generator with
-    divergence detection).  The name is historical: the tree-walking
-    interpreter lives with the tests (``tests/kernelc/interp.py``), their
-    oracle, and no launch runs on it.
-
-Both engines produce bit-identical buffers and identical
-``ExecutionCounters``; ``tests/kernelc/test_vectorize_differential.py``
-enforces this.  Select with the ``backend=`` argument (plumbed through
-``Context``) or the ``SKELCL_BACKEND`` environment variable.
+One engine executes an NDRange: the lockstep numpy engine
+(:mod:`repro.kernelc.vectorize`), generated from the one lowering of
+:mod:`repro.kernelc.compiler`.  Every selected work-item advances
+through the kernel simultaneously under active-lane masks.  A kernel the
+engine cannot lower fails to build with a diagnostic; there is no second
+engine to fall back on.  The per-item engine the same lowering spells
+out, and the tree-walking interpreter, are the tests' oracles
+(``tests/kernelc/peritem.py``, ``tests/kernelc/interp.py``).
 
 For very large NDRanges the executor supports *sampled* execution: a
 deterministic, evenly spread subset of work-groups is executed and the
@@ -36,27 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .. import settings
 from ..kernelc import vectorize
 from ..kernelc.compiler import CompiledKernel
-from ..kernelc.execmodel import (WARP_SIZE, ExecutionCounters, WorkItemContext,
-                                 allocate_local_memory)
-from ..kernelc.memory import KernelFault
-from .errors import InvalidValue
+from ..kernelc.execmodel import ExecutionCounters
 from .ndrange import NDRange
-
-BACKENDS = settings._BACKENDS  # the one tuple: the settings chain validates against it
-DEFAULT_BACKEND = "vector"
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Normalize a backend selection (None defers to the configuration
-    chain: ``skelcl.configure(backend=...)``, then ``SKELCL_BACKEND``,
-    then the default), validated by :mod:`repro.settings`."""
-    try:
-        return settings.get("backend", backend)
-    except ValueError as exc:
-        raise InvalidValue(str(exc)) from None
 
 
 @dataclass
@@ -64,16 +33,10 @@ class ExecutionResult:
     counters: ExecutionCounters
     groups_total: int
     groups_executed: int
-    backend: str = "interp"  # the engine that ran the launch
-    fallback_reason: Optional[str] = None  # why a vector launch ran per-item
 
     @property
     def sampled(self) -> bool:
         return self.groups_executed < self.groups_total
-
-    @property
-    def scale(self) -> float:
-        return self.groups_total / max(self.groups_executed, 1)
 
 
 def select_sample_groups(groups: List[tuple], fraction: float) -> List[tuple]:
@@ -91,7 +54,6 @@ def execute_ndrange(
     args: Sequence,
     sample_fraction: Optional[float] = None,
     counters: Optional[ExecutionCounters] = None,
-    backend: Optional[str] = None,
     metrics=None,
 ) -> ExecutionResult:
     """Execute ``kernel`` over ``ndrange``; returns scaled cost counters.
@@ -100,12 +62,10 @@ def execute_ndrange(
     their memory traffic to (the queue wires this up), so that sampled
     execution scales operations and memory traffic consistently.
     ``metrics`` (a registry, or the queue's handles to one) is told how
-    the kernel's lockstep plan or per-item module came to be, the launch
-    it is made on.
+    the kernel's lockstep plan came to be, the launch it is made on.
     """
     if counters is None:
         counters = ExecutionCounters()
-    backend = resolve_backend(backend)
     total = ndrange.total_groups
     selected = None  # every group
     if sample_fraction is not None and 0 < sample_fraction < 1:
@@ -114,86 +74,8 @@ def execute_ndrange(
         if selected is groups:
             selected = None
     executed = total if selected is None else len(selected)
-
-    fallback_reason = None
-    if backend == "vector":
-        plan = vectorize.plan_for(kernel, metrics)
-        if plan is not None:
-            vectorize.execute(kernel, plan, ndrange, selected, args, counters, metrics)
-            if executed < total:
-                counters = counters.scaled(total / executed)
-            return ExecutionResult(counters, total, executed, "vector")
-        # Unsupported construct: fall through to the per-item path.
-        fallback_reason = vectorize.reject_reason(kernel)
-
-    if selected is None:
-        selected = list(ndrange.group_ids())
-    local_ids = list(ndrange.local_ids())
-    local_size = ndrange.local_size
-    global_size = ndrange.global_size
-    func = kernel.per_item(metrics)
-    has_locals = bool(kernel.local_decls)
-
-    for group in selected:
-        if has_locals:
-            storage = allocate_local_memory(kernel.definition, counters)
-            lmem = [storage[id(decl)] for decl in kernel.local_decls]
-        else:
-            lmem = ()
-        base = tuple(g * l for g, l in zip(group, local_size))
-        contexts = [
-            WorkItemContext(
-                tuple(b + l for b, l in zip(base, local_id)),
-                local_id,
-                group,
-                global_size,
-                local_size,
-            )
-            for local_id in local_ids
-        ]
-        if kernel.uses_barrier:
-            _run_group_with_barriers(func, counters, contexts, lmem, args)
-        else:
-            # Warp-divergence accounting: a 32-lane warp runs as long as
-            # its slowest lane.  Work-items enumerate in local linear
-            # order (dimension 0 fastest), matching hardware warp packing.
-            warp_max = 0
-            lane = 0
-            before = counters.ops
-            for ctx in contexts:
-                func(counters, ctx, lmem, *args)
-                item_ops = counters.ops - before
-                before = counters.ops
-                if item_ops > warp_max:
-                    warp_max = item_ops
-                lane += 1
-                if lane == WARP_SIZE:
-                    counters.warp_ops += warp_max * WARP_SIZE
-                    warp_max = 0
-                    lane = 0
-            if lane:
-                counters.warp_ops += warp_max * WARP_SIZE
-
+    plan = vectorize.plan_for(kernel, metrics)
+    vectorize.execute(kernel, plan, ndrange, selected, args, counters, metrics)
     if executed < total:
         counters = counters.scaled(total / executed)
-    return ExecutionResult(counters, total, executed, fallback_reason=fallback_reason)
-
-
-def _run_group_with_barriers(func, counters, contexts, lmem, args) -> None:
-    generators = [func(counters, ctx, lmem, *args) for ctx in contexts]
-    alive = generators
-    while alive:
-        yielded: List = []
-        finished = 0
-        for generator in alive:
-            try:
-                next(generator)
-                yielded.append(generator)
-            except StopIteration:
-                finished += 1
-        if yielded and finished:
-            raise KernelFault(
-                "barrier divergence: some work-items of a group reached a "
-                "barrier other items skipped"
-            )
-        alive = yielded
+    return ExecutionResult(counters, total, executed)

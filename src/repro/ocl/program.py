@@ -3,8 +3,7 @@
 ``Program.build()`` runs the full kernelc front-end, the lint pass and
 the lowering (:func:`~repro.kernelc.compiler.compile_program`, which
 records each statement's charge on the checked AST and generates no
-module: the lockstep plan of a kernel is made at its first launch, the
-per-item module at a program's first per-item launch).  Builds are
+module: the lockstep plan of a kernel is made at its first launch).  Builds are
 cached per ``(source, defines)`` so that skeleton libraries repeatedly
 instantiating the same generated source (as SkelCL does) only pay the
 build once per process, and in the persistent program cache

@@ -88,7 +88,6 @@ class _Series(dict):
 _COMMANDS = ("counter", "skelcl_commands_total", "kind")
 _TRANSFER_BYTES = ("counter", "skelcl_transfer_bytes_total", "link", "direction")
 _TRANSFER_NS = ("counter", "skelcl_transfer_ns_total", "link", "device")
-_VECTOR_FALLBACK = ("counter", "skelcl_vector_fallback_total", "reason")
 _KERNEL_NS_TOTAL = ("counter", "skelcl_kernel_ns_total", "device")
 _KERNEL_NS = ("histogram", "skelcl_kernel_ns", "device")
 _WORK_ITEMS = (("counter", "skelcl_work_items_total"),)  # no labels: the whole key
@@ -121,9 +120,6 @@ class CommandQueue:
         self._horizon = 0  # latest resolved end_ns on this queue
         # Race detector attached by the owning Context (may stay None).
         self._sanitizer = None
-        # Execution backend attached by the owning Context; None defers
-        # to SKELCL_BACKEND / the executor default at launch time.
-        self._backend: Optional[str] = None
         # Handles into the SkelScope metrics registry the owning Context
         # attaches through ``_metrics`` (stays None for bare queues
         # built in tests).
@@ -273,7 +269,7 @@ class CommandQueue:
         # object, so sampling scales both consistently.
         args = kernel.marshal_args(counters, self.device)
         result = execute_ndrange(kernel.compiled, ndrange, args, sample_fraction, counters,
-                                 backend=self._backend, metrics=series)
+                                 metrics=series)
         duration = kernel_time_ns(
             self.device.spec,
             result.counters,
@@ -292,13 +288,7 @@ class CommandQueue:
             work_items=ndrange.total_work_items,
             groups_total=result.groups_total,
             groups_executed=result.groups_executed,
-            backend=result.backend,
         )
-        if result.fallback_reason is not None:
-            # The vector engine declined this kernel: say why, per launch.
-            event.info["fallback_reason"] = result.fallback_reason
-            if series is not None:
-                series[_VECTOR_FALLBACK, result.fallback_reason].inc()
         event.accesses = kernel_buffer_accesses(kernel, ndrange, series)
         # Sampled-execution taint: a sampled launch leaves its outputs
         # partially written, and a kernel consuming tainted data spreads

@@ -116,8 +116,7 @@ class Server:
                  policy: str = "drr", quantum_ns: int = 1_000_000,
                  default_quota: Optional[TenantQuota] = None,
                  batching: bool = True, batch_max_elements: int = 1 << 16,
-                 batch_max_jobs: int = 8, detect_races=None,
-                 backend: Optional[str] = None, partition=None):
+                 batch_max_jobs: int = 8, detect_races=None, partition=None):
         # The scheduler validates its arguments first: a rejected
         # policy must not leave an open session behind.
         self.scheduler = Scheduler(self, policy, quantum_ns=quantum_ns,
@@ -125,8 +124,7 @@ class Server:
                                    batch_max_elements=batch_max_elements,
                                    batch_max_jobs=batch_max_jobs)
         self.session = _runtime._open(devices=list(devices), lazy=True,
-                                      detect_races=detect_races,
-                                      backend=backend, partition=partition)
+                                      detect_races=detect_races, partition=partition)
         self.tenants: Dict[str, Tenant] = {}
         self.default_quota = default_quota
         self._idle_ns = 0

@@ -14,12 +14,11 @@ for code and CI that already sets them.  ``Session.settings`` exposes
 the values a session actually resolved, with its constructor kwargs
 applied as the first link.
 
-The nine settings and their environment spellings:
+The eight settings and their environment spellings:
 
 ========== ===================== ==============================================
 field      environment variable  meaning
 ========== ===================== ==============================================
-backend    ``SKELCL_BACKEND``    NDRange execution backend (``vector``/``interp``)
 cache      ``SKELCL_CACHE``      persistent compiled-program cache on/off
 cache_dir  ``SKELCL_CACHE_DIR``  program-cache location (default ``<dir>/programs``)
 dir        ``SKELCL_DIR``        base directory for on-disk SkelCL artifacts
@@ -53,8 +52,6 @@ _SANITIZE_ALIASES = {
     "strict": "strict",
 }
 
-_BACKENDS = ("vector", "interp")
-
 #: Partition policy names accepted as strings (objects — ``Partition``,
 #: ``AdaptivePartitioner`` — pass through the chain untouched).
 PARTITION_POLICIES = ("even", "throughput", "proportional", "adaptive")
@@ -64,7 +61,6 @@ PARTITION_POLICIES = ("even", "throughput", "proportional", "adaptive")
 class Settings:
     """The resolved SkelCL configuration (one value per switch)."""
 
-    backend: str = "vector"
     cache: bool = True
     cache_dir: Optional[str] = None
     dir: str = os.path.join("~", ".cache", "skelcl")
@@ -89,7 +85,6 @@ class Settings:
 
 
 _ENV_VARS = {
-    "backend": "SKELCL_BACKEND",
     "cache": "SKELCL_CACHE",
     "cache_dir": "SKELCL_CACHE_DIR",
     "dir": "SKELCL_DIR",
@@ -121,14 +116,6 @@ def _parse_bool(name: str, value) -> bool:
 
 def _normalize(name: str, value, *, from_env: bool = False):
     """Validate and canonicalize one setting value."""
-    if name == "backend":
-        backend = str(value).strip().lower()
-        if backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown execution backend {value!r} "
-                f"(choose from {', '.join(_BACKENDS)})"
-            )
-        return backend
     if name in ("cache", "lazy"):
         if from_env and not str(value).strip():
             return _DEFAULTS[name]
@@ -210,7 +197,7 @@ def configure(reset: bool = False, **overrides) -> Settings:
     ``configure(reset=True)`` drops all previous overrides first (then
     applies any accompanying kwargs).  Environment variables below the
     overrides in the chain keep working; an explicit kwarg at a call
-    site (``skelcl.init(backend=...)``) still beats both.
+    site (``skelcl.init(lazy=...)``) still beats both.
     """
     if reset:
         _configured.clear()

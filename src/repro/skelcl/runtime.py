@@ -72,11 +72,10 @@ class Session:
 
     def __init__(self, spec: Union[ocl.DeviceSpec, Sequence[ocl.DeviceSpec]],
                  num_devices: int, detect_races=None,
-                 backend=None, lazy: Optional[bool] = None, partition=None):
+                 lazy: Optional[bool] = None, partition=None):
         try:
             self.settings = _settings.resolve(
-                backend=backend, lazy=lazy, partition=partition,
-                sanitize=detect_races,
+                lazy=lazy, partition=partition, sanitize=detect_races,
             )
         except ValueError as exc:
             raise SkelCLError(str(exc)) from None
@@ -87,8 +86,7 @@ class Session:
         self.specs = specs
         self.spec = specs[0] if specs else None
         self.num_devices = len(specs)
-        self.context = ocl.Context.create(specs, detect_races=self.settings.sanitize,
-                                          backend=self.settings.backend)
+        self.context = ocl.Context.create(specs, detect_races=self.settings.sanitize)
         self._closed = False
         self.planner = None
         if self.settings.lazy:
@@ -97,11 +95,6 @@ class Session:
             self.planner = Planner(self)
         self.partitioner: Optional[AdaptivePartitioner] = None
         self._install_partition_policy(self.settings.partition)
-
-    @property
-    def backend(self) -> str:
-        """The NDRange execution backend every queue of this session uses."""
-        return self.context.backend
 
     @property
     def devices(self) -> List[ocl.Device]:
@@ -307,13 +300,13 @@ def _dump_observability(session: Session) -> None:
             json.dump(snapshot, handle, indent=2, sort_keys=True)
 
 
-_INIT_KEYWORDS = ("num_devices", "spec", "detect_races", "backend", "lazy",
-                  "devices", "partition")
+_INIT_KEYWORDS = ("num_devices", "spec", "detect_races", "lazy", "devices",
+                  "partition")
 
 
 def _open(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = None,
-          detect_races=None, backend: Optional[str] = None,
-          lazy: Optional[bool] = None, devices=None, partition=None) -> Session:
+          detect_races=None, lazy: Optional[bool] = None, devices=None,
+          partition=None) -> Session:
     """Validate ``init()``'s arguments and open a :class:`Session`
     without making it current — what ``init()`` and
     ``repro.serve.Server`` share."""
@@ -350,14 +343,13 @@ def _open(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = No
             except ValueError as exc:
                 raise SkelCLError(str(exc)) from None
         count = num_devices
-    return Session(pool, count, detect_races=detect_races,
-                   backend=backend, lazy=lazy, partition=partition)
+    return Session(pool, count, detect_races=detect_races, lazy=lazy,
+                   partition=partition)
 
 
 def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = None,
-         detect_races=None, backend: Optional[str] = None,
-         lazy: Optional[bool] = None, devices=None, partition=None,
-         **unexpected) -> Session:
+         detect_races=None, lazy: Optional[bool] = None, devices=None,
+         partition=None, **unexpected) -> Session:
     """Initialize SkelCL on ``num_devices`` simulated GPUs.
 
     Mirrors ``SkelCL::init()``: opens a :class:`Session` and makes it
@@ -387,10 +379,6 @@ def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = Non
     skeleton builds whose lint pass reports an error; ``None`` defers
     to ``skelcl.configure(sanitize=...)``, then ``SKELCL_SANITIZE``.
 
-    ``backend`` selects the NDRange execution backend (``"vector"`` or
-    ``"interp"``); ``None`` defers to ``skelcl.configure(backend=...)``,
-    then ``SKELCL_BACKEND``, then the vectorized default.
-
     ``lazy`` enables the lazy skeleton planner (see :mod:`repro.plan`):
     skeleton calls defer into a plan and are fused at force time;
     ``None`` defers to ``skelcl.configure(lazy=...)``, then
@@ -407,8 +395,7 @@ def init(num_devices: Optional[int] = None, spec: Optional[ocl.DeviceSpec] = Non
             f"{', '.join(sorted(unexpected))}; valid keywords: "
             + ", ".join(_INIT_KEYWORDS)
         )
-    session = _open(num_devices, spec, detect_races, backend, lazy, devices,
-                    partition)
+    session = _open(num_devices, spec, detect_races, lazy, devices, partition)
     _current.set(session)
     return session
 

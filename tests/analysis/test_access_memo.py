@@ -287,7 +287,6 @@ class HitCountingAudit(LaunchAudit):
 
 
 def test_every_hit_is_covered_by_the_byte_trace(monkeypatch):
-    monkeypatch.setenv("SKELCL_BACKEND", "interp")
     audit = HitCountingAudit(monkeypatch)
     workloads.string_skeletons()
     first_launches, first_hits = audit.launches, audit.hits

@@ -50,7 +50,7 @@ class TestSummaries:
             }""")
         psum = summary.params["table"]
         assert not psum.affine
-        assert psum.fallback_reason
+        assert psum.whole_buffer_reason
 
     def test_pointer_escaping_to_helper_is_tracked_through_call(self):
         summary = summarize("""

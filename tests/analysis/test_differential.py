@@ -13,7 +13,7 @@ from repro.analysis import affine
 from repro.kernelc import ExecutionCounters
 from repro.kernelc.frontend import compile_source
 
-from ..kernelc.helpers import make_buffers, run_kernel
+from ..kernelc.helpers import interpret, make_buffers, run_kernel
 
 
 def traced_run(source, kernel_name, arrays, args, global_size,
@@ -33,34 +33,15 @@ def traced_run(source, kernel_name, arrays, args, global_size,
     elif isinstance(local_size, int):
         local_size = (local_size,)
 
-    # Reuse run_kernel's interpreter plumbing but keep our counters:
-    # execute manually (run_kernel would build fresh buffers/counters).
+    # run_kernel would build fresh buffers and counters: ours carry the
+    # trace, so the interpreter runs on them directly.
     from repro.kernelc.execmodel import convert_value
-    from repro.kernelc.execmodel import allocate_local_memory
-    from ..kernelc.helpers import _contexts
-    from ..kernelc.interp import Interpreter, Machine
 
     definition = program.function(kernel_name)
     runtime_args = [pointers[a] if isinstance(a, str) else a for a in args]
     runtime_args = [convert_value(v, p.declared_type)
                     for v, p in zip(runtime_args, definition.params)]
-    machine = Machine(program, counters)
-    for _group, contexts in _contexts(tuple(global_size), tuple(local_size)):
-        storage = allocate_local_memory(definition, counters)
-        generators = [
-            Interpreter(machine, ctx, storage).run_kernel(definition, runtime_args)
-            for ctx in contexts
-        ]
-        alive = generators
-        while alive:
-            next_alive = []
-            for gen in alive:
-                try:
-                    next(gen)
-                    next_alive.append(gen)
-                except StopIteration:
-                    pass
-            alive = next_alive
+    interpret(program, definition, runtime_args, counters, global_size, local_size)
     return program, counters.memory.trace, id_to_name, global_size, local_size
 
 
@@ -223,10 +204,13 @@ class TestPropertyCoverage:
 
 class LaunchAudit:
     """Observes ``CommandQueue.enqueue_nd_range_kernel`` from outside by
-    wrapping the two names it resolves in ``repro.ocl.queue``."""
+    wrapping the two names it resolves in ``repro.ocl.queue``; launches
+    run on the per-item oracle, whose pointers record the trace."""
 
     def __init__(self, monkeypatch):
         from repro.ocl import queue
+
+        from ..kernelc import peritem
 
         self.kernels = set()      # distinct kernel definitions launched
         self.launches = 0
@@ -234,7 +218,7 @@ class LaunchAudit:
         self.disjoint_pairs = 0   # conflict-free launch pairs cross-checked
         self.history = {}         # buffer uid -> [(accesses, reads, writes)]
         self._pending = None
-        self._execute = queue.execute_ndrange
+        self._execute = peritem.execute_ndrange
         self._accesses = queue.kernel_buffer_accesses
         monkeypatch.setattr(queue, "execute_ndrange", self.execute)
         monkeypatch.setattr(queue, "kernel_buffer_accesses", self.accesses)
@@ -244,7 +228,6 @@ class LaunchAudit:
         counters.memory.trace = []
         result = self._execute(compiled, ndrange, args, sample_fraction,
                                counters, **options)
-        assert result.backend != "vector", "the lockstep engine has no trace"
         self._pending = (args, counters.memory.trace, result.sampled)
         return result
 
@@ -304,7 +287,6 @@ class TestGeneratedCorpus:
             self, monkeypatch):
         from . import workloads
 
-        monkeypatch.setenv("SKELCL_BACKEND", "interp")
         audit = LaunchAudit(monkeypatch)
         workloads.string_skeletons()
         workloads.fused_pipelines()
@@ -324,7 +306,6 @@ class TestGeneratedCorpus:
     def test_example_scripts_are_covered(self, monkeypatch, tmp_path, capsys):
         from . import workloads
 
-        monkeypatch.setenv("SKELCL_BACKEND", "interp")
         audit = LaunchAudit(monkeypatch)
         workloads.examples(str(tmp_path))
         capsys.readouterr()

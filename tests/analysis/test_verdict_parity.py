@@ -53,7 +53,7 @@ def describe_program(source, defines=None):
             psum = summary.params.get(name)
             if psum is not None:
                 entry["summary"] = ("affine" if psum.affine
-                                    else f"fallback: {psum.fallback_reason}")
+                                    else f"fallback: {psum.whole_buffer_reason}")
                 entry["footprints"] = [
                     f"{fp.mode} [{fp.index.format()}]{_when(fp.guards)}"
                     for fp in psum.footprints]

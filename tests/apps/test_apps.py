@@ -12,7 +12,10 @@ from repro.apps.mandelbrot import Mandelbrot, MandelbrotView, mandelbrot_referen
 from repro.apps.manhattan import ManhattanDistance
 from repro.apps.matmul import MatrixMultiplication
 from repro.apps.sobel import SobelEdgeDetection
+from repro.ocl import queue
 from repro.skelcl import Matrix, Vector
+
+from tests.kernelc import peritem
 
 
 class TestImages:
@@ -177,9 +180,9 @@ class TestGaussian:
 
 
 class TestBackendsAgreeOnApps:
-    """Result correctness on both execution backends (satellite of the
-    vectorized-backend PR): each app must produce the right answer under
-    interp and vector, and the two backends must agree bit-for-bit."""
+    """Result correctness on the lockstep engine and on the per-item
+    oracle: each app must produce the right answer on both, and the two
+    must agree bit-for-bit."""
 
     def test_gaussian_correct_on_both_backends(self, runtime_backend, rng):
         image = synthetic_image(32, 48)
@@ -195,21 +198,26 @@ class TestBackendsAgreeOnApps:
         np.testing.assert_allclose(np.diag(ManhattanDistance().compute(a, a)), 0.0,
                                    atol=1e-6)
 
-    def test_gaussian_bitexact_across_backends(self, rng):
-        image = synthetic_image(32, 32)
+    @staticmethod
+    def on_both_engines(monkeypatch, run):
+        """``run()`` on the per-item oracle, then on the lockstep engine."""
         outputs = []
-        for backend in ("interp", "vector"):
-            skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, backend=backend)
-            outputs.append(GaussianBlur().blur(image))
-            skelcl.terminate()
+        with monkeypatch.context() as patch:
+            patch.setattr(queue, "execute_ndrange", peritem.execute_ndrange)
+            with skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE):
+                outputs.append(run())
+        with skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE):
+            outputs.append(run())
+        return outputs
+
+    def test_gaussian_bitexact_across_backends(self, rng, monkeypatch):
+        image = synthetic_image(32, 32)
+        outputs = self.on_both_engines(monkeypatch, lambda: GaussianBlur().blur(image))
         np.testing.assert_array_equal(outputs[0], outputs[1])
 
-    def test_manhattan_bitexact_across_backends(self, rng):
+    def test_manhattan_bitexact_across_backends(self, rng, monkeypatch):
         a = rng.rand(8, 4).astype(np.float32)
         b = rng.rand(6, 4).astype(np.float32)
-        outputs = []
-        for backend in ("interp", "vector"):
-            skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, backend=backend)
-            outputs.append(ManhattanDistance().compute(a, b))
-            skelcl.terminate()
+        outputs = self.on_both_engines(monkeypatch,
+                                       lambda: ManhattanDistance().compute(a, b))
         assert outputs[0].tobytes() == outputs[1].tobytes()

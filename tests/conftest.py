@@ -41,11 +41,17 @@ def runtime_4gpu():
     skelcl.terminate()
 
 
-@pytest.fixture(params=["interp", "vector"])
-def runtime_backend(request):
-    """One-device runtime parametrized over both execution backends."""
-    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE,
-                          backend=request.param)
+@pytest.fixture(params=["peritem", "lockstep"])
+def runtime_backend(request, monkeypatch):
+    """One-device runtime, once with every launch on the per-item oracle
+    (``tests/kernelc/peritem.py``) and once on the lockstep engine."""
+    if request.param == "peritem":
+        from repro.ocl import queue
+
+        from tests.kernelc import peritem
+
+        monkeypatch.setattr(queue, "execute_ndrange", peritem.execute_ndrange)
+    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE)
     yield runtime
     skelcl.terminate()
 

@@ -1,7 +1,8 @@
 """The jit differential harness, hand-written half.
 
 Every corpus function runs twice: lowered through a skeleton (OpenCL-C,
-on both execution backends) and directly as Python on NumPy scalars
+on the lockstep engine and on the per-item oracle) and directly as
+Python on NumPy scalars
 (the host oracle).  The results must agree **bit-exactly** — same
 dtype, same shape, same bytes.  See ``tests/jit/corpus.py`` for the
 corpus and the oracle's NEP 50 dtype rules.

@@ -6,8 +6,8 @@ jits it, runs it through a skeleton on the simulated device, and
 compares the result bit-for-bit against the same function run as plain
 Python over NumPy scalars.  Any counterexample fails the test, so the
 pass criterion is 100% of the generated corpus — stricter than the 95%
-acceptance bar.  The map sweep runs on the interpreter backend and the
-zip sweep on the vectorizing backend; the hand-written corpus in
+acceptance bar.  The map sweep runs on the per-item oracle and the zip
+sweep on the lockstep engine; the hand-written corpus in
 ``test_differential.py`` already runs every construct on both.
 
 Grammar notes (each restriction mirrors a documented jit rule, see
@@ -43,7 +43,10 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
 
 import repro.ocl as ocl
 import repro.skelcl as skelcl
+from repro.ocl import queue
 from repro.skelcl import Map, Vector, Zip
+
+from tests.kernelc import peritem
 
 from . import corpus
 from .corpus import host_map, host_zip
@@ -161,15 +164,16 @@ def _make_data(dtype, seed, n=33):
 
 
 @pytest.fixture
-def interp_session():
-    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, backend="interp")
+def peritem_session(monkeypatch):
+    monkeypatch.setattr(queue, "execute_ndrange", peritem.execute_ndrange)
+    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE)
     yield runtime
     skelcl.terminate()
 
 
 @pytest.fixture
-def vector_session():
-    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, backend="vector")
+def lockstep_session():
+    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE)
     yield runtime
     skelcl.terminate()
 
@@ -178,7 +182,7 @@ def vector_session():
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(source=map_programs(), dtype=st.sampled_from(DTYPES),
        seed=st.integers(min_value=0, max_value=2**16))
-def test_generated_map_bitexact(interp_session, source, dtype, seed):
+def test_generated_map_bitexact(peritem_session, source, dtype, seed):
     fn = _jit_from_source(source)
     data = _make_data(dtype, seed)
     result = Map(fn)(Vector(data=data))
@@ -191,7 +195,7 @@ def test_generated_map_bitexact(interp_session, source, dtype, seed):
 @given(source=zip_programs(),
        dtypes=st.tuples(st.sampled_from(DTYPES), st.sampled_from(DTYPES)),
        seed=st.integers(min_value=0, max_value=2**16))
-def test_generated_zip_bitexact(vector_session, source, dtypes, seed):
+def test_generated_zip_bitexact(lockstep_session, source, dtypes, seed):
     fn = _jit_from_source(source)
     left = _make_data(dtypes[0], seed)
     right = _make_data(dtypes[1], seed + 1)

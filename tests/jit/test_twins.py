@@ -87,8 +87,7 @@ def summed_counters(skeleton):
         if event.command_type != "ndrange_kernel":
             continue
         for key, value in event.info.items():
-            if not isinstance(value, str):  # "backend" names the engine
-                totals[key] = totals.get(key, 0) + value
+            totals[key] = totals.get(key, 0) + value
     return totals
 
 

@@ -1,18 +1,21 @@
-"""Test helpers: run a kernel through either backend without the full
-OpenCL runtime plumbing."""
+"""Test helpers: run a kernel on the lockstep engine, the per-item oracle
+or the tree-walking interpreter, without the full OpenCL runtime
+plumbing."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernelc import ExecutionCounters, WorkItemContext, compile_source
+from repro.kernelc import ExecutionCounters, compile_source
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
-from repro.kernelc.execmodel import allocate_local_memory
 from repro.kernelc.memory import Pointer
+from repro.ocl.executor import execute_ndrange
+from repro.ocl.ndrange import NDRange
 
+from . import peritem
 from .interp import Interpreter, Machine
 
 
@@ -24,31 +27,14 @@ def make_buffers(arrays: Dict[str, np.ndarray], counters: ExecutionCounters) -> 
     return pointers
 
 
-def _contexts(global_size: Tuple[int, ...], local_size: Tuple[int, ...]):
-    """All (group, [work-item contexts]) for a small NDRange."""
-    dims = len(global_size)
-    num_groups = tuple(g // l for g, l in zip(global_size, local_size))
-
-    def iterate(shape):
-        if len(shape) == 1:
-            for i in range(shape[0]):
-                yield (i,)
-        elif len(shape) == 2:
-            for j in range(shape[1]):
-                for i in range(shape[0]):
-                    yield (i, j)
-        else:
-            for k in range(shape[2]):
-                for j in range(shape[1]):
-                    for i in range(shape[0]):
-                        yield (i, j, k)
-
-    for group in iterate(num_groups):
-        contexts = []
-        for local in iterate(local_size):
-            gid = tuple(g * l + x for g, l, x in zip(group, local_size, local))
-            contexts.append(WorkItemContext(gid, local, group, global_size, local_size))
-        yield group, contexts
+def interpret(program, definition, args: Sequence, counters: ExecutionCounters,
+              global_size: Tuple[int, ...], local_size: Tuple[int, ...]) -> None:
+    """Run kernel ``definition`` of ``program`` on the interpreter,
+    work-group by work-group as the per-item oracle runs them."""
+    machine = Machine(program, counters)
+    peritem.run_groups(NDRange.create(global_size, local_size), None, definition, counters,
+                       True, lambda ctx, storage: Interpreter(machine, ctx, storage)
+                       .run_kernel(definition, args))
 
 
 def run_kernel(
@@ -64,6 +50,10 @@ def run_kernel(
 
     ``args`` entries that are strings refer to entries of ``arrays``
     (passed as global buffers); anything else is a scalar argument.
+    ``backend``: ``"compiler"`` (the per-item oracle, :mod:`.peritem`),
+    ``"vector"`` (the lockstep engine) or ``"interp"`` (the interpreter,
+    round-robin at barriers whatever the kernel, so it does no warp
+    accounting).
     """
     if isinstance(global_size, int):
         global_size = (global_size,)
@@ -85,58 +75,14 @@ def run_kernel(
         for value, param in zip(runtime_args, definition.params)
     ]
 
-    if backend == "compiler":
+    if backend in ("compiler", "vector"):
         compiled = compile_program(program).kernel(kernel_name)
-        func = compiled.per_item()
-        for group, contexts in _contexts(tuple(global_size), tuple(local_size)):
-            storage = allocate_local_memory(definition, counters)
-            lmem = [storage[id(d)] for d in compiled.local_decls]
-            if compiled.uses_barrier:
-                generators = [func(counters, ctx, lmem, *runtime_args) for ctx in contexts]
-                alive = generators
-                while alive:
-                    next_alive = []
-                    for gen in alive:
-                        try:
-                            next(gen)
-                            next_alive.append(gen)
-                        except StopIteration:
-                            pass
-                    alive = next_alive
-            else:
-                for ctx in contexts:
-                    func(counters, ctx, lmem, *runtime_args)
-    elif backend == "vector":
-        from repro.kernelc import vectorize
-        from repro.ocl.ndrange import NDRange
-
-        compiled = compile_program(program).kernel(kernel_name)
-        plan = vectorize.plan_for(compiled)
-        if plan is None:
-            raise ValueError(
-                f"kernel {kernel_name!r} is not vectorizable: "
-                f"{vectorize.reject_reason(compiled)}"
-            )
         ndrange = NDRange.create(tuple(global_size), tuple(local_size))
-        vectorize.execute(compiled, plan, ndrange, None, runtime_args, counters)
+        run = peritem.execute_ndrange if backend == "compiler" else execute_ndrange
+        run(compiled, ndrange, runtime_args, counters=counters)
     elif backend == "interp":
-        machine = Machine(program, counters)
-        for group, contexts in _contexts(tuple(global_size), tuple(local_size)):
-            storage = allocate_local_memory(definition, counters)
-            generators = [
-                Interpreter(machine, ctx, storage).run_kernel(definition, runtime_args)
-                for ctx in contexts
-            ]
-            alive = generators
-            while alive:
-                next_alive = []
-                for gen in alive:
-                    try:
-                        next(gen)
-                        next_alive.append(gen)
-                    except StopIteration:
-                        pass
-                alive = next_alive
+        interpret(program, definition, runtime_args, counters, tuple(global_size),
+                  tuple(local_size))
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -145,7 +91,8 @@ def run_kernel(
 
 
 def run_both(source, kernel_name, arrays, args, global_size, local_size=None):
-    """Run on both backends (fresh input copies); returns both results."""
+    """Run on the per-item oracle and the interpreter (fresh input
+    copies); returns both results."""
     compiled_result, compiled_counters = run_kernel(
         source, kernel_name, {k: v.copy() for k, v in arrays.items()}, args,
         global_size, local_size, backend="compiler",

@@ -106,6 +106,16 @@ class _Env:
         raise KeyError(name)
 
 
+class _LocalScalar:
+    """What a ``__local`` scalar's name is bound to: its work-group's
+    storage, an array of one that every use loads or stores."""
+
+    __slots__ = ("pointer",)
+
+    def __init__(self, pointer: Pointer):
+        self.pointer = pointer
+
+
 class _LValue:
     """A resolved assignable location."""
 
@@ -317,7 +327,8 @@ class Interpreter:
             storage = self.local_memory.get(id(decl))
             if storage is None:
                 raise KernelFault(f"__local variable {decl.name!r} was not pre-allocated")
-            env.declare(decl.name, storage)
+            env.declare(decl.name, storage if isinstance(ctype, ArrayType)
+                        else _LocalScalar(storage.pointer))
             return
         if isinstance(ctype, ArrayType):
             values = flatten_initializer(decl.init) if decl.init is not None else None
@@ -337,6 +348,9 @@ class Interpreter:
 
     def eval_lvalue(self, expr: ast.Expr, env: _Env) -> _LValue:
         if isinstance(expr, ast.Identifier):
+            value = env.lookup(expr.name)
+            if isinstance(value, _LocalScalar):
+                return _LValue("mem", pointer=value.pointer, index=0)
             return _LValue("var", env=env, name=expr.name)
         if isinstance(expr, ast.Index):
             base = self.eval(expr.base, env)
@@ -385,9 +399,10 @@ class Interpreter:
         if constant is not None:
             return convert_value(constant, expr.ctype)
         try:
-            return env.lookup(expr.name)
+            value = env.lookup(expr.name)
         except KeyError:
             return self.machine.globals[expr.name]
+        return value.pointer.load(0) if isinstance(value, _LocalScalar) else value
 
     def _eval_UnaryOp(self, expr: ast.UnaryOp, env: _Env):
         op = expr.op

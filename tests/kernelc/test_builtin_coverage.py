@@ -1,5 +1,6 @@
 """Systematic builtin-function coverage: every supported math/common/
-integer builtin executed on both backends against a Python oracle."""
+integer builtin executed on the per-item oracle, the interpreter and the
+lockstep engine against a Python oracle."""
 
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from .helpers import run_kernel
 
-BACKENDS = ["compiler", "interp"]
+BACKENDS = ["compiler", "interp", "vector"]
 
 
 @pytest.fixture(params=BACKENDS)

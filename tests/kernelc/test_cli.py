@@ -49,20 +49,27 @@ class TestCli:
     def test_python_output(self, kernel_file, capsys):
         assert main([kernel_file, "--python"]) == 0
         out = capsys.readouterr().out
-        assert "def _fn_add_one" in out
-        # The per-item source comes first, then the lockstep source.
-        per_item, lockstep = out.split("kernel add_one: lockstep source")
-        assert "def _fn_add_one(C, ctx, lmem, v_data, v_n):" in per_item
-        assert "def _fn_add_one(R, ctx, m, v_data, v_n):" in lockstep
-        assert ".scatter(" in lockstep
+        # The lockstep source is all there is: no per-item module.
+        assert out.startswith("# " + kernel_file + ": kernel add_one: lockstep source\n")
+        assert "def _fn_add_one(R, ctx, m, v_data, v_n):" in out
+        assert ".scatter(" in out and "(C, ctx" not in out
 
-    def test_python_output_names_the_reject_reason(self, tmp_path, capsys):
+    def test_python_output_of_a_pointer_cast(self, tmp_path, capsys):
         path = tmp_path / "cast.cl"
         path.write_text("__kernel void v(__global float* o) "
                         "{ __global int* p = (__global int*)o; p[get_global_id(0)] = 0; }")
         assert main([str(path), "--python"]) == 0
         out = capsys.readouterr().out
-        assert "kernel v: no lockstep source, runs per item: pointer cast" in out
+        assert "kernel v: lockstep source" in out and ".retyped(_K[" in out
+
+    def test_python_reports_a_kernel_nested_too_deeply(self, tmp_path, capsys):
+        loops = "".join(f"for (int i{d} = 0; i{d} < 2; ++i{d}) " for d in range(21))
+        path = tmp_path / "deep.cl"
+        path.write_text(f"__kernel void deep(__global int* o) {{ {loops}o[0] += 1; }}")
+        assert main([str(path), "--python"]) == 1
+        captured = capsys.readouterr()
+        assert "kernel 'deep': control flow nested too deeply" in captured.err
+        assert "lockstep source" not in captured.out
 
     def test_python_combines_with_lint_on_a_module(self, tmp_path, capsys):
         module = tmp_path / "module.py"

@@ -1,11 +1,12 @@
-"""Generated-code parity: the Python both code generators emit for the
-shared kernel corpus is pinned in ``golden/codegen_parity.json``.
+"""Generated-code parity: the Python the lowering and the lockstep
+generator emit for the shared kernel corpus is pinned in
+``golden/codegen_parity.json``.
 
 For every program ``tests/analysis/workloads.run_all()`` builds, every
 ``kernel_strings()`` source and the seed corpus of
 ``test_vectorize_differential``, the golden file holds the sha256 of the
-per-item module (``CompiledProgram.source_code``) and, per kernel, of
-the lockstep module (``plan.source``) or the reason there is none.
+per-item module (``peritem.source``) and, per kernel, of the lockstep
+module (``plan.source``).
 
 The golden file is written by the tree it is checked into::
 
@@ -25,6 +26,7 @@ from repro.kernelc.compiler import compile_program
 
 from tests.analysis import workloads
 from tests.analysis.test_verdict_parity import _digest
+from tests.kernelc import peritem
 from tests.kernelc.test_vectorize_differential import _corpus_cases
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "codegen_parity.json")
@@ -37,12 +39,9 @@ def _sha(text):
 def describe(source, defines=None):
     """``(kernel names, entry)``: the hashes of what both generators emit."""
     compiled = compile_program(compile_source(source, "<parity>", defines))
-    lockstep = {}
-    for name, kernel in compiled.kernels.items():
-        plan = vectorize.plan_for(kernel)
-        lockstep[name] = _sha(plan.source) if plan is not None \
-            else "rejected: " + vectorize.reject_reason(kernel)
-    return sorted(compiled.kernels), {"per_item": _sha(compiled.source_code),
+    lockstep = {name: _sha(vectorize.plan_for(kernel).source)
+                for name, kernel in compiled.kernels.items()}
+    return sorted(compiled.kernels), {"per_item": _sha(peritem.source(compiled.program)),
                                       "lockstep": lockstep}
 
 

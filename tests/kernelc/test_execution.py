@@ -1,18 +1,21 @@
-"""Execution semantics tests, run against BOTH backends.
+"""Execution semantics tests, run on every engine.
 
 Each test exercises one language feature end-to-end through a kernel and
-asserts the numeric result, parametrized over the interpreter and the
-compiling backend so the two stay in lockstep.
+asserts the numeric result, parametrized over the per-item oracle
+("compiler"), the interpreter and the lockstep engine ("vector") so the
+three stay in agreement.
 """
 
 import numpy as np
 import pytest
 
+from repro.kernelc import compile_source
+from repro.kernelc.diagnostics import CompileError
 from repro.kernelc.memory import KernelFault
 
 from .helpers import run_kernel
 
-BACKENDS = ["compiler", "interp"]
+BACKENDS = ["compiler", "interp", "vector"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -253,12 +256,18 @@ class TestFunctionsAndMemory:
         """
         assert run1(src, {"o": np.zeros(1, np.int32)}, ["o"], backend=backend)["o"][0] == 55
 
-    def test_recursive_function(self, backend):
+    def test_recursive_function(self):
         src = """
         int fact(int n) { return n <= 1 ? 1 : n * fact(n - 1); }
         __kernel void k(__global int* o) { o[0] = fact(6); }
         """
-        assert run1(src, {"o": np.zeros(1, np.int32)}, ["o"], backend=backend)["o"][0] == 720
+        with pytest.raises(CompileError) as failure:
+            compile_source(src, "<fact>")
+        assert str(failure.value) == (
+            "<fact>:2:51: error: recursive call to 'fact' (fact -> fact): "
+            "OpenCL C forbids recursion\n"
+            "        int fact(int n) { return n <= 1 ? 1 : n * fact(n - 1); }\n"
+            "                                                  ^^^^^^^^^^^")
 
     def test_pointer_walk(self, backend):
         src = """__kernel void k(__global const int* in, __global int* o, int n) {

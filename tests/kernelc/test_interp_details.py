@@ -1,4 +1,4 @@
-"""Interpreter-specific behaviours and fault paths."""
+"""Interpreter-specific behaviours and fault paths, held on every engine."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ def run(source, arrays, args, backend, n=1, local=None):
     return run_kernel(source, "k", arrays, args, n, local, backend=backend)
 
 
-@pytest.fixture(params=["compiler", "interp"])
+@pytest.fixture(params=["compiler", "interp", "vector"])
 def backend(request):
     return request.param
 

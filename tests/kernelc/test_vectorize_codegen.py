@@ -4,7 +4,7 @@
 first time it is launched; every later launch — any NDRange shape, any
 scalar arguments, sampled or not — only calls it.  These tests pin that
 (the generator runs once), that each such launch still equals the
-per-item engine bit for bit and counter for counter, that faults raised
+per-item oracle bit for bit and counter for counter, that faults raised
 inside the generated function keep their type and message, and that the
 static facts the generator reads (the ``switch`` charge, the load-CSE
 decisions) are recorded on the AST by ``compile_program`` itself.
@@ -18,15 +18,16 @@ from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.execmodel import convert_value
 from repro.kernelc.memory import KernelFault, Pointer
-from repro.ocl.executor import execute_ndrange
 from repro.ocl.ndrange import NDRange
+
+from .test_vectorize_differential import _ENGINES
 
 
 def compiled_kernel(source, name="k"):
     return compile_program(compile_source(source)).kernel(name)
 
 
-def launch(compiled, arrays, args, global_size, local_size, backend, sample=None):
+def launch(compiled, arrays, args, global_size, local_size, engine, sample=None):
     """One launch on fresh copies of ``arrays``; returns the final arrays
     and the (scaled, if sampled) counters."""
     counters = ExecutionCounters()
@@ -36,15 +37,14 @@ def launch(compiled, arrays, args, global_size, local_size, backend, sample=None
     values = [pointers[a] if isinstance(a, str) else a for a in args]
     values = [convert_value(value, param.declared_type)
               for value, param in zip(values, compiled.definition.params)]
-    result = execute_ndrange(compiled, NDRange.create(global_size, local_size), values,
-                             sample, counters, backend)
+    result = _ENGINES[engine](compiled, NDRange.create(global_size, local_size), values,
+                              sample, counters)
     return {name: pointer.array for name, pointer in pointers.items()}, result
 
 
 def assert_engines_agree(compiled, arrays, args, global_size, local_size, sample=None):
-    per_item, expected = launch(compiled, arrays, args, global_size, local_size, "interp", sample)
-    lockstep, result = launch(compiled, arrays, args, global_size, local_size, "vector", sample)
-    assert result.backend == "vector" and result.fallback_reason is None
+    per_item, expected = launch(compiled, arrays, args, global_size, local_size, "peritem", sample)
+    lockstep, result = launch(compiled, arrays, args, global_size, local_size, "lockstep", sample)
     for name in arrays:
         np.testing.assert_array_equal(
             lockstep[name].view(np.uint8), per_item[name].view(np.uint8), err_msg=name)
@@ -201,13 +201,12 @@ FAULTS = {
 
 class TestFaultsInsideTheClosure:
     @pytest.mark.parametrize("case", sorted(FAULTS))
-    @pytest.mark.parametrize("backend", ["vector", "interp"])
-    def test_type_and_message(self, case, backend):
+    @pytest.mark.parametrize("engine", ["lockstep", "peritem"])
+    def test_type_and_message(self, case, engine):
         source, arrays, args, error, message = FAULTS[case]
         compiled = compiled_kernel(source)
-        assert vectorize.reject_reason(compiled) is None
         with pytest.raises(error) as raised:
-            launch(compiled, arrays, args, (16,), (8,), backend)
+            launch(compiled, arrays, args, (16,), (8,), engine)
         assert str(raised.value) == message
 
 
@@ -261,16 +260,14 @@ class TestStaticTables:
         arrays = {"a": np.linspace(-2, 2, 64).astype(np.float32)}
         assert_engines_agree(compiled, arrays, ["a", 1.5], (64,), (32,))
 
-    def test_rejected_kernel_keeps_its_reason_on_the_plan(self):
+    def test_a_pointer_cast_is_a_view_on_lanes(self):
         compiled = compiled_kernel("""__kernel void k(__global float* a) {
             __global int* bits = (__global int*)a;
             bits[get_global_id(0)] = 0x3f800000;
         }""")
-        assert vectorize.plan_for(compiled) is None
-        assert vectorize.reject_reason(compiled) == "pointer cast"
-        assert compiled._vector_plan.reason == "pointer cast"
-        _, result = launch(compiled, {"a": np.zeros(8, np.float32)}, ["a"], (8,), (8,), "vector")
-        assert (result.backend, result.fallback_reason) == ("interp", "pointer cast")
+        assert ".retyped(_K[" in vectorize.plan_for(compiled).source
+        out = assert_engines_agree(compiled, {"a": np.zeros(8, np.float32)}, ["a"], (8,), (8,))
+        assert out["a"].tolist() == [1.0] * 8
 
 
 # One kernel per branch of the statement generator that no skeleton
@@ -338,7 +335,6 @@ class TestControlFlowShapes:
     @pytest.mark.parametrize("shape", sorted(SHAPES_OF_CONTROL_FLOW))
     def test_engines_agree(self, shape):
         compiled = compiled_kernel(SHAPES_OF_CONTROL_FLOW[shape])
-        assert vectorize.reject_reason(compiled) is None
         rng = np.random.RandomState(3)
         for n in (0, 2, 6, 7, 9):
             arrays = {"a": rng.randint(-5, 9, 32).astype(np.int32)}

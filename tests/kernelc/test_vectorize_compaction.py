@@ -26,9 +26,10 @@ from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.execmodel import convert_value
 from repro.kernelc.memory import Pointer
-from repro.ocl.executor import execute_ndrange
 from repro.ocl.ndrange import NDRange
 from repro.scope.metrics import MetricsRegistry
+
+from .test_vectorize_differential import _ENGINES
 
 _PATHS = ("compacted", "full")
 
@@ -37,7 +38,7 @@ def _kernel(source, name="k"):
     return compile_program(compile_source(source, "<compaction>")).kernel(name)
 
 
-def _launch(kernel, arrays, scalars, global_size, local_size, backend):
+def _launch(kernel, arrays, scalars, global_size, local_size, engine):
     """``(buffers, counters, {path: region entries})``, or what it raised."""
     counters = ExecutionCounters()
     pointers = {name: Pointer(array.copy(), ctype_from_numpy(array.dtype), "global", 0,
@@ -47,8 +48,8 @@ def _launch(kernel, arrays, scalars, global_size, local_size, backend):
             for value, param in zip(args, kernel.definition.params)]
     registry = MetricsRegistry()
     try:
-        execute_ndrange(kernel, NDRange.create(global_size, local_size), args,
-                        counters=counters, backend=backend, metrics=registry)
+        _ENGINES[engine](kernel, NDRange.create(global_size, local_size), args,
+                         counters=counters, metrics=registry)
     except Exception as exc:  # compared by type and message below
         return exc
     regions = {path: registry.value("skelcl_lockstep_regions_total", path=path)
@@ -59,8 +60,8 @@ def _launch(kernel, arrays, scalars, global_size, local_size, backend):
 def assert_engines_agree(kernel, arrays, scalars, global_size, local_size):
     """Run both engines; the region tallies of the lockstep run (None
     when both raised — then with one exception type and message)."""
-    per_item = _launch(kernel, arrays, scalars, global_size, local_size, "interp")
-    lockstep = _launch(kernel, arrays, scalars, global_size, local_size, "vector")
+    per_item = _launch(kernel, arrays, scalars, global_size, local_size, "peritem")
+    lockstep = _launch(kernel, arrays, scalars, global_size, local_size, "lockstep")
     if isinstance(per_item, Exception) or isinstance(lockstep, Exception):
         assert (type(lockstep), str(lockstep)) == (type(per_item), str(per_item))
         return None
@@ -158,7 +159,6 @@ class TestDataDensity:
     def test_sparse_and_dense_runs_agree_and_take_both_paths(self, case):
         cname, dtype, shapes, groups, rng = case
         kernel = _kernel(_source(cname, shapes))
-        assert vectorize.plan_for(kernel) is not None, vectorize.reject_reason(kernel)
         n = _WG * groups
         if np.issubdtype(dtype, np.floating):
             data = rng.uniform(-8, 8, n).astype(dtype)
@@ -238,7 +238,7 @@ class TestShapes:
         floor = vectorize._COMPACT_MIN_LANES
         for n, path in ((floor // 2, "full"), (floor, "compacted")):
             arrays = {"out": np.zeros(n, np.int32), "in": np.arange(n, dtype=np.int32)}
-            regions = _launch(kernel, arrays, ["out", "in", n], (n,), (64,), "vector")[2]
+            regions = _launch(kernel, arrays, ["out", "in", n], (n,), (64,), "lockstep")[2]
             assert regions == {p: int(p == path) for p in _PATHS}, (n, regions)
 
 
@@ -254,8 +254,8 @@ class TestFaultParity:
         with _no_floor():
             assert assert_engines_agree(kernel, arrays, scalars, (n,), (_WG,))["compacted"] > 0
             arrays = dict(arrays, **faulting)
-            per_item = _launch(kernel, arrays, scalars, (n,), (_WG,), "interp")
-            lockstep = _launch(kernel, arrays, scalars, (n,), (_WG,), "vector")
+            per_item = _launch(kernel, arrays, scalars, (n,), (_WG,), "peritem")
+            lockstep = _launch(kernel, arrays, scalars, (n,), (_WG,), "lockstep")
         assert (type(lockstep), str(lockstep)) == (type(per_item), message)
 
     def test_out_of_bounds_gather(self):
@@ -313,7 +313,7 @@ class TestStaticExclusions:
         }}"""
         kernel = _kernel(source)
         plan = vectorize.plan_for(kernel)
-        assert plan is not None and "_region(" not in plan.source
+        assert "_region(" not in plan.source
         n = 2 * _WG
         arrays = {"out": np.zeros(n, np.int32), "in": np.arange(n, dtype=np.int32) % 7}
         with _no_floor():
@@ -328,9 +328,9 @@ class TestStaticExclusions:
         kernel = _kernel(source)
         with _no_floor():
             per_item = _launch(kernel, {"out": np.zeros(8, np.int32)}, ["out"], (8,), (4,),
-                               "interp")
+                               "peritem")
             lockstep = _launch(kernel, {"out": np.zeros(8, np.int32)}, ["out"], (8,), (4,),
-                               "vector")
+                               "lockstep")
         message = ("barrier divergence: some work-items of a group reached a barrier "
                    "other items skipped")
         assert (type(lockstep), str(lockstep)) == (type(per_item), message)
@@ -361,7 +361,7 @@ def test_restored_plans_carry_the_compaction_code(tmp_path, monkeypatch):
     monkeypatch.setattr(compiler, "compile_program", forbidden)
     monkeypatch.setattr(compiler._ProgramCompiler, "lower", forbidden)
     monkeypatch.setattr(vectorize, "_generate", forbidden)
-    monkeypatch.setattr(vectorize, "_analyse", forbidden)
+    monkeypatch.setattr(vectorize, "_functions", forbidden)
     plan = vectorize.plan_for(kernel)
     assert plan.source == generated and "_region(R, " in plan.source
     n = 4 * _WG
@@ -369,5 +369,5 @@ def test_restored_plans_carry_the_compaction_code(tmp_path, monkeypatch):
               "sel": _flags(np.random.RandomState(3), n, 0.25), "fout": np.zeros(n, np.float32)}
     with _no_floor():
         regions = _launch(kernel, arrays, ["out", "in", "sel", "fout", n], (n,), (_WG,),
-                          "vector")[2]
+                          "lockstep")[2]
     assert regions["compacted"] > 0

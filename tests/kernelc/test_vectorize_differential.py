@@ -1,20 +1,20 @@
-"""Differential proof obligation for the vectorized backend.
+"""Differential proof obligation for the lockstep engine.
 
-Every test here runs the same compiled kernel through
-``ocl.executor.execute_ndrange`` twice — once per backend (``interp`` =
-per-work-item, ``vector`` = lockstep numpy) — and asserts **bit-exact**
-output buffers plus **equal** ``ExecutionCounters`` on every field (ops,
-warp_ops, barriers, and all memory-traffic counters).  Hypothesis
-generates kernels over multiple dtypes, control flow shapes, local
-memory and barrier phasing; a fixed seed corpus replays every kernel
-string shipped in ``examples/`` and ``src/repro/baselines/``.
+Every test here runs the same compiled kernel twice — on the per-item
+oracle (:mod:`.peritem`) and through ``ocl.executor.execute_ndrange`` on
+the lockstep engine — and asserts **bit-exact** output buffers plus
+**equal** ``ExecutionCounters`` on every field (ops, warp_ops, barriers,
+and all memory-traffic counters).  Hypothesis generates kernels over
+multiple dtypes, control flow shapes, local memory and barrier phasing;
+a fixed seed corpus replays every kernel string shipped in
+``examples/`` and ``src/repro/baselines/``.
 
 The generators deliberately stay inside defined behaviour (no signed
 overflow feeding magnitude-sensitive ops, no data races, no barriers
 under lane-divergent control flow): outside it, C imposes no agreement
-obligation and the backends intentionally document their divergences
+obligation and the engines intentionally document their divergences
 (see ``docs/kernelc.md``).  Faults are part of the contract too: when
-one backend raises, the other must raise as well.
+one engine raises, the other must raise as well.
 """
 
 import glob
@@ -31,19 +31,22 @@ from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.diagnostics import CompileError
 from repro.kernelc.execmodel import convert_value
 from repro.kernelc.memory import KernelFault, Pointer
-from repro.kernelc import vectorize
 from repro.ocl.executor import execute_ndrange
 from repro.ocl.ndrange import NDRange
+
+from . import peritem
 
 _REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 # Exceptions that count as a kernel fault for agreement purposes: the
-# two backends may detect a multi-fault run at different lanes, so only
+# two engines may detect a multi-fault run at different lanes, so only
 # the *fact* of faulting must agree, not the message.
 _FAULTS = (KernelFault, ValueError, OverflowError)
 
+_ENGINES = {"peritem": peritem.execute_ndrange, "lockstep": execute_ndrange}
 
-def _run_one(compiled, arrays, scalars, global_size, local_size, backend):
+
+def _run_one(compiled, arrays, scalars, global_size, local_size, engine):
     counters = ExecutionCounters()
     pointers = {}
     for name, array in arrays.items():
@@ -57,7 +60,7 @@ def _run_one(compiled, arrays, scalars, global_size, local_size, backend):
     ]
     ndrange = NDRange.create(global_size, local_size)
     try:
-        execute_ndrange(compiled, ndrange, args, counters=counters, backend=backend)
+        _ENGINES[engine](compiled, ndrange, args, counters=counters)
     except _FAULTS as exc:
         return ("fault", type(exc).__name__), None, None
     buffers = {name: pointer.array for name, pointer in pointers.items()}
@@ -65,35 +68,31 @@ def _run_one(compiled, arrays, scalars, global_size, local_size, backend):
 
 
 def assert_backends_agree(source, kernel_name, arrays, scalars, global_size,
-                          local_size=None, require_vectorizable=True):
-    """The core oracle: run both backends, demand bit-exact agreement."""
+                          local_size=None):
+    """The core oracle: run both engines, demand bit-exact agreement."""
     program = compile_source(source)
     compiled = compile_program(program).kernel(kernel_name)
-    if require_vectorizable:
-        assert vectorize.plan_for(compiled) is not None, (
-            f"kernel unexpectedly fell back: {vectorize.reject_reason(compiled)}"
-        )
     i_status, i_bufs, i_cnt = _run_one(compiled, arrays, scalars, global_size,
-                                       local_size, "interp")
+                                       local_size, "peritem")
     v_status, v_bufs, v_cnt = _run_one(compiled, arrays, scalars, global_size,
-                                       local_size, "vector")
+                                       local_size, "lockstep")
     if i_status != "ok" or v_status != "ok":
         assert i_status != "ok" and v_status != "ok", (
-            f"fault disagreement: interp={i_status} vector={v_status}"
+            f"fault disagreement: peritem={i_status} lockstep={v_status}"
         )
         return None
     for name in arrays:
         assert i_bufs[name].tobytes() == v_bufs[name].tobytes(), (
-            f"buffer {name!r} differs:\ninterp: {i_bufs[name]!r}\n"
-            f"vector: {v_bufs[name]!r}"
+            f"buffer {name!r} differs:\nperitem: {i_bufs[name]!r}\n"
+            f"lockstep: {v_bufs[name]!r}"
         )
-    assert i_cnt.ops == v_cnt.ops, f"ops: interp={i_cnt.ops} vector={v_cnt.ops}"
+    assert i_cnt.ops == v_cnt.ops, f"ops: peritem={i_cnt.ops} lockstep={v_cnt.ops}"
     assert i_cnt.warp_ops == v_cnt.warp_ops, (
-        f"warp_ops: interp={i_cnt.warp_ops} vector={v_cnt.warp_ops}"
+        f"warp_ops: peritem={i_cnt.warp_ops} lockstep={v_cnt.warp_ops}"
     )
     assert i_cnt.barriers == v_cnt.barriers
     assert i_cnt.memory == v_cnt.memory, (
-        f"memory: interp={i_cnt.memory} vector={v_cnt.memory}"
+        f"memory: peritem={i_cnt.memory} lockstep={v_cnt.memory}"
     )
     return i_bufs
 
@@ -472,30 +471,14 @@ class TestSeedCorpus:
         for definition in program.kernels():
             config = _CORPUS_CONFIGS.get(definition.name, _GENERIC_CONFIG)
             arrays, scalars = _synthesize_args(definition, config)
-            # The corpus is about agreement, not vectorizability: a
-            # kernel the classifier rejects still runs both legs (the
-            # vector leg falls back) and must agree.
             assert_backends_agree(
                 source, definition.name, arrays, scalars,
                 config["global_size"], config["local_size"],
-                require_vectorizable=False,
             )
-
-    def test_corpus_kernels_vectorize(self):
-        """Every shipped kernel actually takes the vectorized path."""
-        for param in _corpus_cases():
-            source = param.values[0]
-            program = compile_source(source)
-            compiled_program = compile_program(program)
-            for definition in program.kernels():
-                compiled = compiled_program.kernel(definition.name)
-                assert vectorize.plan_for(compiled) is not None, (
-                    f"{definition.name}: {vectorize.reject_reason(compiled)}"
-                )
 
 
 # ---------------------------------------------------------------------------
-# Fault agreement and fallback behaviour.
+# Fault agreement and constructs that once had no lockstep lowering.
 # ---------------------------------------------------------------------------
 
 
@@ -529,11 +512,11 @@ class TestFaultAgreement:
         assert result is None
 
 
-class TestFallback:
-    def test_switch_kernel_vectorizes_and_agrees(self):
-        # switch used to be a fallback condition; it is now lowered to
-        # masked case dispatch (see tests/kernelc/test_vectorize_switch.py
-        # for the full differential coverage).
+class TestLoweredConstructs:
+    def test_switch_kernel_agrees(self):
+        # switch is lowered to masked case dispatch (see
+        # tests/kernelc/test_vectorize_switch.py for the full
+        # differential coverage).
         source = """__kernel void k(__global int* out, __global const int* in) {
             int gid = get_global_id(0);
             int r;
@@ -544,22 +527,17 @@ class TestFallback:
             }
             out[gid] = r;
         }"""
-        program = compile_source(source)
-        compiled = compile_program(program).kernel("k")
-        assert vectorize.reject_reason(compiled) is None
         arrays = {"out": np.zeros(16, np.int32),
                   "in": np.arange(16, dtype=np.int32)}
         bufs = assert_backends_agree(source, "k", arrays, ["out", "in"], (16,), (8,))
         expected = np.array([10, 20, 30] * 6, np.int32)[:16]
         np.testing.assert_array_equal(bufs["out"], expected)
 
-    def test_vector_type_kernel_runs_lockstep(self):
+    def test_vector_type_kernel_agrees(self):
         # tests/kernelc/test_vectorize_vectors.py covers vector types in full.
         source = """__kernel void k(__global float4* out) {
             out[get_global_id(0)] = (float4)(1.0f, 2.0f, 3.0f, 4.0f) * (float)get_global_id(0);
         }"""
-        compiled = compile_program(compile_source(source)).kernel("k")
-        assert vectorize.plan_for(compiled) is not None
         bufs = assert_backends_agree(source, "k", {"out": np.zeros(64, np.float32)}, ["out"],
                                      (16,), (8,))
         np.testing.assert_array_equal(bufs["out"][4:8], [1.0, 2.0, 3.0, 4.0])

@@ -1,8 +1,8 @@
-"""Differential coverage for masked ``switch`` dispatch on the vector
-backend (each kernel used to fall back to the per-item interpreter).
+"""Differential coverage for masked ``switch`` dispatch on the lockstep
+engine.
 
 Same oracle as ``test_vectorize_differential``: bit-exact buffers and
-equal ExecutionCounters across backends, faults included.
+equal ExecutionCounters against the per-item oracle, faults included.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ def _ints(n, lo, hi, seed):
     return rng.integers(lo, hi, size=n, dtype=np.int32)
 
 
-def test_switch_no_longer_rejected():
+def test_switch_is_lowered_to_masked_dispatch():
     source = """
     __kernel void k(__global int* out) {
         int v = 0;
@@ -31,8 +31,7 @@ def test_switch_no_longer_rejected():
     }
     """
     compiled = compile_program(compile_source(source)).kernel("k")
-    assert vectorize.reject_reason(compiled) is None
-    assert vectorize.plan_for(compiled) is not None
+    assert "_switch_start(" in vectorize.plan_for(compiled).source
 
 
 def test_switch_basic_dispatch():

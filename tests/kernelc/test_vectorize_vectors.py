@@ -143,7 +143,6 @@ def _programs(draw):
 def test_vector_kernels_agree(program, sparse, seed):
     t, w, body = program
     kernel = _kernel(_SOURCE.format(t=t, w=w, body=body))
-    assert vectorize.plan_for(kernel) is not None, vectorize.reject_reason(kernel)
     arrays = _arrays(t, w, sparse, seed)
     scalars = _ARGS + [_TYPES[t](5), _N]
     assert_engines_agree(kernel, arrays, scalars, (_N,), (_WG,))
@@ -187,10 +186,9 @@ class TestFaultParity:
 
     def _assert_fault(self, source, arrays, scalars, message):
         kernel = _kernel(source)
-        assert vectorize.plan_for(kernel) is not None
         with _no_floor():
-            per_item = _launch(kernel, arrays, scalars, (_N,), (_WG,), "interp")
-            lockstep = _launch(kernel, arrays, scalars, (_N,), (_WG,), "vector")
+            per_item = _launch(kernel, arrays, scalars, (_N,), (_WG,), "peritem")
+            lockstep = _launch(kernel, arrays, scalars, (_N,), (_WG,), "lockstep")
         assert (type(lockstep), str(lockstep)) == (type(per_item), message)
 
     def test_out_of_bounds_vload4(self):

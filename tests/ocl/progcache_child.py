@@ -2,14 +2,13 @@
 
 Builds and launches one program of every skeleton kind plus four raw
 kernels — a ``__constant`` global, a barrier, ``float2`` locals and a
-pointer cast the lockstep engine rejects — and prints one JSON object: per launch the kernel
-name, the engine that ran it and *every* ``ExecutionCounters`` field,
-per result a digest, the session's modeled clock and its metrics.
+pointer cast — and prints one JSON object: per launch the kernel name
+and *every* ``ExecutionCounters`` field, per result a digest, the
+session's modeled clock and its metrics.
 
 ``PROGCACHE_CHILD_GENERATORS=forbid`` makes every code-generator entry
-point raise first: the process must then be served from the cache alone,
-but for the per-item module of the pointer-cast program, which no cache
-keeps.  ``PROGCACHE_CHILD_GENERATORS=lockstep`` lets the lockstep
+point raise first: the process must then be served from the cache
+alone.  ``PROGCACHE_CHILD_GENERATORS=lockstep`` lets the lockstep
 generator run and nothing else.
 """
 
@@ -77,21 +76,13 @@ def _forbidden(*args, **kwargs):
 
 
 def _forbid(including_lockstep: bool) -> None:
-    """Make the lowering and the per-item generator raise first — but for
-    the program of ``BITS``, whose kernel runs per item — and with
-    ``including_lockstep`` the lockstep generator too."""
+    """Make the lowering raise first, and with ``including_lockstep`` the
+    lockstep generator too."""
     for module in (compiler, ocl_program):
         module.compile_program = _forbidden
-    generate = compiler._ProgramCompiler.generate
-
-    def per_item_of_bits_only(self):
-        if "float_bits" not in (function.name for function in self.program.functions):
-            _forbidden()
-        return generate(self)
-
-    compiler._ProgramCompiler.generate = per_item_of_bits_only
+    compiler._ProgramCompiler.lower = _forbidden
     if including_lockstep:
-        vectorize._generate = vectorize._analyse = _forbidden
+        vectorize._generate = vectorize._functions = _forbidden
 
 
 def main() -> None:
@@ -106,12 +97,12 @@ def main() -> None:
         result = execute(compiled, *args, **kwargs)
         counters = dataclasses.asdict(result.counters)
         del counters["memory"]["trace"]
-        launches.append([compiled.name, result.backend, result.fallback_reason, counters])
+        launches.append([compiled.name, counters])
         return result
 
     ocl_queue.execute_ndrange = recorded
 
-    session = skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE, backend="vector")
+    session = skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE)
     vector, matrix = skelcl.Vector, skelcl.Matrix
     rng = np.random.RandomState(11)
     a = rng.randint(-64, 64, 192).astype(np.float32)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro import ocl
-from repro.ocl.executor import WARP_SIZE, select_sample_groups
+from repro.kernelc.execmodel import WARP_SIZE
+from repro.ocl.executor import select_sample_groups
+
+from tests.kernelc.helpers import run_kernel
 
 
 @pytest.fixture
@@ -131,48 +134,44 @@ class TestWarpAccounting:
         assert ratio > 4.0
 
 
-class TestBackendReporting:
-    """Which engine ran a launch — and why the vector engine declined it —
-    is counted and shows on the kernel's trace slice."""
+class TestLocalScalar:
+    """A ``__local`` scalar is shared by its work-group: what lane 0
+    writes before a barrier every lane reads after it — on the lockstep
+    engine, the per-item oracle and the interpreter alike, one store per
+    group and one load per item."""
 
-    FALLBACK = """__kernel void k(__global float* o) {
-        __local float z;
-        z = 3.0f;
+    SOURCE = """__kernel void k(__global int* o) {
+        __local int z;
+        __local float4 v;
+        int lid = get_local_id(0);
+        if (lid == 0) {
+            z = 40;
+            z += get_group_id(0);
+            z++;
+            v = (float4)(0.5f);
+            v.y = 2.0f;
+        }
         barrier(CLK_LOCAL_MEM_FENCE);
-        o[get_global_id(0)] = z;
-    }"""
-    LOCKSTEP = """__kernel void k(__global float* o) {
-        o[get_global_id(0)] = 3.0f;
+        o[get_global_id(0)] = z * 10 + (int)(v.x + v.y) + lid;
     }"""
 
-    @pytest.fixture
-    def vector_ctx(self):
-        context = ocl.Context.create(ocl.TEST_DEVICE, backend="vector")
-        yield context
-        context.release()
+    @pytest.mark.parametrize("engine", ["vector", "compiler", "interp"])
+    def test_every_lane_reads_what_lane_0_wrote(self, engine):
+        out, counters = run_kernel(self.SOURCE, "k", {"o": np.zeros(64, np.int32)}, ["o"],
+                                   64, 32, backend=engine)
+        lids = np.arange(32)
+        assert out["o"].tolist() == (410 + 2 + lids).tolist() + (420 + 2 + lids).tolist()
+        # Per group, lane 0: z = (1 store), z += (1 load, 1 store), z++ (1
+        # load, 1 store), v = (1 store), v.y = (1 load, 1 store of v);
+        # then every item loads z, v and v.
+        memory = counters.memory
+        assert (memory.local_stores, memory.local_loads) == (2 * 5, 2 * 3 + 64 * 3)
+        assert memory.local_bytes == 2 * (5 * 4 + 3 * 16) + 64 * (4 + 2 * 16)
 
-    def test_fallback_launch_is_counted_with_its_reason(self, vector_ctx):
-        buf = vector_ctx.create_buffer(64 * 4)
-        for _ in range(3):
-            event = launch(vector_ctx, self.FALLBACK, "k", [buf], (64,), (32,))
-        assert event.info["backend"] == "interp"
-        assert event.info["fallback_reason"] == "__local scalar variable"
-        assert vector_ctx.metrics.value("skelcl_vector_fallback_total",
-                                        reason="__local scalar variable") == 3
-        slices = [e for e in vector_ctx.trace_events() if e.get("name") == "k"]
-        assert slices and all(s["args"]["fallback_reason"] == "__local scalar variable"
-                              for s in slices)
-
-    def test_lockstep_launch_adds_no_series(self, vector_ctx):
-        buf = vector_ctx.create_buffer(64 * 4)
-        event = launch(vector_ctx, self.LOCKSTEP, "k", [buf], (64,), (32,))
-        assert event.info["backend"] == "vector"
-        assert "fallback_reason" not in event.info
-        assert "skelcl_vector_fallback_total" not in vector_ctx.metrics_snapshot()["counters"]
-
-    def test_requested_per_item_backend_is_not_a_fallback(self):
-        context = ocl.Context.create(ocl.TEST_DEVICE, backend="interp")
-        event = launch(context, self.LOCKSTEP, "k", [context.create_buffer(256)], (64,), (32,))
-        assert event.info["backend"] == "interp" and "fallback_reason" not in event.info
-        assert "skelcl_vector_fallback_total" not in context.metrics_snapshot()["counters"]
-        context.release()
+    def test_a_launch_reports_no_engine(self, ctx):
+        buf = ctx.create_buffer(64 * 4)
+        event = launch(ctx, self.SOURCE, "k", [buf], (64,), (32,))
+        assert (event.info["local_stores"], event.info["local_loads"]) == (10, 198)
+        assert not {"backend", "fallback_reason"} & set(event.info)
+        codegen = ctx.metrics_snapshot()["counters"]["skelcl_program_codegen_total"]
+        assert codegen and all("engine=lockstep" in series for series in codegen)

@@ -2,8 +2,7 @@
 clears and across processes, env switches, and corruption tolerance —
 and that a disk hit runs no code generator: an entry holds the checked
 AST with the charges on its nodes, a plan file per launched kernel its
-lockstep plan as a code object, and the per-item module is generated
-only by a launch that needs it."""
+lockstep plan as a code object."""
 
 from __future__ import annotations
 
@@ -53,15 +52,6 @@ def cache_dir(tmp_path, monkeypatch):
     clear_build_cache()
 
 
-@pytest.fixture
-def runtime_vector():
-    """One device on the lockstep engine whatever ``SKELCL_BACKEND`` says:
-    only that engine makes (and stores) plans."""
-    runtime = skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE, backend="vector")
-    yield runtime
-    skelcl.terminate()
-
-
 def _entries(path):
     return glob.glob(os.path.join(str(path), "*", "*.pkl"))
 
@@ -97,14 +87,14 @@ def test_disk_entry_produces_identical_results(cache_dir, runtime_1gpu):
     assert cold.tobytes() == warm.tobytes()
 
 
-def test_skelcl_cache_off_disables_persistence(cache_dir, monkeypatch, runtime_vector):
+def test_skelcl_cache_off_disables_persistence(cache_dir, monkeypatch, runtime_1gpu):
     monkeypatch.setenv("SKELCL_CACHE", "off")
-    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
-    _launch(runtime_vector, create(SOURCE).build(), "triple")
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    _launch(runtime_1gpu, create(SOURCE).build(), "triple")
     assert not os.path.exists(cache_dir)  # no entry, no plan, no directory
 
     clear_build_cache()
-    _launch(runtime_vector, create(SOURCE).build(), "triple")
+    _launch(runtime_1gpu, create(SOURCE).build(), "triple")
     assert metrics.value("skelcl_program_builds_total", result="compiled") == 2
     assert metrics.value("skelcl_program_builds_total", result="disk") == 0
     assert metrics.value("skelcl_program_codegen_total", engine="lockstep",
@@ -113,10 +103,10 @@ def test_skelcl_cache_off_disables_persistence(cache_dir, monkeypatch, runtime_v
 
 
 def test_cache_switched_off_after_the_build_reads_and_writes_no_plan(
-        cache_dir, monkeypatch, runtime_vector):
-    program = runtime_vector.context.create_program(SOURCE).build()
+        cache_dir, monkeypatch, runtime_1gpu):
+    program = runtime_1gpu.context.create_program(SOURCE).build()
     monkeypatch.setenv("SKELCL_CACHE", "off")
-    _launch(runtime_vector, program, "triple")
+    _launch(runtime_1gpu, program, "triple")
     assert len(_entries(cache_dir)) == 1 and not _plans(cache_dir)
 
 
@@ -221,31 +211,24 @@ def _generated(run):
 @pytest.fixture(scope="module")
 def cold_run(tmp_path_factory):
     """Process A: every skeleton kind, a ``__constant``-global kernel, a
-    barrier kernel and a vectorizer-rejected one, built and launched on
-    an empty cache.  Returns (its report, the cache it filled)."""
+    barrier kernel, a ``float2`` one and a pointer cast, built and
+    launched on an empty cache.  Returns (its report, the cache it
+    filled)."""
     cache = tmp_path_factory.mktemp("two-process") / "progcache"
     return _child(cache), cache
 
 
-# The pointer-cast kernel runs per item: its program's module is made by
-# the process that launches it, and by no other program.
-PER_ITEM_GENERATED = {"{engine=peritem,result=generated}": 1}
-
-
 def test_warm_process_runs_no_generator_and_counts_the_same(cold_run, tmp_path):
     cold, cache = cold_run
-    assert {launch[1] for launch in cold["launches"]} == {"vector", "interp"}
-    assert _generated(cold) and not cold["metrics"]["skelcl_program_builds_total"].get(
-        "{result=disk}")
-    assert _generated(cold)["{engine=peritem,result=generated}"] == 1
-    # Process B: compile_program, vectorize._generate and ._analyse raise,
-    # and so does the per-item generator for every program but BITS's.
+    assert set(_generated(cold)) == {"{engine=lockstep,result=generated}"}
+    assert not cold["metrics"]["skelcl_program_builds_total"].get("{result=disk}")
+    # Process B: the lowering, vectorize._generate and ._functions raise.
     warm = _child(cache, generators="forbid")
     for field in ("launches", "results", "modeled_ns"):  # every ExecutionCounters field
         assert warm[field] == cold[field], field
     builds = warm["metrics"]["skelcl_program_builds_total"]
     assert builds == {"{result=disk}": len(_entries(cache))}
-    assert _generated(warm) == PER_ITEM_GENERATED
+    assert _generated(warm) == {}
     assert set(warm["metrics"]["skelcl_program_cache_total"]) == {
         "{op=load,result=hit,what=plan}", "{op=load,result=hit,what=program}"}
 
@@ -262,13 +245,12 @@ def test_lost_plan_files_are_regenerated_from_the_charges_on_the_ast(cold_run, t
     assert plans
     for plan in plans:
         os.unlink(plan)
-    # compile_program and the per-item generator (but for BITS) raise.
+    # The lowering raises.
     run = _child(copy, generators="lockstep")
     for field in ("launches", "results", "modeled_ns"):
         assert run[field] == cold[field], field
     assert run["metrics"]["skelcl_program_builds_total"] == {"{result=disk}": len(_entries(copy))}
-    assert _generated(run) == {"{engine=lockstep,result=generated}": len(plans),
-                               **PER_ITEM_GENERATED}
+    assert _generated(run) == {"{engine=lockstep,result=generated}": len(plans)}
     assert sorted(map(os.path.basename, _plans(copy))) == sorted(map(os.path.basename, plans))
 
 
@@ -339,14 +321,14 @@ __kernel void root(__global const float* in, __global float* out) {
 
 @pytest.mark.parametrize("damage", [_truncate, _garbage_code, _exec_raises])
 @pytest.mark.parametrize("target", ["entry", "plan"])
-def test_damaged_code_is_a_silent_miss_and_is_repaired(cache_dir, runtime_vector, damage, target):
-    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
-    expected, info = _launch(runtime_vector, create(SQRT_SOURCE).build(), "root")
+def test_damaged_code_is_a_silent_miss_and_is_repaired(cache_dir, runtime_1gpu, damage, target):
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    expected, info = _launch(runtime_1gpu, create(SQRT_SOURCE).build(), "root")
     (path,) = _entries(cache_dir) if target == "entry" else _plans(cache_dir)
     damage(path)
 
     clear_build_cache()
-    got, got_info = _launch(runtime_vector, create(SQRT_SOURCE).build(), "root")
+    got, got_info = _launch(runtime_1gpu, create(SQRT_SOURCE).build(), "root")
     assert got.tobytes() == expected.tobytes() and got_info == info
     what = "program" if target == "entry" else "plan"
     assert sum(metrics.value("skelcl_program_cache_total", op="load", what=what,
@@ -361,7 +343,7 @@ def test_damaged_code_is_a_silent_miss_and_is_repaired(cache_dir, runtime_vector
     # ... and repaired: the next fresh build is served from disk whole.
     clear_build_cache()
     before = metrics.value("skelcl_program_codegen_total", engine="lockstep", result="restored")
-    again, again_info = _launch(runtime_vector, create(SQRT_SOURCE).build(), "root")
+    again, again_info = _launch(runtime_1gpu, create(SQRT_SOURCE).build(), "root")
     assert again.tobytes() == expected.tobytes() and again_info == info
     assert metrics.value("skelcl_program_builds_total", result="disk") == \
         (1 if target == "entry" else 2)
@@ -369,17 +351,17 @@ def test_damaged_code_is_a_silent_miss_and_is_repaired(cache_dir, runtime_vector
                          result="restored") == before + 1
 
 
-def test_entry_of_another_interpreter_is_never_opened(cache_dir, monkeypatch, runtime_vector):
+def test_entry_of_another_interpreter_is_never_opened(cache_dir, monkeypatch, runtime_1gpu):
     """``marshal`` is version-specific: the interpreter's cache tag is
     part of the key, so a foreign entry is a plain miss."""
-    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
-    _launch(runtime_vector, create(SOURCE).build(), "triple")
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    _launch(runtime_1gpu, create(SOURCE).build(), "triple")
     (entry,) = _entries(cache_dir)
     monkeypatch.setattr(sys.implementation, "cache_tag", "cpython-00")
     assert progcache.entry_path(preprocessed_source()) != entry
 
     clear_build_cache()
-    out, _ = _launch(runtime_vector, create(SOURCE).build(), "triple")
+    out, _ = _launch(runtime_1gpu, create(SOURCE).build(), "triple")
     assert out[5] == 15.0
     assert metrics.value("skelcl_program_builds_total", result="compiled") == 2
     assert metrics.value("skelcl_program_cache_total", op="load", what="program",
@@ -392,9 +374,9 @@ def preprocessed_source():
 
 
 def test_pool_builtin_that_no_longer_resolves_is_a_counted_miss(
-        cache_dir, monkeypatch, runtime_vector):
-    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
-    expected, info = _launch(runtime_vector, create(SQRT_SOURCE).build(), "root")
+        cache_dir, monkeypatch, runtime_1gpu):
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    expected, info = _launch(runtime_1gpu, create(SQRT_SOURCE).build(), "root")
 
     def gone(name, arg_types, resolve=builtins.resolve_builtin):
         return None if name == "sqrt" else resolve(name, arg_types)
@@ -407,21 +389,21 @@ def test_pool_builtin_that_no_longer_resolves_is_a_counted_miss(
         assert progcache.load_plan(plan, lambda *payload: payload, metrics) is None
     assert metrics.value("skelcl_program_cache_total", op="load", what="plan", result="error",
                          reason="UnpicklingError") == 1
-    got, got_info = _launch(runtime_vector, create(SQRT_SOURCE).build(), "root")
+    got, got_info = _launch(runtime_1gpu, create(SQRT_SOURCE).build(), "root")
     assert got.tobytes() == expected.tobytes() and got_info == info
     assert metrics.value("skelcl_program_builds_total", result="disk") == 1
 
 
-def test_failed_store_is_silent_to_the_build_and_counted(cache_dir, monkeypatch, runtime_vector):
-    metrics = runtime_vector.metrics
+def test_failed_store_is_silent_to_the_build_and_counted(cache_dir, monkeypatch, runtime_1gpu):
+    metrics = runtime_1gpu.metrics
 
     def unpicklable(self):
         raise pickle.PicklingError("a node or a pool entry that does not pickle")
 
     monkeypatch.setattr(ast.Program, "__getstate__", unpicklable, raising=False)
     monkeypatch.setattr(compiler.GeneratedModule, "__getstate__", unpicklable)
-    program = runtime_vector.context.create_program(SOURCE).build()
-    out, _ = _launch(runtime_vector, program, "triple")
+    program = runtime_1gpu.context.create_program(SOURCE).build()
+    out, _ = _launch(runtime_1gpu, program, "triple")
     assert out[5] == 15.0 and not _entries(cache_dir) and not _plans(cache_dir)
     for what in ("program", "plan"):
         assert metrics.value("skelcl_program_cache_total", op="store", what=what,
@@ -438,16 +420,16 @@ __kernel void unused(__global const float* in, __global float* out) {
 """
 
 
-def test_a_kernel_nobody_launches_costs_no_plan(cache_dir, monkeypatch, runtime_vector):
+def test_a_kernel_nobody_launches_costs_no_plan(cache_dir, monkeypatch, runtime_1gpu):
     generated = []
     generate = vectorize._generate
     monkeypatch.setattr(vectorize, "_generate",
                         lambda kernel, functions: generated.append(kernel.name)
                         or generate(kernel, functions))
-    program = runtime_vector.context.create_program(TWO_KERNELS).build()
+    program = runtime_1gpu.context.create_program(TWO_KERNELS).build()
     assert generated == [] and not _plans(cache_dir)  # nothing at build
     for _ in range(2):
-        _launch(runtime_vector, program, "used")
+        _launch(runtime_1gpu, program, "used")
     assert generated == ["used"]
     assert [os.path.basename(p).split(".")[1:] for p in _plans(cache_dir)] == [["used", "plan"]]
 
@@ -455,31 +437,13 @@ def test_a_kernel_nobody_launches_costs_no_plan(cache_dir, monkeypatch, runtime_
     # it is generated — from the charges on the restored AST — and joins
     # the entry.
     clear_build_cache()
-    program = runtime_vector.context.create_program(TWO_KERNELS).build()
+    program = runtime_1gpu.context.create_program(TWO_KERNELS).build()
     cold = compile_program(compile_source(TWO_KERNELS, "<cold>")).kernel("unused")
-    out, info = _launch(runtime_vector, program, "unused")
+    out, info = _launch(runtime_1gpu, program, "unused")
     assert generated == ["used", "unused"] and len(_plans(cache_dir)) == 2
     assert vectorize.plan_for(program.compiled.kernel("unused")).source == \
         vectorize.plan_for(cold).source
     assert info["ops"] > 0 and out[4] == 2.0
-
-
-def _per_item_codegen(metrics):
-    counters = metrics.snapshot()["counters"].get("skelcl_program_codegen_total", {})
-    return {series: n for series, n in counters.items() if "engine=peritem" in series}
-
-
-def test_lockstep_kernels_never_generate_a_per_item_module(cache_dir, runtime_vector):
-    """Neither a cold build nor a disk build of a program whose kernels
-    all run lockstep generates the per-item module."""
-    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
-    for _ in range(2):
-        clear_build_cache()
-        for source, name in ((SOURCE, "triple"), (TWO_KERNELS, "used"), (TWO_KERNELS, "unused")):
-            _launch(runtime_vector, create(source).build(), name)
-    assert metrics.value("skelcl_program_builds_total", result="compiled") == 2
-    assert metrics.value("skelcl_program_builds_total", result="disk") == 2
-    assert not _per_item_codegen(metrics)
 
 
 BITS = """
@@ -488,27 +452,49 @@ __kernel void float_bits(__global const float* in, __global float* out) {
     out[get_global_id(0)] = (float)(bits[get_global_id(0)] >> 20);
 }
 """
+BITS_OUT = (np.arange(64, dtype=np.float32).view(np.int32) >> 20).astype(np.float32)
 
 
-def test_a_rejected_kernel_generates_the_per_item_module_at_its_first_launch(
-        cache_dir, runtime_vector):
-    metrics, create = runtime_vector.metrics, runtime_vector.context.create_program
-    generated = {"{engine=peritem,result=generated}": 1}
-    expected = (np.arange(64, dtype=np.float32).view(np.int32) >> 20).astype(np.float32)
+def test_a_pointer_cast_is_planned_once_and_restored_from_disk(cache_dir, runtime_1gpu):
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
     program = create(BITS).build()
-    assert vectorize.reject_reason(program.compiled.kernel("float_bits")) == "pointer cast"
-    assert not _per_item_codegen(metrics)  # nothing at build
-    first, info = _launch(runtime_vector, program, "float_bits")
-    assert _per_item_codegen(metrics) == generated
-    second, again = _launch(runtime_vector, program, "float_bits")
-    assert _per_item_codegen(metrics) == generated  # generated once
-    assert first.tobytes() == second.tobytes() == expected.tobytes() and info == again
-    # A disk build is a new program, which generates its own module.
+    first, info = _launch(runtime_1gpu, program, "float_bits")
+    second, again = _launch(runtime_1gpu, program, "float_bits")
+    assert first.tobytes() == second.tobytes() == BITS_OUT.tobytes() and info == again
     clear_build_cache()
-    restored, restored_info = _launch(runtime_vector, create(BITS).build(), "float_bits")
-    assert metrics.value("skelcl_program_builds_total", result="disk") == 1
-    assert _per_item_codegen(metrics) == {"{engine=peritem,result=generated}": 2}
-    assert restored.tobytes() == expected.tobytes() and restored_info == info
+    restored, restored_info = _launch(runtime_1gpu, create(BITS).build(), "float_bits")
+    assert restored.tobytes() == BITS_OUT.tobytes() and restored_info == info
+    codegen = metrics.snapshot()["counters"]["skelcl_program_codegen_total"]
+    assert codegen == {"{engine=lockstep,result=generated}": 1,
+                       "{engine=lockstep,result=restored}": 1}
+
+
+#: The plan-file format before the reject-reason slot went: ``(tag,
+#: reason, module)``, one of the two None.
+PREVIOUS_FORMAT = "skelcl-progcache-v3"
+
+
+@pytest.mark.parametrize("recorded", ["reject", "module"])
+def test_a_plan_file_of_the_previous_format_is_never_trusted(cache_dir, runtime_1gpu, recorded):
+    """A plan file in the previous format — one recording that the kernel
+    was rejected, or one holding its module — is a miss (a load error
+    with its reason) and the plan is generated and stored again."""
+    metrics, create = runtime_1gpu.metrics, runtime_1gpu.context.create_program
+    _launch(runtime_1gpu, create(BITS).build(), "float_bits")
+    (plan,) = _plans(cache_dir)
+    module = progcache.load_plan(plan, lambda module: module)
+    with open(plan, "wb") as handle:
+        pickle.dump((PREVIOUS_FORMAT, "pointer cast", None) if recorded == "reject"
+                    else (PREVIOUS_FORMAT, None, module), handle)
+
+    clear_build_cache()
+    out, _ = _launch(runtime_1gpu, create(BITS).build(), "float_bits")
+    assert out.tobytes() == BITS_OUT.tobytes()
+    assert metrics.value("skelcl_program_cache_total", op="load", what="plan",
+                         result="error", reason="UnpicklingError") == 1
+    assert metrics.value("skelcl_program_codegen_total", engine="lockstep",
+                         result="generated") == 2
+    assert progcache.load_plan(plan, lambda module: module).source == module.source
 
 
 CONSTANT_GLOBALS = """
@@ -521,19 +507,20 @@ __kernel void weigh(__global const float* in, __global float* out) {
 """
 
 
-def test_materializing_a_module_leaves_its_constant_pool_alone(cache_dir, runtime_vector):
+def test_materializing_a_module_leaves_its_constant_pool_alone(cache_dir, runtime_1gpu):
     """Running a module sets up its ``__constant`` globals, and a scalar
     initializer may take pool slots of its own: they go to a copy of the
     pool, so a module restored again and again keeps the pool it was
     generated with."""
-    expected, _ = _launch(runtime_vector, runtime_vector.context.create_program(
+    expected, _ = _launch(runtime_1gpu, runtime_1gpu.context.create_program(
         CONSTANT_GLOBALS).build(), "weigh")
     program = compile_program(compile_source(CONSTANT_GLOBALS))
     kernel = program.kernel("weigh")
-    generated = vectorize._generate(kernel, vectorize._analyse(kernel)[1])
+    generated = vectorize._generate(kernel, vectorize._functions(kernel))
     (plan,) = _plans(cache_dir)
-    restored = progcache.load_plan(plan, lambda reason, module: module)
-    per_item = compiler._ProgramCompiler(program.program).generate()
+    restored = progcache.load_plan(plan, lambda module: module)
+    lowering = compiler._ProgramCompiler(program.program)
+    per_item = lowering.module(lowering.lower(), "<per-item>")
     sizes = len(generated.constants), len(per_item.constants)
     assert len(restored.constants) == sizes[0]
     for _ in range(3):
@@ -541,7 +528,7 @@ def test_materializing_a_module_leaves_its_constant_pool_alone(cache_dir, runtim
         compiler._ProgramCompiler(program.program, per_item).namespace()
     assert (len(restored.constants), len(per_item.constants)) == sizes
     clear_build_cache()
-    got, _ = _launch(runtime_vector, runtime_vector.context.create_program(
+    got, _ = _launch(runtime_1gpu, runtime_1gpu.context.create_program(
         CONSTANT_GLOBALS).build(), "weigh")
     assert got.tobytes() == expected.tobytes()
 
@@ -558,7 +545,7 @@ def _restored(source, defines=None):
     restored = progcache.load(entry, lambda program, lint: restore_program(program))
     for name, kernel in cold.kernels.items():
         kernel.plan_path = restored.kernels[name].plan_path = progcache.plan_path(entry, name)
-        vectorize.reject_reason(kernel)  # plans the cold kernel: writes the plan file
+        vectorize.plan_for(kernel)  # plans the cold kernel: writes the plan file
         assert os.path.exists(kernel.plan_path), f"no plan stored for kernel {name}"
     return cold, restored
 
@@ -573,6 +560,7 @@ def test_every_corpus_program_stores_and_restores_to_the_golden_code(cache_dir, 
     off for the lockstep plans."""
     from tests.analysis import workloads
     from tests.analysis.test_verdict_parity import _digest
+    from tests.kernelc import peritem
     from tests.kernelc import test_codegen_parity as parity
     from tests.kernelc.test_vectorize_differential import _corpus_cases
 
@@ -587,7 +575,8 @@ def test_every_corpus_program_stores_and_restores_to_the_golden_code(cache_dir, 
     pairs = [(label, *_restored(source, defines)) for label, source, defines in corpus]
     for label, cold, restored in pairs:
         assert _records(restored.program) == _records(cold.program), label
-    per_item = {label: parity._sha(restored.source_code) for label, _, restored in pairs}
+    per_item = {label: parity._sha(peritem.source(restored.program))
+                for label, _, restored in pairs}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a generator ran for a restored program")
@@ -595,13 +584,10 @@ def test_every_corpus_program_stores_and_restores_to_the_golden_code(cache_dir, 
     monkeypatch.setattr(compiler, "compile_program", forbidden)
     monkeypatch.setattr(compiler._ProgramCompiler, "lower", forbidden)
     monkeypatch.setattr(vectorize, "_generate", forbidden)
-    monkeypatch.setattr(vectorize, "_analyse", forbidden)
+    monkeypatch.setattr(vectorize, "_functions", forbidden)
     for label, cold, restored in pairs:
-        lockstep = {}
-        for name, kernel in restored.kernels.items():
-            plan = vectorize.plan_for(kernel)
-            lockstep[name] = parity._sha(plan.source) if plan is not None \
-                else "rejected: " + vectorize.reject_reason(kernel)
+        lockstep = {name: parity._sha(vectorize.plan_for(kernel).source)
+                    for name, kernel in restored.kernels.items()}
         assert {"per_item": per_item[label], "lockstep": lockstep} == golden[label], label
 
 
@@ -615,8 +601,8 @@ def _records(program):
 
 
 def test_cli_prints_for_a_restored_program_what_it_prints_cold(cache_dir, capsys):
-    """``python -m repro.kernelc --python`` shows both generated sources;
-    a restored program carries the same text."""
+    """``python -m repro.kernelc --python`` shows each kernel's lockstep
+    source; a restored program carries the same text."""
     from repro.kernelc.__main__ import _print_python
 
     source = TWO_KERNELS + (
@@ -625,14 +611,7 @@ def test_cli_prints_for_a_restored_program_what_it_prints_cold(cache_dir, capsys
     _print_python(compile_source(source, "<cli>"), "<cli>")
     printed = capsys.readouterr().out
     _cold, restored = _restored(source)
-    text = restored.source_code
-    for kernel in restored.kernels.values():
-        plan = vectorize.plan_for(kernel)
-        if plan is None:
-            text += (f"\n# <cli>: kernel {kernel.name}: no lockstep source, runs per "
-                     f"item: {vectorize.reject_reason(kernel)}\n")
-        else:
-            text += f"\n# <cli>: kernel {kernel.name}: lockstep source\n" + plan.source
+    text = "".join(f"# <cli>: kernel {kernel.name}: lockstep source\n"
+                   + vectorize.plan_for(kernel).source for kernel in restored.kernels.values())
     assert text == printed
-    assert "kernel pairs: lockstep source" in printed
-    assert "kernel bits: no lockstep source, runs per item: pointer cast" in printed
+    assert "kernel pairs: lockstep source" in printed and "kernel bits: lockstep source" in printed

@@ -188,8 +188,7 @@ class TestAdaptiveConvergence:
     def test_converges_within_three_repartitions_and_nears_oracle(self):
         n = 3 * 32768
         data = np.random.default_rng(RNG_SEED).random(n, dtype=np.float32)
-        with skelcl.init(devices=["tesla", "tesla", "cpu-8core"],
-                         backend="vector") as session:
+        with skelcl.init(devices=["tesla", "tesla", "cpu-8core"]) as session:
             skel = skelcl.Map(_HEAVY_MAP)
             vec = skelcl.Vector(data=data)
 

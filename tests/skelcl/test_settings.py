@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -16,9 +17,8 @@ from repro import ocl, settings
 def _clean_config(monkeypatch):
     """Each test starts from a pristine chain: no configure() overrides,
     no SKELCL_* environment."""
-    env_vars = ("SKELCL_BACKEND", "SKELCL_CACHE", "SKELCL_CACHE_DIR",
-                "SKELCL_DIR", "SKELCL_LAZY", "SKELCL_METRICS",
-                "SKELCL_PARTITION", "SKELCL_SANITIZE", "SKELCL_TRACE")
+    env_vars = ("SKELCL_CACHE", "SKELCL_CACHE_DIR", "SKELCL_DIR", "SKELCL_LAZY",
+                "SKELCL_METRICS", "SKELCL_PARTITION", "SKELCL_SANITIZE", "SKELCL_TRACE")
     settings.configure(reset=True)
     for var in env_vars:
         monkeypatch.delenv(var, raising=False)
@@ -34,7 +34,6 @@ def _clean_config(monkeypatch):
 class TestPrecedence:
     def test_defaults(self):
         resolved = skelcl.current_settings()
-        assert resolved.backend == "vector"
         assert resolved.cache is True
         assert resolved.lazy is False
         assert resolved.sanitize == "off"
@@ -42,16 +41,16 @@ class TestPrecedence:
         assert resolved.trace is None
 
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("SKELCL_BACKEND", "interp")
+        monkeypatch.setenv("SKELCL_SANITIZE", "report")
         monkeypatch.setenv("SKELCL_LAZY", "1")
         resolved = skelcl.current_settings()
-        assert resolved.backend == "interp"
+        assert resolved.sanitize == "report"
         assert resolved.lazy is True
 
     def test_configure_beats_env(self, monkeypatch):
-        monkeypatch.setenv("SKELCL_BACKEND", "interp")
-        skelcl.configure(backend="vector")
-        assert skelcl.current_settings().backend == "vector"
+        monkeypatch.setenv("SKELCL_SANITIZE", "strict")
+        skelcl.configure(sanitize="off")
+        assert skelcl.current_settings().sanitize == "off"
 
     def test_explicit_kwarg_beats_configure(self, monkeypatch):
         monkeypatch.setenv("SKELCL_SANITIZE", "strict")
@@ -66,15 +65,15 @@ class TestPrecedence:
         assert session.lazy
 
     def test_configure_none_clears_one_override(self):
-        skelcl.configure(backend="interp")
-        skelcl.configure(backend=None)
-        assert skelcl.current_settings().backend == "vector"
+        skelcl.configure(sanitize="report")
+        skelcl.configure(sanitize=None)
+        assert skelcl.current_settings().sanitize == "off"
 
     def test_configure_reset_drops_all_overrides(self):
-        skelcl.configure(backend="interp", lazy=True)
+        skelcl.configure(sanitize="report", lazy=True)
         skelcl.configure(reset=True)
         resolved = skelcl.current_settings()
-        assert resolved.backend == "vector" and resolved.lazy is False
+        assert resolved.sanitize == "off" and resolved.lazy is False
 
 
 class TestSessionSettings:
@@ -83,7 +82,7 @@ class TestSessionSettings:
         assert isinstance(session.settings, skelcl.Settings)
         assert session.settings.lazy is True
         assert session.settings.sanitize == "report"
-        assert session.settings.backend == session.backend
+        assert session.settings.lazy is session.lazy
 
     def test_configure_shapes_later_sessions_only(self):
         first = skelcl.init(num_devices=1)
@@ -96,7 +95,7 @@ class TestSessionSettings:
     def test_settings_are_frozen(self):
         session = skelcl.init(num_devices=1)
         with pytest.raises(Exception):
-            session.settings.backend = "interp"
+            session.settings.lazy = True
 
 
 class TestValidation:
@@ -104,9 +103,11 @@ class TestValidation:
         with pytest.raises(TypeError, match="valid settings"):
             skelcl.configure(torbo_mode=True)
 
-    def test_invalid_backend_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="interp"):
-            skelcl.configure(backend="cuda")
+    def test_eight_settings_and_no_engine_choice(self):
+        assert [field.name for field in dataclasses.fields(skelcl.Settings)] == [
+            "cache", "cache_dir", "dir", "lazy", "metrics", "partition", "sanitize", "trace"]
+        with pytest.raises(TypeError, match="valid settings"):
+            skelcl.configure(backend="vector")
 
     def test_invalid_sanitize_rejected(self):
         with pytest.raises(ValueError, match="off/report/strict"):
@@ -130,8 +131,8 @@ class TestValidation:
         assert resolved.partition is None
 
     def test_bad_env_value_raises_at_resolution(self, monkeypatch):
-        monkeypatch.setenv("SKELCL_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="backend"):
+        monkeypatch.setenv("SKELCL_LAZY", "maybe")
+        with pytest.raises(ValueError, match="lazy"):
             skelcl.current_settings()
 
     def test_sanitize_boolean_coercion(self):
@@ -151,20 +152,15 @@ class TestDerivedPaths:
         assert settings.cache_directory() == "/tmp/elsewhere"
 
     def test_env_mapping_round_trips(self):
-        skelcl.configure(backend="interp", lazy=True, sanitize="strict")
+        skelcl.configure(partition="throughput", lazy=True, sanitize="strict")
         env = skelcl.current_settings().env
-        assert env["SKELCL_BACKEND"] == "interp"
+        assert env["SKELCL_PARTITION"] == "throughput"
         assert env["SKELCL_LAZY"] == "1"
         assert env["SKELCL_SANITIZE"] == "strict"
         assert "SKELCL_TRACE" not in env  # unset switches omitted
 
 
 class TestSubsystemsReadTheChain:
-    def test_backend_setting_reaches_the_executor(self):
-        skelcl.configure(backend="interp")
-        session = skelcl.init(num_devices=1)
-        assert session.backend == "interp"
-
     def test_sanitize_setting_arms_the_detector(self):
         skelcl.configure(sanitize="report")
         session = skelcl.init(num_devices=1)

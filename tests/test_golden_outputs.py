@@ -2,33 +2,29 @@
 
 Each test runs one of the paper's applications end-to-end through the
 full SkelCL stack (skeleton → kernel source → compile → execute →
-read-back) and pins a SHA-256 of the exact output bytes, per backend.
-The pins serve two purposes:
+read-back) and pins a SHA-256 of the exact output bytes.  The pins
+serve two purposes:
 
 * **Regression tripwire** — any change anywhere in the stack that
   perturbs a single output byte (compiler folding, evaluator rounding,
   distribution arithmetic, read-back paths) fails loudly here.
-* **Backend invariance proof** — the interp and vector pins are the
-  same hash by construction: the vectorized backend is bit-exact
-  against the per-item path, so switching backends must never change
-  any application's output.
+* **Engine invariance proof** — each pin is checked with every launch on
+  the lockstep engine and with every launch on the per-item oracle
+  (the ``runtime_backend`` fixture): the lockstep engine is bit-exact
+  against it, so one hash holds for both.
 
 If an intentional semantic change lands, re-derive the pins with the
-snippet in each table's comment and update *both* backends together —
-a pin update that touches only one backend is itself a bug.
+snippet in each comment.
 """
 
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.apps.dotproduct import dot_product
 from repro.apps.images import synthetic_image
 from repro.apps.mandelbrot import Mandelbrot, mandelbrot_reference
 from repro.apps.sobel import SobelEdgeDetection
-
-BACKENDS = ("interp", "vector")
 
 
 def _sha(data: bytes) -> str:
@@ -36,29 +32,13 @@ def _sha(data: bytes) -> str:
 
 
 # Derived via: Mandelbrot(max_iterations=40).render_image(64, 48)
-_MANDELBROT_GOLDEN = {
-    "interp": "f8aecf11eaee4e25bb493243cd499a741b624c24a82126e86047277b379b6fe2",
-    "vector": "f8aecf11eaee4e25bb493243cd499a741b624c24a82126e86047277b379b6fe2",
-}
+_MANDELBROT_GOLDEN = "f8aecf11eaee4e25bb493243cd499a741b624c24a82126e86047277b379b6fe2"
 
 # Derived via: SobelEdgeDetection().detect(synthetic_image(64, 64))
-_SOBEL_GOLDEN = {
-    "interp": "f1c9e8fcb4830cca6c3f8d2a8095589ae2b8cf4f0972f0bdb7f5dcf89b73db0b",
-    "vector": "f1c9e8fcb4830cca6c3f8d2a8095589ae2b8cf4f0972f0bdb7f5dcf89b73db0b",
-}
+_SOBEL_GOLDEN = "f1c9e8fcb4830cca6c3f8d2a8095589ae2b8cf4f0972f0bdb7f5dcf89b73db0b"
 
 # Derived via: dot_product over RandomState(2013) float32 vectors of 1024.
-_DOT_GOLDEN = {
-    "interp": "3bb446c29242f223a6854d1c0130c65b2ec80aed5d8949621bec569a897e7ebe",
-    "vector": "3bb446c29242f223a6854d1c0130c65b2ec80aed5d8949621bec569a897e7ebe",
-}
-
-
-def test_pins_are_backend_invariant():
-    """The documented invariant, checked structurally on the tables."""
-    for table in (_MANDELBROT_GOLDEN, _SOBEL_GOLDEN, _DOT_GOLDEN):
-        assert table["interp"] == table["vector"]
-        assert set(table) == set(BACKENDS)
+_DOT_GOLDEN = "3bb446c29242f223a6854d1c0130c65b2ec80aed5d8949621bec569a897e7ebe"
 
 
 class TestMandelbrotGolden:
@@ -67,7 +47,7 @@ class TestMandelbrotGolden:
     def test_image_hash_pinned(self, runtime_backend):
         image = Mandelbrot(max_iterations=40).render_image(64, 48)
         assert image.dtype == np.uint8 and image.shape == (48, 64)
-        assert _sha(image.tobytes()) == _MANDELBROT_GOLDEN[runtime_backend.backend]
+        assert _sha(image.tobytes()) == _MANDELBROT_GOLDEN
 
     def test_pinned_image_still_resembles_reference(self, runtime_backend):
         # Guard against pinning a wrong-but-stable image: the pinned
@@ -84,7 +64,7 @@ class TestSobelGolden:
     def test_edges_hash_pinned(self, runtime_backend):
         edges = SobelEdgeDetection().detect(synthetic_image(64, 64))
         assert edges.dtype == np.uint8 and edges.shape == (64, 64)
-        assert _sha(edges.tobytes()) == _SOBEL_GOLDEN[runtime_backend.backend]
+        assert _sha(edges.tobytes()) == _SOBEL_GOLDEN
 
 
 class TestDotProductGolden:
@@ -95,7 +75,7 @@ class TestDotProductGolden:
         a = rng.uniform(-1, 1, 1024).astype(np.float32)
         b = rng.uniform(-1, 1, 1024).astype(np.float32)
         result = dot_product(a, b)
-        assert _sha(np.float64(result).tobytes()) == _DOT_GOLDEN[runtime_backend.backend]
+        assert _sha(np.float64(result).tobytes()) == _DOT_GOLDEN
         # And the value itself is right (tree-reduction order differs
         # from numpy's pairwise sum, hence the tolerance).
         assert abs(result - float(np.dot(a.astype(np.float64), b))) < 1e-3
