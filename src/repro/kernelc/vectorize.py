@@ -27,7 +27,11 @@ static is decided there — constant folding, dispatch on node type,
 locals, statically uniform subexpressions as scalar code;
 ``docs/kernelc.md`` has the list and a reading guide.
 :func:`execute` then only binds arguments, fetches the memoized launch
-geometry, calls the function and does the warp accounting.
+geometry, calls the function and does the warp accounting — for one
+launch, or for the *sibling* launches of a skeleton call on several
+devices at once: one run over the union of their lanes, each pointer
+argument an arena of the siblings' storages, every charge split back
+per sibling (``docs/kernelc.md``, "Sibling runs").
 
 An idle lane costs as much as an active one, so a *compactable region* —
 a branch of an ``if`` or a loop body under a lane-varying condition
@@ -80,7 +84,7 @@ import operator
 import re
 from collections import OrderedDict, namedtuple
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -100,7 +104,8 @@ from .ctypes_ import (
 from .diagnostics import CompileError, Diagnostic, Severity
 from .execmodel import (WARP_SIZE, binary_value, c_fdiv, c_idiv, c_imod, compare_value,
                         convert_value, copy_value)
-from .memory import NULL_POINTER, ArrayRef, KernelFault, NullPointer, Pointer, allocate_array
+from .memory import (NULL_POINTER, ArrayRef, KernelFault, MemoryCounters, NullPointer, Pointer,
+                     allocate_array)
 from .values import VecValue
 
 _I64 = np.int64
@@ -231,8 +236,8 @@ class VPtr:
     ``offset`` is the logical element offset (Python int when uniform,
     int64 lanes array otherwise); ``base`` adds a per-lane storage-row
     origin, in scalars of the storage, for group-local and private
-    allocations (None for storage shared by all lanes, e.g. global
-    buffers)."""
+    allocations and for the arenas of a sibling run (None for storage
+    shared by all lanes, e.g. the global buffers of one launch)."""
 
     __slots__ = ("array", "element_type", "space", "tally", "length", "offset", "base")
 
@@ -291,10 +296,20 @@ class VPtr:
             where = where * self.element_type.width
         return where if self.base is None else where + self.base
 
-    def _charge(self, count: int, store: bool) -> None:
+    def _charge(self, mask, store: bool, count: Optional[int] = None, width: int = 1) -> None:
+        """Tally the active lanes of ``mask`` (``count`` of them, when
+        the caller knows) as ``width`` accesses each; a sibling run's
+        tally (:class:`_Split`) counts them per lane."""
         tally = self.tally
         if tally is None:
             return
+        if tally.__class__ is _Split:
+            tally.charge(self, store, mask, width)
+            return
+        if count is None:
+            count = int(np.count_nonzero(mask))
+        if width != 1:
+            count *= width
         size = self.element_type.sizeof()
         if self.space in ("global", "constant"):
             if store:
@@ -310,9 +325,8 @@ class VPtr:
             tally.local_bytes += count * size
 
     def gather(self, index, mask):
-        count = int(np.count_nonzero(mask))
         rows = self._rows(index, mask)
-        self._charge(count, store=False)
+        self._charge(mask, False)
         etype = self.element_type
         if isinstance(etype, VectorType):
             return self._gather_components(rows, etype)
@@ -334,7 +348,7 @@ class VPtr:
         consecutive elements from element ``offset * width``, per lane."""
         index = _as_int_operand(offset) * width + _COMPONENTS[width]
         rows = self._rows(np.broadcast_to(index, (width, mask.size)), mask)
-        self._charge(int(np.count_nonzero(mask)) * width, store)
+        self._charge(mask, store, width=width)
         return rows
 
     def vload(self, width: int, offset, mask):
@@ -355,7 +369,7 @@ class VPtr:
     def scatter(self, index, value, mask) -> None:
         count = int(np.count_nonzero(mask))
         rows = self._rows(index, mask)
-        self._charge(count, store=True)
+        self._charge(mask, True, count)
         etype = self.element_type
         if isinstance(etype, VectorType):
             if not isinstance(rows, ndarray):
@@ -418,6 +432,81 @@ class VPtr:
                 views[id(base)] = (root, size)
         return VPtr(array, element_type, self.space, self.tally, row // unit, start // unit,
                     base)
+
+
+class _Split:
+    """The memory traffic of a sibling run, tallied per sibling into
+    ``memories`` (one scratch ``MemoryCounters`` per sibling, added to the
+    siblings' counters when the run ends).  Lanes are sibling-major,
+    ``per`` to a sibling.  An access on every lane of the run (its mask
+    ``full``) is counted once (``uniform``); any other adds its mask to a
+    per-lane count of its kind of access (``lanes``) — at the lanes
+    ``ix`` of the run, on a compacted region's (:meth:`subset`) — and
+    :meth:`flush` sums those per sibling in one NumPy call.  ``stored``
+    collects the ids of the storages stored to."""
+
+    __slots__ = ("memories", "per", "full", "ix", "lanes", "uniform", "stored", "_last")
+
+    def __init__(self, memories: list, per: int, full: Optional[ndarray]):
+        self.memories, self.per, self.full, self.ix = memories, per, full, None
+        self.lanes: Dict[tuple, ndarray] = {}  # access kind -> accesses per lane
+        self.uniform: Dict[tuple, int] = {}  # access kind -> accesses on every lane
+        self.stored: set = set()
+        self._last = None
+
+    def charge(self, pointer: VPtr, store: bool, mask: ndarray, width: int) -> None:
+        if store:
+            self.stored.add(id(pointer.array))
+        kind = (pointer.space, store, pointer.element_type.sizeof())
+        if mask is self.full:
+            self.uniform[kind] = self.uniform.get(kind, 0) + width
+            return
+        lanes = self.lanes.get(kind)
+        if lanes is None:
+            lanes = self.lanes[kind] = np.zeros(len(self.memories) * self.per, dtype=_I64)
+        if self.ix is not None:
+            lanes[self.ix[mask]] += width  # a region's lanes are distinct
+        elif width == 1:
+            lanes += mask
+        else:
+            lanes += mask * width
+
+    def subset(self, ix: ndarray) -> "_Split":
+        """The tally on the current lanes ``ix`` (one per region entry:
+        the live-in pointers of an entry share it)."""
+        last = self._last
+        if last is None or last[0] is not ix:
+            sub = _Split(self.memories, self.per, None)
+            sub.lanes, sub.uniform, sub.stored = self.lanes, self.uniform, self.stored
+            sub.ix = ix if self.ix is None else self.ix[ix]
+            last = self._last = (ix, sub)
+        return last[1]
+
+    def flush(self) -> None:
+        """Tally every access, per sibling."""
+        copies, per, kinds = len(self.memories), self.per, list(self.lanes)
+        if kinds:
+            sums = np.concatenate(list(self.lanes.values())).reshape(
+                len(kinds), copies, per).sum(axis=2).tolist()
+            for kind, counts in zip(kinds, sums):
+                self._add(kind, counts, 1)
+        for kind, accesses in self.uniform.items():
+            self._add(kind, [per] * copies, accesses)
+
+    def _add(self, kind: tuple, counts, accesses: int) -> None:
+        """``accesses`` of ``kind`` on ``counts`` lanes of each sibling,
+        as :meth:`VPtr._charge` counts one launch's (private traffic is
+        free)."""
+        space, store, size = kind
+        if space not in ("global", "constant", "local"):
+            return
+        prefix = "local_" if space == "local" else "global_"
+        field = prefix + ("stores" if store else "loads")
+        for memory, count in zip(self.memories, counts):
+            count *= accesses
+            setattr(memory, field, getattr(memory, field) + count)
+            setattr(memory, prefix + "bytes", getattr(memory, prefix + "bytes") + count * size)
+
 
 
 class VArray:
@@ -1008,18 +1097,26 @@ def _switch_start(mask, subject, cases, default_index: int, num_cases: int):
 
 
 class _Run:
-    """Per-launch state the generated code charges into."""
+    """Per-run state the generated code charges into.  ``barriers`` counts
+    the lanes of barriers every lane reached (``R.barriers += ctx.n``,
+    equal shares of each sibling), ``masked`` those of the others, per
+    sibling (:meth:`barrier`)."""
 
-    __slots__ = ("ops", "base", "counters", "lanes", "lmem", "regions", "views")
+    __slots__ = ("ops", "base", "barriers", "masked", "lanes", "lmem", "regions", "views")
 
-    def __init__(self, counters, lanes: "_LaneLayout"):
+    def __init__(self, lanes: "_LaneLayout", within: Optional["_Run"] = None):
+        """A run over ``lanes``; ``within`` a run, its compacted region's
+        sub-run, which shares all but the lanes and their op charges."""
         self.ops = np.zeros(lanes.n, dtype=_I64)  # per-lane op charges
         self.base = 0  # ops charged to every lane (all-active blocks)
-        self.counters = counters
         self.lanes = lanes
         self.lmem: List[VArray] = []
-        self.regions = [0, 0]  # compactable region entries: compacted, full
-        self.views: dict = {}  # what pointer casts made (VPtr.retyped)
+        self.barriers, self.masked = 0, None  # a region holds no barrier
+        if within is None:
+            self.regions = [0, 0]  # compactable region entries: compacted, full
+            self.views: dict = {}  # what pointer casts made (VPtr.retyped)
+        else:
+            self.regions, self.views = within.regions, within.views
 
     def barrier(self, mask: ndarray) -> None:
         lanes = self.lanes
@@ -1027,7 +1124,8 @@ class _Run:
         if ((counts != 0) & (counts != lanes.group_size)).any():
             raise KernelFault("barrier divergence: some work-items of a group reached a "
                               "barrier other items skipped")
-        self.counters.barriers += int(counts.sum())
+        per_sibling = counts.reshape(lanes.copies, -1).sum(axis=1)
+        self.masked = per_sibling if self.masked is None else self.masked + per_sibling
 
     def private_array(self, ctype: ArrayType, row) -> VArray:
         """Every lane's copy of a private array (``row``: one initialized
@@ -1043,13 +1141,24 @@ class _Run:
 
 #: A compactable region runs on its active lanes alone when at most this
 #: share of the current lanes is active, and there are at least
-#: ``_COMPACT_MIN_LANES`` of those: entering and leaving costs ~10 us
-#: whatever the size, which fewer idle lanes do not pay back.  Measured
-#: per launch, compacted / full host time: Reduce 0.48x at 16,384 lanes,
-#: 0.73x at 4,096, 0.96x at 1,024, 1.07x at 256 (docs/kernelc.md,
-#: "Compacted regions").
+#: ``_COMPACT_MIN_LANES`` of those per sibling: entering and leaving costs
+#: ~10 us whatever the size, which fewer idle lanes do not pay back.
+#: Measured per launch, compacted / full host time: Reduce 0.48x at
+#: 16,384 lanes, 0.73x at 4,096, 0.96x at 1,024, 1.07x at 256
+#: (docs/kernelc.md, "Compacted regions"); per two-sibling run of 2 x 512
+#: lanes, where the region must also slice every arena pointer's row
+#: bases, 1.04x for Reduce and 1.07x for Scan's block kernel.
 _COMPACT_DENSITY = 0.5
 _COMPACT_MIN_LANES = 1024
+
+#: Sibling launches share a run (``ocl.enqueue_sibling_kernels``) up to
+#: this many lanes in all: past it a run's lane temporaries outgrow any
+#: one launch's and its fixed cost no longer shows.  Measured per pair
+#: of siblings, one run / two launches host time: Map 0.73x at 1,024
+#: lanes each, 0.84x at 4,096, 0.94x at 8,192, 1.08x at 16,384; Reduce
+#: 0.65x, 0.72x, 0.97x, 1.07x; and 4 x 16,384 lanes of ``stencil_frames``
+#: raised its peak RSS 7.5 % (2 x 16,384 of ``fused_pipeline``: 4 %).
+RUN_MAX_LANES = 16384
 
 
 def _sub(value, ix: ndarray):
@@ -1059,7 +1168,10 @@ def _sub(value, ix: ndarray):
     if isinstance(value, VPtr):
         if value.base is None and not isinstance(value.offset, ndarray):
             return value  # the same address on every lane
-        return VPtr(value.array, value.element_type, value.space, value.tally, value.length,
+        tally = value.tally
+        if tally.__class__ is _Split:
+            tally = tally.subset(ix)
+        return VPtr(value.array, value.element_type, value.space, tally, value.length,
                     _sub(value.offset, ix), _sub(value.base, ix))
     if isinstance(value, VArray):
         return VArray(_sub(value.pointer, ix), value.element)
@@ -1088,7 +1200,7 @@ def _region(R, chain: ndarray, values: tuple) -> Optional["_Region"]:
     """Entry of a compactable region on ``chain`` with live-ins
     ``values``: None when it runs on every lane, else the region that
     runs on the active ones alone."""
-    if chain.size < _COMPACT_MIN_LANES \
+    if chain.size < _COMPACT_MIN_LANES * R.lanes.copies \
             or np.count_nonzero(chain) > chain.size * _COMPACT_DENSITY:
         R.regions[1] += 1
         return None
@@ -1107,8 +1219,7 @@ class _Region:
 
     def __init__(self, run: _Run, chain: ndarray, values: tuple, ix: ndarray):
         self.run, self.chain, self.outer, self.ix = run, chain, values, ix
-        sub = _Run(run.counters, run.lanes.subset(ix))
-        sub.regions, sub.views = run.regions, run.views
+        sub = _Run(run.lanes.subset(ix), run)
         self.inner = (sub, sub.lanes, sub.ops, tuple([_sub(value, ix) for value in values]))
 
     def leave(self, *written):
@@ -1574,7 +1685,7 @@ class _LaneCompiler(_FunctionCompiler):
                 and expr.resolved.kind == "barrier":
             self.effect(self.lane_expr(expr.args[0], m))
             # With every lane active no group can diverge.
-            self.emit("R.counters.barriers += ctx.n" if self.is_full(m) else f"R.barrier({m})")
+            self.emit("R.barriers += ctx.n" if self.is_full(m) else f"R.barrier({m})")
             return _SAME
         self.charge_lanes(m, expr)
         self.effect(self.lane_expr(expr, m))
@@ -1914,15 +2025,16 @@ def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan
 
 
 class _LaneLayout:
-    """Per-lane work-item identities for ``selected groups x local ids``,
-    lanes ordered group-major, as work-items are enumerated.  Doubles as
-    the ``ctx`` of the scalar spelling's code.
+    """Per-lane work-item identities for ``copies x selected groups x
+    local ids``, lanes ordered sibling-major, then group-major, as
+    work-items are enumerated: one NDRange once per sibling launch of a
+    run.  Doubles as the ``ctx`` of the scalar spelling's code.
     Shared between launches through :func:`_layout`: read-only — which
     is why it also carries what :func:`execute` would otherwise rebuild
     per launch from the geometry alone (:meth:`row_bases`,
-    :meth:`warp_max`)."""
+    :meth:`copy_bases`, :meth:`warp_max`)."""
 
-    def __init__(self, global_size, local_size, selected):
+    def __init__(self, global_size, local_size, selected, copies: int = 1):
         dims = len(global_size)
         self.work_dim = dims
         self.global_size = tuple(global_size) + (1,) * (3 - dims)
@@ -1936,6 +2048,9 @@ class _LaneLayout:
         else:
             group_linear = np.asarray(selected, dtype=_I64).reshape(len(selected), dims) \
                 @ np.cumprod([1] + groups_per_dim[:dims - 1]).astype(_I64)
+        if copies > 1:
+            group_linear = np.tile(group_linear, copies)
+        self.copies = copies
         self.num_groups = len(group_linear)
         self.n = self.group_size * self.num_groups
         self.local_id: List[object] = []
@@ -1956,15 +2071,25 @@ class _LaneLayout:
                 store.append(value)
         self.full = np.ones(self.n, dtype=bool)
         self.full.flags.writeable = False
-        self._row_bases: Dict[int, ndarray] = {}
+        self._row_bases: Dict[tuple, ndarray] = {}
 
     def row_bases(self, flat: int) -> ndarray:
         """Per lane, the storage row origin of its group's copy of a
         ``__local`` allocation of ``flat`` scalars."""
-        bases = self._row_bases.get(flat)
+        return self._bases(self.num_groups, flat)
+
+    def copy_bases(self, row: int) -> ndarray:
+        """Per lane, the storage row origin of its sibling's row of an
+        arena of ``row`` scalars per sibling."""
+        return self._bases(self.copies, row)
+
+    def _bases(self, rows: int, row: int) -> ndarray:
+        """``rows`` storage rows of ``row`` scalars over the lanes, in
+        order, the same number of lanes on each."""
+        bases = self._row_bases.get((rows, row))
         if bases is None:
-            bases = self._row_bases[flat] = np.repeat(
-                np.arange(self.num_groups, dtype=_I64) * flat, self.group_size)
+            bases = self._row_bases[rows, row] = np.repeat(
+                np.arange(rows, dtype=_I64) * row, self.n // rows)
             bases.flags.writeable = False
         return bases
 
@@ -2022,13 +2147,13 @@ _LAYOUT_LANES = 1 << 19  # lanes the layout memo may hold (a few MiB per 64 Ki)
 _layouts: "OrderedDict[tuple, _LaneLayout]" = OrderedDict()
 
 
-def _layout(global_size, local_size, selected) -> _LaneLayout:
-    """The memoized layout of a launch shape; least recently used shapes
+def _layout(global_size, local_size, selected, copies: int = 1) -> _LaneLayout:
+    """The memoized layout of a run shape; least recently used shapes
     are dropped once the memo holds more than ``_LAYOUT_LANES`` lanes."""
-    key = (global_size, local_size, None if selected is None else tuple(selected))
+    key = (global_size, local_size, None if selected is None else tuple(selected), copies)
     layout = _layouts.get(key)
     if layout is None:
-        layout = _layouts[key] = _LaneLayout(global_size, local_size, selected)
+        layout = _layouts[key] = _LaneLayout(global_size, local_size, selected, copies)
         total = sum(entry.n for entry in _layouts.values())
         while total > _LAYOUT_LANES and len(_layouts) > 1:
             total -= _layouts.popitem(last=False)[1].n
@@ -2043,14 +2168,32 @@ def _layout(global_size, local_size, selected) -> _LaneLayout:
 
 
 def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
-            counters, metrics=None) -> None:
+            counters, metrics=None) -> Optional[Callable[[int], None]]:
     """Run ``kernel`` in lockstep over the ``selected`` work-groups of
-    ``ndrange`` (a list of group ids; None = all of them), mutating
-    argument buffers and ``counters`` exactly as running the work-items
-    one at a time would.  ``metrics``: the registry to count the launch's compactable
-    region entries on."""
-    lanes = _layout(ndrange.global_size, ndrange.local_size, selected)
-    run = _Run(counters, lanes)
+    ``ndrange`` (a list of group ids; None = all of them) once per
+    *sibling*: ``args`` and ``counters`` hold one argument list and one
+    ``ExecutionCounters`` per sibling launch, the siblings' scalar
+    arguments equal and their pointer arguments of equal lengths, each
+    pointing at storage of its own.  Each sibling's buffers and counters
+    end up exactly as running its work-items one at a time would leave
+    them.  ``metrics``: the registry to count the run's compactable
+    region entries on.
+
+    One sibling runs on its buffers.  Several run as one: over the union
+    of their lanes, sibling-major, each pointer argument one pointer over
+    an *arena* — the siblings' storages concatenated, reached through a
+    per-lane row base — and every charge split back per sibling (ops and
+    warps by lane, barriers and memory traffic by :class:`_Split`).  The
+    buffers are not touched: the returned ``write_back(i)`` copies
+    sibling ``i``'s rows of every arena the run stored to into its
+    storage (None when there is nothing to copy, as for one sibling),
+    and a run of several that raised has changed no buffer and no
+    counter."""
+    copies = len(args)
+    lanes = _layout(ndrange.global_size, ndrange.local_size, selected, copies)
+    run = _Run(lanes)
+    tally = counters[0].memory if copies == 1 else \
+        _Split([MemoryCounters() for _ in counters], lanes.n // copies, lanes.full)
     # Group-local allocations: one row of storage per selected group (a
     # __local scalar is an array of one).
     for decl in kernel.local_decls:
@@ -2060,12 +2203,24 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
         flat = ctype.flat_length()
         element = ctype.base_element()
         storage = np.zeros(lanes.num_groups * flat * _width(element), dtype=numpy_dtype(element))
-        vptr = VPtr(storage, element, "local", counters.memory, flat, 0,
+        vptr = VPtr(storage, element, "local", tally, flat, 0,
                     lanes.row_bases(flat * _width(element)))
         run.lmem.append(VArray(vptr, ctype.element))
-    values = [VPtr(arg.array, arg.element_type, arg.address_space, arg.counters,
-                   arg.length, arg.offset, None) if isinstance(arg, Pointer) else arg
-              for arg in args]
+    arenas = []  # (arena, the siblings' storages)
+    values = list(args[0])
+    for position, arg in enumerate(values):
+        if not isinstance(arg, Pointer):
+            continue
+        if copies == 1:
+            values[position] = VPtr(arg.array, arg.element_type, arg.address_space,
+                                    arg.counters, arg.length, arg.offset, None)
+            continue
+        rows = [sibling[position].array for sibling in args]
+        arena = np.concatenate(rows)
+        run.views[id(arena)] = (arena, arg.array.nbytes)  # a row, for VPtr.retyped
+        arenas.append((arena, rows))
+        values[position] = VPtr(arena, arg.element_type, arg.address_space, tally,
+                                arg.length, arg.offset, lanes.copy_bases(arg.array.size))
     with np.errstate(all="ignore"):
         plan.run(run, lanes, lanes.full, *values)
     if metrics is not None:
@@ -2073,9 +2228,29 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
             if entries:
                 metrics.counter("skelcl_lockstep_regions_total", path=path).inc(entries)
 
-    counters.ops += int(run.ops.sum()) + run.base * lanes.n
+    per = lanes.n // copies
+    ops = np.add.reduce(run.ops.reshape(copies, per), axis=1).tolist()
+    masked = [0] * copies if run.masked is None else run.masked.tolist()
+    for counter, lane_ops, barriers in zip(counters, ops, masked):
+        counter.ops += lane_ops + run.base * per
+        counter.barriers += run.barriers // copies + barriers
     if not kernel.uses_barrier:
         # Warp-divergence accounting: a 32-lane warp runs as long as its
         # slowest lane; partial trailing chunks still pay for a full warp.
-        warp_max = lanes.warp_max(run.ops)
-        counters.warp_ops += (int(warp_max.sum()) + run.base * warp_max.size) * WARP_SIZE
+        warps = lanes.warp_max(run.ops).reshape(copies, -1)
+        for counter, warp_ops in zip(counters, np.add.reduce(warps, axis=1).tolist()):
+            counter.warp_ops += (warp_ops + run.base * warps.shape[1]) * WARP_SIZE
+    if copies == 1:
+        return None
+    tally.flush()
+    for counter, memory in zip(counters, tally.memories):
+        counter.memory.merge(memory)
+    # Only arenas stored to (directly or through a cast's view) go back.
+    stored = {id(run.views[ident][0]) for ident in tally.stored if ident in run.views}
+    arenas = [(arena, rows) for arena, rows in arenas if id(arena) in stored]
+
+    def write_back(sibling: int) -> None:
+        for arena, rows in arenas:
+            row = rows[sibling]
+            row[...] = arena[sibling * row.size:(sibling + 1) * row.size]
+    return write_back if arenas else None

@@ -38,7 +38,7 @@ from .executor import ExecutionResult, execute_ndrange
 from .kernel import Kernel
 from .ndrange import NDRange
 from .program import Program, build_cache_size, clear_build_cache
-from .queue import CommandQueue
+from .queue import CommandQueue, enqueue_sibling_kernels
 from .spec import (
     CPU_8CORE,
     CPU_16CORE,
@@ -83,6 +83,7 @@ __all__ = [
     "TEST_DEVICE",
     "build_cache_size",
     "clear_build_cache",
+    "enqueue_sibling_kernels",
     "execute_ndrange",
     "kernel_time_ns",
     "peer_transfer_time_ns",

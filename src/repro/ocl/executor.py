@@ -9,6 +9,12 @@ engine to fall back on.  The per-item engine the same lowering spells
 out, and the tree-walking interpreter, are the tests' oracles
 (``tests/kernelc/peritem.py``, ``tests/kernelc/interp.py``).
 
+One call executes a kernel's *sibling* launches — the launches of one
+skeleton call on several devices, with equal scalar arguments, buffer
+sizes and NDRange — as one lockstep run over the union of their lanes
+(``docs/kernelc.md``, "Sibling runs"); which launches are siblings the
+queue decides (:func:`repro.ocl.queue.enqueue_sibling_kernels`).
+
 For very large NDRanges the executor supports *sampled* execution: a
 deterministic, evenly spread subset of work-groups is executed and the
 cost statistics are scaled up by the sampling factor.  Outputs are then
@@ -20,7 +26,7 @@ contents can never be read back as results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from ..kernelc import vectorize
 from ..kernelc.compiler import CompiledKernel
@@ -51,21 +57,32 @@ def select_sample_groups(groups: List[tuple], fraction: float) -> List[tuple]:
 def execute_ndrange(
     kernel: CompiledKernel,
     ndrange: NDRange,
-    args: Sequence,
+    args: Sequence[Sequence],
     sample_fraction: Optional[float] = None,
-    counters: Optional[ExecutionCounters] = None,
+    counters: Optional[Sequence[ExecutionCounters]] = None,
     metrics=None,
-) -> ExecutionResult:
-    """Execute ``kernel`` over ``ndrange``; returns scaled cost counters.
+) -> Iterator[ExecutionResult]:
+    """Execute ``kernel`` over ``ndrange`` for each of its *sibling*
+    launches — ``args`` holds one argument list per sibling, ``counters``
+    one ``ExecutionCounters`` each (a single launch is a list of one) —
+    and yield each sibling's scaled cost counters, in order.
 
-    ``counters`` must be the same object the argument pointers report
-    their memory traffic to (the queue wires this up), so that sampled
-    execution scales operations and memory traffic consistently.
-    ``metrics`` (a registry, or the queue's handles to one) is told how
-    the kernel's lockstep plan came to be, the launch it is made on.
+    The siblings run as one lockstep run (:func:`vectorize.execute`:
+    their scalar arguments are equal, their buffers of equal sizes), before
+    this returns; a sibling's results are copied into its buffers when its
+    result is yielded.  Should the run raise, it has left every buffer and
+    counter of several siblings untouched, so the caller can run them one
+    at a time instead.
+
+    Each ``counters`` entry must be the object its sibling's argument
+    pointers report their memory traffic to (the queue wires this up),
+    so that sampled execution scales operations and memory traffic
+    consistently.  ``metrics`` (a registry, or the queue's handles to
+    one) is told how the kernel's lockstep plan came to be, the launch
+    it is made on.
     """
     if counters is None:
-        counters = ExecutionCounters()
+        counters = [ExecutionCounters() for _ in args]
     total = ndrange.total_groups
     selected = None  # every group
     if sample_fraction is not None and 0 < sample_fraction < 1:
@@ -75,7 +92,16 @@ def execute_ndrange(
             selected = None
     executed = total if selected is None else len(selected)
     plan = vectorize.plan_for(kernel, metrics)
-    vectorize.execute(kernel, plan, ndrange, selected, args, counters, metrics)
+    write_back = vectorize.execute(kernel, plan, ndrange, selected, args, counters, metrics)
     if executed < total:
-        counters = counters.scaled(total / executed)
-    return ExecutionResult(counters, total, executed)
+        counters = [counter.scaled(total / executed) for counter in counters]
+    results = [ExecutionResult(counter, total, executed) for counter in counters]
+    return iter(results) if write_back is None else _written_back(write_back, results)
+
+
+def _written_back(write_back, results: List[ExecutionResult]) -> Iterator[ExecutionResult]:
+    """Each sibling's result, once its rows of the run's arenas are back
+    in its buffers."""
+    for sibling, result in enumerate(results):
+        write_back(sibling)
+        yield result

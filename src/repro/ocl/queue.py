@@ -29,15 +29,18 @@ Ordering rules mirror OpenCL 1.x in-order queues with events:
 
 from __future__ import annotations
 
+import itertools
 import os.path
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.access import BufferAccess, kernel_buffer_accesses
 from ..callsite import call_site
 from ..kernelc.execmodel import ExecutionCounters
+from ..kernelc.memory import Pointer
+from ..kernelc.vectorize import RUN_MAX_LANES
 from .buffer import Buffer
 from .device import Device
 from .errors import InvalidValue, SampledBufferRead
@@ -92,6 +95,7 @@ _KERNEL_NS_TOTAL = ("counter", "skelcl_kernel_ns_total", "device")
 _KERNEL_NS = ("histogram", "skelcl_kernel_ns", "device")
 _WORK_ITEMS = (("counter", "skelcl_work_items_total"),)  # no labels: the whole key
 _KERNEL_OPS = (("counter", "skelcl_kernel_ops_total"),)
+_SIBLING_RUNS = ("counter", "skelcl_sibling_runs_total", "result", "reason")
 
 
 class CommandQueue:
@@ -260,16 +264,21 @@ class CommandQueue:
         sample_fraction: Optional[float] = None,
         event_wait_list: Optional[Sequence[Event]] = None,
     ) -> Event:
-        """Launch ``kernel``; returns the profiling event."""
+        """Launch ``kernel``; returns the profiling event (one launch:
+        :func:`enqueue_sibling_kernels` runs several)."""
+        launch = _Sibling(self, kernel, global_size, local_size, sample_fraction,
+                          event_wait_list)
+        (result,) = execute_ndrange(kernel.compiled, launch.ndrange, [launch.args],
+                                    sample_fraction, [launch.counters], metrics=self._series)
+        return self._record_kernel(kernel, launch.ndrange, result, next(_run_ids),
+                                   event_wait_list)
+
+    def _record_kernel(self, kernel: Kernel, ndrange: NDRange, result, run: int,
+                       event_wait_list: Optional[Sequence[Event]]) -> Event:
+        """The event of a launch of ``kernel`` that executed with
+        ``result`` in the lockstep run ``run``: timing model, access set,
+        sampled taint, submission (and race observation) and metrics."""
         series = self._series
-        ndrange = NDRange.create(global_size, local_size, self.device.max_work_group_size)
-        counters = ExecutionCounters()
-        # The pointers created here report memory traffic into
-        # `counters.memory`, and the executor charges ops to the same
-        # object, so sampling scales both consistently.
-        args = kernel.marshal_args(counters, self.device)
-        result = execute_ndrange(kernel.compiled, ndrange, args, sample_fraction, counters,
-                                 metrics=series)
         duration = kernel_time_ns(
             self.device.spec,
             result.counters,
@@ -288,6 +297,7 @@ class CommandQueue:
             work_items=ndrange.total_work_items,
             groups_total=result.groups_total,
             groups_executed=result.groups_executed,
+            run=run,
         )
         event.accesses = kernel_buffer_accesses(kernel, ndrange, series)
         # Sampled-execution taint: a sampled launch leaves its outputs
@@ -424,3 +434,163 @@ class CommandQueue:
             f"<CommandQueue on {self.device.name} horizon={self._horizon}ns "
             f"pending={pending}>"
         )
+
+
+# -- sibling launches ------------------------------------------------------------
+
+#: Run ids: ``event.info["run"]`` is shared by the launches one lockstep
+#: run executed.
+_run_ids = itertools.count(1)
+
+
+class _Sibling:
+    """One launch of :func:`enqueue_sibling_kernels`, its arguments
+    marshaled."""
+
+    __slots__ = ("queue", "kernel", "ndrange", "sample_fraction", "wait_list", "counters",
+                 "args")
+
+    def __init__(self, queue: CommandQueue, kernel: Kernel, global_size, local_size,
+                 sample_fraction: Optional[float], wait_list: Optional[Sequence[Event]]):
+        self.queue, self.kernel = queue, kernel
+        self.sample_fraction, self.wait_list = sample_fraction, wait_list
+        self.ndrange = NDRange.create(global_size, local_size, queue.device.max_work_group_size)
+        self.counters = ExecutionCounters()
+        # The pointers created here report memory traffic into
+        # `counters.memory`, and the executor charges ops to the same
+        # object, so sampling scales both consistently.
+        self.args = kernel.marshal_args(self.counters, queue.device)
+
+    def shape(self) -> Tuple[Optional[tuple], Optional[str]]:
+        """What the launches of one run have equal — kernel, NDRange, the
+        sizes of the buffers bound and the scalar arguments — or, for a
+        launch that runs alone, why."""
+        if self.sample_fraction is not None and 0 < self.sample_fraction < 1:
+            return None, "sampled"
+        if 2 * self.ndrange.total_work_items > RUN_MAX_LANES:
+            return None, "lanes"  # no sibling fits beside it
+        sizes, scalars, buffers = [], [], set()
+        for bound, value in zip(self.kernel._args, self.args):
+            if isinstance(value, Pointer):
+                if bound.uid in buffers:
+                    return None, "aliased"  # an arena per argument would split the buffer
+                buffers.add(bound.uid)
+                sizes.append(bound.nbytes)
+            else:
+                scalars.append(value if type(value) is int else repr(value))  # -0.0, nan
+        ndrange = self.ndrange
+        return (id(self.kernel.compiled), ndrange.global_size, ndrange.local_size,
+                tuple(sizes), tuple(scalars)), None
+
+
+class _SiblingRun:
+    """The launches (``members``) that execute together — with the
+    reason when one runs alone beside siblings — and once started, the
+    iterator of their ``(run id, result)`` in order."""
+
+    __slots__ = ("members", "queues", "alone", "results")
+
+    def __init__(self):
+        self.members: List[_Sibling] = []
+        self.queues: List[CommandQueue] = []
+        self.alone: Optional[str] = None
+        self.results = None
+
+    def start(self) -> None:
+        members, first = self.members, self.members[0]
+        series = first.queue._series
+        if self.alone is not None:
+            _count_run(series, "separate", self.alone)
+        try:
+            results = execute_ndrange(
+                first.kernel.compiled, first.ndrange, [member.args for member in members],
+                first.sample_fraction, [member.counters for member in members], metrics=series)
+        except Exception:
+            if len(members) == 1:
+                raise
+            self.results = _one_by_one(members, series)
+            return
+        if len(members) > 1:
+            _count_run(series, "merged", "equal")
+        self.results = zip(itertools.repeat(next(_run_ids)), results)
+
+
+def _one_by_one(members: Sequence[_Sibling], series: Optional[_Series]):
+    """The ``members`` of a run that raised, replayed one at a time, each
+    at its turn, from the buffers the run left untouched."""
+    for member in members:
+        _count_run(series, "separate", "fault")
+        (result,) = execute_ndrange(member.kernel.compiled, member.ndrange, [member.args],
+                                    None, [member.counters], metrics=series)
+        yield next(_run_ids), result
+
+
+def _count_run(series: Optional[_Series], result: str, reason: str) -> None:
+    if series is not None:
+        series[_SIBLING_RUNS, result, reason].inc()
+
+
+def _runs(siblings: Sequence[_Sibling]) -> List[_SiblingRun]:
+    """Each launch's run: launches of one shape (:meth:`_Sibling.shape`)
+    on different queues share one while its lanes stay within
+    ``vectorize.RUN_MAX_LANES``.  A run of one launch beside siblings
+    knows why it is alone: the launch's own reason, else "lanes" when
+    another launch has its shape, "scalars" when one has its NDRange and
+    buffer sizes, else "sizes"."""
+    runs: List[_SiblingRun] = []
+    shapes = [sibling.shape() for sibling in siblings]
+    open_runs: Dict[tuple, _SiblingRun] = {}
+    for sibling, (shape, reason) in zip(siblings, shapes):
+        run = None if reason else open_runs.get(shape)
+        if run is None or sibling.queue in run.queues \
+                or sibling.ndrange.total_work_items * (len(run.members) + 1) > RUN_MAX_LANES:
+            run = _SiblingRun()
+            run.alone = reason
+            if reason is None:
+                open_runs[shape] = run
+        run.members.append(sibling)
+        run.queues.append(sibling.queue)
+        runs.append(run)
+    for index, (run, (shape, reason)) in enumerate(zip(runs, shapes)):
+        if len(run.members) == 1 and reason is None:
+            others = [other for at, (other, _) in enumerate(shapes) if at != index and other]
+            run.alone = "lanes" if shape in others else "scalars" \
+                if any(other[:4] == shape[:4] for other in others) else "sizes"
+    return runs
+
+
+def enqueue_sibling_kernels(launches: Sequence[tuple]) -> Iterator[Event]:
+    """Launch *sibling* kernels — ``launches`` lists ``(queue, kernel,
+    global_size, local_size, sample_fraction, event_wait_list)``, the
+    launches of one kernel on different devices as a skeleton call
+    issues them — and yield each launch's event, in order, as
+    :meth:`CommandQueue.enqueue_nd_range_kernel` returns it.
+
+    Launches of one kernel on different queues whose NDRange, buffer
+    sizes and scalar arguments are equal, none sampled and none binding
+    one buffer twice, execute together, up to ``RUN_MAX_LANES`` lanes in
+    all: one ``execute_ndrange`` call, one lockstep run over the union of
+    their lanes.  A lone launch is an ordinary one.  The events are still
+    recorded one launch at a time, in order, each once the launch's
+    results are in its buffers: events, modeled time and race accesses
+    are per device as with sequential launches, and a recording that
+    raises (a strict ``RaceError``) leaves the later launches' buffers
+    untouched.  A run that raises is replayed one launch at a time, each
+    at its turn, so a fault is raised by the launch that faults, after
+    the launches before it were recorded.
+
+    ``event.info["run"]`` names the run a launch executed in, and
+    ``skelcl_sibling_runs_total{result, reason}`` counts each run of
+    sibling launches (``docs/observability.md``)."""
+    if len(launches) == 1:
+        (queue, kernel, global_size, local_size, sample_fraction, wait_list), = launches
+        yield queue.enqueue_nd_range_kernel(kernel, global_size, local_size, sample_fraction,
+                                            wait_list)
+        return
+    siblings = [_Sibling(*launch) for launch in launches]
+    for sibling, run in zip(siblings, _runs(siblings)):
+        if run.results is None:
+            run.start()
+        run_id, result = next(run.results)
+        yield sibling.queue._record_kernel(sibling.kernel, sibling.ndrange, result, run_id,
+                                           sibling.wait_list)

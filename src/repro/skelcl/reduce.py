@@ -4,7 +4,8 @@ Implemented in the classical two-stage GPU form:
 
 1. per device, a grid-stride pass accumulates elements into one partial
    per work-item and a local-memory tree reduction produces one partial
-   per work-group;
+   per work-group (the devices' passes are sibling launches, collected
+   before any is enqueued);
 2. all partials are gathered on the first device and a single-work-group
    launch of the same kernel folds them into the final value, which is
    returned as a :class:`Scalar`.
@@ -22,7 +23,7 @@ from .distribution import Block
 from .funcparse import scalar_param, scalar_return
 from .runtime import SkelCLError
 from .scalar import Scalar
-from .skeleton import DEFAULT_WORK_GROUP_SIZE, Skeleton
+from .skeleton import DEFAULT_WORK_GROUP_SIZE, Launch, Skeleton
 from .types_ import dtype_for_ctype
 
 # Stage 1 launches at most this many work-groups per device (grid-stride).
@@ -135,30 +136,31 @@ class Reduce(Skeleton):
         itembytes = dtype.itemsize
         wg = self.work_group_size
 
-        partials = []
-        partial_reads = []
-        seen_copy = False
+        launches, partial_buffers = [], []
         for position, (chunk, buffer) in enumerate(chunks):
             n = chunk.owned_size * unit_elements
             if n == 0:
                 continue
-            if distribution.kind == "copy":
-                if seen_copy:
-                    continue  # every device holds the same data; reduce once
-                seen_copy = True
+            if distribution.kind == "copy" and launches:
+                break  # every device holds the same data; reduce once
             groups = min(_MAX_GROUPS, (n + wg - 1) // wg)
-            queue = session.queue(chunk.device_index)
             partial_buffer = session.context.create_buffer(
                 groups * itembytes, session.devices[chunk.device_index], name="reduce_partials"
             )
             kernel = stage1_program.create_kernel(stage1_name)
             kernel.set_args(buffer, partial_buffer, n,
                             chunk.halo_before * unit_elements, *node.extras)
-            launch = self._enqueue(node, chunk.device_index, kernel, (groups * wg,), (wg,),
-                                   wait_for=input_container.chunk_events(position),
-                                   inputs=[(input_container, position)])
-            data, read_event = queue.enqueue_read_buffer(
-                partial_buffer, dtype, groups, event_wait_list=[launch]
+            launches.append(Launch(chunk.device_index, kernel, (groups * wg,), (wg,),
+                                   input_container.chunk_events(position),
+                                   [(input_container, position)]))
+            partial_buffers.append((partial_buffer, groups))
+
+        partials = []
+        partial_reads = []
+        for launch, event, (partial_buffer, groups) in zip(
+                launches, self._enqueue(node, launches), partial_buffers):
+            data, read_event = session.queue(launch.device_index).enqueue_read_buffer(
+                partial_buffer, dtype, groups, event_wait_list=[event]
             )
             partial_buffer.release()
             partials.append(data)
@@ -182,7 +184,7 @@ class Reduce(Skeleton):
                                                   event_wait_list=partial_reads)
         kernel = program.create_kernel("skelcl_reduce")
         kernel.set_args(in_buffer, out_buffer, len(gathered), 0)
-        launch2 = self._enqueue(node, 0, kernel, (wg,), (wg,), wait_for=[write_event])
+        (launch2,) = self._enqueue(node, [Launch(0, kernel, (wg,), (wg,), [write_event])])
         result, _event = queue0.enqueue_read_buffer(out_buffer, dtype, 1,
                                                     event_wait_list=[launch2])
         in_buffer.release()

@@ -3,11 +3,14 @@
     prefix_sum = Scan("float func(float x, float y) { return x + y; }")
     result = prefix_sum(input_vector)
 
-Implementation: the classical three-phase GPU scan, run per device —
+Implementation: the classical three-phase GPU scan of every device's
+chunk, the devices' launches of each phase sibling launches (one
+lockstep run where they can share one) —
 
 1. each work-group performs a Hillis–Steele inclusive scan of its block
    in local memory and emits its block total,
-2. the block totals are scanned (recursively, same kernel),
+2. the block totals are scanned (recursively, same kernel, level by
+   level across the devices),
 3. every block (but the first) folds the preceding blocks' total into
    its elements.
 
@@ -19,12 +22,14 @@ paper's distribution mechanism makes implicit.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from .distribution import Block
 from .funcparse import scalar_param, scalar_return
 from .runtime import SkelCLError
-from .skeleton import Skeleton
+from .skeleton import Launch, Skeleton
 from .types_ import dtype_for_ctype
 from .vector import Vector
 
@@ -131,54 +136,67 @@ class Scan(Skeleton):
 
         # Phase A: scan each device's chunk independently — the per-chunk
         # dependency chains run concurrently across devices.
-        for position, ((in_chunk, in_buffer), (out_chunk, out_buffer)) in enumerate(
-            zip(chunks, out_chunks)
-        ):
-            n = in_chunk.owned_size
-            if n == 0:
-                continue
-            final = self._scan_on_device(
-                node, program, in_chunk.device_index, in_buffer, out_buffer, n,
-                in_chunk.halo_before,
-                wait_for=input_vector.chunk_events(position) + out.chunk_write_events(position),
-            )
+        scans = [(position, (in_chunk.device_index, in_buffer, out_buffer, in_chunk.owned_size,
+                             in_chunk.halo_before,
+                             input_vector.chunk_events(position)
+                             + out.chunk_write_events(position)))
+                 for position, ((in_chunk, in_buffer), (_out_chunk, out_buffer))
+                 in enumerate(zip(chunks, out_chunks)) if in_chunk.owned_size > 0]
+        finals = self._scan_level(node, program, [scan for _position, scan in scans])
+        for (position, _scan), final in zip(scans, finals):
             input_vector.record_chunk_reader(position, final)
             out.record_chunk_event(position, final)
 
-        if len([c for c, _b in chunks if c.owned_size > 0]) > 1:
+        if len(scans) > 1:
             self._apply_device_offsets(node, program, out, out_chunks, dtype)
         return out
 
-    # -- single-device multi-block scan (recursive) -------------------------
+    # -- per-device multi-block scans, level by level -----------------------
 
-    def _scan_on_device(self, node, program, device_index: int, in_buffer, out_buffer,
-                        n: int, offset: int, wait_for=None) -> "ocl.Event":
-        """Scan one buffer on one device; returns the event producing the
-        final contents of ``out_buffer``."""
+    def _scan_level(self, node, program, scans) -> List["ocl.Event"]:
+        """Scan one buffer per device — ``scans`` lists ``(device_index,
+        in_buffer, out_buffer, n, offset, wait_for)`` — as sibling
+        launches, level by level: every device's block scan, then the
+        scan of the block sums of each device with more than one block
+        (recursively, one level deeper), then those devices' add-blocks
+        passes.  Each device's commands keep the order a scan of its
+        buffer alone has.  Returns per scan the event producing the final
+        contents of its out buffer."""
         session = node.session
-        dtype = dtype_for_ctype(self.element_type)
-        groups = (n + _SCAN_WG - 1) // _SCAN_WG
-        sums_buffer = session.context.create_buffer(
-            max(groups, 1) * dtype.itemsize, session.devices[device_index], name="scan_sums"
-        )
-        kernel = program.create_kernel("skelcl_scan_block")
-        kernel.set_args(in_buffer, out_buffer, sums_buffer, n, offset)
-        block_scan = self._enqueue(node, device_index, kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
-                                   wait_for=wait_for)
-        final = block_scan
-        if groups > 1:
-            scanned_sums = session.context.create_buffer(
-                groups * dtype.itemsize, session.devices[device_index], name="scan_sums_scanned"
-            )
-            sums_scan = self._scan_on_device(node, program, device_index, sums_buffer, scanned_sums,
-                                             groups, 0, wait_for=[block_scan])
-            add_kernel = program.create_kernel("skelcl_scan_add_blocks")
-            add_kernel.set_args(out_buffer, scanned_sums, n)
-            final = self._enqueue(node, device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
-                                  wait_for=[block_scan, sums_scan])
-            scanned_sums.release()
-        sums_buffer.release()
-        return final
+        itemsize = dtype_for_ctype(self.element_type).itemsize
+        launches, sums, groups = [], [], []
+        for device_index, in_buffer, out_buffer, n, offset, wait_for in scans:
+            groups.append((n + _SCAN_WG - 1) // _SCAN_WG)
+            sums.append(session.context.create_buffer(
+                max(groups[-1], 1) * itemsize, session.devices[device_index], name="scan_sums"))
+            kernel = program.create_kernel("skelcl_scan_block")
+            kernel.set_args(in_buffer, out_buffer, sums[-1], n, offset)
+            launches.append(Launch(device_index, kernel, (groups[-1] * _SCAN_WG,), (_SCAN_WG,),
+                                   wait_for))
+        finals = blocks = self._enqueue(node, launches)
+        deeper = [index for index, count in enumerate(groups) if count > 1]
+        if deeper:
+            scanned = [session.context.create_buffer(
+                groups[index] * itemsize, session.devices[scans[index][0]],
+                name="scan_sums_scanned") for index in deeper]
+            sums_scans = self._scan_level(node, program, [
+                (scans[index][0], sums[index], scanned_sums, groups[index], 0, [blocks[index]])
+                for index, scanned_sums in zip(deeper, scanned)])
+            adds = []
+            for index, scanned_sums, sums_scan in zip(deeper, scanned, sums_scans):
+                device_index, _in, out_buffer, n, _offset, _wait = scans[index]
+                add_kernel = program.create_kernel("skelcl_scan_add_blocks")
+                add_kernel.set_args(out_buffer, scanned_sums, n)
+                adds.append(Launch(device_index, add_kernel, (groups[index] * _SCAN_WG,),
+                                   (_SCAN_WG,), [blocks[index], sums_scan]))
+            finals = list(blocks)
+            for index, event in zip(deeper, self._enqueue(node, adds)):
+                finals[index] = event
+            for buffer in scanned:
+                buffer.release()
+        for buffer in sums:
+            buffer.release()
+        return finals
 
     # -- cross-device offsets --------------------------------------------------
 
@@ -214,7 +232,8 @@ class Scan(Skeleton):
                                                   event_wait_list=total_reads)
         kernel = program.create_kernel("skelcl_scan_block")
         kernel.set_args(tot_in, tot_out, sums_scratch, len(totals), 0)
-        launch = self._enqueue(node, 0, kernel, (_SCAN_WG,), (_SCAN_WG,), wait_for=[write_event])
+        (launch,) = self._enqueue(node, [Launch(0, kernel, (_SCAN_WG,), (_SCAN_WG,),
+                                                [write_event])])
         scanned, scanned_read = queue0.enqueue_read_buffer(tot_out, dtype, len(totals),
                                                            event_wait_list=[launch])
         for buffer in (tot_in, tot_out, sums_scratch):
@@ -222,11 +241,13 @@ class Scan(Skeleton):
         # Fold the preceding devices' total into each later chunk; the
         # folds on distinct devices proceed concurrently once the scanned
         # offsets are on the host.
+        folds = []
         for index, (position, chunk, buffer) in enumerate(active[1:], start=1):
-            offset_value = scanned[index - 1]
             add_kernel = program.create_kernel("skelcl_scan_add_offset")
-            add_kernel.set_args(buffer, offset_value, chunk.owned_size)
+            add_kernel.set_args(buffer, scanned[index - 1], chunk.owned_size)
             groups = (chunk.owned_size + _SCAN_WG - 1) // _SCAN_WG
-            self._enqueue(node, chunk.device_index, add_kernel, (groups * _SCAN_WG,), (_SCAN_WG,),
-                          wait_for=[scanned_read] + out.chunk_write_events(position),
-                          output=out, output_position=position)
+            folds.append(Launch(chunk.device_index, add_kernel, (groups * _SCAN_WG,),
+                                (_SCAN_WG,),
+                                [scanned_read] + out.chunk_write_events(position),
+                                output=out, position=position))
+        self._enqueue(node, folds)

@@ -6,7 +6,9 @@ containers.  Calling a skeleton:
 
 1. resolves the input/output distributions (explicit or default),
 2. ensures input data is on the devices (implicit transfers),
-3. launches the generated kernel on every device owning a chunk,
+3. launches the generated kernel on every device owning a chunk (the
+   launches collected first and enqueued as siblings, which share one
+   lockstep run where they can: ``ocl.enqueue_sibling_kernels``),
 4. marks outputs device-resident (host copies update lazily).
 
 Generated kernel sources are deterministic strings, so the simulated
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import os.path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +44,27 @@ from .vector import Vector
 DEFAULT_WORK_GROUP_SIZE = 256
 
 _SKELCL_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+class Launch(NamedTuple):
+    """One kernel launch of a skeleton call (:meth:`Skeleton._enqueue`).
+
+    ``wait_for`` lists the events producing the buffers it reads or
+    overwrites (RAW/WAW/WAR edges).  ``inputs`` lists the ``(container,
+    position)`` chunks it reads: the event is recorded as a *reader* of
+    those, so a later writer orders itself after this launch.  With an
+    ``output`` container the event becomes the gate of its chunk at
+    ``position``, so downstream consumers — downloads,
+    redistributions, later skeletons — wait on it."""
+
+    device_index: int
+    kernel: ocl.Kernel
+    global_size: Tuple[int, ...]
+    local_size: Tuple[int, ...]
+    wait_for: Sequence[ocl.Event]
+    inputs: Sequence[Tuple[Container, int]] = ()
+    output: Optional[Container] = None
+    position: Optional[int] = None
 
 
 def default_label(skeleton_name: str, func_name: str) -> str:
@@ -352,41 +375,28 @@ class Skeleton:
             event.wait()
         return max(e.end_ns for e in kernels) - min(e.start_ns for e in kernels)
 
-    def _enqueue(
-        self,
-        node: PlanNode,
-        device_index: int,
-        kernel: ocl.Kernel,
-        global_size,
-        local_size,
-        sample_fraction: Optional[float] = None,
-        wait_for: Optional[Sequence[ocl.Event]] = None,
-        output=None,
-        output_position: Optional[int] = None,
-        inputs: Sequence = (),
-    ) -> ocl.Event:
-        """Launch ``kernel`` for the call ``node`` with an explicit wait
-        list; the event takes the call's label and joins its events.
-
-        ``wait_for`` lists the events producing the buffers this launch
-        reads or overwrites (RAW/WAW/WAR edges).  When ``output`` (a
-        container) and ``output_position`` are given, the launch event is
-        recorded as the new gate for that output chunk, so downstream
-        consumers — downloads, redistributions, later skeletons — wait
-        on it.  ``inputs`` lists ``(container, position)`` pairs the
-        launch reads: the event is recorded as a *reader* of those
-        chunks, so a later writer orders itself after this launch."""
-        event = node.session.queue(device_index).enqueue_nd_range_kernel(
-            kernel, global_size, local_size, sample_fraction,
-            event_wait_list=wait_for,
-        )
-        for container, position in inputs:
-            container.record_chunk_reader(position, event)
-        if output is not None and output_position is not None:
-            output.record_chunk_event(output_position, event)
-        event.label = node.label
-        node.events.append(event)
-        return event
+    def _enqueue(self, node: PlanNode, launches: Sequence[Launch],
+                 sample_fraction: Optional[float] = None) -> List[ocl.Event]:
+        """Launch the sibling ``launches`` of one kernel for the call
+        ``node`` — its launches on different devices, collected before
+        any is enqueued, so those that can share one lockstep run do
+        (:func:`repro.ocl.enqueue_sibling_kernels`).  Each event, in
+        launch order, takes the call's label, joins its events and is
+        recorded on the launch's containers before the next launch's
+        event is recorded; returns the events."""
+        session, events = node.session, []
+        for launch, event in zip(launches, ocl.enqueue_sibling_kernels([
+                (session.queue(launch.device_index), launch.kernel, launch.global_size,
+                 launch.local_size, sample_fraction, launch.wait_for)
+                for launch in launches])):
+            for container, position in launch.inputs:
+                container.record_chunk_reader(position, event)
+            if launch.output is not None:
+                launch.output.record_chunk_event(launch.position, event)
+            event.label = node.label
+            node.events.append(event)
+            events.append(event)
+        return events
 
     def _launch(
         self,
@@ -414,12 +424,14 @@ class Skeleton:
         ``local_size`` per dimension.  Each launch waits on the
         producers of the chunks it reads and on the producers and
         readers of the chunk it overwrites, and is recorded as reader /
-        writer of those chunks."""
+        writer of those chunks.  The launches are siblings
+        (:meth:`_enqueue`)."""
         session, out = node.session, node.output
         program = self._program(source, program_name, session)
         staged = [container.ensure_on_devices(distribution, session)
                   for container, distribution in zip(inputs, distributions)]
         out_chunks = out.prepare_as_output(out_distribution, session)
+        launches = []
         for position, (*in_pairs, (out_chunk, out_buffer)) in enumerate(
                 zip(*staged, out_chunks)):
             scalars, extent = chunk_args(out_chunk, *(chunk for chunk, _ in in_pairs))
@@ -431,12 +443,12 @@ class Skeleton:
             wait_for: List[ocl.Event] = []
             for container in inputs:
                 wait_for += container.chunk_events(position)
-            self._enqueue(node, out_chunk.device_index, kernel,
-                          tuple(round_up(n, wg) for n, wg in zip(extent, local_size)),
-                          local_size, sample_fraction,
-                          wait_for=wait_for + out.chunk_write_events(position),
-                          inputs=[(container, position) for container in inputs],
-                          output=out, output_position=position)
+            launches.append(Launch(
+                out_chunk.device_index, kernel,
+                tuple(round_up(n, wg) for n, wg in zip(extent, local_size)), local_size,
+                wait_for + out.chunk_write_events(position),
+                [(container, position) for container in inputs], out, position))
+        self._enqueue(node, launches, sample_fraction)
         return out
 
     # -- distribution policy -------------------------------------------------------

@@ -225,11 +225,15 @@ class LaunchAudit:
 
     def execute(self, compiled, ndrange, args, sample_fraction, counters,
                 **options):
-        counters.memory.trace = []
-        result = self._execute(compiled, ndrange, args, sample_fraction,
-                               counters, **options)
-        self._pending = (args, counters.memory.trace, result.sampled)
-        return result
+        """The oracle's sibling launches, one at a time: each one's
+        result is taken just before its event records its access set."""
+        for counter in counters:
+            counter.memory.trace = []
+        results = self._execute(compiled, ndrange, args, sample_fraction,
+                                counters, **options)
+        for one, counter, result in zip(args, counters, results):
+            self._pending = (one, counter.memory.trace, result.sampled)
+            yield result
 
     def accesses(self, kernel, ndrange, metrics=None):
         declared = self._accesses(kernel, ndrange, metrics)

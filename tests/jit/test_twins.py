@@ -87,7 +87,8 @@ def summed_counters(skeleton):
         if event.command_type != "ndrange_kernel":
             continue
         for key, value in event.info.items():
-            totals[key] = totals.get(key, 0) + value
+            if key != "run":  # which lockstep run: an id, not a count
+                totals[key] = totals.get(key, 0) + value
     return totals
 
 

@@ -10,14 +10,16 @@ Buffers and every ``ExecutionCounters`` field must come out equal to the
 lockstep engine's.
 
 :func:`execute_ndrange` takes what :func:`repro.ocl.executor.execute_ndrange`
-takes, so a test routes every launch of a session through it with
+takes — sibling launches, one argument list and one counters object per
+device — and runs the siblings one after another, so a test routes
+every launch of a session through it with
 ``monkeypatch.setattr(repro.ocl.queue, "execute_ndrange",
 peritem.execute_ndrange)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.kernelc.compiler import CompiledKernel, CompiledProgram, _ProgramCompiler
 from repro.kernelc.execmodel import (WARP_SIZE, ExecutionCounters, WorkItemContext,
@@ -45,15 +47,26 @@ def functions(compiled: CompiledProgram) -> Dict[str, Callable]:
     return found
 
 
-def execute_ndrange(kernel: CompiledKernel, ndrange: NDRange, args: Sequence,
+def execute_ndrange(kernel: CompiledKernel, ndrange: NDRange, args: Sequence[Sequence],
                     sample_fraction: Optional[float] = None,
-                    counters: Optional[ExecutionCounters] = None,
-                    metrics=None) -> ExecutionResult:
+                    counters: Optional[Sequence[ExecutionCounters]] = None,
+                    metrics=None) -> Iterator[ExecutionResult]:
+    """The sibling form of the lockstep executor, run sequentially: each
+    sibling launch (an argument list of ``args``, its ``counters``) runs
+    when its result is asked for, after the results of the ones before
+    it were taken — the sequential reference a merged run is held
+    against.  ``metrics`` is accepted and not told anything."""
+    if counters is None:
+        counters = [ExecutionCounters() for _ in args]
+    for one, counter in zip(args, counters):
+        yield _execute_one(kernel, ndrange, one, sample_fraction, counter)
+
+
+def _execute_one(kernel: CompiledKernel, ndrange: NDRange, args: Sequence,
+                 sample_fraction: Optional[float], counters: ExecutionCounters) -> ExecutionResult:
     """Run ``kernel`` over ``ndrange`` one work-item at a time (a sampled
     launch over the same groups as the lockstep engine); returns the
-    scaled cost counters.  ``metrics`` is accepted and not told anything."""
-    if counters is None:
-        counters = ExecutionCounters()
+    scaled cost counters."""
     groups = list(ndrange.group_ids())
     selected = groups
     if sample_fraction is not None and 0 < sample_fraction < 1:

@@ -37,8 +37,8 @@ def launch(compiled, arrays, args, global_size, local_size, engine, sample=None)
     values = [pointers[a] if isinstance(a, str) else a for a in args]
     values = [convert_value(value, param.declared_type)
               for value, param in zip(values, compiled.definition.params)]
-    result = _ENGINES[engine](compiled, NDRange.create(global_size, local_size), values,
-                              sample, counters)
+    (result,) = _ENGINES[engine](compiled, NDRange.create(global_size, local_size), [values],
+                                 sample, [counters])
     return {name: pointer.array for name, pointer in pointers.items()}, result
 
 

@@ -48,8 +48,8 @@ def _launch(kernel, arrays, scalars, global_size, local_size, engine):
             for value, param in zip(args, kernel.definition.params)]
     registry = MetricsRegistry()
     try:
-        _ENGINES[engine](kernel, NDRange.create(global_size, local_size), args,
-                         counters=counters, metrics=registry)
+        (_result,) = _ENGINES[engine](kernel, NDRange.create(global_size, local_size), [args],
+                                      counters=[counters], metrics=registry)
     except Exception as exc:  # compared by type and message below
         return exc
     regions = {path: registry.value("skelcl_lockstep_regions_total", path=path)

@@ -94,11 +94,11 @@ def main() -> None:
     execute = ocl_queue.execute_ndrange
 
     def recorded(compiled, *args, **kwargs):
-        result = execute(compiled, *args, **kwargs)
-        counters = dataclasses.asdict(result.counters)
-        del counters["memory"]["trace"]
-        launches.append([compiled.name, counters])
-        return result
+        for result in execute(compiled, *args, **kwargs):
+            counters = dataclasses.asdict(result.counters)
+            del counters["memory"]["trace"]
+            launches.append([compiled.name, counters])
+            yield result
 
     ocl_queue.execute_ndrange = recorded
 

@@ -420,16 +420,17 @@ def _kernel_events(session):
 
 def _before_first_launch_on_device_0(session, action) -> None:
     """Run ``action`` once, inside the next skeleton call on ``session``:
-    after the call was made, before its first kernel reaches device 0."""
+    after the call was made, before its first kernel event is recorded
+    on device 0."""
     queue = session.queue(0)
-    enqueue = queue.enqueue_nd_range_kernel
+    record = queue._record_kernel
 
     def hooked(*args, **kwargs):
-        queue.enqueue_nd_range_kernel = enqueue
+        queue._record_kernel = record
         action()
-        return enqueue(*args, **kwargs)
+        return record(*args, **kwargs)
 
-    queue.enqueue_nd_range_kernel = hooked
+    queue._record_kernel = hooked
 
 
 def _shared_call(kind: str):
