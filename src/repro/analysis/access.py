@@ -28,8 +28,7 @@ afterwards only stamps the resolved rows with the launch's buffers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,9 +49,9 @@ _MAX_RANGES_PER_PARAM = 8
 _MAX_LAUNCH_SHAPES = 128
 
 
-@dataclass(frozen=True)
-class BufferAccess:
-    """One command's access to a byte range of one buffer.
+class BufferAccess(NamedTuple):
+    """One command's access to a byte range of one buffer (a named
+    tuple: every kernel launch stamps a few).
 
     ``stride == 0`` means the range is dense: every byte in
     ``[start, stop)`` may be touched.  ``stride > 0`` means only the
@@ -235,7 +234,7 @@ def _launch_shape(kernel, summary, ndrange) -> tuple:
     return tuple(shape)
 
 
-def kernel_buffer_accesses(kernel, ndrange, metrics=None) -> List[BufferAccess]:
+def kernel_buffer_accesses(kernel, ndrange, metrics=None, plan=None) -> List[BufferAccess]:
     """The buffer access set of a bound :class:`repro.ocl.Kernel`
     launched over ``ndrange``.
 
@@ -250,36 +249,41 @@ def kernel_buffer_accesses(kernel, ndrange, metrics=None) -> List[BufferAccess]:
     its :data:`_MAX_LAUNCH_SHAPES` most recently used resolutions, and a
     launch that repeats one only stamps the rows with its own buffers'
     ``uid`` and ``name`` — per argument index, so one buffer bound to
-    two parameters needs no special case.
+    two parameters needs no special case.  A launch from ``plan`` (a
+    :class:`repro.ocl.queue.LaunchPlan`, what a skeleton's launch recipe
+    keeps per launch) keeps the resolution on the plan: the plan's later
+    launches are hits that compute no key and look nothing up.
 
     ``metrics`` (a SkelScope registry, or a queue's handles to one)
     counts each launch under ``skelcl_access_memo_total{result=hit|miss}``
     and each of its pointer arguments under
     ``skelcl_access_summary_total{kind=affine|fallback}``.
     """
-    summary = affine.cached_kernel_summary(kernel.program.compiled.program,
-                                           kernel.compiled.definition)
-    memo = summary.launch_shapes
-    shape = _launch_shape(kernel, summary, ndrange)
-    # pop + re-insert moves a hit to the recent end and, unlike
-    # get + move_to_end, cannot trip over another thread's eviction.
-    resolved = memo.pop(shape, None)
-    if metrics is not None:
-        metrics.counter("skelcl_access_memo_total",
-                        result="miss" if resolved is None else "hit").inc()
+    resolved = plan and plan.resolved
     if resolved is None:
-        resolved = _resolve_launch(kernel, summary, ndrange)
-    memo[shape] = resolved
-    if len(memo) > _MAX_LAUNCH_SHAPES:
-        memo.popitem(last=False)
+        summary = affine.cached_kernel_summary(kernel.program.compiled.program,
+                                               kernel.compiled.definition)
+        memo = summary.launch_shapes
+        shape = _launch_shape(kernel, summary, ndrange)
+        # pop + re-insert moves a hit to the recent end and, unlike
+        # get + move_to_end, cannot trip over another thread's eviction.
+        resolved = memo.pop(shape, None)
+        if metrics is not None:
+            metrics.counter("skelcl_access_memo_total",
+                            result="miss" if resolved is None else "hit").inc()
+        if resolved is None:
+            resolved = _resolve_launch(kernel, summary, ndrange)
+        memo[shape] = resolved
+        if len(memo) > _MAX_LAUNCH_SHAPES:
+            memo.popitem(last=False)
+        if plan is not None:
+            plan.resolved = resolved
+    elif metrics is not None:
+        metrics.counter("skelcl_access_memo_total", result="hit").inc()
     bound, kinds = resolved
     if metrics is not None:
         for kind, pointer_arguments in kinds:
             metrics.counter("skelcl_access_summary_total", kind=kind).inc(pointer_arguments)
-    accesses: List[BufferAccess] = []
     args = kernel._args
-    for index, param_name, rows in bound:
-        buffer = args[index]
-        uid, name = buffer.uid, buffer.name or param_name
-        accesses += [BufferAccess(uid, name, *row) for row in rows]
-    return accesses
+    return [BufferAccess(args[index].uid, args[index].name or param_name, *row)
+            for index, param_name, rows in bound for row in rows]

@@ -1151,7 +1151,7 @@ class _Run:
 _COMPACT_DENSITY = 0.5
 _COMPACT_MIN_LANES = 1024
 
-#: Sibling launches share a run (``ocl.enqueue_sibling_kernels``) up to
+#: Sibling launches share a run (``ocl.SiblingPlan``) up to
 #: this many lanes in all: past it a run's lane temporaries outgrow any
 #: one launch's and its fixed cost no longer shows.  Measured per pair
 #: of siblings, one run / two launches host time: Map 0.73x at 1,024

@@ -38,7 +38,7 @@ from .executor import ExecutionResult, execute_ndrange
 from .kernel import Kernel
 from .ndrange import NDRange
 from .program import Program, build_cache_size, clear_build_cache
-from .queue import CommandQueue, enqueue_sibling_kernels
+from .queue import CommandQueue, SiblingPlan
 from .spec import (
     CPU_8CORE,
     CPU_16CORE,
@@ -78,12 +78,12 @@ __all__ = [
     "RaceWarning",
     "SampledBufferRead",
     "SanitizeMode",
+    "SiblingPlan",
     "TESLA_FERMI_480",
     "TESLA_T10",
     "TEST_DEVICE",
     "build_cache_size",
     "clear_build_cache",
-    "enqueue_sibling_kernels",
     "execute_ndrange",
     "kernel_time_ns",
     "peer_transfer_time_ns",

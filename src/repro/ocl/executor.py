@@ -13,7 +13,7 @@ One call executes a kernel's *sibling* launches — the launches of one
 skeleton call on several devices, with equal scalar arguments, buffer
 sizes and NDRange — as one lockstep run over the union of their lanes
 (``docs/kernelc.md``, "Sibling runs"); which launches are siblings the
-queue decides (:func:`repro.ocl.queue.enqueue_sibling_kernels`).
+queue decides (:class:`repro.ocl.queue.SiblingPlan`).
 
 For very large NDRanges the executor supports *sampled* execution: a
 deterministic, evenly spread subset of work-groups is executed and the

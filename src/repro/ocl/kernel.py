@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..kernelc import ast
 from ..kernelc.compiler import CompiledKernel
 from ..kernelc.ctypes_ import PointerType, ScalarType, VectorType, convert_scalar
-from ..kernelc.execmodel import ExecutionCounters
 from ..kernelc.values import VecValue
 from .buffer import Buffer
 from .errors import InvalidKernelArgs
 from .program import Program
+
+
+#: The value of an argument no ``set_arg`` has bound yet.
+_UNSET = object()
 
 
 class Kernel:
@@ -20,8 +23,7 @@ class Kernel:
     def __init__(self, program: Program, compiled: CompiledKernel):
         self.program = program
         self.compiled = compiled
-        self._args: List = [None] * len(compiled.definition.params)
-        self._args_set: List[bool] = [False] * len(compiled.definition.params)
+        self._args: List = [_UNSET] * len(compiled.definition.params)
 
     @property
     def name(self) -> str:
@@ -37,7 +39,6 @@ class Kernel:
                 f"kernel {self.name!r} has {len(self._args)} argument(s), index {index} is invalid"
             )
         self._args[index] = value
-        self._args_set[index] = True
 
     def set_args(self, *values) -> "Kernel":
         if len(values) != len(self._args):
@@ -48,15 +49,19 @@ class Kernel:
             self.set_arg(index, value)
         return self
 
-    def marshal_args(self, counters: ExecutionCounters, device) -> List:
-        """Convert bound arguments to runtime values for execution."""
-        if not all(self._args_set):
-            missing = [
-                param.name for param, is_set in zip(self.params, self._args_set) if not is_set
-            ]
+    def marshal(self, device) -> Tuple[List, List[tuple]]:
+        """Check the bound arguments for a launch on ``device`` and
+        convert them to runtime values: the value of every scalar and
+        vector argument (None in a pointer slot), and per pointer slot
+        ``(index, pointee type, address space)`` — a launch views the
+        slot's Buffer through a typed pointer of its own."""
+        missing = [param.name for param, value in zip(self.params, self._args)
+                   if value is _UNSET]
+        if missing:
             raise InvalidKernelArgs(f"kernel {self.name!r}: unset argument(s) {missing}")
-        runtime: List = []
-        for param, value in zip(self.params, self._args):
+        values: List = []
+        pointers: List[tuple] = []
+        for index, (param, value) in enumerate(zip(self.params, self._args)):
             ctype = param.declared_type
             if isinstance(ctype, PointerType):
                 if not isinstance(value, Buffer):
@@ -69,14 +74,14 @@ class Kernel:
                         f"buffer for argument {param.name!r} lives on {value.device.name}, "
                         f"but the kernel launches on {device.name}"
                     )
-                pointer = value.pointer(ctype.pointee, counters.memory)
-                pointer.address_space = ctype.address_space if ctype.address_space != "private" else "global"
-                runtime.append(pointer)
+                space = ctype.address_space if ctype.address_space != "private" else "global"
+                pointers.append((index, ctype.pointee, space))
+                values.append(None)
             elif isinstance(ctype, VectorType):
                 if isinstance(value, VecValue):
-                    runtime.append(VecValue(ctype.element, value.components))
+                    values.append(VecValue(ctype.element, value.components))
                 elif isinstance(value, (list, tuple)):
-                    runtime.append(VecValue(ctype.element, list(value)))
+                    values.append(VecValue(ctype.element, list(value)))
                 else:
                     raise InvalidKernelArgs(
                         f"argument {param.name!r} needs a vector value, got {type(value).__name__}"
@@ -86,10 +91,10 @@ class Kernel:
                     raise InvalidKernelArgs(
                         f"argument {param.name!r} of kernel {self.name!r} is scalar, got a Buffer"
                     )
-                runtime.append(convert_scalar(value, ctype))
+                values.append(convert_scalar(value, ctype))
             else:  # pragma: no cover
                 raise InvalidKernelArgs(f"unsupported parameter type {ctype}")
-        return runtime
+        return values, pointers
 
     def __call__(self, *args) -> "Kernel":
         """Bind arguments fluently: ``kernel(a, b, n)``."""

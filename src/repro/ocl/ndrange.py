@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Tuple
 
 from .errors import InvalidValue, InvalidWorkGroupSize
@@ -17,7 +18,9 @@ def _as_tuple(value) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NDRange:
-    """A validated NDRange: 1-3 dimensions, local divides global."""
+    """A validated NDRange: 1-3 dimensions, local divides global.  Its
+    derived sizes are computed once: a launch plan keeps its NDRange for
+    every launch it makes."""
 
     global_size: Tuple[int, ...]
     local_size: Tuple[int, ...]
@@ -56,23 +59,23 @@ class NDRange:
             )
         return NDRange(gsize, lsize)
 
-    @property
+    @cached_property
     def work_dim(self) -> int:
         return len(self.global_size)
 
-    @property
+    @cached_property
     def total_work_items(self) -> int:
         return _product(self.global_size)
 
-    @property
+    @cached_property
     def work_group_size(self) -> int:
         return _product(self.local_size)
 
-    @property
+    @cached_property
     def num_groups(self) -> Tuple[int, ...]:
         return tuple(g // l for g, l in zip(self.global_size, self.local_size))
 
-    @property
+    @cached_property
     def total_groups(self) -> int:
         return _product(self.num_groups)
 

@@ -39,7 +39,6 @@ import numpy as np
 from ..analysis.access import BufferAccess, kernel_buffer_accesses
 from ..callsite import call_site
 from ..kernelc.execmodel import ExecutionCounters
-from ..kernelc.memory import Pointer
 from ..kernelc.vectorize import RUN_MAX_LANES
 from .buffer import Buffer
 from .device import Device
@@ -265,27 +264,33 @@ class CommandQueue:
         event_wait_list: Optional[Sequence[Event]] = None,
     ) -> Event:
         """Launch ``kernel``; returns the profiling event (one launch:
-        :func:`enqueue_sibling_kernels` runs several)."""
-        launch = _Sibling(self, kernel, global_size, local_size, sample_fraction,
-                          event_wait_list)
-        (result,) = execute_ndrange(kernel.compiled, launch.ndrange, [launch.args],
-                                    sample_fraction, [launch.counters], metrics=self._series)
-        return self._record_kernel(kernel, launch.ndrange, result, next(_run_ids),
-                                   event_wait_list)
+        :class:`SiblingPlan` runs several)."""
+        plan = LaunchPlan(kernel, global_size, local_size, sample_fraction, self.device)
+        return self._launch(_Sibling(self, plan, kernel, event_wait_list))
 
-    def _record_kernel(self, kernel: Kernel, ndrange: NDRange, result, run: int,
+    def _launch(self, launch: "_Sibling") -> Event:
+        """Execute one launch of its plan on this queue, alone; returns
+        its event."""
+        plan = launch.plan
+        (result,) = execute_ndrange(plan.compiled, plan.ndrange, [launch.args],
+                                    plan.sample_fraction, [launch.counters],
+                                    metrics=self._series)
+        return self._record_kernel(launch.kernel, plan, result, next(_run_ids),
+                                   launch.wait_list)
+
+    def _record_kernel(self, kernel: Kernel, plan: "LaunchPlan", result, run: int,
                        event_wait_list: Optional[Sequence[Event]]) -> Event:
-        """The event of a launch of ``kernel`` that executed with
-        ``result`` in the lockstep run ``run``: timing model, access set,
-        sampled taint, submission (and race observation) and metrics."""
-        series = self._series
+        """The event of a launch of ``kernel`` from ``plan`` that executed
+        with ``result`` in the lockstep run ``run``: timing model, access
+        set, sampled taint, submission (and race observation) and
+        metrics."""
+        series, ndrange = self._series, plan.ndrange
         duration = kernel_time_ns(
             self.device.spec,
             result.counters,
             simd_utilization(ndrange.work_group_size),
         )
-        event = Event("ndrange_kernel", kernel.name)
-        event.info.update(
+        event = Event("ndrange_kernel", kernel.name, info=dict(
             ops=result.counters.ops,
             warp_ops=result.counters.warp_ops,
             global_loads=result.counters.memory.global_loads,
@@ -298,8 +303,8 @@ class CommandQueue:
             groups_total=result.groups_total,
             groups_executed=result.groups_executed,
             run=run,
-        )
-        event.accesses = kernel_buffer_accesses(kernel, ndrange, series)
+        ))
+        event.accesses = kernel_buffer_accesses(kernel, ndrange, series, plan)
         # Sampled-execution taint: a sampled launch leaves its outputs
         # partially written, and a kernel consuming tainted data spreads
         # the taint to everything it writes.  The access set is scanned
@@ -443,44 +448,52 @@ class CommandQueue:
 _run_ids = itertools.count(1)
 
 
+class LaunchPlan:
+    """What a launch of a bound kernel derives from its *shape*, once:
+    the validated NDRange, the scalar arguments converted to their
+    parameter types, the pointer slots and — kept by the first launch
+    that records it — the resolved access set
+    (``kernel_buffer_accesses``).  :meth:`bind` makes a kernel launching
+    this shape with other buffers of the same sizes on the same device:
+    launched from this plan, it derives none of it again — what a
+    skeleton's launch recipe keeps per launch.  A plan holds no
+    buffer."""
+
+    def __init__(self, kernel: Kernel, global_size, local_size,
+                 sample_fraction: Optional[float], device: Device):
+        self.program, self.compiled, self.resolved = kernel.program, kernel.compiled, None
+        self.sample_fraction = sample_fraction
+        self.ndrange = NDRange.create(global_size, local_size, device.max_work_group_size)
+        self.values, self.pointers = kernel.marshal(device)
+        self.args = [None if v is None else arg for arg, v in zip(kernel._args, self.values)]
+
+    def bind(self, buffers: Sequence[Buffer]) -> Kernel:
+        """A kernel of this plan with ``buffers`` in its pointer slots, in
+        order."""
+        kernel = Kernel(self.program, self.compiled)
+        kernel._args = list(self.args)
+        for (index, _, _), buffer in zip(self.pointers, buffers):
+            kernel._args[index] = buffer
+        return kernel
+
+
 class _Sibling:
-    """One launch of :func:`enqueue_sibling_kernels`, its arguments
-    marshaled."""
+    """One launch as it executes: its kernel and plan, and its arguments
+    marshaled onto counters of its own."""
 
-    __slots__ = ("queue", "kernel", "ndrange", "sample_fraction", "wait_list", "counters",
-                 "args")
+    __slots__ = ("queue", "plan", "kernel", "wait_list", "counters", "args")
 
-    def __init__(self, queue: CommandQueue, kernel: Kernel, global_size, local_size,
-                 sample_fraction: Optional[float], wait_list: Optional[Sequence[Event]]):
-        self.queue, self.kernel = queue, kernel
-        self.sample_fraction, self.wait_list = sample_fraction, wait_list
-        self.ndrange = NDRange.create(global_size, local_size, queue.device.max_work_group_size)
-        self.counters = ExecutionCounters()
+    def __init__(self, queue: CommandQueue, plan: LaunchPlan, kernel: Kernel,
+                 wait_list: Optional[Sequence[Event]]):
+        self.queue, self.plan, self.kernel, self.wait_list = queue, plan, kernel, wait_list
+        self.counters = counters = ExecutionCounters()
         # The pointers created here report memory traffic into
         # `counters.memory`, and the executor charges ops to the same
         # object, so sampling scales both consistently.
-        self.args = kernel.marshal_args(self.counters, queue.device)
-
-    def shape(self) -> Tuple[Optional[tuple], Optional[str]]:
-        """What the launches of one run have equal — kernel, NDRange, the
-        sizes of the buffers bound and the scalar arguments — or, for a
-        launch that runs alone, why."""
-        if self.sample_fraction is not None and 0 < self.sample_fraction < 1:
-            return None, "sampled"
-        if 2 * self.ndrange.total_work_items > RUN_MAX_LANES:
-            return None, "lanes"  # no sibling fits beside it
-        sizes, scalars, buffers = [], [], set()
-        for bound, value in zip(self.kernel._args, self.args):
-            if isinstance(value, Pointer):
-                if bound.uid in buffers:
-                    return None, "aliased"  # an arena per argument would split the buffer
-                buffers.add(bound.uid)
-                sizes.append(bound.nbytes)
-            else:
-                scalars.append(value if type(value) is int else repr(value))  # -0.0, nan
-        ndrange = self.ndrange
-        return (id(self.kernel.compiled), ndrange.global_size, ndrange.local_size,
-                tuple(sizes), tuple(scalars)), None
+        args = self.args = list(plan.values)
+        for index, pointee, space in plan.pointers:
+            pointer = args[index] = kernel._args[index].pointer(pointee, counters.memory)
+            pointer.address_space = space
 
 
 class _SiblingRun:
@@ -488,23 +501,23 @@ class _SiblingRun:
     reason when one runs alone beside siblings — and once started, the
     iterator of their ``(run id, result)`` in order."""
 
-    __slots__ = ("members", "queues", "alone", "results")
+    __slots__ = ("members", "alone", "results")
 
-    def __init__(self):
+    def __init__(self, alone: Optional[str]):
         self.members: List[_Sibling] = []
-        self.queues: List[CommandQueue] = []
-        self.alone: Optional[str] = None
+        self.alone = alone
         self.results = None
 
     def start(self) -> None:
-        members, first = self.members, self.members[0]
-        series = first.queue._series
+        members, first = self.members, self.members[0].plan
+        series = self.members[0].queue._series
         if self.alone is not None:
             _count_run(series, "separate", self.alone)
         try:
             results = execute_ndrange(
-                first.kernel.compiled, first.ndrange, [member.args for member in members],
-                first.sample_fraction, [member.counters for member in members], metrics=series)
+                first.compiled, first.ndrange, [member.args for member in members],
+                first.sample_fraction, [member.counters for member in members],
+                metrics=series)
         except Exception:
             if len(members) == 1:
                 raise
@@ -520,7 +533,7 @@ def _one_by_one(members: Sequence[_Sibling], series: Optional[_Series]):
     at its turn, from the buffers the run left untouched."""
     for member in members:
         _count_run(series, "separate", "fault")
-        (result,) = execute_ndrange(member.kernel.compiled, member.ndrange, [member.args],
+        (result,) = execute_ndrange(member.plan.compiled, member.plan.ndrange, [member.args],
                                     None, [member.counters], metrics=series)
         yield next(_run_ids), result
 
@@ -530,67 +543,98 @@ def _count_run(series: Optional[_Series], result: str, reason: str) -> None:
         series[_SIBLING_RUNS, result, reason].inc()
 
 
-def _runs(siblings: Sequence[_Sibling]) -> List[_SiblingRun]:
-    """Each launch's run: launches of one shape (:meth:`_Sibling.shape`)
-    on different queues share one while its lanes stay within
-    ``vectorize.RUN_MAX_LANES``.  A run of one launch beside siblings
-    knows why it is alone: the launch's own reason, else "lanes" when
+def _shape(plan: LaunchPlan, kernel: Kernel) -> Tuple[Optional[tuple], Optional[str]]:
+    """What the launches of one run have equal — kernel, NDRange, the
+    sizes of the buffers bound and the scalar arguments — or, for a
+    launch that runs alone, why."""
+    sample_fraction, ndrange = plan.sample_fraction, plan.ndrange
+    if sample_fraction is not None and 0 < sample_fraction < 1:
+        return None, "sampled"
+    if 2 * ndrange.total_work_items > RUN_MAX_LANES:
+        return None, "lanes"  # no sibling fits beside it
+    buffers = [kernel._args[index] for index, _, _ in plan.pointers]
+    if len({buffer.uid for buffer in buffers}) < len(buffers):
+        return None, "aliased"  # an arena per argument would split the buffer
+    return (id(plan.compiled), ndrange.global_size, ndrange.local_size,
+            tuple(buffer.nbytes for buffer in buffers),
+            tuple(value if type(value) is int else repr(value)  # -0.0, nan
+                  for value in plan.values if value is not None)), None
+
+
+class SiblingPlan:
+    """The plan of *sibling* launches — a skeleton call's launches of one
+    kernel on different devices — made once and enqueued again on new
+    buffers.  ``launches`` lists ``(device index, bound kernel,
+    global_size, local_size)`` on ``devices``.
+
+    Launches on different devices whose NDRange, buffer sizes and scalar
+    arguments are equal, none sampled and none binding one buffer twice,
+    execute together, up to ``RUN_MAX_LANES`` lanes in all: one
+    ``execute_ndrange`` call, one lockstep run over the union of their
+    lanes.  Which launches share a run, and why one runs alone, is
+    derived here, once (``runs``): a run of one launch beside siblings
+    knows why it is alone — the launch's own reason, else "lanes" when
     another launch has its shape, "scalars" when one has its NDRange and
     buffer sizes, else "sizes"."""
-    runs: List[_SiblingRun] = []
-    shapes = [sibling.shape() for sibling in siblings]
-    open_runs: Dict[tuple, _SiblingRun] = {}
-    for sibling, (shape, reason) in zip(siblings, shapes):
-        run = None if reason else open_runs.get(shape)
-        if run is None or sibling.queue in run.queues \
-                or sibling.ndrange.total_work_items * (len(run.members) + 1) > RUN_MAX_LANES:
-            run = _SiblingRun()
-            run.alone = reason
-            if reason is None:
-                open_runs[shape] = run
-        run.members.append(sibling)
-        run.queues.append(sibling.queue)
-        runs.append(run)
-    for index, (run, (shape, reason)) in enumerate(zip(runs, shapes)):
-        if len(run.members) == 1 and reason is None:
-            others = [other for at, (other, _) in enumerate(shapes) if at != index and other]
-            run.alone = "lanes" if shape in others else "scalars" \
-                if any(other[:4] == shape[:4] for other in others) else "sizes"
-    return runs
 
+    def __init__(self, devices: Sequence[Device], launches: Sequence[tuple],
+                 sample_fraction: Optional[float] = None):
+        self.devices = [index for index, *_ in launches]
+        self.plans = [LaunchPlan(kernel, global_size, local_size, sample_fraction,
+                                 devices[index])
+                      for index, kernel, global_size, local_size in launches]
+        shapes = [_shape(plan, kernel) for plan, (_, kernel, *_) in zip(self.plans, launches)]
+        members: List[List[int]] = []  # per run, its launches' devices
+        run_of: List[int] = []
+        open_runs: Dict[tuple, int] = {}
+        for device, plan, (shape, reason) in zip(self.devices, self.plans, shapes):
+            run = None if reason else open_runs.get(shape)
+            if run is None or device in members[run] \
+                    or plan.ndrange.total_work_items * (len(members[run]) + 1) > RUN_MAX_LANES:
+                run = len(members)
+                members.append([])
+                if reason is None:
+                    open_runs[shape] = run
+            members[run].append(device)
+            run_of.append(run)
+        self.runs: List[Tuple[int, Optional[str]]] = []  # per launch: (run, alone)
+        for index, (run, (shape, reason)) in enumerate(zip(run_of, shapes)):
+            if len(members[run]) == 1 and reason is None:
+                others = [other for at, (other, _) in enumerate(shapes) if at != index and other]
+                reason = "lanes" if shape in others else "scalars" \
+                    if any(other[:4] == shape[:4] for other in others) else "sizes"
+            self.runs.append((run, reason if len(members[run]) == 1 else None))
 
-def enqueue_sibling_kernels(launches: Sequence[tuple]) -> Iterator[Event]:
-    """Launch *sibling* kernels — ``launches`` lists ``(queue, kernel,
-    global_size, local_size, sample_fraction, event_wait_list)``, the
-    launches of one kernel on different devices as a skeleton call
-    issues them — and yield each launch's event, in order, as
-    :meth:`CommandQueue.enqueue_nd_range_kernel` returns it.
+    def enqueue(self, queues: Sequence[CommandQueue], buffers: Sequence[Sequence[Buffer]],
+                wait_lists: Sequence[Optional[Sequence[Event]]]) -> Iterator[Event]:
+        """Launch the plans on ``queues`` with ``buffers`` in their
+        pointer slots, and yield each launch's event, in order, as
+        :meth:`CommandQueue.enqueue_nd_range_kernel` returns it.  A lone
+        launch is an ordinary one.  The events of a run are still
+        recorded one launch at a time, in order, each once the launch's
+        results are in its buffers: events, modeled time and race
+        accesses are per device as with sequential launches, and a
+        recording that raises (a strict ``RaceError``) leaves the later
+        launches' buffers untouched.  A run that raises is replayed one
+        launch at a time, each at its turn, so a fault is raised by the
+        launch that faults, after the launches before it were recorded.
 
-    Launches of one kernel on different queues whose NDRange, buffer
-    sizes and scalar arguments are equal, none sampled and none binding
-    one buffer twice, execute together, up to ``RUN_MAX_LANES`` lanes in
-    all: one ``execute_ndrange`` call, one lockstep run over the union of
-    their lanes.  A lone launch is an ordinary one.  The events are still
-    recorded one launch at a time, in order, each once the launch's
-    results are in its buffers: events, modeled time and race accesses
-    are per device as with sequential launches, and a recording that
-    raises (a strict ``RaceError``) leaves the later launches' buffers
-    untouched.  A run that raises is replayed one launch at a time, each
-    at its turn, so a fault is raised by the launch that faults, after
-    the launches before it were recorded.
-
-    ``event.info["run"]`` names the run a launch executed in, and
-    ``skelcl_sibling_runs_total{result, reason}`` counts each run of
-    sibling launches (``docs/observability.md``)."""
-    if len(launches) == 1:
-        (queue, kernel, global_size, local_size, sample_fraction, wait_list), = launches
-        yield queue.enqueue_nd_range_kernel(kernel, global_size, local_size, sample_fraction,
-                                            wait_list)
-        return
-    siblings = [_Sibling(*launch) for launch in launches]
-    for sibling, run in zip(siblings, _runs(siblings)):
-        if run.results is None:
-            run.start()
-        run_id, result = next(run.results)
-        yield sibling.queue._record_kernel(sibling.kernel, sibling.ndrange, result, run_id,
-                                           sibling.wait_list)
+        ``event.info["run"]`` names the run a launch executed in, and
+        ``skelcl_sibling_runs_total{result, reason}`` counts each run of
+        sibling launches (``docs/observability.md``)."""
+        siblings = [_Sibling(queue, plan, plan.bind(bound), wait_list)
+                    for queue, plan, bound, wait_list in zip(queues, self.plans, buffers,
+                                                             wait_lists)]
+        if len(siblings) == 1:
+            yield queues[0]._launch(siblings[0])
+            return
+        runs: Dict[int, _SiblingRun] = {}
+        for sibling, (index, alone) in zip(siblings, self.runs):
+            runs.setdefault(index, _SiblingRun(alone)).members.append(sibling)
+        for sibling, (index, _) in zip(siblings, self.runs):
+            run = runs[index]
+            if run.results is None:
+                run.start()
+            run_id, result = next(run.results)
+            yield sibling.queue._record_kernel(sibling.kernel, sibling.plan, result, run_id,
+                                               sibling.wait_list)

@@ -264,6 +264,6 @@ class AllPairs(Skeleton):
         local = self.tile if self.tiled else 16
         return self._launch(
             node, (a, b), (a_dist, Copy()), a_dist,
-            self.kernel_source(), "skelcl_allpairs", "skelcl_allpairs", (local, local),
+            self.kernel_source, "skelcl_allpairs", "skelcl_allpairs", (local, local),
             lambda _c_chunk, a_chunk, _b_chunk: ((a_chunk.owned_size, m, d),
                                                  (m, a_chunk.owned_size)))

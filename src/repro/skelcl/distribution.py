@@ -26,15 +26,15 @@ heterogeneous pool gives a 4x-faster GPU a 4x-larger chunk;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .partition import Partition
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """One device's part of a distributed container (in element/row units)."""
+class Chunk(NamedTuple):
+    """One device's part of a distributed container (in element/row
+    units); a named tuple: every staging makes a few and every skeleton
+    call's launch recipe is keyed by them."""
 
     device_index: int
     owned_start: int

@@ -164,7 +164,7 @@ class Map(Skeleton):
             cols = container.cols
             return self._launch(
                 node, (), (), container.distribution,
-                self.index_matrix_kernel_source(),
+                self.index_matrix_kernel_source,
                 f"skelcl_map_index_m_{self.user.name}", "skelcl_map_index_m", (16, 16),
                 lambda chunk: ((cols, chunk.owned_size, chunk.owned_start),
                                (cols, chunk.owned_size)),
@@ -173,7 +173,7 @@ class Map(Skeleton):
             # No input buffer, elements are indices.
             return self._launch(
                 node, (), (), container.distribution,
-                self.index_kernel_source(),
+                self.index_kernel_source,
                 f"skelcl_map_index_{self.user.name}", "skelcl_map_index", (wg,),
                 lambda chunk: ((chunk.owned_size, chunk.owned_start), (chunk.owned_size,)),
                 sample_fraction)
@@ -186,5 +186,5 @@ class Map(Skeleton):
 
         return self._launch(
             node, node.inputs, [distribution], self.output_distribution(distribution),
-            self.kernel_source(), f"skelcl_map_{self.user.name}", "skelcl_map", (wg,),
+            self.kernel_source, f"skelcl_map_{self.user.name}", "skelcl_map", (wg,),
             chunk_args, sample_fraction)

@@ -367,7 +367,7 @@ class MapOverlap(Skeleton):
         if isinstance(container, Matrix):
             width, height = container.cols, container.rows
             source, kernel_name, local_size = (
-                self.matrix_source(), "skelcl_mapoverlap_m", (_MAT_WG, _MAT_WG))
+                self.matrix_source, "skelcl_mapoverlap_m", (_MAT_WG, _MAT_WG))
 
             def chunk_args(_out_chunk, chunk):
                 return ((width, height, chunk.owned_start, chunk.owned_size,
@@ -376,7 +376,7 @@ class MapOverlap(Skeleton):
         else:
             total = container.size
             source, kernel_name, local_size = (
-                self.vector_source(), "skelcl_mapoverlap_v", (_VEC_WG,))
+                self.vector_source, "skelcl_mapoverlap_v", (_VEC_WG,))
 
             def chunk_args(_out_chunk, chunk):
                 return ((chunk.owned_size, chunk.owned_start, total,

@@ -25,6 +25,8 @@ distribution layer can build on it without cycles:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -104,29 +106,14 @@ class Partition:
         broken by device index).  For even weights this reproduces the
         historic split exactly — the first ``size % n`` devices get one
         extra unit."""
-        if size < 0:
-            raise ValueError(f"cannot partition a negative size ({size})")
-        total = sum(self.weights)
-        exact = [w / total * size for w in self.weights]
-        counts = [int(math.floor(x)) for x in exact]
-        remainder = size - sum(counts)
-        order = sorted(
-            range(len(counts)), key=lambda i: (-(exact[i] - counts[i]), i)
-        )
-        for index in order[:remainder]:
-            counts[index] += 1
-        return counts
+        return [end - start for start, end in self.ranges(size)]
 
     def ranges(self, size: int) -> List[Tuple[int, int]]:
         """Contiguous ``[start, end)`` ranges covering ``0..size``, one
         per device, sized by :meth:`counts`.  Zero-length ranges are
-        produced for zero weights (or when devices outnumber units)."""
-        ranges: List[Tuple[int, int]] = []
-        start = 0
-        for length in self.counts(size):
-            ranges.append((start, start + length))
-            start += length
-        return ranges
+        produced for zero weights (or when devices outnumber units).
+        Computed once per (weights, size): every staging asks."""
+        return list(_ranges(self.weights, size))
 
     def quantized(self) -> "Partition":
         """Normalized weights rounded to ``WEIGHT_QUANTUM`` — the
@@ -137,6 +124,22 @@ class Partition:
     def __repr__(self) -> str:
         shares = ", ".join(f"{w:.3f}" for w in self.normalized())
         return f"Partition([{shares}])"
+
+
+@functools.lru_cache(maxsize=1024)
+def _ranges(weights: Tuple[float, ...], size: int) -> Tuple[Tuple[int, int], ...]:
+    """:meth:`Partition.ranges` of a partition of ``weights``."""
+    if size < 0:
+        raise ValueError(f"cannot partition a negative size ({size})")
+    total = sum(weights)
+    exact = [w / total * size for w in weights]
+    counts = [int(math.floor(x)) for x in exact]
+    remainder = size - sum(counts)
+    order = sorted(range(len(counts)), key=lambda i: (-(exact[i] - counts[i]), i))
+    for index in order[:remainder]:
+        counts[index] += 1
+    ends = list(itertools.accumulate(counts))
+    return tuple(zip([0, *ends[:-1]], ends))
 
 
 def modeled_throughput(spec) -> float:

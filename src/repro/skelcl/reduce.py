@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .. import ocl
 from .distribution import Block
 from .funcparse import scalar_param, scalar_return
 from .runtime import SkelCLError
 from .scalar import Scalar
-from .skeleton import DEFAULT_WORK_GROUP_SIZE, Launch, Skeleton
+from .skeleton import DEFAULT_WORK_GROUP_SIZE, Launch, Skeleton, _RecipeCall
 from .types_ import dtype_for_ctype
 
 # Stage 1 launches at most this many work-groups per device (grid-stride).
@@ -116,50 +117,49 @@ class Reduce(Skeleton):
         """``premap`` (planner only) is a composed map chain applied to
         every element as it is loaded: the node's input is then the
         chain's original input, already validated when the chain was
-        deferred, and its extras the chain's additional arguments."""
+        deferred, and its extras the chain's additional arguments.  The
+        launches of both stages come from the call's launch recipe
+        (``skeleton._RecipeCall``)."""
         session, (input_container,), out = node.session, node.inputs, node.output
         dtype = dtype_for_ctype(self.element_type)
-        program = self._program(self.kernel_source(), f"skelcl_reduce_{self.user.name}",
-                                session)
-        if premap is None:
-            stage1_program, stage1_name = program, "skelcl_reduce"
-        else:
-            stage1_program = self._program(
-                self.kernel_source(premap),
-                f"skelcl_reduce_{self.user.name}_fused", session,
-            )
-            stage1_name = "skelcl_reduce_fused"
+        name = f"skelcl_reduce_{self.user.name}"
+        call = _RecipeCall(self, node, lambda: [
+            self._program(self.kernel_source(), name, session),
+            premap and self._program(self.kernel_source(premap), f"{name}_fused", session)])
         distribution = input_container.distribution or Block()
         chunks = input_container.ensure_on_devices(distribution, session)
+        call.staged((tuple(chunk for chunk, _ in chunks),))
+        program, fused = call.programs
 
         unit_elements = input_container._unit_elements
         itembytes = dtype.itemsize
         wg = self.work_group_size
 
-        launches, partial_buffers = [], []
+        work = []  # (position, chunk, buffer, partial buffer, n, groups)
         for position, (chunk, buffer) in enumerate(chunks):
             n = chunk.owned_size * unit_elements
             if n == 0:
                 continue
-            if distribution.kind == "copy" and launches:
+            if distribution.kind == "copy" and work:
                 break  # every device holds the same data; reduce once
             groups = min(_MAX_GROUPS, (n + wg - 1) // wg)
-            partial_buffer = session.context.create_buffer(
-                groups * itembytes, session.devices[chunk.device_index], name="reduce_partials"
-            )
-            kernel = stage1_program.create_kernel(stage1_name)
-            kernel.set_args(buffer, partial_buffer, n,
-                            chunk.halo_before * unit_elements, *node.extras)
-            launches.append(Launch(chunk.device_index, kernel, (groups * wg,), (wg,),
-                                   input_container.chunk_events(position),
-                                   [(input_container, position)]))
-            partial_buffers.append((partial_buffer, groups))
+            work.append((position, chunk, buffer, session.context.create_buffer(
+                groups * itembytes, session.devices[chunk.device_index],
+                name="reduce_partials"), n, groups))
+        stage1 = call.step(lambda: ocl.SiblingPlan(session.devices, [
+            (chunk.device_index,
+             (fused or program).create_kernel("skelcl_reduce_fused" if fused else "skelcl_reduce")
+             .set_args(buffer, partial, n, chunk.halo_before * unit_elements, *node.extras),
+             (groups * wg,), (wg,))
+            for _, chunk, buffer, partial, n, groups in work]))
 
         partials = []
         partial_reads = []
-        for launch, event, (partial_buffer, groups) in zip(
-                launches, self._enqueue(node, launches), partial_buffers):
-            data, read_event = session.queue(launch.device_index).enqueue_read_buffer(
+        for (_, chunk, _, partial_buffer, _, groups), event in zip(work, self._enqueue(
+                node, stage1, [Launch((buffer, partial), input_container.chunk_events(position),
+                                      [(input_container, position)])
+                               for position, _, buffer, partial, _, _ in work])):
+            data, read_event = session.queue(chunk.device_index).enqueue_read_buffer(
                 partial_buffer, dtype, groups, event_wait_list=[event]
             )
             partial_buffer.release()
@@ -182,9 +182,10 @@ class Reduce(Skeleton):
         out_buffer = session.context.create_buffer(itembytes, device0, name="reduce_stage2_out")
         write_event = queue0.enqueue_write_buffer(in_buffer, gathered,
                                                   event_wait_list=partial_reads)
-        kernel = program.create_kernel("skelcl_reduce")
-        kernel.set_args(in_buffer, out_buffer, len(gathered), 0)
-        (launch2,) = self._enqueue(node, [Launch(0, kernel, (wg,), (wg,), [write_event])])
+        stage2 = call.step(lambda: ocl.SiblingPlan(session.devices, [
+            (0, program.create_kernel("skelcl_reduce").set_args(
+                in_buffer, out_buffer, len(gathered), 0), (wg,), (wg,))]))
+        (launch2,) = self._enqueue(node, stage2, [Launch((in_buffer, out_buffer), [write_event])])
         result, _event = queue0.enqueue_read_buffer(out_buffer, dtype, 1,
                                                     event_wait_list=[launch2])
         in_buffer.release()

@@ -26,10 +26,11 @@ from typing import List
 
 import numpy as np
 
+from .. import ocl
 from .distribution import Block
 from .funcparse import scalar_param, scalar_return
 from .runtime import SkelCLError
-from .skeleton import Launch, Skeleton
+from .skeleton import Launch, Skeleton, _RecipeCall
 from .types_ import dtype_for_ctype
 from .vector import Vector
 
@@ -129,10 +130,11 @@ class Scan(Skeleton):
         session, (input_vector,), out = node.session, node.inputs, node.output
         dtype = dtype_for_ctype(self.element_type)
         distribution = Block()  # Scan requires ordered, disjoint chunks
-        program = self._program(self.kernel_source(), f"skelcl_scan_{self.user.name}",
-                                session)
+        call = _RecipeCall(self, node, lambda: [self._program(
+            self.kernel_source(), f"skelcl_scan_{self.user.name}", session)])
         chunks = input_vector.ensure_on_devices(distribution, session)
         out_chunks = out.prepare_as_output(distribution, session)
+        call.staged(tuple(tuple(chunk for chunk, _ in pairs) for pairs in (chunks, out_chunks)))
 
         # Phase A: scan each device's chunk independently — the per-chunk
         # dependency chains run concurrently across devices.
@@ -142,55 +144,60 @@ class Scan(Skeleton):
                              + out.chunk_write_events(position)))
                  for position, ((in_chunk, in_buffer), (_out_chunk, out_buffer))
                  in enumerate(zip(chunks, out_chunks)) if in_chunk.owned_size > 0]
-        finals = self._scan_level(node, program, [scan for _position, scan in scans])
+        finals = self._scan_level(node, call, [scan for _position, scan in scans])
         for (position, _scan), final in zip(scans, finals):
             input_vector.record_chunk_reader(position, final)
             out.record_chunk_event(position, final)
 
         if len(scans) > 1:
-            self._apply_device_offsets(node, program, out, out_chunks, dtype)
+            self._apply_device_offsets(node, call, out, out_chunks, dtype)
         return out
 
     # -- per-device multi-block scans, level by level -----------------------
 
-    def _scan_level(self, node, program, scans) -> List["ocl.Event"]:
+    def _scan_level(self, node, call, scans) -> List["ocl.Event"]:
         """Scan one buffer per device — ``scans`` lists ``(device_index,
         in_buffer, out_buffer, n, offset, wait_for)`` — as sibling
         launches, level by level: every device's block scan, then the
         scan of the block sums of each device with more than one block
         (recursively, one level deeper), then those devices' add-blocks
         passes.  Each device's commands keep the order a scan of its
-        buffer alone has.  Returns per scan the event producing the final
-        contents of its out buffer."""
-        session = node.session
+        buffer alone has.  The launches of every level are steps of the
+        call's launch recipe.  Returns per scan the event producing the
+        final contents of its out buffer."""
+        session, (program,) = node.session, call.programs
         itemsize = dtype_for_ctype(self.element_type).itemsize
-        launches, sums, groups = [], [], []
-        for device_index, in_buffer, out_buffer, n, offset, wait_for in scans:
+        sums, groups = [], []
+        for device_index, _in, _out, n, _offset, _wait in scans:
             groups.append((n + _SCAN_WG - 1) // _SCAN_WG)
             sums.append(session.context.create_buffer(
                 max(groups[-1], 1) * itemsize, session.devices[device_index], name="scan_sums"))
-            kernel = program.create_kernel("skelcl_scan_block")
-            kernel.set_args(in_buffer, out_buffer, sums[-1], n, offset)
-            launches.append(Launch(device_index, kernel, (groups[-1] * _SCAN_WG,), (_SCAN_WG,),
-                                   wait_for))
-        finals = blocks = self._enqueue(node, launches)
+        step = call.step(lambda: ocl.SiblingPlan(session.devices, [
+            (device_index, program.create_kernel("skelcl_scan_block").set_args(
+                in_buffer, out_buffer, sums_buffer, n, offset),
+             (count * _SCAN_WG,), (_SCAN_WG,))
+            for (device_index, in_buffer, out_buffer, n, offset, _), sums_buffer, count
+            in zip(scans, sums, groups)]))
+        finals = blocks = self._enqueue(node, step, [
+            Launch((in_buffer, out_buffer, sums_buffer), wait_for)
+            for (_, in_buffer, out_buffer, _, _, wait_for), sums_buffer in zip(scans, sums)])
         deeper = [index for index, count in enumerate(groups) if count > 1]
         if deeper:
             scanned = [session.context.create_buffer(
                 groups[index] * itemsize, session.devices[scans[index][0]],
                 name="scan_sums_scanned") for index in deeper]
-            sums_scans = self._scan_level(node, program, [
+            sums_scans = self._scan_level(node, call, [
                 (scans[index][0], sums[index], scanned_sums, groups[index], 0, [blocks[index]])
                 for index, scanned_sums in zip(deeper, scanned)])
-            adds = []
-            for index, scanned_sums, sums_scan in zip(deeper, scanned, sums_scans):
-                device_index, _in, out_buffer, n, _offset, _wait = scans[index]
-                add_kernel = program.create_kernel("skelcl_scan_add_blocks")
-                add_kernel.set_args(out_buffer, scanned_sums, n)
-                adds.append(Launch(device_index, add_kernel, (groups[index] * _SCAN_WG,),
-                                   (_SCAN_WG,), [blocks[index], sums_scan]))
+            step = call.step(lambda: ocl.SiblingPlan(session.devices, [
+                (scans[index][0], program.create_kernel("skelcl_scan_add_blocks").set_args(
+                    scans[index][2], scanned_sums, scans[index][3]),
+                 (groups[index] * _SCAN_WG,), (_SCAN_WG,))
+                for index, scanned_sums in zip(deeper, scanned)]))
             finals = list(blocks)
-            for index, event in zip(deeper, self._enqueue(node, adds)):
+            for index, event in zip(deeper, self._enqueue(node, step, [
+                    Launch((scans[index][2], scanned_sums), [blocks[index], sums_scan])
+                    for index, scanned_sums, sums_scan in zip(deeper, scanned, sums_scans)])):
                 finals[index] = event
             for buffer in scanned:
                 buffer.release()
@@ -200,9 +207,9 @@ class Scan(Skeleton):
 
     # -- cross-device offsets --------------------------------------------------
 
-    def _apply_device_offsets(self, node, program, out, out_chunks, dtype) -> None:
+    def _apply_device_offsets(self, node, call, out, out_chunks, dtype) -> None:
         # Gather per-device totals (the last element of each scanned chunk).
-        session = node.session
+        session, (program,) = node.session, call.programs
         totals = []
         active = []
         total_reads = []
@@ -230,24 +237,24 @@ class Scan(Skeleton):
         sums_scratch = session.context.create_buffer(dtype.itemsize, device0, name="scan_dev_sums")
         write_event = queue0.enqueue_write_buffer(tot_in, totals_array,
                                                   event_wait_list=total_reads)
-        kernel = program.create_kernel("skelcl_scan_block")
-        kernel.set_args(tot_in, tot_out, sums_scratch, len(totals), 0)
-        (launch,) = self._enqueue(node, [Launch(0, kernel, (_SCAN_WG,), (_SCAN_WG,),
-                                                [write_event])])
+        step = call.step(lambda: ocl.SiblingPlan(session.devices, [
+            (0, program.create_kernel("skelcl_scan_block").set_args(
+                tot_in, tot_out, sums_scratch, len(totals), 0), (_SCAN_WG,), (_SCAN_WG,))]))
+        (launch,) = self._enqueue(node, step, [Launch((tot_in, tot_out, sums_scratch),
+                                                      [write_event])])
         scanned, scanned_read = queue0.enqueue_read_buffer(tot_out, dtype, len(totals),
                                                            event_wait_list=[launch])
         for buffer in (tot_in, tot_out, sums_scratch):
             buffer.release()
         # Fold the preceding devices' total into each later chunk; the
         # folds on distinct devices proceed concurrently once the scanned
-        # offsets are on the host.
-        folds = []
-        for index, (position, chunk, buffer) in enumerate(active[1:], start=1):
-            add_kernel = program.create_kernel("skelcl_scan_add_offset")
-            add_kernel.set_args(buffer, scanned[index - 1], chunk.owned_size)
-            groups = (chunk.owned_size + _SCAN_WG - 1) // _SCAN_WG
-            folds.append(Launch(chunk.device_index, add_kernel, (groups * _SCAN_WG,),
-                                (_SCAN_WG,),
-                                [scanned_read] + out.chunk_write_events(position),
-                                output=out, position=position))
-        self._enqueue(node, folds)
+        # offsets are on the host.  Their scalar comes from the data, so
+        # they are planned per call, never kept in the recipe.
+        folds = [(chunk.device_index, program.create_kernel("skelcl_scan_add_offset").set_args(
+                      buffer, scanned[index - 1], chunk.owned_size),
+                  ((chunk.owned_size + _SCAN_WG - 1) // _SCAN_WG * _SCAN_WG,), (_SCAN_WG,))
+                 for index, (_, chunk, buffer) in enumerate(active[1:], start=1)]
+        self._enqueue(node, ocl.SiblingPlan(session.devices, folds), [
+            Launch((buffer,), [scanned_read] + out.chunk_write_events(position),
+                   output=out, position=position)
+            for position, _, buffer in active[1:]])

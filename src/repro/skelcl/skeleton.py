@@ -8,18 +8,23 @@ containers.  Calling a skeleton:
 2. ensures input data is on the devices (implicit transfers),
 3. launches the generated kernel on every device owning a chunk (the
    launches collected first and enqueued as siblings, which share one
-   lockstep run where they can: ``ocl.enqueue_sibling_kernels``),
+   lockstep run where they can: ``ocl.SiblingPlan``),
 4. marks outputs device-resident (host copies update lazily).
 
 Generated kernel sources are deterministic strings, so the simulated
 OpenCL build cache makes repeated executions cheap — mirroring SkelCL's
-kernel caching.
+kernel caching.  One level up, what a call derives from its *shape* —
+programs, per-chunk arguments, NDRanges, sibling grouping, access rows
+— is its *launch recipe*, made once per shape and kept by the skeleton
+(:class:`_RecipeCall`): a repeated call stages, binds its buffers
+and enqueues.
 """
 
 from __future__ import annotations
 
 import copy
 import os.path
+from collections import OrderedDict
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,9 +50,16 @@ DEFAULT_WORK_GROUP_SIZE = 256
 
 _SKELCL_DIR = os.path.dirname(os.path.abspath(__file__))
 
+#: Launch recipes a skeleton keeps (least recently used dropped): a
+#: skeleton is called in a handful of shapes, so this bounds memory, not
+#: the hit rate.
+MAX_LAUNCH_RECIPES = 64
+
 
 class Launch(NamedTuple):
-    """One kernel launch of a skeleton call (:meth:`Skeleton._enqueue`).
+    """What one kernel launch of a skeleton call binds
+    (:meth:`Skeleton._enqueue`): the ``buffers`` of its pointer slots, in
+    order.
 
     ``wait_for`` lists the events producing the buffers it reads or
     overwrites (RAW/WAW/WAR edges).  ``inputs`` lists the ``(container,
@@ -57,10 +69,7 @@ class Launch(NamedTuple):
     ``position``, so downstream consumers — downloads,
     redistributions, later skeletons — wait on it."""
 
-    device_index: int
-    kernel: ocl.Kernel
-    global_size: Tuple[int, ...]
-    local_size: Tuple[int, ...]
+    buffers: Sequence[ocl.Buffer]
     wait_for: Sequence[ocl.Event]
     inputs: Sequence[Tuple[Container, int]] = ()
     output: Optional[Container] = None
@@ -89,6 +98,70 @@ def scalar_literal(value, ctype: ScalarType) -> str:
         text = repr(float(value))
         return f"{text}f" if ctype.name == "float" else text
     return repr(int(value))
+
+
+class _RecipeCall:
+    """The launch recipe of a call (:meth:`Skeleton._launch`, Reduce,
+    Scan): what the call derives from its shape, made once per shape and
+    kept (LRU-bounded by :data:`MAX_LAUNCH_RECIPES`) on the bound
+    skeleton.  The shape is the operands' kinds, shapes, dtypes and
+    aliasing, the additional arguments, the options, the session's
+    strict mode and device limits — and the chunk layout the call stages
+    (:meth:`staged`), where its distributions and the session partition
+    show.  The memo maps the key to ``(programs, layouts)``, and
+    ``layouts`` a staged layout to the recipe's steps: by position among
+    the call's ``_enqueue`` calls, what each launches (an
+    :class:`ocl.SiblingPlan`, with the chunk positions for ``_launch``).
+    Both levels keep their :data:`MAX_LAUNCH_RECIPES` most recently used
+    entries.
+
+    On a miss ``programs()`` builds the call's programs when the call
+    starts, before anything is staged (a failed build stages nothing),
+    and each step is made (:meth:`step`) when the call reaches it; a hit
+    made them before.  Either way the call stages, allocates, binds its
+    buffers and enqueues: a hit and a miss launch the same kernels with
+    the same arguments.  Counted in ``skelcl_launch_recipes_total``."""
+
+    def __init__(self, skeleton: "Skeleton", node: PlanNode, programs: Callable[[], list]):
+        session, operands = node.session, (*node.inputs, node.output)
+        key = (tuple((type(c), shape_of(c), c.dtype, operands.index(c)) for c in operands),
+               tuple(map(repr, node.extras)),  # -0.0 is not 0.0
+               tuple(node.options.items()), session.settings.sanitize == "strict",
+               tuple(device.max_work_group_size for device in session.devices))
+        memo, self.metrics, self.at = skeleton._recipes, session.metrics, 0
+        # pop + re-insert (as KernelSummary.launch_shapes): a hit moves to
+        # the recent end, safe beside other threads' calls.
+        self.entry = memo.pop(key, None) or (programs(), OrderedDict())
+        memo[key] = self.entry
+        if len(memo) > MAX_LAUNCH_RECIPES:
+            memo.popitem(last=False)
+        self.programs = self.entry[0]
+
+    def staged(self, layout: tuple) -> None:
+        """The call staged its operands' chunks as ``layout``: the
+        recipe of that layout is a hit, none a miss that starts one."""
+        layouts, self.layout = self.entry[1], layout
+        steps = layouts.pop(layout, None)
+        layouts[layout] = self.steps = {} if steps is None else steps
+        if len(layouts) > MAX_LAUNCH_RECIPES:
+            layouts.popitem(last=False)
+        self.metrics.counter("skelcl_launch_recipes_total",
+                             result="miss" if steps is None else "hit").inc()
+
+    def step(self, derive: Callable[[], object]):
+        """The call's next step, ``derive()`` the first time a call of
+        its recipe reaches it.  A ``derive()`` that raises (a work-group
+        size the device refuses) drops the layout's recipe: the next call
+        of the shape misses and derives again."""
+        steps, self.at = self.steps, self.at + 1
+        step = steps.get(self.at)
+        if step is None:
+            try:
+                step = steps.setdefault(self.at, derive())
+            except Exception:
+                self.entry[1].pop(self.layout, None)
+                raise
+        return step
 
 
 def shape_of(container) -> tuple:
@@ -146,6 +219,7 @@ class Skeleton:
 
     def __init__(self, source: Union[str, JitFunction, None] = None):
         self._programs: Dict[str, ocl.Program] = {}
+        self._recipes: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: The record of the most recent call — the one attribute calls
         #: assign.
         self._latest: Optional[PlanNode] = None
@@ -305,6 +379,7 @@ class Skeleton:
         if bound is None:
             bound = copy.copy(self)
             bound._bound = bound._latest = None
+            bound._recipes = OrderedDict()
             bound._customize(self.jit.lower_source(key))
             bound = self._bound.setdefault(key, bound)
         return bound
@@ -375,20 +450,20 @@ class Skeleton:
             event.wait()
         return max(e.end_ns for e in kernels) - min(e.start_ns for e in kernels)
 
-    def _enqueue(self, node: PlanNode, launches: Sequence[Launch],
-                 sample_fraction: Optional[float] = None) -> List[ocl.Event]:
-        """Launch the sibling ``launches`` of one kernel for the call
-        ``node`` — its launches on different devices, collected before
-        any is enqueued, so those that can share one lockstep run do
-        (:func:`repro.ocl.enqueue_sibling_kernels`).  Each event, in
-        launch order, takes the call's label, joins its events and is
-        recorded on the launch's containers before the next launch's
-        event is recorded; returns the events."""
+    def _enqueue(self, node: PlanNode, step: ocl.SiblingPlan,
+                 launches: Sequence[Launch]) -> List[ocl.Event]:
+        """Launch the sibling launches ``step`` plans — one kernel's
+        launches on different devices, which share one lockstep run
+        where they can — for the call ``node``, each with the buffers of
+        its :class:`Launch`.  Each event, in launch order, takes the
+        call's label, joins its events and is recorded on the launch's
+        containers before the next launch's event is recorded; returns
+        the events."""
         session, events = node.session, []
-        for launch, event in zip(launches, ocl.enqueue_sibling_kernels([
-                (session.queue(launch.device_index), launch.kernel, launch.global_size,
-                 launch.local_size, sample_fraction, launch.wait_for)
-                for launch in launches])):
+        for launch, event in zip(launches, step.enqueue(
+                [session.queue(index) for index in step.devices],
+                [launch.buffers for launch in launches],
+                [launch.wait_for for launch in launches])):
             for container, position in launch.inputs:
                 container.record_chunk_reader(position, event)
             if launch.output is not None:
@@ -404,7 +479,7 @@ class Skeleton:
         inputs: Sequence[Container],
         distributions: Sequence[Distribution],
         out_distribution: Distribution,
-        source: str,
+        source: Callable[[], str],
         program_name: str,
         kernel_name: str,
         local_size: Tuple[int, ...],
@@ -413,42 +488,49 @@ class Skeleton:
     ):
         """The per-chunk launch loop of every single-launch skeleton.
 
-        Builds the program (a failed build enqueues nothing), stages
-        ``inputs`` on the call's session under their ``distributions``
-        (implicit transfers), prepares the call's output under
-        ``out_distribution``, and on every device owning a non-empty
-        chunk launches ``kernel_name`` with the arguments
+        Builds the program of ``source()`` (a failed build enqueues
+        nothing), stages ``inputs`` on the call's session under their
+        ``distributions`` (implicit transfers), prepares the call's
+        output under ``out_distribution``, and on every device owning a
+        non-empty chunk launches ``kernel_name`` with the arguments
         ``(*input_buffers, out_buffer, *scalars, *node.extras)``.
         ``chunk_args(out_chunk, *input_chunks)`` returns the chunk's
         ``scalars`` and its work-item extent, which is rounded up to
-        ``local_size`` per dimension.  Each launch waits on the
-        producers of the chunks it reads and on the producers and
-        readers of the chunk it overwrites, and is recorded as reader /
-        writer of those chunks.  The launches are siblings
-        (:meth:`_enqueue`)."""
+        ``local_size`` per dimension.  ``source`` and ``chunk_args`` run
+        only when the call misses its launch recipe (:class:`_RecipeCall`).
+        Each launch waits on the producers of the chunks it reads and on
+        the producers and readers of the chunk it overwrites, and is
+        recorded as reader / writer of those chunks.  The launches are
+        siblings (:meth:`_enqueue`)."""
         session, out = node.session, node.output
-        program = self._program(source, program_name, session)
+        call = _RecipeCall(self, node, lambda: [self._program(source(), program_name, session)])
         staged = [container.ensure_on_devices(distribution, session)
                   for container, distribution in zip(inputs, distributions)]
-        out_chunks = out.prepare_as_output(out_distribution, session)
-        launches = []
-        for position, (*in_pairs, (out_chunk, out_buffer)) in enumerate(
-                zip(*staged, out_chunks)):
-            scalars, extent = chunk_args(out_chunk, *(chunk for chunk, _ in in_pairs))
-            if 0 in extent:
-                continue
-            kernel = program.create_kernel(kernel_name)
-            kernel.set_args(*(buffer for _, buffer in in_pairs), out_buffer,
-                            *scalars, *node.extras)
-            wait_for: List[ocl.Event] = []
-            for container in inputs:
-                wait_for += container.chunk_events(position)
-            launches.append(Launch(
-                out_chunk.device_index, kernel,
-                tuple(round_up(n, wg) for n, wg in zip(extent, local_size)), local_size,
-                wait_for + out.chunk_write_events(position),
-                [(container, position) for container in inputs], out, position))
-        self._enqueue(node, launches, sample_fraction)
+        staged.append(out.prepare_as_output(out_distribution, session))
+        call.staged(tuple(tuple(chunk for chunk, _ in pairs) for pairs in staged))
+        by_position = list(zip(*staged))
+
+        def derive():
+            (program,), launches, positions = call.programs, [], []
+            for position, (*in_pairs, (out_chunk, _)) in enumerate(by_position):
+                scalars, extent = chunk_args(out_chunk, *(chunk for chunk, _ in in_pairs))
+                if 0 in extent:
+                    continue
+                kernel = program.create_kernel(kernel_name).set_args(
+                    *(buffer for _, buffer in by_position[position]), *scalars, *node.extras)
+                launches.append((out_chunk.device_index, kernel,
+                                 tuple(round_up(n, wg) for n, wg in zip(extent, local_size)),
+                                 local_size))
+                positions.append(position)
+            return positions, ocl.SiblingPlan(session.devices, launches, sample_fraction)
+
+        positions, step = call.step(derive)
+        self._enqueue(node, step, [Launch(
+            [buffer for _, buffer in by_position[position]],
+            [event for container in inputs for event in container.chunk_events(position)]
+            + out.chunk_write_events(position),
+            [(container, position) for container in inputs], out, position)
+            for position in positions])
         return out
 
     # -- distribution policy -------------------------------------------------------

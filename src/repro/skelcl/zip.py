@@ -88,5 +88,5 @@ class Zip(Skeleton):
 
         return self._launch(
             node, inputs, [distribution] * 2, self.output_distribution(distribution),
-            self.kernel_source(), f"skelcl_zip_{self.user.name}", "skelcl_zip",
+            self.kernel_source, f"skelcl_zip_{self.user.name}", "skelcl_zip",
             (self.work_group_size,), chunk_args)

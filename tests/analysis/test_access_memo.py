@@ -278,10 +278,10 @@ class TestSameVerdictOnHits:
 class HitCountingAudit(LaunchAudit):
     hits = 0
 
-    def accesses(self, kernel, ndrange, metrics=None):
+    def accesses(self, kernel, ndrange, metrics=None, plan=None):
         counter = metrics.counter("skelcl_access_memo_total", result="hit")
         before = counter.value
-        declared = super().accesses(kernel, ndrange, metrics)
+        declared = super().accesses(kernel, ndrange, metrics, plan)
         self.hits += counter.value - before
         return declared
 

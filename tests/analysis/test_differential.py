@@ -235,8 +235,8 @@ class LaunchAudit:
             self._pending = (one, counter.memory.trace, result.sampled)
             yield result
 
-    def accesses(self, kernel, ndrange, metrics=None):
-        declared = self._accesses(kernel, ndrange, metrics)
+    def accesses(self, kernel, ndrange, metrics=None, plan=None):
+        declared = self._accesses(kernel, ndrange, metrics, plan)
         args, trace, sampled = self._pending
         self._pending = None
         if not sampled:

@@ -1,6 +1,6 @@
 """Sibling runs: a skeleton call's launches of one kernel on different
 devices share one lockstep run when their scalar arguments, buffer sizes
-and NDRange are equal (``ocl.enqueue_sibling_kernels``).
+and NDRange are equal (``ocl.SiblingPlan``).
 
 The differential family holds merged runs against the per-item oracle,
 whose sibling form runs the devices one after another: output bytes,
@@ -186,16 +186,17 @@ def test_a_strict_race_at_device_0s_submit_leaves_device_1s_output_untouched():
     program = ctx.create_program(
         "__kernel void twice(__global const float* a, __global float* out) {"
         " size_t i = get_global_id(0); out[i] = 2.0f * a[i]; }").build()
-    launches, outs = [], []
+    launches, buffers = [], []
     for q in ctx.queues:
         a = ctx.create_buffer(4 * 64, q.device)
         out = ctx.create_buffer(4 * 64, q.device)
         q.enqueue_write_buffer(a, np.arange(64, dtype=np.float32))
         q.enqueue_write_buffer(out, np.full(64, 5.0, np.float32))
         kernel = program.create_kernel("twice").set_args(a, out)
-        launches.append((q, kernel, (64,), (64,), None, []))
-        outs.append(out)
-    events = ocl.enqueue_sibling_kernels(launches)
+        launches.append((q.device.index, kernel, (64,), (64,)))
+        buffers.append((a, out))
+    outs = [out for _, out in buffers]
+    events = ocl.SiblingPlan(ctx.devices, launches).enqueue(ctx.queues, buffers, [[], []])
     with pytest.raises(ocl.RaceError):
         next(events)
     np.testing.assert_array_equal(outs[1].read_to_host(np.float32), np.full(64, 5.0))
@@ -211,10 +212,11 @@ def test_sibling_launches_that_share_a_buffer_run_alone():
     for q in ctx.queues:
         a = ctx.create_buffer(4 * 32, q.device)
         q.enqueue_write_buffer(a, np.arange(32, dtype=np.float32))
-        launches.append((q, program.create_kernel("inc").set_args(a, a), (32,), (32,), None,
-                         None))
+        launches.append((q.device.index, program.create_kernel("inc").set_args(a, a), (32,),
+                         (32,)))
         buffers.append(a)
-    events = list(ocl.enqueue_sibling_kernels(launches))
+    events = list(ocl.SiblingPlan(ctx.devices, launches).enqueue(
+        ctx.queues, [(a, a) for a in buffers], [None, None]))
     assert events[0].info["run"] != events[1].info["run"]
     for a in buffers:
         np.testing.assert_array_equal(a.read_to_host(np.float32), np.arange(32) + 1)

@@ -4,6 +4,7 @@ is derived here from the sources, so a count cannot go stale by hand."""
 from __future__ import annotations
 
 import glob
+import importlib
 import inspect
 import os
 import re
@@ -33,6 +34,36 @@ def test_readme_counts_the_example_programs():
     examples = glob.glob(os.path.join(ROOT, "examples", "*.py"))
     stated = re.search(r"examples/\s+(\w+) runnable example programs", _read("README.md"))
     assert stated.group(1) == NUMBER_WORDS[len(examples)]
+
+
+def test_design_layout_lists_exactly_the_example_programs():
+    design = _read("DESIGN.md")
+    layout = design[design.index("## 6. Layout"):]
+    listed = layout[layout.index("examples/"):].split("\n\n")[0]
+    examples = glob.glob(os.path.join(ROOT, "examples", "*.py"))
+    assert sorted(re.findall(r"(\w+\.py)", listed)) == sorted(map(os.path.basename, examples))
+
+
+def test_the_names_design_decisions_cite_exist():
+    """DESIGN.md §5: every backticked ``module.Name[.attr]`` whose module
+    is one of the package's resolves — a decision cannot keep citing
+    code that left."""
+    design = _read("DESIGN.md")
+    decisions = design[design.index("## 5. Architectural"):design.index("## 6. Layout")]
+    checked = 0
+    for cited in sorted(set(re.findall(r"`([a-z_]+(?:\.[A-Za-z_]\w*)+)`", decisions))):
+        first, *path = cited.split(".")
+        for package in ("", "kernelc.", "ocl.", "skelcl.", "plan.", "analysis.", "scope."):
+            try:
+                owner = importlib.import_module(f"repro.{package}{first}")
+            except ImportError:
+                continue
+            for name in path:
+                assert hasattr(owner, name), f"DESIGN.md cites {cited}, which does not exist"
+                owner = getattr(owner, name)
+            checked += 1
+            break
+    assert checked >= 7
 
 
 def test_settings_tables_list_exactly_the_settings():
