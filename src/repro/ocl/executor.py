@@ -9,11 +9,13 @@ engine to fall back on.  The per-item engine the same lowering spells
 out, and the tree-walking interpreter, are the tests' oracles
 (``tests/kernelc/peritem.py``, ``tests/kernelc/interp.py``).
 
-One call executes a kernel's *sibling* launches — the launches of one
-skeleton call on several devices, with equal scalar arguments, buffer
-sizes and NDRange — as one lockstep run over the union of their lanes
-(``docs/kernelc.md``, "Sibling runs"); which launches are siblings the
-queue decides (:class:`repro.ocl.queue.SiblingPlan`).
+One call executes one run: a lone launch, or a kernel's *sibling*
+launches — the launches of one skeleton call on several devices, with
+equal scalar arguments, buffer sizes and NDRange — as one lockstep run
+over the union of their lanes (``docs/kernelc.md``, "Sibling runs");
+which launches are siblings the queue decides
+(:class:`repro.ocl.queue.SiblingPlan`), and the queue's one call site
+makes every call.
 
 For very large NDRanges the executor supports *sampled* execution: a
 deterministic, evenly spread subset of work-groups is executed and the
@@ -58,8 +60,8 @@ def execute_ndrange(
     kernel: CompiledKernel,
     ndrange: NDRange,
     args: Sequence[Sequence],
-    sample_fraction: Optional[float] = None,
-    counters: Optional[Sequence[ExecutionCounters]] = None,
+    sample_fraction: Optional[float],
+    counters: Sequence[ExecutionCounters],
     metrics=None,
 ) -> Iterator[ExecutionResult]:
     """Execute ``kernel`` over ``ndrange`` for each of its *sibling*
@@ -71,8 +73,8 @@ def execute_ndrange(
     their scalar arguments are equal, their buffers of equal sizes), before
     this returns; a sibling's results are copied into its buffers when its
     result is yielded.  Should the run raise, it has left every buffer and
-    counter of several siblings untouched, so the caller can run them one
-    at a time instead.
+    counter of several siblings untouched, so the caller can replay them
+    as runs of one instead.
 
     Each ``counters`` entry must be the object its sibling's argument
     pointers report their memory traffic to (the queue wires this up),
@@ -81,8 +83,6 @@ def execute_ndrange(
     one) is told how the kernel's lockstep plan came to be, the launch
     it is made on.
     """
-    if counters is None:
-        counters = [ExecutionCounters() for _ in args]
     total = ndrange.total_groups
     selected = None  # every group
     if sample_fraction is not None and 0 < sample_fraction < 1:

@@ -263,20 +263,10 @@ class CommandQueue:
         sample_fraction: Optional[float] = None,
         event_wait_list: Optional[Sequence[Event]] = None,
     ) -> Event:
-        """Launch ``kernel``; returns the profiling event (one launch:
-        :class:`SiblingPlan` runs several)."""
+        """Launch ``kernel``; returns the profiling event.  The launch is
+        a run of one (:class:`SiblingPlan` runs several)."""
         plan = LaunchPlan(kernel, global_size, local_size, sample_fraction, self.device)
-        return self._launch(_Sibling(self, plan, kernel, event_wait_list))
-
-    def _launch(self, launch: "_Sibling") -> Event:
-        """Execute one launch of its plan on this queue, alone; returns
-        its event."""
-        plan = launch.plan
-        (result,) = execute_ndrange(plan.compiled, plan.ndrange, [launch.args],
-                                    plan.sample_fraction, [launch.counters],
-                                    metrics=self._series)
-        return self._record_kernel(launch.kernel, plan, result, next(_run_ids),
-                                   launch.wait_list)
+        return _SiblingRun([_Sibling(self, plan, kernel, event_wait_list)]).record_next()
 
     def _record_kernel(self, kernel: Kernel, plan: "LaunchPlan", result, run: int,
                        event_wait_list: Optional[Sequence[Event]]) -> Event:
@@ -497,18 +487,27 @@ class _Sibling:
 
 
 class _SiblingRun:
-    """The launches (``members``) that execute together — with the
-    reason when one runs alone beside siblings — and once started, the
-    iterator of their ``(run id, result)`` in order."""
+    """The launches (``members``) that execute together, in one
+    ``execute_ndrange`` call — a lone launch is a run of one — with the
+    reason when one runs alone beside siblings.  Once executed,
+    ``results`` iterates over each member with its run id and result,
+    in order."""
 
     __slots__ = ("members", "alone", "results")
 
-    def __init__(self, alone: Optional[str]):
-        self.members: List[_Sibling] = []
-        self.alone = alone
-        self.results = None
+    def __init__(self, members: List[_Sibling], alone: Optional[str] = None):
+        self.members, self.alone, self.results = members, alone, None
 
-    def start(self) -> None:
+    def record_next(self) -> Event:
+        """Record the next member's event (``_record_kernel``), executing
+        the run first if this is its first member."""
+        if self.results is None:
+            self.results = self._execute()
+        member, run, result = next(self.results)
+        return member.queue._record_kernel(member.kernel, member.plan, result, run,
+                                           member.wait_list)
+
+    def _execute(self) -> Iterator[tuple]:
         members, first = self.members, self.members[0].plan
         series = self.members[0].queue._series
         if self.alone is not None:
@@ -521,21 +520,13 @@ class _SiblingRun:
         except Exception:
             if len(members) == 1:
                 raise
-            self.results = _one_by_one(members, series)
-            return
+            # Replayed as runs of one, each at its turn, from the buffers
+            # the run left untouched.
+            return itertools.chain.from_iterable(
+                _SiblingRun([member], "fault")._execute() for member in members)
         if len(members) > 1:
             _count_run(series, "merged", "equal")
-        self.results = zip(itertools.repeat(next(_run_ids)), results)
-
-
-def _one_by_one(members: Sequence[_Sibling], series: Optional[_Series]):
-    """The ``members`` of a run that raised, replayed one at a time, each
-    at its turn, from the buffers the run left untouched."""
-    for member in members:
-        _count_run(series, "separate", "fault")
-        (result,) = execute_ndrange(member.plan.compiled, member.plan.ndrange, [member.args],
-                                    None, [member.counters], metrics=series)
-        yield next(_run_ids), result
+        return zip(members, itertools.repeat(next(_run_ids)), results)
 
 
 def _count_run(series: Optional[_Series], result: str, reason: str) -> None:
@@ -599,42 +590,36 @@ class SiblingPlan:
             run_of.append(run)
         self.runs: List[Tuple[int, Optional[str]]] = []  # per launch: (run, alone)
         for index, (run, (shape, reason)) in enumerate(zip(run_of, shapes)):
-            if len(members[run]) == 1 and reason is None:
+            if len(members[run]) > 1 or len(launches) == 1:
+                reason = None  # it has siblings in its run, or none at all
+            elif reason is None:
                 others = [other for at, (other, _) in enumerate(shapes) if at != index and other]
                 reason = "lanes" if shape in others else "scalars" \
                     if any(other[:4] == shape[:4] for other in others) else "sizes"
-            self.runs.append((run, reason if len(members[run]) == 1 else None))
+            self.runs.append((run, reason))
 
     def enqueue(self, queues: Sequence[CommandQueue], buffers: Sequence[Sequence[Buffer]],
                 wait_lists: Sequence[Optional[Sequence[Event]]]) -> Iterator[Event]:
         """Launch the plans on ``queues`` with ``buffers`` in their
         pointer slots, and yield each launch's event, in order, as
-        :meth:`CommandQueue.enqueue_nd_range_kernel` returns it.  A lone
-        launch is an ordinary one.  The events of a run are still
+        :meth:`CommandQueue.enqueue_nd_range_kernel` returns it.  Every
+        launch executes in a run — a plan of one launch in a run of one,
+        as a user's launch does.  The events of a run are still
         recorded one launch at a time, in order, each once the launch's
         results are in its buffers: events, modeled time and race
         accesses are per device as with sequential launches, and a
         recording that raises (a strict ``RaceError``) leaves the later
-        launches' buffers untouched.  A run that raises is replayed one
-        launch at a time, each at its turn, so a fault is raised by the
+        launches' buffers untouched.  A run that raises is replayed as
+        runs of one, each at its turn, so a fault is raised by the
         launch that faults, after the launches before it were recorded.
 
         ``event.info["run"]`` names the run a launch executed in, and
         ``skelcl_sibling_runs_total{result, reason}`` counts each run of
         sibling launches (``docs/observability.md``)."""
-        siblings = [_Sibling(queue, plan, plan.bind(bound), wait_list)
-                    for queue, plan, bound, wait_list in zip(queues, self.plans, buffers,
-                                                             wait_lists)]
-        if len(siblings) == 1:
-            yield queues[0]._launch(siblings[0])
-            return
         runs: Dict[int, _SiblingRun] = {}
-        for sibling, (index, alone) in zip(siblings, self.runs):
-            runs.setdefault(index, _SiblingRun(alone)).members.append(sibling)
-        for sibling, (index, _) in zip(siblings, self.runs):
-            run = runs[index]
-            if run.results is None:
-                run.start()
-            run_id, result = next(run.results)
-            yield sibling.queue._record_kernel(sibling.kernel, sibling.plan, result, run_id,
-                                               sibling.wait_list)
+        for queue, plan, bound, wait_list, (index, alone) in zip(
+                queues, self.plans, buffers, wait_lists, self.runs):
+            sibling = _Sibling(queue, plan, plan.bind(bound), wait_list)
+            runs.setdefault(index, _SiblingRun([], alone)).members.append(sibling)
+        for index, _ in self.runs:
+            yield runs[index].record_next()

@@ -506,6 +506,11 @@ class Skeleton:
         call = _RecipeCall(self, node, lambda: [self._program(source(), program_name, session)])
         staged = [container.ensure_on_devices(distribution, session)
                   for container, distribution in zip(inputs, distributions)]
+        # Taken before the output is prepared, which drops the chunk
+        # events of an input that is also the output under another
+        # distribution (``out=`` the input, in place).
+        read_waits = [[event for container in inputs for event in container.chunk_events(position)]
+                      for position in range(len(session.devices))]
         staged.append(out.prepare_as_output(out_distribution, session))
         call.staged(tuple(tuple(chunk for chunk, _ in pairs) for pairs in staged))
         by_position = list(zip(*staged))
@@ -527,8 +532,7 @@ class Skeleton:
         positions, step = call.step(derive)
         self._enqueue(node, step, [Launch(
             [buffer for _, buffer in by_position[position]],
-            [event for container in inputs for event in container.chunk_events(position)]
-            + out.chunk_write_events(position),
+            read_waits[position] + out.chunk_write_events(position),
             [(container, position) for container in inputs], out, position)
             for position in positions])
         return out

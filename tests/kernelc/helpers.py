@@ -79,7 +79,7 @@ def run_kernel(
         compiled = compile_program(program).kernel(kernel_name)
         ndrange = NDRange.create(tuple(global_size), tuple(local_size))
         run = peritem.execute_ndrange if backend == "compiler" else execute_ndrange
-        (_result,) = run(compiled, ndrange, [runtime_args], counters=[counters])
+        (_result,) = run(compiled, ndrange, [runtime_args], None, [counters])
     elif backend == "interp":
         interpret(program, definition, runtime_args, counters, tuple(global_size),
                   tuple(local_size))

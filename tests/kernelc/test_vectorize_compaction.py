@@ -49,7 +49,7 @@ def _launch(kernel, arrays, scalars, global_size, local_size, engine):
     registry = MetricsRegistry()
     try:
         (_result,) = _ENGINES[engine](kernel, NDRange.create(global_size, local_size), [args],
-                                      counters=[counters], metrics=registry)
+                                      None, [counters], metrics=registry)
     except Exception as exc:  # compared by type and message below
         return exc
     regions = {path: registry.value("skelcl_lockstep_regions_total", path=path)

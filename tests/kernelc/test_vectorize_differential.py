@@ -60,7 +60,7 @@ def _run_one(compiled, arrays, scalars, global_size, local_size, engine):
     ]
     ndrange = NDRange.create(global_size, local_size)
     try:
-        (_result,) = _ENGINES[engine](compiled, ndrange, [args], counters=[counters])
+        (_result,) = _ENGINES[engine](compiled, ndrange, [args], None, [counters])
     except _FAULTS as exc:
         return ("fault", type(exc).__name__), None, None
     buffers = {name: pointer.array for name, pointer in pointers.items()}

@@ -4,12 +4,24 @@ import numpy as np
 import pytest
 
 from repro import ocl
+from repro.kernelc.memory import KernelFault
+from repro.ocl import queue as ocl_queue
+
+from ..kernelc import peritem
 
 VEC_ADD = """
 __kernel void vec_add(__global const float* a, __global const float* b,
                       __global float* out, int n) {
     int gid = get_global_id(0);
     if (gid < n) out[gid] = a[gid] + b[gid];
+}
+"""
+
+
+DIVIDES = """
+__kernel void divides(__global const int* a, __global int* out, int n) {
+    int i = get_global_id(0);
+    if (i < n) out[i] = 100 / (a[i] - 7);
 }
 """
 
@@ -191,6 +203,29 @@ class TestKernelLaunch:
         assert event.info["work_items"] == n
         assert event.duration_ns > 0
 
+    def _lone_fault(self, ctx):
+        queue = ctx.queues[0]
+        a, out = ctx.create_buffer(4 * 256), ctx.create_buffer(4 * 256)
+        queue.enqueue_write_buffer(a, np.arange(256, dtype=np.int32))
+        kernel = ctx.create_program(DIVIDES).build().create_kernel("divides")
+        with pytest.raises(KernelFault) as raised:
+            queue.enqueue_nd_range_kernel(kernel.set_args(a, out, 256), (256,), (64,))
+        return str(raised.value), queue.kernel_events()
+
+    def test_a_lone_launch_that_faults_raises_as_the_oracle_and_records_nothing(
+            self, ctx, monkeypatch):
+        """A user's launch is a run of one: its fault is raised as the
+        oracle's, no event is recorded, and no sibling run is counted."""
+        message, events = self._lone_fault(ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(ocl_queue, "execute_ndrange", peritem.execute_ndrange)
+            oracle = ocl.Context.create(ocl.TEST_DEVICE, 2)
+            oracle_message, _ = self._lone_fault(oracle)
+            oracle.release()
+        assert "division by zero" in message and message == oracle_message
+        assert events == []
+        assert "skelcl_sibling_runs_total" not in ctx.metrics.snapshot()["counters"]
+
 
 class TestTimelines:
     def test_queue_time_advances(self, ctx):
@@ -234,6 +269,8 @@ class TestSampledExecution:
         assert sampled.info["ops"] == full.info["ops"]
         assert sampled.info["global_bytes"] == full.info["global_bytes"]
         assert sampled.duration_ns == full.duration_ns
+        # Lone launches, sampled or not, are runs of one: no sibling run counts.
+        assert "skelcl_sibling_runs_total" not in ctx.metrics.snapshot()["counters"]
 
     def test_sample_fraction_one_runs_everything(self, ctx):
         queue = ctx.queues[0]

@@ -8,12 +8,13 @@ The differential family plays a Hypothesis-drawn sequence of calls — all
 six skeletons plus Maps over an ``IndexVector`` and an ``IndexMatrix``
 and a ``@skelcl.jit`` Map specialized at two element types; additional
 arguments that vary; ``set_distribution``, ``Overlap``, aliased operands,
-``out=`` and partition changes between calls — on 1–4 devices under even,
-uneven and zero-weight partitions.  A first, discarded play on other
+``out=`` (the input itself included) and partition changes between calls
+— on 1–4 devices under even, uneven and zero-weight partitions, with the
+strict race detector on.  A first, discarded play on other
 data builds every program, plan, specialization and recipe; then the
 sequence plays once with the recipes it finds (made by the first play's
 session, or by its own earlier calls) and once with every recipe dropped
-before every call.
+before every call.  A call in place (``out=`` its input) must succeed.
 Output bytes, every event's counters, access sets, wait-list edges and
 modeled start and end, the finish time and the metrics snapshot must be
 equal — lockstep runs compared by which launches share one, not by id.
@@ -25,7 +26,7 @@ import sys
 import threading
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.skelcl as skelcl
 from repro import ocl
@@ -43,6 +44,7 @@ def _shift(x, s):
 SKELETONS = {
     "map": skelcl.Map("float f(float x) { return x * 2.0f + 1.0f; }"),
     "map_scalar": skelcl.Map("float f(float x, float s) { return x * s; }"),
+    "inplace": skelcl.Map("float f(float x) { return x - 3.0f; }"),
     "jit": skelcl.Map(_shift),
     "zip": skelcl.Zip("float f(float x, float y) { return x * y + 1.0f; }"),
     "reduce": skelcl.Reduce("float f(float x, float y) { return x + y; }"),
@@ -100,7 +102,8 @@ def _plays(draw):
     """``(devices, weights, seed, ops)``: an op is ``("partition",
     weights)`` or ``(kind, size index, distribution, reuse, extra,
     flag)`` — ``flag`` picks the int specialization of the jit Map, a
-    Matrix for Map/Zip/Reduce, and ``out=`` for the Maps."""
+    Matrix for Map/Zip/Reduce and the in-place Map, and ``out=`` for the
+    Maps."""
     devices = draw(st.integers(1, 4))
     ops = []
     for _ in range(draw(st.integers(2, 6))):
@@ -136,12 +139,14 @@ def _call(op, session, rng, pool):
         return container(("m", shape), lambda: skelcl.Matrix(
             data=rng.randint(-8, 8, shape).astype(np.float32)))
 
-    matrices = flag and kind in ("map", "map_scalar", "zip", "reduce")
+    matrices = flag and kind in ("map", "map_scalar", "inplace", "zip", "reduce")
     first = matrix() if matrices or kind in ("overlap_m", "allpairs") else vector()
     if kind == "jit":
         if flag:
             return skeleton(vector(dtype=np.int32), int(extra) + 1)
         return skeleton(first, extra)
+    if kind == "inplace":
+        return skeleton(first, out=first)
     if kind == "index":
         return skeleton(skelcl.IndexVector(_SIZES[size] + 1))
     if kind == "index_m":
@@ -204,7 +209,7 @@ def _play(case, cold):
     call.  Returns what is compared, and the recipe hits and misses."""
     devices, weights, seed, ops = case
     rng = np.random.RandomState(seed)
-    with skelcl.init(num_devices=devices, spec=ocl.TEST_DEVICE,
+    with skelcl.init(num_devices=devices, spec=ocl.TEST_DEVICE, detect_races="strict",
                      partition=skelcl.Partition.of(*weights)) as session:
         results, pool = [], {}
         for op in ops:
@@ -219,12 +224,15 @@ def _play(case, cold):
                     else result.to_numpy()
                 results.append(np.asarray(value).tobytes())
             except Exception as error:  # a call that fails fails alike, hit or miss
+                if op[0] == "inplace":
+                    raise  # its wait lists order it after what staged its input
                 results.append(type(error).__name__)
         return (results, _observed(session), _snapshot(session)), _recipes_counted(session)
 
 
 class TestHitEqualsMiss:
     @given(case=_plays())
+    @example(case=(2, [1, 1], 0, [("inplace", 1, "overlap1", False, 2.0, False)]))
     @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 4))
     def test_a_sequence_of_calls_plays_the_same_with_and_without_recipes(self, case):
         # Builds every program, plan and specialization — and every recipe

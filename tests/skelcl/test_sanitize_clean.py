@@ -84,6 +84,24 @@ class TestSkeletonsUnderStrictSanitizer:
         np.testing.assert_allclose(result[1:-1], expected, rtol=1e-5)
         assert_clean(strict_runtime)
 
+    @pytest.mark.parametrize("make", [
+        lambda data: Vector(data=data), lambda data: Matrix(data=data.reshape(30, 10))],
+        ids=["vector", "matrix"])
+    def test_map_in_place_waits_for_the_upload_of_its_overlap_input(self, strict_runtime,
+                                                                     make):
+        # out= the input: staged under Overlap(1), the container is
+        # written under Block, so preparing the output drops its chunks
+        # — the launch must still wait for the upload it reads.
+        data = np.arange(300, dtype=np.float32)
+        container = make(data)
+        container.set_distribution(Overlap(1))
+        Map("float func(float x) { return x + 1.0f; }")(container, out=container)
+        np.testing.assert_array_equal(container.to_numpy().ravel(), data + 1)
+        for queue in strict_runtime.queues:
+            (upload, *_), (kernel,) = queue.engine_events("transfer"), queue.kernel_events()
+            assert upload.command_type == "write_buffer" and upload in kernel.wait_for
+        assert_clean(strict_runtime)
+
     def test_mapoverlap_iterated_reuses_output(self, strict_runtime):
         # Back-to-back stencils on the same containers: the second
         # launch writes chunks the first is still reading (WAR) unless

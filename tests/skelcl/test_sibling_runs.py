@@ -152,11 +152,11 @@ class TestMergedAgainstSequential:
 _FAULTS_ON_DEVICE_1 = "float f(float x) { return x / (float)(100 / ((int)x < 512)); }"
 
 
-def _fault_state(execute=None):
+def _fault_state(devices, execute=None):
     with pytest.MonkeyPatch.context() as patch:
         if execute is not None:
             patch.setattr(ocl_queue, "execute_ndrange", execute)
-        with skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE) as session:
+        with skelcl.init(num_devices=devices, spec=ocl.TEST_DEVICE) as session:
             source = skelcl.Vector(data=np.arange(1024, dtype=np.float32))
             out = skelcl.Vector(1024)
             with pytest.raises(KernelFault) as raised:
@@ -169,14 +169,52 @@ def _fault_state(execute=None):
             return str(raised.value), buffers, _observed(session), replays
 
 
-def test_a_fault_on_one_devices_lanes_is_raised_as_by_sequential_launches():
-    message, buffers, observed, replays = _fault_state()
-    seq_message, seq_buffers, seq_observed, _ = _fault_state(_one_at_a_time)
+@pytest.mark.parametrize("devices", [1, 2])
+def test_a_fault_on_one_devices_lanes_is_raised_as_by_sequential_launches(devices):
+    message, buffers, observed, replays = _fault_state(devices)
+    seq_message, seq_buffers, seq_observed, _ = _fault_state(devices, _one_at_a_time)
     assert "division by zero" in message and message == seq_message
     assert buffers == seq_buffers
     assert observed == seq_observed
-    assert replays == 2  # the merged run raised: both launches ran alone
+    # On two devices the merged run raised and both launches were
+    # replayed alone; on one, the run of one raised and nothing replays.
+    assert replays == (2 if devices == 2 else 0)
     assert [len(q) for q in observed] == [len(q) for q in seq_observed]
+
+
+def test_every_run_is_one_execute_call(monkeypatch):
+    """One launch path: a wrapper over the queue's ``execute_ndrange``
+    sees each run once, with one argument list per member — a user's
+    launch, a one-device call, a merged run, and each member of the
+    replay of a run that raised."""
+    members = []
+
+    def counting(kernel, ndrange, args, *rest, **options):
+        members.append(len(args))
+        return executor.execute_ndrange(kernel, ndrange, args, *rest, **options)
+
+    monkeypatch.setattr(ocl_queue, "execute_ndrange", counting)
+    double = skelcl.Map("float f(float x) { return x * 2.0f; }")
+    data = np.arange(1024, dtype=np.float32)
+    with skelcl.init(num_devices=1, spec=ocl.TEST_DEVICE) as session:
+        np.testing.assert_array_equal(double(skelcl.Vector(data=data)).to_numpy(), data * 2)
+        queue = session.queues[0]
+        a, out = session.context.create_buffer(4 * 64), session.context.create_buffer(4 * 64)
+        queue.enqueue_write_buffer(a, np.arange(64, dtype=np.float32))
+        kernel = session.context.create_program(
+            "__kernel void twice(__global const float* a, __global float* out) {"
+            " size_t i = get_global_id(0); out[i] = 2.0f * a[i]; }").build()
+        queue.enqueue_nd_range_kernel(kernel.create_kernel("twice").set_args(a, out), (64,))
+        assert [len(q.kernel_events()) for q in session.queues] == [2]
+    assert members == [1, 1]
+    members.clear()
+    with skelcl.init(num_devices=2, spec=ocl.TEST_DEVICE) as session:
+        np.testing.assert_array_equal(double(skelcl.Vector(data=data)).to_numpy(), data * 2)
+        assert members == [2]
+        with pytest.raises(KernelFault):
+            skelcl.Map(_FAULTS_ON_DEVICE_1)(skelcl.Vector(data=data)).to_numpy()
+        assert [len(q.kernel_events()) for q in session.queues] == [2, 1]
+    assert members == [2, 2, 1, 1]
 
 
 def test_a_strict_race_at_device_0s_submit_leaves_device_1s_output_untouched():

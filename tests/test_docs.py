@@ -44,14 +44,12 @@ def test_design_layout_lists_exactly_the_example_programs():
     assert sorted(re.findall(r"(\w+\.py)", listed)) == sorted(map(os.path.basename, examples))
 
 
-def test_the_names_design_decisions_cite_exist():
-    """DESIGN.md §5: every backticked ``module.Name[.attr]`` whose module
-    is one of the package's resolves — a decision cannot keep citing
-    code that left."""
-    design = _read("DESIGN.md")
-    decisions = design[design.index("## 5. Architectural"):design.index("## 6. Layout")]
+def _resolve_cited(text: str, where: str) -> int:
+    """Check that every backticked ``module.Name[.attr]`` of ``text``
+    whose module is one of the package's resolves; returns how many
+    were checked."""
     checked = 0
-    for cited in sorted(set(re.findall(r"`([a-z_]+(?:\.[A-Za-z_]\w*)+)`", decisions))):
+    for cited in sorted(set(re.findall(r"`([a-z_]+(?:\.[A-Za-z_]\w*)+)`", text))):
         first, *path = cited.split(".")
         for package in ("", "kernelc.", "ocl.", "skelcl.", "plan.", "analysis.", "scope."):
             try:
@@ -59,11 +57,26 @@ def test_the_names_design_decisions_cite_exist():
             except ImportError:
                 continue
             for name in path:
-                assert hasattr(owner, name), f"DESIGN.md cites {cited}, which does not exist"
+                assert hasattr(owner, name), f"{where} cites {cited}, which does not exist"
                 owner = getattr(owner, name)
             checked += 1
             break
-    assert checked >= 7
+    return checked
+
+
+def test_the_names_design_decisions_cite_exist():
+    """DESIGN.md §5: a decision cannot keep citing code that left."""
+    design = _read("DESIGN.md")
+    decisions = design[design.index("## 5. Architectural"):design.index("## 6. Layout")]
+    assert _resolve_cited(decisions, "DESIGN.md") >= 7
+
+
+def test_the_names_the_sibling_runs_section_cites_exist():
+    """docs/kernelc.md, "Sibling runs": the queue names the launch path
+    is told in cannot stay documented once they are gone."""
+    page = _read("docs", "kernelc.md")
+    section = page[page.index("**Sibling runs.**"):page.index("**Vector types.**")]
+    assert _resolve_cited(section, "docs/kernelc.md") >= 6
 
 
 def test_settings_tables_list_exactly_the_settings():
