@@ -237,9 +237,11 @@ class VPtr:
     int64 lanes array otherwise); ``base`` adds a per-lane storage-row
     origin, in scalars of the storage, for group-local and private
     allocations and for the arenas of a sibling run (None for storage
-    shared by all lanes, e.g. the global buffers of one launch)."""
+    shared by all lanes, e.g. the global buffers of one launch).
+    ``span``: for lane offsets, what :meth:`_rows` derives from them once
+    for every access at a uniform index."""
 
-    __slots__ = ("array", "element_type", "space", "tally", "length", "offset", "base")
+    __slots__ = ("array", "element_type", "space", "tally", "length", "offset", "base", "span")
 
     def __init__(self, array, element_type: ScalarType, space: str, tally,
                  length: int, offset, base):
@@ -250,6 +252,7 @@ class VPtr:
         self.length = length
         self.offset = offset
         self.base = base
+        self.span = None
 
     def add(self, delta) -> "VPtr":
         if isinstance(delta, ndarray) or isinstance(self.offset, ndarray):
@@ -275,9 +278,23 @@ class VPtr:
         component), bounds-checked for active lanes; rows of inactive
         lanes are unspecified but in range.  A ``(width, lanes)`` index
         reports the first faulting lane, and in it the first faulting
-        component, as one work-item at a time does."""
-        offset = self.offset
-        if isinstance(index, ndarray) or isinstance(offset, ndarray):
+        component, as one work-item at a time does.  Lane offsets at a
+        uniform index take one scalar check against their span — the
+        least and greatest offset of any lane, and the rows they start
+        at — and the per-lane check only when it fails."""
+        offset, uniform = self.offset, not isinstance(index, ndarray)
+        if not uniform or isinstance(offset, ndarray):
+            if uniform and offset.size >= _PROBE_MIN_LANES:
+                span, width = self.span, _width(self.element_type)
+                if span is None:
+                    origin = offset if width == 1 else offset * width
+                    if self.base is not None:
+                        origin = origin + self.base
+                    span = self.span = (int(offset.min()), int(offset.max()), origin)
+                low, high, origin = span
+                index = int(index)
+                if 0 <= low + index and high + index < self.length:
+                    return origin + index * width
             where = _int_lanes_pair(offset, index) if isinstance(offset, ndarray) or offset \
                 else index
             bad = where.view(_U64) >= self.length  # negative rows wrap to huge ones
@@ -1097,18 +1114,24 @@ def _switch_start(mask, subject, cases, default_index: int, num_cases: int):
 
 
 class _Run:
-    """Per-run state the generated code charges into.  ``barriers`` counts
-    the lanes of barriers every lane reached (``R.barriers += ctx.n``,
-    equal shares of each sibling), ``masked`` those of the others, per
-    sibling (:meth:`barrier`)."""
+    """Per-run state the generated code charges into (:meth:`ops`).
+    ``barriers`` counts the lanes of barriers every lane reached
+    (``R.barriers += ctx.n``, equal shares of each sibling), ``masked``
+    those of the others, per sibling (:meth:`barrier`)."""
 
-    __slots__ = ("ops", "base", "barriers", "masked", "lanes", "lmem", "regions", "views")
+    __slots__ = ("lane_ops", "folds", "total", "base", "barriers", "masked", "lanes", "lmem",
+                 "regions", "views")
 
-    def __init__(self, lanes: "_LaneLayout", within: Optional["_Run"] = None):
+    def __init__(self, lanes: "_LaneLayout", within: Optional["_Run"] = None,
+                 counted: bool = False):
         """A run over ``lanes``; ``within`` a run, its compacted region's
-        sub-run, which shares all but the lanes and their op charges."""
-        self.ops = np.zeros(lanes.n, dtype=_I64)  # per-lane op charges
-        self.base = 0  # ops charged to every lane (all-active blocks)
+        sub-run, which shares all but the lanes and their op charges (and
+        is counted when that run is)."""
+        if within is not None:
+            counted = within.lane_ops is None
+        self.lane_ops = None if counted else np.zeros(lanes.n, dtype=_I64)
+        self.folds = lanes.n >= _PROBE_MIN_LANES
+        self.total = self.base = 0
         self.lanes = lanes
         self.lmem: List[VArray] = []
         self.barriers, self.masked = 0, None  # a region holds no barrier
@@ -1117,6 +1140,21 @@ class _Run:
             self.views: dict = {}  # what pointer casts made (VPtr.retyped)
         else:
             self.regions, self.views = within.regions, within.views
+
+    def ops(self, k: int, m: ndarray) -> None:
+        """Charge ``k`` ops to each lane of ``m``: a *counted* run (one
+        launch of a kernel with a barrier, whose ops are only ever read
+        as one total) adds them to ``total``; any other to its per-lane
+        ``lane_ops`` or — from ``_PROBE_MIN_LANES`` lanes on, when ``m``
+        holds every lane — to ``base``, the ops charged to every lane
+        (``R.base += k`` on a statically full chain; exact for warps too,
+        a warp's max of ops + base being max(ops) + base)."""
+        if self.lane_ops is None:
+            self.total += k * int(np.count_nonzero(m))
+        elif self.folds and m.all():
+            self.base += k
+        else:
+            self.lane_ops += m if k == 1 else k * m
 
     def barrier(self, mask: ndarray) -> None:
         lanes = self.lanes
@@ -1143,22 +1181,30 @@ class _Run:
 #: share of the current lanes is active, and there are at least
 #: ``_COMPACT_MIN_LANES`` of those per sibling: entering and leaving costs
 #: ~10 us whatever the size, which fewer idle lanes do not pay back.
-#: Measured per launch, compacted / full host time: Reduce 0.48x at
-#: 16,384 lanes, 0.73x at 4,096, 0.96x at 1,024, 1.07x at 256
-#: (docs/kernelc.md, "Compacted regions"); per two-sibling run of 2 x 512
+#: Measured per launch, compacted / full host time: Reduce 0.56x at
+#: 16,384 lanes, 0.79x at 4,096, 0.94x at 1,024, 1.04x at 256
+#: (docs/kernelc.md, "Lane floors"); per two-sibling run of 2 x 512
 #: lanes, where the region must also slice every arena pointer's row
-#: bases, 1.04x for Reduce and 1.07x for Scan's block kernel.
+#: bases, 1.06x for Reduce and 1.12x for Scan's block kernel.
 _COMPACT_DENSITY = 0.5
 _COMPACT_MIN_LANES = 1024
+
+#: A run tests a charge's mask for all-true (:meth:`_Run.ops`), and a
+#: lane-varying pointer its offsets' span (:meth:`VPtr._rows`), only
+#: from this many lanes on.  Measured per run, with / without the tests:
+#: Map 0.88x at 16,384 lanes, 0.93x at 4,096; a two-sibling run of 2 x
+#: 512 lanes: Reduce 1.04x, Scan's block kernel 1.07x; a ``dispatch_small``
+#: step (runs of 256-1,024 lanes) 1.02x with no floor.
+_PROBE_MIN_LANES = 4096
 
 #: Sibling launches share a run (``ocl.SiblingPlan``) up to
 #: this many lanes in all: past it a run's lane temporaries outgrow any
 #: one launch's and its fixed cost no longer shows.  Measured per pair
-#: of siblings, one run / two launches host time: Map 0.73x at 1,024
-#: lanes each, 0.84x at 4,096, 0.94x at 8,192, 1.08x at 16,384; Reduce
-#: 0.65x, 0.72x, 0.97x, 1.07x; and 4 x 16,384 lanes of ``stencil_frames``
-#: raised its peak RSS 7.5 % (2 x 16,384 of ``fused_pipeline``: 4 %).
-RUN_MAX_LANES = 16384
+#: of siblings, one call's host time with one run / two launches: Map
+#: 0.90x at 1,024 lanes each, 1.00x at 4,096, 1.09x at 8,192; Reduce
+#: 0.87x, 0.96x, 1.08x; Scan's block kernel 0.83x, 0.91x, 1.01x; and
+#: 4 x 16,384 lanes of ``stencil_frames`` raised its peak RSS 7.5 %.
+RUN_MAX_LANES = 8192
 
 
 def _sub(value, ix: ndarray):
@@ -1211,9 +1257,10 @@ def _region(R, chain: ndarray, values: tuple) -> Optional["_Region"]:
 class _Region:
     """A region running on the lanes ``ix`` (sorted, so lanes keep their
     order and the first faulting lane stays the first).  ``inner`` is
-    what the generated code runs it on: a sub-run whose per-lane ops are
-    the region's, the work-item context of ``ix``, and the live-ins on
-    ``ix`` (under them the region's own chain, now all true)."""
+    what the generated code runs it on: a sub-run whose op charges are
+    the region's, the work-item context of ``ix``, the sub-run's charge
+    method and the live-ins on ``ix`` (under them the region's own
+    chain, now all true)."""
 
     __slots__ = ("run", "chain", "outer", "ix", "inner")
 
@@ -1226,8 +1273,11 @@ class _Region:
         """Back on every lane: the region's op charges folded into the
         run, its live-ins restored and the ``written`` ones — the last
         of them — widened (:func:`_widen`)."""
-        run, ix = self.run, self.ix
-        run.ops[ix] += self.inner[2]
+        run, ix, sub = self.run, self.ix, self.inner[0]
+        if run.lane_ops is None:
+            run.total += sub.total  # no base: R.base is charged outside regions only
+        else:
+            run.lane_ops[ix] += sub.lane_ops + sub.base if sub.base else sub.lane_ops
         values = self.outer
         if written:
             values, inner = list(values), self.inner[3]
@@ -1486,8 +1536,9 @@ class _LaneCompiler(_FunctionCompiler):
         return _NARROWED
 
     def charge_lanes(self, m: str, node) -> None:
-        """Add the recorded cost of ``node`` to the lanes of ``m``; charges
-        of one straight-line block are summed into one line."""
+        """Add the recorded cost of ``node`` to the lanes of ``m``
+        (:meth:`_Run.ops`); charges of one straight-line block are summed
+        into one line."""
         cost = node.charge
         if not cost:
             return
@@ -1495,10 +1546,7 @@ class _LaneCompiler(_FunctionCompiler):
             _, index, total = self._slot
             cost += total
             self.lines.pop(index)
-        if self.is_full(m):
-            line = f"R.base += {cost}"
-        else:
-            line = f"ops += {m}" if cost == 1 else f"ops += {cost} * {m}"
+        line = f"R.base += {cost}" if self.is_full(m) else f"ops({cost}, {m})"
         self._slot = (m, len(self.lines), cost)
         self.emit(line)
 
@@ -2191,7 +2239,9 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
     counter."""
     copies = len(args)
     lanes = _layout(ndrange.global_size, ndrange.local_size, selected, copies)
-    run = _Run(lanes)
+    # Warps are accounted without barriers only, and siblings split ops
+    # by lane: a lone launch of a barrier kernel needs its total alone.
+    run = _Run(lanes, counted=copies == 1 and kernel.uses_barrier)
     tally = counters[0].memory if copies == 1 else \
         _Split([MemoryCounters() for _ in counters], lanes.n // copies, lanes.full)
     # Group-local allocations: one row of storage per selected group (a
@@ -2229,7 +2279,8 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
                 metrics.counter("skelcl_lockstep_regions_total", path=path).inc(entries)
 
     per = lanes.n // copies
-    ops = np.add.reduce(run.ops.reshape(copies, per), axis=1).tolist()
+    ops = [run.total] if run.lane_ops is None \
+        else np.add.reduce(run.lane_ops.reshape(copies, per), axis=1).tolist()
     masked = [0] * copies if run.masked is None else run.masked.tolist()
     for counter, lane_ops, barriers in zip(counters, ops, masked):
         counter.ops += lane_ops + run.base * per
@@ -2237,7 +2288,7 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
     if not kernel.uses_barrier:
         # Warp-divergence accounting: a 32-lane warp runs as long as its
         # slowest lane; partial trailing chunks still pay for a full warp.
-        warps = lanes.warp_max(run.ops).reshape(copies, -1)
+        warps = lanes.warp_max(run.lane_ops).reshape(copies, -1)
         for counter, warp_ops in zip(counters, np.add.reduce(warps, axis=1).tolist()):
             counter.warp_ops += (warp_ops + run.base * warps.shape[1]) * WARP_SIZE
     if copies == 1:
