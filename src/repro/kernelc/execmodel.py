@@ -32,7 +32,7 @@ class ExecutionCounters:
     """Everything the timing model charges for: ops + memory traffic.
 
     ``ops`` counts operations as executed per work-item; ``warp_ops``
-    is the SIMD-divergence-adjusted count the executor fills in for
+    is the SIMD-divergence-adjusted count the engine fills in for
     barrier-free kernels (each 32-lane warp is charged 32× its slowest
     lane, as on real hardware).  The timing model prefers ``warp_ops``
     when present.

@@ -2198,7 +2198,7 @@ _layouts: "OrderedDict[tuple, _LaneLayout]" = OrderedDict()
 def _layout(global_size, local_size, selected, copies: int = 1) -> _LaneLayout:
     """The memoized layout of a run shape; least recently used shapes
     are dropped once the memo holds more than ``_LAYOUT_LANES`` lanes."""
-    key = (global_size, local_size, None if selected is None else tuple(selected), copies)
+    key = (global_size, local_size, selected, copies)
     layout = _layouts.get(key)
     if layout is None:
         layout = _layouts[key] = _LaneLayout(global_size, local_size, selected, copies)
@@ -2218,7 +2218,7 @@ def _layout(global_size, local_size, selected, copies: int = 1) -> _LaneLayout:
 def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
             counters, metrics=None) -> Optional[Callable[[int], None]]:
     """Run ``kernel`` in lockstep over the ``selected`` work-groups of
-    ``ndrange`` (a list of group ids; None = all of them) once per
+    ``ndrange`` (a tuple of group ids; None = all of them) once per
     *sibling*: ``args`` and ``counters`` hold one argument list and one
     ``ExecutionCounters`` per sibling launch, the siblings' scalar
     arguments equal and their pointer arguments of equal lengths, each

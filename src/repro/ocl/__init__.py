@@ -34,11 +34,10 @@ from .errors import (
     SampledBufferRead,
 )
 from .event import Event, EventStatus, wait_for_events
-from .executor import ExecutionResult, execute_ndrange
 from .kernel import Kernel
 from .ndrange import NDRange
 from .program import Program, build_cache_size, clear_build_cache
-from .queue import CommandQueue, SiblingPlan
+from .queue import CommandQueue, SiblingPlan, execute_ndrange
 from .spec import (
     CPU_8CORE,
     CPU_16CORE,
@@ -49,7 +48,7 @@ from .spec import (
     TEST_DEVICE,
     resolve_device_spec,
 )
-from .timing import kernel_time_ns, peer_transfer_time_ns, transfer_time_ns
+from .timing import kernel_time_ns, transfer_time_ns
 
 __all__ = [
     "Buffer",
@@ -63,7 +62,6 @@ __all__ = [
     "DeviceSpec",
     "Event",
     "EventStatus",
-    "ExecutionResult",
     "InvalidKernelArgs",
     "InvalidValue",
     "InvalidWorkGroupSize",
@@ -86,7 +84,6 @@ __all__ = [
     "clear_build_cache",
     "execute_ndrange",
     "kernel_time_ns",
-    "peer_transfer_time_ns",
     "resolve_device_spec",
     "transfer_time_ns",
     "wait_for_events",

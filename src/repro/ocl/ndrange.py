@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidValue, InvalidWorkGroupSize
 
@@ -84,6 +84,19 @@ class NDRange:
         ranges = [range(n) for n in reversed(self.num_groups)]
         for combo in itertools.product(*ranges):
             yield tuple(reversed(combo))
+
+    def sample_groups(self, fraction: float) -> Optional[Tuple[Tuple[int, ...], ...]]:
+        """The work-groups a launch sampled at ``fraction`` executes: a
+        deterministic, evenly spread subset, or None for every group (a
+        fraction outside (0, 1), or one that keeps them all)."""
+        if not 0 < fraction < 1:
+            return None
+        groups = list(self.group_ids())
+        count = max(1, round(len(groups) * fraction))
+        if count >= len(groups):
+            return None
+        step = len(groups) / count
+        return tuple(groups[min(int(i * step), len(groups) - 1)] for i in range(count))
 
     def local_ids(self) -> Iterator[Tuple[int, ...]]:
         ranges = [range(n) for n in reversed(self.local_size)]

@@ -38,6 +38,8 @@ import numpy as np
 
 from ..analysis.access import BufferAccess, kernel_buffer_accesses
 from ..callsite import call_site
+from ..kernelc import vectorize
+from ..kernelc.compiler import CompiledKernel
 from ..kernelc.execmodel import ExecutionCounters
 from ..kernelc.vectorize import RUN_MAX_LANES
 from .buffer import Buffer
@@ -51,10 +53,9 @@ from .event import (
     SYNC_ENGINE,
     TRANSFER_ENGINE,
 )
-from .executor import execute_ndrange
 from .kernel import Kernel
 from .ndrange import NDRange
-from .timing import kernel_time_ns, simd_utilization, transfer_time_ns
+from .timing import copy_time_ns, kernel_time_ns, simd_utilization, transfer_time_ns
 
 _OCL_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -268,30 +269,34 @@ class CommandQueue:
         plan = LaunchPlan(kernel, global_size, local_size, sample_fraction, self.device)
         return _SiblingRun([_Sibling(self, plan, kernel, event_wait_list)]).record_next()
 
-    def _record_kernel(self, kernel: Kernel, plan: "LaunchPlan", result, run: int,
-                       event_wait_list: Optional[Sequence[Event]]) -> Event:
+    def _record_kernel(self, kernel: Kernel, plan: "LaunchPlan", counters: ExecutionCounters,
+                       run: int, event_wait_list: Optional[Sequence[Event]]) -> Event:
         """The event of a launch of ``kernel`` from ``plan`` that executed
-        with ``result`` in the lockstep run ``run``: timing model, access
-        set, sampled taint, submission (and race observation) and
-        metrics."""
-        series, ndrange = self._series, plan.ndrange
+        onto ``counters`` in the lockstep run ``run``: the counters of a
+        sampled launch scaled to every group, timing model, access set,
+        sampled taint, submission (and race observation) and metrics."""
+        series, ndrange, selected = self._series, plan.ndrange, plan.selected
+        total = executed = ndrange.total_groups
+        if selected is not None:
+            executed = len(selected)
+            counters = counters.scaled(total / executed)
         duration = kernel_time_ns(
             self.device.spec,
-            result.counters,
+            counters,
             simd_utilization(ndrange.work_group_size),
         )
         event = Event("ndrange_kernel", kernel.name, info=dict(
-            ops=result.counters.ops,
-            warp_ops=result.counters.warp_ops,
-            global_loads=result.counters.memory.global_loads,
-            global_stores=result.counters.memory.global_stores,
-            global_bytes=result.counters.memory.global_bytes,
-            local_loads=result.counters.memory.local_loads,
-            local_stores=result.counters.memory.local_stores,
-            barriers=result.counters.barriers,
+            ops=counters.ops,
+            warp_ops=counters.warp_ops,
+            global_loads=counters.memory.global_loads,
+            global_stores=counters.memory.global_stores,
+            global_bytes=counters.memory.global_bytes,
+            local_loads=counters.memory.local_loads,
+            local_stores=counters.memory.local_stores,
+            barriers=counters.barriers,
             work_items=ndrange.total_work_items,
-            groups_total=result.groups_total,
-            groups_executed=result.groups_executed,
+            groups_total=total,
+            groups_executed=executed,
             run=run,
         ))
         event.accesses = kernel_buffer_accesses(kernel, ndrange, series, plan)
@@ -305,7 +310,7 @@ class CommandQueue:
             for access in event.accesses
             if access.reads and access.buffer_uid in buffers
         )
-        if result.sampled or reads_tainted:
+        if selected is not None or reads_tainted:
             for access in event.accesses:
                 if access.writes and access.buffer_uid in buffers:
                     buffers[access.buffer_uid].sampled = True
@@ -315,7 +320,7 @@ class CommandQueue:
             device = self.device.index
             series[_KERNEL_NS_TOTAL, device].inc(duration)
             series[_WORK_ITEMS].inc(ndrange.total_work_items)
-            series[_KERNEL_OPS].inc(result.counters.ops)
+            series[_KERNEL_OPS].inc(counters.ops)
             series[_KERNEL_NS, device].observe(duration)
         return event
 
@@ -343,8 +348,9 @@ class CommandQueue:
         """Device-local buffer-to-buffer copy (clEnqueueCopyBuffer).
 
         Both buffers must live on this queue's device; the copy costs
-        global-memory bandwidth (read + write), never the PCIe link —
-        it counts into ``total_transfer_*`` but not ``total_pcie_*``.
+        global-memory bandwidth (read + write, ``copy_time_ns``), never
+        the PCIe link — it counts into ``total_transfer_*`` but not
+        ``total_pcie_*``.
         """
         if src.device is not self.device or dst.device is not self.device:
             raise InvalidValue("copy_buffer requires both buffers on this queue's device")
@@ -353,9 +359,7 @@ class CommandQueue:
             dst.sampled = True
         elif dst_offset_bytes == 0 and nbytes >= dst.nbytes:
             dst.sampled = False  # fully overwritten with whole data
-        duration = int(
-            2 * nbytes / self.device.spec.global_bandwidth_gbs + 1000  # +1us overhead
-        )
+        duration = copy_time_ns(self.device.spec, nbytes)
         event = Event("copy_buffer", dst.name or "buffer", info={"bytes": nbytes})
         event.accesses = [
             BufferAccess.read(src, src_offset_bytes, nbytes),
@@ -440,20 +444,22 @@ _run_ids = itertools.count(1)
 
 class LaunchPlan:
     """What a launch of a bound kernel derives from its *shape*, once:
-    the validated NDRange, the scalar arguments converted to their
-    parameter types, the pointer slots and — kept by the first launch
-    that records it — the resolved access set
-    (``kernel_buffer_accesses``).  :meth:`bind` makes a kernel launching
-    this shape with other buffers of the same sizes on the same device:
-    launched from this plan, it derives none of it again — what a
-    skeleton's launch recipe keeps per launch.  A plan holds no
-    buffer."""
+    the validated NDRange, the work-groups a sampled launch executes
+    (``selected``: :meth:`NDRange.sample_groups`, None for every group),
+    the scalar arguments converted to their parameter types, the pointer
+    slots and — kept by the first launch that records it — the resolved
+    access set (``kernel_buffer_accesses``).  :meth:`bind` makes a
+    kernel launching this shape with other buffers of the same sizes on
+    the same device: launched from this plan, it derives none of it
+    again — what a skeleton's launch recipe keeps per launch.  A plan
+    holds no buffer."""
 
     def __init__(self, kernel: Kernel, global_size, local_size,
                  sample_fraction: Optional[float], device: Device):
         self.program, self.compiled, self.resolved = kernel.program, kernel.compiled, None
-        self.sample_fraction = sample_fraction
         self.ndrange = NDRange.create(global_size, local_size, device.max_work_group_size)
+        self.selected = None if sample_fraction is None \
+            else self.ndrange.sample_groups(sample_fraction)
         self.values, self.pointers = kernel.marshal(device)
         self.args = [None if v is None else arg for arg, v in zip(kernel._args, self.values)]
 
@@ -478,7 +484,7 @@ class _Sibling:
         self.queue, self.plan, self.kernel, self.wait_list = queue, plan, kernel, wait_list
         self.counters = counters = ExecutionCounters()
         # The pointers created here report memory traffic into
-        # `counters.memory`, and the executor charges ops to the same
+        # `counters.memory`, and the engine charges ops to the same
         # object, so sampling scales both consistently.
         args = self.args = list(plan.values)
         for index, pointee, space in plan.pointers:
@@ -486,11 +492,42 @@ class _Sibling:
             pointer.address_space = space
 
 
+def execute_ndrange(kernel: CompiledKernel, ndrange: NDRange, args: Sequence[Sequence],
+                    selected: Optional[Tuple[tuple, ...]],
+                    counters: Sequence[ExecutionCounters],
+                    metrics=None) -> Iterator[ExecutionCounters]:
+    """Execute ``kernel`` over the ``selected`` work-groups of ``ndrange``
+    (a plan's selection; None for every group) for each of its *sibling*
+    launches — ``args`` holds one argument list per sibling, ``counters``
+    one ``ExecutionCounters`` each (a single launch is a list of one) —
+    as one lockstep run (:func:`vectorize.execute`), before this returns.
+
+    Each sibling's charges land unscaled in its ``counters`` entry, the
+    object its argument pointers report their memory traffic to.  The
+    returned iterator yields each entry, in order, once the sibling's
+    rows of the run's arenas are back in its buffers.  Should the run
+    raise, it has left every buffer and counter of several siblings
+    untouched, so the caller can replay them as runs of one instead.
+    ``metrics`` (a registry, or the queue's handles to one) is told how
+    the kernel's lockstep plan came to be, the launch it is made on.
+    The one call site is :class:`_SiblingRun`."""
+    write_back = vectorize.execute(kernel, vectorize.plan_for(kernel, metrics), ndrange,
+                                   selected, args, counters, metrics)
+    return iter(counters) if write_back is None else _written_back(write_back, counters)
+
+
+def _written_back(write_back, counters: Sequence[ExecutionCounters]
+                  ) -> Iterator[ExecutionCounters]:
+    for sibling, counter in enumerate(counters):
+        write_back(sibling)
+        yield counter
+
+
 class _SiblingRun:
     """The launches (``members``) that execute together, in one
     ``execute_ndrange`` call — a lone launch is a run of one — with the
     reason when one runs alone beside siblings.  Once executed,
-    ``results`` iterates over each member with its run id and result,
+    ``results`` iterates over each member with its run id and counters,
     in order."""
 
     __slots__ = ("members", "alone", "results")
@@ -503,8 +540,8 @@ class _SiblingRun:
         the run first if this is its first member."""
         if self.results is None:
             self.results = self._execute()
-        member, run, result = next(self.results)
-        return member.queue._record_kernel(member.kernel, member.plan, result, run,
+        member, run, counters = next(self.results)
+        return member.queue._record_kernel(member.kernel, member.plan, counters, run,
                                            member.wait_list)
 
     def _execute(self) -> Iterator[tuple]:
@@ -515,7 +552,7 @@ class _SiblingRun:
         try:
             results = execute_ndrange(
                 first.compiled, first.ndrange, [member.args for member in members],
-                first.sample_fraction, [member.counters for member in members],
+                first.selected, [member.counters for member in members],
                 metrics=series)
         except Exception:
             if len(members) == 1:
@@ -538,8 +575,8 @@ def _shape(plan: LaunchPlan, kernel: Kernel) -> Tuple[Optional[tuple], Optional[
     """What the launches of one run have equal — kernel, NDRange, the
     sizes of the buffers bound and the scalar arguments — or, for a
     launch that runs alone, why."""
-    sample_fraction, ndrange = plan.sample_fraction, plan.ndrange
-    if sample_fraction is not None and 0 < sample_fraction < 1:
+    ndrange = plan.ndrange
+    if plan.selected is not None:
         return None, "sampled"
     if 2 * ndrange.total_work_items > RUN_MAX_LANES:
         return None, "lanes"  # no sibling fits beside it

@@ -14,7 +14,8 @@ during (simulated) execution:
   kernel) slower than staging through local memory (NVIDIA/SkelCL).
 * ``local_memory_time`` — local traffic over local bandwidth.
 
-Host↔device transfers pay PCIe latency plus bytes over PCIe bandwidth.
+Host↔device transfers pay PCIe latency plus bytes over PCIe bandwidth; a
+device-local copy reads and writes its bytes at global-memory bandwidth.
 
 All results are in integer nanoseconds so event timestamps are exact and
 reproducible.
@@ -50,7 +51,7 @@ def kernel_time_ns(
 ) -> int:
     """Simulated duration of one kernel execution.
 
-    When the executor provides divergence-adjusted ``warp_ops`` they are
+    When the engine provides divergence-adjusted ``warp_ops`` they are
     used directly (they already include partial-warp and divergence
     effects); otherwise raw ops are corrected by ``simd_utilization``.
     """
@@ -75,9 +76,10 @@ def transfer_time_ns(spec: DeviceSpec, nbytes: int) -> int:
     return int(spec.pcie_latency_us * 1000.0 + nbytes / spec.pcie_bandwidth_gbs)
 
 
-def peer_transfer_time_ns(spec: DeviceSpec, nbytes: int) -> int:
-    """Device→device copy; OpenCL 1.x stages through the host (2 hops)."""
-    return 2 * transfer_time_ns(spec, nbytes)
+def copy_time_ns(spec: DeviceSpec, nbytes: int) -> int:
+    """Simulated duration of a device-local copy of ``nbytes``: read and
+    written at global-memory bandwidth, plus 1 us of overhead."""
+    return int(2 * nbytes / spec.global_bandwidth_gbs + 1000)
 
 
 def simd_utilization(local_size: int, simd_width: int = 32) -> float:

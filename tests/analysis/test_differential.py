@@ -223,17 +223,16 @@ class LaunchAudit:
         monkeypatch.setattr(queue, "execute_ndrange", self.execute)
         monkeypatch.setattr(queue, "kernel_buffer_accesses", self.accesses)
 
-    def execute(self, compiled, ndrange, args, sample_fraction, counters,
+    def execute(self, compiled, ndrange, args, selected, counters,
                 **options):
         """The oracle's sibling launches, one at a time: each one's
-        result is taken just before its event records its access set."""
+        counters are taken just before its event records its access set."""
         for counter in counters:
             counter.memory.trace = []
-        results = self._execute(compiled, ndrange, args, sample_fraction,
-                                counters, **options)
-        for one, counter, result in zip(args, counters, results):
-            self._pending = (one, counter.memory.trace, result.sampled)
-            yield result
+        for one, counter in zip(args, self._execute(compiled, ndrange, args, selected,
+                                                    counters, **options)):
+            self._pending = (one, counter.memory.trace, selected is not None)
+            yield counter
 
     def accesses(self, kernel, ndrange, metrics=None, plan=None):
         declared = self._accesses(kernel, ndrange, metrics, plan)

@@ -12,7 +12,7 @@ from repro.kernelc import ExecutionCounters, compile_source
 from repro.kernelc.compiler import compile_program
 from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.memory import Pointer
-from repro.ocl.executor import execute_ndrange
+from repro.ocl.queue import execute_ndrange
 from repro.ocl.ndrange import NDRange
 
 from . import peritem

@@ -9,9 +9,10 @@ time (:func:`run_groups`, which drives the tests' interpreter too).
 Buffers and every ``ExecutionCounters`` field must come out equal to the
 lockstep engine's.
 
-:func:`execute_ndrange` takes what :func:`repro.ocl.executor.execute_ndrange`
+:func:`execute_ndrange` takes what :func:`repro.ocl.queue.execute_ndrange`
 takes — sibling launches, one argument list and one counters object per
-device — and runs the siblings one after another, so a test routes
+device, the launch plan's selected work-groups — and runs the siblings
+one after another over those groups, so a test routes
 every launch of a session through it with
 ``monkeypatch.setattr(repro.ocl.queue, "execute_ndrange",
 peritem.execute_ndrange)``.
@@ -19,13 +20,12 @@ peritem.execute_ndrange)``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.kernelc.compiler import CompiledKernel, CompiledProgram, _ProgramCompiler
 from repro.kernelc.execmodel import (WARP_SIZE, ExecutionCounters, WorkItemContext,
                                      allocate_local_memory)
 from repro.kernelc.memory import KernelFault
-from repro.ocl.executor import ExecutionResult, select_sample_groups
 from repro.ocl.ndrange import NDRange
 
 
@@ -48,39 +48,23 @@ def functions(compiled: CompiledProgram) -> Dict[str, Callable]:
 
 
 def execute_ndrange(kernel: CompiledKernel, ndrange: NDRange, args: Sequence[Sequence],
-                    sample_fraction: Optional[float] = None,
-                    counters: Optional[Sequence[ExecutionCounters]] = None,
-                    metrics=None) -> Iterator[ExecutionResult]:
-    """The sibling form of the lockstep executor, run sequentially: each
-    sibling launch (an argument list of ``args``, its ``counters``) runs
-    when its result is asked for, after the results of the ones before
-    it were taken — the sequential reference a merged run is held
-    against.  ``metrics`` is accepted and not told anything."""
-    if counters is None:
-        counters = [ExecutionCounters() for _ in args]
-    for one, counter in zip(args, counters):
-        yield _execute_one(kernel, ndrange, one, sample_fraction, counter)
-
-
-def _execute_one(kernel: CompiledKernel, ndrange: NDRange, args: Sequence,
-                 sample_fraction: Optional[float], counters: ExecutionCounters) -> ExecutionResult:
-    """Run ``kernel`` over ``ndrange`` one work-item at a time (a sampled
-    launch over the same groups as the lockstep engine); returns the
-    scaled cost counters."""
-    groups = list(ndrange.group_ids())
-    selected = groups
-    if sample_fraction is not None and 0 < sample_fraction < 1:
-        selected = select_sample_groups(groups, sample_fraction)
+                    selected: Optional[Sequence[tuple]], counters: Sequence[ExecutionCounters],
+                    metrics=None) -> Iterator[ExecutionCounters]:
+    """The sibling form of the lockstep engine's seam, run sequentially:
+    each sibling launch (an argument list of ``args``, its ``counters``)
+    runs one work-item at a time over the ``selected`` groups (None: all
+    of them) when its counters are asked for, after the ones before it
+    were taken — the sequential reference a merged run is held against.
+    The counters are filled unscaled.  ``metrics`` is accepted and not
+    told anything."""
     func, decls = functions(kernel.owner)[kernel.name], kernel.local_decls
-    run_groups(ndrange, selected, kernel.definition, counters, kernel.uses_barrier,
-               lambda ctx, storage: func(counters, ctx, [storage[id(d)] for d in decls], *args))
-    total, executed = len(groups), len(selected)
-    if executed < total:
-        counters = counters.scaled(total / executed)
-    return ExecutionResult(counters, total, executed)
+    for one, counter in zip(args, counters):
+        run_groups(ndrange, selected, kernel.definition, counter, kernel.uses_barrier,
+                   lambda ctx, storage: func(counter, ctx, [storage[id(d)] for d in decls], *one))
+        yield counter
 
 
-def run_groups(ndrange: NDRange, groups: Optional[List[tuple]], definition,
+def run_groups(ndrange: NDRange, groups: Optional[Sequence[tuple]], definition,
                counters: ExecutionCounters, barriers: bool,
                item: Callable[[WorkItemContext, dict], object]) -> None:
     """Run ``item(ctx, storage)`` for every work-item of ``groups`` (None:

@@ -123,8 +123,8 @@ def _runs():
 
 def _launch(kernel, siblings, scalars, global_size, engine, sample=None):
     """Run ``siblings`` (one dict of arrays each) as one call of
-    ``engine``: ``[(buffers, counters, result)]`` and the region entries,
-    or what it raised."""
+    ``engine``: ``[(buffers, counters)]`` and the region entries, or what
+    it raised."""
     counters = [ExecutionCounters() for _ in siblings]
     pointers = [{name: Pointer(array.copy(), ctype_from_numpy(array.dtype), "global", 0,
                                counter.memory) for name, array in arrays.items()}
@@ -133,13 +133,14 @@ def _launch(kernel, siblings, scalars, global_size, engine, sample=None):
              for a, param in zip(scalars, kernel.definition.params)] for mine in pointers]
     registry = MetricsRegistry()
     try:
-        results = list(_ENGINES[engine](kernel, NDRange.create(global_size, (_WG,)), args,
-                                        sample, counters, metrics=registry))
+        ndrange = NDRange.create(global_size, (_WG,))
+        selected = None if sample is None else ndrange.sample_groups(sample)
+        list(_ENGINES[engine](kernel, ndrange, args, selected, counters, metrics=registry))
     except Exception as exc:  # compared by type and message below
         return exc
     regions = registry.value("skelcl_lockstep_regions_total", path="compacted")
-    return [({name: p.array for name, p in mine.items()}, counter, result)
-            for mine, counter, result in zip(pointers, counters, results)], regions
+    return [({name: p.array for name, p in mine.items()}, counter)
+            for mine, counter in zip(pointers, counters)], regions
 
 
 def assert_engines_agree(kernel, siblings, scalars, global_size, sample=None):
@@ -150,13 +151,11 @@ def assert_engines_agree(kernel, siblings, scalars, global_size, sample=None):
     if isinstance(per_item, Exception) or isinstance(lockstep, Exception):
         assert (type(lockstep), str(lockstep)) == (type(per_item), str(per_item))
         return None
-    for (expected, expected_counters, expected_result), (buffers, counters, result) \
-            in zip(per_item[0], lockstep[0]):
+    for (expected, expected_counters), (buffers, counters) in zip(per_item[0], lockstep[0]):
         for name in expected:
             assert buffers[name].tobytes() == expected[name].tobytes(), name
         assert counters == expected_counters
         assert type(counters.ops) is int  # the trace export writes it as JSON
-        assert result == expected_result
     return lockstep[1]
 
 

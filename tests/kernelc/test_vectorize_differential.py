@@ -1,7 +1,7 @@
 """Differential proof obligation for the lockstep engine.
 
 Every test here runs the same compiled kernel twice — on the per-item
-oracle (:mod:`.peritem`) and through ``ocl.executor.execute_ndrange`` on
+oracle (:mod:`.peritem`) and through ``ocl.queue.execute_ndrange`` on
 the lockstep engine — and asserts **bit-exact** output buffers plus
 **equal** ``ExecutionCounters`` on every field (ops, warp_ops, barriers,
 and all memory-traffic counters).  Hypothesis generates kernels over
@@ -31,7 +31,7 @@ from repro.kernelc.ctypes_ import ctype_from_numpy
 from repro.kernelc.diagnostics import CompileError
 from repro.kernelc.execmodel import convert_value
 from repro.kernelc.memory import KernelFault, Pointer
-from repro.ocl.executor import execute_ndrange
+from repro.ocl.queue import execute_ndrange
 from repro.ocl.ndrange import NDRange
 
 from . import peritem

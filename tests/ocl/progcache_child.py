@@ -94,11 +94,11 @@ def main() -> None:
     execute = ocl_queue.execute_ndrange
 
     def recorded(compiled, *args, **kwargs):
-        for result in execute(compiled, *args, **kwargs):
-            counters = dataclasses.asdict(result.counters)
-            del counters["memory"]["trace"]
-            launches.append([compiled.name, counters])
-            yield result
+        for counters in execute(compiled, *args, **kwargs):
+            fields = dataclasses.asdict(counters)
+            del fields["memory"]["trace"]
+            launches.append([compiled.name, fields])
+            yield counters
 
     ocl_queue.execute_ndrange = recorded
 

@@ -1,11 +1,10 @@
-"""Executor tests: sampling, warp-divergence accounting, group phasing."""
+"""Engine tests through the queue: warp-divergence accounting, ``__local`` scalars."""
 
 import numpy as np
 import pytest
 
 from repro import ocl
 from repro.kernelc.execmodel import WARP_SIZE
-from repro.ocl.executor import select_sample_groups
 
 from tests.kernelc.helpers import run_kernel
 
@@ -17,50 +16,10 @@ def ctx():
     context.release()
 
 
-def launch(ctx, source, kernel_name, args, global_size, local_size, sample=None):
+def launch(ctx, source, kernel_name, args, global_size, local_size):
     kernel = ocl.Program(source).build().create_kernel(kernel_name)
     kernel.set_args(*args)
-    return ctx.queues[0].enqueue_nd_range_kernel(kernel, global_size, local_size, sample)
-
-
-class TestSampling:
-    def test_selection_deterministic_and_spread(self):
-        groups = [(i,) for i in range(100)]
-        first = select_sample_groups(groups, 0.1)
-        second = select_sample_groups(groups, 0.1)
-        assert first == second
-        assert len(first) == 10
-        # Spread over the whole range, not clustered at the front.
-        assert first[0][0] < 10 and first[-1][0] >= 90
-
-    def test_fraction_one_selects_all(self):
-        groups = [(i,) for i in range(8)]
-        assert select_sample_groups(groups, 1.0) == groups
-
-    def test_tiny_fraction_selects_at_least_one(self):
-        groups = [(i,) for i in range(1000)]
-        assert len(select_sample_groups(groups, 1e-9)) == 1
-
-    def test_sampled_output_partially_written_and_quarantined(self, ctx):
-        source = """__kernel void k(__global int* o, int n) {
-            int gid = get_global_id(0);
-            if (gid < n) o[gid] = 1;
-        }"""
-        buf = ctx.create_buffer(256 * 4)
-        event = launch(ctx, source, "k", [buf, 256], (256,), (32,), sample=0.25)
-        assert event.info["groups_executed"] == 2
-        # Only the sampled groups wrote (white-box: host reads of sampled
-        # buffers are forbidden, so inspect the raw storage directly).
-        written = int(buf._storage.view(np.int32).sum())
-        assert written == 2 * 32
-        # The partial contents are quarantined from every correctness path.
-        with pytest.raises(ocl.SampledBufferRead):
-            ctx.queues[0].enqueue_read_buffer(buf, np.int32, 256)
-        # A full host rewrite replaces the partial contents entirely and
-        # lifts the quarantine.
-        ctx.queues[0].enqueue_write_buffer(buf, np.ones(256, dtype=np.int32))
-        data, _ = ctx.queues[0].enqueue_read_buffer(buf, np.int32, 256)
-        assert int(data.sum()) == 256
+    return ctx.queues[0].enqueue_nd_range_kernel(kernel, global_size, local_size)
 
 
 class TestWarpAccounting:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.kernelc.execmodel import ExecutionCounters
-from repro.ocl import DeviceSpec, TESLA_T10, kernel_time_ns, peer_transfer_time_ns, transfer_time_ns
+from repro.ocl import DeviceSpec, TESLA_T10, kernel_time_ns, transfer_time_ns
 from repro.ocl.timing import (
     compute_time_ns,
+    copy_time_ns,
     global_memory_time_ns,
     local_memory_time_ns,
     simd_utilization,
@@ -92,9 +93,12 @@ class TestTransfers:
         large = transfer_time_ns(TESLA_T10, 4 << 20)
         assert large > small * 2
 
-    def test_peer_transfer_is_two_hops(self):
-        nbytes = 1 << 20
-        assert peer_transfer_time_ns(TESLA_T10, nbytes) == 2 * transfer_time_ns(TESLA_T10, nbytes)
+    def test_device_copy_reads_and_writes_at_global_bandwidth(self):
+        nbytes = 3 << 20
+        assert copy_time_ns(TESLA_T10, nbytes) == \
+            int(2 * nbytes / TESLA_T10.global_bandwidth_gbs + 1000)
+        assert copy_time_ns(TESLA_T10, 0) == 1000
+        assert copy_time_ns(TESLA_T10, nbytes) < transfer_time_ns(TESLA_T10, nbytes)
 
 
 class TestSimdUtilization:

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import repro.skelcl as skelcl
 from repro import ocl
 from repro.kernelc.memory import KernelFault
-from repro.ocl import executor, queue as ocl_queue
+from repro.ocl import queue as ocl_queue
 
 from ..kernelc import peritem
 
@@ -28,11 +28,13 @@ _INFO = ("ops", "warp_ops", "global_loads", "global_stores", "global_bytes", "lo
          "local_stores", "barriers", "work_items", "groups_total", "groups_executed", "bytes")
 
 
-def _one_at_a_time(kernel, ndrange, args, sample_fraction=None, counters=None, metrics=None):
-    """The lockstep executor, one launch at a time: sequential launches."""
+_execute = ocl_queue.execute_ndrange
+
+
+def _one_at_a_time(kernel, ndrange, args, selected, counters, metrics=None):
+    """The lockstep engine, one launch at a time: sequential launches."""
     for one, counter in zip(args, counters):
-        yield from executor.execute_ndrange(kernel, ndrange, [one], sample_fraction, [counter],
-                                            metrics)
+        yield from _execute(kernel, ndrange, [one], selected, [counter], metrics)
 
 
 def _calls(kind: str, n: int, rng):
@@ -191,7 +193,7 @@ def test_every_run_is_one_execute_call(monkeypatch):
 
     def counting(kernel, ndrange, args, *rest, **options):
         members.append(len(args))
-        return executor.execute_ndrange(kernel, ndrange, args, *rest, **options)
+        return _execute(kernel, ndrange, args, *rest, **options)
 
     monkeypatch.setattr(ocl_queue, "execute_ndrange", counting)
     double = skelcl.Map("float f(float x) { return x * 2.0f; }")
