@@ -1178,18 +1178,11 @@ def _assigned_names(node: Optional[ast.Node]) -> Set[str]:
     if node is None:
         return names
     for child in ast.walk(node):
-        if isinstance(child, ast.Assignment):
-            target = child.target
-        elif isinstance(child, (ast.UnaryOp, ast.PostfixOp)) and \
-                child.op in ("++", "--"):
-            target = child.operand
-        elif isinstance(child, ast.VarDecl):
-            names.add(child.name)
-            continue
-        else:
-            continue
+        target = ast.written_lvalue(child)
         if isinstance(target, ast.Identifier):
             names.add(target.name)
+        elif isinstance(child, ast.VarDecl):
+            names.add(child.name)
     return names
 
 

@@ -347,3 +347,13 @@ def walk(node: Node):
     yield node
     for child in children(node):
         yield from walk(child)
+
+
+def written_lvalue(node: Node) -> Optional[Expr]:
+    """The lvalue ``node`` writes — an assignment's target or the operand
+    of a ``++`` / ``--`` — or None for a node that writes nothing."""
+    if isinstance(node, Assignment):
+        return node.target
+    if isinstance(node, (UnaryOp, PostfixOp)) and node.op in ("++", "--"):
+        return node.operand
+    return None

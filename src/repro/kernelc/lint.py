@@ -179,11 +179,7 @@ def _lvalue_in_constant_space(target: ast.Expr) -> bool:
 
 def _check_write_to_constant(fn: ast.FunctionDef, sink: DiagnosticSink) -> None:
     for node in ast.walk(fn.body):
-        target = None
-        if isinstance(node, ast.Assignment):
-            target = node.target
-        elif isinstance(node, (ast.UnaryOp, ast.PostfixOp)) and node.op in ("++", "--"):
-            target = node.operand
+        target = ast.written_lvalue(node)
         if target is not None and _lvalue_in_constant_space(target):
             sink.error(
                 "write to __constant memory [write-to-constant]",

@@ -30,11 +30,9 @@ counts hits, misses and errors (with the exception's class as
 ``reason``) on the registry passed in.  Trust: an entry is a pickle (and
 a code object) from the user's own cache directory — the boundary of
 ``__pycache__``.  ``skelcl.configure(cache=False)`` (or
-``SKELCL_CACHE=off``) disables the cache, code included; ``cache_dir`` /
-``SKELCL_CACHE_DIR`` relocates it, and the ``dir`` / ``SKELCL_DIR``
-base directory hosts the default location (``<dir>/programs``, i.e.
-``~/.cache/skelcl/programs`` out of the box) — see
-:mod:`repro.settings`.
+``SKELCL_CACHE=off``) disables the cache, code included; it lives under
+the ``dir`` / ``SKELCL_DIR`` base directory, in ``<dir>/programs``
+(``~/.cache/skelcl/programs`` out of the box) — see :mod:`repro.settings`.
 """
 
 from __future__ import annotations

@@ -158,13 +158,8 @@ class _FunctionFacts:
 
 
 def _written_name(node) -> Optional[str]:
-    if isinstance(node, ast.Assignment):
-        node = node.target
-    elif isinstance(node, (ast.UnaryOp, ast.PostfixOp)) and node.op in ("++", "--"):
-        node = node.operand
-    else:
-        return None
-    return node.name if isinstance(node, ast.Identifier) else None
+    target = ast.written_lvalue(node)
+    return target.name if isinstance(target, ast.Identifier) else None
 
 
 def _functions(kernel: CompiledKernel) -> List[tuple]:
@@ -1333,8 +1328,8 @@ def _traits(node) -> frozenset:
         if node.kind == "builtin" and node.resolved.kind == "barrier":
             return _BARRIER
         return _WORK if node.kind == "user" or node.resolved.kind != "workitem" else _NONE
-    if _written_name(node) is not None:
-        target = node.target if isinstance(node, ast.Assignment) else node.operand
+    target = ast.written_lvalue(node)
+    if isinstance(target, ast.Identifier):
         return _POINTER if isinstance(target.ctype, PointerType) else _NONE
     if isinstance(node, (ast.Index, ast.IfStmt, ast.SwitchStmt, ast.ForStmt, ast.WhileStmt,
                          ast.DoStmt)) or isinstance(node, ast.UnaryOp) and node.op == "*":

@@ -39,7 +39,7 @@ class Context:
         self._buffers: "weakref.WeakSet[Buffer]" = weakref.WeakSet()
         # SkelScope metrics: one registry per context, shared by all
         # queues (commands counted at enqueue; timeline gauges derived
-        # at snapshot time, once timestamps are resolved).
+        # at snapshot time).
         self.metrics = MetricsRegistry()
         for queue in self.queues:
             queue._metrics = self.metrics
@@ -85,10 +85,15 @@ class Context:
     # -- simulated wall-clock ---------------------------------------------
 
     def elapsed_ns(self) -> int:
-        """Simulated wall-clock: resolves all pending commands; devices
-        run concurrently, so the elapsed time is the maximum over all
-        queue timelines."""
+        """Simulated wall-clock (cf. ``clFinish`` on every queue): the
+        critical-path elapsed time — devices run concurrently, so the
+        latest completion timestamp over all devices' engines, with
+        overlapped commands counted once."""
         return max(queue.time_ns for queue in self.queues)
+
+    # Every command is on its timeline once enqueued: finishing them all
+    # is reading the clock.
+    finish_all = elapsed_ns
 
     def reset_timelines(self) -> None:
         for queue in self.queues:
@@ -108,28 +113,19 @@ class Context:
             return []
         return list(self.race_detector.races)
 
-    def finish_all(self) -> int:
-        """Resolve the whole command graph (cf. ``clFinish`` on every
-        queue) and return the critical-path elapsed time: the latest
-        completion timestamp over all devices' engines, with overlapped
-        commands counted once."""
-        for queue in self.queues:
-            queue.flush()
-        return max(queue.time_ns for queue in self.queues)
-
     # -- observability (SkelScope) ----------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Resolve the graph, derive the timeline gauges (engine
-        busy/idle, occupancy, critical path, per-skeleton kernel time)
-        and return the registry's JSON-serializable snapshot."""
+        """Derive the timeline gauges (engine busy/idle, occupancy,
+        critical path, per-skeleton kernel time) and return the
+        registry's JSON-serializable snapshot."""
         from ..scope.metrics import derive_timeline_metrics
 
         derive_timeline_metrics(self)
         return self.metrics.snapshot()
 
     def trace_events(self) -> list:
-        """The Chrome trace-event list for the resolved command graph
+        """The Chrome trace-event list for the command graph
         (see :mod:`repro.scope.trace`)."""
         from ..scope.trace import trace_events
 
@@ -142,7 +138,7 @@ class Context:
         return write_trace(self, path)
 
     def render_timeline(self, width: int = 64) -> str:
-        """ASCII per-device-engine timeline of the resolved graph."""
+        """ASCII per-device-engine timeline of the command graph."""
         from ..scope.timeline import render_timeline
 
         return render_timeline(self, width=width)

@@ -5,18 +5,17 @@ relies on (§4): every enqueued command returns an :class:`Event` that
 
 * carries the four OpenCL profiling timestamps
   (``CL_PROFILING_COMMAND_{QUEUED,SUBMIT,START,END}``),
-* walks the ``queued → submitted → running → complete`` lifecycle,
+* walks the ``queued → submitted → running → complete`` lifecycle in
+  simulated time (:meth:`Event.status_at`),
 * names the commands it must wait for (its ``wait_for`` list — the
   ``event_wait_list`` of the ``clEnqueue*`` call that created it), and
 * can be waited on (``event.wait()``, cf. ``clWaitForEvents``).
 
-Commands are *deferred*: enqueueing records the command and its planned
-duration, but timestamps are only assigned when the event graph is
-resolved — by ``event.wait()``, ``queue.finish()`` or
-``Context.finish_all()``.  Resolution schedules each command at
-``max(engine-ready time, completion of its wait list)`` on its device's
-compute or transfer engine, so independent commands overlap exactly as
-on real hardware.
+An event is ``COMPLETE`` when its ``enqueue_*`` call returns: the queue
+places the command at ``max(engine-ready time, completion of its wait
+list)`` on its device's compute or transfer engine right away — a wait
+list names only events already enqueued, so nothing later moves it — and
+independent commands overlap exactly as on real hardware.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ _SEQ = itertools.count(1)
 class EventStatus(enum.Enum):
     """Host-visible command lifecycle (cf. ``CL_{QUEUED,SUBMITTED,RUNNING,COMPLETE}``)."""
 
-    QUEUED = "queued"        # enqueued, timestamps not yet resolved
+    QUEUED = "queued"        # enqueued, its wait list not yet complete
     SUBMITTED = "submitted"  # wait list satisfied, waiting for its engine
-    RUNNING = "running"      # occupying its engine (transient during resolution)
-    COMPLETE = "complete"    # timestamps assigned
+    RUNNING = "running"      # occupying its engine
+    COMPLETE = "complete"    # finished (every event's status once enqueued)
 
 
 # Engines a device executes commands on.  Kernels run on the compute
@@ -83,9 +82,6 @@ class Event:
     # Which engine of the device executes the command.
     engine: str = COMPUTE_ENGINE
     device_index: int = 0
-    # Planned duration, known at enqueue time; authoritative until the
-    # scheduler assigns start/end.
-    planned_ns: int = 0
     # Buffer access set (``repro.analysis.access.BufferAccess`` records):
     # which byte ranges of which buffers this command reads/writes.
     # Markers and barriers carry an empty set — pure ordering edges.
@@ -100,14 +96,10 @@ class Event:
     label: Optional[str] = field(default=None, repr=False, compare=False)
     # Unique, monotonically increasing id (SkelScope flow-edge ids).
     seq: int = field(default_factory=lambda: next(_SEQ), repr=False, compare=False)
-    # Back-pointer to the owning queue (None for hand-built events).
-    _queue: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def duration_ns(self) -> int:
-        if self.status is EventStatus.COMPLETE:
-            return self.end_ns - self.start_ns
-        return self.planned_ns
+        return self.end_ns - self.start_ns
 
     @property
     def duration_ms(self) -> float:
@@ -118,20 +110,13 @@ class Event:
         return self.status is EventStatus.COMPLETE
 
     def wait(self) -> int:
-        """Resolve this event (and, transitively, everything it depends
-        on), cf. ``clWaitForEvents`` on a single event.  Returns the
-        completion timestamp ``end_ns``."""
-        if self.status is not EventStatus.COMPLETE:
-            if self._queue is not None:
-                self._queue._resolve_until(self)  # type: ignore[attr-defined]
-            else:
-                self.status = EventStatus.COMPLETE
+        """``clWaitForEvents`` on a single event: the completion
+        timestamp ``end_ns``."""
         return self.end_ns
 
     def status_at(self, time_ns: int) -> EventStatus:
         """The lifecycle state this command was in at simulated time
-        ``time_ns`` (resolves the event first)."""
-        self.wait()
+        ``time_ns``."""
         if time_ns < self.submit_ns:
             return EventStatus.QUEUED
         if time_ns < self.start_ns:
@@ -148,9 +133,6 @@ class Event:
 
 
 def wait_for_events(events: Sequence[Event]) -> int:
-    """``clWaitForEvents``: resolve all of ``events``; returns the latest
-    completion timestamp (0 for an empty sequence)."""
-    latest = 0
-    for event in events:
-        latest = max(latest, event.wait())
-    return latest
+    """``clWaitForEvents``: the latest completion timestamp of
+    ``events`` (0 for an empty sequence)."""
+    return max((event.wait() for event in events), default=0)

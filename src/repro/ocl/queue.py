@@ -1,16 +1,15 @@
-"""Command queues scheduling an asynchronous command graph.
+"""Command queues placing an asynchronous command graph on device timelines.
 
-Enqueueing a command executes its *data* effects immediately (so results
-stay checkable) but defers its *timeline*: the command enters a pending
-list with a planned duration, a wait list, and status ``QUEUED``.  The
-scheduler resolves timestamps lazily — on ``event.wait()``,
-``queue.finish()``, any read of ``queue.time_ns``, or
-``Context.finish_all()`` — by assigning each command
+Enqueueing a command executes its *data* effects and places it on its
+device's timeline, both before the ``enqueue_*`` call returns: the
+command's event is ``COMPLETE``, with final timestamps,
 
     start = max(engine-ready time, completion of its wait list)
 
 on one of the device's two engines: *compute* (kernels) or *transfer*
-(host↔device and device-local copies).  The engines advance
+(host↔device and device-local copies).  A wait list names only events
+already enqueued, so everything the rule reads is known at enqueue and
+no later command moves an earlier one.  The engines advance
 independently, so a kernel overlaps a PCIe transfer exactly as real
 hardware overlaps them, and cross-queue wait lists model inter-GPU
 dependency edges (redistribution, halo exchange).
@@ -31,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import os.path
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,14 +43,7 @@ from ..kernelc.vectorize import RUN_MAX_LANES
 from .buffer import Buffer
 from .device import Device
 from .errors import InvalidValue, SampledBufferRead
-from .event import (
-    COMPUTE_ENGINE,
-    ENGINE_OF_COMMAND,
-    Event,
-    EventStatus,
-    SYNC_ENGINE,
-    TRANSFER_ENGINE,
-)
+from .event import COMPUTE_ENGINE, ENGINE_OF_COMMAND, Event, EventStatus, TRANSFER_ENGINE
 from .kernel import Kernel
 from .ndrange import NDRange
 from .timing import copy_time_ns, kernel_time_ns, simd_utilization, transfer_time_ns
@@ -110,10 +101,9 @@ class CommandQueue:
     def __init__(self, device: Device):
         self.device = device
         self.events: List[Event] = []
-        # Scheduler state: commands whose timestamps are unresolved, the
-        # ready time of each engine, and the last command per engine /
-        # overall (for markers and implicit in-order dependencies).
-        self._pending: Deque[Event] = deque()
+        # Scheduler state: the ready time of each engine, and the last
+        # command per engine / overall (for markers and implicit in-order
+        # dependencies).
         self._engine_ready: Dict[str, int] = {COMPUTE_ENGINE: 0, TRANSFER_ENGINE: 0}
         self._engine_tail: Dict[str, Optional[Event]] = {
             COMPUTE_ENGINE: None,
@@ -121,7 +111,7 @@ class CommandQueue:
         }
         self._last_event: Optional[Event] = None
         self._barrier: Optional[Event] = None
-        self._horizon = 0  # latest resolved end_ns on this queue
+        self._horizon = 0  # latest end_ns on this queue
         # Race detector attached by the owning Context (may stay None).
         self._sanitizer = None
         # Handles into the SkelScope metrics registry the owning Context
@@ -150,14 +140,11 @@ class CommandQueue:
 
     @property
     def time_ns(self) -> int:
-        """The queue clock: resolves all pending commands and returns the
-        time the last of them completes."""
-        self.flush()
+        """The queue clock: the time the last enqueued command completes."""
         return self._horizon
 
     def reset_timeline(self) -> None:
         self.events.clear()
-        self._pending.clear()
         self._engine_ready = {COMPUTE_ENGINE: 0, TRANSFER_ENGINE: 0}
         self._engine_tail = {COMPUTE_ENGINE: None, TRANSFER_ENGINE: None}
         self._last_event = None
@@ -169,11 +156,6 @@ class CommandQueue:
         self.total_pcie_ns = 0
         self.total_pcie_bytes = 0
 
-    def flush(self) -> None:
-        """Resolve every pending command's timestamps."""
-        while self._pending:
-            self._schedule(self._pending.popleft())
-
     def finish(self) -> int:
         """Block until all commands complete; returns the queue clock."""
         return self.time_ns
@@ -182,12 +164,10 @@ class CommandQueue:
 
     def _submit(self, event: Event, duration_ns: int,
                 wait_for: Optional[Sequence[Event]]) -> Event:
-        """Record ``event`` as pending with its dependency edges."""
-        event._queue = self
-        event.planned_ns = int(duration_ns)
-        event.engine = ENGINE_OF_COMMAND[event.command_type]
+        """Record ``event`` with its dependency edges and place it on the
+        timeline: its timestamps are final from here on."""
+        engine = event.engine = ENGINE_OF_COMMAND[event.command_type]
         event.device_index = self.device.index
-        event.status = EventStatus.QUEUED
         if wait_for is None:
             # Classic in-order queue: serialize behind the previous command.
             deps = [self._last_event] if self._last_event is not None else []
@@ -196,10 +176,26 @@ class CommandQueue:
             if self._barrier is not None and self._barrier not in deps:
                 deps.append(self._barrier)
         event.wait_for = deps
-        self._pending.append(event)
+        # start = max(engine-ready time, completion of the wait list)
+        start = 0
+        for dep in deps:
+            if dep.end_ns > start:
+                start = dep.end_ns
+        ready = self._engine_ready.get(engine)
+        if ready is None:  # a marker or barrier occupies no engine
+            event.queued_ns = start
+        else:
+            event.queued_ns = ready
+            if ready > start:
+                start = ready
+            self._engine_ready[engine] = start + duration_ns
+            self._engine_tail[engine] = event
+        event.submit_ns = event.start_ns = start
+        end = event.end_ns = start + duration_ns
+        event.status = EventStatus.COMPLETE
+        if end > self._horizon:
+            self._horizon = end
         self._last_event = event
-        if event.engine in self._engine_tail:
-            self._engine_tail[event.engine] = event
         self.events.append(event)
         series = self._series
         if series is not None:
@@ -222,37 +218,6 @@ class CommandQueue:
             return
         series[_TRANSFER_BYTES, link, direction].inc(nbytes)
         series[_TRANSFER_NS, link, self.device.index].inc(duration)
-
-    def _resolve_until(self, target: Event) -> None:
-        """Resolve pending commands (in order) until ``target`` is complete."""
-        while self._pending and target.status is not EventStatus.COMPLETE:
-            self._schedule(self._pending.popleft())
-
-    def _schedule(self, event: Event) -> None:
-        if event.status is EventStatus.COMPLETE:
-            return
-        # Wait-list events may live on other queues: resolving them first
-        # is what creates the cross-device dependency edges.  Wait lists
-        # can only reference already-enqueued events, so the global
-        # enqueue order is a topological order and this recursion
-        # terminates.
-        deps_end = 0
-        for dep in event.wait_for:
-            deps_end = max(deps_end, dep.wait())
-        if event.engine is SYNC_ENGINE or event.engine not in self._engine_ready:
-            event.queued_ns = deps_end
-            event.submit_ns = deps_end
-            event.start_ns = deps_end
-            event.end_ns = deps_end + event.planned_ns
-        else:
-            ready = self._engine_ready[event.engine]
-            event.queued_ns = ready
-            event.submit_ns = max(ready, deps_end)
-            event.start_ns = event.submit_ns
-            event.end_ns = event.start_ns + event.planned_ns
-            self._engine_ready[event.engine] = event.end_ns
-        event.status = EventStatus.COMPLETE
-        self._horizon = max(self._horizon, event.end_ns)
 
     # -- commands -------------------------------------------------------------
 
@@ -428,11 +393,7 @@ class CommandQueue:
         return [e for e in self.events if e.engine == engine]
 
     def __repr__(self) -> str:
-        pending = len(self._pending)
-        return (
-            f"<CommandQueue on {self.device.name} horizon={self._horizon}ns "
-            f"pending={pending}>"
-        )
+        return f"<CommandQueue on {self.device.name} horizon={self._horizon}ns>"
 
 
 # -- sibling launches ------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 The runtime populates a :class:`MetricsRegistry` per OpenCL context as
 commands are enqueued (byte counters, command counts, kernel time by
-device) and at snapshot time derives timeline metrics that only exist
-once the command graph is resolved (queue occupancy, idle gaps, the
-critical path).  Registries are deliberately dependency-free: they know
+device) and at snapshot time derives timeline metrics over the whole
+command graph (queue occupancy, idle gaps, the critical path).  Registries are deliberately dependency-free: they know
 nothing about the runtime, so this module can be imported from anywhere
 in the stack without cycles.
 
@@ -244,10 +243,9 @@ def derive_serve_metrics(server, registry: Optional[MetricsRegistry] = None) -> 
 
 
 def derive_timeline_metrics(context, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Populate the gauges that only exist on a *resolved* timeline:
-    per-engine busy/idle time, occupancy, the critical-path elapsed
-    time, and per-skeleton kernel time.  Resolves the command graph
-    (``context.finish_all()``) first.
+    """Populate the gauges over the whole timeline: per-engine busy/idle
+    time, occupancy, the critical-path elapsed time
+    (``context.finish_all()``), and per-skeleton kernel time.
 
     Alongside, what the simulator costs the host's memory system —
     process-wide and since process start, not per context: the allocator

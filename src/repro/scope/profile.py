@@ -1,8 +1,8 @@
 """SkelScope profiling hooks: ``with skelcl.profile() as prof:``.
 
 A :class:`Profile` scopes a region of a program: commands enqueued
-inside the ``with`` block are collected at exit (the command graph is
-resolved, no commands are added) and attributed:
+inside the ``with`` block are collected at exit (no commands are
+added) and attributed:
 
 * ``prof.by_skeleton()`` — critical-path nanoseconds per trace label
   (skeleton name + call site, or ``<write_buffer>``-style command

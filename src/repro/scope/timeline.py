@@ -23,11 +23,10 @@ _ENGINE_ORDER = {"compute": 0, "transfer": 1}
 
 
 def render_timeline(context, width: int = 64) -> str:
-    """Render the resolved timelines of ``context`` as ASCII lanes.
+    """Render the timelines of ``context`` as ASCII lanes.
 
     ``width`` is the number of columns the time axis spans; lanes are
     one per (device, engine) that executed at least one command."""
-    context.finish_all()
     lanes: Dict[Tuple[int, str], List[Tuple[int, int]]] = {}
     for queue in context.queues:
         for event in queue.events:

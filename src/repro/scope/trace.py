@@ -1,6 +1,6 @@
 """SkelScope structured tracer: Chrome trace-event export + validation.
 
-Converts a resolved command graph into the Chrome trace-event JSON
+Converts a command graph into the Chrome trace-event JSON
 format (the ``traceEvents`` array consumed by Perfetto and
 ``chrome://tracing``):
 
@@ -85,10 +85,9 @@ def _event_args(event) -> Dict[str, object]:
 
 
 def trace_events(context) -> List[Dict[str, object]]:
-    """The ``traceEvents`` list for ``context``'s resolved command
-    graph.  Resolves all pending commands first; adds no commands to
-    the graph (the tracer only *reads* the per-queue event records)."""
-    context.finish_all()
+    """The ``traceEvents`` list for ``context``'s command graph.  Adds
+    no commands to the graph (the tracer only *reads* the per-queue
+    event records, final since each was enqueued)."""
     out: List[Dict[str, object]] = []
     events = _collect_events(context)
     used_tracks: Dict[int, Dict[int, Optional[str]]] = {}

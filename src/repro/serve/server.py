@@ -294,10 +294,6 @@ class Server:
             error = failure.with_traceback(None)
             # What the failed graph had not run yet never will.
             self.planner.discard(jobs[0].nodes, error)
-        # Resolve the context directly: Session.finish_all() would flush
-        # *every* tenant's still-pending recorded graphs, not just this
-        # launch's.
-        context.finish_all()
         cost = self._kernel_ns() - ns_before
         self._tag_events(tenant, marks)
         tenant.charge(cost)

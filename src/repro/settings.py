@@ -14,14 +14,13 @@ for code and CI that already sets them.  ``Session.settings`` exposes
 the values a session actually resolved, with its constructor kwargs
 applied as the first link.
 
-The eight settings and their environment spellings:
+The seven settings and their environment spellings:
 
 ========== ===================== ==============================================
 field      environment variable  meaning
 ========== ===================== ==============================================
 cache      ``SKELCL_CACHE``      persistent compiled-program cache on/off
-cache_dir  ``SKELCL_CACHE_DIR``  program-cache location (default ``<dir>/programs``)
-dir        ``SKELCL_DIR``        base directory for on-disk SkelCL artifacts
+dir        ``SKELCL_DIR``        on-disk SkelCL artifacts (the program cache: ``<dir>/programs``)
 lazy       ``SKELCL_LAZY``       lazy skeleton planner (fusion) on/off
 metrics    ``SKELCL_METRICS``    metrics-snapshot path written at session exit
 partition  ``SKELCL_PARTITION``  Block/Overlap split policy over the device pool
@@ -54,7 +53,7 @@ _SANITIZE_ALIASES = {
 
 #: Partition policy names accepted as strings (objects — ``Partition``,
 #: ``AdaptivePartitioner`` — pass through the chain untouched).
-PARTITION_POLICIES = ("even", "throughput", "proportional", "adaptive")
+PARTITION_POLICIES = ("even", "throughput", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,6 @@ class Settings:
     """The resolved SkelCL configuration (one value per switch)."""
 
     cache: bool = True
-    cache_dir: Optional[str] = None
     dir: str = os.path.join("~", ".cache", "skelcl")
     lazy: bool = False
     metrics: Optional[str] = None
@@ -86,7 +84,6 @@ class Settings:
 
 _ENV_VARS = {
     "cache": "SKELCL_CACHE",
-    "cache_dir": "SKELCL_CACHE_DIR",
     "dir": "SKELCL_DIR",
     "lazy": "SKELCL_LAZY",
     "metrics": "SKELCL_METRICS",
@@ -143,10 +140,10 @@ def _normalize(name: str, value, *, from_env: bool = False):
                 )
             return policy
         return value  # Partition / AdaptivePartitioner objects pass through
-    if name in ("cache_dir", "dir", "metrics", "trace"):
+    if name in ("dir", "metrics", "trace"):
         text = str(value)
         if from_env and not text:
-            return None if name in ("cache_dir", "metrics", "trace") else _DEFAULTS[name]
+            return _DEFAULTS[name]
         return text
     raise AssertionError(f"unknown setting {name!r}")
 
@@ -221,10 +218,6 @@ current_settings = current
 
 
 def cache_directory() -> str:
-    """The resolved program-cache directory: ``cache_dir`` when set,
-    else ``<dir>/programs`` (the historic ``~/.cache/skelcl/programs``
-    when ``dir`` is at its default)."""
-    settings = current()
-    if settings.cache_dir:
-        return os.path.expanduser(settings.cache_dir)
-    return os.path.join(os.path.expanduser(settings.dir), "programs")
+    """The resolved program-cache directory, ``<dir>/programs``
+    (``~/.cache/skelcl/programs`` when ``dir`` is at its default)."""
+    return os.path.join(os.path.expanduser(get("dir")), "programs")

@@ -28,7 +28,7 @@ from ..jit import (INC, Intent, IntentAnnotation, JitError, JitFunction, READ,
                    RW, WRITE, get, jit)
 from .allpairs import AllPairs
 from .container import Container
-from .distribution import Block, Chunk, Copy, Distribution, Overlap, Single, block, block_ranges, copy, overlap, single
+from .distribution import Block, Chunk, Copy, Distribution, Overlap, Single, block, copy, overlap, single
 from .index import IndexMatrix, IndexVector
 from .map import Map
 from .mapoverlap import BoundaryMode, MapOverlap, SCL_NEAREST, SCL_NEUTRAL
@@ -83,7 +83,6 @@ __all__ = [
     "WRITE",
     "Zip",
     "block",
-    "block_ranges",
     "configure",
     "copy",
     "current_settings",

@@ -158,17 +158,6 @@ class Overlap(Distribution):
         return f"Overlap(overlap={self.overlap})"
 
 
-def block_ranges(size: int, num_devices: int) -> List[tuple]:
-    """Split ``size`` into ``num_devices`` contiguous near-equal ranges.
-
-    The historic even split, now a thin wrapper over
-    :meth:`Partition.ranges`: the first ``size % num_devices`` chunks
-    get one extra element; empty ranges are produced when there are
-    more devices than elements.
-    """
-    return Partition.even(num_devices).ranges(size)
-
-
 # Convenience singletons mirroring the paper's notation.
 single = Single()
 copy = Copy()

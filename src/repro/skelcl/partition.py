@@ -13,7 +13,8 @@ distribution layer can build on it without cycles:
 * :class:`Partition` — an immutable per-device weight vector that turns
   a container length into contiguous integer ranges (largest-remainder
   apportionment; zero-length ranges are legal).  ``Partition.even(n)``
-  reproduces the historic ``block_ranges`` split bit-for-bit.
+  is the historic equal split: the first ``size % n`` devices get one
+  extra element.
 * :func:`modeled_throughput` — peak compute rate of a
   :class:`~repro.ocl.spec.DeviceSpec` in ops/ns, the prior used to seed
   proportional splits.
@@ -64,7 +65,8 @@ class Partition:
 
     @staticmethod
     def even(num_devices: int) -> "Partition":
-        """The historic equal split (`block_ranges` semantics)."""
+        """The historic equal split: the first ``size % num_devices``
+        ranges get one extra element."""
         if num_devices <= 0:
             raise ValueError("need at least one device")
         return Partition((1.0,) * num_devices)
@@ -188,7 +190,7 @@ class AdaptivePartitioner:
             seed = initial
         elif initial == "even":
             seed = Partition.even(session.num_devices)
-        elif initial in ("throughput", "proportional"):
+        elif initial == "throughput":
             seed = Partition.proportional(self.modeled)
         else:
             raise ValueError(

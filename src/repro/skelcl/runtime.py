@@ -145,7 +145,7 @@ class Session:
             self.partition = policy.partition
         elif policy is None or policy == "even":
             self.partition = Partition.even(self.num_devices)
-        elif policy in ("throughput", "proportional"):
+        elif policy == "throughput":
             self.partition = Partition.from_specs(self.specs).quantized()
         elif policy == "adaptive":
             self.partitioner = AdaptivePartitioner(self)
@@ -203,9 +203,8 @@ class Session:
             self._observe_partition()
 
     def finish_all(self) -> int:
-        """Force any deferred skeleton calls, then resolve the whole
-        command graph on every queue and return the critical-path
-        elapsed time (see :meth:`ocl.Context.finish_all`)."""
+        """Force any deferred skeleton calls, then return the
+        critical-path elapsed time (see :meth:`ocl.Context.finish_all`)."""
         self._flush_plan()
         elapsed = self.context.finish_all()
         self._observe_partition()

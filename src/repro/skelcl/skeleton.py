@@ -446,8 +446,6 @@ class Skeleton:
         kernels = [e for e in self.last_events if e.command_type == "ndrange_kernel"]
         if not kernels:
             return 0
-        for event in kernels:
-            event.wait()
         return max(e.end_ns for e in kernels) - min(e.start_ns for e in kernels)
 
     def _enqueue(self, node: PlanNode, step: ocl.SiblingPlan,

@@ -28,7 +28,7 @@ def test_scanner_runs_once_per_kernel_definition(monkeypatch, tmp_path):
 
     monkeypatch.setattr(affine, "summarize_kernel", counting)
     # A warm disk entry would carry its summary along: start cold.
-    monkeypatch.setenv("SKELCL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("SKELCL_DIR", str(tmp_path))
     ocl.clear_build_cache()
     compose._FOOTPRINT_CACHE.clear()
 

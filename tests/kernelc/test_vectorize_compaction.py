@@ -342,7 +342,7 @@ def test_restored_plans_carry_the_compaction_code(tmp_path, monkeypatch):
     from repro.kernelc import compiler, lint_program, progcache
     from repro.kernelc.compiler import restore_program
 
-    monkeypatch.setenv("SKELCL_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("SKELCL_DIR", str(tmp_path))
     monkeypatch.delenv("SKELCL_CACHE", raising=False)
     source = _source("float", ["nested", "for"])
     checked = compile_source(source, "<compaction>")

@@ -1,12 +1,21 @@
 """The asynchronous command graph: event wait lists, the event
 lifecycle, engine overlap, markers/barriers, and critical-path elapsed
-time (``Context.finish_all``)."""
+time (``Context.finish_all``).  ``TestTimelineProperty`` restates the
+placement rule over random command graphs of up to three queues::
+
+    PYTHONPATH=src python -m pytest -q tests/ocl/test_event_graph.py \
+        --hypothesis-profile=analysis-ci
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import ocl
+from repro.kernelc.execmodel import ExecutionCounters
+from repro.kernelc.memory import MemoryCounters
 from repro.ocl.event import COMPUTE_ENGINE, SYNC_ENGINE, TRANSFER_ENGINE
+from repro.ocl.timing import copy_time_ns, kernel_time_ns, simd_utilization, transfer_time_ns
 
 SCALE = """
 __kernel void scale(__global const float* a, __global float* out, int n) {
@@ -46,13 +55,20 @@ def launch(ctx, queue, wait_for=None):
 
 
 class TestLifecycle:
-    def test_enqueued_command_is_queued_until_resolved(self, ctx):
+    def test_enqueued_command_is_complete_with_final_timestamps(self, ctx):
         queue = ctx.queues[0]
         buffer = ctx.create_buffer(64)
+        first = queue.enqueue_write_buffer(buffer, np.zeros(16, np.float32))
         event = queue.enqueue_write_buffer(buffer, np.zeros(16, np.float32))
-        assert event.status is ocl.EventStatus.QUEUED
-        assert not event.is_complete
-        event.wait()
+        # Placed when enqueue returns: behind the first write, on the
+        # same transfer engine, for the timing model's duration.
+        assert event.status is ocl.EventStatus.COMPLETE and event.is_complete
+        stamps = _stamps(event)
+        duration = transfer_time_ns(ctx.devices[0].spec, 64)
+        assert stamps == (first.end_ns, first.end_ns, first.end_ns, first.end_ns + duration)
+        # Waiting reads the end and changes nothing.
+        assert event.wait() == event.end_ns
+        assert _stamps(event) == stamps
         assert event.status is ocl.EventStatus.COMPLETE
 
     def test_wait_returns_end_timestamp(self, ctx):
@@ -62,9 +78,9 @@ class TestLifecycle:
         assert event.wait() == event.end_ns
         assert event.end_ns > 0
 
-    def test_duration_known_before_resolution(self, ctx):
+    def test_duration_fixed_at_enqueue(self, ctx):
         # The analytic timing model fixes the duration at enqueue time;
-        # only the placement on the timeline is deferred.
+        # waiting leaves it alone.
         queue = ctx.queues[0]
         buffer = ctx.create_buffer(64)
         event = queue.enqueue_write_buffer(buffer, np.zeros(16, np.float32))
@@ -148,8 +164,8 @@ class TestDependencies:
 
     def test_cross_queue_dependency_edge(self, ctx):
         # A write on device 1 waiting on a read from device 0 — the halo
-        # exchange pattern.  Resolving the consumer must transitively
-        # resolve the producer on the other queue.
+        # exchange pattern: the consumer starts after the producer on
+        # the other queue.
         data = np.arange(256, dtype=np.float32)
         src = ctx.create_buffer(data.nbytes, ctx.devices[0])
         dst = ctx.create_buffer(data.nbytes, ctx.devices[1])
@@ -159,7 +175,7 @@ class TestDependencies:
         )
         over = ctx.queues[1].enqueue_write_buffer(dst, staged, event_wait_list=[down])
         assert over.wait() >= down.end_ns
-        assert down.is_complete  # resolved transitively, on the other queue
+        assert down.is_complete
         assert over.start_ns >= down.end_ns
         assert down.start_ns >= up.end_ns
 
@@ -332,3 +348,121 @@ class TestCounters:
             queue.enqueue_copy_buffer(src, dst, 32, dst_offset_bytes=8)
         out, _ = queue.enqueue_read_buffer(dst, np.uint8)
         assert not out.any()
+
+
+# -- the timeline rule over random command graphs --------------------------------
+
+KINDS = ("write", "read", "copy", "marker", "barrier", "kernel")
+ELEMENTS = 256  # floats per buffer
+
+
+def _stamps(event):
+    return event.queued_ns, event.submit_ns, event.start_ns, event.end_ns
+
+
+class _Timeline:
+    """The placement rule restated, per queue: a command starts at the
+    latest of its engine's previous end (markers and barriers occupy no
+    engine) and its wait list's ends.  ``None`` waits for the queue's
+    previous command — for a marker or barrier, each engine's last
+    command — and an explicit list also waits for an active barrier."""
+
+    def __init__(self, queues):
+        self.ready = {(q, engine): 0 for q in range(queues)
+                      for engine in (COMPUTE_ENGINE, TRANSFER_ENGINE)}
+        self.tail = dict.fromkeys(self.ready)
+        self.last = [None] * queues
+        self.barrier = [None] * queues
+
+    def expect(self, q, engine, wait_list):
+        """The (queued, submit, start) of the next command of queue
+        ``q`` on ``engine``."""
+        if wait_list is None and engine is SYNC_ENGINE:
+            wait_list = [tail for (at, _), tail in self.tail.items()
+                         if at == q and tail is not None]
+        if wait_list is None:
+            deps = [] if self.last[q] is None else [self.last[q]]
+        else:
+            deps = list(wait_list)
+            if self.barrier[q] is not None:
+                deps.append(self.barrier[q])
+        deps_end = max([dep.end_ns for dep in deps], default=0)
+        if engine is SYNC_ENGINE:
+            return deps_end, deps_end, deps_end
+        ready = self.ready[q, engine]
+        return ready, max(ready, deps_end), max(ready, deps_end)
+
+    def record(self, q, event, kind):
+        if event.engine is not SYNC_ENGINE:
+            self.ready[q, event.engine] = event.end_ns
+            self.tail[q, event.engine] = event
+        self.last[q] = event
+        if kind == "barrier":
+            self.barrier[q] = event
+
+
+class TestTimelineProperty:
+    @given(st.data())
+    def test_every_command_is_placed_once_when_enqueued(self, data):
+        num_queues = data.draw(st.integers(1, 3), label="queues")
+        ctx = ocl.Context.create(ocl.TEST_DEVICE, num_queues, detect_races="off")
+        try:
+            self._check(ctx, data)
+        finally:
+            ctx.release()
+
+    def _check(self, ctx, data):
+        spec = ctx.devices[0].spec
+        program = ctx.create_program(SCALE).build()
+        buffers = [[ctx.create_buffer(4 * ELEMENTS, device) for _ in range(2)]
+                   for device in ctx.devices]
+        model, events = _Timeline(len(ctx.queues)), []
+        for _ in range(data.draw(st.integers(1, 12), label="commands")):
+            q = data.draw(st.integers(0, len(ctx.queues) - 1), label="queue")
+            queue, (a, b) = ctx.queues[q], buffers[q]
+            kind = data.draw(st.sampled_from(KINDS), label="kind")
+            wait_list = data.draw(st.one_of(
+                st.none(), st.lists(st.sampled_from(events), max_size=3)
+                if events else st.just([])), label="wait list")
+            count = data.draw(st.sampled_from([16, 64, ELEMENTS]), label="count")
+            engine = SYNC_ENGINE if kind in ("marker", "barrier") \
+                else COMPUTE_ENGINE if kind == "kernel" else TRANSFER_ENGINE
+            expected = model.expect(q, engine, wait_list)
+            before = [_stamps(event) for event in events]
+            if kind == "write":
+                event = queue.enqueue_write_buffer(
+                    a, np.ones(count, np.float32), event_wait_list=wait_list)
+                duration = transfer_time_ns(spec, 4 * count)
+            elif kind == "read":
+                _, event = queue.enqueue_read_buffer(
+                    a, np.float32, count, event_wait_list=wait_list)
+                duration = transfer_time_ns(spec, 4 * count)
+            elif kind == "copy":
+                event = queue.enqueue_copy_buffer(a, b, 4 * count, event_wait_list=wait_list)
+                duration = copy_time_ns(spec, 4 * count)
+            elif kind == "kernel":
+                kernel = program.create_kernel("scale").set_args(a, b, count)
+                event = queue.enqueue_nd_range_kernel(
+                    kernel, (ELEMENTS,), (64,), event_wait_list=wait_list)
+                info = event.info
+                duration = kernel_time_ns(spec, ExecutionCounters(
+                    ops=info["ops"], warp_ops=info["warp_ops"], memory=MemoryCounters(
+                        global_loads=info["global_loads"],
+                        global_stores=info["global_stores"],
+                        global_bytes=info["global_bytes"])), simd_utilization(64))
+            else:
+                enqueue = queue.enqueue_marker if kind == "marker" else queue.enqueue_barrier
+                event = enqueue(event_wait_list=wait_list)
+                duration = 0
+            assert event.status is ocl.EventStatus.COMPLETE
+            assert event.engine == engine
+            assert _stamps(event)[:3] == expected
+            assert event.end_ns - event.start_ns == duration
+            assert [_stamps(earlier) for earlier in events] == before
+            model.record(q, event, kind)
+            events.append(event)
+        final = [_stamps(event) for event in events]
+        waited = data.draw(st.sampled_from(events), label="waited")
+        assert waited.wait() == waited.end_ns
+        assert ctx.finish_all() == max(event.end_ns for event in events)
+        assert [_stamps(event) for event in events] == final

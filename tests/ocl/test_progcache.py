@@ -42,8 +42,8 @@ __kernel void triple(__global const float* in, __global float* out) {
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
-    path = tmp_path / "progcache"
-    monkeypatch.setenv("SKELCL_CACHE_DIR", str(path))
+    path = tmp_path / "programs"  # the program cache under SKELCL_DIR
+    monkeypatch.setenv("SKELCL_DIR", str(tmp_path))
     monkeypatch.delenv("SKELCL_CACHE", raising=False)
     # The in-memory build cache is process-wide; start each test cold so
     # a build here actually exercises the persistent level.
@@ -164,7 +164,7 @@ _CHILD = textwrap.dedent("""
 
 
 def test_second_process_builds_from_disk(cache_dir, tmp_path):
-    env = dict(os.environ, SKELCL_CACHE_DIR=str(cache_dir), PYTHONPATH=SRC)
+    env = dict(os.environ, SKELCL_DIR=os.path.dirname(cache_dir), PYTHONPATH=SRC)
     runs = []
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-c", _CHILD], env=env,
@@ -194,8 +194,9 @@ def _launch(runtime, program, name, n=64):
 
 
 def _child(cache_dir, generators="allow"):
-    """Run ``progcache_child.py`` in a fresh process on ``cache_dir``."""
-    env = dict(os.environ, SKELCL_CACHE_DIR=str(cache_dir), PYTHONPATH=SRC,
+    """Run ``progcache_child.py`` in a fresh process on ``cache_dir``
+    (``<SKELCL_DIR>/programs``)."""
+    env = dict(os.environ, SKELCL_DIR=os.path.dirname(cache_dir), PYTHONPATH=SRC,
                PROGCACHE_CHILD_GENERATORS=generators)
     env.pop("SKELCL_CACHE", None)
     proc = subprocess.run([sys.executable, os.path.join(HERE, "progcache_child.py")], env=env,
@@ -215,7 +216,7 @@ def cold_run(tmp_path_factory):
     barrier kernel, a ``float2`` one and a pointer cast, built and
     launched on an empty cache.  Returns (its report, the cache it
     filled)."""
-    cache = tmp_path_factory.mktemp("two-process") / "progcache"
+    cache = tmp_path_factory.mktemp("two-process") / "programs"
     return _child(cache), cache
 
 
@@ -240,7 +241,7 @@ def test_lost_plan_files_are_regenerated_from_the_charges_on_the_ast(cold_run, t
     import shutil
 
     cold, cache = cold_run
-    copy = tmp_path / "progcache"
+    copy = tmp_path / "programs"
     shutil.copytree(cache, copy)
     plans = _plans(copy)
     assert plans

@@ -57,7 +57,7 @@ def test_runtime_populates_command_and_transfer_counters(runtime_2gpu):
 def test_build_cache_metrics(runtime_1gpu, tmp_path, monkeypatch):
     # Pin the persistent cache to an empty directory so the first build
     # is deterministically a cold compile, not an on-disk hit.
-    monkeypatch.setenv("SKELCL_CACHE_DIR", str(tmp_path / "progcache"))
+    monkeypatch.setenv("SKELCL_DIR", str(tmp_path))
     metrics = runtime_1gpu.context.metrics
     # A source no other test uses: the process-wide build cache must
     # miss the first time and hit the second.

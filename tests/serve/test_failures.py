@@ -37,7 +37,7 @@ def _oom_graph():
 
 
 def _kernel_ns_of(server, tenant):
-    return sum(event.planned_ns for queue in server.session.queues for event in queue.events
+    return sum(event.duration_ns for queue in server.session.queues for event in queue.events
                if event.command_type == "ndrange_kernel" and event.info.get("tenant") == tenant)
 
 

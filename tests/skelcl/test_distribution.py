@@ -3,33 +3,33 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.skelcl.distribution import Block, Copy, Overlap, Single, block_ranges
+from repro.skelcl.distribution import Block, Copy, Overlap, Single
 from repro.skelcl.partition import Partition
 
 
-class TestBlockRanges:
+class TestEvenRanges:
     def test_even_split(self):
-        assert block_ranges(8, 2) == [(0, 4), (4, 8)]
+        assert Partition.even(2).ranges(8) == [(0, 4), (4, 8)]
 
     def test_uneven_split_front_loads_extra(self):
-        assert block_ranges(10, 3) == [(0, 4), (4, 7), (7, 10)]
+        assert Partition.even(3).ranges(10) == [(0, 4), (4, 7), (7, 10)]
 
     def test_more_devices_than_elements(self):
-        ranges = block_ranges(2, 4)
+        ranges = Partition.even(4).ranges(2)
         sizes = [e - s for s, e in ranges]
         assert sizes == [1, 1, 0, 0]
 
     def test_zero_size(self):
-        assert block_ranges(0, 3) == [(0, 0), (0, 0), (0, 0)]
+        assert Partition.even(3).ranges(0) == [(0, 0), (0, 0), (0, 0)]
 
     def test_invalid_devices(self):
         with pytest.raises(ValueError):
-            block_ranges(4, 0)
+            Partition.even(0)
 
     @given(size=st.integers(0, 10000), devices=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_partition_invariants(self, size, devices):
-        ranges = block_ranges(size, devices)
+        ranges = Partition.even(devices).ranges(size)
         assert len(ranges) == devices
         # Contiguous cover with no gaps or overlap.
         assert ranges[0][0] == 0

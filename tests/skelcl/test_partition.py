@@ -7,16 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 import repro.skelcl as skelcl
 from repro import ocl
-from repro.skelcl.distribution import Block, Copy, Overlap, Single, block_ranges
+from repro.skelcl.distribution import Block, Copy, Overlap, Single
 from repro.skelcl.partition import (AdaptivePartitioner, Partition,
                                     modeled_throughput)
 
 
 class TestPartitionMath:
-    def test_even_matches_block_ranges(self):
+    def test_even_gives_the_first_remainder_devices_one_more(self):
         for size in (0, 1, 7, 8, 10, 1000):
             for devices in (1, 2, 3, 4, 7):
-                assert Partition.even(devices).ranges(size) == block_ranges(size, devices)
+                ranges = Partition.even(devices).ranges(size)
+                assert [end - start for start, end in ranges] == [
+                    size // devices + (index < size % devices) for index in range(devices)]
+                assert [start for start, _ in ranges] == [0] + [end for _, end in ranges[:-1]]
 
     def test_weighted_counts(self):
         assert Partition.of(4, 4, 1).counts(9000) == [4000, 4000, 1000]

@@ -17,7 +17,7 @@ from repro import ocl, settings
 def _clean_config(monkeypatch):
     """Each test starts from a pristine chain: no configure() overrides,
     no SKELCL_* environment."""
-    env_vars = ("SKELCL_CACHE", "SKELCL_CACHE_DIR", "SKELCL_DIR", "SKELCL_LAZY",
+    env_vars = ("SKELCL_CACHE", "SKELCL_DIR", "SKELCL_LAZY",
                 "SKELCL_METRICS", "SKELCL_PARTITION", "SKELCL_SANITIZE", "SKELCL_TRACE")
     settings.configure(reset=True)
     for var in env_vars:
@@ -103,9 +103,9 @@ class TestValidation:
         with pytest.raises(TypeError, match="valid settings"):
             skelcl.configure(torbo_mode=True)
 
-    def test_eight_settings_and_no_engine_choice(self):
+    def test_seven_settings_and_no_engine_choice(self):
         assert [field.name for field in dataclasses.fields(skelcl.Settings)] == [
-            "cache", "cache_dir", "dir", "lazy", "metrics", "partition", "sanitize", "trace"]
+            "cache", "dir", "lazy", "metrics", "partition", "sanitize", "trace"]
         with pytest.raises(TypeError, match="valid settings"):
             skelcl.configure(backend="vector")
 
@@ -146,10 +146,12 @@ class TestDerivedPaths:
         skelcl.configure(dir="/tmp/skelcl-test-home")
         assert settings.cache_directory() == "/tmp/skelcl-test-home/programs"
 
-    def test_cache_dir_overrides_dir(self):
-        skelcl.configure(dir="/tmp/skelcl-test-home",
-                         cache_dir="/tmp/elsewhere")
-        assert settings.cache_directory() == "/tmp/elsewhere"
+    def test_dir_is_the_one_location_setting(self, monkeypatch):
+        monkeypatch.setenv("SKELCL_DIR", "/tmp/skelcl-env-home")
+        monkeypatch.setenv("SKELCL_CACHE_DIR", "/tmp/elsewhere")  # not a setting
+        assert settings.cache_directory() == "/tmp/skelcl-env-home/programs"
+        with pytest.raises(TypeError, match="valid settings"):
+            skelcl.configure(cache_dir="/tmp/elsewhere")
 
     def test_env_mapping_round_trips(self):
         skelcl.configure(partition="throughput", lazy=True, sanitize="strict")
