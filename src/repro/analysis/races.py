@@ -17,8 +17,12 @@ order is a topological order of the DAG.  That makes *incremental*
 checking at submit time both sound and complete: when command *e* is
 enqueued, every command it could race with is already recorded, and no
 later event can ever create an ordering path between two earlier events.
-Each command therefore only needs its ancestor set (kept as a bitset
-over enqueue indices) and a per-buffer index of prior accesses.
+Each command therefore only needs its ancestor set and a per-buffer
+index of prior accesses.  An ancestor set is an *offset set*: its lowest
+enqueue index plus a bitset above it, so it costs the span of the
+command's ancestry, not the number of commands since the last reset.
+The access records of a buffer are dropped when the buffer is garbage
+collected: no later command can name it, so none can race with them.
 
 Modes: ``report`` warns (:class:`RaceWarning`) at the racy enqueue and
 keeps going; ``strict`` raises :class:`RaceError` right there, so the
@@ -101,9 +105,14 @@ class RaceDetector:
     def __init__(self, mode: SanitizeMode = SanitizeMode.REPORT):
         self.mode = mode
         self.races: List[Race] = []
-        self._index: Dict[int, int] = {}  # id(event) -> enqueue index
+        self._index: Dict[object, int] = {}  # event -> enqueue index
         self._events: List[object] = []
-        self._ancestors: List[int] = []  # bitset of ancestor enqueue indices
+        # Ancestor set of command i as an offset set: bit k of
+        # ``_ancestor_bits[i]`` is enqueue index ``_ancestor_low[i] + k``.
+        # ``_ancestor_low[i]`` is the lowest ancestor, or i itself when
+        # there is none, so it never exceeds i.
+        self._ancestor_low: List[int] = []
+        self._ancestor_bits: List[int] = []
         self._by_buffer: Dict[int, List[Tuple[int, BufferAccess]]] = {}
 
     @property
@@ -115,18 +124,38 @@ class RaceDetector:
         self.races.clear()
         self._index.clear()
         self._events.clear()
-        self._ancestors.clear()
+        self._ancestor_low.clear()
+        self._ancestor_bits.clear()
         self._by_buffer.clear()
+
+    def forget_buffer(self, buffer_uid: int) -> None:
+        """Drop the access records of a buffer that was garbage
+        collected: no later command can name it.  Called from
+        ``Buffer.__del__``, so also from inside :meth:`observe` when the
+        cyclic collector runs there; it only pops one key."""
+        self._by_buffer.pop(buffer_uid, None)
 
     def observe(self, event) -> None:
         """Record ``event`` and check it against all prior commands."""
         if not self.enabled:
             return
-        ancestors = 0
+        index = len(self._events)
+        lows, bits = self._ancestor_low, self._ancestor_bits
+        # The union of the dependencies' offset sets, each with the
+        # dependency's own bit set (a low never exceeds its index).
+        # A lower low re-bases what is united so far.
+        low, ancestors = index, 0
         for dep in event.wait_for:
-            dep_idx = self._index.get(id(dep))
-            if dep_idx is not None:  # deps from before a reset() are unknown
-                ancestors |= self._ancestors[dep_idx] | (1 << dep_idx)
+            dep_idx = self._index.get(dep)
+            if dep_idx is None:  # deps from before a reset() are unknown
+                continue
+            dep_low = lows[dep_idx]
+            dep_bits = bits[dep_idx] | (1 << (dep_idx - dep_low))
+            if dep_low < low:
+                ancestors = (ancestors << (low - dep_low)) | dep_bits
+                low = dep_low
+            else:
+                ancestors |= dep_bits << (dep_low - low)
         accesses: Sequence[BufferAccess] = getattr(event, "accesses", ())
         found: List[Race] = []
         reported: set = set()  # one race per (earlier, later) pair
@@ -136,15 +165,15 @@ class RaceDetector:
                     continue
                 if not access.conflicts_with(prior_access):
                     continue
-                if (ancestors >> prior_idx) & 1:
+                if prior_idx >= low and (ancestors >> (prior_idx - low)) & 1:
                     continue
                 reported.add(prior_idx)
                 found.append(Race(self._events[prior_idx], event,
                                   prior_access, access))
-        index = len(self._events)
         self._events.append(event)
-        self._ancestors.append(ancestors)
-        self._index[id(event)] = index
+        lows.append(low)
+        bits.append(ancestors)
+        self._index[event] = index
         for access in accesses:
             self._by_buffer.setdefault(access.buffer_uid, []).append((index, access))
         for race in found:

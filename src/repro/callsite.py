@@ -25,6 +25,12 @@ def _outside(filename: str, package_dir: str, parts: int) -> Optional[str]:
     return "/".join(filename.replace("\\", "/").rsplit("/", parts)[-parts:])
 
 
+@functools.lru_cache(maxsize=4096)
+def _site_line(site: str, line: int) -> str:
+    """One ``"site:line"`` string per call site, not one per call."""
+    return f"{site}:{line}"
+
+
 def call_site(package_dir: str, parts: int = 1) -> Optional[str]:
     """``file.py:line`` of the innermost caller outside ``package_dir``
     (an absolute directory), the file named by its last ``parts`` path
@@ -33,6 +39,6 @@ def call_site(package_dir: str, parts: int = 1) -> Optional[str]:
     while frame is not None:
         site = _outside(frame.f_code.co_filename, package_dir, parts)
         if site is not None:
-            return f"{site}:{frame.f_lineno}"
+            return _site_line(site, frame.f_lineno)
         frame = frame.f_back
     return None

@@ -24,6 +24,10 @@ class Buffer:
     # Process-wide identity for the race detector: ``id()`` can be
     # reused after garbage collection, a monotonic counter cannot.
     _uid_counter = itertools.count(1)
+    # Called with ``uid`` when the buffer is garbage collected; a
+    # context with a race detector sets it, so the detector can drop
+    # the buffer's access records (no later command can name it).
+    _on_collect = None
 
     def __init__(self, device: Device, nbytes: int, name: str = ""):
         if nbytes <= 0:
@@ -49,6 +53,8 @@ class Buffer:
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
             self.release()
+            if self._on_collect is not None:
+                self._on_collect(self.uid)
         except Exception:
             pass
 

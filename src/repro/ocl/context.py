@@ -74,6 +74,8 @@ class Context:
     def create_buffer(self, nbytes: int, device: Optional[Device] = None, name: str = "") -> Buffer:
         target = device if device is not None else self.devices[0]
         buffer = Buffer(target, nbytes, name)
+        if self.race_detector is not None:
+            buffer._on_collect = self.race_detector.forget_buffer
         self._buffers.add(buffer)
         return buffer
 

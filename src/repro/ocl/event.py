@@ -16,6 +16,10 @@ places the command at ``max(engine-ready time, completion of its wait
 list)`` on its device's compute or transfer engine right away — a wait
 list names only events already enqueued, so nothing later moves it — and
 independent commands overlap exactly as on real hardware.
+
+Events compare and hash by identity, like ``cl_event`` handles: two
+commands with equal fields are still two commands, so each is its own
+dependency edge, and an event can key a dict or sit in a set.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ ENGINE_OF_COMMAND = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class Event:
     command_type: str  # 'ndrange_kernel', 'write_buffer', 'read_buffer', 'copy_buffer', 'marker', 'barrier'
     name: str
@@ -85,17 +89,17 @@ class Event:
     # Buffer access set (``repro.analysis.access.BufferAccess`` records):
     # which byte ranges of which buffers this command reads/writes.
     # Markers and barriers carry an empty set — pure ordering edges.
-    accesses: List[object] = field(default_factory=list, repr=False, compare=False)
+    accesses: List[object] = field(default_factory=list)
     # "file:line" of the user-code frame that enqueued the command;
     # captured only when a sanitizer is attached (provenance costs a
     # stack walk).
-    enqueue_site: Optional[str] = field(default=None, repr=False, compare=False)
+    enqueue_site: Optional[str] = None
     # Trace span name, set by the layer that knows what the command
     # *means* (skeletons label their launches "Map(func)@file.py:12");
     # None falls back to ``name`` in trace exports.
-    label: Optional[str] = field(default=None, repr=False, compare=False)
+    label: Optional[str] = None
     # Unique, monotonically increasing id (SkelScope flow-edge ids).
-    seq: int = field(default_factory=lambda: next(_SEQ), repr=False, compare=False)
+    seq: int = field(default_factory=lambda: next(_SEQ))
 
     @property
     def duration_ns(self) -> int:

@@ -53,8 +53,8 @@ class Job:
         self.kind = kind  # "graph" | "map"
         self.label = label
         self.state = Job.QUEUED
-        self.nodes: List = []      # graph jobs: recorded PlanNodes
-        self.payload = None        # map jobs: (skeleton, array, extras)
+        self.nodes: List = []      # graph jobs: recorded PlanNodes (until finished)
+        self.payload = None        # map jobs: (skeleton, array, extras) (until finished)
         self.batch_key = None      # map jobs: launch-batching key
         self.value = None          # the client-visible result
         self.error: Optional[BaseException] = None  # what a failed job's launch raised
@@ -81,9 +81,12 @@ class Job:
         """The one end of a job, ``done`` or — with the ``error`` its
         launch raised — ``failed``: its share of the launch's kernel-ns
         is recorded, its declared bytes leave the tenant's in-flight
-        total, and the tenant's outcome counters move."""
+        total, and the tenant's outcome counters move.  The job lets go
+        of its recorded graph or its map input: a handle a client keeps
+        holds the outcome, not the inputs and intermediates."""
         tenant = self.tenant
         self.end_ns, self.cost_ns, self.error = end_ns, cost_ns, error
+        self.nodes, self.payload = [], None
         tenant.inflight_bytes -= self.input_bytes
         if error is None:
             self.state, outcome = Job.DONE, "completed"

@@ -5,6 +5,8 @@ reports command pairs that conflict (>= 1 write, overlapping byte
 ranges) without a wait-list path ordering them — see docs/analysis.md.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,33 @@ class TestDetection:
         queue.enqueue_write_buffer(buffer, np.ones(64, np.float32),
                                    event_wait_list=[])
         assert ctx.check_races() == []
+
+
+class TestEventIdentity:
+    """Events are handles: equal fields do not make two commands one."""
+
+    def test_value_equal_event_does_not_stand_in_for_the_barrier(self, ctx):
+        queue = ctx.queues[0]
+        buffer = ctx.create_buffer(256, queue.device)
+        first = queue.enqueue_write_buffer(buffer, np.zeros(64, np.float32))
+        barrier = queue.enqueue_barrier([first])
+        twin = dataclasses.replace(barrier)  # same fields, another event
+        assert twin is not barrier and twin != barrier
+        # The active barrier gates the write even though a value-equal
+        # copy is in its wait list, so the write is ordered after the
+        # first one and does not race it.
+        second = queue.enqueue_write_buffer(buffer, np.ones(64, np.float32),
+                                            event_wait_list=[twin])
+        assert [dep is barrier for dep in second.wait_for] == [False, True]
+        assert ctx.check_races() == []
+
+    def test_events_are_hashable_by_identity(self, ctx):
+        queue = ctx.queues[0]
+        marker = queue.enqueue_marker([])
+        twin = dataclasses.replace(marker)
+        assert {marker} == {marker} and marker in {marker}
+        assert len({marker, twin}) == 2
+        assert {marker: 1, twin: 2}[marker] == 1
 
 
 class TestHaloPipeline:
