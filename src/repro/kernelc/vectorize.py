@@ -234,9 +234,11 @@ class VPtr:
     allocations and for the arenas of a sibling run (None for storage
     shared by all lanes, e.g. the global buffers of one launch).
     ``span``: for lane offsets, what :meth:`_rows` derives from them once
-    for every access at a uniform index."""
+    for every access at a uniform index; ``memo``: the last lane index
+    :meth:`_rows` found in range on every lane, and its rows."""
 
-    __slots__ = ("array", "element_type", "space", "tally", "length", "offset", "base", "span")
+    __slots__ = ("array", "element_type", "space", "tally", "length", "offset", "base", "span",
+                 "memo")
 
     def __init__(self, array, element_type: ScalarType, space: str, tally,
                  length: int, offset, base):
@@ -247,7 +249,7 @@ class VPtr:
         self.length = length
         self.offset = offset
         self.base = base
-        self.span = None
+        self.span = self.memo = None
 
     def add(self, delta) -> "VPtr":
         if isinstance(delta, ndarray) or isinstance(self.offset, ndarray):
@@ -276,8 +278,17 @@ class VPtr:
         component, as one work-item at a time does.  Lane offsets at a
         uniform index take one scalar check against their span — the
         least and greatest offset of any lane, and the rows they start
-        at — and the per-lane check only when it fails."""
+        at — and the per-lane check only when it fails.  A lane index of
+        fewer than ``_PROBE_MIN_LANES`` elements in range on every lane,
+        idle ones too, is remembered with its rows (``memo``, which holds
+        the index, so its identity is never reused): a later access at
+        that same index object returns those rows unchecked, whatever its
+        mask."""
+        memo = self.memo
+        if memo is not None and memo[0] is index:
+            return memo[1]
         offset, uniform = self.offset, not isinstance(index, ndarray)
+        remember = False
         if not uniform or isinstance(offset, ndarray):
             if uniform and offset.size >= _PROBE_MIN_LANES:
                 span, width = self.span, _width(self.element_type)
@@ -293,12 +304,14 @@ class VPtr:
             where = _int_lanes_pair(offset, index) if isinstance(offset, ndarray) or offset \
                 else index
             bad = where.view(_U64) >= self.length  # negative rows wrap to huge ones
-            if bad.any():
+            if _any(bad):
                 bad &= mask
-                if bad.any():
+                if _any(bad):
                     raise KernelFault(f"out-of-bounds {self.space} access: element "
                                       f"{int(where.T.flat[np.argmax(bad.T)])} of {self.length}")
                 where = np.where(mask, where, 0)
+            else:
+                remember = not uniform and index.size < _PROBE_MIN_LANES
         else:
             where = offset + int(index)
             if not 0 <= where < self.length:
@@ -306,7 +319,10 @@ class VPtr:
                     f"out-of-bounds {self.space} access: element {where} of {self.length}")
         if isinstance(self.element_type, VectorType):
             where = where * self.element_type.width
-        return where if self.base is None else where + self.base
+        rows = where if self.base is None else where + self.base
+        if remember:
+            self.memo = (index, rows)
+        return rows
 
     def _charge(self, mask, store: bool, count: Optional[int] = None, width: int = 1) -> None:
         """Tally the active lanes of ``mask`` (``count`` of them, when
@@ -633,6 +649,12 @@ def _um64(v):
     return v if isinstance(v, ndarray) else v & (_TWO64 - 1)
 
 
+def _any(m: ndarray) -> bool:
+    """``m.any()`` in one C call (``flat``: a vector's ``(width, lanes)``
+    masks too)."""
+    return m.size != 0 and bool(m.flat[m.argmax()])
+
+
 def _zeros(mask: ndarray) -> ndarray:
     return np.zeros(mask.shape, dtype=bool)
 
@@ -705,7 +727,9 @@ def _lanewise(op, coerce):
 
 
 def _as_u64_operand(v):
-    return _as_int_operand(v).view(_U64)
+    """Lanes as 64-bit patterns; a uniform operand stays a Python int,
+    which NumPy (NEP 50) takes at the lanes' ``uint64``."""
+    return v.view(_U64) if isinstance(v, ndarray) else int(v) & (_TWO64 - 1)
 
 
 def _add_scalar(a, b):
@@ -1286,8 +1310,8 @@ _ARITH = {"+": "add", "-": "sub", "*": "mul", "&": "and_", "|": "or_", "^": "xor
           "<": "lt", ">": "gt", "<=": "le", ">=": "ge", "==": "eq", "!=": "ne"}
 
 _LIBRARY = {
-    "_merge": _merge, "_ret": _ret, "_truthy": _truthy, "_zeros": _zeros, "_to_bool": _to_bool,
-    "_b2i": _b2i, "_sw": _sw, "_um64": _um64, "_i2f": _i2f,
+    "_any": _any, "_merge": _merge, "_ret": _ret, "_truthy": _truthy, "_zeros": _zeros,
+    "_to_bool": _to_bool, "_b2i": _b2i, "_sw": _sw, "_um64": _um64, "_i2f": _i2f,
     "_f2i": _f2i, "_cast": _cast, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
     "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
     "_add_scalar": _add_scalar, "_mul_index": _mul_index, "_workitem": _workitem,
@@ -1619,7 +1643,7 @@ class _LaneCompiler(_FunctionCompiler):
         status = self.lane_list(statements, "m")
         if valued and self.tail_return is None:
             if status is not _DEAD:
-                self.emit(f"if m.any(): raise _KernelFault('function {fn.name} finished "
+                self.emit(f"if _any(m): raise _KernelFault('function {fn.name} finished "
                           "without returning a value')")
             self.emit("return _rv")
         return "\n".join(self.lines)
@@ -1641,7 +1665,7 @@ class _LaneCompiler(_FunctionCompiler):
                     self.close()
                 guarded = position + 1 < len(statements)
                 if guarded:
-                    self.open(f"if {m}.any():")
+                    self.open(f"if _any({m}):")
         if guarded:
             self.close()
         return status
@@ -1755,12 +1779,12 @@ class _LaneCompiler(_FunctionCompiler):
         then_m = self.temp("m", self.condition(stmt.condition, m))
         need_else = stmt.else_branch is not None or bool(self.escapes(stmt.then_branch))
         else_m = self.temp("m", f"{m} & ~{then_m}") if need_else else None
-        self.open(f"if {then_m}.any():")
+        self.open(f"if _any({then_m}):")
         then_effect = self.lane_region(stmt.then_branch, then_m)
         self.close()
         else_effect = _SAME
         if stmt.else_branch is not None:
-            self.open(f"if {else_m}.any():")
+            self.open(f"if _any({else_m}):")
             else_effect = self.lane_region(stmt.else_branch, else_m)
             self.close()
         if then_effect is _SAME and else_effect is _SAME:
@@ -1807,7 +1831,7 @@ class _LaneCompiler(_FunctionCompiler):
             if done:
                 self.emit(f"{done} |= {chain} & ~{passed}")
             self.narrow(chain, passed)
-            self.emit(f"if not {chain}.any(): break")
+            self.emit(f"if not _any({chain}): break")
 
         if uniform and not escapes:
             # All lanes of m iterate together: a plain loop on chain m.
@@ -1838,7 +1862,7 @@ class _LaneCompiler(_FunctionCompiler):
             if cont is not None:
                 self.narrow(live, cont if effect is _DEAD else f"{live} | {cont}")
             if effect is not _SAME or cont is not None:
-                self.emit(f"if not {live}.any(): break")
+                self.emit(f"if not _any({live}): break")
             step(live)
             if is_do:
                 check(live, done)
@@ -1883,7 +1907,7 @@ class _LaneCompiler(_FunctionCompiler):
         # that entered at or before it and haven't broken out.
         for index, case in enumerate(stmt.cases):
             self.narrow(current, f"{current} | ({m} & ({start} == {index}))")
-            self.open(f"if {current}.any():")
+            self.open(f"if _any({current}):")
             self.scope_stack.append({})
             if self.lane_list(case.body, current) is _DEAD:
                 self.narrow(current, f"_zeros({m})")
@@ -2005,11 +2029,11 @@ class _LaneCompiler(_FunctionCompiler):
         result = self.fresh("sel")
         then_m = self.temp("m", self.condition(expr.condition, m))
         else_m = self.temp("m", f"{m} & ~{then_m}")
-        then_any = self.temp("t", f"{then_m}.any()")
+        then_any = self.temp("t", f"_any({then_m})")
         self.open(f"if {then_any}:")
         self.emit(f"{result} = {arm(expr.then_expr, then_m)}")
         self.close()
-        self.open(f"if {else_m}.any():")
+        self.open(f"if _any({else_m}):")
         other = self.temp("sel", arm(expr.else_expr, else_m))
         self.emit(f"{result} = _merge({other}, {result}, {then_m}) if {then_any} else {other}")
         self.close()
@@ -2027,7 +2051,7 @@ class _LaneCompiler(_FunctionCompiler):
         left = self.temp("m", self.condition(expr.left, m))
         sub = left if is_and else self.temp("m", f"{m} & ~{left}")
         right = self.fresh("m")
-        self.open(f"if {sub}.any():")
+        self.open(f"if _any({sub}):")
         self.emit(f"{right} = {self.condition(expr.right, sub)}")
         self.close()
         self.emit(f"else: {right} = {sub}")
