@@ -28,7 +28,7 @@ afterwards only stamps the resolved rows with the launch's buffers
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,7 +51,7 @@ _MAX_LAUNCH_SHAPES = 128
 
 class BufferAccess(NamedTuple):
     """One command's access to a byte range of one buffer (a named
-    tuple: every kernel launch stamps a few).
+    tuple: an event builds its few at each read of its access set).
 
     ``stride == 0`` means the range is dense: every byte in
     ``[start, stop)`` may be touched.  ``stride > 0`` means only the
@@ -68,16 +68,6 @@ class BufferAccess(NamedTuple):
     stride: int = 0
     width: int = 0
     provenance: str = ""
-
-    @staticmethod
-    def read(buffer, offset: int, nbytes: int) -> "BufferAccess":
-        return BufferAccess(buffer.uid, buffer.name or "buffer",
-                            int(offset), int(offset) + int(nbytes), READ)
-
-    @staticmethod
-    def write(buffer, offset: int, nbytes: int) -> "BufferAccess":
-        return BufferAccess(buffer.uid, buffer.name or "buffer",
-                            int(offset), int(offset) + int(nbytes), WRITE)
 
     @property
     def reads(self) -> bool:
@@ -234,9 +224,40 @@ def _launch_shape(kernel, summary, ndrange) -> tuple:
     return tuple(shape)
 
 
-def kernel_buffer_accesses(kernel, ndrange, metrics=None, plan=None) -> List[BufferAccess]:
+class KernelAccesses:
+    """A kernel launch's access set as the launch stamps it: the launch
+    shape's resolution (``resolved``, shared by every launch of that
+    shape) and the uid and name of each bound Buffer argument in its
+    order (``buffers``, flat: ``uid, name, uid, name, …``).  Its
+    :class:`BufferAccess` records are built at each :meth:`records`
+    call or iteration; two stamps are equal when their records are."""
+
+    __slots__ = ("resolved", "buffers")
+
+    def __init__(self, resolved: tuple, buffers: tuple):
+        self.resolved, self.buffers = resolved, buffers
+
+    def records(self) -> List[BufferAccess]:
+        held = iter(self.buffers)
+        return [BufferAccess._make((uid, name) + row)
+                for (_, _, rows), uid, name in zip(self.resolved[0], held, held)
+                for row in rows]
+
+    def __iter__(self) -> Iterator[BufferAccess]:
+        return iter(self.records())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KernelAccesses):
+            return NotImplemented
+        return self.records() == other.records()
+
+    def __repr__(self) -> str:
+        return f"KernelAccesses({self.records()!r})"
+
+
+def kernel_buffer_accesses(kernel, ndrange, metrics=None, plan=None) -> KernelAccesses:
     """The buffer access set of a bound :class:`repro.ocl.Kernel`
-    launched over ``ndrange``.
+    launched over ``ndrange``, as a :class:`KernelAccesses` stamp.
 
     Every Buffer argument whose parameter has an affine summary yields
     exact per-site byte ranges (with stride and provenance), evaluated
@@ -249,7 +270,8 @@ def kernel_buffer_accesses(kernel, ndrange, metrics=None, plan=None) -> List[Buf
     its :data:`_MAX_LAUNCH_SHAPES` most recently used resolutions, and a
     launch that repeats one only stamps the rows with its own buffers'
     ``uid`` and ``name`` — per argument index, so one buffer bound to
-    two parameters needs no special case.  A launch from ``plan`` (a
+    two parameters needs no special case — and the records are built
+    when the stamp is read.  A launch from ``plan`` (a
     :class:`repro.ocl.queue.LaunchPlan`, what a skeleton's launch recipe
     keeps per launch) keeps the resolution on the plan: the plan's later
     launches are hits that compute no key and look nothing up.
@@ -284,6 +306,7 @@ def kernel_buffer_accesses(kernel, ndrange, metrics=None, plan=None) -> List[Buf
     if metrics is not None:
         for kind, pointer_arguments in kinds:
             metrics.counter("skelcl_access_summary_total", kind=kind).inc(pointer_arguments)
-    args = kernel._args
-    return [BufferAccess(args[index].uid, args[index].name or param_name, *row)
-            for index, param_name, rows in bound for row in rows]
+    args, buffers = kernel._args, ()
+    for index, param_name, _ in bound:
+        buffers += (args[index].uid, args[index].name or param_name)
+    return KernelAccesses(resolved, buffers)

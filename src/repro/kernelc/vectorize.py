@@ -283,7 +283,9 @@ class VPtr:
         idle ones too, is remembered with its rows (``memo``, which holds
         the index, so its identity is never reused): a later access at
         that same index object returns those rows unchecked, whatever its
-        mask."""
+        mask.  A ``(width, lanes)`` index is never remembered: ``vload``
+        and ``vstore`` build a fresh one at every access, which no later
+        access could hit."""
         memo = self.memo
         if memo is not None and memo[0] is index:
             return memo[1]
@@ -311,7 +313,7 @@ class VPtr:
                                       f"{int(where.T.flat[np.argmax(bad.T)])} of {self.length}")
                 where = np.where(mask, where, 0)
             else:
-                remember = not uniform and index.size < _PROBE_MIN_LANES
+                remember = not uniform and index.ndim == 1 and index.size < _PROBE_MIN_LANES
         else:
             where = offset + int(index)
             if not 0 <= where < self.length:

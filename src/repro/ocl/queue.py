@@ -34,7 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.access import BufferAccess, kernel_buffer_accesses
+from ..analysis.access import READ, WRITE, kernel_buffer_accesses
 from ..callsite import call_site
 from ..kernelc import vectorize
 from ..kernelc.compiler import CompiledKernel
@@ -43,7 +43,8 @@ from ..kernelc.vectorize import RUN_MAX_LANES
 from .buffer import Buffer
 from .device import Device
 from .errors import InvalidValue, SampledBufferRead
-from .event import COMPUTE_ENGINE, ENGINE_OF_COMMAND, Event, EventStatus, TRANSFER_ENGINE
+from .event import (COMPUTE_ENGINE, ENGINE_OF_COMMAND, Event, EventStatus, KernelEvent,
+                    LaunchCounters, TRANSFER_ENGINE, TransferEvent)
 from .kernel import Kernel
 from .ndrange import NDRange
 from .timing import copy_time_ns, kernel_time_ns, simd_utilization, transfer_time_ns
@@ -170,11 +171,11 @@ class CommandQueue:
         event.device_index = self.device.index
         if wait_for is None:
             # Classic in-order queue: serialize behind the previous command.
-            deps = [self._last_event] if self._last_event is not None else []
+            deps = () if self._last_event is None else (self._last_event,)
         else:
-            deps = [dep for dep in wait_for if dep is not None]
+            deps = tuple([dep for dep in wait_for if dep is not None])
             if self._barrier is not None and self._barrier not in deps:
-                deps.append(self._barrier)
+                deps += (self._barrier,)
         event.wait_for = deps
         # start = max(engine-ready time, completion of the wait list)
         start = 0
@@ -250,21 +251,12 @@ class CommandQueue:
             counters,
             simd_utilization(ndrange.work_group_size),
         )
-        event = Event("ndrange_kernel", kernel.name, info=dict(
-            ops=counters.ops,
-            warp_ops=counters.warp_ops,
-            global_loads=counters.memory.global_loads,
-            global_stores=counters.memory.global_stores,
-            global_bytes=counters.memory.global_bytes,
-            local_loads=counters.memory.local_loads,
-            local_stores=counters.memory.local_stores,
-            barriers=counters.barriers,
-            work_items=ndrange.total_work_items,
-            groups_total=total,
-            groups_executed=executed,
-            run=run,
-        ))
-        event.accesses = kernel_buffer_accesses(kernel, ndrange, series, plan)
+        memory = counters.memory
+        stamp = kernel_buffer_accesses(kernel, ndrange, series, plan)
+        event = KernelEvent(kernel.name, LaunchCounters(
+            counters.ops, counters.warp_ops, memory.global_loads, memory.global_stores,
+            memory.global_bytes, memory.local_loads, memory.local_stores, counters.barriers,
+            ndrange.total_work_items, total, executed, run), stamp)
         # Sampled-execution taint: a sampled launch leaves its outputs
         # partially written, and a kernel consuming tainted data spreads
         # the taint to everything it writes.  The access set is scanned
@@ -272,11 +264,11 @@ class CommandQueue:
         buffers = {arg.uid: arg for arg in kernel._args if isinstance(arg, Buffer)}
         reads_tainted = any(buffer.sampled for buffer in buffers.values()) and any(
             buffers[access.buffer_uid].sampled
-            for access in event.accesses
+            for access in stamp
             if access.reads and access.buffer_uid in buffers
         )
         if selected is not None or reads_tainted:
-            for access in event.accesses:
+            for access in stamp:
                 if access.writes and access.buffer_uid in buffers:
                     buffers[access.buffer_uid].sampled = True
         self._submit(event, duration, event_wait_list)
@@ -297,8 +289,8 @@ class CommandQueue:
         if offset_bytes == 0 and nbytes >= buffer.nbytes:
             buffer.sampled = False  # fully rewritten: contents whole again
         duration = transfer_time_ns(self.device.spec, nbytes)
-        event = Event("write_buffer", buffer.name or "buffer", info={"bytes": nbytes})
-        event.accesses = [BufferAccess.write(buffer, offset_bytes, nbytes)]
+        event = TransferEvent("write_buffer", buffer.name or "buffer",
+                              (buffer, offset_bytes, nbytes, WRITE))
         self._submit(event, duration, event_wait_list)
         self.total_transfer_ns += duration
         self.total_transfer_bytes += nbytes
@@ -325,11 +317,9 @@ class CommandQueue:
         elif dst_offset_bytes == 0 and nbytes >= dst.nbytes:
             dst.sampled = False  # fully overwritten with whole data
         duration = copy_time_ns(self.device.spec, nbytes)
-        event = Event("copy_buffer", dst.name or "buffer", info={"bytes": nbytes})
-        event.accesses = [
-            BufferAccess.read(src, src_offset_bytes, nbytes),
-            BufferAccess.write(dst, dst_offset_bytes, nbytes),
-        ]
+        event = TransferEvent("copy_buffer", dst.name or "buffer",
+                              (src, src_offset_bytes, nbytes, READ),
+                              (dst, dst_offset_bytes, nbytes, WRITE))
         self._submit(event, duration, event_wait_list)
         self.total_transfer_ns += duration
         self.total_transfer_bytes += nbytes
@@ -350,8 +340,8 @@ class CommandQueue:
             )
         data = buffer.read_to_host(dtype, count, offset_bytes)
         duration = transfer_time_ns(self.device.spec, data.nbytes)
-        event = Event("read_buffer", buffer.name or "buffer", info={"bytes": data.nbytes})
-        event.accesses = [BufferAccess.read(buffer, offset_bytes, data.nbytes)]
+        event = TransferEvent("read_buffer", buffer.name or "buffer",
+                              (buffer, offset_bytes, data.nbytes, READ))
         self._submit(event, duration, event_wait_list)
         self.total_transfer_ns += duration
         self.total_transfer_bytes += data.nbytes

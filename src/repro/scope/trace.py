@@ -32,9 +32,10 @@ ENGINE_TIDS = {"compute": 0, "transfer": 1, "sync": 2}
 _TID_ENGINES = {tid: engine for engine, tid in ENGINE_TIDS.items()}
 
 # Serve-mode tenant tracks: commands dispatched for tenant k (1-based
-# ``tenant_track`` in ``event.info``, set by the serve dispatcher) render
-# on tid = engine + 3*k, so each tenant gets its own compute/transfer
-# row per device.  ``tid % 3`` always recovers the engine.
+# ``tenant_track`` in ``event.annotations``, set by the serve
+# dispatcher) render on tid = engine + 3*k, so each tenant gets its own
+# compute/transfer row per device.  ``tid % 3`` always recovers the
+# engine.
 _ENGINE_TRACKS = len(ENGINE_TIDS)
 
 
@@ -42,7 +43,7 @@ def event_tid(event) -> int:
     """The trace track of ``event``: its engine's base tid, offset by
     the tenant track when the serve runtime tagged the command."""
     base = ENGINE_TIDS[event.engine]
-    track = event.info.get("tenant_track", 0)
+    track = event.annotations.get("tenant_track", 0)
     return base + _ENGINE_TRACKS * int(track)
 
 
@@ -92,7 +93,7 @@ def trace_events(context) -> List[Dict[str, object]]:
     events = _collect_events(context)
     used_tracks: Dict[int, Dict[int, Optional[str]]] = {}
     for event in events:
-        tenant = event.info.get("tenant")
+        tenant = event.annotations.get("tenant")
         used_tracks.setdefault(event.device_index, {})[event_tid(event)] = tenant
     for queue in context.queues:
         device = queue.device

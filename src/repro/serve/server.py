@@ -337,8 +337,7 @@ class Server:
         SkelScope renders them on per-tenant trace tracks."""
         for queue, mark in zip(self.session.context.queues, marks):
             for event in queue.events[mark:]:
-                event.info["tenant"] = tenant.name
-                event.info["tenant_track"] = tenant.index + 1
+                event.annotate(tenant.tags)
 
     # -- draining / stats --------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Deque, Optional
 
 from .jobs import Job, ServeError
@@ -56,6 +57,8 @@ class Tenant:
             raise ServeError(f"tenant weight must be positive, got {weight!r}")
         self.name = name
         self.index = index  # stable: drives the tenant's trace tracks
+        # What the dispatcher annotates each of the tenant's commands with.
+        self.tags = MappingProxyType({"tenant": name, "tenant_track": index + 1})
         self.weight = float(weight)
         self.quota = quota if quota is not None else TenantQuota()
         self.metrics = metrics  # the server's registry: job outcomes land there

@@ -196,6 +196,44 @@ class TestLoopInvariantIndices:
         assert len(checked) == 26 and sum(checked) == 6, checked
 
 
+    def test_vector_accesses_store_nothing_and_keep_the_scalar_entry(self):
+        """``vload``/``vstore`` index with a ``(width, lanes)`` array built
+        afresh at each access, so remembering it could never pay: the
+        vector accesses store nothing, and ``src[gid]`` is checked once,
+        its entry outliving the two ``vload4`` between its accesses."""
+        source = """
+        __kernel void k(__global int* data, __global const int* src, __global int* out) {
+            int gid = get_global_id(0);
+            int s = src[gid];
+            int4 a = vload4(gid, src);
+            int4 b = vload4(gid, src);
+            int t = src[gid];
+            vstore4(a + b + (int4)(s + t), gid, out);
+        }"""
+        n = 256
+        siblings = [{"data": np.zeros(1, np.int32), "src": np.arange(4 * n, dtype=np.int32),
+                     "out": np.zeros(4 * n, np.int32)}]
+        calls, rows = [], vectorize.VPtr._rows
+
+        def spying(ptr, index, mask):
+            before = ptr.memo
+            found = rows(ptr, index, mask)
+            hit = before is not None and before[0] is index
+            stored = ptr.memo is not before
+            calls.append((ptr.array.size, index, hit, stored))
+            return found
+
+        with mock.patch.object(vectorize.VPtr, "_rows", spying):
+            assert_engines_agree(_kernel(source), siblings, [], n, 64)
+        shapes = [(size, index.shape, hit, stored) for size, index, hit, stored in calls]
+        assert shapes == [(4 * n, (n,), False, True), (4 * n, (4, n), False, False),
+                          (4 * n, (4, n), False, False), (4 * n, (n,), True, False),
+                          (4 * n, (4, n), False, False)], shapes
+        for at, (_, index, _, stored) in enumerate(calls):
+            if stored:  # a later access at the same index hits it
+                assert any(hit and later is index for _, later, hit, _ in calls[at + 1:])
+
+
 # ---------------------------------------------------------------------------
 # The memo's rules, on one pointer.
 # ---------------------------------------------------------------------------
