@@ -311,10 +311,14 @@ class _Spelling:
         """A call of the vector runtime function ``helper``."""
         return f"{helper}({', '.join(args)})"
 
-    def vector_part(self, code: str, source: CType, element: ScalarType) -> str:
-        """``code`` (of type ``source``) as an operand a vector operation
-        converts to ``element``."""
+    def operand(self, code: str, source: CType, element: ScalarType) -> str:
+        """``code`` (of type ``source``) as an operand of an operation in
+        ``element`` (a vector operation's element type, or a float
+        operation's type)."""
         return code
+
+    def unary(self, op: str, code: str) -> str:
+        return f"({op}{self.atom(code)})"
 
     def component(self, code: str, index: int) -> str:
         """Component ``index`` of the vector ``code`` (an atom)."""
@@ -349,7 +353,7 @@ class _Spelling:
     def cast(self, code: str, target: ScalarType, source: CType) -> str:
         return f"_cvt({code}, {self.g.pc.constant(target)})"
 
-    def step(self, code: str, delta: int) -> str:
+    def step(self, code: str, delta: int, ctype: ScalarType) -> str:
         return f"{code} + ({delta})"
 
     def scale_index(self, code: str, stride: int) -> str:
@@ -387,8 +391,10 @@ class _Spelling:
         code = f"{pool(resolved.impl, resolved)}({', '.join(args)})"
         return code if resolved.name == "abs" else self.g._mask_unsigned(code, resolved.result_type)
 
-    def assign(self, name: str, code: str, value_needed: bool = True) -> str:
-        """Assign the local ``name``; returns the expression of its new value."""
+    def assign(self, name: str, code: str, value_needed: bool = True,
+               declared: Optional[CType] = None) -> str:
+        """Assign the local ``name`` (``declared``: the type of the variable
+        this declares); returns the expression of its new value."""
         self.g.emit(f"{name} = {code}")
         self.g.invalidate_name(name)
         return name
@@ -631,8 +637,7 @@ class _FunctionCompiler:
         else:
             code = self.default_value_code(ctype)
         name = self.declare_name(decl.name)
-        self.emit(f"{name} = {code}")
-        self.invalidate_name(name)
+        self.e.assign(name, code, value_needed=False, declared=ctype)
         if decl.is_const and decl.init is not None and isinstance(ctype, ScalarType):
             folded = self.fold(decl.init)
             if folded is not None:
@@ -915,7 +920,7 @@ class _FunctionCompiler:
             return self.e.vector("_unaryv", self.pc.constant(expr.ctype), repr(op), operand)
         if op == "!":
             return self.e.logical_not(operand)
-        return self._mask_unsigned(f"({op}{self.e.atom(operand)})", expr.ctype)
+        return self._mask_unsigned(self.e.unary(op, operand), expr.ctype)
 
     def _expr_address_of(self, expr: ast.UnaryOp) -> str:
         inner, atom = expr.operand, self.e.atom
@@ -944,7 +949,7 @@ class _FunctionCompiler:
         def stepped(code: str) -> str:
             if isinstance(ctype, PointerType):
                 return f"{code}.add({delta})"
-            return self._mask_unsigned(self.e.step(code, delta), ctype)
+            return self._mask_unsigned(self.e.step(code, delta, ctype), ctype)
 
         lvalue = self._compile_lvalue(target)
         if lvalue.kind == "var":
@@ -983,11 +988,12 @@ class _FunctionCompiler:
         if isinstance(op_type, VectorType):
             element = op_type.element
             return self.e.vector("_cmpv" if op in _CMP_OPS else "_binv", repr(op),
-                                 self.e.vector_part(lcode, left.ctype, element),
-                                 self.e.vector_part(rcode, right.ctype, element),
+                                 self.e.operand(lcode, left.ctype, element),
+                                 self.e.operand(rcode, right.ctype, element),
                                  self.pc.constant(op_type))
         assert isinstance(op_type, ScalarType)
         e = self.e
+        lcode, rcode = self._operands(lcode, rcode, left, right, op_type)
         if op in _CMP_OPS:
             return e.truth_value(self._compare(op, lcode, rcode, op_type))
 
@@ -1012,12 +1018,20 @@ class _FunctionCompiler:
                 if _is_literal(other, 1, 1.0):
                     return kept
                 if _is_literal(other, -1, -1.0):
-                    return coerce(f"(-{e.atom(kept)})")
+                    return coerce(e.unary("-", kept))
         elif op in ("+", "-") and _is_literal(right, 0, 0.0):
             return lcode
         elif op == "+" and _is_literal(left, 0, 0.0):
             return rcode
         return coerce(e.arith(op, lcode, rcode, op_type))
+
+    def _operands(self, lcode: str, rcode: str, left: ast.Expr, right: ast.Expr,
+                  op_type: ScalarType) -> Tuple[str, str]:
+        """The compiled operands of an operation in ``op_type``: an integer
+        operand of a float operation is taken at its value."""
+        if not op_type.is_float():
+            return lcode, rcode
+        return self.e.operand(lcode, left.ctype, op_type), self.e.operand(rcode, right.ctype, op_type)
 
     def _compare(self, op: str, lcode: str, rcode: str, op_type: ScalarType) -> str:
         """A scalar comparison as a truth value."""
@@ -1206,8 +1220,8 @@ class _FunctionCompiler:
 
     def _expr_VectorLiteral(self, expr: ast.VectorLiteral) -> str:
         target = expr.target_type
-        codes = ", ".join(self.e.vector_part(self.compile_expr(element), element.ctype,
-                                             target.element) for element in expr.elements)
+        codes = ", ".join(self.e.operand(self.compile_expr(element), element.ctype,
+                                         target.element) for element in expr.elements)
         return self.e.vector("_vecnew", self.pc.constant(target), f"({codes},)")
 
     def _expr_SizeofExpr(self, expr: ast.SizeofExpr) -> str:
@@ -1280,7 +1294,7 @@ class _FunctionCompiler:
         if isinstance(source, ArrayType):
             return code  # decayed by the caller
         if isinstance(target, VectorType) or isinstance(source, VectorType):
-            return self.e.vector("_cvv", self.e.vector_part(code, source, target.element),
+            return self.e.vector("_cvv", self.e.operand(code, source, target.element),
                                  self.pc.constant(target))
         if isinstance(target, PointerType) or isinstance(source, PointerType):
             return code

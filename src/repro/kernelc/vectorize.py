@@ -16,16 +16,22 @@ launch in a later process finds it and generates nothing
 module, new or restored, in its namespace).  It re-decides nothing about C:
 every expression lowers through the one lowering it inherits from
 :class:`~.compiler._FunctionCompiler`; :class:`_LaneSpelling` overrides
-only the leaf emitters (``.gather``/``.scatter``, ``_i_add``,
-``_divide_l``, ``_sw``, ``_merge``-assignment, …), and the generator adds
-what is inherently masked — statement control flow, ``&&``/``||``/``?:``,
-uniformity, and the op charges and load-CSE decisions the lowering
-recorded on the checked AST (``node.charge`` / ``node.cse_source``),
-which a program restored from the cache carries too.  Everything
-static is decided there — constant folding, dispatch on node type,
-``op_type``, signedness and conversion pair, C variables as Python
-locals, statically uniform subexpressions as scalar code;
-``docs/kernelc.md`` has the list and a reading guide.
+only the leaf emitters (``.gather``/``.scatter``, an operator, a
+conversion, ``_divide_l``, an assignment under a mask, …), and the
+generator adds what is inherently masked — statement control flow,
+``&&``/``||``/``?:``, uniformity, and the op charges and load-CSE
+decisions the lowering recorded on the checked AST (``node.charge`` /
+``node.cse_source``), which a program restored from the cache carries
+too.  Everything static is decided there — constant folding, dispatch on
+node type, ``op_type``, signedness and conversion pair, C variables as
+Python locals, statically uniform subexpressions as scalar code, and the
+*kind* of every emitted subexpression (:class:`_Code`: a uniform scalar
+or lanes, and the dtype), so that an operation whose operands' kinds are
+known is spelled in NumPy or Python directly (``(v_x * v_y)``,
+``np.where(m, new, old)``) and a helper that decides a kind at run time
+(``_f_mul``, ``_um64``, ``_truthy``, ``_merge``, ``_cast`` …) is called
+only where a launch decides it; ``docs/kernelc.md`` has the kind rule,
+the list and a reading guide.
 :func:`execute` then only binds arguments, fetches the memoized launch
 geometry, calls the function and does the warp accounting — for one
 launch, or for the *sibling* launches of a skeleton call on several
@@ -163,9 +169,9 @@ def _written_name(node) -> Optional[str]:
 
 
 def _functions(kernel: CompiledKernel) -> List[tuple]:
-    """``[(function, facts)]`` reachable from the kernel, kernel first
-    (the type checker has made sure every callee is defined and none
-    recurses)."""
+    """``[(function, facts)]`` reachable from the kernel, every caller
+    before its callees, so the kernel first (the type checker has made
+    sure every callee is defined and none recurses)."""
     order: List[tuple] = []
     seen: set = set()
 
@@ -173,12 +179,12 @@ def _functions(kernel: CompiledKernel) -> List[tuple]:
         if id(fn) not in seen:
             seen.add(id(fn))
             facts = _FunctionFacts(fn)
-            order.append((fn, facts))
             for target in facts.callees:
                 visit(target)
+            order.append((fn, facts))
 
     visit(kernel.definition)
-    return order
+    return order[::-1]
 
 
 #: What :func:`plan_for` caches on a kernel: the generated function and its
@@ -360,10 +366,10 @@ class VPtr:
         etype = self.element_type
         if isinstance(etype, VectorType):
             return self._gather_components(rows, etype)
-        if not isinstance(rows, ndarray):
-            value = self.array[rows].item()
-            return float(value) if etype.is_float() else int(value)
-        return self.array[rows].astype(np.float64 if etype.is_float() else _I64)
+        lanes = np.float64 if etype.is_float() else _I64
+        if not isinstance(rows, ndarray):  # a scalar's load is lanes at any address
+            return np.full(mask.shape, self.array[rows], lanes)
+        return self.array[rows].astype(lanes)
 
     def _gather_components(self, rows, etype: VectorType):
         """The vectors at ``rows``: a VecValue at one row, a ``(width,
@@ -734,14 +740,6 @@ def _as_u64_operand(v):
     return v.view(_U64) if isinstance(v, ndarray) else int(v) & (_TWO64 - 1)
 
 
-def _add_scalar(a, b):
-    if isinstance(a, ndarray) or isinstance(b, ndarray):
-        if _is_float_value(a) or _is_float_value(b):
-            return a + b
-        return _int_lanes_pair(a, b)
-    return a + b
-
-
 def _fdiv_l(left, right):
     if not isinstance(left, ndarray) and not isinstance(right, ndarray):
         return c_fdiv(left, right)
@@ -770,7 +768,8 @@ def _divide_l(left, right, mask, u64: bool, remainder: bool):
     if u64:
         quotient = (la.view(_U64) // ra.view(_U64)).view(_I64)
     else:
-        quotient = np.abs(la) // np.abs(ra)
+        # magnitudes as uint64: abs(-2**63) overflows int64 but is its pattern
+        quotient = (np.abs(la).view(_U64) // np.abs(ra).view(_U64)).view(_I64)
         quotient = np.where((la < 0) ^ (ra < 0), -quotient, quotient)
     return la - quotient * ra if remainder else quotient
 
@@ -1312,14 +1311,15 @@ _ARITH = {"+": "add", "-": "sub", "*": "mul", "&": "and_", "|": "or_", "^": "xor
           "<": "lt", ">": "gt", "<=": "le", ">=": "ge", "==": "eq", "!=": "ne"}
 
 _LIBRARY = {
-    "_any": _any, "_merge": _merge, "_ret": _ret, "_truthy": _truthy, "_zeros": _zeros,
+    "_merge": _merge, "_ret": _ret, "_truthy": _truthy, "_zeros": _zeros,
     "_to_bool": _to_bool, "_b2i": _b2i, "_sw": _sw, "_um64": _um64, "_i2f": _i2f,
     "_f2i": _f2i, "_cast": _cast, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
     "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
-    "_add_scalar": _add_scalar, "_mul_index": _mul_index, "_workitem": _workitem,
+    "_workitem": _workitem, "_U64": _U64,
     "_switch_start": _switch_start, "_region": _region, "_VNULL": NULL_POINTER, "_op": operator,
     "_vecnew": _vecnew, "_vswiz": _vswiz, "_vset": _vset, "_binv": _binv, "_cmpv": _cmpv,
-    "_unaryv": _unaryv, "_cvv": _cvv, "_u2f": _u2f,
+    "_unaryv": _unaryv, "_cvv": _cvv, "_u2f": _u2f, "_float_lanes_to_int": _float_lanes_to_int,
+    "_wrap_to_i64": _wrap_to_i64, "_as_int_operand": _as_int_operand, "np": np, "_I64": _I64,
 }
 for _symbol, _name in _ARITH.items():
     for _domain, _coerce in (("i", _as_int_operand), ("f", _as_float_operand),
@@ -1340,6 +1340,17 @@ _RUN_LOCALS = {"R", "ctx", "ops"}  # what a compacted region swaps for its own
 
 def _is_u64(ctype) -> bool:
     return _is_unsigned(ctype) and ctype.size == 8
+
+
+def _kind_of(ctype, lanes: bool) -> Optional[str]:
+    """The kind of a value of type ``ctype`` (None for no scalar type):
+    lanes, or a uniform one — unsigned values narrower than 64 bits are
+    masked at every operation, signed ones are exact Python ints."""
+    if isinstance(ctype, ScalarType) and not ctype.is_void():
+        narrow = ctype.is_bool() or _is_unsigned(ctype) and ctype.size < 8
+        return ("F" if lanes else "f") if ctype.is_float() else "I" if lanes else \
+            "i" if narrow else "j"
+    return None  # no scalar type
 
 
 _NONE, _WORK = frozenset(), frozenset(["work"])
@@ -1363,10 +1374,52 @@ def _traits(node) -> frozenset:
     return _NONE
 
 
+class _Code(str):
+    """Generated Python whose value has a *kind* known when it is generated
+    (``kind``): a uniform Python int known to be in int64 range ("i") or
+    of any size ("j"), a uniform float ("f"), int64 or float64 lanes
+    ("I", "F") or a boolean lane mask ("B").  Where no kind is known
+    (None, or a plain ``str``) only a launch knows: a helper decides."""
+
+    def __new__(cls, code: str, kind: Optional[str]):
+        self = super().__new__(cls, code)
+        self.kind = kind
+        return self
+
+
+def _kind(code) -> Optional[str]:
+    return getattr(code, "kind", None)
+
+
+def _spelled(code, lanes, uniform, helper, kinds="Ii"):
+    """``code`` through one of three templates (``{}``: ``code``): for
+    lanes or a uniform value (of result kind ``kinds[0]`` or
+    ``kinds[1]``), or a helper's call where only a launch knows."""
+    kind = _kind(code)
+    if kind is None:
+        return helper.format(code)
+    return _Code((lanes if kind in "IFB" else uniform).format(code), kinds[kind not in "IFB"])
+
+
+def _result(code, ctype, *operands):
+    """``code``, a helper's call over ``operands``: lanes of ``ctype`` when
+    an operand is lanes, a uniform value when none is."""
+    kinds = {_kind(operand) for operand in operands}
+    kind = None if None in kinds else _kind_of(ctype, bool(kinds & {"I", "F"}))
+    return _Code(code, "j" if kind == "i" else kind)
+
+
+def _fit(code, kind):
+    """``code`` as an operand beside lanes of ``kind``."""
+    return f"_as_int_operand({code})" if kind == "I" and _kind(code) in ("j", None) else code
+
+
 class _LaneSpelling(_Spelling):
     """The leaf emitters over the lane library: a value may be lanes (an
     array) or a uniform Python scalar, memory is gathered and scattered
-    under the generator's current chain mask ``g.m``."""
+    under the generator's current chain mask ``g.m``.  Where the kinds of
+    the operands are known (:class:`_Code`) an operation is spelled in
+    NumPy or Python directly; else a helper decides at run time."""
 
     null = "_VNULL"
     void = "0"
@@ -1381,71 +1434,109 @@ class _LaneSpelling(_Spelling):
     def store(self, pointer, index, value):
         return f"{pointer}.scatter({index}, {value}, {self.g.m})"
 
+    def _operation(self, op, left, right, domain):
+        """``left op right`` in ``domain`` ("i": int64, "u": uint64, "f":
+        float64): Python's or NumPy's operator where both kinds are known,
+        else the helper ``_{domain}_{op}``.  A uniform operand beside lanes
+        is taken as NumPy takes a Python scalar: an int must fit int64
+        (unsigned ones were masked to 64 bits by the lowering)."""
+        kinds = _kind(left), _kind(right)
+        if None in kinds:
+            return f"_{domain}_{_ARITH[op]}({left}, {right})"
+        lanes = not {"I", "F"}.isdisjoint(kinds)
+        if lanes:
+            left, right = (f"{code}.view(_U64)" if kind == "I" and domain == "u" else
+                           f"_wrap_to_i64({code})" if kind == "j" and domain == "i" else code
+                           for code, kind in zip((left, right), kinds))
+        kinds = "BIF" if lanes else "ijf"  # of a comparison, an int and a float result
+        return _Code(f"({left} {op} {right})",
+                     kinds[0 if op in _CMP_OPS else 2 if domain == "f" else 1])
+
     def arith(self, op, left, right, op_type):
-        return f"_{'f' if op_type.is_float() else 'i'}_{_ARITH[op]}({left}, {right})"
+        return self._operation(op, left, right, "f" if op_type.is_float() else "i")
 
     def compare(self, op, left, right, op_type):
-        domain = "f" if op_type.is_float() else "u" if _is_u64(op_type) else "i"
-        return f"_{domain}_{_ARITH[op]}({left}, {right})"
+        return self._operation(op, left, right,
+                               "f" if op_type.is_float() else "u" if _is_u64(op_type) else "i")
 
     def truth_value(self, code):
-        return f"_b2i({code})"
+        return _spelled(code, "{}.astype(_I64)", "{}", "_b2i({})")
 
     def vector(self, helper, *args):
         if helper == "_copyv":
             return args[0]  # lane values are never changed in place
         return f"{helper}({', '.join(args + (self.g.m,))})"
 
-    def vector_part(self, code, source, element):
-        if isinstance(source, VectorType):
-            source = source.element
-        return f"_u2f({code})" if _is_u64(source) and element.is_float() else code
+    def operand(self, code, source, element):
+        source = source.element if isinstance(source, VectorType) else source
+        return _spelled(code, "{}.view(_U64).astype(np.float64)", "{}", "_u2f({})", "Fj") \
+            if _is_u64(source) and element.is_float() else code
+
+    def unary(self, op, code):
+        return _Code(f"({op}{code})", "j" if _kind(code) == "i" else _kind(code))
 
     def component(self, code, index):
         return f"{code}[{index}]"
 
     def divide(self, op, left, right, op_type):
-        if op_type.is_float():
-            return f"_fdiv_l({left}, {right})"
-        return f"_divide_l({left}, {right}, {self.g.m}, {_is_u64(op_type)}, {op == '%'})"
+        return _result(f"_fdiv_l({left}, {right})" if op_type.is_float() else
+                       f"_divide_l({left}, {right}, {self.g.m}, {_is_u64(op_type)}, {op == '%'})",
+                       op_type, left, right)
 
     def shift(self, op, left, right, op_type):
         mode = "u>>" if op == ">>" and _is_u64(op_type) else op
-        return f"_shift_l({left}, {right}, {op_type.bits}, {mode!r})"
+        return _result(f"_shift_l({left}, {right}, {op_type.bits}, {mode!r})", op_type, left, right)
 
     def mask(self, code, ctype):
-        # int64 lanes already hold 64-bit patterns
-        return f"_um64({code})" if ctype.size == 8 else super().mask(code, ctype)
+        masked = super().mask("{}", ctype)  # int64 lanes already are 64-bit patterns
+        return _spelled(code, masked, masked, masked) if ctype.size < 8 \
+            else _spelled(code, "{}", masked, "_um64({})", "Ij")
 
     def sign_wrap(self, code, bits):
-        return f"_sw({code}, {bits})"
+        half = 1 << (bits - 1)
+        wrapped = f"(((({{}}) + {half}) & {(1 << bits) - 1}) - {half})"  # scalars and lanes
+        return _spelled(code, wrapped, wrapped, wrapped) if bits < 64 else \
+            _spelled(code, "{}", "_wrap_to_i64({})", "_sw({}, 64)")  # lanes: 64-bit patterns
 
     def to_bool(self, code):
-        return f"_to_bool({code})"
+        return _spelled(code, "({} != 0).astype(_I64)", super().to_bool("{}"), "_to_bool({})")
+
+    def int_to_float(self, code, source):
+        u64 = _is_u64(source)
+        return _spelled(code, f"{{}}{'.view(_U64)' * u64}.astype(np.float64)", "float({})",
+                        f"_i2f({{}}{', True' * u64})", "Ff")
 
     def logical_not(self, code):
         return f"(1 - _to_bool({code}))"
 
-    def int_to_float(self, code, source):
-        return f"_i2f({code}{', True' if _is_u64(source) else ''})"
-
     def float_to_int(self, code):
-        return f"_f2i({code}, {self.g.m})"
+        return _spelled(code, f"_float_lanes_to_int({{}}, {self.g.m})", "int({})",
+                        f"_f2i({{}}, {self.g.m})", "Ij")
 
     def cast(self, code, target, source):
         if isinstance(target, VectorType):
-            return self.vector("_cvv", self.vector_part(code, source, target.element),
+            return self.vector("_cvv", self.operand(code, source, target.element),
                                self.g.pc.constant(target))
-        return f"_cast({code}, {self.g.pc.constant(target)}, {_is_u64(source)}, {self.g.m})"
+        kind = _kind(code)
+        if kind not in ("I", "F"):
+            return f"_cast({code}, {self.g.pc.constant(target)}, {_is_u64(source)}, {self.g.m})"
+        if target.is_bool():
+            return self.to_bool(code)
+        if target.is_integer():
+            code = self.float_to_int(code) if kind == "F" else code
+            return self.sign_wrap(code, target.bits) if target.signed else self.mask(code, target)
+        code = self.int_to_float(code, source) if kind == "I" else code
+        return code if target.size == 8 else \
+            _Code(f"{code}.astype(np.float{target.size * 8}).astype(np.float64)", "F")
 
-    def step(self, code, delta):
-        return f"_add_scalar({code}, {delta})"
+    def step(self, code, delta, ctype):
+        return self.arith("+", code, _Code(repr(delta), "i"), ctype)
 
     def scale_index(self, code, stride):
-        return f"_mul_index({code}, {stride})"
+        return self._operation("*", code, _Code(repr(stride), "i"), "i")
 
     def add_index(self, left, right):
-        return f"_add_scalar({left}, {right})"
+        return self._operation("+", left, right, "i")
 
     def pointer_equal(self, left, right, negated):
         equal = f"_ptr_eq_l({left}, {right})"
@@ -1465,19 +1556,35 @@ class _LaneSpelling(_Spelling):
         return f"R.private_array(*{self.g.pc.constant((ctype, row))})"
 
     def call(self, symbol, args):
-        return f"{symbol}({', '.join(['R', 'ctx', self.g.m] + args)})"
+        """A user function returns lanes of a scalar type and takes the
+        kinds its every call site agrees on."""
+        entry, kinds = self.g.calls[symbol], [_kind(arg) for arg in args]
+        entry[1] = [k if k == j else None for k, j in zip(kinds, entry[1] or kinds)]
+        return _Code(f"{symbol}({', '.join(['R', 'ctx', self.g.m] + args)})", entry[0])
 
     def builtin(self, resolved, args):
-        return f"{self.g.pc.constant(_Builtin(resolved))}(({', '.join(args)},), {self.g.m})"
+        """Lanes when an argument is, uniform when all are (:class:`_Builtin`)."""
+        call = f"{self.g.pc.constant(_Builtin(resolved))}(({', '.join(args)},), {self.g.m})"
+        return _result(call, resolved.result_type, *args)
 
-    def assign(self, name, code, value_needed=True):
+    def lanes(self, code, kind):
+        """``code`` as lanes of ``kind``: what a variable that is not
+        uniform holds, and what a user function returns."""
+        return code if kind not in ("I", "F") or _kind(code) == kind else _Code(
+            f"np.full(ctx.n, {_fit(code, kind)}, {'_I64' if kind == 'I' else 'np.float64'})", kind)
+
+    def assign(self, name, code, value_needed=True, declared=None):
         g = self.g
         if value_needed:
             code = g.temp("t", code)
+        if declared is not None:  # not uniform: a uniform initial value becomes lanes
+            g.typed[name] = _Code(name, _kind(code) and _kind_of(declared, True))
+        want = _kind(g.typed.get(name))
         # Only the lanes of the chain change; on the chain the variable
         # was declared on those are all that can see it.
-        g.emit(f"{name} = {code}" if g.var_chain.get(name) == g.m
-               else f"{name} = _merge({name}, {code}, {g.m})")
+        g.emit(f"{name} = " + (self.lanes(code, want) if g.var_chain.get(name) == g.m else
+                               f"np.where({g.m}, {_fit(code, want)}, {name})"
+                               if want in ("I", "F") else f"_merge({name}, {code}, {g.m})"))
         return code
 
     def discard(self, code):
@@ -1502,8 +1609,10 @@ class _LaneCompiler(_FunctionCompiler):
     """
 
     def __init__(self, program_compiler, function, facts: _FunctionFacts,
-                 kernel: CompiledKernel):
+                 kernel: CompiledKernel, calls: Dict[str, list]):
         super().__init__(program_compiler, function)
+        self.calls = calls  # function symbol -> [kind returned, kinds its call sites pass]
+        self.typed: Dict[str, _Code] = {}  # Python local -> its name with the kind it holds
         self.scalar_spelling, self.e = self.e, _LaneSpelling(self)
         self.m = "m"
         self.facts, self.kernel = facts, kernel
@@ -1587,6 +1696,16 @@ class _LaneCompiler(_FunctionCompiler):
         self.made.add(name)
         return name
 
+    def default_value_code(self, ctype) -> str:
+        return _Code(super().default_value_code(ctype), _kind_of(ctype, False))
+
+    def temp(self, hint: str, code: str) -> str:
+        return _Code(super().temp(hint, code), _kind(code))
+
+    def lookup_name(self, c_name: str) -> Optional[str]:
+        name = super().lookup_name(c_name)
+        return self.typed.get(name, name)
+
     def escapes(self, node) -> frozenset:
         """Which of return/break/continue can carry lanes out of ``node``."""
         found = self._escape_memo.get(id(node))
@@ -1627,12 +1746,15 @@ class _LaneCompiler(_FunctionCompiler):
     def compile(self) -> str:
         fn = self.function
         params = [self.declare_name(param.name) for param in fn.params]
-        if fn.is_kernel:
-            self.uniform_names.update(
-                name for param, name in zip(fn.params, params)
-                if isinstance(param.declared_type, ScalarType) and param.name not in self.written)
-        self.lines.append(f"def {self.pc.function_symbol(fn.name)}"
-                          f"(R, ctx, m{''.join(', ' + p for p in params)}):")
+        symbol = self.pc.function_symbol(fn.name)
+        passed = self.calls[symbol][1] or [None] * len(params)  # a kernel: called by none
+        for param, name, kind in zip(fn.params, params, passed):
+            ctype, written = param.declared_type, param.name in self.written
+            if fn.is_kernel and isinstance(ctype, ScalarType) and not written:
+                self.uniform_names.add(name)  # in range of its type: the launch converted it
+                kind = "i" if ctype.is_integer() and not _is_u64(ctype) else _kind_of(ctype, False)
+            self.typed[name] = _Code(name, None if written and kind not in ("I", "F") else kind)
+        self.lines.append(f"def {symbol}(R, ctx, m{''.join(', ' + p for p in params)}):")
         self.emit("ops = R.ops")
         if fn.is_kernel and self.kernel.local_decls:
             self.emit("lmem = R.lmem")
@@ -1645,9 +1767,9 @@ class _LaneCompiler(_FunctionCompiler):
         status = self.lane_list(statements, "m")
         if valued and self.tail_return is None:
             if status is not _DEAD:
-                self.emit(f"if _any(m): raise _KernelFault('function {fn.name} finished "
+                self.emit(f"if m[m.argmax()]: raise _KernelFault('function {fn.name} finished "
                           "without returning a value')")
-            self.emit("return _rv")
+            self.emit(f"return {self.e.lanes('_rv', _kind_of(fn.return_type, True))}")
         return "\n".join(self.lines)
 
     # -- statements ------------------------------------------------------------
@@ -1667,7 +1789,7 @@ class _LaneCompiler(_FunctionCompiler):
                     self.close()
                 guarded = position + 1 < len(statements)
                 if guarded:
-                    self.open(f"if _any({m}):")
+                    self.open(f"if {m}[{m}.argmax()]:")
         if guarded:
             self.close()
         return status
@@ -1745,7 +1867,9 @@ class _LaneCompiler(_FunctionCompiler):
         with self._spelled_for(uniform):
             super().compile_decl(decl)
         if uniform:
-            self.uniform_names.add(self.lookup_name(decl.name))
+            name = self.lookup_name(decl.name)
+            self.uniform_names.add(name)
+            self.typed[name] = _Code(name, _kind_of(decl.declared_type, False))
 
     def lane_expr_stmt(self, expr, m: str) -> str:
         if expr is None:
@@ -1781,12 +1905,12 @@ class _LaneCompiler(_FunctionCompiler):
         then_m = self.temp("m", self.condition(stmt.condition, m))
         need_else = stmt.else_branch is not None or bool(self.escapes(stmt.then_branch))
         else_m = self.temp("m", f"{m} & ~{then_m}") if need_else else None
-        self.open(f"if _any({then_m}):")
+        self.open(f"if {then_m}[{then_m}.argmax()]:")
         then_effect = self.lane_region(stmt.then_branch, then_m)
         self.close()
         else_effect = _SAME
         if stmt.else_branch is not None:
-            self.open(f"if _any({else_m}):")
+            self.open(f"if {else_m}[{else_m}.argmax()]:")
             else_effect = self.lane_region(stmt.else_branch, else_m)
             self.close()
         if then_effect is _SAME and else_effect is _SAME:
@@ -1833,7 +1957,7 @@ class _LaneCompiler(_FunctionCompiler):
             if done:
                 self.emit(f"{done} |= {chain} & ~{passed}")
             self.narrow(chain, passed)
-            self.emit(f"if not _any({chain}): break")
+            self.emit(f"if not {chain}[{chain}.argmax()]: break")
 
         if uniform and not escapes:
             # All lanes of m iterate together: a plain loop on chain m.
@@ -1864,7 +1988,7 @@ class _LaneCompiler(_FunctionCompiler):
             if cont is not None:
                 self.narrow(live, cont if effect is _DEAD else f"{live} | {cont}")
             if effect is not _SAME or cont is not None:
-                self.emit(f"if not _any({live}): break")
+                self.emit(f"if not {live}[{live}.argmax()]: break")
             step(live)
             if is_do:
                 check(live, done)
@@ -1886,6 +2010,7 @@ class _LaneCompiler(_FunctionCompiler):
                     any(node is part for part in parts)
                     and (not isinstance(node, ast.Assignment) or self.uniform(node.value))):
                 self.uniform_names.discard(name)
+                self.typed.pop(name)  # declared uniform, stepped by lanes: no kind
 
     def lane_switch(self, stmt: ast.SwitchStmt, m: str) -> str:
         # The lowering charges subject cost + one comparison per case
@@ -1909,7 +2034,7 @@ class _LaneCompiler(_FunctionCompiler):
         # that entered at or before it and haven't broken out.
         for index, case in enumerate(stmt.cases):
             self.narrow(current, f"{current} | ({m} & ({start} == {index}))")
-            self.open(f"if _any({current}):")
+            self.open(f"if {current}[{current}.argmax()]:")
             self.scope_stack.append({})
             if self.lane_list(case.body, current) is _DEAD:
                 self.narrow(current, f"_zeros({m})")
@@ -1928,7 +2053,7 @@ class _LaneCompiler(_FunctionCompiler):
         with self._state(m=m):
             value = self.compile_converted(stmt.value, self.function.return_type)
         if stmt is self.tail_return:
-            self.emit(f"return {value}")
+            self.emit(f"return {self.e.lanes(value, _kind_of(self.function.return_type, True))}")
         else:
             self.emit(f"_rv = _ret(_rv, {value}, {m})")
         return _DEAD
@@ -1963,6 +2088,10 @@ class _LaneCompiler(_FunctionCompiler):
             return ok and all(self.uniform(arg) for arg in expr.args)
         return False
 
+    def _compile_workitem(self, expr, resolved) -> str:
+        code = super()._compile_workitem(expr, resolved)  # ids of a literal dimension: lanes
+        return _Code(code, "I" if resolved.name in _ID_QUERIES and code[:4] == "ctx." else None)
+
     def _uniform_target(self, target) -> bool:
         return isinstance(target, ast.Identifier) \
             and self.lookup_name(target.name) in self.uniform_names
@@ -1972,7 +2101,10 @@ class _LaneCompiler(_FunctionCompiler):
             return super().compile_expr(expr)
         if self.uniform(expr):
             with self._spelled_for(True):
-                return super().compile_expr(expr)
+                code = super().compile_expr(expr)
+            bounded = isinstance(expr, ast.Call) and expr.resolved.kind == "workitem" \
+                or code.lstrip("-").isdigit() and -_TWO63 <= int(code) < _TWO63  # a literal
+            return _Code(code, _kind(code) or ("i" if bounded else _kind_of(expr.ctype, False)))
         name = type(expr).__name__
         return (getattr(self, f"_lane_{name}", None) or getattr(self, f"_expr_{name}"))(expr)
 
@@ -2005,13 +2137,16 @@ class _LaneCompiler(_FunctionCompiler):
             if isinstance(expr, ast.BinaryOp) and expr.op in _CMP_OPS \
                     and not _is_pointer(expr.left) and not _is_pointer(expr.right):
                 # the truth value itself, not the C int made from it
-                value = self._compare(expr.op, self.compile_expr(expr.left),
-                                      self.compile_expr(expr.right), expr.op_type)
+                value = self._compare(expr.op, *self._operands(
+                    self.compile_expr(expr.left), self.compile_expr(expr.right), expr.left,
+                    expr.right, expr.op_type), expr.op_type)
             else:
                 value = self.compile_expr(expr)
-        return f"_truthy({value}, {m})"
+        return f"({m} & {value})" if _kind(value) == "B" else _spelled(
+            value, f"({m} & ({{}} != 0))", f"({m} if {{}} else _zeros({m}))", f"_truthy({{}}, {m})")
 
     def reuse_load(self, expr, load: str, pure: bool) -> str:
+        load = _Code(load, _kind_of(expr.ctype, True))  # every load is lanes
         if expr.cse_origin:
             load = self.load_vars[id(expr)] = self.temp("ld", load)
         return load
@@ -2031,15 +2166,20 @@ class _LaneCompiler(_FunctionCompiler):
         result = self.fresh("sel")
         then_m = self.temp("m", self.condition(expr.condition, m))
         else_m = self.temp("m", f"{m} & ~{then_m}")
-        then_any = self.temp("t", f"_any({then_m})")
+        then_any = self.temp("t", f"{then_m}[{then_m}.argmax()]")
         self.open(f"if {then_any}:")
-        self.emit(f"{result} = {arm(expr.then_expr, then_m)}")
+        chosen = arm(expr.then_expr, then_m)
+        self.emit(f"{result} = {chosen}")
+        result = _Code(result, _kind(chosen))
         self.close()
-        self.open(f"if _any({else_m}):")
+        self.open(f"if {else_m}[{else_m}.argmax()]:")
         other = self.temp("sel", arm(expr.else_expr, else_m))
-        self.emit(f"{result} = _merge({other}, {result}, {then_m}) if {then_any} else {other}")
+        want = _kind(result) and _kind(other) and _kind_of(expr.ctype, True)
+        merged = f"np.where({then_m}, {_fit(result, want)}, {_fit(other, want)})" if want \
+            else f"_merge({other}, {result}, {then_m})"
+        self.emit(f"{result} = {merged} if {then_any} else {other}")
         self.close()
-        return result
+        return _Code(result, _kind(other) if _kind(other) == _kind(result) in ("I", "F") else None)
 
     def _lane_BinaryOp(self, expr):
         if expr.op in ("&&", "||"):
@@ -2053,18 +2193,21 @@ class _LaneCompiler(_FunctionCompiler):
         left = self.temp("m", self.condition(expr.left, m))
         sub = left if is_and else self.temp("m", f"{m} & ~{left}")
         right = self.fresh("m")
-        self.open(f"if _any({sub}):")
+        self.open(f"if {sub}[{sub}.argmax()]:")
         self.emit(f"{right} = {self.condition(expr.right, sub)}")
         self.close()
         self.emit(f"else: {right} = {sub}")
         mask = right if is_and else f"({left} | {right})"
-        return mask if as_mask else f"_b2i({mask})"
+        return mask if as_mask else self.e.truth_value(_Code(mask, "B"))
 
 
 def _generate(kernel: CompiledKernel, functions) -> GeneratedModule:
-    """Emit ``kernel`` and the helpers it reaches as one module."""
+    """Emit ``kernel`` and the helpers it reaches as one module, every
+    caller before its callees (which take the kinds their calls pass)."""
     pc = _ProgramCompiler(kernel.program)
-    source = "\n\n".join(_LaneCompiler(pc, fn, facts, kernel).compile()
+    calls = {pc.function_symbol(fn.name): [_kind_of(fn.return_type, True), None]
+             for fn, _ in functions}
+    source = "\n\n".join(_LaneCompiler(pc, fn, facts, kernel, calls).compile()
                          for fn, facts in functions) + "\n"
     return pc.module(source, f"<kernelc-lockstep:{kernel.name}>")
 
@@ -2122,9 +2265,10 @@ class _LaneLayout:
         self.copies = copies
         self.num_groups = len(group_linear)
         self.n = self.group_size * self.num_groups
-        self.local_id: List[object] = []
-        self.group_id: List[object] = []
-        self.global_id: List[object] = []
+        self.local_id: List[ndarray] = []
+        self.group_id: List[ndarray] = []
+        self.global_id: List[ndarray] = []
+        zeros = np.zeros(self.n, dtype=_I64)
         for d in range(3):
             if d < dims:
                 local_d = np.tile(local_linear % self.local_size[d], self.num_groups)
@@ -2133,10 +2277,9 @@ class _LaneLayout:
                 group_linear = group_linear // groups_per_dim[d]
                 ids = (local_d, group_d, group_d * self.local_size[d] + local_d)
             else:
-                ids = (0, 0, 0)
+                ids = (zeros, zeros, zeros)
             for store, value in zip((self.local_id, self.group_id, self.global_id), ids):
-                if isinstance(value, ndarray):
-                    value.flags.writeable = False
+                value.flags.writeable = False
                 store.append(value)
         self.full = np.ones(self.n, dtype=bool)
         self.full.flags.writeable = False
@@ -2205,8 +2348,7 @@ class _LaneSubset(_LaneLayout):
 
     def __getattr__(self, name: str):
         if name in ("local_id", "group_id", "global_id"):
-            ids = [v[self.ix] if isinstance(v, ndarray) else v
-                   for v in getattr(self.layout, name)]
+            ids = [v[self.ix] for v in getattr(self.layout, name)]
             setattr(self, name, ids)
             return ids
         return getattr(self.layout, name)

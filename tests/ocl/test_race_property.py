@@ -82,6 +82,9 @@ class TestDetectorMatchesReference:
     def test_races_equal_brute_force_reference(self, data):
         num_queues = data.draw(st.integers(1, 3), label="queues")
         mode = data.draw(st.sampled_from(["report", "strict"]), label="mode")
+        # What exists before the example is frozen: each drop's collection
+        # walks the example's own objects, not every one the suite made.
+        gc.freeze()
         ctx = ocl.Context.create(ocl.TEST_DEVICE, num_queues, detect_races=mode)
         try:
             with warnings.catch_warnings():
@@ -89,6 +92,7 @@ class TestDetectorMatchesReference:
                 self._check(ctx, mode, data)
         finally:
             ctx.release()
+            gc.unfreeze()
 
     def _check(self, ctx, mode, data):
         detector = ctx.race_detector
