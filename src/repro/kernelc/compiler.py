@@ -293,7 +293,8 @@ class _Spelling:
         """``code`` as the object of a method call or a negation."""
         return f"({code})"
 
-    def load(self, pointer: str, index: str) -> str:
+    def load(self, pointer: str, index: str, ctype: CType) -> str:
+        """The element ``index`` of ``pointer``, a value of type ``ctype``."""
         return f"{pointer}.load({index})"
 
     def store(self, pointer: str, index: str, value: str) -> str:
@@ -307,9 +308,41 @@ class _Spelling:
     def truth_value(self, code: str) -> str:
         return code
 
-    def vector(self, helper: str, *args: str) -> str:
-        """A call of the vector runtime function ``helper``."""
-        return f"{helper}({', '.join(args)})"
+    def vector_copy(self, code: str) -> str:
+        """The vector ``code`` as a value of its own (C value semantics)."""
+        return f"_copyv({code})"
+
+    def vector_unary(self, op: str, code: str, ctype: VectorType) -> str:
+        return f"_unaryv({self.g.pc.constant(ctype)}, {op!r}, {code})"
+
+    def vector_binary(self, op: str, left: str, right: str, left_type: CType, right_type: CType,
+                      op_type: VectorType) -> str:
+        """``left op right`` computed in the vector type ``op_type`` (one
+        operand may be a scalar, of type ``left_type``/``right_type``)."""
+        element = op_type.element
+        return f"{'_cmpv' if op in _CMP_OPS else '_binv'}({op!r}, " \
+            f"{self.operand(left, left_type, element)}, " \
+            f"{self.operand(right, right_type, element)}, {self.g.pc.constant(op_type)})"
+
+    def vector_convert(self, code: str, source: CType, target: VectorType) -> str:
+        """``code`` (a scalar, broadcast, or a vector) converted to ``target``."""
+        return f"_cvv({self.operand(code, source, target.element)}, " \
+            f"{self.g.pc.constant(target)})"
+
+    def vector_literal(self, target: VectorType, parts: List[Tuple[str, CType]]) -> str:
+        """``(target)(parts...)``: vector parts spliced, one scalar broadcast."""
+        codes = ", ".join(self.operand(code, ctype, target.element) for code, ctype in parts)
+        return f"_vecnew({self.g.pc.constant(target)}, ({codes},))"
+
+    def vector_set(self, vector: str, indices: Tuple[int, ...], value: str, ctype: CType) -> str:
+        """``vector`` with its components ``indices`` set to ``value`` (of
+        type ``ctype``: the element type, or a vector of it)."""
+        element = self.g.pc.constant(ctype.element if isinstance(ctype, VectorType) else ctype)
+        return f"_vset({vector}, ({', '.join(map(str, indices))},), {value}, {element})"
+
+    def swizzle(self, code: str, indices: Sequence[int]) -> str:
+        """Components ``indices`` of the vector ``code``, as a vector."""
+        return f"_vswiz({code}, ({', '.join(str(i) for i in indices)},))"
 
     def operand(self, code: str, source: CType, element: ScalarType) -> str:
         """``code`` (of type ``source``) as an operand of an operation in
@@ -317,11 +350,15 @@ class _Spelling:
         operation's type)."""
         return code
 
+    def double(self, code: str) -> str:
+        """The integer ``code`` converted to a double."""
+        return f"float({code})"
+
     def unary(self, op: str, code: str) -> str:
         return f"({op}{self.atom(code)})"
 
-    def component(self, code: str, index: int) -> str:
-        """Component ``index`` of the vector ``code`` (an atom)."""
+    def component(self, code: str, index: int, ctype: ScalarType) -> str:
+        """Component ``index`` (of type ``ctype``) of the vector ``code`` (an atom)."""
         return f"{code}.components[{index}]"
 
     def divide(self, op: str, left: str, right: str, op_type: ScalarType) -> str:
@@ -364,6 +401,10 @@ class _Spelling:
 
     def pointer_equal(self, left: str, right: str, negated: bool) -> str:
         return f"int({'not ' if negated else ''}_ptr_eq({left}, {right}))"
+
+    def pointer_diff(self, left: str, right: str) -> str:
+        """``left - right`` of two pointers (``left`` an atom)."""
+        return f"{left}.diff({right})"
 
     def pointer_compare(self, op: str, left: str, right: str) -> str:
         return f"int(({left}).offset {op} ({right}).offset)"
@@ -633,7 +674,7 @@ class _FunctionCompiler:
             self.end_charge(token)
             code = self.convert_code(code, decl.init.ctype, ctype)
             if isinstance(ctype, VectorType):
-                code = self.e.vector("_copyv", code)
+                code = self.e.vector_copy(code)
         else:
             code = self.default_value_code(ctype)
         name = self.declare_name(decl.name)
@@ -904,7 +945,7 @@ class _FunctionCompiler:
         # A local, else file-scope __constant data.
         name = self.lookup_name(expr.name)
         if name in self.local_scalars:
-            return self.e.load(name, "0")
+            return self.e.load(name, "0", expr.ctype)
         return name or self.pc.global_symbol(expr.name)
 
     def _expr_UnaryOp(self, expr: ast.UnaryOp) -> str:
@@ -915,9 +956,9 @@ class _FunctionCompiler:
             return self._expr_address_of(expr)
         operand = self.compile_expr(expr.operand)
         if op == "*":
-            return self.e.load(self.e.atom(operand), "0")
+            return self.e.load(self.e.atom(operand), "0", expr.ctype)
         if isinstance(expr.ctype, VectorType):
-            return self.e.vector("_unaryv", self.pc.constant(expr.ctype), repr(op), operand)
+            return self.e.vector_unary(op, operand, expr.ctype)
         if op == "!":
             return self.e.logical_not(operand)
         return self._mask_unsigned(self.e.unary(op, operand), expr.ctype)
@@ -986,14 +1027,10 @@ class _FunctionCompiler:
         if _is_pointer(left) or _is_pointer(right):
             return self._pointer_binary(op, lcode, rcode, left, right)
         if isinstance(op_type, VectorType):
-            element = op_type.element
-            return self.e.vector("_cmpv" if op in _CMP_OPS else "_binv", repr(op),
-                                 self.e.operand(lcode, left.ctype, element),
-                                 self.e.operand(rcode, right.ctype, element),
-                                 self.pc.constant(op_type))
+            return self.e.vector_binary(op, lcode, rcode, left.ctype, right.ctype, op_type)
         assert isinstance(op_type, ScalarType)
         e = self.e
-        lcode, rcode = self._operands(lcode, rcode, left, right, op_type)
+        lcode, rcode = self._operands(op, lcode, rcode, left, right, op_type)
         if op in _CMP_OPS:
             return e.truth_value(self._compare(op, lcode, rcode, op_type))
 
@@ -1025,13 +1062,21 @@ class _FunctionCompiler:
             return rcode
         return coerce(e.arith(op, lcode, rcode, op_type))
 
-    def _operands(self, lcode: str, rcode: str, left: ast.Expr, right: ast.Expr,
+    def _operands(self, op: str, lcode: str, rcode: str, left: ast.Expr, right: ast.Expr,
                   op_type: ScalarType) -> Tuple[str, str]:
-        """The compiled operands of an operation in ``op_type``: an integer
-        operand of a float operation is taken at its value."""
+        """The compiled operands of ``op`` in ``op_type``: an integer
+        operand of a float operation is taken at its value, and compared
+        as the double C converts it to (Python compares an int with a
+        float exactly, which only a 64-bit integer can tell)."""
         if not op_type.is_float():
             return lcode, rcode
-        return self.e.operand(lcode, left.ctype, op_type), self.e.operand(rcode, right.ctype, op_type)
+        operands = [self.e.operand(code, node.ctype, op_type)
+                    for code, node in ((lcode, left), (rcode, right))]
+        if op in _CMP_OPS:
+            operands = [self.e.double(code) if isinstance(node.ctype, ScalarType)
+                        and node.ctype.is_integer() and node.ctype.size == 8 else code
+                        for code, node in zip(operands, (left, right))]
+        return operands[0], operands[1]
 
     def _compare(self, op: str, lcode: str, rcode: str, op_type: ScalarType) -> str:
         """A scalar comparison as a truth value."""
@@ -1071,7 +1116,7 @@ class _FunctionCompiler:
             return f"{e.atom(pointer)}.add({offset})"
         if op == "-":
             if _is_pointer(right):
-                return f"{e.atom(lcode)}.diff({rcode})"
+                return e.pointer_diff(e.atom(lcode), rcode)
             return f"{e.atom(lcode)}.add(-{e.atom(rcode)})"
         if op in ("==", "!="):
             return e.pointer_equal(lcode, rcode, negated=op == "!=")
@@ -1091,7 +1136,7 @@ class _FunctionCompiler:
         if expr.op == "=":
             value = self.compile_converted(expr.value, target_type)
             if variable and isinstance(target_type, VectorType):
-                value = self.e.vector("_copyv", value)
+                value = self.e.vector_copy(value)
         else:
             # ``a op= b`` is ``a = a op b`` with the lvalue resolved once:
             # the binary rule, then the assignment conversion.
@@ -1191,18 +1236,18 @@ class _FunctionCompiler:
             if flattened is None:
                 base = self.compile_expr(expr.base)
                 return f"{atom(base)}.index({self.compile_expr(expr.index)})"
-            load = self.e.load(f"{atom(flattened[0])}.pointer", flattened[1])
+            load = self.e.load(f"{atom(flattened[0])}.pointer", flattened[1], expr.ctype)
         else:
             base = self.compile_expr(expr.base)
-            load = self.e.load(atom(base), self.compile_expr(expr.index))
+            load = self.e.load(atom(base), self.compile_expr(expr.index), expr.ctype)
         return self.reuse_load(expr, load, pure=len(self.lines) == mark)
 
     def _expr_Member(self, expr: ast.Member) -> str:
         base = self.compile_expr(expr.base)
         indices = expr.indices
         if len(indices) == 1:
-            return self.e.component(f"({base})", indices[0])
-        return f"_vswiz({base}, ({', '.join(str(i) for i in indices)},))"
+            return self.e.component(f"({base})", indices[0], expr.ctype)
+        return self.e.swizzle(base, indices)
 
     def _expr_Cast(self, expr: ast.Cast) -> str:
         operand = self.compile_expr(expr.operand)
@@ -1220,9 +1265,8 @@ class _FunctionCompiler:
 
     def _expr_VectorLiteral(self, expr: ast.VectorLiteral) -> str:
         target = expr.target_type
-        codes = ", ".join(self.e.operand(self.compile_expr(element), element.ctype,
-                                         target.element) for element in expr.elements)
-        return self.e.vector("_vecnew", self.pc.constant(target), f"({codes},)")
+        parts = [(self.compile_expr(element), element.ctype) for element in expr.elements]
+        return self.e.vector_literal(target, parts)
 
     def _expr_SizeofExpr(self, expr: ast.SizeofExpr) -> str:
         queried = expr.queried_type if expr.queried_type is not None else expr.operand.ctype
@@ -1240,7 +1284,7 @@ class _FunctionCompiler:
         locals, so loading and storing it re-evaluates nothing."""
         if isinstance(expr, ast.Identifier):
             name = self.lookup_name(expr.name)
-            return _LValue("mem", name, "0") if name in self.local_scalars \
+            return _LValue("mem", name, "0", ctype=expr.ctype) if name in self.local_scalars \
                 else _LValue("var", name)
         if isinstance(expr, ast.Index):
             pointer, index = self.fresh("ptr"), self.fresh("idx")
@@ -1252,25 +1296,26 @@ class _FunctionCompiler:
                 base, offset = self.compile_expr(expr.base), self.compile_expr(expr.index)
             self.emit(f"{pointer} = {base}")
             self.emit(f"{index} = {offset}")
-            return _LValue("mem", pointer, index)
+            return _LValue("mem", pointer, index, ctype=expr.ctype)
         if isinstance(expr, ast.UnaryOp) and expr.op == "*":
-            return _LValue("mem", self.temp("ptr", self.compile_expr(expr.operand)), "0")
+            return _LValue("mem", self.temp("ptr", self.compile_expr(expr.operand)), "0",
+                           ctype=expr.ctype)
         if isinstance(expr, ast.Member):
             base = self._compile_lvalue(expr.base)
             vector = self.temp("vec", self._load(base))
             by_reference = base.kind == "var" and self.e.vectors_by_reference
             return _LValue("veccomp", vector, tuple(expr.indices), None if by_reference else base,
-                           self.pc.constant(expr.base.ctype.element))
+                           expr.ctype)
         raise _unsupported(expr, f"expression is not assignable: {type(expr).__name__}")
 
     def _load(self, lvalue: "_LValue") -> str:
         if lvalue.kind == "var":
             return lvalue.target
         if lvalue.kind == "mem":
-            return self.e.load(lvalue.target, lvalue.index)
+            return self.e.load(lvalue.target, lvalue.index, lvalue.ctype)
         if len(lvalue.index) == 1:
-            return self.e.component(lvalue.target, lvalue.index[0])
-        return f"_vswiz({lvalue.target}, ({', '.join(str(i) for i in lvalue.index)},))"
+            return self.e.component(lvalue.target, lvalue.index[0], lvalue.ctype)
+        return self.e.swizzle(lvalue.target, lvalue.index)
 
     def _store(self, lvalue: "_LValue", value: str) -> None:
         if lvalue.kind == "var":
@@ -1278,8 +1323,7 @@ class _FunctionCompiler:
         elif lvalue.kind == "mem":
             self.emit(self.e.store(lvalue.target, lvalue.index, value))
         else:
-            indices = ", ".join(str(i) for i in lvalue.index)
-            code = self.e.vector("_vset", lvalue.target, f"({indices},)", value, lvalue.element)
+            code = self.e.vector_set(lvalue.target, lvalue.index, value, lvalue.ctype)
             self.emit(code if self.e.vectors_by_reference else f"{lvalue.target} = {code}")
             if lvalue.writeback is not None:
                 self._store(lvalue.writeback, lvalue.target)
@@ -1294,8 +1338,7 @@ class _FunctionCompiler:
         if isinstance(source, ArrayType):
             return code  # decayed by the caller
         if isinstance(target, VectorType) or isinstance(source, VectorType):
-            return self.e.vector("_cvv", self.e.operand(code, source, target.element),
-                                 self.pc.constant(target))
+            return self.e.vector_convert(code, source, target)
         if isinstance(target, PointerType) or isinstance(source, PointerType):
             return code
         assert isinstance(source, ScalarType) and isinstance(target, ScalarType)
@@ -1321,16 +1364,17 @@ class _LValue:
     element index held in locals (``mem``), or components ``index`` of
     the vector held in ``target`` (``veccomp``, written back through
     ``writeback`` unless the spelling holds vector locals by reference
-    and the vector lives in one)."""
+    and the vector lives in one); ``ctype``: what a ``mem`` or ``veccomp``
+    location holds."""
 
-    __slots__ = ("kind", "target", "index", "writeback", "element")
+    __slots__ = ("kind", "target", "index", "writeback", "ctype")
 
-    def __init__(self, kind, target, index=None, writeback=None, element=None):
+    def __init__(self, kind, target, index=None, writeback=None, ctype=None):
         self.kind = kind
         self.target = target
         self.index = index
         self.writeback = writeback
-        self.element = element
+        self.ctype = ctype
 
 
 def _is_pointer(expr: ast.Expr) -> bool:

@@ -25,13 +25,14 @@ decisions the lowering recorded on the checked AST (``node.charge`` /
 too.  Everything static is decided there — constant folding, dispatch on
 node type, ``op_type``, signedness and conversion pair, C variables as
 Python locals, statically uniform subexpressions as scalar code, and the
-*kind* of every emitted subexpression (:class:`_Code`: a uniform scalar
-or lanes, and the dtype), so that an operation whose operands' kinds are
-known is spelled in NumPy or Python directly (``(v_x * v_y)``,
-``np.where(m, new, old)``) and a helper that decides a kind at run time
-(``_f_mul``, ``_um64``, ``_truthy``, ``_merge``, ``_cast`` …) is called
-only where a launch decides it; ``docs/kernelc.md`` has the kind rule,
-the list and a reading guide.
+*kind* of every emitted scalar and vector subexpression (:class:`_Code`:
+a uniform scalar or lanes, and the dtype), so that each operation is
+spelled once, for the kinds of its operands, in NumPy or Python
+(``(v_x * v_y)``, ``np.where(m, new, old)``); a user function called
+with several tuples of argument kinds is generated once per tuple, and
+not at all when only code that never runs calls it.  Nothing decides a
+kind at run time; ``docs/kernelc.md`` has the kind rule and a reading
+guide.
 :func:`execute` then only binds arguments, fetches the memoized launch
 geometry, calls the function and does the warp accounting — for one
 launch, or for the *sibling* launches of a skeleton call on several
@@ -48,7 +49,8 @@ everything it charged or wrote is put back where the full run would
 have left it (``docs/kernelc.md``, "Compacted regions").
 
 The helpers the generated code calls (the runtime library below) carry
-the semantics, held to a *bit-exactness contract*: for any conforming
+what one expression cannot — a fault, a division, a gather — held, with
+the code around them, to a *bit-exactness contract*: for any conforming
 kernel, output buffers and every ``ExecutionCounters`` field equal those
 of the per-item module the same lowering writes, run one work-item at a
 time (the tests' oracle, ``tests/kernelc/peritem.py``).  That module
@@ -71,12 +73,23 @@ Intentional differences (documented, all under undefined behaviour):
 * Two casts of one pointer to one type compare equal (one view of the
   storage, :meth:`VPtr.retyped`); per item, each cast is a view of its
   own.
+* Each operation runs on every lane before the next one does, so where
+  work-items fault in different operations of one statement, the fault
+  reported is the first *operation*'s to fault on any lane, not the first
+  work-item's: ``o[i] = 10 / a[i] + (int)(1.0f / 0.0f * a[i])`` with ``a
+  = [1, 0, 3, 4]`` raises ``integer division by zero`` (work-item 1)
+  where one work-item after another raises the conversion's
+  ``OverflowError`` (work-item 0).  Within one operation the first
+  faulting lane's fault is raised.
 
-Vector types (``floatN`` …) run on lanes too: a uniform vector is the
-scalar :class:`~.values.VecValue`, a lane-varying one a ``(width,
-lanes)`` array whose rows are its components, so a scalar lane array
-broadcasts against it and ``_merge`` selects on it unchanged ("Vector
-types" in ``docs/kernelc.md``).  So do pointer casts (a view of the
+Vector types (``floatN`` …) run on lanes too: a vector is always a
+``(width, lanes)`` array whose rows are its components (a literal of
+uniform parts, a ``__constant`` vector and a vector argument included),
+so a scalar lane array broadcasts against it and ``np.where`` selects on
+it unchanged; each vector operation is spelled on the rows ("Vector
+types" in ``docs/kernelc.md``).  :class:`~.values.VecValue` is the
+scalar runtime's: a builtin the lanes cannot compute takes it one lane
+at a time (:class:`_Builtin`).  So do pointer casts (a view of the
 same storage at the new element type) and ``__local`` scalars (an array
 of one, as the lowering spells them).  Every kernel the type checker
 accepts has a plan; one whose control flow nests deeper than Python
@@ -108,8 +121,7 @@ from .ctypes_ import (
     numpy_dtype,
 )
 from .diagnostics import CompileError, Diagnostic, Severity
-from .execmodel import (WARP_SIZE, binary_value, c_fdiv, c_idiv, c_imod, compare_value,
-                        convert_value, copy_value)
+from .execmodel import WARP_SIZE, c_fdiv, c_idiv, c_imod
 from .memory import (NULL_POINTER, ArrayRef, KernelFault, MemoryCounters, NullPointer, Pointer,
                      allocate_array)
 from .values import VecValue
@@ -265,14 +277,13 @@ class VPtr:
         return VPtr(self.array, self.element_type, self.space, self.tally,
                     self.length, offset, self.base)
 
-    def diff(self, other):
+    def diff(self, other, mask):
+        """``self - other`` in elements, as int lanes."""
         if isinstance(other, NullPointer):
             other.offset  # faults
         if not isinstance(other, VPtr) or self.array is not other.array:
             raise KernelFault("subtracting pointers into different objects")
-        if isinstance(self.offset, ndarray) or isinstance(other.offset, ndarray):
-            return _int_lanes_pair(self.offset, -_as_int_operand(other.offset))
-        return self.offset - other.offset
+        return np.broadcast_to(self.offset - other.offset, mask.shape).astype(_I64)
 
     # -- lane-wise memory access ------------------------------------------
 
@@ -364,20 +375,14 @@ class VPtr:
         rows = self._rows(index, mask)
         self._charge(mask, False)
         etype = self.element_type
-        if isinstance(etype, VectorType):
-            return self._gather_components(rows, etype)
+        if isinstance(etype, VectorType):  # a vector's components: (width, lanes)
+            if not isinstance(rows, ndarray):
+                rows = np.full(mask.shape, rows, dtype=_I64)
+            return self.array[rows + _COMPONENTS[etype.width]].astype(_lane_dtype(etype.element))
         lanes = np.float64 if etype.is_float() else _I64
         if not isinstance(rows, ndarray):  # a scalar's load is lanes at any address
             return np.full(mask.shape, self.array[rows], lanes)
         return self.array[rows].astype(lanes)
-
-    def _gather_components(self, rows, etype: VectorType):
-        """The vectors at ``rows``: a VecValue at one row, a ``(width,
-        lanes)`` array at lane rows."""
-        width = etype.width
-        if not isinstance(rows, ndarray):
-            return VecValue.of_converted(etype.element, self.array[rows:rows + width].tolist())
-        return self.array[rows + _COMPONENTS[width]].astype(_lane_dtype(etype.element))
 
     def _vector_rows(self, width: int, offset, mask, store: bool):
         """Rows of ``vload``/``vstore{width}`` at ``offset``: ``width``
@@ -399,7 +404,7 @@ class VPtr:
         ``addresses``, active lanes only, in lane order (a later lane's
         store wins, as when work-items store one after another)."""
         active = addresses.T[mask]
-        values = np.broadcast_to(_vec_operand(value), addresses.shape).T[mask]
+        values = np.broadcast_to(value, addresses.shape).T[mask]
         self.array[active.ravel()] = values.ravel().astype(self.array.dtype)
 
     def scatter(self, index, value, mask) -> None:
@@ -565,8 +570,6 @@ class VArray:
         return self.pointer
 
 
-_POINTERS = (VPtr, VArray, NullPointer)
-
 #: Per vector width, the column of component offsets that turns lane
 #: rows ``(lanes,)`` into element addresses ``(width, lanes)``.
 _COMPONENTS = {width: np.arange(width, dtype=_I64)[:, None] for width in (2, 3, 4, 8, 16)}
@@ -589,8 +592,9 @@ def _mul_index(i, stride: int):
 
 
 # ---------------------------------------------------------------------------
-# Runtime library: scalar-domain helpers (uniform Python values <-> lanes).
-# The generated code calls these by the names in ``_LIBRARY``.
+# Runtime library: what an operation needs beyond one NumPy or Python
+# expression (a fault, a division, a vector built row by row).  The
+# generated code calls these by the names in ``_LIBRARY``.
 # ---------------------------------------------------------------------------
 
 
@@ -606,30 +610,20 @@ def _as_int_operand(v):
     return _I64(_wrap_to_i64(v))
 
 
-def _as_float_operand(v):
-    if isinstance(v, ndarray):
-        return v if v.dtype.kind == "f" else v.astype(np.float64)
-    return float(v)
-
-
 def _int_lanes_pair(a, b):
     return _as_int_operand(a) + _as_int_operand(b)
 
 
-def _is_float_value(v) -> bool:
-    if isinstance(v, ndarray):
-        return v.dtype.kind == "f"
-    return isinstance(v, float)
-
-
 def _float_lanes_to_int(values: ndarray, mask) -> ndarray:
     """Per-lane ``int(v)`` (truncation) with CPython's error behaviour
-    (``values``: lanes, or a vector's ``(width, lanes)``)."""
+    (``values``: lanes, or a vector's ``(width, lanes)``): a NaN or an
+    infinity on an active lane raises the error of the first such lane,
+    and in it of the first such component, as one work-item at a time
+    does."""
     active = values if mask is None else values[..., mask]
-    if np.isnan(active).any():
-        raise ValueError("cannot convert float NaN to integer")
-    if np.isinf(active).any():
-        raise OverflowError("cannot convert float infinity to integer")
+    bad = ~np.isfinite(active)
+    if _any(bad):
+        int(float(active.T.flat[np.argmax(bad.T)]))  # raises CPython's error
     truncated = np.trunc(values if mask is None else np.where(mask, values, 0.0))
     huge = np.abs(truncated) >= float(_TWO63)
     if not huge.any():
@@ -639,22 +633,6 @@ def _float_lanes_to_int(values: ndarray, mask) -> ndarray:
     for where in zip(*np.nonzero(huge)):
         out[where] = _wrap_to_i64(int(truncated[where]))
     return out
-
-
-def _sw(v, bits: int):
-    """``_sw{bits}`` of the scalar spelling, valid on both domains."""
-    if not isinstance(v, ndarray):
-        half = 1 << (bits - 1)
-        return ((int(v) + half) & ((1 << bits) - 1)) - half
-    if bits >= 64:
-        return v  # int64 lanes already are the 64-bit pattern
-    half = _I64(1 << (bits - 1))
-    return ((v + half) & _I64((1 << bits) - 1)) - half
-
-
-def _um64(v):
-    """Unsigned 64-bit masking: lanes already hold the 64-bit pattern."""
-    return v if isinstance(v, ndarray) else v & (_TWO64 - 1)
 
 
 def _any(m: ndarray) -> bool:
@@ -667,89 +645,34 @@ def _zeros(mask: ndarray) -> ndarray:
     return np.zeros(mask.shape, dtype=bool)
 
 
-def _truthy(value, mask: ndarray) -> ndarray:
-    """The lanes of ``mask`` on which ``value`` is true."""
-    if isinstance(value, ndarray):
-        return mask & (value if value.dtype.kind == "b" else value != 0)
-    if isinstance(value, _POINTERS) or value:
-        return mask
-    return _zeros(mask)
-
-
-def _to_bool(value):
-    if isinstance(value, ndarray):
-        return (value != 0).astype(_I64)
-    return 1 if isinstance(value, _POINTERS) or value else 0
-
-
-def _b2i(value):
-    """A comparison result as a C value (lanes: 0/1 int64)."""
-    return value.astype(_I64) if isinstance(value, ndarray) else value
-
-
 def _merge(old, new, mask: ndarray):
-    """Masked phi: ``new`` on active lanes, ``old`` elsewhere."""
+    """Masked phi of two pointer values: ``new`` on active lanes, ``old``
+    elsewhere (a scalar or a vector merges with ``np.where``)."""
     if old is new or bool(mask.all()):
         return new
-    if isinstance(old, _POINTERS) or isinstance(new, _POINTERS):
-        if isinstance(old, VPtr) and isinstance(new, VPtr) \
-                and old.array is new.array and old.base is new.base:
-            offset = np.where(mask, _as_int_operand(new.offset), _as_int_operand(old.offset))
-            return VPtr(new.array, new.element_type, new.space, new.tally,
-                        new.length, offset, new.base)
-        if isinstance(old, NullPointer) and isinstance(new, (NullPointer, VArray)):
-            # decl-default replaced by a binding: lanes outside the mask
-            # could only observe this through UB.
-            return new
-        raise VectorizeError(
-            "divergent pointer values cannot be merged on the lockstep "
-            "engine (lanes would point into different objects)"
-        )
-    if isinstance(old, VecValue) or isinstance(new, VecValue):
-        old, new = _vec_operand(old), _vec_operand(new)  # uniform vectors, as columns
-    if not isinstance(old, ndarray) and not isinstance(new, ndarray):
-        if isinstance(old, float) and isinstance(new, float):
-            if (old == new and math.copysign(1.0, old) == math.copysign(1.0, new)) \
-                    or (math.isnan(old) and math.isnan(new)):
-                return new
-        elif not isinstance(old, float) and not isinstance(new, float) and old == new:
-            return new
-    if _is_float_value(old) or _is_float_value(new):
-        return np.where(mask, _as_float_operand(new), _as_float_operand(old))
-    return np.where(mask, _as_int_operand(new), _as_int_operand(old))
-
-
-def _ret(previous, value, mask: ndarray):
-    """The return value after ``return value`` ran on ``mask``."""
-    if previous is None:
-        previous = 0.0 if _is_float_value(value) else 0
-    return _merge(previous, value, mask)
-
-
-def _lanewise(op, coerce):
-    def apply(left, right):
-        if isinstance(left, ndarray) or isinstance(right, ndarray):
-            return op(coerce(left), coerce(right))
-        return op(left, right)
-    return apply
-
-
-def _as_u64_operand(v):
-    """Lanes as 64-bit patterns; a uniform operand stays a Python int,
-    which NumPy (NEP 50) takes at the lanes' ``uint64``."""
-    return v.view(_U64) if isinstance(v, ndarray) else int(v) & (_TWO64 - 1)
+    if isinstance(old, VPtr) and isinstance(new, VPtr) \
+            and old.array is new.array and old.base is new.base:
+        offset = np.where(mask, _as_int_operand(new.offset), _as_int_operand(old.offset))
+        return VPtr(new.array, new.element_type, new.space, new.tally,
+                    new.length, offset, new.base)
+    if isinstance(old, NullPointer) and isinstance(new, (NullPointer, VArray)):
+        # decl-default replaced by a binding: lanes outside the mask
+        # could only observe this through UB.
+        return new
+    raise VectorizeError(
+        "divergent pointer values cannot be merged on the lockstep "
+        "engine (lanes would point into different objects)"
+    )
 
 
 def _fdiv_l(left, right):
     if not isinstance(left, ndarray) and not isinstance(right, ndarray):
         return c_fdiv(left, right)
-    la = _as_float_operand(left)
-    ra = _as_float_operand(right)
-    result = np.divide(la, ra)
+    result = np.divide(left, right)
     # c_fdiv returns the canonical positive quiet NaN for 0/0 and nan/0,
     # where numpy emits the hardware default (sign bit set on x86) —
     # canonicalize those lanes so buffers stay bit-exact.
-    fresh_nan = (ra == 0.0) & ((la == 0.0) | np.isnan(la))
+    fresh_nan = (right == 0.0) & ((left == 0.0) | np.isnan(left))
     if fresh_nan.any():
         result = np.where(fresh_nan, math.nan, result)
     return result
@@ -787,171 +710,50 @@ def _shift_l(left, right, bits: int, mode: str):
     return la >> amount
 
 
-def _ptr_eq_l(left, right):
-    if not isinstance(left, VPtr) or not isinstance(right, VPtr) \
-            or left.array is not right.array:
-        return 0
-    lo, ro = left.offset, right.offset
-    if isinstance(lo, ndarray) or isinstance(ro, ndarray):
-        return (_as_int_operand(lo) == _as_int_operand(ro)).astype(_I64)
-    return 1 if lo == ro else 0
+def _ptr_eq_l(left, right, mask):
+    """``left == right`` of two pointers, as int lanes."""
+    equal = isinstance(left, VPtr) and isinstance(right, VPtr) and left.array is right.array \
+        and left.offset == right.offset
+    return np.broadcast_to(equal, mask.shape).astype(_I64)
 
 
-def _ptr_cmp(op, left, right):
-    return _b2i(_lanewise(op, _as_int_operand)(left.offset, right.offset))
-
-
-# -- conversions ---------------------------------------------------------------
-
-
-def _i2f(value, u64: bool = False):
-    """int→float; ``u64`` lanes hold 64-bit unsigned values as patterns."""
-    if not isinstance(value, ndarray):
-        return float(value)
-    return (value.view(_U64) if u64 else value).astype(np.float64)
-
-
-def _f2i(value, mask):
-    return _float_lanes_to_int(value, mask) if isinstance(value, ndarray) else int(value)
-
-
-def _cast(value, target: ScalarType, source_u64: bool, mask):
-    """Mirror of ``convert_scalar`` (explicit casts, exact)."""
-    if not isinstance(value, ndarray):
-        if isinstance(value, _POINTERS):
-            raise KernelFault("cannot convert a pointer value to a scalar")
-        return convert_scalar(value, target)
-    if target.is_bool():
-        return (value != 0).astype(_I64)
-    if target.is_integer():
-        if value.dtype.kind == "f":
-            value = _float_lanes_to_int(value, mask)
-        if target.signed:
-            return _sw(value, target.bits)
-        return value if target.size == 8 else value & _I64((1 << target.bits) - 1)
-    # Float target: round through the declared width.
-    if value.dtype.kind != "f":
-        value = _i2f(value, source_u64)
-    if target.size == 8:
-        return value
-    return value.astype(np.float32 if target.size == 4 else np.float16).astype(np.float64)
+def _ptr_cmp(op, left, right, mask):
+    """``left op right`` of two pointers into one object, as int lanes."""
+    return np.broadcast_to(op(left.offset, right.offset), mask.shape).astype(_I64)
 
 
 # -- vectors -------------------------------------------------------------------
-# A uniform vector is a VecValue, as in scalar code; lanes of one are a
-# ``(width, lanes)`` array of its element's lane dtype, a row per
-# component.  Each operation below computes a VecValue with the scalar
-# runtime's own function when no operand is lanes, else a full
-# ``(width, lanes)`` array; none changes an operand in place, so a copy
-# (``_copyv``) is the value itself.
+# A vector is always lanes: a ``(width, lanes)`` array of its element's
+# lane dtype, a row per component, whose values are those of the element
+# type.  The generator spells each vector operation over the rows; what
+# it calls below builds a vector row by row.  No lane value is changed in
+# place, so a copy is the value itself.
 
 
-def _vec_operand(v):
-    """``v`` as a numpy operand: a VecValue becomes a ``(width, 1)``
-    column that broadcasts against lanes; lanes and scalars pass."""
-    if not isinstance(v, VecValue):
-        return v
-    if v.element_type.is_float():
-        return np.array(v.components, dtype=np.float64)[:, None]
-    return np.array([_wrap_to_i64(c) for c in v.components], dtype=_I64)[:, None]
+def _column(vector: VecValue) -> ndarray:
+    """A vector known before a launch (a vector argument, a ``__constant``
+    one) as a ``(width, 1)`` column of its lane dtype, which broadcasts
+    over the lanes."""
+    element = vector.element_type
+    components = vector.components if element.is_float() \
+        else [_wrap_to_i64(c) for c in vector.components]
+    return np.array(components, _lane_dtype(element))[:, None]
 
 
-def _elements(v, element: ScalarType, mask):
-    """``convert_scalar(_, element)`` of every component of ``v`` (a
-    vector or a scalar, uniform or lanes), as a numpy operand."""
-    if isinstance(v, VecValue):
-        return _vec_operand(VecValue(element, v.components))
-    return _cast(v, element, False, mask)
-
-
-def _u2f(v):
-    """Lanes of 64-bit unsigned values (held as patterns) as the floats
-    a vector operation converting them starts from; uniform values are
-    exact already."""
-    return v.view(_U64).astype(np.float64) if isinstance(v, ndarray) else v
-
-
-def _vecnew(ctype: VectorType, parts, mask):
-    """``(typeN)(parts...)``: vector parts spliced, one scalar broadcast."""
-    if not any(isinstance(part, ndarray) for part in parts):
-        return VecValue.literal(ctype, parts)
-    rows: list = []
-    for part in parts:
-        if isinstance(part, VecValue) or isinstance(part, ndarray) and part.ndim == 2:
-            rows.extend(part)
-        else:
-            rows.append(part)
-    if len(rows) == 1:
-        rows *= ctype.width
-    out = np.empty((ctype.width, mask.size), _lane_dtype(ctype.element))
+def _vecnew(rows, dtype, mask):
+    """A vector of the component ``rows`` (lanes, or uniform values)."""
+    out = np.empty((len(rows), mask.size), dtype)
     for index, row in enumerate(rows):
-        out[index] = _cast(row, ctype.element, False, mask)
+        out[index] = row
     return out
 
 
-def _vswiz(v, indices):
-    return v[list(indices)] if isinstance(v, ndarray) else v.swizzle(indices)
-
-
-def _vset(vector, indices, value, element: ScalarType, mask):
-    """``vector`` with its components ``indices`` set to ``value`` on
-    the lanes of ``mask``."""
-    if not isinstance(vector, ndarray) and not isinstance(value, ndarray) and bool(mask.all()):
-        vector = copy_value(vector)
-        vector.store_components(indices, value)
-        return vector
-    column = _vec_operand(vector)
-    out = np.empty((column.shape[0], mask.size), _lane_dtype(element))
-    out[...] = column
-    for index, part in zip(indices, [value] if len(indices) == 1 else value):
-        out[index] = np.where(mask, _cast(part, element, False, mask), out[index])
+def _vset(vector, indices: list, value, mask):
+    """``vector`` with its components ``indices`` set to ``value`` (of
+    the element type) on the lanes of ``mask``."""
+    out = vector.copy()
+    out[indices] = np.where(mask, value, vector[indices])
     return out
-
-
-_VECTOR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "&": operator.and_, "|": operator.or_, "^": operator.xor}
-
-
-def _binv(op: str, left, right, op_type: VectorType, mask):
-    """``binary_value``: both operands and the result in the element type."""
-    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
-        return binary_value(op, left, right, op_type)
-    element = op_type.element
-    a, b = _elements(left, element, mask), _elements(right, element, mask)
-    if op in ("/", "%"):
-        value = _fdiv_l(a, b) if element.is_float() \
-            else _divide_l(a, b, mask, _is_u64(element), op == "%")
-    elif op in ("<<", ">>"):
-        value = _shift_l(a, b, element.bits, "u>>" if op == ">>" and _is_u64(element) else op)
-    else:
-        value = _VECTOR_OPS[op](a, b)
-    return _cast(value, element, False, mask)
-
-
-def _cmpv(op: str, left, right, op_type: VectorType, mask):
-    """``compare_value``: -1 where ``op`` holds, else 0."""
-    if not isinstance(left, ndarray) and not isinstance(right, ndarray):
-        return compare_value(op, left, right, op_type)
-    element = op_type.element
-    a, b = _elements(left, element, mask), _elements(right, element, mask)
-    if _is_u64(element):
-        a, b = _as_u64_operand(a), _as_u64_operand(b)
-    return -getattr(operator, _ARITH[op])(a, b).astype(_I64)
-
-
-def _unaryv(ctype: VectorType, op: str, operand, mask):
-    if not isinstance(operand, ndarray):
-        return operand.unary(op)
-    value = -operand if op == "-" else ~operand if op == "~" else operand
-    return _cast(value, ctype.element, False, mask)
-
-
-def _cvv(value, ctype: VectorType, mask):
-    """``convert_value`` to a vector type: a scalar is broadcast."""
-    if not isinstance(value, ndarray):
-        return convert_value(value, ctype)
-    converted = _cast(value, ctype.element, False, mask)
-    return np.repeat(converted[None], ctype.width, axis=0) if converted.ndim == 1 else converted
 
 
 # -- builtins ------------------------------------------------------------------
@@ -999,47 +801,58 @@ _FAST_BUILTINS = {
 
 
 def _np_dot(a, b):
-    """``dot`` as one work-item sums it: from 0, left to right."""
+    """``dot`` as one work-item sums it: from 0, left to right, over the
+    components (the rows of a vector)."""
     total = 0.0
-    for x, y in zip(_component_rows(a), _component_rows(b)):
+    for x, y in zip(a, b):
         total = total + x * y
     return total
-
-
-def _component_rows(v):
-    return v if isinstance(v, ndarray) and v.ndim == 2 else (v,)
 
 
 _FAST_WHOLE = {"dot": _np_dot, "length": lambda a: np.sqrt(_np_dot(a, a))}
 
 
+def _over_scalars(whole):
+    """A ``_FAST_WHOLE`` function over scalar arguments: each one
+    component."""
+    return lambda *args: whole(*[(arg,) for arg in args])
+
+
 class _Builtin:
-    """One call site's builtin with its static decisions taken: the
-    numpy fast path (or None), argument domains and result conversion.
-    A builtin over vectors converts its result to the result element
-    type, as ``apply_builtin`` does."""
+    """One call site's builtin with its static decisions taken: which
+    arguments are lanes (``lanes``, what the generator knows of them),
+    the numpy fast path (or None) and the argument domains.  The
+    generator calls :meth:`one` where no argument is lanes, else the
+    builtin itself; over vectors, it converts a fast path's result to the
+    result element type, as ``apply_builtin`` does."""
 
-    __slots__ = ("resolved", "fast", "memory", "vector", "elements", "float_params",
-                 "unsigned_params", "result_element", "result_float", "result_mask")
+    __slots__ = ("resolved", "lanes", "fast", "memory", "vector", "params", "wraps",
+                 "result_element", "result_float", "result_mask")
 
-    def __init__(self, resolved: ResolvedBuiltin):
-        self.resolved = resolved
+    def __init__(self, resolved: ResolvedBuiltin, lanes: tuple):
+        self.resolved, self.lanes = resolved, lanes
         params, result = resolved.param_types, resolved.result_type
         name = _strip_prefix(resolved.name)
+        vectors = [isinstance(p, VectorType) for p in params]
         if resolved.kind == "plain":
             self.fast = _FAST_BUILTINS.get(name) or (
                 _identity if name.startswith("convert_") else None)
         else:
             self.fast = _FAST_WHOLE.get(name)
+            if self.fast is not None and not any(vectors):
+                self.fast = _over_scalars(self.fast)
         self.memory = next((kind for kind in ("vload", "vstore") if name.startswith(kind)), None)
-        self.vector = any(isinstance(t, VectorType) for t in (result, *params))
-        self.elements = [p.element if isinstance(p, VectorType) else p for p in params]
-        if name in ("min", "max", "clamp", "abs") and _is_u64(self.elements[0]):
+        self.vector = any(vectors) or isinstance(result, VectorType)
+        elements = [p.element if isinstance(p, VectorType) else p for p in params]
+        if name in ("min", "max", "clamp", "abs") and _is_u64(elements[0]):
             # 64-bit unsigned values are stored as bit patterns, unsafe
             # in the int64 domain: those take the per-lane path.
             self.fast = None
-        self.float_params = [isinstance(e, ScalarType) and e.is_float() for e in self.elements]
-        self.unsigned_params = [_is_u64(e) for e in self.elements]
+        # Per argument, what the per-lane path needs to read it on a lane.
+        self.params = list(zip(lanes, vectors, elements, map(_is_u64, elements)))
+        # A uniform integer argument of the fast path is taken at int64.
+        self.wraps = [not lane and isinstance(e, ScalarType) and e.is_integer()
+                      for lane, e in zip(lanes, elements)]
         element = self.result_element = result.element if isinstance(result, VectorType) \
             else result
         scalar = isinstance(result, ScalarType)
@@ -1048,7 +861,7 @@ class _Builtin:
             and not result.signed and resolved.name != "abs" else 0
 
     def __reduce__(self):
-        return _Builtin, (self.resolved,)
+        return _Builtin, (self.resolved, self.lanes)
 
     def one(self, args):
         resolved = self.resolved
@@ -1057,18 +870,13 @@ class _Builtin:
         return value & self.result_mask if self.result_mask else value
 
     def __call__(self, args, mask):
-        if self.memory == "vload" and isinstance(args[1], VPtr):
+        if self.memory == "vload":
             return args[1].vload(self.resolved.result_type.width, args[0], mask)
-        if self.memory == "vstore" and isinstance(args[2], VPtr):
+        if self.memory == "vstore":
             return args[2].vstore(self.resolved.param_types[0].width, args[0], args[1], mask)
-        if not any(isinstance(a, ndarray) for a in args):
-            return self.one(args)  # uniform: computed once
         if self.fast is not None:
-            result = self.fast(*[
-                _as_float_operand(a) if is_float or _is_float_value(a) else _as_int_operand(a)
-                for a, is_float in zip(map(_vec_operand, args), self.float_params)])
-            if self.vector:
-                return _cast(result, self.result_element, False, mask)
+            result = self.fast(*[_wrap_to_i64(a) if wrap else a
+                                 for a, wrap in zip(args, self.wraps)])
             if self.result_mask and self.resolved.result_type.size < 8:
                 result = result & _I64(self.result_mask)
             return result
@@ -1077,8 +885,8 @@ class _Builtin:
         out = np.zeros((width, mask.size) if width else mask.shape,
                        dtype=np.float64 if self.result_float else _I64)
         for lane in np.nonzero(mask)[0]:
-            value = self.one([self._lane_arg(a, lane, element, unsigned) for a, element, unsigned
-                              in zip(args, self.elements, self.unsigned_params)])
+            value = self.one([self._lane_arg(a, lane, *param)
+                              for a, param in zip(args, self.params)])
             if width:
                 out[:, lane] = [self._lane_value(c) for c in value.components]
             else:
@@ -1086,11 +894,11 @@ class _Builtin:
         return out
 
     @staticmethod
-    def _lane_arg(a, lane, element, unsigned):
+    def _lane_arg(a, lane, lanes, vector, element, unsigned):
         """Argument ``a`` as scalar code holds it on ``lane``."""
-        if not isinstance(a, ndarray):
+        if not lanes:
             return a
-        if a.ndim == 2:
+        if vector:
             return VecValue.of_converted(element, [
                 c + _TWO64 if unsigned and c < 0 else c for c in a[:, lane].tolist()])
         a = a[lane].item()
@@ -1105,12 +913,11 @@ def _identity(x):
 
 
 def _workitem(ctx, name: str, dim):
-    """A work-item query whose dimension is not a literal."""
-    if not isinstance(dim, ndarray):
-        return ctx.query(name, int(dim))
-    result = np.full(dim.shape, ctx.query(name, -1), dtype=_I64)
+    """A work-item query whose dimension is not a literal, as lanes (the
+    dimension may be lanes or uniform)."""
+    result = np.full(ctx.n, ctx.query(name, -1), dtype=_I64)
     for d in (0, 1, 2):
-        result = np.where(dim == d, _as_int_operand(ctx.query(name, d)), result)
+        result = np.where(dim == d, ctx.query(name, d), result)
     return result
 
 
@@ -1246,20 +1053,13 @@ def _sub(value, ix: ndarray):
     return value
 
 
-def _widen(old, new, ix: ndarray, chain: ndarray):
+def _widen(old, new, ix: ndarray):
     """An outer variable a compacted region wrote (``new``, on ``ix``)
-    back on every lane: what ``_merge`` leaves had the region run on
-    ``chain`` — the same values, in the same int/float domain."""
-    if not isinstance(new, ndarray):
-        return _merge(old, new, chain)
-    at = ix if new.ndim == 1 else (slice(None), ix)  # a vector's lanes: columns
-    if isinstance(old, ndarray) and old.dtype == new.dtype:
-        lanes = old.copy()  # what np.where gives when no operand is coerced
-        lanes[at] = new
-        return lanes
-    lanes = np.zeros(new.shape[:-1] + chain.shape, new.dtype)
-    lanes[at] = new
-    return _merge(old, lanes, chain)
+    back on every lane: what ``np.where`` leaves had the region run on
+    every lane — lanes of one kind, as every variable a region writes."""
+    lanes = old.copy()
+    lanes[ix if new.ndim == 1 else (slice(None), ix)] = new  # a vector's lanes: columns
+    return lanes
 
 
 def _region(R, chain: ndarray, values: tuple) -> Optional["_Region"]:
@@ -1271,7 +1071,7 @@ def _region(R, chain: ndarray, values: tuple) -> Optional["_Region"]:
         R.regions[1] += 1
         return None
     R.regions[0] += 1
-    return _Region(R, chain, values, chain.nonzero()[0])
+    return _Region(R, values, chain.nonzero()[0])
 
 
 class _Region:
@@ -1282,10 +1082,10 @@ class _Region:
     method and the live-ins on ``ix`` (under them the region's own
     chain, now all true)."""
 
-    __slots__ = ("run", "chain", "outer", "ix", "inner")
+    __slots__ = ("run", "outer", "ix", "inner")
 
-    def __init__(self, run: _Run, chain: ndarray, values: tuple, ix: ndarray):
-        self.run, self.chain, self.outer, self.ix = run, chain, values, ix
+    def __init__(self, run: _Run, values: tuple, ix: ndarray):
+        self.run, self.outer, self.ix = run, values, ix
         sub = _Run(run.lanes.subset(ix), run)
         self.inner = (sub, sub.lanes, sub.ops, tuple([_sub(value, ix) for value in values]))
 
@@ -1303,7 +1103,7 @@ class _Region:
             values, inner = list(values), self.inner[3]
             for position, new in enumerate(written, len(values) - len(written)):
                 if new is not inner[position]:
-                    values[position] = _widen(values[position], new, ix, self.chain)
+                    values[position] = _widen(values[position], new, ix)
         return run, run.lanes, run.ops, tuple(values)
 
 
@@ -1311,20 +1111,13 @@ _ARITH = {"+": "add", "-": "sub", "*": "mul", "&": "and_", "|": "or_", "^": "xor
           "<": "lt", ">": "gt", "<=": "le", ">=": "ge", "==": "eq", "!=": "ne"}
 
 _LIBRARY = {
-    "_merge": _merge, "_ret": _ret, "_truthy": _truthy, "_zeros": _zeros,
-    "_to_bool": _to_bool, "_b2i": _b2i, "_sw": _sw, "_um64": _um64, "_i2f": _i2f,
-    "_f2i": _f2i, "_cast": _cast, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
+    "_merge": _merge, "_zeros": _zeros, "_fdiv_l": _fdiv_l, "_divide_l": _divide_l,
     "_shift_l": _shift_l, "_ptr_eq_l": _ptr_eq_l, "_ptr_cmp": _ptr_cmp,
     "_workitem": _workitem, "_U64": _U64,
     "_switch_start": _switch_start, "_region": _region, "_VNULL": NULL_POINTER, "_op": operator,
-    "_vecnew": _vecnew, "_vswiz": _vswiz, "_vset": _vset, "_binv": _binv, "_cmpv": _cmpv,
-    "_unaryv": _unaryv, "_cvv": _cvv, "_u2f": _u2f, "_float_lanes_to_int": _float_lanes_to_int,
+    "_vecnew": _vecnew, "_vset": _vset, "_float_lanes_to_int": _float_lanes_to_int,
     "_wrap_to_i64": _wrap_to_i64, "_as_int_operand": _as_int_operand, "np": np, "_I64": _I64,
 }
-for _symbol, _name in _ARITH.items():
-    for _domain, _coerce in (("i", _as_int_operand), ("f", _as_float_operand),
-                             ("u", _as_u64_operand)):
-        _LIBRARY[f"_{_domain}_{_name}"] = _lanewise(getattr(operator, _name), _coerce)
 
 
 # ---------------------------------------------------------------------------
@@ -1343,14 +1136,29 @@ def _is_u64(ctype) -> bool:
 
 
 def _kind_of(ctype, lanes: bool) -> Optional[str]:
-    """The kind of a value of type ``ctype`` (None for no scalar type):
+    """The kind of a value of type ``ctype`` (None for a pointer or void):
     lanes, or a uniform one — unsigned values narrower than 64 bits are
-    masked at every operation, signed ones are exact Python ints."""
+    masked at every operation, signed ones are exact Python ints.  A
+    vector is always lanes, of its element's kind."""
+    if isinstance(ctype, VectorType):
+        return "F" if ctype.element.is_float() else "I"
     if isinstance(ctype, ScalarType) and not ctype.is_void():
         narrow = ctype.is_bool() or _is_unsigned(ctype) and ctype.size < 8
         return ("F" if lanes else "f") if ctype.is_float() else "I" if lanes else \
             "i" if narrow else "j"
-    return None  # no scalar type
+    return None  # a pointer or void
+
+
+def _uniform_kind(ctype) -> Optional[str]:
+    """The kind of a uniform value converted to ``ctype`` (a kernel's
+    argument, a cast): any integer but a 64-bit unsigned one is in int64
+    range."""
+    return "i" if isinstance(ctype, ScalarType) and ctype.is_integer() and not _is_u64(ctype) \
+        else _kind_of(ctype, False)
+
+
+_LANE_KINDS = ("I", "F", "B")
+_LANE_DTYPES = {"I": "_I64", "F": "np.float64"}  # what lanes of a kind are held in
 
 
 _NONE, _WORK = frozenset(), frozenset(["work"])
@@ -1378,8 +1186,9 @@ class _Code(str):
     """Generated Python whose value has a *kind* known when it is generated
     (``kind``): a uniform Python int known to be in int64 range ("i") or
     of any size ("j"), a uniform float ("f"), int64 or float64 lanes
-    ("I", "F") or a boolean lane mask ("B").  Where no kind is known
-    (None, or a plain ``str``) only a launch knows: a helper decides."""
+    ("I", "F"; a vector's ``(width, lanes)`` too) or a boolean lane mask
+    ("B").  Every scalar and vector value the generator emits has one; a
+    pointer has none (None, or a plain ``str``)."""
 
     def __new__(cls, code: str, kind: Optional[str]):
         self = super().__new__(cls, code)
@@ -1391,35 +1200,34 @@ def _kind(code) -> Optional[str]:
     return getattr(code, "kind", None)
 
 
-def _spelled(code, lanes, uniform, helper, kinds="Ii"):
-    """``code`` through one of three templates (``{}``: ``code``): for
-    lanes or a uniform value (of result kind ``kinds[0]`` or
-    ``kinds[1]``), or a helper's call where only a launch knows."""
+def _spelled(code, lanes, uniform, kinds="Ii"):
+    """``code`` through the template for its kind (``{}``: ``code``): for
+    lanes or a uniform value, of result kind ``kinds[0]`` or
+    ``kinds[1]``."""
     kind = _kind(code)
-    if kind is None:
-        return helper.format(code)
-    return _Code((lanes if kind in "IFB" else uniform).format(code), kinds[kind not in "IFB"])
+    assert kind is not None, code  # every scalar and vector value has a kind
+    lane = kind in _LANE_KINDS
+    return _Code((lanes if lane else uniform).format(code), kinds[not lane])
 
 
 def _result(code, ctype, *operands):
     """``code``, a helper's call over ``operands``: lanes of ``ctype`` when
     an operand is lanes, a uniform value when none is."""
-    kinds = {_kind(operand) for operand in operands}
-    kind = None if None in kinds else _kind_of(ctype, bool(kinds & {"I", "F"}))
+    kind = _kind_of(ctype, any(_kind(operand) in _LANE_KINDS for operand in operands))
     return _Code(code, "j" if kind == "i" else kind)
 
 
 def _fit(code, kind):
     """``code`` as an operand beside lanes of ``kind``."""
-    return f"_as_int_operand({code})" if kind == "I" and _kind(code) in ("j", None) else code
+    return f"_as_int_operand({code})" if kind == "I" and _kind(code) == "j" else code
 
 
 class _LaneSpelling(_Spelling):
-    """The leaf emitters over the lane library: a value may be lanes (an
-    array) or a uniform Python scalar, memory is gathered and scattered
-    under the generator's current chain mask ``g.m``.  Where the kinds of
-    the operands are known (:class:`_Code`) an operation is spelled in
-    NumPy or Python directly; else a helper decides at run time."""
+    """The leaf emitters over the lane library: a value is lanes (an array)
+    or a uniform Python scalar, and the generator knows which
+    (:class:`_Code`), so each operation is spelled once, for the kinds
+    of its operands, in NumPy or Python; memory is gathered and scattered
+    under the generator's current chain mask ``g.m``."""
 
     null = "_VNULL"
     void = "0"
@@ -1428,21 +1236,19 @@ class _LaneSpelling(_Spelling):
     def atom(self, code):
         return code
 
-    def load(self, pointer, index):
-        return f"{pointer}.gather({index}, {self.g.m})"
+    def load(self, pointer, index, ctype):
+        return _Code(f"{pointer}.gather({index}, {self.g.m})", _kind_of(ctype, True))
 
     def store(self, pointer, index, value):
         return f"{pointer}.scatter({index}, {value}, {self.g.m})"
 
     def _operation(self, op, left, right, domain):
         """``left op right`` in ``domain`` ("i": int64, "u": uint64, "f":
-        float64): Python's or NumPy's operator where both kinds are known,
-        else the helper ``_{domain}_{op}``.  A uniform operand beside lanes
-        is taken as NumPy takes a Python scalar: an int must fit int64
-        (unsigned ones were masked to 64 bits by the lowering)."""
+        float64), Python's or NumPy's operator.  A uniform operand beside
+        lanes is taken as NumPy takes a Python scalar: an int must fit
+        int64 (unsigned ones were masked to 64 bits by the lowering)."""
         kinds = _kind(left), _kind(right)
-        if None in kinds:
-            return f"_{domain}_{_ARITH[op]}({left}, {right})"
+        assert None not in kinds, (left, right)  # every scalar value has a kind
         lanes = not {"I", "F"}.isdisjoint(kinds)
         if lanes:
             left, right = (f"{code}.view(_U64)" if kind == "I" and domain == "u" else
@@ -1460,23 +1266,23 @@ class _LaneSpelling(_Spelling):
                                "f" if op_type.is_float() else "u" if _is_u64(op_type) else "i")
 
     def truth_value(self, code):
-        return _spelled(code, "{}.astype(_I64)", "{}", "_b2i({})")
+        return _spelled(code, "{}.astype(_I64)", "{}")
 
-    def vector(self, helper, *args):
-        if helper == "_copyv":
-            return args[0]  # lane values are never changed in place
-        return f"{helper}({', '.join(args + (self.g.m,))})"
-
-    def operand(self, code, source, element):
-        source = source.element if isinstance(source, VectorType) else source
-        return _spelled(code, "{}.view(_U64).astype(np.float64)", "{}", "_u2f({})", "Fj") \
+    def operand(self, code, source, element):  # a scalar operand of a float operation
+        return _spelled(code, "{}.view(_U64).astype(np.float64)", "{}", "Fj") \
             if _is_u64(source) and element.is_float() else code
+
+    def double(self, code):  # NumPy converts lanes beside a float itself
+        return code if _kind(code) in _LANE_KINDS else _Code(f"float({code})", "f")
 
     def unary(self, op, code):
         return _Code(f"({op}{code})", "j" if _kind(code) == "i" else _kind(code))
 
-    def component(self, code, index):
-        return f"{code}[{index}]"
+    def component(self, code, index, ctype):
+        return _Code(f"{code}[{index}]", _kind_of(ctype, True))
+
+    def swizzle(self, code, indices):
+        return _Code(f"({code})[[{', '.join(map(str, indices))}]]", _kind(code))
 
     def divide(self, op, left, right, op_type):
         return _result(f"_fdiv_l({left}, {right})" if op_type.is_float() else
@@ -1489,37 +1295,43 @@ class _LaneSpelling(_Spelling):
 
     def mask(self, code, ctype):
         masked = super().mask("{}", ctype)  # int64 lanes already are 64-bit patterns
-        return _spelled(code, masked, masked, masked) if ctype.size < 8 \
-            else _spelled(code, "{}", masked, "_um64({})", "Ij")
+        return _spelled(code, masked, masked) if ctype.size < 8 \
+            else _spelled(code, "{}", masked, "Ij")
 
     def sign_wrap(self, code, bits):
         half = 1 << (bits - 1)
         wrapped = f"(((({{}}) + {half}) & {(1 << bits) - 1}) - {half})"  # scalars and lanes
-        return _spelled(code, wrapped, wrapped, wrapped) if bits < 64 else \
-            _spelled(code, "{}", "_wrap_to_i64({})", "_sw({}, 64)")  # lanes: 64-bit patterns
+        return _spelled(code, wrapped, wrapped) if bits < 64 else \
+            _spelled(code, "{}", "_wrap_to_i64({})")  # lanes: 64-bit patterns
 
     def to_bool(self, code):
-        return _spelled(code, "({} != 0).astype(_I64)", super().to_bool("{}"), "_to_bool({})")
+        return _spelled(code, "({} != 0).astype(_I64)", super().to_bool("{}"))
 
     def int_to_float(self, code, source):
         u64 = _is_u64(source)
-        return _spelled(code, f"{{}}{'.view(_U64)' * u64}.astype(np.float64)", "float({})",
-                        f"_i2f({{}}{', True' * u64})", "Ff")
+        return _spelled(code, f"{{}}{'.view(_U64)' * u64}.astype(np.float64)", "float({})", "Ff")
 
     def logical_not(self, code):
-        return f"(1 - _to_bool({code}))"
+        if _kind(code) in _LANE_KINDS:
+            return _Code(f"({code} == 0).astype(_I64)", "I")
+        return _Code(super().logical_not(code), "i")  # uniform, or a pointer (always true)
 
     def float_to_int(self, code):
-        return _spelled(code, f"_float_lanes_to_int({{}}, {self.g.m})", "int({})",
-                        f"_f2i({{}}, {self.g.m})", "Ij")
+        return _spelled(code, f"_float_lanes_to_int({{}}, {self.g.m})", "int({})", "Ij")
 
     def cast(self, code, target, source):
         if isinstance(target, VectorType):
-            return self.vector("_cvv", self.operand(code, source, target.element),
-                               self.g.pc.constant(target))
+            return self.vector_convert(code, source, target)
         kind = _kind(code)
-        if kind not in ("I", "F"):
-            return f"_cast({code}, {self.g.pc.constant(target)}, {_is_u64(source)}, {self.g.m})"
+        if kind not in ("I", "F"):  # uniform: the scalar runtime's exact conversion
+            digits = code.lstrip("-")
+            if digits[:1].isdigit():  # a literal: converted now
+                try:
+                    value = convert_scalar(int(code) if digits.isdigit() else float(code), target)
+                    return _Code(repr(value), _uniform_kind(target))
+                except (ValueError, OverflowError):  # no literal, or a fault: at the launch
+                    pass
+            return _Code(f"_cvt({code}, {self.g.pc.constant(target)})", _uniform_kind(target))
         if target.is_bool():
             return self.to_bool(code)
         if target.is_integer():
@@ -1528,6 +1340,64 @@ class _LaneSpelling(_Spelling):
         code = self.int_to_float(code, source) if kind == "I" else code
         return code if target.size == 8 else \
             _Code(f"{code}.astype(np.float{target.size * 8}).astype(np.float64)", "F")
+
+    # -- vectors: rows of the element's lanes, each operation spelled on them
+
+    def element(self, code, source, element):
+        """``code`` (of type ``source``) as components of a vector of
+        ``element``: a scalar converted, a vector's rows as they are."""
+        if isinstance(source, VectorType):
+            if source.element == element:
+                return code  # a vector's rows already hold values of its element
+            source = source.element
+        return self.cast(code, element, source)
+
+    def vector_copy(self, code):
+        return code
+
+    def vector_unary(self, op, code, ctype):
+        return code if op == "+" else self.cast(self.unary(op, code), ctype.element, ctype.element)
+
+    def vector_binary(self, op, left, right, left_type, right_type, op_type):
+        element = op_type.element
+        left, right = self.element(left, left_type, element), \
+            self.element(right, right_type, element)
+        if op in _CMP_OPS:  # -1 where it holds, else 0
+            return _Code(f"(-{self.compare(op, left, right, element)}.astype(_I64))", "I")
+        if op in ("/", "%"):
+            value = self.divide(op, left, right, element)
+        elif op in ("<<", ">>"):
+            value = self.shift(op, left, right, element)
+        else:
+            value = self.arith(op, left, right, element)
+        return self.cast(value, element, element)
+
+    def vector_convert(self, code, source, target):
+        if source == target:
+            return code
+        value, kind = self.element(code, source, target.element), _kind_of(target, True)
+        if isinstance(source, VectorType):
+            return value
+        if _kind(value) in _LANE_KINDS:  # one scalar, broadcast
+            return _Code(f"np.repeat({value}[None], {target.width}, axis=0)", kind)
+        return _Code(f"np.full(({target.width}, ctx.n), {_fit(value, kind)}, "
+                     f"{_LANE_DTYPES[kind]})", kind)
+
+    def vector_literal(self, target, parts):
+        kind = _kind_of(target, True)
+        rows = [f"*{self.element(code, ctype, target.element)}" if isinstance(ctype, VectorType)
+                else _fit(self.element(code, ctype, target.element), kind)
+                for code, ctype in parts]
+        rows = f"({rows[0]},) * {target.width}" \
+            if len(parts) == 1 and not isinstance(parts[0][1], VectorType) \
+            else f"({', '.join(rows)},)"  # one scalar is broadcast
+        return _Code(f"_vecnew({rows}, {_LANE_DTYPES[kind]}, {self.g.m})", kind)
+
+    def vector_set(self, vector, indices, value, ctype):
+        kind = _kind(vector)
+        if isinstance(ctype, ScalarType):  # one component, of the element type
+            value = _fit(self.cast(value, ctype, ctype), kind)
+        return _Code(f"_vset({vector}, {list(indices)}, {value}, {self.g.m})", kind)
 
     def step(self, code, delta, ctype):
         return self.arith("+", code, _Code(repr(delta), "i"), ctype)
@@ -1539,52 +1409,70 @@ class _LaneSpelling(_Spelling):
         return self._operation("+", left, right, "i")
 
     def pointer_equal(self, left, right, negated):
-        equal = f"_ptr_eq_l({left}, {right})"
-        return f"(1 - {equal})" if negated else equal
+        equal = f"_ptr_eq_l({left}, {right}, {self.g.m})"
+        return _Code(f"(1 - {equal})" if negated else equal, "I")
+
+    def pointer_diff(self, left, right):
+        return _Code(f"{left}.diff({right}, {self.g.m})", "I")
 
     def pointer_compare(self, op, left, right):
-        return f"_ptr_cmp(_op.{_ARITH[op]}, {left}, {right})"
+        return _Code(f"_ptr_cmp(_op.{_ARITH[op]}, {left}, {right}, {self.g.m})", "I")
 
     def retype(self, pointer, pointee):
         return f"{pointer}.retyped({pointee}, {self.g.m}, R.views)"
 
     def workitem(self, name, dim):
-        return f"_workitem(ctx, {name!r}, {dim})"
+        return _Code(f"_workitem(ctx, {name!r}, {dim})", "I")
 
     def private_array(self, ctype, values):
         row = allocate_array(ctype, values).pointer.array if values is not None else None
         return f"R.private_array(*{self.g.pc.constant((ctype, row))})"
 
     def call(self, symbol, args):
-        """A user function returns lanes of a scalar type and takes the
-        kinds its every call site agrees on."""
-        entry, kinds = self.g.calls[symbol], [_kind(arg) for arg in args]
-        entry[1] = [k if k == j else None for k, j in zip(kinds, entry[1] or kinds)]
-        return _Code(f"{symbol}({', '.join(['R', 'ctx', self.g.m] + args)})", entry[0])
+        """A user function returns lanes of its type; it is generated once
+        per tuple of the kinds its call sites pass (the first tuple under
+        ``symbol``, the others as ``_fn2_name`` …)."""
+        returned, variants = self.g.calls[symbol]
+        kinds = tuple(_kind(arg) for arg in args)
+        name = variants.get(kinds)
+        if name is None:
+            name = variants[kinds] = symbol if not variants \
+                else symbol.replace("_fn_", f"_fn{len(variants) + 1}_", 1)
+        return _Code(f"{name}({', '.join(['R', 'ctx', self.g.m] + args)})", returned)
 
     def builtin(self, resolved, args):
-        """Lanes when an argument is, uniform when all are (:class:`_Builtin`)."""
-        call = f"{self.g.pc.constant(_Builtin(resolved))}(({', '.join(args)},), {self.g.m})"
-        return _result(call, resolved.result_type, *args)
+        """Computed once where no argument is lanes, else over the lanes
+        (:class:`_Builtin`)."""
+        lanes = tuple(_kind(arg) in _LANE_KINDS for arg in args)
+        builtin = _Builtin(resolved, lanes)
+        slot, result = self.g.pc.constant(builtin), resolved.result_type
+        if not any(lanes) and builtin.memory is None:
+            kind = _kind_of(result, False)
+            return _Code(f"{slot}.one(({', '.join(args)},))", "j" if kind == "i" else kind)
+        code = _Code(f"{slot}(({', '.join(args)},), {self.g.m})", _kind_of(result, True))
+        if builtin.vector and builtin.fast is not None:
+            code = self.cast(code, builtin.result_element, builtin.result_element)
+        return code
 
     def lanes(self, code, kind):
         """``code`` as lanes of ``kind``: what a variable that is not
         uniform holds, and what a user function returns."""
+        assert kind is None or _kind(code) is not None, code  # only a pointer has no kind
         return code if kind not in ("I", "F") or _kind(code) == kind else _Code(
-            f"np.full(ctx.n, {_fit(code, kind)}, {'_I64' if kind == 'I' else 'np.float64'})", kind)
+            f"np.full(ctx.n, {_fit(code, kind)}, {_LANE_DTYPES[kind]})", kind)
 
     def assign(self, name, code, value_needed=True, declared=None):
         g = self.g
         if value_needed:
             code = g.temp("t", code)
         if declared is not None:  # not uniform: a uniform initial value becomes lanes
-            g.typed[name] = _Code(name, _kind(code) and _kind_of(declared, True))
+            g.typed[name] = _Code(name, _kind_of(declared, True))
         want = _kind(g.typed.get(name))
         # Only the lanes of the chain change; on the chain the variable
         # was declared on those are all that can see it.
         g.emit(f"{name} = " + (self.lanes(code, want) if g.var_chain.get(name) == g.m else
                                f"np.where({g.m}, {_fit(code, want)}, {name})"
-                               if want in ("I", "F") else f"_merge({name}, {code}, {g.m})"))
+                               if want else f"_merge({name}, {code}, {g.m})"))
         return code
 
     def discard(self, code):
@@ -1609,9 +1497,12 @@ class _LaneCompiler(_FunctionCompiler):
     """
 
     def __init__(self, program_compiler, function, facts: _FunctionFacts,
-                 kernel: CompiledKernel, calls: Dict[str, list]):
+                 kernel: CompiledKernel, calls: Dict[str, tuple], symbol: str,
+                 kinds: Optional[tuple]):
         super().__init__(program_compiler, function)
-        self.calls = calls  # function symbol -> [kind returned, kinds its call sites pass]
+        # function symbol -> (kind returned, {kinds its call sites pass: generated symbol})
+        self.calls = calls
+        self.symbol, self.kinds = symbol, kinds  # what this one is generated for
         self.typed: Dict[str, _Code] = {}  # Python local -> its name with the kind it holds
         self.scalar_spelling, self.e = self.e, _LaneSpelling(self)
         self.m = "m"
@@ -1697,6 +1588,9 @@ class _LaneCompiler(_FunctionCompiler):
         return name
 
     def default_value_code(self, ctype) -> str:
+        if isinstance(ctype, VectorType):  # lanes, as every vector
+            kind = _kind_of(ctype, True)
+            return _Code(f"np.zeros(({ctype.width}, ctx.n), {_LANE_DTYPES[kind]})", kind)
         return _Code(super().default_value_code(ctype), _kind_of(ctype, False))
 
     def temp(self, hint: str, code: str) -> str:
@@ -1746,30 +1640,35 @@ class _LaneCompiler(_FunctionCompiler):
     def compile(self) -> str:
         fn = self.function
         params = [self.declare_name(param.name) for param in fn.params]
-        symbol = self.pc.function_symbol(fn.name)
-        passed = self.calls[symbol][1] or [None] * len(params)  # a kernel: called by none
-        for param, name, kind in zip(fn.params, params, passed):
-            ctype, written = param.declared_type, param.name in self.written
-            if fn.is_kernel and isinstance(ctype, ScalarType) and not written:
-                self.uniform_names.add(name)  # in range of its type: the launch converted it
-                kind = "i" if ctype.is_integer() and not _is_u64(ctype) else _kind_of(ctype, False)
-            self.typed[name] = _Code(name, None if written and kind not in ("I", "F") else kind)
-        self.lines.append(f"def {symbol}(R, ctx, m{''.join(', ' + p for p in params)}):")
+        self.lines.append(f"def {self.symbol}(R, ctx, m{''.join(', ' + p for p in params)}):")
         self.emit("ops = R.ops")
         if fn.is_kernel and self.kernel.local_decls:
             self.emit("lmem = R.lmem")
+        for param, name, kind in zip(fn.params, params, self.kinds or [None] * len(params)):
+            ctype, written = param.declared_type, param.name in self.written
+            if fn.is_kernel:  # the launch converted it to its type; a vector is lanes (execute)
+                kind = _uniform_kind(ctype)
+                if isinstance(ctype, ScalarType) and not written:
+                    self.uniform_names.add(name)
+            if written and kind in ("i", "j", "f"):  # a variable: lanes from its declaration on
+                lanes = _kind_of(ctype, True)
+                self.emit(f"{name} = {self.e.lanes(_Code(name, kind), lanes)}")
+                kind = lanes
+            self.typed[name] = _Code(name, kind)
         returns, statements = self.facts.returns, fn.body.statements
         self.tail_return = returns[0] if len(returns) == 1 and statements \
             and statements[-1] is returns[0] else None
         valued = not fn.is_kernel and not fn.return_type.is_void()
-        if valued and self.tail_return is None:
-            self.emit("_rv = None")
+        if valued and self.tail_return is None:  # lanes of zeros (a null pointer) to start from
+            scalar = isinstance(fn.return_type, ScalarType)
+            self.emit("_rv = " + (f"np.zeros(ctx.n, {_LANE_DTYPES[_kind_of(fn.return_type, True)]})"
+                                  if scalar else self.default_value_code(fn.return_type)))
         status = self.lane_list(statements, "m")
         if valued and self.tail_return is None:
             if status is not _DEAD:
                 self.emit(f"if m[m.argmax()]: raise _KernelFault('function {fn.name} finished "
                           "without returning a value')")
-            self.emit(f"return {self.e.lanes('_rv', _kind_of(fn.return_type, True))}")
+            self.emit("return _rv")
         return "\n".join(self.lines)
 
     # -- statements ------------------------------------------------------------
@@ -2000,7 +1899,8 @@ class _LaneCompiler(_FunctionCompiler):
     def check_counters(self, counters: set, increment) -> None:
         """A ``for`` counter registered uniform by its declaration stays
         uniform only if the increment steps it unconditionally (as a
-        top-level part of the expression) and by a uniform amount."""
+        top-level part of the expression) and by a uniform amount; one
+        stepped by lanes holds lanes from its declaration on."""
         if increment is None:
             return
         parts = increment.parts if isinstance(increment, ast.CommaExpr) else [increment]
@@ -2010,7 +1910,9 @@ class _LaneCompiler(_FunctionCompiler):
                     any(node is part for part in parts)
                     and (not isinstance(node, ast.Assignment) or self.uniform(node.value))):
                 self.uniform_names.discard(name)
-                self.typed.pop(name)  # declared uniform, stepped by lanes: no kind
+                lanes = "F" if _kind(name) == "f" else "I"
+                self.emit(f"{name} = {self.e.lanes(name, lanes)}")
+                self.typed[name] = _Code(name, lanes)
 
     def lane_switch(self, stmt: ast.SwitchStmt, m: str) -> str:
         # The lowering charges subject cost + one comparison per case
@@ -2052,10 +1954,12 @@ class _LaneCompiler(_FunctionCompiler):
         self.charge_lanes(m, stmt.value)
         with self._state(m=m):
             value = self.compile_converted(stmt.value, self.function.return_type)
+        kind = _kind_of(self.function.return_type, True)
         if stmt is self.tail_return:
-            self.emit(f"return {self.e.lanes(value, _kind_of(self.function.return_type, True))}")
+            self.emit(f"return {self.e.lanes(value, kind)}")
         else:
-            self.emit(f"_rv = _ret(_rv, {value}, {m})")
+            self.emit(f"_rv = np.where({m}, {_fit(value, kind)}, _rv)" if kind
+                      else f"_rv = _merge(_rv, {value}, {m})")  # a pointer
         return _DEAD
 
     # -- expressions -----------------------------------------------------------
@@ -2067,8 +1971,10 @@ class _LaneCompiler(_FunctionCompiler):
                 or self.fold(expr) is not None:
             return True
         if isinstance(expr, ast.Identifier):
+            name = self.lookup_name(expr.name)
             return getattr(expr, "constant_value", None) is not None \
-                or self.lookup_name(expr.name) in self.uniform_names
+                or name in self.uniform_names \
+                or name is None and isinstance(expr.ctype, ScalarType)  # a __constant scalar
         if not isinstance(expr.ctype, ScalarType) or expr.ctype.is_void():
             return False
         if isinstance(expr, ast.UnaryOp):
@@ -2089,8 +1995,16 @@ class _LaneCompiler(_FunctionCompiler):
         return False
 
     def _compile_workitem(self, expr, resolved) -> str:
-        code = super()._compile_workitem(expr, resolved)  # ids of a literal dimension: lanes
-        return _Code(code, "I" if resolved.name in _ID_QUERIES and code[:4] == "ctx." else None)
+        # an id of a literal dimension, or a query of a dimension that is not uniform
+        return _Code(super()._compile_workitem(expr, resolved), "I")
+
+    def _expr_Identifier(self, expr) -> str:
+        code = super()._expr_Identifier(expr)
+        if isinstance(expr.ctype, VectorType) and self.lookup_name(expr.name) is None:
+            # a __constant vector: a column (_materialize), broadcast over the lanes
+            return _Code(f"np.broadcast_to({code}, ({expr.ctype.width}, ctx.n))",
+                         _kind_of(expr.ctype, True))
+        return code
 
     def _uniform_target(self, target) -> bool:
         return isinstance(target, ast.Identifier) \
@@ -2138,12 +2052,15 @@ class _LaneCompiler(_FunctionCompiler):
                     and not _is_pointer(expr.left) and not _is_pointer(expr.right):
                 # the truth value itself, not the C int made from it
                 value = self._compare(expr.op, *self._operands(
-                    self.compile_expr(expr.left), self.compile_expr(expr.right), expr.left,
-                    expr.right, expr.op_type), expr.op_type)
+                    expr.op, self.compile_expr(expr.left), self.compile_expr(expr.right),
+                    expr.left, expr.right, expr.op_type), expr.op_type)
             else:
                 value = self.compile_expr(expr)
+        if _is_pointer(expr):  # a pointer is true, as it is per item
+            self.effect(value)
+            return m
         return f"({m} & {value})" if _kind(value) == "B" else _spelled(
-            value, f"({m} & ({{}} != 0))", f"({m} if {{}} else _zeros({m}))", f"_truthy({{}}, {m})")
+            value, f"({m} & ({{}} != 0))", f"({m} if {{}} else _zeros({m}))")
 
     def reuse_load(self, expr, load: str, pure: bool) -> str:
         load = _Code(load, _kind_of(expr.ctype, True))  # every load is lanes
@@ -2162,24 +2079,21 @@ class _LaneCompiler(_FunctionCompiler):
             with self._state(m=chain):
                 return self.compile_converted(branch, expr.ctype)
 
-        m = self.m
+        m, kind = self.m, _kind_of(expr.ctype, True)  # lanes on both paths (None: pointers)
         result = self.fresh("sel")
         then_m = self.temp("m", self.condition(expr.condition, m))
         else_m = self.temp("m", f"{m} & ~{then_m}")
         then_any = self.temp("t", f"{then_m}[{then_m}.argmax()]")
         self.open(f"if {then_any}:")
-        chosen = arm(expr.then_expr, then_m)
-        self.emit(f"{result} = {chosen}")
-        result = _Code(result, _kind(chosen))
+        self.emit(f"{result} = {self.e.lanes(arm(expr.then_expr, then_m), kind)}")
         self.close()
         self.open(f"if {else_m}[{else_m}.argmax()]:")
         other = self.temp("sel", arm(expr.else_expr, else_m))
-        want = _kind(result) and _kind(other) and _kind_of(expr.ctype, True)
-        merged = f"np.where({then_m}, {_fit(result, want)}, {_fit(other, want)})" if want \
+        merged = f"np.where({then_m}, {result}, {_fit(other, kind)})" if kind \
             else f"_merge({other}, {result}, {then_m})"
-        self.emit(f"{result} = {merged} if {then_any} else {other}")
+        self.emit(f"{result} = {merged} if {then_any} else {self.e.lanes(other, kind)}")
         self.close()
-        return _Code(result, _kind(other) if _kind(other) == _kind(result) in ("I", "F") else None)
+        return _Code(result, kind)
 
     def _lane_BinaryOp(self, expr):
         if expr.op in ("&&", "||"):
@@ -2203,13 +2117,19 @@ class _LaneCompiler(_FunctionCompiler):
 
 def _generate(kernel: CompiledKernel, functions) -> GeneratedModule:
     """Emit ``kernel`` and the helpers it reaches as one module, every
-    caller before its callees (which take the kinds their calls pass)."""
+    caller before its callees — each of those once per tuple of the kinds
+    its emitted calls pass (:meth:`_LaneSpelling.call`), so not at all
+    where only code that never runs calls it (after a ``return``, under
+    ``sizeof``)."""
     pc = _ProgramCompiler(kernel.program)
-    calls = {pc.function_symbol(fn.name): [_kind_of(fn.return_type, True), None]
+    calls = {pc.function_symbol(fn.name): (_kind_of(fn.return_type, True), {})
              for fn, _ in functions}
-    source = "\n\n".join(_LaneCompiler(pc, fn, facts, kernel, calls).compile()
-                         for fn, facts in functions) + "\n"
-    return pc.module(source, f"<kernelc-lockstep:{kernel.name}>")
+    calls[pc.function_symbol(kernel.name)][1][None] = pc.function_symbol(kernel.name)
+    parts = []
+    for fn, facts in functions:
+        for kinds, name in calls[pc.function_symbol(fn.name)][1].items():
+            parts.append(_LaneCompiler(pc, fn, facts, kernel, calls, name, kinds).compile())
+    return pc.module("\n\n".join(parts) + "\n", f"<kernelc-lockstep:{kernel.name}>")
 
 
 def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan:
@@ -2227,6 +2147,8 @@ def _materialize(kernel: CompiledKernel, module: GeneratedModule) -> _KernelPlan
             ptr = value.pointer
             namespace[symbol] = VArray(VPtr(ptr.array, ptr.element_type, ptr.address_space,
                                             None, ptr.length, ptr.offset, None), value.element)
+        elif isinstance(value, VecValue):
+            namespace[symbol] = _column(value)
     exec(module.code, namespace)  # noqa: S102
     return _KernelPlan(namespace[pc.function_symbol(kernel.name)], module.source)
 
@@ -2423,6 +2345,8 @@ def execute(kernel: CompiledKernel, plan: _KernelPlan, ndrange, selected, args,
     values = list(args[0])
     for position, arg in enumerate(values):
         if not isinstance(arg, Pointer):
+            if isinstance(arg, VecValue):  # lanes, as every vector
+                values[position] = np.broadcast_to(_column(arg), (arg.width, lanes.n))
             continue
         if copies == 1:
             values[position] = VPtr(arg.array, arg.element_type, arg.address_space,

@@ -183,6 +183,51 @@ class TestMisalignedFaults:
         assert (type(lockstep), str(lockstep)) == (type(per_item), "misaligned pointer cast")
 
 
+class TestConversionFaults:
+    """A float converted to an integer faults with the error of the first
+    active lane, in lane order, that holds a NaN or an infinity (and in
+    it of the first such component), as one work-item after another
+    does — a scalar cast and a vector conversion alike."""
+
+    SOURCE = """__kernel void k(__global const float* a, __global int* out) {{
+        int i = get_global_id(0);
+        {body}
+    }}"""
+
+    def _run(self, body, values):
+        kernel = _kernel(self.SOURCE.format(body=body))
+        arrays = {"a": np.array(values, np.float32), "out": np.zeros(8, np.int32)}
+        return (_launch(kernel, arrays, ["a", "out"], (4,), (4,), "peritem"),
+                _launch(kernel, arrays, ["a", "out"], (4,), (4,), "lockstep"))
+
+    @pytest.mark.parametrize("body", ["out[i] = (int)a[i];",
+                                      "vstore2(convert_int2((float2)(a[i], a[i])), i, out);"])
+    @pytest.mark.parametrize("values, error", [
+        ([np.inf, np.nan, 1, 2], (OverflowError, "cannot convert float infinity to integer")),
+        ([1, np.nan, -np.inf, 2], (ValueError, "cannot convert float NaN to integer"))])
+    def test_the_first_faulting_lane_reports(self, body, values, error):
+        per_item, lockstep = self._run(body, values)
+        assert (type(lockstep), str(lockstep)) == (type(per_item), str(per_item)) == error
+
+    def test_the_first_faulting_operation_reports_across_lanes(self):
+        """The lockstep engine runs each operation on every lane before the
+        next: where work-items fault in different operations of one
+        statement it reports the first operation that faults on any lane
+        (here the division, on work-item 1), the per-item engine the first
+        work-item's fault (here work-item 0's conversion).  Both are
+        undefined behaviour in C."""
+        kernel = _kernel("""__kernel void k(__global const int* a, __global int* o) {
+            int i = get_global_id(0);
+            o[i] = 10 / a[i] + (int)(1.0f / 0.0f * a[i]);
+        }""")
+        arrays = {"a": np.array([1, 0, 3, 4], np.int32), "o": np.zeros(4, np.int32)}
+        per_item, lockstep = (_launch(kernel, arrays, ["a", "o"], (4,), (4,), engine)
+                              for engine in ("peritem", "lockstep"))
+        assert (type(per_item), str(per_item)) == (
+            OverflowError, "cannot convert float infinity to integer")
+        assert (type(lockstep), str(lockstep)) == (KernelFault, "integer division by zero")
+
+
 def test_views_of_one_storage_at_one_dtype_are_one_object():
     """What lets ``_merge`` join pointers cast on different branches: the
     same view, and the same rescaled row origins, each time."""

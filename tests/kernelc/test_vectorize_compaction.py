@@ -210,22 +210,24 @@ class TestShapes:
                 kernel, arrays, ["out", "in", "sel", "fout", n], (n,), (_WG,))
         assert regions == {"compacted": 2, "full": 0}
 
-    def test_outer_variable_changing_int_to_float(self):
-        """The widened value is ``_merge``'s, domain included: int lanes
-        written float inside the region come back float on every lane."""
+    def test_a_widened_variable_keeps_its_lanes_outside_the_region(self):
+        """An outer variable a compacted region wrote comes back as
+        ``np.where`` leaves it on every lane — the region's values on its
+        lanes, the old ones elsewhere, in the variable's one dtype — for a
+        scalar's lanes and for a vector's columns; the old value is not
+        changed."""
         chain = np.array([True, False, True, False, False, False])
         ix = chain.nonzero()[0]
         old = np.arange(6, dtype=np.int64) * 3
-        new = np.array([0.5, -1.25])
-        full_new = np.zeros(6)
-        full_new[ix] = new
-        widened = vectorize._widen(old, new, ix, chain)
-        expected = vectorize._merge(old, full_new, chain)
-        assert widened.dtype == expected.dtype == np.float64
-        assert widened.tobytes() == expected.tobytes()
-        # scalar before, lanes after; lanes before, an equal scalar after
-        assert vectorize._widen(7, np.array([1, 2]), ix, chain).tolist() == [1, 7, 2, 7, 7, 7]
-        assert vectorize._widen(old, 5, ix, chain).tolist() == [5, 3, 5, 9, 12, 15]
+        new = np.array([-1, 7], np.int64)
+        widened = vectorize._widen(old, new, ix)
+        assert widened.dtype == np.int64
+        assert widened.tobytes() == np.where(chain, np.zeros(6, np.int64) + [-1, 0, 7, 0, 0, 0],
+                                             old).tobytes()
+        assert old.tolist() == [0, 3, 6, 9, 12, 15]
+        vector = np.arange(12.0).reshape(2, 6)
+        widened = vectorize._widen(vector, np.array([[0.5, 1.5], [2.5, 3.5]]), ix)
+        assert widened.tolist() == [[0.5, 1, 1.5, 3, 4, 5], [2.5, 7, 3.5, 9, 10, 11]]
 
     def test_the_lane_floor_holds_at_launch_size(self):
         """With the default floor a launch of fewer lanes runs every

@@ -218,3 +218,26 @@ class TestKinds:
         arrays = {"a": np.array([-2**63, -7, 2**63 - 1, 5], np.int64),
                   "out": np.zeros(8, np.int64)}
         assert_engines_agree(_kernel(source), arrays, ["a", "out"], (4,), (4,))
+
+    @pytest.mark.parametrize("store", ["o[i] = 1; return; o[i] = f(i);",  # after a return
+                                       "o[i] = sizeof(f(i));"])  # never evaluated
+    def test_a_function_only_unrun_code_calls_is_not_generated(self, store):
+        source = f"""
+        int f(int x) {{ return x + 1; }}
+        __kernel void k(__global int* o) {{ int i = get_global_id(0); {store} }}"""
+        kernel = _kernel(source)
+        assert "def _fn_f(" not in vectorize.plan_for(kernel).source
+        assert_engines_agree(kernel, {"o": np.zeros(8, np.int32)}, ["o"], (8,), (4,))
+
+    def test_a_64_bit_integer_is_compared_with_a_float_as_a_double(self):
+        # 2**64 - 1 is no double: C compares the double it rounds to, 2**64
+        source = """
+        __kernel void k(__global const double* a, __global char* out, ulong s, long t) {
+            size_t gid = get_global_id(0);
+            out[gid] = (s < a[gid]) + 2 * (s < 18446744073709551616.0)
+                       + 4 * (t >= (double)(s + gid * 0)) + 8 * (t == 9223372036854775808.0);
+        }"""
+        arrays = {"a": np.array([2.0**64, 1.0, math.inf, -0.0], np.float64),
+                  "out": np.zeros(4, np.int8)}
+        for s, t in ((2**64 - 1, 2**63 - 1), (3, -2**63), (2**63 + 1, 2**53 + 1)):
+            assert_engines_agree(_kernel(source), arrays, ["a", "out", s, t], (4,), (4,))

@@ -1,15 +1,17 @@
 """Which lane helpers the skeletons' generated kernels still call.
 
-The lockstep generator spells an operation directly where it knows the
-kind of every operand; it calls a helper that decides at run time
-(``_i_*``/``_u_*``/``_f_*``, ``_um64``, ``_truthy``, ``_merge``) only where
-a launch decides.  This guard runs the ``skelcl_*`` kernels of the six
+The lockstep generator knows the kind of every scalar and vector value it
+emits and spells each operation once, for those kinds; the lane library
+keeps no helper that decides a kind at run time.  This guard asserts that
+none of the deleted helpers (``_i_*``/``_u_*``/``_f_*``, ``_um64``,
+``_truthy``, ``_cast`` … and the vector operations ``_binv``, ``_cvv`` …)
+is in the library, and runs the ``skelcl_*`` kernels of the six
 skeletons — Map, Zip, Reduce with its fused form, Scan's three kernels,
 MapOverlap on vectors and matrices, AllPairs — with the customizing
-functions of the benchmark's workloads (``bench/workloads.py``), and pins
-how many call sites of those helpers their generated sources keep: none.
-It also pins the wider count of helper call sites (conversions, ``_b2i``,
-``_sw`` …), the residual share ``docs/kernelc.md`` reports.
+functions of the benchmark's workloads (``bench/workloads.py``): their
+generated sources call none of them and no ``_merge`` (which merges only
+pointers now).  It also pins the count of helper call sites that remain,
+the residual share ``docs/kernelc.md`` reports.
 """
 
 import re
@@ -21,20 +23,25 @@ import pytest
 import repro.skelcl as skelcl
 from repro.kernelc import vectorize
 
-#: Helpers that decide an operand's kind at run time.
-_DECIDING = re.compile(r"\b(_[iuf]_[a-z_]+|_um64|_truthy|_merge)\(")
+#: The helpers that decided an operand's kind at run time, deleted.
+_DELETED = ["_as_float_operand", "_is_float_value", "_um64", "_truthy", "_to_bool", "_b2i",
+            "_i2f", "_f2i", "_u2f", "_cast", "_ret", "_vec_operand", "_elements", "_lanewise",
+            "_sw", "_as_u64_operand", "_binv", "_cmpv", "_unaryv", "_cvv", "_vswiz"] + [
+    f"_{domain}_{name}" for domain in "iuf" for name in vectorize._ARITH.values()]
+_DECIDING = re.compile(r"\b(%s|_merge)\(" % "|".join(_DELETED))
 #: Every helper call of the lane library an operation may lower to.
-_HELPERS = re.compile(r"\b(_[iuf]_[a-z_]+|_um64|_truthy|_merge|_b2i|_to_bool|_sw|_i2f|_f2i|"
-                      r"_cast|_u2f|_lanes|_as_int_operand|_wrap_to_i64|_float_lanes_to_int|"
-                      r"_fdiv_l|_divide_l|_shift_l)\(")
+_HELPERS = re.compile(r"\b(%s|_merge|_cvt|_vecnew|_vset|_as_int_operand|_wrap_to_i64|"
+                      r"_float_lanes_to_int|_fdiv_l|_divide_l|_shift_l|_ptr_eq_l|_ptr_cmp|"
+                      r"_workitem)\(" % "|".join(_DELETED))
 #: What the plans below still call: integer division (``_divide_l``, which
-#: faults where a lane divides by zero), a float's conversion to an
-#: integer (``_float_lanes_to_int``, which faults on NaN and infinity) and
-#: ``_as_int_operand`` where a uniform int of any size or a value only a
-#: launch knows becomes an operand beside lanes.  With a helper per
-#: operation, before the generator knew operand kinds, the same plans
-#: called 1,082, 992 of them helpers that decide kinds.
-_RESIDUAL = 58
+#: faults where a lane divides by zero; 26), a float's conversion to an
+#: integer (``_float_lanes_to_int``, which faults on NaN and infinity; 2)
+#: and ``_as_int_operand`` where a uniform int of any size becomes an
+#: operand beside lanes (28).  With a helper per operation, before the
+#: generator knew operand kinds, the same plans called 1,082, 992 of them
+#: helpers that decide kinds; with a kind for every operand but a mixed
+#: ``?:``, 58.
+_RESIDUAL = 56
 
 _N = 1024  # elements: Scan's add-blocks pass runs from two blocks per device on
 
@@ -114,6 +121,12 @@ def _run_every_skeleton(lazy):
     skelcl.Map("int e(int c) { int z = 0; int it = 0;"
                " while (it < 24 && z < 900) { z = (z * z + c) & 1023; ++it; } return it; }")(
         vector(data=signal)).to_numpy()
+
+
+def test_the_lane_library_has_no_helper_that_decides_kinds():
+    assert len(_DELETED) == 21 + 36
+    assert not set(_DELETED) & set(vectorize._LIBRARY)
+    assert not [name for name in _DELETED if hasattr(vectorize, name)]
 
 
 def test_skeleton_kernels_call_no_helper_that_decides_kinds(generated):

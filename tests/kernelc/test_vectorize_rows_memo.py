@@ -18,8 +18,9 @@ index of ``_PROBE_MIN_LANES`` elements or more is never remembered.
   the other suites with every remembered index made read-only, so an
   in-place write to a lane array raises instead of leaving a memo stale.
 * ``_any`` (the generated code's "any lane active?" test) and the
-  unsigned operand coercion (``_as_u64_operand``, a Python int for a
-  uniform operand) are held against what they replace.
+  spelling of unsigned 64-bit operations (the lanes' ``uint64`` view
+  beside a uniform operand as a Python int) are held against what they
+  replace.
 """
 
 import inspect
@@ -337,7 +338,7 @@ _FAMILIES = {
                    {"case": compaction._branchy_kernels()}),
     "vectors": (None, vectors.test_vector_kernels_agree,
                 {"program": vectors._programs(), "sparse": st.booleans(),
-                 "seed": st.integers(0, 2**16)}),
+                 "seed": st.integers(0, 2**16), "data": st.data()}),
     "sibling-runs": (sibling_runs.TestMergedAgainstSequential,
                      "test_merged_runs_equal_the_oracles_sequential_loop",
                      {"case": sibling_runs._cases()}),
@@ -405,7 +406,7 @@ _LANES = hnp.arrays(np.int64, st.integers(1, 20),
 
 
 def _old_u64(v):
-    """The coercion ``_as_u64_operand`` replaced."""
+    """The coercion the unsigned spelling replaced."""
     if isinstance(v, np.ndarray):
         return v.view(np.uint64)
     return np.int64(vectorize._wrap_to_i64(v)).view(np.uint64)
@@ -420,22 +421,24 @@ def _i64(v: int) -> int:
 
 
 class TestUnsignedOperands:
-    @given(lanes=_LANES, scalar=_SCALARS, name=st.sampled_from(sorted(vectorize._ARITH.values())))
-    def test_every_u_op_matches_the_old_coercion(self, lanes, scalar, name):
-        op = vectorize._LIBRARY[f"_u_{name}"]
-        reference = getattr(operator, name)
+    @given(lanes=_LANES, scalar=_SCALARS, op=st.sampled_from(sorted(vectorize._ARITH)))
+    def test_every_unsigned_spelling_matches_the_old_coercion(self, lanes, scalar, op):
+        """An operation in the unsigned 64-bit type as the lane spelling
+        writes it — a comparison on the lanes' ``uint64`` view, the others
+        on their int64 patterns — over lanes and a uniform operand the
+        lowering masked to 64 bits (a Python int)."""
+        spelling = vectorize._LaneSpelling(None)
+        compare = op in vectorize._CMP_OPS
+        reference = getattr(operator, vectorize._ARITH[op])
+        scalar = _u64(scalar)
         for left, right in ((lanes, scalar), (scalar, lanes), (lanes, lanes[::-1].copy())):
-            found = op(left, right)
+            codes = [vectorize._Code(name, "I" if isinstance(value, np.ndarray) else "j")
+                     for name, value in (("a", left), ("b", right))]
+            code = spelling._operation(op, *codes, "u" if compare else "i")
+            found = eval(code, dict(vectorize._LIBRARY, a=left, b=right))  # noqa: S307
             expected = reference(_old_u64(left), _old_u64(right))
-            assert found.dtype == expected.dtype, (name, left, right)
-            np.testing.assert_array_equal(found, expected)
-        assert op(scalar, 3) == reference(scalar, 3)  # two uniform operands: Python ints
-
-    @given(scalar=_SCALARS)
-    def test_a_uniform_operand_is_its_64_bit_pattern(self, scalar):
-        found = vectorize._as_u64_operand(scalar)
-        assert type(found) is int and found == int(_old_u64(scalar))
-        assert vectorize._as_u64_operand(np.int64(_i64(scalar))) == found
+            assert found.dtype == (np.bool_ if compare else np.int64), (code, left, right)
+            np.testing.assert_array_equal(found if compare else found.view(np.uint64), expected)
 
     @given(lanes=_LANES, scalar=_SCALARS, remainder=st.booleans(), data=st.data())
     def test_u64_division_is_unsigned(self, lanes, scalar, remainder, data):

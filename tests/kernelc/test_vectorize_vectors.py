@@ -1,13 +1,16 @@
 """Vector types on the lockstep engine.
 
-``floatN`` and the other OpenCL vector types run on lanes: a uniform
-vector is a ``VecValue``, lanes of one a ``(width, lanes)`` array.  Every
+``floatN`` and the other OpenCL vector types run on lanes: a vector is
+always a ``(width, lanes)`` array, a row per component — a literal of
+uniform parts, a ``__constant`` vector and a vector argument too.  Every
 test holds the lockstep engine against the per-item one: bit-exact
 buffers, equal ``ExecutionCounters`` on every field, and on a fault the
 same exception type and message (the first faulting lane's).
 
-Hypothesis draws the element type (int, uint, uchar, float, double), the
-width (2, 3, 4, 8, 16) and a kernel body from the menus below:
+Hypothesis draws the element type (int, uint, uchar, long, ulong, float,
+double; a ``long``/``ulong`` kernel's uniform scalar argument over the
+full 64-bit range, -2^63 and values from 2^63 on included), the width
+(2, 3, 4, 8, 16) and a kernel body from the menus below:
 arithmetic, comparison and unary operators, vector with scalar and vector
 with vector; swizzle reads and writes (``.xy``, ``.lo``/``.hi``,
 ``.sN``); literals splicing vector parts; conversions and casts;
@@ -22,13 +25,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernelc import vectorize
+from repro.kernelc import VecValue, vectorize
+from repro.kernelc.ctypes_ import FLOAT, ULONG
 
 from tests.kernelc.test_vectorize_compaction import (_kernel, _launch, _no_floor,
                                                      assert_engines_agree)
 
-_TYPES = {"int": np.int32, "uint": np.uint32, "uchar": np.uint8,
-          "float": np.float32, "double": np.float64}
+_TYPES = {"int": np.int32, "uint": np.uint32, "uchar": np.uint8, "long": np.int64,
+          "ulong": np.uint64, "float": np.float32, "double": np.float64}
+#: The uniform scalar argument ``u`` of a 64-bit kernel: the edges of its
+#: range, or any value of it; the parametrized tests take the first edge.
+_EDGES = {"long": [-2**63, 2**63 - 1, -1], "ulong": [2**64 - 3, 2**63, 2**64 - 1]}
+
+
+def _uniform(t):
+    if t not in _EDGES:
+        return st.just(5)
+    info = np.iinfo(_TYPES[t])
+    return st.one_of(st.sampled_from(_EDGES[t]), st.integers(int(info.min), int(info.max)))
 _WIDTHS = (2, 3, 4, 8, 16)
 _N = 64
 _WG = 16
@@ -139,12 +153,12 @@ def _programs(draw):
 
 
 @settings(deadline=None)  # example budget: the hypothesis profile
-@given(program=_programs(), sparse=st.booleans(), seed=st.integers(0, 2**16))
-def test_vector_kernels_agree(program, sparse, seed):
+@given(program=_programs(), sparse=st.booleans(), seed=st.integers(0, 2**16), data=st.data())
+def test_vector_kernels_agree(program, sparse, seed, data):
     t, w, body = program
     kernel = _kernel(_SOURCE.format(t=t, w=w, body=body))
     arrays = _arrays(t, w, sparse, seed)
-    scalars = _ARGS + [_TYPES[t](5), _N]
+    scalars = _ARGS + [_TYPES[t](data.draw(_uniform(t))), _N]
     assert_engines_agree(kernel, arrays, scalars, (_N,), (_WG,))
     with _no_floor():
         assert_engines_agree(kernel, arrays, scalars, (_N,), (_WG,))
@@ -159,8 +173,9 @@ def test_every_statement_and_expression_agrees(t, w):
     body += [f"r = r - ({expr});" for expr in exprs]
     kernel = _kernel(_SOURCE.format(t=t, w=w, body="\n    ".join(body).replace(
         "convert_V", f"convert_{t}{w}")))
+    u = _EDGES[t][0] if t in _EDGES else 3
     with _no_floor():
-        regions = assert_engines_agree(kernel, _arrays(t, w, True, w), _ARGS + [_TYPES[t](3), _N],
+        regions = assert_engines_agree(kernel, _arrays(t, w, True, w), _ARGS + [_TYPES[t](u), _N],
                                        (_N,), (_WG,))
     assert regions["compacted"] > 0
 
@@ -218,3 +233,62 @@ class TestFaultParity:
         arrays = {"out": np.zeros(4 * _N, np.float32), "idx": idx}
         self._assert_fault(source, arrays, ["out", "idx"],
                            f"out-of-bounds global access: element 500 of {_N}")
+
+
+@pytest.mark.parametrize("expr, t", [("(ulong2)(s, a[i])", "ulong"),
+                                     ("(ulong2)(a[i], 1) * s", "ulong"),
+                                     ("convert_float2((ulong2)(a[i], s))", "float")])
+def test_a_uniform_ulong_from_2_to_the_63_in_a_vector(expr, t):
+    """A uniform ``ulong`` of 2^63 or more as a vector's component, as
+    its operand and through a conversion: the lane holds its 64-bit
+    pattern, as every ``ulong`` lane does."""
+    source = f"""__kernel void k(__global const ulong* a, __global {t}* out, ulong s) {{
+        int i = get_global_id(0);
+        vstore2({expr}, i, out);
+    }}"""
+    arrays = {"a": np.array([0, 1, 2**63, 2**64 - 1, 7, 2**40, 3, 2**63 + 5], np.uint64),
+              "out": np.zeros(16, _TYPES[t])}
+    assert assert_engines_agree(_kernel(source), arrays, ["a", "out", np.uint64(2**64 - 3)],
+                                (8,), (4,)) is not None
+
+
+@pytest.mark.parametrize("expr, t", [("(uchar2)(300, a[i])", "uchar"),
+                                     ("(int2)(2.75f, a[i]) * -7", "int"),
+                                     ("(ulong2)(18446744073709551613UL, a[i])", "ulong"),
+                                     ("(float2)(16777217, a[i])", "float")])
+def test_a_literal_component_is_converted_when_the_plan_is_generated(expr, t):
+    """A literal part of a vector is converted to the element type once,
+    by the generator (wrapped, truncated, rounded), not at every launch."""
+    source = f"""__kernel void k(__global const ulong* a, __global {t}* out) {{
+        int i = get_global_id(0);
+        vstore2({expr}, i, out);
+    }}"""
+    kernel = _kernel(source)
+    assert "_cvt(" not in vectorize.plan_for(kernel).source
+    arrays = {"a": np.array([0, 1, 2**63, 2**64 - 1], np.uint64), "out": np.zeros(8, _TYPES[t])}
+    assert_engines_agree(kernel, arrays, ["a", "out"], (4,), (4,))
+
+
+def test_vector_arguments_are_lanes():
+    """A vector passed by value — read whole, by component, in a region
+    and through a helper, a ``ulong2`` from 2^63 on included."""
+    source = """
+    float4 scale(float4 v, float f) { return v * f; }
+    __kernel void k(__global float* out, __global ulong* wide, __global const int* sel,
+                    float4 p, ulong2 q) {
+        int gid = get_global_id(0);
+        float4 r = scale(p, (float)gid) + p.wzyx;
+        if (sel[gid] & 1) { r.y = p.x * gid; wide[2 * gid] = (q + (ulong2)(gid, 1)).x; }
+        wide[2 * gid + 1] = q.y >> 3;
+        vstore4(r, gid, out);
+    }"""
+    sel = np.zeros(_N, np.int32)
+    sel[::8] = 1  # sparse: the branch runs compacted
+    arrays = {"out": np.zeros(4 * _N, np.float32), "wide": np.zeros(2 * _N, np.uint64),
+              "sel": sel}
+    p = VecValue(FLOAT, [1.5, -2.25, 3.0, 0.1])
+    q = VecValue(ULONG, [2**64 - 3, 2**63 + 7])
+    with _no_floor():
+        regions = assert_engines_agree(_kernel(source), arrays, ["out", "wide", "sel", p, q],
+                                       (_N,), (_WG,))
+    assert regions["compacted"] > 0
